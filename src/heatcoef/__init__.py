@@ -43,7 +43,6 @@ from .spectral import (
     EigensolverError,
     solve_generalized_eig,
     strictify_spectrum,
-    check_gap_property,
     gap_report,
     spectral_projection_apply,
     projection_difference_norm,
@@ -75,6 +74,6 @@ from .inversion import (
     stability_ratio_experiment,
 )
 from .scenario import Scenario, FieldSpec, U0Spec, ConfigError, parse_config, serialize_scenario, scenario_hash
-from .runner import RunArtifact, RunnerError, run_scenario, write_reports, stability_sweep
+from .runner import RunArtifact, RunnerError, run_scenario, write_reports
 
 __version__ = "0.1.0"

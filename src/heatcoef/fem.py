@@ -203,10 +203,17 @@ def make_field(mesh: Mesh, values, a_plus: float) -> CoefficientField:
 
 
 def validate_coefficient(mesh: Mesh, field: CoefficientField, tol: float = 1e-12) -> None:
-    """Raise AdmissibilityError (naming the worst node) on bound/trace violations."""
+    """Raise AdmissibilityError (naming the worst node) on non-finite, bound or trace violations."""
     v = field.values
     if field.a_plus <= 1.0:
         raise AdmissibilityError(f"a_plus must exceed 1, got {field.a_plus}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        k = int(bad[0])
+        x, y = mesh.nodes[k]
+        raise AdmissibilityError(
+            f"coefficient value {v[k]} is not finite at node {k} (x={x:.6g}, y={y:.6g})"
+        )
     low = np.argmin(v)
     if v[low] < 1.0 - tol:
         x, y = mesh.nodes[low]

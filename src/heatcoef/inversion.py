@@ -43,7 +43,7 @@ from .fem import (
 )
 from .heat import check_u0_condition, compute_F, evolve, fit_log_slope
 from .mesh import Mesh
-from .spectral import solve_generalized_eig
+from .spectral import SpectralDecomposition, solve_generalized_eig
 
 __all__ = [
     "TransportSystem",
@@ -217,14 +217,9 @@ def solve_transport_ls(system: TransportSystem, a_prior: CoefficientField) -> Co
             f"singular normal matrix in transport solve (diagonal ratio {cond:.3e})"
         )
     a[I] = sol
-    return CoefficientField(values=a, a_plus=a_prior.a_plus,
-                            boundary_trace=np.where(_boundary_mask(system), a, 0.0))
-
-
-def _boundary_mask(system: TransportSystem) -> np.ndarray:
-    mask = np.zeros(system.boundary_values.shape[0], dtype=bool)
-    mask[system.boundary_nodes] = True
-    return mask
+    trace = np.zeros_like(a)
+    trace[B] = a[B]
+    return CoefficientField(values=a, a_plus=a_prior.a_plus, boundary_trace=trace)
 
 
 def admissible_projection(
@@ -455,12 +450,14 @@ def stability_ratio_experiment(
     a_tilde: CoefficientField,
     u0,
     T_grid,
-    K: int = 40,
-    cluster_tol: float = 1e-6,
+    spec: SpectralDecomposition,
+    spec_t: SpectralDecomposition,
 ) -> StabilityTable:
     """Measure how fast distinguishing two coefficients degrades with T.
 
-    Identical coefficients return an empty, flagged table; per-T snapshot
+    spec and spec_t are the decompositions of a and a_tilde; the unit
+    pencil's ground eigenvalue is solved at spec.cluster_tol.  Identical
+    coefficients return an empty, flagged table; per-T snapshot
     differences below 1e-14 are flagged indistinguishable and excluded
     from the rate fit.
     """
@@ -468,7 +465,7 @@ def stability_ratio_experiment(
     if grid.size < 2 or np.any(grid <= 0):
         raise ValueError("T_grid must hold at least two positive times")
     unit_pair = apply_dirichlet(assemble_pair(mesh, 1.0), mesh)
-    spec_unit = solve_generalized_eig(unit_pair, 1, cluster_tol)
+    spec_unit = solve_generalized_eig(unit_pair, 1, spec.cluster_tol)
     cdiff = l2_norm(a.values - a_tilde.values, unit_pair.full_mass)
     if cdiff == 0.0:
         empty = np.array([])
@@ -479,8 +476,6 @@ def stability_ratio_experiment(
             lambda1_tilde=float("nan"), lambda1_unit=float(spec_unit.eigenvalues[0]),
             a_plus=a.a_plus, identical=True,
         )
-    spec = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, a.values), mesh), K, cluster_tol)
-    spec_t = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, a_tilde.values), mesh), K, cluster_tol)
     lam1, lam1t = float(spec.hat_eigenvalues[0]), float(spec_t.hat_eigenvalues[0])
     lam2 = float(spec.hat_eigenvalues[1])
     recip_gap = abs(1.0 / lam1 - 1.0 / lam1t)

@@ -1,8 +1,10 @@
 """Structured triangulations of the unit square and boundary geometry.
 
-The mesh is the standard right-triangle split of an nx-by-ny cell grid:
-every cell is cut along the diagonal from its lower-left to its upper-right
-corner, so the stiffness stencil of the unit coefficient reduces to the
+The mesh is a right-triangle split of an nx-by-ny cell grid whose cell
+diagonals alternate with the checkerboard parity of the cell: cells with
+even i + j are cut from lower-left to upper-right, odd cells from
+lower-right to upper-left.  Either cut has its right angles at the cell
+corners, so the stiffness stencil of the unit coefficient reduces to the
 familiar five-point star.  Node index = j * (nx + 1) + i for grid position
 (i, j), i.e. nodal fields reshape to (ny + 1, nx + 1) row-major.
 """

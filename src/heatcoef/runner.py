@@ -46,15 +46,15 @@ from .spectral import (
     EigenPerturbationTable,
     ProjectionPerturbationTable,
     SpectralDecomposition,
-    check_gap_property,
     eigen_perturbation_experiment,
+    gap_report,
     projection_perturbation_experiment,
     solve_generalized_eig,
     verify_minmax_sandwich,
     weyl_ratios,
 )
 
-__all__ = ["RunArtifact", "RunnerError", "run_scenario", "write_reports", "stability_sweep"]
+__all__ = ["RunArtifact", "RunnerError", "run_scenario", "write_reports"]
 
 MODES = ("forward", "invert", "verify-spectral", "stability-sweep")
 
@@ -183,11 +183,6 @@ def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None
         scenario_hash=scenario_hash(scenario),
         summary_lines=tuple(lines), files=tuple(files),
     )
-
-
-def stability_sweep(scenario: Scenario, out_dir, seed: int | None = None,
-                    modes: int | None = None) -> RunArtifact:
-    return run_scenario(scenario, "stability-sweep", out_dir, seed=seed, modes=modes)
 
 
 # --- forward ---------------------------------------------------------------
@@ -391,7 +386,7 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
     if lam_hat.size < 2:
         _info(lines, "gap-property", "needs at least two strict eigenvalues; skipped")
     else:
-        gap_rep = check_gap_property(spec, s.gamma, s.delta)
+        gap_rep = gap_report(lam_hat, s.gamma, s.delta)
         gaps = np.diff(lam_hat)
         required = s.delta * lam_hat[:-1] ** (-s.gamma)
         _write_csv(out / "gap.csv",
@@ -459,9 +454,11 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
     a_tilde = catalog.make_coefficient(ctx.mesh, s.perturbation.kind,
                                        s.perturbation.params_dict(), s.a_plus)
     validate_coefficient(ctx.mesh, a_tilde)
+    spec_t = solve_generalized_eig(apply_dirichlet(assemble_pair(ctx.mesh, a_tilde.values), ctx.mesh),
+                                   ctx.spec.K, s.cluster_tol)
 
     tab = stability_ratio_experiment(ctx.mesh, ctx.coeff, a_tilde, ctx.u0, s.T_grid,
-                                     K=ctx.spec.K, cluster_tol=s.cluster_tol)
+                                     ctx.spec, spec_t)
     _write_csv(out / "stability.csv",
                ("T", "l2_udiff", "h2_udiff", "rho", "bracket", "c_fit", "indistinguishable"),
                zip(tab.T, tab.l2_udiff, tab.h2_udiff, tab.rho, tab.bracket,
@@ -469,7 +466,7 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
     files.append("stability.csv")
 
     ft = f_lipschitz_experiment(ctx.mesh, ctx.coeff, a_tilde, ctx.u0, s.T_grid,
-                                K=ctx.spec.K, cluster_tol=s.cluster_tol)
+                                ctx.spec, spec_t)
     _write_csv(out / "f_lipschitz.csv", ("T", "diff_norm", "ratio"),
                zip(ft.T, ft.diff_norm, ft.ratio))
     files.append("f_lipschitz.csv")

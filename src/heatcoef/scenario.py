@@ -238,6 +238,15 @@ def parse_config_text(text: str) -> Scenario:
 
 
 def _validate_scenario(s: Scenario) -> None:
+    # NaN passes every ordering guard below, so non-finite input is refused first.
+    numbers = [(key, getattr(s, key)) for key, caster in _SCALAR_KEYS.items() if caster is float]
+    numbers += [(key, v) for key in _LIST_KEYS for v in getattr(s, key) or ()]
+    for group in ("coefficient", "perturbation", "eta"):
+        spec = getattr(s, group)
+        numbers += [(f"{group}.{pname}", v) for pname, v in (spec.params if spec else ())]
+    for key, value in numbers:
+        if not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if s.nx < 2 or s.ny < 2:
         raise ConfigError(f"grid must have at least 2 cells per side, got nx={s.nx}, ny={s.ny}")
     if s.a_plus <= 1.0:

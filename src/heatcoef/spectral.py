@@ -23,6 +23,8 @@ from .fem import (
     assemble_mass,
     assemble_pair,
     l2_norm,
+    make_field,
+    validate_coefficient,
 )
 from .mesh import Mesh
 
@@ -35,12 +37,10 @@ __all__ = [
     "EigensolverError",
     "solve_generalized_eig",
     "strictify_spectrum",
-    "check_gap_property",
     "gap_report",
     "spectral_projection_apply",
     "regroup_spectrum",
     "projection_difference_norm",
-    "mass_sqrt",
     "verify_minmax_sandwich",
     "eigen_perturbation_experiment",
     "projection_perturbation_experiment",
@@ -228,10 +228,6 @@ def gap_report(hat_eigenvalues, gamma: float, delta: float) -> GapReport:
                      delta_max=delta_max, rho=rho)
 
 
-def check_gap_property(spec: SpectralDecomposition, gamma: float, delta: float) -> GapReport:
-    return gap_report(spec.hat_eigenvalues, gamma, delta)
-
-
 def spectral_projection_apply(spec: SpectralDecomposition, k: int, w) -> np.ndarray:
     """Apply the spectral projection of strict index k (1-based) to a nodal field."""
     sl = spec.cluster_slice(k)
@@ -239,14 +235,6 @@ def spectral_projection_apply(spec: SpectralDecomposition, k: int, w) -> np.ndar
     phi = spec.eigenvectors[:, sl]
     coeffs = phi.T @ (spec.mass_int @ wi)
     return spec.extend(phi @ coeffs)
-
-
-def mass_sqrt(mass: sp.spmatrix) -> np.ndarray:
-    """Dense symmetric square root of the (SPD) mass matrix."""
-    w, V = la.eigh(mass.toarray())
-    if w[0] <= 0:
-        raise EigensolverError(f"mass matrix not positive definite (min eig {w[0]:.3e})")
-    return (V * np.sqrt(w)) @ V.T
 
 
 def regroup_spectrum(
@@ -285,21 +273,29 @@ def projection_difference_norm(
     spec_b: SpectralDecomposition,
     pair: OperatorPair,
     k: int,
-    _sqrt: np.ndarray | None = None,
 ) -> float:
     """L2(M)-operator norm of P_k - Ptilde_k.
 
-    Computed as the largest singular value of S (P_k - Ptilde_k) S^-1 with
-    S the symmetric square root of M; since S P S^-1 is symmetric here this
-    is the largest absolute eigenvalue.
+    With M-orthonormal cluster bases Va and Vb (M = pair.mass) the norm is
+    the sine of the largest principal angle between their ranges
+    (Davis-Kahan 1970; Bjorck-Golub 1973): the larger M-norm of
+    R = Vb - Va (Va' M Vb) and Q = Va - Vb (Vb' M Va).  Both directions
+    are needed because the cluster ranks may differ; the residuals are
+    formed directly, which keeps small angles accurate where
+    sqrt(1 - sigma_min^2) would cancel.
     """
+    if not pair.is_reduced:
+        raise ValueError("projection norm requires a Dirichlet-reduced pair")
     if spec_a.mass_int.shape != spec_b.mass_int.shape:
         raise ValueError("decompositions live on different meshes")
-    S = mass_sqrt(pair.mass if pair.is_reduced else pair.full_mass) if _sqrt is None else _sqrt
-    Qa = S @ spec_a.eigenvectors[:, spec_a.cluster_slice(k)]
-    Qb = S @ spec_b.eigenvectors[:, spec_b.cluster_slice(k)]
-    D = Qa @ Qa.T - Qb @ Qb.T
-    return float(np.max(np.abs(la.eigvalsh(D))))
+    M = pair.mass
+    Va = spec_a.eigenvectors[:, spec_a.cluster_slice(k)]
+    Vb = spec_b.eigenvectors[:, spec_b.cluster_slice(k)]
+    C = Va.T @ (M @ Vb)
+    R = Vb - Va @ C
+    Q = Va - Vb @ C.T
+    sin2 = max(la.eigvalsh(R.T @ (M @ R))[-1], la.eigvalsh(Q.T @ (M @ Q))[-1])
+    return float(np.sqrt(max(sin2, 0.0)))
 
 
 def verify_minmax_sandwich(
@@ -359,20 +355,12 @@ class EigenPerturbationTable:
         return float(r.max() / r.min())
 
 
-def _check_bounds(mesh: Mesh, values: np.ndarray, a_plus: float, label: str) -> None:
-    low = int(np.argmin(values))
-    if values[low] < 1.0 - 1e-12:
-        x, y = mesh.nodes[low]
-        raise AdmissibilityError(
-            f"{label}: value {values[low]:.6g} < 1 at node {low} (x={x:.6g}, y={y:.6g})"
-        )
-    high = int(np.argmax(values))
-    if values[high] > a_plus + 1e-12:
-        x, y = mesh.nodes[high]
-        raise AdmissibilityError(
-            f"{label}: value {values[high]:.6g} > a_plus={a_plus:.6g} at node {high} "
-            f"(x={x:.6g}, y={y:.6g})"
-        )
+def _validate_sweep_field(mesh: Mesh, values: np.ndarray, a_plus: float, label: str) -> None:
+    """validate_coefficient on nodal values, naming the sweep field that failed."""
+    try:
+        validate_coefficient(mesh, make_field(mesh, values, a_plus))
+    except AdmissibilityError as exc:
+        raise AdmissibilityError(f"{label}: {exc}") from exc
 
 
 def eigen_perturbation_experiment(
@@ -389,13 +377,13 @@ def eigen_perturbation_experiment(
     Every perturbed coefficient must stay within [1, a_plus].
     """
     eta = np.asarray(eta, dtype=float)
-    _check_bounds(mesh, a.values, a.a_plus, "base coefficient")
+    _validate_sweep_field(mesh, a.values, a.a_plus, "base coefficient")
     mass = assemble_mass(mesh)
     base = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, a.values), mesh), K, cluster_tol)
     ks, ss, lams, lamts, diffs, cdiffs, ratios = [], [], [], [], [], [], []
     for s in scales:
         values = a.values + s * eta
-        _check_bounds(mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
+        _validate_sweep_field(mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
         pert = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, values), mesh), K, cluster_tol)
         cdiff = l2_norm(values - a.values, mass)
         for k in range(K):
@@ -464,7 +452,7 @@ def projection_perturbation_experiment(
     """
     eta = np.asarray(eta, dtype=float)
     K = K if K is not None else max(4 * n_clusters, 8)
-    _check_bounds(mesh, a.values, a.a_plus, "base coefficient")
+    _validate_sweep_field(mesh, a.values, a.a_plus, "base coefficient")
     mass = assemble_mass(mesh)
     pair = apply_dirichlet(assemble_pair(mesh, a.values), mesh)
     base = solve_generalized_eig(pair, K, cluster_tol)
@@ -473,18 +461,17 @@ def projection_perturbation_experiment(
             f"K={K} eigenpairs yield only {base.n_clusters} strict eigenvalues, "
             f"need {n_clusters}"
         )
-    S = mass_sqrt(pair.mass)
     out = {name: [] for name in ("k", "s", "cd", "gate", "ing", "norm", "nrm")}
     for s in scales:
         values = a.values + s * eta
-        _check_bounds(mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
+        _validate_sweep_field(mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
         pert = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, values), mesh), K, cluster_tol)
         pert = regroup_spectrum(pert, base.multiplicities)
         cdiff = l2_norm(values - a.values, mass)
         for k in range(1, n_clusters + 1):
             lmax = max(base.hat_eigenvalues[k - 1], pert.hat_eigenvalues[k - 1])
             gate = eta_hat * lmax ** (-(1.0 + gamma + 0.5))
-            pnorm = projection_difference_norm(base, pert, pair, k, _sqrt=S)
+            pnorm = projection_difference_norm(base, pert, pair, k)
             denom = (lmax ** (gamma + 1.0) + 1.0) ** 2 * cdiff
             out["k"].append(k)
             out["s"].append(float(s))

@@ -47,6 +47,14 @@ def bump_spec32(bump_pair32):
 
 
 @pytest.fixture(scope="session")
+def spectrum():
+    """spectrum(mesh, coeff, K): decomposition of the coefficient's pencil at cluster_tol 1e-6."""
+    def solve(mesh, coeff, K):
+        return solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, coeff.values), mesh), K, 1e-6)
+    return solve
+
+
+@pytest.fixture(scope="session")
 def d_omega32(mesh32):
     return initial_state(mesh32, "d_Omega")
 

@@ -100,7 +100,9 @@ def test_correction_field_decay_and_lipschitz_slopes():
     F = compute_F(spec, d, 2.0, fit_T_grid=grid)
     assert abs(F.decay_rate_estimate + lam2) <= 0.05 * lam2  # measured 0.49%
 
-    ft = f_lipschitz_experiment(mesh, bump, two, d, grid, K=40)
+    spec_two = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, two.values), mesh),
+                                     40, 1e-6)
+    ft = f_lipschitz_experiment(mesh, bump, two, d, grid, spec, spec_two)
     assert abs(ft.fitted_slope + ft.beta2) <= 0.05 * ft.beta2  # measured 0.44%
 
 
@@ -222,7 +224,9 @@ def test_noise_floor_grows_with_snapshot_time(tmp_path):
     bump = make_coefficient(mesh, "gaussian-bump", None, 2.0)
     two = make_coefficient(mesh, "two-bump", None, 2.0)
     d = distance_to_boundary(mesh)
-    tab = stability_ratio_experiment(mesh, bump, two, d, ladder_T, K=8)
+    spec, spec_two = (solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, c.values), mesh),
+                                            8, 1e-6) for c in (bump, two))
+    tab = stability_ratio_experiment(mesh, bump, two, d, ladder_T, spec, spec_two)
     assert tab.rate_low <= tab.fitted_rate <= tab.rate_high  # measured 20.13 in [17.00, 47.48]
     assert tab.rate_low == pytest.approx(0.8 * tab.lambda1, abs=1e-12)
     assert tab.rate_high == pytest.approx(1.2 * tab.a_plus * tab.lambda1_unit, abs=1e-12)

@@ -134,6 +134,14 @@ def test_validate_coefficient_bounds_and_trace():
         validate_coefficient(mesh, make_field(mesh, np.ones(mesh.n_nodes), 1.0))
 
 
+def test_validate_coefficient_rejects_non_finite_value():
+    mesh = build_structured_mesh(6, 6)
+    values = np.full(mesh.n_nodes, 1.5)
+    values[10] = np.nan
+    with pytest.raises(AdmissibilityError, match="not finite at node 10"):
+        validate_coefficient(mesh, make_field(mesh, values, 2.0))
+
+
 @given(
     b=st.floats(min_value=-2, max_value=2),
     gx=st.floats(min_value=-3, max_value=3),

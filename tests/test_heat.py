@@ -149,31 +149,34 @@ class TestCorrectionField:
 
 
 class TestFLipschitz:
-    def test_close_pair_slope_matches_beta2(self, mesh32, bump32):
+    def test_close_pair_slope_matches_beta2(self, mesh32, bump32, spectrum):
         other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
         d = distance_to_boundary(mesh32)
         ts = np.linspace(1.0, 5.0, 9)
-        tab = f_lipschitz_experiment(mesh32, bump32, other, d, ts, K=40)
+        tab = f_lipschitz_experiment(mesh32, bump32, other, d, ts,
+                                     spectrum(mesh32, bump32, 40), spectrum(mesh32, other, 40))
         assert not tab.identical
         assert tab.coeff_diff == pytest.approx(0.01524830, abs=1e-7)
         assert np.all(np.diff(tab.ratio) < 0)
         assert abs(tab.fitted_slope + tab.beta2) / tab.beta2 < 0.05  # measured 2.26e-4
 
-    def test_identical_pair_short_circuits(self, mesh32, bump32):
+    def test_identical_pair_short_circuits(self, mesh32, bump32, spectrum):
         d = distance_to_boundary(mesh32)
-        tab = f_lipschitz_experiment(mesh32, bump32, bump32, d, np.linspace(1, 5, 9), K=8)
+        spec = spectrum(mesh32, bump32, 8)
+        tab = f_lipschitz_experiment(mesh32, bump32, bump32, d, np.linspace(1, 5, 9), spec, spec)
         assert tab.identical
         assert np.all(tab.ratio == 0.0)
         assert np.all(tab.diff_norm == 0.0)
         assert np.isnan(tab.fitted_slope)
         assert tab.beta2 == pytest.approx(53.95827446, abs=1e-6)
 
-    def test_rejects_bad_time_grid(self, mesh32, bump32):
+    def test_rejects_bad_time_grid(self, mesh32, bump32, spectrum):
         d = distance_to_boundary(mesh32)
+        spec = spectrum(mesh32, bump32, 8)
         with pytest.raises(ValueError, match="two positive times"):
-            f_lipschitz_experiment(mesh32, bump32, bump32, d, [1.0], K=8)
+            f_lipschitz_experiment(mesh32, bump32, bump32, d, [1.0], spec, spec)
         with pytest.raises(ValueError, match="two positive times"):
-            f_lipschitz_experiment(mesh32, bump32, bump32, d, [-1.0, 2.0], K=8)
+            f_lipschitz_experiment(mesh32, bump32, bump32, d, [-1.0, 2.0], spec, spec)
 
 
 class TestLowerBounds:

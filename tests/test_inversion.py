@@ -171,10 +171,11 @@ class TestFixedPointInvert:
 
 
 class TestStabilityExperiment:
-    def test_close_pair_rate_and_bracket(self, mesh32, bump32):
+    def test_close_pair_rate_and_bracket(self, mesh32, bump32, spectrum):
         other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
         d = distance_to_boundary(mesh32)
-        tab = stability_ratio_experiment(mesh32, bump32, other, d, [0.15, 0.3, 0.6, 1.2], K=8)
+        tab = stability_ratio_experiment(mesh32, bump32, other, d, [0.15, 0.3, 0.6, 1.2],
+                                         spectrum(mesh32, bump32, 8), spectrum(mesh32, other, 8))
         assert not tab.identical
         assert not tab.indistinguishable.any()
         assert np.all(np.diff(tab.rho) > 0)  # conditioning degrades with T
@@ -185,14 +186,16 @@ class TestStabilityExperiment:
         assert tab.lambda1 == pytest.approx(21.255523, abs=1e-5)
         assert tab.lambda1_unit == pytest.approx(19.781512, abs=1e-5)
 
-    def test_identical_pair_is_flagged_empty(self, mesh32, bump32):
+    def test_identical_pair_is_flagged_empty(self, mesh32, bump32, spectrum):
         d = distance_to_boundary(mesh32)
-        tab = stability_ratio_experiment(mesh32, bump32, bump32, d, [0.5, 1.0], K=4)
+        spec = spectrum(mesh32, bump32, 4)
+        tab = stability_ratio_experiment(mesh32, bump32, bump32, d, [0.5, 1.0], spec, spec)
         assert tab.identical
         assert tab.T.size == 0
         assert tab.coeff_diff == 0.0
 
-    def test_rejects_bad_grid(self, mesh32, bump32):
+    def test_rejects_bad_grid(self, mesh32, bump32, spectrum):
         d = distance_to_boundary(mesh32)
+        spec = spectrum(mesh32, bump32, 4)
         with pytest.raises(ValueError, match="two positive times"):
-            stability_ratio_experiment(mesh32, bump32, bump32, d, [1.0], K=4)
+            stability_ratio_experiment(mesh32, bump32, bump32, d, [1.0], spec, spec)

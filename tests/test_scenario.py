@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,23 @@ class TestRejections:
         p.write_text("2 2\n0 0 0\n0 0 0\n0 0 0\n")
         s = parse_config_text(MINIMAL + f"u0 = custom\nu0.path = {p}\n")
         assert s.u0.path == str(p)
+
+
+@pytest.mark.parametrize("line,key", [
+    ("T = nan", "T"),
+    ("T = inf", "T"),
+    ("a_plus = nan", "a_plus"),
+    ("alpha = nan", "alpha"),
+    ("noise = nan", "noise"),
+    ("tol_fp = inf", "tol_fp"),
+    ("delta = nan", "delta"),
+    ("T_grid = 1, nan, 3", "T_grid"),
+    ("coefficient.amplitude = nan", "coefficient.amplitude"),
+])
+def test_non_finite_input_rejected(line, key):
+    text = f"name = t\ncoefficient = gaussian-bump\n{line}\n"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite"):
+        parse_config_text(text)
 
 
 class TestHashAndOverrides:

@@ -148,6 +148,33 @@ class TestProjections:
             nrm = projection_difference_norm(unit_spec32, pert, unit_pair32, k)
             assert 0.0 <= nrm <= 1.0 + 1e-12
 
+    def test_difference_norm_matches_dense_reference_with_unequal_ranks(
+            self, mesh32, unit_spec32, unit_pair32):
+        # The off-centre bump splits the square's degenerate pairs, so the
+        # independently clustered perturbed spectrum has rank-1 clusters
+        # where the unit spectrum has rank-2 ones.
+        eta = direction_values(mesh32, "gaussian-bump", None)
+        pert = solve_generalized_eig(
+            apply_dirichlet(assemble_pair(mesh32, 1.0 + 0.1 * eta), mesh32), unit_spec32.K, 1e-9)
+        # dense reference: largest |eigenvalue| of S (P - P~) S^-1, S = M^(1/2)
+        w, U = np.linalg.eigh(unit_pair32.mass.toarray())
+        S = (U * np.sqrt(w)) @ U.T
+        unequal = 0
+        for k in range(1, 6):
+            Qa = S @ unit_spec32.eigenvectors[:, unit_spec32.cluster_slice(k)]
+            Qb = S @ pert.eigenvectors[:, pert.cluster_slice(k)]
+            ref = np.max(np.abs(np.linalg.eigvalsh(Qa @ Qa.T - Qb @ Qb.T)))
+            nrm = projection_difference_norm(unit_spec32, pert, unit_pair32, k)
+            assert nrm == pytest.approx(ref, abs=1e-9)
+            if Qa.shape[1] != Qb.shape[1]:
+                unequal += 1
+                assert nrm == pytest.approx(1.0, abs=1e-9)
+        assert unequal > 0
+
+    def test_difference_norm_needs_reduced_pair(self, mesh32, unit_spec32):
+        with pytest.raises(ValueError, match="reduced"):
+            projection_difference_norm(unit_spec32, unit_spec32, assemble_pair(mesh32, 1.0), 1)
+
 
 class TestRegroup:
     def test_rejects_wrong_total(self, unit_spec32):
