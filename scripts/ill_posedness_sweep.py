@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from heatcoef.catalog import make_coefficient
-from heatcoef.fem import apply_dirichlet, assemble_pair
+from heatcoef.fem import discretize
 from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import build_structured_mesh, distance_to_boundary
 from heatcoef.runner import run_scenario
@@ -67,12 +67,9 @@ def main(argv=None) -> int:
     mesh = build_structured_mesh(args.nx, args.nx)
     a = make_coefficient(mesh, "gaussian-bump", None, 2.0)
     a_tilde = make_coefficient(mesh, "two-bump", None, 2.0)
-    spec, spec_t = (
-        solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, c.values), mesh), args.modes)
-        for c in (a, a_tilde)
-    )
-    tab = stability_ratio_experiment(mesh, a, a_tilde, distance_to_boundary(mesh),
-                                     times, spec, spec_t)
+    disc = discretize(mesh)
+    spec, spec_t = (solve_generalized_eig(disc.pair(c.values), args.modes) for c in (a, a_tilde))
+    tab = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), times, spec, spec_t)
 
     csv = args.out / "ill_posedness.csv"
     with csv.open("w", encoding="ascii") as fh:

@@ -22,12 +22,14 @@ from .mesh import (
 )
 from .fem import (
     CoefficientField,
+    Discretization,
     OperatorPair,
     AdmissibilityError,
     assemble_stiffness,
     assemble_mass,
     assemble_pair,
     apply_dirichlet,
+    discretize,
     compute_norms,
     Norms,
     l2_norm,

@@ -126,7 +126,7 @@ def initial_state(mesh: Mesh, kind: str, params: dict | None = None, spectral=No
     if kind == "first-eigenfunction":
         if spectral is None:
             raise ValueError("first-eigenfunction initial state needs a spectral decomposition")
-        return spectral.extend(spectral.eigenvectors[:, 0])
+        return spectral.disc.extend(spectral.eigenvectors[:, 0])
     if kind == "sine-product":
         m, n = int(p["m"]), int(p["n"])
         if m < 1 or n < 1:
@@ -144,10 +144,14 @@ def initial_state(mesh: Mesh, kind: str, params: dict | None = None, spectral=No
             raise ValueError(
                 f"custom initial state is {nx}x{ny} but the mesh is {mesh.nx}x{mesh.ny}"
             )
+        if not np.isfinite(v).all():
+            k = int(np.argmin(np.isfinite(v)))
+            x, y = mesh.nodes[k]
+            raise ValueError(f"custom initial state value {v[k]} is not finite at node {k} "
+                             f"(x={x:.6g}, y={y:.6g})")
         scale = max(1.0, float(np.max(np.abs(v))))
         if np.any(np.abs(v[mesh.boundary_node_flags]) > 1e-12 * scale):
             raise ValueError("custom initial state must vanish on the boundary")
-        v = v.copy()
         v[mesh.boundary_node_flags] = 0.0
         return v
     raise KeyError(f"unknown initial-state kind {kind!r}")

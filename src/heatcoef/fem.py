@@ -1,10 +1,15 @@
-"""P1 finite elements: stiffness/mass assembly, Dirichlet reduction, norms.
+"""P1 finite elements: assembly, the per-mesh Discretization, norms.
 
 The diffusion coefficient lives in the same P1 nodal space as the solution;
 inside each element it is replaced by the average of its three vertex
 values, which keeps assembly exact for piecewise-constant data and makes
 the weak transport operator of the inversion module an exact factorization
 of a |-> A(a) u.
+
+Everything that does not depend on the coefficient -- the mass matrix,
+the unit stiffness A(1) and the interior/boundary partition -- is built
+once per mesh by discretize(); Discretization.pair(a) then assembles only
+the stiffness of a and returns the Dirichlet-reduced pencil.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .mesh import Mesh
 
 __all__ = [
     "CoefficientField",
+    "Discretization",
     "OperatorPair",
     "AdmissibilityError",
     "Norms",
@@ -27,6 +33,7 @@ __all__ = [
     "assemble_mass",
     "assemble_pair",
     "apply_dirichlet",
+    "discretize",
     "compute_norms",
     "l2_norm",
     "make_field",
@@ -57,26 +64,58 @@ class CoefficientField:
 
 
 @dataclass(frozen=True)
-class OperatorPair:
-    """Stiffness/mass pair, optionally Dirichlet-reduced.
+class Discretization:
+    """Coefficient-free P1 data of one mesh; build it with discretize(mesh).
 
-    A freshly assembled pair holds the full matrices over all nodes.  After
-    apply_dirichlet, `stiffness` and `mass` are the interior-node blocks,
-    `interior_nodes` maps reduced index -> full node index,
-    `interior_index_map` maps full node index -> reduced index (-1 on the
-    boundary), and the unreduced matrices stay available as full_*.
+    mass / unit_stiffness : full M and A(1) over all nodes.
+    interior / boundary : sorted node indices of the Dirichlet partition.
+    mass_int : the interior block M_II.
+    """
+
+    mesh: Mesh
+    mass: sp.csr_matrix
+    unit_stiffness: sp.csr_matrix
+    interior: np.ndarray
+    boundary: np.ndarray
+    mass_int: sp.csr_matrix
+
+    @property
+    def n_nodes(self) -> int:
+        return self.mesh.n_nodes
+
+    def pair(self, a) -> OperatorPair:
+        """Dirichlet-reduced pencil (A(a)_II, M_II) of one coefficient."""
+        I = self.interior
+        return OperatorPair(stiffness=assemble_stiffness(self.mesh, a)[I][:, I].tocsr(), disc=self)
+
+    def restrict(self, w: np.ndarray) -> np.ndarray:
+        """Interior values of a full nodal field."""
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.n_nodes,):
+            raise ValueError(f"field has shape {w.shape}, expected ({self.n_nodes},)")
+        return w[self.interior]
+
+    def extend(self, wi: np.ndarray) -> np.ndarray:
+        """Full nodal field from interior values, zero on the boundary."""
+        out = np.zeros(self.n_nodes)
+        out[self.interior] = wi
+        return out
+
+
+@dataclass(frozen=True)
+class OperatorPair:
+    """Dirichlet-reduced stiffness/mass pencil of one coefficient.
+
+    `stiffness` is the interior block A(a)_II; `mass` is the shared M_II of
+    the Discretization `disc` the pair was built on.
     """
 
     stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
-    interior_index_map: np.ndarray | None = None
-    interior_nodes: np.ndarray | None = None
-    full_stiffness: sp.csr_matrix | None = None
-    full_mass: sp.csr_matrix | None = None
+    disc: Discretization
 
     @property
-    def is_reduced(self) -> bool:
-        return self.interior_nodes is not None
+    def mass(self) -> sp.csr_matrix:
+        return self.disc.mass_int
 
 
 class Norms(NamedTuple):
@@ -135,30 +174,27 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     return M.tocsr()
 
 
-def assemble_pair(mesh: Mesh, a) -> OperatorPair:
-    """Assemble the full (unreduced) stiffness/mass pair for coefficient a."""
-    return OperatorPair(stiffness=assemble_stiffness(mesh, a), mass=assemble_mass(mesh))
-
-
-def apply_dirichlet(pair: OperatorPair, mesh: Mesh) -> OperatorPair:
-    """Eliminate boundary rows/columns, keeping the interior-node blocks."""
-    if pair.is_reduced:
-        raise ValueError("pair is already Dirichlet-reduced")
+def discretize(mesh: Mesh) -> Discretization:
+    """Assemble the coefficient-free data of a mesh: M, A(1) and the Dirichlet partition."""
     interior = np.flatnonzero(mesh.interior_node_flags)
     if interior.size == 0:
         raise ValueError("mesh has no interior nodes")
-    index_map = np.full(mesh.n_nodes, -1, dtype=int)
-    index_map[interior] = np.arange(interior.size)
-    A = pair.stiffness[interior][:, interior].tocsr()
-    M = pair.mass[interior][:, interior].tocsr()
-    return OperatorPair(
-        stiffness=A,
-        mass=M,
-        interior_index_map=index_map,
-        interior_nodes=interior,
-        full_stiffness=pair.stiffness,
-        full_mass=pair.mass,
-    )
+    M = assemble_mass(mesh)
+    return Discretization(mesh=mesh, mass=M, unit_stiffness=assemble_stiffness(mesh, 1.0),
+                          interior=interior, boundary=np.flatnonzero(mesh.boundary_node_flags),
+                          mass_int=M[interior][:, interior].tocsr())
+
+
+def assemble_pair(mesh: Mesh, a) -> OperatorPair:
+    """Reduced pencil of a on a fresh Discretization; prefer discretize(mesh).pair(a)."""
+    return discretize(mesh).pair(a)
+
+
+def apply_dirichlet(pair: OperatorPair, mesh: Mesh) -> OperatorPair:
+    """Return the already-reduced pair after checking it belongs to mesh."""
+    if pair.disc.mesh is not mesh:
+        raise ValueError("pair was built on a different mesh")
+    return pair
 
 
 def l2_norm(w: np.ndarray, mass: sp.spmatrix) -> float:
@@ -169,25 +205,20 @@ def l2_norm(w: np.ndarray, mass: sp.spmatrix) -> float:
 def compute_norms(w, pair: OperatorPair) -> Norms:
     """L2, H1 and H2-surrogate norms of a nodal field.
 
-    `pair` must be the Dirichlet-reduced pair of the *unit* coefficient so
-    the H1 seminorm uses the plain Laplacian stiffness.  The H2 surrogate
-    adds the L2 norm of the discrete Laplacian z solving M z = -A(1) w on
-    interior nodes; it is only defined for fields vanishing on the boundary
-    and raises otherwise.
+    `pair` must be the pencil of the *unit* coefficient, so that the H1
+    seminorm and the surrogate use the plain Laplacian stiffness.  The H2
+    surrogate adds the L2 norm of the discrete Laplacian z solving
+    M z = -A(1) w on interior nodes; it is only defined for fields
+    vanishing on the boundary and raises otherwise.
     """
-    if not pair.is_reduced:
-        raise ValueError("compute_norms requires a Dirichlet-reduced unit-coefficient pair")
+    disc = pair.disc
     w = np.asarray(w, dtype=float)
-    n = pair.full_mass.shape[0]
-    if w.shape != (n,):
-        raise ValueError(f"field has shape {w.shape}, expected ({n},)")
-    l2sq = max(w @ (pair.full_mass @ w), 0.0)
-    h1sq = l2sq + max(w @ (pair.full_stiffness @ w), 0.0)
-    boundary = np.delete(np.arange(n), pair.interior_nodes)
+    wi = disc.restrict(w)
+    l2sq = max(w @ (disc.mass @ w), 0.0)
+    h1sq = l2sq + max(w @ (disc.unit_stiffness @ w), 0.0)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if boundary.size and np.max(np.abs(w[boundary])) > 1e-12 * scale:
+    if disc.boundary.size and np.max(np.abs(w[disc.boundary])) > 1e-12 * scale:
         raise ValueError("H2 surrogate undefined: field is nonzero on boundary nodes")
-    wi = w[pair.interior_nodes]
     z = spla.spsolve(pair.mass.tocsc(), -(pair.stiffness @ wi))
     h2sq = h1sq + max(z @ (pair.mass @ z), 0.0)
     return Norms(l2=float(np.sqrt(l2sq)), h1=float(np.sqrt(h1sq)), h2_surrogate=float(np.sqrt(h2sq)))

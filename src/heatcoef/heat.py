@@ -18,12 +18,12 @@ import numpy as np
 
 from .fem import (
     CoefficientField,
-    assemble_mass,
+    Discretization,
     l2_norm,
+    nodal_gradients,
     validate_coefficient,
 )
 from .mesh import BoundaryBand, Mesh, distance_to_boundary
-from .fem import nodal_gradients
 from .spectral import SpectralDecomposition
 
 __all__ = [
@@ -71,13 +71,11 @@ class CorrectionF:
 def _mode_data(spec: SpectralDecomposition, u0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(coefficients, clustered rates, tail of u0 outside the span)."""
     u0 = np.asarray(u0, dtype=float)
-    wi = spec.restrict(u0)
+    wi = spec.disc.restrict(u0)
     boundary_scale = max(1.0, float(np.max(np.abs(u0))))
-    full = np.zeros(spec.n_nodes, dtype=bool)
-    full[spec.interior_nodes] = True
-    if np.any(np.abs(u0[~full]) > 1e-12 * boundary_scale):
+    if np.any(np.abs(u0[spec.disc.boundary]) > 1e-12 * boundary_scale):
         raise ValueError("initial state must vanish on boundary nodes")
-    coeffs = spec.eigenvectors.T @ (spec.mass_int @ wi)
+    coeffs = spec.eigenvectors.T @ (spec.disc.mass_int @ wi)
     rates = spec.hat_eigenvalues[spec.cluster_index]
     tail = wi - spec.eigenvectors @ coeffs
     return coeffs, rates, tail
@@ -89,9 +87,9 @@ def evolve(spec: SpectralDecomposition, u0, t: float) -> HeatSnapshot:
         raise ValueError(f"time must be nonnegative, got {t}")
     coeffs, rates, tail = _mode_data(spec, u0)
     damp = np.exp(-rates * t)
-    u = spec.extend(spec.eigenvectors @ (coeffs * damp))
-    du = spec.extend(spec.eigenvectors @ (-(rates * coeffs) * damp))
-    bound = float(np.exp(-spec.hat_eigenvalues[-1] * t)) * l2_norm(tail, spec.mass_int)
+    u = spec.disc.extend(spec.eigenvectors @ (coeffs * damp))
+    du = spec.disc.extend(spec.eigenvectors @ (-(rates * coeffs) * damp))
+    bound = float(np.exp(-spec.hat_eigenvalues[-1] * t)) * l2_norm(tail, spec.disc.mass_int)
     return HeatSnapshot(t=float(t), u=u, du_dt=du, modes_used=spec.K, truncation_bound=bound)
 
 
@@ -111,11 +109,11 @@ def compute_F(spec: SpectralDecomposition, u0, T: float, fit_T_grid=None) -> Cor
         w[spec.cluster_index == 0] = 0.0
         return spec.eigenvectors @ (coeffs * w)
 
-    values = spec.extend(tail_field(T))
+    values = spec.disc.extend(tail_field(T))
     rate = None
     if fit_T_grid is not None:
         grid = np.asarray(fit_T_grid, dtype=float)
-        norms = np.array([l2_norm(tail_field(t), spec.mass_int) for t in grid])
+        norms = np.array([l2_norm(tail_field(t), spec.disc.mass_int) for t in grid])
         rate = fit_log_slope(grid, norms)
     return CorrectionF(T=float(T), values=values, decay_rate_estimate=rate)
 
@@ -165,8 +163,7 @@ def f_lipschitz_experiment(
     grid = np.asarray(T_grid, dtype=float)
     if grid.size < 2 or np.any(grid <= 0):
         raise ValueError("T_grid must hold at least two positive times")
-    mass = assemble_mass(mesh)
-    cdiff = l2_norm(a.values - a_tilde.values, mass)
+    cdiff = l2_norm(a.values - a_tilde.values, spec.disc.mass)
     if cdiff == 0.0:
         zero = np.zeros(grid.size)
         return FLipschitzTable(T=grid, diff_norm=zero, ratio=zero, coeff_diff=0.0,
@@ -176,7 +173,7 @@ def f_lipschitz_experiment(
     for i, t in enumerate(grid):
         Fa = compute_F(spec, u0, t).values
         Fb = compute_F(spec_t, u0, t).values
-        diffs[i] = l2_norm(spec.restrict(Fa - Fb), spec.mass_int)
+        diffs[i] = l2_norm(spec.disc.restrict(Fa - Fb), spec.disc.mass_int)
     ratios = diffs / cdiff
     beta2 = float(min(spec.hat_eigenvalues[1], spec_t.hat_eigenvalues[1]))
     return FLipschitzTable(T=grid, diff_norm=diffs, ratio=ratios, coeff_diff=cdiff,
@@ -219,11 +216,11 @@ class LowerBoundReport:
                    self.grad_phi1_band_min, self.eig_floor_min) > 0.0
 
 
-def check_u0_condition(mesh: Mesh, u0) -> float:
+def check_u0_condition(disc: Discretization, u0) -> float:
     """Weighted mass int u0 * d_Omega dx (mass-matrix quadrature)."""
     u0 = np.asarray(u0, dtype=float)
-    d = distance_to_boundary(mesh)
-    return float(u0 @ (assemble_mass(mesh) @ d))
+    d = distance_to_boundary(disc.mesh)
+    return float(u0 @ (disc.mass @ d))
 
 
 def lower_bound_check(
@@ -238,16 +235,15 @@ def lower_bound_check(
     Requires int u0 d_Omega > 0 (otherwise the snapshot has no certified
     sign and the quotients are meaningless).
     """
-    weight = check_u0_condition(mesh, u0)
+    weight = check_u0_condition(spec.disc, u0)
     if weight <= 0:
         raise ValueError(f"int u0 * d_Omega = {weight:.6g} must be positive for lower bounds")
     if T <= 0:
         raise ValueError(f"snapshot time must be positive, got {T}")
     snap = evolve(spec, u0, T)
     lam1 = float(spec.hat_eigenvalues[0])
-    phi1 = spec.extend(spec.eigenvectors[:, 0])
-    interior = np.zeros(spec.n_nodes, dtype=bool)
-    interior[spec.interior_nodes] = True
+    phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
+    interior = spec.disc.interior
     decay = np.exp(-lam1 * T)
 
     den = decay * phi1[interior]

@@ -32,12 +32,11 @@ import scipy.sparse.linalg as spla
 
 from .fem import (
     CoefficientField,
+    Discretization,
     OperatorPair,
     _element_geometry,
-    apply_dirichlet,
-    assemble_pair,
-    assemble_stiffness,
     compute_norms,
+    element_gradients,
     gradient_bound,
     l2_norm,
 )
@@ -76,19 +75,17 @@ class TransportSystem:
 
     G : (n_interior, n_nodes) operator on nodal coefficient values.
     rhs : interior test-function moments of -l_1 u_T + F.
-    R : Laplacian stiffness over all coefficient nodes (Tikhonov metric).
     alpha : absolute regularization weight (already scaled).
     boundary_values : full-length array, prescribed a0 at boundary nodes.
-    interior_nodes / boundary_nodes : index partition of the coefficient dofs.
+    disc : supplies the Tikhonov metric A(1) over all coefficient nodes and
+        the interior/boundary partition of the coefficient dofs.
     """
 
     G: sp.csr_matrix
     rhs: np.ndarray
-    R: sp.csr_matrix
     alpha: float
     boundary_values: np.ndarray
-    interior_nodes: np.ndarray
-    boundary_nodes: np.ndarray
+    disc: Discretization
 
 
 @dataclass(frozen=True)
@@ -130,27 +127,15 @@ def assemble_transport_operator(mesh: Mesh, u_T) -> sp.csr_matrix:
     scale = max(1.0, float(np.max(np.abs(u_T))))
     if np.any(np.abs(u_T[mesh.boundary_node_flags]) > 1e-12 * scale):
         raise ValueError("snapshot must vanish on boundary nodes")
-    b, c, area = _element_geometry(mesh)
-    ue = u_T[mesh.elements]
-    gx = np.einsum("ei,ei->e", ue, b) / (2.0 * area)
-    gy = np.einsum("ei,ei->e", ue, c) / (2.0 * area)
+    b, c, _ = _element_geometry(mesh)
+    g = element_gradients(mesh, u_T)
     # test-function factor per (element, local i): grad u_T . grad phi_i * |K|
-    dot = (gx[:, None] * b + gy[:, None] * c) / 2.0
-    entries = -dot / 3.0
-
-    interior = np.flatnonzero(mesh.interior_node_flags)
-    index_map = np.full(mesh.n_nodes, -1, dtype=int)
-    index_map[interior] = np.arange(interior.size)
-
-    rows_full = np.repeat(mesh.elements, 3, axis=1).ravel()
+    dot = (g[:, :1] * b + g[:, 1:] * c) / 2.0
+    vals = np.repeat(-dot / 3.0, 3, axis=1).ravel()
+    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, 3)).ravel()
-    vals = np.repeat(entries, 3, axis=1).ravel()
-    keep = index_map[rows_full] >= 0
-    G = sp.coo_matrix(
-        (vals[keep], (index_map[rows_full[keep]], cols[keep])),
-        shape=(interior.size, mesh.n_nodes),
-    )
-    return G.tocsr()
+    G = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    return G[mesh.interior_node_flags]
 
 
 def build_transport_system(
@@ -164,48 +149,41 @@ def build_transport_system(
 ) -> TransportSystem:
     """Assemble the regularized transport system for one outer iteration.
 
-    alpha is relative: the stored weight is alpha times the largest
-    diagonal of G'G (falling back to alpha itself when G vanishes).
+    The mass matrix, the Tikhonov metric A(1) and the partition come from
+    unit_pair.disc.  alpha is relative: the stored weight is alpha times
+    the largest diagonal of G'G (falling back to alpha itself when G
+    vanishes).
     """
-    if not unit_pair.is_reduced:
-        raise ValueError("build_transport_system needs the reduced unit pair")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    disc = unit_pair.disc
     G = assemble_transport_operator(mesh, u_T)
-    M = unit_pair.full_mass
+    M = disc.mass
     F_values = np.asarray(F_values, dtype=float)
     rhs_full = -lambda1 * (M @ np.asarray(u_T, dtype=float)) + M @ F_values
-    interior = np.flatnonzero(mesh.interior_node_flags)
-    boundary = np.flatnonzero(mesh.boundary_node_flags)
     col_sq = np.asarray(G.multiply(G).sum(axis=0)).ravel()
     scale = float(col_sq.max()) if col_sq.max() > 0 else 1.0
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (mesh.n_nodes,):
         raise ValueError(f"boundary trace has shape {a0.shape}, expected ({mesh.n_nodes},)")
-    return TransportSystem(
-        G=G,
-        rhs=rhs_full[interior],
-        R=unit_pair.full_stiffness,
-        alpha=float(alpha * scale),
-        boundary_values=a0,
-        interior_nodes=interior,
-        boundary_nodes=boundary,
-    )
+    return TransportSystem(G=G, rhs=rhs_full[disc.interior], alpha=float(alpha * scale),
+                           boundary_values=a0, disc=disc)
 
 
 def solve_transport_ls(system: TransportSystem, a_prior: CoefficientField) -> CoefficientField:
     """Minimize ||G a - rhs||^2 + alpha (a - prior)' R (a - prior), a|_G = a0.
 
-    Solved through the symmetric normal equations after eliminating the
-    constrained boundary values.  The result is *not* projected onto the
-    admissible set; see admissible_projection.
+    R is the unit stiffness A(1).  Solved through the symmetric normal
+    equations after eliminating the constrained boundary values.  The
+    result is *not* projected onto the admissible set; see
+    admissible_projection.
     """
-    G, R, alpha = system.G, system.R, system.alpha
-    I, B = system.interior_nodes, system.boundary_nodes
+    G, alpha, disc = system.G, system.alpha, system.disc
+    R, I, B = disc.unit_stiffness, disc.interior, disc.boundary
     prior = a_prior.values
     H = (G.T @ G + alpha * R).tocsr()
     b = G.T @ system.rhs + alpha * (R @ prior)
-    a = np.empty(system.boundary_values.shape[0])
+    a = np.empty(disc.n_nodes)
     a[B] = system.boundary_values[B]
     rhs_int = b[I] - H[I][:, B] @ a[B]
     H_II = H[I][:, I].tocsc()
@@ -223,7 +201,7 @@ def solve_transport_ls(system: TransportSystem, a_prior: CoefficientField) -> Co
 
 
 def admissible_projection(
-    mesh: Mesh,
+    disc: Discretization,
     a,
     a0,
     a_plus: float,
@@ -238,7 +216,7 @@ def admissible_projection(
     """
     values = np.asarray(a, dtype=float).copy()
     a0 = np.asarray(a0, dtype=float)
-    bnd = mesh.boundary_node_flags
+    bnd, I = disc.boundary, disc.interior
 
     def enforce(v):
         v = np.clip(v, 1.0, a_plus)
@@ -247,25 +225,25 @@ def admissible_projection(
 
     values = enforce(values)
     capped = False
-    if gradient_bound(mesh, values) > a_plus:
-        A = assemble_stiffness(mesh, 1.0)
+    if gradient_bound(disc.mesh, values) > a_plus:
+        A = disc.unit_stiffness
         diag = A.diagonal()
         for _ in range(_SMOOTHING_PASS_CAP):
             smoothed = values - (A @ values) / diag
-            values[~bnd] = smoothed[~bnd]
+            values[I] = smoothed[I]
             values = enforce(values)
-            if gradient_bound(mesh, values) <= a_plus:
+            if gradient_bound(disc.mesh, values) <= a_plus:
                 break
         else:
             capped = True
-    trace = np.where(bnd, values, 0.0)
+    trace = np.zeros_like(values)
+    trace[bnd] = values[bnd]
     return CoefficientField(values=values, a_plus=float(a_plus), boundary_trace=trace), capped
 
 
-def _ground_eigenvalue(mesh: Mesh, values, cluster_tol: float) -> float:
+def _ground_eigenvalue(disc: Discretization, values, cluster_tol: float) -> float:
     """Lowest eigenvalue of the operator pair for one nodal coefficient."""
-    pair = apply_dirichlet(assemble_pair(mesh, values), mesh)
-    return float(solve_generalized_eig(pair, 1, cluster_tol).hat_eigenvalues[0])
+    return float(solve_generalized_eig(disc.pair(values), 1, cluster_tol).hat_eigenvalues[0])
 
 
 def _next_closure_point(samples: list[tuple[float, float]], x0: float) -> float | None:
@@ -306,7 +284,7 @@ def _next_closure_point(samples: list[tuple[float, float]], x0: float) -> float 
 
 
 def fixed_point_invert(
-    mesh: Mesh,
+    disc: Discretization,
     u0,
     u_T,
     a0,
@@ -327,28 +305,28 @@ def fixed_point_invert(
     increasing step or hitting max_iter sets the stall flag (on an
     increase the pre-increase iterate is kept).
     """
-    if check_u0_condition(mesh, u0) <= 0:
+    if check_u0_condition(disc, u0) <= 0:
         raise ValueError("initial state must satisfy int u0 * d_Omega > 0")
+    mesh = disc.mesh
     a0 = np.asarray(a0, dtype=float)
-    unit_pair = apply_dirichlet(assemble_pair(mesh, 1.0), mesh)
-    I, B = unit_pair.interior_nodes, np.flatnonzero(mesh.boundary_node_flags)
-    R = unit_pair.full_stiffness
+    unit_pair = disc.pair(1.0)
+    I, B = disc.interior, disc.boundary
+    R = disc.unit_stiffness
 
     start = np.empty(mesh.n_nodes)
     start[B] = a0[B]
     start[I] = spla.spsolve(R[I][:, I].tocsc(), -(R[I][:, B] @ a0[B]))
     start = np.maximum(start, 1.0)
-    current, _ = admissible_projection(mesh, start, a0, a_plus)
+    current, _ = admissible_projection(disc, start, a0, a_plus)
 
-    M_full = unit_pair.full_mass
+    M_full = disc.mass
     assemble_transport_operator(mesh, u_T)  # validates the snapshot early
     trace, lam1s = [], []
     converged = stalled = False
     capped_count = 0
     system = None
     for _ in range(opts.max_iter):
-        pair = apply_dirichlet(assemble_pair(mesh, current.values), mesh)
-        spec = solve_generalized_eig(pair, opts.modes, opts.cluster_tol)
+        spec = solve_generalized_eig(disc.pair(current.values), opts.modes, opts.cluster_tol)
         lam_raw = float(spec.hat_eigenvalues[0])
         F = compute_F(spec, u0, opts.T).values
 
@@ -357,8 +335,8 @@ def fixed_point_invert(
         def evaluate(x: float) -> float:
             sys_x = build_transport_system(mesh, unit_pair, u_T, x, F, opts.alpha, a0)
             raw = solve_transport_ls(sys_x, current)
-            projected, capped = admissible_projection(mesh, raw.values, a0, a_plus)
-            phi = _ground_eigenvalue(mesh, projected.values, opts.cluster_tol) - x
+            projected, capped = admissible_projection(disc, raw.values, a0, a_plus)
+            phi = _ground_eigenvalue(disc, projected.values, opts.cluster_tol) - x
             samples.append((x, phi, sys_x, projected, capped))
             return phi
 
@@ -445,7 +423,6 @@ class StabilityTable:
 
 
 def stability_ratio_experiment(
-    mesh: Mesh,
     a: CoefficientField,
     a_tilde: CoefficientField,
     u0,
@@ -456,17 +433,17 @@ def stability_ratio_experiment(
     """Measure how fast distinguishing two coefficients degrades with T.
 
     spec and spec_t are the decompositions of a and a_tilde; the unit
-    pencil's ground eigenvalue is solved at spec.cluster_tol.  Identical
-    coefficients return an empty, flagged table; per-T snapshot
-    differences below 1e-14 are flagged indistinguishable and excluded
-    from the rate fit.
+    pencil of spec.disc gives the H2 norms and its ground eigenvalue,
+    solved at spec.cluster_tol.  Identical coefficients return an empty,
+    flagged table; per-T snapshot differences below 1e-14 are flagged
+    indistinguishable and excluded from the rate fit.
     """
     grid = np.asarray(T_grid, dtype=float)
     if grid.size < 2 or np.any(grid <= 0):
         raise ValueError("T_grid must hold at least two positive times")
-    unit_pair = apply_dirichlet(assemble_pair(mesh, 1.0), mesh)
+    unit_pair = spec.disc.pair(1.0)
     spec_unit = solve_generalized_eig(unit_pair, 1, spec.cluster_tol)
-    cdiff = l2_norm(a.values - a_tilde.values, unit_pair.full_mass)
+    cdiff = l2_norm(a.values - a_tilde.values, spec.disc.mass)
     if cdiff == 0.0:
         empty = np.array([])
         return StabilityTable(

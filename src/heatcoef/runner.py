@@ -19,10 +19,10 @@ import numpy as np
 from . import catalog
 from .fem import (
     CoefficientField,
+    Discretization,
     OperatorPair,
-    apply_dirichlet,
-    assemble_pair,
     compute_norms,
+    discretize,
     l2_norm,
     validate_coefficient,
 )
@@ -107,6 +107,15 @@ def _warn(lines: list[str], name: str, detail: str) -> None:
     lines.append(f"WARN {name}: {detail}")
 
 
+def _slope_check(lines: list[str], name: str, ok, detail: str, fitted) -> None:
+    """_check of a fit_log_slope result over `fitted` (it keeps the positive
+    values), naming how many points the fit used; under three adds a WARN."""
+    n = int(np.count_nonzero(np.asarray(fitted) > 0))
+    _check(lines, name, ok, f"{detail} fit_points={n}")
+    if n < 3:
+        _warn(lines, "fit-points", f"{name} fitted from {n} point(s)")
+
+
 def _cell(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return str(int(v))
@@ -127,27 +136,29 @@ def _write_csv(path: Path, header, rows) -> None:
 @dataclass
 class _Context:
     scenario: Scenario
-    mesh: Mesh
+    disc: Discretization
     coeff: CoefficientField
     pair: OperatorPair
-    unit_pair: OperatorPair
     spec: SpectralDecomposition
     u0: np.ndarray
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.disc.mesh
 
 
 def _build_context(s: Scenario) -> _Context:
     mesh = build_structured_mesh(s.nx, s.ny)
     coeff = catalog.make_coefficient(mesh, s.coefficient.kind, s.coefficient.params_dict(), s.a_plus)
     validate_coefficient(mesh, coeff)
-    pair = apply_dirichlet(assemble_pair(mesh, coeff.values), mesh)
-    unit_pair = apply_dirichlet(assemble_pair(mesh, 1.0), mesh)
+    disc = discretize(mesh)
+    pair = disc.pair(coeff.values)
     K = min(s.modes, pair.stiffness.shape[0])
     spec = solve_generalized_eig(pair, K, s.cluster_tol)
     u0 = catalog.initial_state(
         mesh, s.u0.kind, {"m": s.u0.m, "n": s.u0.n, "path": s.u0.path}, spectral=spec,
     )
-    return _Context(scenario=s, mesh=mesh, coeff=coeff, pair=pair,
-                    unit_pair=unit_pair, spec=spec, u0=u0)
+    return _Context(scenario=s, disc=disc, coeff=coeff, pair=pair, spec=spec, u0=u0)
 
 
 def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None,
@@ -190,7 +201,7 @@ def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None
 def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
     s = ctx.scenario
     grid = np.asarray(s.T_grid if s.T_grid is not None else _DEFAULT_T_GRID, dtype=float)
-    M = ctx.pair.full_mass
+    M = ctx.disc.mass
     lam_hat = ctx.spec.hat_eigenvalues
     lam1 = float(lam_hat[0])
 
@@ -211,13 +222,13 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
     write_grid(out / "u_T.grid", ctx.mesh, snap_T.u)
     files.append("u_T.grid")
 
-    weight = check_u0_condition(ctx.mesh, ctx.u0)
+    weight = check_u0_condition(ctx.disc, ctx.u0)
     single_mode = s.u0.kind == "first-eigenfunction"
     slope_u = fit_log_slope(grid, u_norms)
     if weight > 0 or single_mode:
         tol = 1e-6 if single_mode else 0.02
-        _check(lines, "u-decay-slope", abs(slope_u + lam1) <= tol * lam1,
-               f"measured={slope_u:.10g} expected={-lam1:.10g} rel_tol={tol:g}")
+        _slope_check(lines, "u-decay-slope", abs(slope_u + lam1) <= tol * lam1,
+                     f"measured={slope_u:.10g} expected={-lam1:.10g} rel_tol={tol:g}", u_norms)
     else:
         _info(lines, "u-decay-slope",
               f"skipped: int u0 d_Omega = {weight:.6g} is not positive")
@@ -225,7 +236,7 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
     # F is the k >= 2 tail of the mode expansion, so its decay rate is the
     # eigenvalue of the first tail cluster that u0 actually populates.
     u0_l2 = l2_norm(ctx.u0, M)
-    coeffs = ctx.spec.eigenvectors.T @ (ctx.spec.mass_int @ ctx.spec.restrict(ctx.u0))
+    coeffs = ctx.spec.eigenvectors.T @ (ctx.disc.mass_int @ ctx.disc.restrict(ctx.u0))
     k_star = None
     for k in range(2, ctx.spec.n_clusters + 1):
         if np.linalg.norm(coeffs[ctx.spec.cluster_slice(k)]) > 1e-10 * max(u0_l2, 1e-300):
@@ -236,9 +247,9 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
     else:
         rate = float(lam_hat[k_star - 1])
         slope_F = fit_log_slope(grid, F_norms)
-        _check(lines, "F-decay-slope", abs(slope_F + rate) <= 0.05 * rate,
-               f"measured={slope_F:.10g} expected={-rate:.10g} rel_tol=0.05 "
-               f"(first populated tail cluster k={k_star})")
+        _slope_check(lines, "F-decay-slope", abs(slope_F + rate) <= 0.05 * rate,
+                     f"measured={slope_F:.10g} expected={-rate:.10g} rel_tol=0.05 "
+                     f"(first populated tail cluster k={k_star})", F_norms)
 
     envelope = u0_l2 * np.exp(-lam1 * grid) * (1.0 + 1e-9)
     bad = np.flatnonzero(u_norms > envelope)
@@ -254,7 +265,7 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
 
     # The snapshot/correction pair must satisfy the stationary identity
     # div(a grad u_T) = -l1 u_T + F on interior nodes, up to roundoff.
-    I = ctx.pair.interior_nodes
+    I = ctx.disc.interior
     A_int, M_int = ctx.pair.stiffness, ctx.pair.mass
     corr_T = compute_F(ctx.spec, ctx.u0, s.T)
     r = A_int @ snap_T.u[I] - lam1 * (M_int @ snap_T.u[I]) + M_int @ corr_T.values[I]
@@ -288,7 +299,7 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
 
 def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
     s = ctx.scenario
-    M = ctx.pair.full_mass
+    M = ctx.disc.mass
     u_T = evolve(ctx.spec, ctx.u0, s.T).u
     data_l2 = l2_norm(u_T, M)
     u0_l2 = l2_norm(ctx.u0, M)
@@ -299,17 +310,15 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
 
     if s.noise > 0:
         rng = np.random.default_rng(s.seed)
-        g = np.zeros(ctx.mesh.n_nodes)
-        interior = ctx.pair.interior_nodes
-        g[interior] = rng.standard_normal(interior.size)
-        h2 = compute_norms(g, ctx.unit_pair).h2_surrogate
+        g = ctx.disc.extend(rng.standard_normal(ctx.disc.interior.size))
+        h2 = compute_norms(g, ctx.disc.pair(1.0)).h2_surrogate
         u_T = u_T + (s.noise / h2) * g
         _info(lines, "noise",
               f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
 
     opts = InversionOptions(T=s.T, modes=ctx.spec.K, alpha=s.alpha, tol_fp=s.tol_fp,
                             max_iter=s.max_iter, cluster_tol=s.cluster_tol)
-    report = fixed_point_invert(ctx.mesh, ctx.u0, u_T, ctx.coeff.boundary_trace,
+    report = fixed_point_invert(ctx.disc, ctx.u0, u_T, ctx.coeff.boundary_trace,
                                 s.a_plus, opts, a_true=ctx.coeff)
 
     steps = report.residual_trace
@@ -366,7 +375,7 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
         _info(lines, "spectral-gap-positive", "only one strict eigenvalue computed")
 
     kmax = min(20, spec.K)
-    spec_unit = solve_generalized_eig(ctx.unit_pair, kmax, s.cluster_tol)
+    spec_unit = solve_generalized_eig(ctx.disc.pair(1.0), kmax, s.cluster_tol)
     sandwich = verify_minmax_sandwich(spec, spec_unit, s.a_plus)
     _write_csv(out / "minmax.csv",
                ("k", "lambda_unit", "lambda", "upper", "lower_ok", "upper_ok"),
@@ -413,7 +422,7 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
     if s.eta is not None:
         eta_vals = catalog.direction_values(ctx.mesh, s.eta.kind, s.eta.params_dict())
         n_int = ctx.pair.stiffness.shape[0]
-        etab = eigen_perturbation_experiment(ctx.mesh, ctx.coeff, eta_vals, s.scales,
+        etab = eigen_perturbation_experiment(ctx.disc, ctx.coeff, eta_vals, s.scales,
                                              K=min(10, n_int), cluster_tol=s.cluster_tol)
         _write_csv(out / "eigen_perturbation.csv", EigenPerturbationTable.CSV_HEADER, etab.rows())
         files.append("eigen_perturbation.csv")
@@ -425,7 +434,7 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
             _info(lines, "eigen-perturbation-spread", "no finite ratios (direction is null)")
 
         ptab = projection_perturbation_experiment(
-            ctx.mesh, ctx.coeff, eta_vals, s.scales, n_clusters=5,
+            ctx.disc, ctx.coeff, eta_vals, s.scales, n_clusters=5,
             gamma=s.gamma, eta_hat=s.eta_hat, cluster_tol=s.cluster_tol)
         _write_csv(out / "projection_perturbation.csv",
                    ProjectionPerturbationTable.CSV_HEADER, ptab.rows())
@@ -454,10 +463,9 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
     a_tilde = catalog.make_coefficient(ctx.mesh, s.perturbation.kind,
                                        s.perturbation.params_dict(), s.a_plus)
     validate_coefficient(ctx.mesh, a_tilde)
-    spec_t = solve_generalized_eig(apply_dirichlet(assemble_pair(ctx.mesh, a_tilde.values), ctx.mesh),
-                                   ctx.spec.K, s.cluster_tol)
+    spec_t = solve_generalized_eig(ctx.disc.pair(a_tilde.values), ctx.spec.K, s.cluster_tol)
 
-    tab = stability_ratio_experiment(ctx.mesh, ctx.coeff, a_tilde, ctx.u0, s.T_grid,
+    tab = stability_ratio_experiment(ctx.coeff, a_tilde, ctx.u0, s.T_grid,
                                      ctx.spec, spec_t)
     _write_csv(out / "stability.csv",
                ("T", "l2_udiff", "h2_udiff", "rho", "bracket", "c_fit", "indistinguishable"),
@@ -476,10 +484,10 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
               "perturbation coincides with the coefficient; ratios are undefined")
         return
 
-    _check(lines, "stability-rate",
-           tab.rate_low <= tab.fitted_rate <= tab.rate_high,
-           f"measured={tab.fitted_rate:.6g} bracket=[{tab.rate_low:.6g}, {tab.rate_high:.6g}] "
-           f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)")
+    _slope_check(lines, "stability-rate",
+                 tab.rate_low <= tab.fitted_rate <= tab.rate_high,
+                 f"measured={tab.fitted_rate:.6g} bracket=[{tab.rate_low:.6g}, {tab.rate_high:.6g}] "
+                 f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
 
     band = boundary_band(ctx.mesh, _BAND_EPS)
     thr = certify_decay_threshold(ctx.mesh, ctx.spec, ctx.u0, s.T_grid, band)
@@ -509,8 +517,9 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
     if ft.identical:
         _info(lines, "F-lipschitz-slope", "coefficients identical; quotient undefined")
     else:
-        _check(lines, "F-lipschitz-slope", abs(ft.fitted_slope + ft.beta2) <= 0.05 * ft.beta2,
-               f"measured={ft.fitted_slope:.10g} expected={-ft.beta2:.10g} rel_tol=0.05")
+        _slope_check(lines, "F-lipschitz-slope", abs(ft.fitted_slope + ft.beta2) <= 0.05 * ft.beta2,
+                     f"measured={ft.fitted_slope:.10g} expected={-ft.beta2:.10g} rel_tol=0.05",
+                     ft.ratio)
 
     _info(lines, "reciprocal-gap",
           f"|1/l1 - 1/l1~| = {tab.recip_gap:.6g} at coefficient distance {tab.coeff_diff:.6g}")

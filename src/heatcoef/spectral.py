@@ -1,8 +1,10 @@
 """Generalized eigendecomposition of the elliptic pencil and its diagnostics.
 
-Solves A(a) v = lambda M v on the Dirichlet-reduced P1 spaces (dense LAPACK
-path, desk scale), merges near-degenerate eigenvalues into a strictly
-ordered spectrum, and provides the spectral projections plus the gap,
+solve_generalized_eig is the one eigensolver entry point: it solves
+A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) (dense
+LAPACK path, desk scale), merges near-degenerate eigenvalues into a
+strictly ordered spectrum, and keeps the pencil's Discretization on the
+result.  The module also provides the spectral projections plus the gap,
 min-max and perturbation experiments built on them.
 """
 
@@ -13,15 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
 from .fem import (
     AdmissibilityError,
     CoefficientField,
+    Discretization,
     OperatorPair,
-    apply_dirichlet,
-    assemble_mass,
-    assemble_pair,
     l2_norm,
     make_field,
     validate_coefficient,
@@ -68,9 +67,7 @@ class SpectralDecomposition:
     hat_eigenvalues : strictly increasing cluster values (means).
     multiplicities : cluster sizes, summing to K.
     cluster_index : (K,) position of each eigenvalue's cluster.
-    mass_int / interior_nodes / n_nodes : reduced mass matrix and the
-        interior-to-full index data needed to apply projections to full
-        nodal fields.
+    disc : the Discretization of the pencil (mass matrix and partition).
     """
 
     eigenvalues: np.ndarray
@@ -80,9 +77,7 @@ class SpectralDecomposition:
     cluster_index: np.ndarray
     cluster_tol: float
     K: int
-    mass_int: sp.csr_matrix
-    interior_nodes: np.ndarray
-    n_nodes: int
+    disc: Discretization
 
     @property
     def n_clusters(self) -> int:
@@ -94,17 +89,6 @@ class SpectralDecomposition:
             raise IndexError(f"strict index k={k} outside 1..{self.n_clusters}")
         offsets = np.concatenate([[0], np.cumsum(self.multiplicities)])
         return slice(int(offsets[k - 1]), int(offsets[k]))
-
-    def restrict(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.n_nodes,):
-            raise ValueError(f"field has shape {w.shape}, expected ({self.n_nodes},)")
-        return w[self.interior_nodes]
-
-    def extend(self, wi: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_nodes)
-        out[self.interior_nodes] = wi
-        return out
 
 
 @dataclass(frozen=True)
@@ -140,13 +124,11 @@ class SandwichReport:
 
 
 def solve_generalized_eig(pair: OperatorPair, K: int, cluster_tol: float = 1e-6) -> SpectralDecomposition:
-    """Lowest K eigenpairs of the Dirichlet-reduced pencil, M-orthonormal.
+    """Lowest K eigenpairs of the reduced pencil disc.pair(a), M-orthonormal.
 
     Dense LAPACK solve; the artifact targets meshes with at most a few
     thousand interior nodes, where this is both exact and fast.
     """
-    if not pair.is_reduced:
-        raise ValueError("eigensolve requires a Dirichlet-reduced pair")
     n = pair.stiffness.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"requested K={K} eigenpairs from a pencil of size {n}")
@@ -185,9 +167,7 @@ def solve_generalized_eig(pair: OperatorPair, K: int, cluster_tol: float = 1e-6)
         cluster_index=cluster_index,
         cluster_tol=float(cluster_tol),
         K=K,
-        mass_int=pair.mass,
-        interior_nodes=pair.interior_nodes.copy(),
-        n_nodes=pair.full_mass.shape[0],
+        disc=pair.disc,
     )
 
 
@@ -231,10 +211,10 @@ def gap_report(hat_eigenvalues, gamma: float, delta: float) -> GapReport:
 def spectral_projection_apply(spec: SpectralDecomposition, k: int, w) -> np.ndarray:
     """Apply the spectral projection of strict index k (1-based) to a nodal field."""
     sl = spec.cluster_slice(k)
-    wi = spec.restrict(w)
+    wi = spec.disc.restrict(w)
     phi = spec.eigenvectors[:, sl]
-    coeffs = phi.T @ (spec.mass_int @ wi)
-    return spec.extend(phi @ coeffs)
+    coeffs = phi.T @ (spec.disc.mass_int @ wi)
+    return spec.disc.extend(phi @ coeffs)
 
 
 def regroup_spectrum(
@@ -284,9 +264,7 @@ def projection_difference_norm(
     formed directly, which keeps small angles accurate where
     sqrt(1 - sigma_min^2) would cancel.
     """
-    if not pair.is_reduced:
-        raise ValueError("projection norm requires a Dirichlet-reduced pair")
-    if spec_a.mass_int.shape != spec_b.mass_int.shape:
+    if spec_a.eigenvectors.shape[0] != spec_b.eigenvectors.shape[0]:
         raise ValueError("decompositions live on different meshes")
     M = pair.mass
     Va = spec_a.eigenvectors[:, spec_a.cluster_slice(k)]
@@ -364,7 +342,7 @@ def _validate_sweep_field(mesh: Mesh, values: np.ndarray, a_plus: float, label: 
 
 
 def eigen_perturbation_experiment(
-    mesh: Mesh,
+    disc: Discretization,
     a: CoefficientField,
     eta: np.ndarray,
     scales,
@@ -377,15 +355,14 @@ def eigen_perturbation_experiment(
     Every perturbed coefficient must stay within [1, a_plus].
     """
     eta = np.asarray(eta, dtype=float)
-    _validate_sweep_field(mesh, a.values, a.a_plus, "base coefficient")
-    mass = assemble_mass(mesh)
-    base = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, a.values), mesh), K, cluster_tol)
+    _validate_sweep_field(disc.mesh, a.values, a.a_plus, "base coefficient")
+    base = solve_generalized_eig(disc.pair(a.values), K, cluster_tol)
     ks, ss, lams, lamts, diffs, cdiffs, ratios = [], [], [], [], [], [], []
     for s in scales:
         values = a.values + s * eta
-        _validate_sweep_field(mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
-        pert = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, values), mesh), K, cluster_tol)
-        cdiff = l2_norm(values - a.values, mass)
+        _validate_sweep_field(disc.mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
+        pert = solve_generalized_eig(disc.pair(values), K, cluster_tol)
+        cdiff = l2_norm(values - a.values, disc.mass)
         for k in range(K):
             lam, lamt = float(base.eigenvalues[k]), float(pert.eigenvalues[k])
             diff = abs(lam - lamt)
@@ -431,7 +408,7 @@ class ProjectionPerturbationTable:
 
 
 def projection_perturbation_experiment(
-    mesh: Mesh,
+    disc: Discretization,
     a: CoefficientField,
     eta: np.ndarray,
     scales,
@@ -452,9 +429,8 @@ def projection_perturbation_experiment(
     """
     eta = np.asarray(eta, dtype=float)
     K = K if K is not None else max(4 * n_clusters, 8)
-    _validate_sweep_field(mesh, a.values, a.a_plus, "base coefficient")
-    mass = assemble_mass(mesh)
-    pair = apply_dirichlet(assemble_pair(mesh, a.values), mesh)
+    _validate_sweep_field(disc.mesh, a.values, a.a_plus, "base coefficient")
+    pair = disc.pair(a.values)
     base = solve_generalized_eig(pair, K, cluster_tol)
     if base.n_clusters < n_clusters:
         raise ValueError(
@@ -464,10 +440,10 @@ def projection_perturbation_experiment(
     out = {name: [] for name in ("k", "s", "cd", "gate", "ing", "norm", "nrm")}
     for s in scales:
         values = a.values + s * eta
-        _validate_sweep_field(mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
-        pert = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, values), mesh), K, cluster_tol)
+        _validate_sweep_field(disc.mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
+        pert = solve_generalized_eig(disc.pair(values), K, cluster_tol)
         pert = regroup_spectrum(pert, base.multiplicities)
-        cdiff = l2_norm(values - a.values, mass)
+        cdiff = l2_norm(values - a.values, disc.mass)
         for k in range(1, n_clusters + 1):
             lmax = max(base.hat_eigenvalues[k - 1], pert.hat_eigenvalues[k - 1])
             gate = eta_hat * lmax ** (-(1.0 + gamma + 0.5))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heatcoef.catalog import initial_state, make_coefficient
-from heatcoef.fem import apply_dirichlet, assemble_pair
+from heatcoef.fem import discretize
 from heatcoef.mesh import build_structured_mesh
 from heatcoef.spectral import solve_generalized_eig
 
@@ -21,8 +21,13 @@ def mesh16():
 
 
 @pytest.fixture(scope="session")
-def unit_pair32(mesh32):
-    return apply_dirichlet(assemble_pair(mesh32, 1.0), mesh32)
+def disc32(mesh32):
+    return discretize(mesh32)
+
+
+@pytest.fixture(scope="session")
+def unit_pair32(disc32):
+    return disc32.pair(1.0)
 
 
 @pytest.fixture(scope="session")
@@ -37,8 +42,8 @@ def bump32(mesh32):
 
 
 @pytest.fixture(scope="session")
-def bump_pair32(mesh32, bump32):
-    return apply_dirichlet(assemble_pair(mesh32, bump32.values), mesh32)
+def bump_pair32(disc32, bump32):
+    return disc32.pair(bump32.values)
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +55,7 @@ def bump_spec32(bump_pair32):
 def spectrum():
     """spectrum(mesh, coeff, K): decomposition of the coefficient's pencil at cluster_tol 1e-6."""
     def solve(mesh, coeff, K):
-        return solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, coeff.values), mesh), K, 1e-6)
+        return solve_generalized_eig(discretize(mesh).pair(coeff.values), K, 1e-6)
     return solve
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from heatcoef.catalog import COEFFICIENT_KINDS, direction_values, make_coefficient
-from heatcoef.fem import apply_dirichlet, assemble_pair, nodal_gradients
+from heatcoef.fem import discretize, nodal_gradients
 from heatcoef.heat import compute_F, evolve, f_lipschitz_experiment, fit_log_slope, l2_norm
 from heatcoef.heat import lower_bound_check
 from heatcoef.fem import assemble_mass
@@ -37,7 +37,7 @@ def test_unit_square_spectrum_matches_analytic_oracle():
     start = time.monotonic()
     mesh = build_structured_mesh(32, 32)
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
-    spec = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, unit.values), mesh),
+    spec = solve_generalized_eig(discretize(mesh).pair(unit.values),
                                  10, 1e-6)
     lam1_exact = 2.0 * np.pi ** 2
     lam2_exact = 5.0 * np.pi ** 2
@@ -53,11 +53,11 @@ def test_eigenvalues_sandwiched_by_unit_pencil_for_every_catalog_coefficient():
     start = time.monotonic()
     mesh = build_structured_mesh(32, 32)
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
-    spec_unit = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, unit.values), mesh),
+    spec_unit = solve_generalized_eig(discretize(mesh).pair(unit.values),
                                       20, 1e-6)
     for kind in sorted(COEFFICIENT_KINDS):
         a = make_coefficient(mesh, kind, None, 2.0)
-        spec_a = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, a.values), mesh),
+        spec_a = solve_generalized_eig(discretize(mesh).pair(a.values),
                                        20, 1e-6)
         report = verify_minmax_sandwich(spec_a, spec_unit, 2.0, rel_slack=1e-8)
         assert report.ok, f"{kind}: first violation at k={report.first_violation}"
@@ -69,7 +69,7 @@ def test_eigenvalue_shift_ratio_uniform_across_perturbation_sweep():
     mesh = build_structured_mesh(32, 32)
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
     eta = direction_values(mesh, "gaussian-bump", {"amplitude": 0.04})
-    table = eigen_perturbation_experiment(mesh, unit, eta, (1e-3, 1e-2, 1e-1), K=10)
+    table = eigen_perturbation_experiment(discretize(mesh), unit, eta, (1e-3, 1e-2, 1e-1), K=10)
     spread = table.ratio_spread()
     assert np.isfinite(spread)
     assert spread <= 50.0  # measured 2.30
@@ -80,7 +80,7 @@ def test_projection_difference_normalized_within_one_order_of_magnitude():
     mesh = build_structured_mesh(32, 32)
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
     eta = direction_values(mesh, "gaussian-bump", {"amplitude": 0.04})
-    table = projection_perturbation_experiment(mesh, unit, eta, (1e-3, 1e-2, 1e-1),
+    table = projection_perturbation_experiment(discretize(mesh), unit, eta, (1e-3, 1e-2, 1e-1),
                                                n_clusters=5, gamma=0.0, eta_hat=0.05)
     assert table.in_gate.sum() >= 2  # the gate must actually select a regime
     spread = table.gated_spread()
@@ -94,13 +94,13 @@ def test_correction_field_decay_and_lipschitz_slopes():
     two = make_coefficient(mesh, "two-bump", None, 2.0)
     d = distance_to_boundary(mesh)
     grid = np.linspace(1.0, 5.0, 9)
-    spec = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, bump.values), mesh),
+    spec = solve_generalized_eig(discretize(mesh).pair(bump.values),
                                  40, 1e-6)
     lam2 = spec.hat_eigenvalues[1]
     F = compute_F(spec, d, 2.0, fit_T_grid=grid)
     assert abs(F.decay_rate_estimate + lam2) <= 0.05 * lam2  # measured 0.49%
 
-    spec_two = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, two.values), mesh),
+    spec_two = solve_generalized_eig(discretize(mesh).pair(two.values),
                                      40, 1e-6)
     ft = f_lipschitz_experiment(mesh, bump, two, d, grid, spec, spec_two)
     assert abs(ft.fitted_slope + ft.beta2) <= 0.05 * ft.beta2  # measured 0.44%
@@ -117,7 +117,7 @@ def test_snapshot_norm_decays_at_ground_rate(mesh32, bump_spec32):
     assert abs(slope + lam1) <= 0.02 * lam1
 
     # pure ground mode: exact
-    phi1 = bump_spec32.extend(bump_spec32.eigenvectors[:, 0])
+    phi1 = bump_spec32.disc.extend(bump_spec32.eigenvectors[:, 0])
     norms1 = [l2_norm(evolve(bump_spec32, phi1, t).u, M) for t in grid]
     slope1 = fit_log_slope(grid, norms1)
     assert abs(slope1 + lam1) <= 1e-6  # measured 1.5e-13
@@ -156,9 +156,9 @@ def test_band_gradient_floor_stable_under_mesh_refinement():
     for n in (16, 32, 48):
         mesh = build_structured_mesh(n, n)
         a = make_coefficient(mesh, "gaussian-bump", None, 2.0)
-        spec = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, a.values), mesh),
+        spec = solve_generalized_eig(discretize(mesh).pair(a.values),
                                      1, 1e-6)
-        phi1 = spec.extend(spec.eigenvectors[:, 0])
+        phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         g = nodal_gradients(mesh, phi1)
         grad_norm = np.sqrt(np.einsum("nd,nd->n", g, g))
         mask = boundary_band(mesh, 0.1).node_mask
@@ -224,9 +224,9 @@ def test_noise_floor_grows_with_snapshot_time(tmp_path):
     bump = make_coefficient(mesh, "gaussian-bump", None, 2.0)
     two = make_coefficient(mesh, "two-bump", None, 2.0)
     d = distance_to_boundary(mesh)
-    spec, spec_two = (solve_generalized_eig(apply_dirichlet(assemble_pair(mesh, c.values), mesh),
+    spec, spec_two = (solve_generalized_eig(discretize(mesh).pair(c.values),
                                             8, 1e-6) for c in (bump, two))
-    tab = stability_ratio_experiment(mesh, bump, two, d, ladder_T, spec, spec_two)
+    tab = stability_ratio_experiment(bump, two, d, ladder_T, spec, spec_two)
     assert tab.rate_low <= tab.fitted_rate <= tab.rate_high  # measured 20.13 in [17.00, 47.48]
     assert tab.rate_low == pytest.approx(0.8 * tab.lambda1, abs=1e-12)
     assert tab.rate_high == pytest.approx(1.2 * tab.a_plus * tab.lambda1_unit, abs=1e-12)

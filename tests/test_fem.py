@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from heatcoef.fem import (
     AdmissibilityError,
-    apply_dirichlet,
     assemble_mass,
-    assemble_pair,
     assemble_stiffness,
     compute_norms,
+    discretize,
     element_gradients,
     gradient_bound,
     l2_norm,
@@ -68,26 +67,31 @@ def test_stiffness_scales_linearly_in_the_coefficient(c, seed):
     assert np.allclose(Ac.toarray(), c * A1.toarray(), rtol=1e-13)
 
 
-def test_apply_dirichlet_blocks():
+def test_discretize_pair_blocks(rng):
     mesh = build_structured_mesh(4, 4)
-    pair = apply_dirichlet(assemble_pair(mesh, 1.0), mesh)
-    n_int = (4 - 1) ** 2
-    assert pair.stiffness.shape == (n_int, n_int)
-    assert pair.is_reduced
-    assert pair.interior_nodes.size == n_int
-    assert np.all(mesh.interior_node_flags[pair.interior_nodes])
-    with pytest.raises(ValueError):
-        apply_dirichlet(pair, mesh)  # double reduction
+    a = 1.0 + mesh.nodes[:, 0] * mesh.nodes[:, 1]
+    disc = discretize(mesh)
+    pair = disc.pair(a)
+    I = np.flatnonzero(mesh.interior_node_flags)
+    assert np.array_equal(disc.interior, I)
+    assert np.array_equal(disc.boundary, np.flatnonzero(mesh.boundary_node_flags))
+    assert pair.stiffness.shape == ((4 - 1) ** 2,) * 2
+    assert np.array_equal(pair.stiffness.toarray(), assemble_stiffness(mesh, a)[I][:, I].toarray())
+    assert np.array_equal(pair.mass.toarray(), assemble_mass(mesh)[I][:, I].toarray())
+    w = rng.normal(size=mesh.n_nodes)
+    back = disc.extend(disc.restrict(w))
+    assert np.all(back[disc.boundary] == 0.0)
+    assert np.array_equal(back[I], w[I])
 
 
 def test_h2_surrogate_closed_form_on_eigenvector():
     # for an eigenvector, M z = -A w gives z = -lambda w, so the surrogate
     # norm is sqrt(1 + lambda + lambda^2) for an M-normalized vector
     mesh = build_structured_mesh(12, 12)
-    pair = apply_dirichlet(assemble_pair(mesh, 1.0), mesh)
+    pair = discretize(mesh).pair(1.0)
     spec = solve_generalized_eig(pair, 3, 1e-6)
     lam = spec.eigenvalues[0]
-    w = spec.extend(spec.eigenvectors[:, 0])
+    w = spec.disc.extend(spec.eigenvectors[:, 0])
     norms = compute_norms(w, pair)
     assert norms.l2 == pytest.approx(1.0, rel=1e-12)
     assert norms.h1 == pytest.approx(np.sqrt(1.0 + lam), rel=1e-10)
@@ -96,7 +100,7 @@ def test_h2_surrogate_closed_form_on_eigenvector():
 
 def test_norms_reject_nonzero_boundary():
     mesh = build_structured_mesh(6, 6)
-    pair = apply_dirichlet(assemble_pair(mesh, 1.0), mesh)
+    pair = discretize(mesh).pair(1.0)
     with pytest.raises(ValueError, match="boundary"):
         compute_norms(np.ones(mesh.n_nodes), pair)
 

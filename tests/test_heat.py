@@ -18,7 +18,7 @@ from heatcoef.mesh import boundary_band, distance_to_boundary
 class TestEvolve:
     def test_single_mode_is_exact(self, unit_spec32):
         spec = unit_spec32
-        phi1 = spec.extend(spec.eigenvectors[:, 0])
+        phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         lam1 = spec.hat_eigenvalues[0]
         snap = evolve(spec, phi1, 0.7)
         assert np.allclose(snap.u, np.exp(-lam1 * 0.7) * phi1, atol=1e-13)
@@ -28,8 +28,8 @@ class TestEvolve:
 
     def test_linearity(self, bump_spec32):
         spec = bump_spec32
-        phi1 = spec.extend(spec.eigenvectors[:, 0])
-        phi5 = spec.extend(spec.eigenvectors[:, 4])
+        phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
+        phi5 = spec.disc.extend(spec.eigenvectors[:, 4])
         combined = evolve(spec, phi1 + 2.0 * phi5, 0.3)
         parts = evolve(spec, phi1, 0.3).u + 2.0 * evolve(spec, phi5, 0.3).u
         assert np.allclose(combined.u, parts, atol=1e-12)
@@ -40,8 +40,8 @@ class TestEvolve:
         interior = ~mesh32.boundary_node_flags
         u0[interior] = rng.normal(size=interior.sum())
         snap = evolve(spec, u0, 0.0)
-        coeffs = spec.eigenvectors.T @ (spec.mass_int @ spec.restrict(u0))
-        proj = spec.extend(spec.eigenvectors @ coeffs)
+        coeffs = spec.eigenvectors.T @ (spec.disc.mass_int @ spec.disc.restrict(u0))
+        proj = spec.disc.extend(spec.eigenvectors @ coeffs)
         assert np.allclose(snap.u, proj, atol=1e-12)
         # the truncation bound at t=0 is exactly the norm of what was dropped
         M = assemble_mass(mesh32)
@@ -51,7 +51,7 @@ class TestEvolve:
         assert later.truncation_bound < snap.truncation_bound
 
     def test_rejects_negative_time(self, unit_spec32):
-        phi1 = unit_spec32.extend(unit_spec32.eigenvectors[:, 0])
+        phi1 = unit_spec32.disc.extend(unit_spec32.eigenvectors[:, 0])
         with pytest.raises(ValueError, match="nonnegative"):
             evolve(unit_spec32, phi1, -0.1)
 
@@ -79,7 +79,7 @@ class TestEvolve:
 class TestDecaySlopes:
     def test_ground_mode_slope_is_lambda1(self, mesh32, unit_spec32):
         spec = unit_spec32
-        phi1 = spec.extend(spec.eigenvectors[:, 0])
+        phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         M = assemble_mass(mesh32)
         ts = np.linspace(0.5, 2.5, 6)
         norms = [l2_norm(evolve(spec, phi1, t).u, M) for t in ts]
@@ -108,7 +108,7 @@ class TestDecaySlopes:
 class TestCorrectionField:
     def test_ground_mode_gives_zero(self, unit_spec32):
         spec = unit_spec32
-        phi1 = spec.extend(spec.eigenvectors[:, 0])
+        phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         F = compute_F(spec, phi1, 1.0)
         assert np.max(np.abs(F.values)) < 1e-14
 
@@ -126,8 +126,8 @@ class TestCorrectionField:
         # F(T) = (l_1 - l_2) e^{-l_2 T} phi2 exactly.
         spec = bump_spec32
         assert np.all(spec.multiplicities == 1)
-        phi1 = spec.extend(spec.eigenvectors[:, 0])
-        phi2 = spec.extend(spec.eigenvectors[:, 1])
+        phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
+        phi2 = spec.disc.extend(spec.eigenvectors[:, 1])
         lam1, lam2 = spec.hat_eigenvalues[:2]
         F = compute_F(spec, phi1 + phi2, 0.4)
         closed = (lam1 - lam2) * np.exp(-lam2 * 0.4) * phi2
@@ -143,7 +143,7 @@ class TestCorrectionField:
         assert abs(F.decay_rate_estimate + lam2) / lam2 < 0.05
 
     def test_rejects_nonpositive_time(self, unit_spec32):
-        phi1 = unit_spec32.extend(unit_spec32.eigenvectors[:, 0])
+        phi1 = unit_spec32.disc.extend(unit_spec32.eigenvectors[:, 0])
         with pytest.raises(ValueError, match="positive"):
             compute_F(unit_spec32, phi1, 0.0)
 
@@ -180,11 +180,11 @@ class TestFLipschitz:
 
 
 class TestLowerBounds:
-    def test_weighted_mass_sign(self, mesh32):
+    def test_weighted_mass_sign(self, mesh32, disc32):
         d = distance_to_boundary(mesh32)
-        w = check_u0_condition(mesh32, d)
+        w = check_u0_condition(disc32, d)
         assert w == pytest.approx(0.04166667, abs=1e-7)
-        assert check_u0_condition(mesh32, -d) == pytest.approx(-w, abs=1e-12)
+        assert check_u0_condition(disc32, -d) == pytest.approx(-w, abs=1e-12)
 
     def test_report_minima_frozen(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)

@@ -4,9 +4,7 @@ import pytest
 from heatcoef.catalog import make_coefficient
 from heatcoef.fem import (
     assemble_mass,
-    assemble_pair,
     assemble_stiffness,
-    apply_dirichlet,
     l2_norm,
 )
 from heatcoef.heat import compute_F, evolve
@@ -54,27 +52,27 @@ class TestTransportOperator:
         residual = np.linalg.norm(system.G @ bump32.values - system.rhs)
         assert residual < 1e-13  # measured 2.94e-15
 
-    def test_zero_snapshot_returns_prior(self, mesh32, unit_pair32, bump32):
+    def test_zero_snapshot_returns_prior(self, mesh32, disc32, unit_pair32, bump32):
         zero = np.zeros(mesh32.n_nodes)
         system = build_transport_system(
             mesh32, unit_pair32, zero, 20.0, zero, 1e-8, bump32.values)
-        prior, _ = admissible_projection(mesh32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
+        prior, _ = admissible_projection(disc32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
         sol = solve_transport_ls(system, prior)
         assert np.allclose(sol.values, prior.values, atol=1e-12)
 
-    def test_huge_alpha_pulls_to_prior(self, mesh32, unit_pair32, bump32, bump_snapshot):
+    def test_huge_alpha_pulls_to_prior(self, mesh32, disc32, unit_pair32, bump32, bump_snapshot):
         _, _, u_T, lam1, F = bump_snapshot
         system = build_transport_system(mesh32, unit_pair32, u_T, lam1, F, 1e6, bump32.values)
-        prior, _ = admissible_projection(mesh32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
+        prior, _ = admissible_projection(disc32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
         sol = solve_transport_ls(system, prior)
         M = assemble_mass(mesh32)
         assert l2_norm(sol.values - prior.values, M) < 1e-5
 
-    def test_single_solve_error_tracks_alpha(self, mesh32, bump32, unit_pair32, bump_snapshot):
+    def test_single_solve_error_tracks_alpha(self, mesh32, disc32, bump32, unit_pair32, bump_snapshot):
         # one regularized solve with exact data recovers the coefficient
         # down to the regularization floor.
         _, _, u_T, lam1, F = bump_snapshot
-        prior, _ = admissible_projection(mesh32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
+        prior, _ = admissible_projection(disc32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
         M = assemble_mass(mesh32)
         den = l2_norm(bump32.values, M)
         bounds = {1e-6: 2e-6, 1e-8: 2e-8, 1e-10: 2e-10, 1e-12: 1e-11}
@@ -90,23 +88,23 @@ class TestTransportOperator:
 
 
 class TestAdmissibleProjection:
-    def test_idempotent_on_admissible_field(self, mesh32, bump32):
-        proj, capped = admissible_projection(mesh32, bump32.values, bump32.values, 2.0)
+    def test_idempotent_on_admissible_field(self, disc32, bump32):
+        proj, capped = admissible_projection(disc32, bump32.values, bump32.values, 2.0)
         assert not capped
         assert np.allclose(proj.values, bump32.values, atol=1e-15)
 
-    def test_clamps_and_reimposes_trace(self, mesh32, bump32):
+    def test_clamps_and_reimposes_trace(self, mesh32, disc32, bump32):
         wild = np.full(mesh32.n_nodes, 5.0)
         wild[0] = -3.0
-        proj, _ = admissible_projection(mesh32, wild, bump32.values, 2.0)
+        proj, _ = admissible_projection(disc32, wild, bump32.values, 2.0)
         assert proj.values.min() >= 1.0
         assert proj.values.max() <= 2.0
         b = mesh32.boundary_node_flags
         assert np.allclose(proj.values[b], bump32.values[b], atol=1e-15)
 
-    def test_flags_unsmoothable_gradient(self, mesh32, bump32, rng):
+    def test_flags_unsmoothable_gradient(self, mesh32, disc32, bump32, rng):
         rough = 1.0 + 0.4 * rng.random(mesh32.n_nodes)
-        proj, capped = admissible_projection(mesh32, rough, bump32.values, 2.0)
+        proj, capped = admissible_projection(disc32, rough, bump32.values, 2.0)
         assert capped
         assert gradient_bound(mesh32, proj.values) > 2.0
 
@@ -135,38 +133,38 @@ class TestClosurePoint:
 
 
 class TestFixedPointInvert:
-    def test_recovers_bump_from_clean_snapshot(self, mesh32, bump32, bump_snapshot):
+    def test_recovers_bump_from_clean_snapshot(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot
         opts = InversionOptions(T=T, modes=8)
-        rep = fixed_point_invert(mesh32, d, u_T, bump32.values, 2.0, opts, a_true=bump32)
+        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts, a_true=bump32)
         assert rep.converged and not rep.stalled
         assert rep.iterations <= 8  # measured 6
         assert rep.rel_error < 1e-5  # measured 1.96e-6
         assert rep.lambda1_trace[-1] == pytest.approx(21.25552253, abs=1e-4)
         assert rep.residual_trace[-1] <= opts.tol_fp
 
-    def test_constant_coefficient_in_one_step(self, mesh32, unit_spec32):
+    def test_constant_coefficient_in_one_step(self, mesh32, disc32, unit_spec32):
         d = distance_to_boundary(mesh32)
         unit = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         u_T = evolve(unit_spec32, d, 2.0).u
-        rep = fixed_point_invert(mesh32, d, u_T, unit.values, 2.0,
+        rep = fixed_point_invert(disc32, d, u_T, unit.values, 2.0,
                                  InversionOptions(T=2.0, modes=8), a_true=unit)
         assert rep.converged
         assert rep.iterations <= 2  # measured 1
         assert rep.rel_error < 1e-6  # measured 1.16e-12
 
-    def test_iteration_cap_flags_stall(self, mesh32, bump32, bump_snapshot):
+    def test_iteration_cap_flags_stall(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot
         opts = InversionOptions(T=T, modes=8, max_iter=1, tol_fp=1e-14)
-        rep = fixed_point_invert(mesh32, d, u_T, bump32.values, 2.0, opts)
+        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts)
         assert not rep.converged
         assert rep.stalled
         assert rep.iterations == 1
 
-    def test_rejects_sign_indefinite_initial_state(self, mesh32, bump32, bump_snapshot):
+    def test_rejects_sign_indefinite_initial_state(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot
         with pytest.raises(ValueError, match="int u0"):
-            fixed_point_invert(mesh32, -d, u_T, bump32.values, 2.0,
+            fixed_point_invert(disc32, -d, u_T, bump32.values, 2.0,
                                InversionOptions(T=T, modes=8))
 
 
@@ -174,7 +172,7 @@ class TestStabilityExperiment:
     def test_close_pair_rate_and_bracket(self, mesh32, bump32, spectrum):
         other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
         d = distance_to_boundary(mesh32)
-        tab = stability_ratio_experiment(mesh32, bump32, other, d, [0.15, 0.3, 0.6, 1.2],
+        tab = stability_ratio_experiment(bump32, other, d, [0.15, 0.3, 0.6, 1.2],
                                          spectrum(mesh32, bump32, 8), spectrum(mesh32, other, 8))
         assert not tab.identical
         assert not tab.indistinguishable.any()
@@ -189,7 +187,7 @@ class TestStabilityExperiment:
     def test_identical_pair_is_flagged_empty(self, mesh32, bump32, spectrum):
         d = distance_to_boundary(mesh32)
         spec = spectrum(mesh32, bump32, 4)
-        tab = stability_ratio_experiment(mesh32, bump32, bump32, d, [0.5, 1.0], spec, spec)
+        tab = stability_ratio_experiment(bump32, bump32, d, [0.5, 1.0], spec, spec)
         assert tab.identical
         assert tab.T.size == 0
         assert tab.coeff_diff == 0.0
@@ -198,4 +196,4 @@ class TestStabilityExperiment:
         d = distance_to_boundary(mesh32)
         spec = spectrum(mesh32, bump32, 4)
         with pytest.raises(ValueError, match="two positive times"):
-            stability_ratio_experiment(mesh32, bump32, bump32, d, [1.0], spec, spec)
+            stability_ratio_experiment(bump32, bump32, d, [1.0], spec, spec)

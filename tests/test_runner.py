@@ -1,11 +1,18 @@
 import hashlib
 import re
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from heatcoef import fem
 from heatcoef.cli import main
+from heatcoef.mesh import build_structured_mesh, write_grid
 from heatcoef.runner import RunnerError, run_scenario, write_reports
-from heatcoef.scenario import parse_config_text
+from heatcoef.scenario import parse_config, parse_config_text
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 SUMMARY_LINE = re.compile(r"^(PASS|FAIL|WARN|INFO) \S+: .+$")
 
@@ -175,3 +182,67 @@ class TestCli:
         assert main(["invert", "--config", cfg, "--out", str(out2), "--seed", "12"]) == 0
         capsys.readouterr()
         assert _read(out1 / "residuals.csv") != _read(out2 / "residuals.csv")
+
+
+VERIFY_16 = """\
+name = spec16
+nx = 16
+ny = 16
+coefficient = constant
+modes = 12
+eta = gaussian-bump
+eta.amplitude = 0.04
+scales = 0.001,0.01
+"""
+
+
+MODE_CONFIGS = {
+    "forward": FORWARD_16,
+    "invert": INVERT_16,
+    "verify-spectral": VERIFY_16,
+    "stability-sweep": SWEEP_16,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch):
+    original = fem.assemble_mass
+    calls = []
+
+    def counted(mesh):
+        calls.append(mesh)
+        return original(mesh)
+
+    for name, module in list(sys.modules.items()):
+        if name == "heatcoef" or name.startswith("heatcoef."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    run_scenario(parse_config_text(MODE_CONFIGS[mode]), mode, tmp_path)
+    assert len(calls) == 1
+
+
+def test_bundled_stability_sweep_reports_fit_points(tmp_path):
+    art = run_scenario(parse_config(SCENARIO_DIR / "stability_sweep.cfg"), "stability-sweep",
+                       tmp_path)
+    lines = art.summary_lines
+    rate = next(line for line in lines if line.split()[1] == "stability-rate:")
+    assert rate.endswith(" fit_points=2")  # 4 of the 6 T points are indistinguishable
+    assert "WARN fit-points: stability-rate fitted from 2 point(s)" in lines
+    lipschitz = next(line for line in lines if line.split()[1] == "F-lipschitz-slope:")
+    assert lipschitz.endswith(" fit_points=6")
+    assert not any("F-lipschitz-slope fitted" in line for line in lines)
+
+
+@pytest.mark.parametrize("node,value", [(31, "nan"), (40, "inf"), (5, "nan")])
+def test_non_finite_custom_u0_exits_one(tmp_path, capsys, node, value):
+    mesh = build_structured_mesh(8, 8)
+    v = np.zeros(mesh.n_nodes)
+    v[node] = float(value)
+    write_grid(tmp_path / "u0.grid", mesh, v)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(f"name = bad_u0\nnx = 8\nny = 8\ncoefficient = constant\nmodes = 4\n"
+                   f"u0 = custom\nu0.path = {tmp_path / 'u0.grid'}\n")
+    assert main(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    x, y = mesh.nodes[node]
+    assert f"{value} is not finite at node {node} (x={x:.6g}, y={y:.6g})" in capsys.readouterr().err

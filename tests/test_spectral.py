@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatcoef.catalog import direction_values, make_coefficient
-from heatcoef.fem import AdmissibilityError, apply_dirichlet, assemble_pair, make_field
+from heatcoef.fem import AdmissibilityError, discretize, make_field
 from heatcoef.mesh import build_structured_mesh
 from heatcoef.spectral import (
     eigen_perturbation_experiment,
@@ -96,7 +96,7 @@ class TestGapReport:
 
 class TestProjections:
     def test_projection_identity_and_orthogonality(self, unit_spec32):
-        phi1 = unit_spec32.extend(unit_spec32.eigenvectors[:, 0])
+        phi1 = unit_spec32.disc.extend(unit_spec32.eigenvectors[:, 0])
         assert np.allclose(spectral_projection_apply(unit_spec32, 1, phi1), phi1, atol=1e-12)
         assert np.allclose(spectral_projection_apply(unit_spec32, 2, phi1), 0.0, atol=1e-12)
 
@@ -106,20 +106,20 @@ class TestProjections:
             for k in range(1, unit_spec32.n_clusters + 1)
         )
         # the projected sum reproduces the in-span part of the field
-        coeffs = unit_spec32.eigenvectors.T @ (unit_spec32.mass_int @ unit_spec32.restrict(d_omega32))
-        span = unit_spec32.extend(unit_spec32.eigenvectors @ coeffs)
+        coeffs = unit_spec32.eigenvectors.T @ (unit_spec32.disc.mass_int @ unit_spec32.disc.restrict(d_omega32))
+        span = unit_spec32.disc.extend(unit_spec32.eigenvectors @ coeffs)
         assert np.allclose(w_span, span, atol=1e-12)
 
     def test_projection_is_idempotent_and_m_selfadjoint(self, unit_spec32, rng):
-        M = unit_spec32.mass_int
-        w = unit_spec32.extend(rng.normal(size=M.shape[0]))
-        v = unit_spec32.extend(rng.normal(size=M.shape[0]))
+        M = unit_spec32.disc.mass_int
+        w = unit_spec32.disc.extend(rng.normal(size=M.shape[0]))
+        v = unit_spec32.disc.extend(rng.normal(size=M.shape[0]))
         Pw = spectral_projection_apply(unit_spec32, 2, w)
         PPw = spectral_projection_apply(unit_spec32, 2, Pw)
         assert np.allclose(PPw, Pw, atol=1e-12)
         Pv = spectral_projection_apply(unit_spec32, 2, v)
-        lhs = unit_spec32.restrict(Pw) @ (M @ unit_spec32.restrict(v))
-        rhs = unit_spec32.restrict(w) @ (M @ unit_spec32.restrict(Pv))
+        lhs = unit_spec32.disc.restrict(Pw) @ (M @ unit_spec32.disc.restrict(v))
+        rhs = unit_spec32.disc.restrict(w) @ (M @ unit_spec32.disc.restrict(Pv))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_out_of_range_cluster(self, unit_spec32):
@@ -141,7 +141,7 @@ class TestProjections:
         eta = direction_values(mesh32, "gaussian-bump", {"amplitude": 0.04, "width": 0.05})
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         pert = solve_generalized_eig(
-            apply_dirichlet(assemble_pair(mesh32, a.values + 0.01 * eta), mesh32),
+            discretize(mesh32).pair(a.values + 0.01 * eta),
             unit_spec32.K, 1e-6)
         pert = regroup_spectrum(pert, unit_spec32.multiplicities)
         for k in range(1, 4):
@@ -155,7 +155,7 @@ class TestProjections:
         # where the unit spectrum has rank-2 ones.
         eta = direction_values(mesh32, "gaussian-bump", None)
         pert = solve_generalized_eig(
-            apply_dirichlet(assemble_pair(mesh32, 1.0 + 0.1 * eta), mesh32), unit_spec32.K, 1e-9)
+            discretize(mesh32).pair(1.0 + 0.1 * eta), unit_spec32.K, 1e-9)
         # dense reference: largest |eigenvalue| of S (P - P~) S^-1, S = M^(1/2)
         w, U = np.linalg.eigh(unit_pair32.mass.toarray())
         S = (U * np.sqrt(w)) @ U.T
@@ -170,10 +170,6 @@ class TestProjections:
                 unequal += 1
                 assert nrm == pytest.approx(1.0, abs=1e-9)
         assert unequal > 0
-
-    def test_difference_norm_needs_reduced_pair(self, mesh32, unit_spec32):
-        with pytest.raises(ValueError, match="reduced"):
-            projection_difference_norm(unit_spec32, unit_spec32, assemble_pair(mesh32, 1.0), 1)
 
 
 class TestRegroup:
@@ -196,15 +192,15 @@ class TestMinmaxSandwich:
         assert np.allclose(rep.lambdas, rep.lambdas_unit)
 
     def test_scaled_coefficient_upper_equality(self, mesh32, unit_pair32, unit_spec32):
-        spec2 = solve_generalized_eig(apply_dirichlet(assemble_pair(mesh32, 2.0), mesh32), 10, 1e-6)
+        spec2 = solve_generalized_eig(discretize(mesh32).pair(2.0), 10, 1e-6)
         rep = verify_minmax_sandwich(spec2, unit_spec32, a_plus=2.0)
         assert rep.ok
         assert np.allclose(rep.lambdas, 2.0 * rep.lambdas_unit, rtol=1e-10)
 
     def test_product_coefficient_sandwich_k20(self, mesh32):
         values = 1.0 + mesh32.nodes[:, 0] * mesh32.nodes[:, 1]
-        pair = apply_dirichlet(assemble_pair(mesh32, values), mesh32)
-        unit = apply_dirichlet(assemble_pair(mesh32, 1.0), mesh32)
+        pair = discretize(mesh32).pair(values)
+        unit = discretize(mesh32).pair(1.0)
         rep = verify_minmax_sandwich(
             solve_generalized_eig(pair, 20, 1e-6),
             solve_generalized_eig(unit, 20, 1e-6),
@@ -214,30 +210,30 @@ class TestMinmaxSandwich:
 
 
 class TestEigenPerturbation:
-    def test_zero_scale_has_zero_differences(self, mesh32):
+    def test_zero_scale_has_zero_differences(self, mesh32, disc32):
         a = make_coefficient(mesh32, "constant", {"value": 1.5}, 2.0)
         eta = direction_values(mesh32, "affine", None)
-        tab = eigen_perturbation_experiment(mesh32, a, eta, [0.0], K=4)
+        tab = eigen_perturbation_experiment(disc32, a, eta, [0.0], K=4)
         assert np.allclose(tab.diff, 0.0, atol=1e-10)
 
-    def test_uniform_direction_scales_the_spectrum(self, mesh32):
+    def test_uniform_direction_scales_the_spectrum(self, mesh32, disc32):
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         eta = np.ones(mesh32.n_nodes)
-        tab = eigen_perturbation_experiment(mesh32, a, eta, [0.5], K=6)
+        tab = eigen_perturbation_experiment(disc32, a, eta, [0.5], K=6)
         assert np.allclose(tab.lam_tilde, 1.5 * tab.lam, rtol=1e-12)
         assert np.all(np.isfinite(tab.ratio))
 
-    def test_inadmissible_perturbation_raises(self, mesh32):
+    def test_inadmissible_perturbation_raises(self, mesh32, disc32):
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         with pytest.raises(AdmissibilityError):
-            eigen_perturbation_experiment(mesh32, a, -np.ones(mesh32.n_nodes), [0.5], K=4)
+            eigen_perturbation_experiment(disc32, a, -np.ones(mesh32.n_nodes), [0.5], K=4)
 
 
 class TestProjectionPerturbation:
-    def test_gate_and_ranks(self, mesh32):
+    def test_gate_and_ranks(self, mesh32, disc32):
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         eta = direction_values(mesh32, "gaussian-bump", {"amplitude": 0.04, "width": 0.05})
-        tab = projection_perturbation_experiment(mesh32, a, eta, (1e-3, 1e-2, 1e-1), n_clusters=5)
+        tab = projection_perturbation_experiment(disc32, a, eta, (1e-3, 1e-2, 1e-1), n_clusters=5)
         assert tab.in_gate.sum() == 7
         # inherited grouping: every row measures equal-rank projections
         assert np.all(tab.proj_norm <= 1.0 + 1e-12)
