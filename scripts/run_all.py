@@ -19,6 +19,7 @@ from heatcoef.scenario import ConfigError, parse_config
 SCENARIO_MODES = {
     "forward_decay": "forward",
     "bump_invert": "invert",
+    "bump_invert64": "invert",
     "constant_invert": "invert",
     "verify_spectral": "verify-spectral",
     "stability_sweep": "stability-sweep",

@@ -70,6 +70,7 @@ from .inversion import (
     TransportSolveError,
     assemble_transport_operator,
     build_transport_system,
+    transport_rhs,
     solve_transport_ls,
     admissible_projection,
     fixed_point_invert,

@@ -24,6 +24,7 @@ root step converges in a handful of inner evaluations.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "TransportSolveError",
     "assemble_transport_operator",
     "build_transport_system",
+    "transport_rhs",
     "solve_transport_ls",
     "admissible_projection",
     "fixed_point_invert",
@@ -59,9 +61,11 @@ __all__ = [
 ]
 
 _SMOOTHING_PASS_CAP = 5
-# Inner eigenvalue-closure budget per outer step: one evaluation costs a
-# transport solve plus a single-mode eigensolve, cheap next to the full
-# eigensolve that opens the step.
+# Inner eigenvalue-closure budget per outer step.  One evaluation costs a
+# back-substitution with the factored transport normal matrix, an admissible
+# projection and a K=1 shift-invert eigensolve: about 12 ms at 32^2, a fifth
+# of the 56 ms K=40 eigensolve that opens the step (2 cores).  A capped
+# closure therefore costs more than that solve, and most steps reach the cap.
 _CLOSURE_EVAL_CAP = 7
 
 
@@ -74,11 +78,19 @@ class TransportSystem:
     """Weak transport operator, right-hand side and regularization data.
 
     G : (n_interior, n_nodes) operator on nodal coefficient values.
-    rhs : interior test-function moments of -l_1 u_T + F.
+    rhs : interior test-function moments of -l_1 u_T + F (transport_rhs).
     alpha : absolute regularization weight (already scaled).
     boundary_values : full-length array, prescribed a0 at boundary nodes.
     disc : supplies the Tikhonov metric A(1) over all coefficient nodes and
         the interior/boundary partition of the coefficient dofs.
+    factor : sparse LU factor of the interior block H_II of the normal
+        matrix H = G'G + alpha A(1).
+    boundary_lift : H_IB a0_B, the prescribed boundary values' share of
+        the normal equations.
+
+    Everything but rhs depends only on u_T, alpha and a0, so a system for
+    another eigenvalue or correction field is
+    dataclasses.replace(system, rhs=transport_rhs(...)).
     """
 
     G: sp.csr_matrix
@@ -86,6 +98,8 @@ class TransportSystem:
     alpha: float
     boundary_values: np.ndarray
     disc: Discretization
+    factor: spla.SuperLU
+    boundary_lift: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -138,6 +152,14 @@ def assemble_transport_operator(mesh: Mesh, u_T) -> sp.csr_matrix:
     return G[mesh.interior_node_flags]
 
 
+def transport_rhs(disc: Discretization, u_T, lambda1: float, F_values) -> np.ndarray:
+    """Interior moments -lambda1 (M u_T)_I + (M F)_I of the transport right-hand side."""
+    M = disc.mass
+    u_T = np.asarray(u_T, dtype=float)
+    F_values = np.asarray(F_values, dtype=float)
+    return (-lambda1 * (M @ u_T) + M @ F_values)[disc.interior]
+
+
 def build_transport_system(
     mesh: Mesh,
     unit_pair: OperatorPair,
@@ -147,53 +169,61 @@ def build_transport_system(
     alpha: float,
     a0,
 ) -> TransportSystem:
-    """Assemble the regularized transport system for one outer iteration.
+    """Assemble and factor the regularized transport system of one snapshot.
 
     The mass matrix, the Tikhonov metric A(1) and the partition come from
     unit_pair.disc.  alpha is relative: the stored weight is alpha times
     the largest diagonal of G'G (falling back to alpha itself when G
-    vanishes).
+    vanishes).  The interior block of the normal matrix is LU-factored
+    here, once; solve_transport_ls only back-substitutes.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     disc = unit_pair.disc
     G = assemble_transport_operator(mesh, u_T)
-    M = disc.mass
-    F_values = np.asarray(F_values, dtype=float)
-    rhs_full = -lambda1 * (M @ np.asarray(u_T, dtype=float)) + M @ F_values
     col_sq = np.asarray(G.multiply(G).sum(axis=0)).ravel()
     scale = float(col_sq.max()) if col_sq.max() > 0 else 1.0
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (mesh.n_nodes,):
         raise ValueError(f"boundary trace has shape {a0.shape}, expected ({mesh.n_nodes},)")
-    return TransportSystem(G=G, rhs=rhs_full[disc.interior], alpha=float(alpha * scale),
-                           boundary_values=a0, disc=disc)
+    alpha = float(alpha * scale)
+    I, B = disc.interior, disc.boundary
+    H = (G.T @ G + alpha * disc.unit_stiffness).tocsr()
+    H_II = H[I][:, I].tocsc()
+    try:
+        factor = spla.splu(H_II)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        diag = H_II.diagonal()
+        cond = float(diag.max() / max(diag.min(), 1e-300))
+        raise TransportSolveError(
+            f"singular normal matrix in transport solve (diagonal ratio {cond:.3e})"
+        ) from exc
+    return TransportSystem(G=G, rhs=transport_rhs(disc, u_T, lambda1, F_values), alpha=alpha,
+                           boundary_values=a0, disc=disc, factor=factor,
+                           boundary_lift=H[I][:, B] @ a0[B])
 
 
 def solve_transport_ls(system: TransportSystem, a_prior: CoefficientField) -> CoefficientField:
     """Minimize ||G a - rhs||^2 + alpha (a - prior)' R (a - prior), a|_G = a0.
 
     R is the unit stiffness A(1).  Solved through the symmetric normal
-    equations after eliminating the constrained boundary values.  The
-    result is *not* projected onto the admissible set; see
+    equations after eliminating the constrained boundary values, by
+    back-substitution with the factor built in build_transport_system.
+    The result is *not* projected onto the admissible set; see
     admissible_projection.
     """
     G, alpha, disc = system.G, system.alpha, system.disc
     R, I, B = disc.unit_stiffness, disc.interior, disc.boundary
-    prior = a_prior.values
-    H = (G.T @ G + alpha * R).tocsr()
-    b = G.T @ system.rhs + alpha * (R @ prior)
+    b = G.T @ system.rhs + alpha * (R @ a_prior.values)
+    sol = system.factor.solve(b[I] - system.boundary_lift)
+    if not np.all(np.isfinite(sol)):
+        pivots = np.abs(system.factor.U.diagonal())
+        cond = float(pivots.max() / max(pivots.min(), 1e-300))
+        raise TransportSolveError(
+            f"singular normal matrix in transport solve (pivot ratio {cond:.3e})"
+        )
     a = np.empty(disc.n_nodes)
     a[B] = system.boundary_values[B]
-    rhs_int = b[I] - H[I][:, B] @ a[B]
-    H_II = H[I][:, I].tocsc()
-    sol = spla.spsolve(H_II, rhs_int)
-    if not np.all(np.isfinite(sol)):
-        diag = H_II.diagonal()
-        cond = float(diag.max() / max(diag.min(), 1e-300))
-        raise TransportSolveError(
-            f"singular normal matrix in transport solve (diagonal ratio {cond:.3e})"
-        )
     a[I] = sol
     trace = np.zeros_like(a)
     trace[B] = a[B]
@@ -309,7 +339,6 @@ def fixed_point_invert(
         raise ValueError("initial state must satisfy int u0 * d_Omega > 0")
     mesh = disc.mesh
     a0 = np.asarray(a0, dtype=float)
-    unit_pair = disc.pair(1.0)
     I, B = disc.interior, disc.boundary
     R = disc.unit_stiffness
 
@@ -320,7 +349,10 @@ def fixed_point_invert(
     current, _ = admissible_projection(disc, start, a0, a_plus)
 
     M_full = disc.mass
-    assemble_transport_operator(mesh, u_T)  # validates the snapshot early
+    # G, its scale and the factored normal matrix depend only on u_T, alpha
+    # and a0; each closure evaluation swaps in its own right-hand side.
+    base = build_transport_system(mesh, disc.pair(1.0), u_T, 0.0, np.zeros(mesh.n_nodes),
+                                  opts.alpha, a0)
     trace, lam1s = [], []
     converged = stalled = False
     capped_count = 0
@@ -333,7 +365,7 @@ def fixed_point_invert(
         samples: list[tuple[float, float, TransportSystem, CoefficientField, bool]] = []
 
         def evaluate(x: float) -> float:
-            sys_x = build_transport_system(mesh, unit_pair, u_T, x, F, opts.alpha, a0)
+            sys_x = dataclasses.replace(base, rhs=transport_rhs(disc, u_T, x, F))
             raw = solve_transport_ls(sys_x, current)
             projected, capped = admissible_projection(disc, raw.values, a0, a_plus)
             phi = _ground_eigenvalue(disc, projected.values, opts.cluster_tol) - x

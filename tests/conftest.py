@@ -1,4 +1,4 @@
-"""Shared fixtures: the solves are cached per session because the dense
+"""Shared fixtures: the solves are cached per session because the
 eigendecompositions dominate the suite's runtime."""
 
 import numpy as np

@@ -198,6 +198,16 @@ def test_noiseless_reconstruction_quality(tmp_path):
     assert time.monotonic() - start < 120.0
 
 
+def test_bump_reconstruction_on_64_grid(tmp_path):
+    start = time.monotonic()
+    art = run_scenario(parse_config(SCENARIO_DIR / "bump_invert64.cfg"), "invert", tmp_path)
+    assert art.all_pass, art.summary_lines
+    err_line = next(l for l in art.summary_lines if "reconstruction-error" in l)
+    rel = float(re.search(r"measured=([0-9.e+-]+)", err_line).group(1))
+    assert rel <= 0.02  # measured 1.09e-6 after 6 outer steps
+    assert time.monotonic() - start < 60.0  # measured 3.5 s (2 cores)
+
+
 NOISY_INVERT = """\
 name = ladder
 coefficient = gaussian-bump

@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+
+from heatcoef import inversion
 
 from heatcoef.catalog import make_coefficient
 from heatcoef.fem import (
@@ -18,6 +23,7 @@ from heatcoef.inversion import (
     gradient_bound,
     solve_transport_ls,
     stability_ratio_experiment,
+    transport_rhs,
 )
 from heatcoef.mesh import distance_to_boundary
 
@@ -86,6 +92,32 @@ class TestTransportOperator:
             assert err < bound  # measured 7.9e-7 / 9.2e-9 / 9.2e-11 / 1.9e-12
         assert np.all(np.diff(errs) < 0)
 
+    def test_factored_solve_matches_normal_equations(self, mesh32, disc32, bump32, unit_pair32,
+                                                     bump_snapshot):
+        # reference: the normal equations assembled and solved in full here
+        _, _, u_T, lam1, F = bump_snapshot
+        system = build_transport_system(mesh32, unit_pair32, u_T, lam1, F, 1e-8, bump32.values)
+        prior, _ = admissible_projection(disc32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
+        G, R, I, B = system.G, disc32.unit_stiffness, disc32.interior, disc32.boundary
+        H = (G.T @ G + system.alpha * R).tocsr()
+        b = G.T @ system.rhs + system.alpha * (R @ prior.values)
+        ref = bump32.values.copy()
+        ref[I] = spla.spsolve(H[I][:, I].tocsc(), b[I] - H[I][:, B] @ bump32.values[B])
+        sol = solve_transport_ls(system, prior)
+        assert np.max(np.abs(sol.values - ref)) <= 1e-12
+
+    def test_replacing_rhs_equals_rebuilding(self, mesh32, disc32, bump32, unit_pair32,
+                                             bump_snapshot):
+        _, _, u_T, lam1, F = bump_snapshot
+        base = build_transport_system(mesh32, unit_pair32, u_T, 0.0, np.zeros_like(F), 1e-8,
+                                      bump32.values)
+        swapped = dataclasses.replace(base, rhs=transport_rhs(disc32, u_T, lam1, F))
+        rebuilt = build_transport_system(mesh32, unit_pair32, u_T, lam1, F, 1e-8, bump32.values)
+        assert np.array_equal(swapped.rhs, rebuilt.rhs)
+        prior, _ = admissible_projection(disc32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
+        assert np.array_equal(solve_transport_ls(swapped, prior).values,
+                              solve_transport_ls(rebuilt, prior).values)
+
 
 class TestAdmissibleProjection:
     def test_idempotent_on_admissible_field(self, disc32, bump32):
@@ -152,6 +184,26 @@ class TestFixedPointInvert:
         assert rep.converged
         assert rep.iterations <= 2  # measured 1
         assert rep.rel_error < 1e-6  # measured 1.16e-12
+
+    def test_transport_system_built_once_per_inversion(self, disc32, bump32, bump_snapshot,
+                                                       monkeypatch):
+        calls = {"assemble": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(inversion, "assemble_transport_operator",
+                            counted("assemble", inversion.assemble_transport_operator))
+        monkeypatch.setattr(inversion, "solve_transport_ls",
+                            counted("solve", inversion.solve_transport_ls))
+        d, T, u_T, _, _ = bump_snapshot
+        opts = InversionOptions(T=T, modes=8, max_iter=1)
+        fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts)
+        assert calls["assemble"] == 1
+        assert calls["solve"] >= 2  # one per closure evaluation
 
     def test_iteration_cap_flags_stall(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot

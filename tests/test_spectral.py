@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
+from heatcoef import spectral
 from heatcoef.catalog import direction_values, make_coefficient
 from heatcoef.fem import AdmissibilityError, discretize, make_field
 from heatcoef.mesh import build_structured_mesh
 from heatcoef.spectral import (
+    EigensolverError,
     eigen_perturbation_experiment,
     gap_report,
     projection_difference_norm,
@@ -50,6 +54,62 @@ class TestSquareOracle:
     def test_ground_mode_positive_mean(self, unit_spec32, unit_pair32):
         phi1 = unit_spec32.eigenvectors[:, 0]
         assert np.ones(phi1.size) @ (unit_pair32.mass @ phi1) > 0
+
+
+class TestSparseSolver:
+    """The shift-invert path against a dense LAPACK reference written here."""
+
+    @pytest.mark.parametrize("K", [1, 40])
+    @pytest.mark.parametrize("which", ["unit_pair32", "bump_pair32"])
+    def test_matches_dense_reference(self, request, which, K):
+        pair = request.getfixturevalue(which)
+        n = pair.stiffness.shape[0]
+        assert n > spectral._DENSE_MAX_N  # 961: the sparse path runs
+        spec = solve_generalized_eig(pair, K, 1e-6)
+        # one pair past the cut tells whether the cut splits the last cluster
+        vals, vecs = la.eigh(pair.stiffness.toarray(), pair.mass.toarray(),
+                             subset_by_index=(0, K))
+        hat, mult = strictify_spectrum(vals[:K], 1e-6)
+        ref = dataclasses.replace(
+            spec, eigenvalues=vals[:K], eigenvectors=vecs[:, :K], hat_eigenvalues=hat,
+            multiplicities=mult, cluster_index=np.repeat(np.arange(hat.size), mult))
+
+        assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues) / ref.eigenvalues) <= 1e-10
+        V = spec.eigenvectors
+        assert np.max(np.abs(V.T @ (pair.mass @ V) - np.eye(K))) <= 1e-12
+
+        split = vals[K] - vals[K - 1] < 1e-6 * vals[K - 1]
+        complete = ref.n_clusters - int(split)
+        assert np.array_equal(spec.multiplicities[:complete], ref.multiplicities[:complete])
+        for k in range(1, complete + 1):
+            assert projection_difference_norm(spec, ref, pair, k) <= 1e-8, k
+
+    def test_unit_cut_at_40_splits_a_degenerate_pair(self, unit_pair32):
+        # lambda_40 = lambda_41 on the square, so the last cluster of a K=40
+        # solve is one vector of a 2-d eigenspace for either solver; the
+        # comparison above leaves it out.
+        vals = la.eigh(unit_pair32.stiffness.toarray(), unit_pair32.mass.toarray(),
+                       eigvals_only=True, subset_by_index=(38, 40))
+        assert vals[2] - vals[1] < 1e-12 * vals[1] < vals[1] - vals[0]
+
+    def test_arpack_failure_raises_eigensolver_error(self, unit_pair32, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                           np.empty((0, 0)))
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        with pytest.raises(EigensolverError, match="No convergence"):
+            solve_generalized_eig(unit_pair32, 1)
+
+    def test_small_or_nearly_full_requests_stay_dense(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("eigsh called")
+        monkeypatch.setattr(spla, "eigsh", unexpected)
+        small = discretize(build_structured_mesh(16, 16)).pair(1.0)  # n = 225
+        assert solve_generalized_eig(small, 4).K == 4
+        pair = discretize(build_structured_mesh(22, 22)).pair(1.0)  # n = 441
+        assert pair.stiffness.shape[0] > spectral._DENSE_MAX_N
+        spec = solve_generalized_eig(pair, 221)  # 2K + 1 > n
+        assert spec.K == 221
 
 
 class TestStrictify:
