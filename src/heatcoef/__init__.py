@@ -46,11 +46,9 @@ from .spectral import (
     solve_generalized_eig,
     strictify_spectrum,
     gap_report,
-    spectral_projection_apply,
     projection_difference_norm,
     verify_minmax_sandwich,
-    eigen_perturbation_experiment,
-    projection_perturbation_experiment,
+    perturbation_sweep,
 )
 from .heat import (
     HeatSnapshot,

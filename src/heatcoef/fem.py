@@ -9,7 +9,8 @@ of a |-> A(a) u.
 Everything that does not depend on the coefficient -- the mass matrix,
 the unit stiffness A(1) and the interior/boundary partition -- is built
 once per mesh by discretize(); Discretization.pair(a) then assembles only
-the stiffness of a and returns the Dirichlet-reduced pencil.
+the stiffness of a and returns the Dirichlet-reduced pencil, and
+Discretization.unit_pair is the reduced unit pencil cut from A(1).
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ class Discretization:
         """Dirichlet-reduced pencil (A(a)_II, M_II) of one coefficient."""
         I = self.interior
         return OperatorPair(stiffness=assemble_stiffness(self.mesh, a)[I][:, I].tocsr(), disc=self)
+
+    @property
+    def unit_pair(self) -> OperatorPair:
+        """Reduced unit pencil (A(1)_II, M_II), sliced from unit_stiffness.
+
+        Not cached: a pair stored on its own Discretization is a reference
+        cycle that keeps the mesh's matrices alive until a cyclic collection.
+        """
+        I = self.interior
+        return OperatorPair(stiffness=self.unit_stiffness[I][:, I].tocsr(), disc=self)
 
     def restrict(self, w: np.ndarray) -> np.ndarray:
         """Interior values of a full nodal field."""

@@ -344,14 +344,14 @@ def fixed_point_invert(
 
     start = np.empty(mesh.n_nodes)
     start[B] = a0[B]
-    start[I] = spla.spsolve(R[I][:, I].tocsc(), -(R[I][:, B] @ a0[B]))
+    start[I] = spla.spsolve(disc.unit_pair.stiffness.tocsc(), -(R[I][:, B] @ a0[B]))
     start = np.maximum(start, 1.0)
     current, _ = admissible_projection(disc, start, a0, a_plus)
 
     M_full = disc.mass
     # G, its scale and the factored normal matrix depend only on u_T, alpha
     # and a0; each closure evaluation swaps in its own right-hand side.
-    base = build_transport_system(mesh, disc.pair(1.0), u_T, 0.0, np.zeros(mesh.n_nodes),
+    base = build_transport_system(mesh, disc.unit_pair, u_T, 0.0, np.zeros(mesh.n_nodes),
                                   opts.alpha, a0)
     trace, lam1s = [], []
     converged = stalled = False
@@ -473,7 +473,7 @@ def stability_ratio_experiment(
     grid = np.asarray(T_grid, dtype=float)
     if grid.size < 2 or np.any(grid <= 0):
         raise ValueError("T_grid must hold at least two positive times")
-    unit_pair = spec.disc.pair(1.0)
+    unit_pair = spec.disc.unit_pair
     spec_unit = solve_generalized_eig(unit_pair, 1, spec.cluster_tol)
     cdiff = l2_norm(a.values - a_tilde.values, spec.disc.mass)
     if cdiff == 0.0:

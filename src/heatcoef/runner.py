@@ -43,12 +43,13 @@ from .inversion import (
 from .mesh import Mesh, boundary_band, build_structured_mesh, write_grid
 from .scenario import Scenario, scenario_hash, with_overrides
 from .spectral import (
+    EIGEN_SWEEP_ROWS,
+    PROJECTION_SWEEP_ROWS,
     EigenPerturbationTable,
     ProjectionPerturbationTable,
     SpectralDecomposition,
-    eigen_perturbation_experiment,
     gap_report,
-    projection_perturbation_experiment,
+    perturbation_sweep,
     solve_generalized_eig,
     verify_minmax_sandwich,
     weyl_ratios,
@@ -311,7 +312,7 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
     if s.noise > 0:
         rng = np.random.default_rng(s.seed)
         g = ctx.disc.extend(rng.standard_normal(ctx.disc.interior.size))
-        h2 = compute_norms(g, ctx.disc.pair(1.0)).h2_surrogate
+        h2 = compute_norms(g, ctx.disc.unit_pair).h2_surrogate
         u_T = u_T + (s.noise / h2) * g
         _info(lines, "noise",
               f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
@@ -375,7 +376,7 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
         _info(lines, "spectral-gap-positive", "only one strict eigenvalue computed")
 
     kmax = min(20, spec.K)
-    spec_unit = solve_generalized_eig(ctx.disc.pair(1.0), kmax, s.cluster_tol)
+    spec_unit = solve_generalized_eig(ctx.disc.unit_pair, kmax, s.cluster_tol)
     sandwich = verify_minmax_sandwich(spec, spec_unit, s.a_plus)
     _write_csv(out / "minmax.csv",
                ("k", "lambda_unit", "lambda", "upper", "lower_ok", "upper_ok"),
@@ -421,21 +422,19 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
 
     if s.eta is not None:
         eta_vals = catalog.direction_values(ctx.mesh, s.eta.kind, s.eta.params_dict())
-        n_int = ctx.pair.stiffness.shape[0]
-        etab = eigen_perturbation_experiment(ctx.disc, ctx.coeff, eta_vals, s.scales,
-                                             K=min(10, n_int), cluster_tol=s.cluster_tol)
+        etab, ptab = perturbation_sweep(ctx.disc, ctx.coeff, eta_vals, s.scales,
+                                        gamma=s.gamma, eta_hat=s.eta_hat,
+                                        cluster_tol=s.cluster_tol)
         _write_csv(out / "eigen_perturbation.csv", EigenPerturbationTable.CSV_HEADER, etab.rows())
         files.append("eigen_perturbation.csv")
         spread = etab.ratio_spread()
         if np.isfinite(spread):
             _check(lines, "eigen-perturbation-spread", spread <= 50.0,
-                   f"measured={spread:.6g} bound=50 (max/min normalized ratio, k <= 10)")
+                   f"measured={spread:.6g} bound=50 (max/min normalized ratio, "
+                   f"k <= {EIGEN_SWEEP_ROWS})")
         else:
             _info(lines, "eigen-perturbation-spread", "no finite ratios (direction is null)")
 
-        ptab = projection_perturbation_experiment(
-            ctx.disc, ctx.coeff, eta_vals, s.scales, n_clusters=5,
-            gamma=s.gamma, eta_hat=s.eta_hat, cluster_tol=s.cluster_tol)
         _write_csv(out / "projection_perturbation.csv",
                    ProjectionPerturbationTable.CSV_HEADER, ptab.rows())
         files.append("projection_perturbation.csv")
@@ -443,7 +442,8 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
         n_gated = int(ptab.in_gate.sum())
         if np.isfinite(gspread):
             _check(lines, "projection-perturbation-spread", gspread <= 10.0,
-                   f"measured={gspread:.6g} bound=10 ({n_gated} gated rows, k <= 5)")
+                   f"measured={gspread:.6g} bound=10 ({n_gated} gated rows, "
+                   f"k <= {PROJECTION_SWEEP_ROWS})")
         else:
             _info(lines, "projection-perturbation-spread",
                   f"not enough gated rows to form a spread ({n_gated} in gate)")

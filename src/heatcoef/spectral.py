@@ -5,8 +5,10 @@ A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) (sparse
 ARPACK shift-invert about zero, dense LAPACK for small pencils), merges
 near-degenerate eigenvalues into a strictly ordered spectrum, and keeps
 the pencil's Discretization on the result.  The module also provides the
-spectral projections plus the gap, min-max and perturbation experiments
-built on them.
+gap and min-max checks, the projection-difference norm, and one
+perturbation sweep a -> a + s*eta that solves each pencil once and
+tabulates both the eigenvalue shifts (Kato) and the spectral-projection
+differences (Davis-Kahan) from the same spectra.
 """
 
 from __future__ import annotations
@@ -39,18 +41,24 @@ __all__ = [
     "solve_generalized_eig",
     "strictify_spectrum",
     "gap_report",
-    "spectral_projection_apply",
     "regroup_spectrum",
     "projection_difference_norm",
     "verify_minmax_sandwich",
-    "eigen_perturbation_experiment",
-    "projection_perturbation_experiment",
+    "perturbation_sweep",
     "weyl_ratios",
 ]
 
-# Normalization exponent 1 + n/4 of the eigenvalue-difference experiments
+# Normalization exponent 1 + n/4 of the eigenvalue-difference rows
 # (n = 2 space dimensions).
 RATE_EXPONENT_2D = 1.5
+
+# Rows of perturbation_sweep: eigenvalue shifts for k <= EIGEN_SWEEP_ROWS and
+# projection differences for strict clusters k <= PROJECTION_SWEEP_ROWS.
+# Every pencil of the sweep is solved with _SWEEP_K eigenpairs, enough to
+# hold PROJECTION_SWEEP_ROWS clusters of the square's degenerate spectrum.
+EIGEN_SWEEP_ROWS = 10
+PROJECTION_SWEEP_ROWS = 5
+_SWEEP_K = 4 * PROJECTION_SWEEP_ROWS
 
 _RESIDUAL_TOL = 1e-8
 
@@ -230,15 +238,6 @@ def gap_report(hat_eigenvalues, gamma: float, delta: float) -> GapReport:
                      delta_max=delta_max, rho=rho)
 
 
-def spectral_projection_apply(spec: SpectralDecomposition, k: int, w) -> np.ndarray:
-    """Apply the spectral projection of strict index k (1-based) to a nodal field."""
-    sl = spec.cluster_slice(k)
-    wi = spec.disc.restrict(w)
-    phi = spec.eigenvectors[:, sl]
-    coeffs = phi.T @ (spec.disc.mass_int @ wi)
-    return spec.disc.extend(phi @ coeffs)
-
-
 def regroup_spectrum(
     spec: SpectralDecomposition, multiplicities: np.ndarray
 ) -> SpectralDecomposition:
@@ -355,54 +354,6 @@ class EigenPerturbationTable:
         return float(r.max() / r.min())
 
 
-def _validate_sweep_field(mesh: Mesh, values: np.ndarray, a_plus: float, label: str) -> None:
-    """validate_coefficient on nodal values, naming the sweep field that failed."""
-    try:
-        validate_coefficient(mesh, make_field(mesh, values, a_plus))
-    except AdmissibilityError as exc:
-        raise AdmissibilityError(f"{label}: {exc}") from exc
-
-
-def eigen_perturbation_experiment(
-    disc: Discretization,
-    a: CoefficientField,
-    eta: np.ndarray,
-    scales,
-    K: int,
-    cluster_tol: float = 1e-6,
-) -> EigenPerturbationTable:
-    """Sweep a -> a + s*eta and tabulate |lambda_k - lambda_k~| ratios.
-
-    ratio = diff / (min(lambda, lambda~)^(1 + n/4) * ||a - a~||_L2), n = 2.
-    Every perturbed coefficient must stay within [1, a_plus].
-    """
-    eta = np.asarray(eta, dtype=float)
-    _validate_sweep_field(disc.mesh, a.values, a.a_plus, "base coefficient")
-    base = solve_generalized_eig(disc.pair(a.values), K, cluster_tol)
-    ks, ss, lams, lamts, diffs, cdiffs, ratios = [], [], [], [], [], [], []
-    for s in scales:
-        values = a.values + s * eta
-        _validate_sweep_field(disc.mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
-        pert = solve_generalized_eig(disc.pair(values), K, cluster_tol)
-        cdiff = l2_norm(values - a.values, disc.mass)
-        for k in range(K):
-            lam, lamt = float(base.eigenvalues[k]), float(pert.eigenvalues[k])
-            diff = abs(lam - lamt)
-            denom = min(lam, lamt) ** RATE_EXPONENT_2D * cdiff
-            ratio = diff / denom if denom > 0 else float("nan")
-            ks.append(k + 1)
-            ss.append(float(s))
-            lams.append(lam)
-            lamts.append(lamt)
-            diffs.append(diff)
-            cdiffs.append(cdiff)
-            ratios.append(ratio)
-    return EigenPerturbationTable(
-        k=np.array(ks), s=np.array(ss), lam=np.array(lams), lam_tilde=np.array(lamts),
-        diff=np.array(diffs), l2_coeff_diff=np.array(cdiffs), ratio=np.array(ratios),
-    )
-
-
 @dataclass(frozen=True)
 class ProjectionPerturbationTable:
     """Rows of the projection-difference sweep with the admissibility gate."""
@@ -429,59 +380,79 @@ class ProjectionPerturbationTable:
         return float(r.max() / r.min())
 
 
-def projection_perturbation_experiment(
+def _validate_sweep_field(mesh: Mesh, values: np.ndarray, a_plus: float, label: str) -> None:
+    """validate_coefficient on nodal values, naming the sweep field that failed."""
+    try:
+        validate_coefficient(mesh, make_field(mesh, values, a_plus))
+    except AdmissibilityError as exc:
+        raise AdmissibilityError(f"{label}: {exc}") from exc
+
+
+def _columns(rows: list[tuple], n: int) -> list[np.ndarray]:
+    """Row tuples as n column arrays (empty arrays when there are no rows)."""
+    return [np.array(col) for col in zip(*rows)] if rows else [np.array([])] * n
+
+
+def perturbation_sweep(
     disc: Discretization,
     a: CoefficientField,
     eta: np.ndarray,
     scales,
-    n_clusters: int,
     gamma: float = 0.0,
     eta_hat: float = 0.05,
-    K: int | None = None,
     cluster_tol: float = 1e-6,
-) -> ProjectionPerturbationTable:
-    """Sweep a -> a + s*eta and tabulate projection-difference constants.
+) -> tuple[EigenPerturbationTable, ProjectionPerturbationTable]:
+    """Sweep a -> a + s*eta and tabulate eigenvalue and projection differences.
 
-    A row is "gated" when ||a - a~|| <= eta_hat * max(l_k, l_k~)^-(1+gamma+n/4)
+    Every coefficient must stay within [1, a_plus]; all are validated
+    before the first solve.  The base and each perturbed pencil are then
+    solved once, with _SWEEP_K eigenpairs, and both tables read those
+    spectra.
+
+    Eigenvalue rows (k <= EIGEN_SWEEP_ROWS, repeated spectrum):
+    ratio = diff / (min(lambda, lambda~)^(1 + n/4) * ||a - a~||_L2), n = 2.
+
+    Projection rows (strict clusters k <= PROJECTION_SWEEP_ROWS) are
+    "gated" when ||a - a~|| <= eta_hat * max(l_k, l_k~)^-(1+gamma+n/4)
     (the smallness regime of the projection bound); normalized is
     ||P_k - P~_k|| / ((max(l_k, l_k~)^(gamma+1) + 1)^2 ||a - a~||).
-
     The perturbed spectrum inherits the base multiplicity pattern (see
     regroup_spectrum) so that cluster k has the same rank on both sides.
     """
     eta = np.asarray(eta, dtype=float)
-    K = K if K is not None else max(4 * n_clusters, 8)
+    perturbed = [(float(s), a.values + s * eta) for s in scales]
     _validate_sweep_field(disc.mesh, a.values, a.a_plus, "base coefficient")
-    pair = disc.pair(a.values)
-    base = solve_generalized_eig(pair, K, cluster_tol)
-    if base.n_clusters < n_clusters:
-        raise ValueError(
-            f"K={K} eigenpairs yield only {base.n_clusters} strict eigenvalues, "
-            f"need {n_clusters}"
-        )
-    out = {name: [] for name in ("k", "s", "cd", "gate", "ing", "norm", "nrm")}
-    for s in scales:
-        values = a.values + s * eta
+    for s, values in perturbed:
         _validate_sweep_field(disc.mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
-        pert = solve_generalized_eig(disc.pair(values), K, cluster_tol)
+    pair = disc.pair(a.values)
+    base = solve_generalized_eig(pair, _SWEEP_K, cluster_tol)
+    if base.n_clusters < PROJECTION_SWEEP_ROWS:
+        raise ValueError(
+            f"K={_SWEEP_K} eigenpairs yield only {base.n_clusters} strict eigenvalues, "
+            f"need {PROJECTION_SWEEP_ROWS}"
+        )
+    eig_rows, proj_rows = [], []
+    for s, values in perturbed:
+        pert = solve_generalized_eig(disc.pair(values), _SWEEP_K, cluster_tol)
         pert = regroup_spectrum(pert, base.multiplicities)
         cdiff = l2_norm(values - a.values, disc.mass)
-        for k in range(1, n_clusters + 1):
+        for k in range(EIGEN_SWEEP_ROWS):
+            lam, lamt = float(base.eigenvalues[k]), float(pert.eigenvalues[k])
+            diff = abs(lam - lamt)
+            denom = min(lam, lamt) ** RATE_EXPONENT_2D * cdiff
+            eig_rows.append((k + 1, s, lam, lamt, diff, cdiff,
+                             diff / denom if denom > 0 else float("nan")))
+        for k in range(1, PROJECTION_SWEEP_ROWS + 1):
             lmax = max(base.hat_eigenvalues[k - 1], pert.hat_eigenvalues[k - 1])
             gate = eta_hat * lmax ** (-(1.0 + gamma + 0.5))
             pnorm = projection_difference_norm(base, pert, pair, k)
             denom = (lmax ** (gamma + 1.0) + 1.0) ** 2 * cdiff
-            out["k"].append(k)
-            out["s"].append(float(s))
-            out["cd"].append(cdiff)
-            out["gate"].append(gate)
-            out["ing"].append(cdiff <= gate)
-            out["norm"].append(pnorm)
-            out["nrm"].append(pnorm / denom if denom > 0 else float("nan"))
-    return ProjectionPerturbationTable(
-        k=np.array(out["k"]), s=np.array(out["s"]), l2_coeff_diff=np.array(out["cd"]),
-        gate_bound=np.array(out["gate"]), in_gate=np.array(out["ing"], dtype=bool),
-        proj_norm=np.array(out["norm"]), normalized=np.array(out["nrm"]),
+            proj_rows.append((k, s, cdiff, gate, cdiff <= gate, pnorm,
+                              pnorm / denom if denom > 0 else float("nan")))
+    k, s, cd, gate, in_gate, pnorm, nrm = _columns(proj_rows, 7)
+    return (
+        EigenPerturbationTable(*_columns(eig_rows, 7)),
+        ProjectionPerturbationTable(k, s, cd, gate, in_gate.astype(bool), pnorm, nrm),
     )
 
 

@@ -24,8 +24,7 @@ from heatcoef.mesh import boundary_band, build_structured_mesh, distance_to_boun
 from heatcoef.runner import run_scenario, write_reports
 from heatcoef.scenario import parse_config, parse_config_text
 from heatcoef.spectral import (
-    eigen_perturbation_experiment,
-    projection_perturbation_experiment,
+    perturbation_sweep,
     solve_generalized_eig,
     verify_minmax_sandwich,
 )
@@ -69,7 +68,7 @@ def test_eigenvalue_shift_ratio_uniform_across_perturbation_sweep():
     mesh = build_structured_mesh(32, 32)
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
     eta = direction_values(mesh, "gaussian-bump", {"amplitude": 0.04})
-    table = eigen_perturbation_experiment(discretize(mesh), unit, eta, (1e-3, 1e-2, 1e-1), K=10)
+    table, _ = perturbation_sweep(discretize(mesh), unit, eta, (1e-3, 1e-2, 1e-1))
     spread = table.ratio_spread()
     assert np.isfinite(spread)
     assert spread <= 50.0  # measured 2.30
@@ -80,8 +79,8 @@ def test_projection_difference_normalized_within_one_order_of_magnitude():
     mesh = build_structured_mesh(32, 32)
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
     eta = direction_values(mesh, "gaussian-bump", {"amplitude": 0.04})
-    table = projection_perturbation_experiment(discretize(mesh), unit, eta, (1e-3, 1e-2, 1e-1),
-                                               n_clusters=5, gamma=0.0, eta_hat=0.05)
+    _, table = perturbation_sweep(discretize(mesh), unit, eta, (1e-3, 1e-2, 1e-1),
+                                  gamma=0.0, eta_hat=0.05)
     assert table.in_gate.sum() >= 2  # the gate must actually select a regime
     spread = table.gated_spread()
     assert np.isfinite(spread)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatcoef import fem
 from heatcoef.fem import (
     AdmissibilityError,
     assemble_mass,
@@ -82,6 +83,17 @@ def test_discretize_pair_blocks(rng):
     back = disc.extend(disc.restrict(w))
     assert np.all(back[disc.boundary] == 0.0)
     assert np.array_equal(back[I], w[I])
+
+
+def test_unit_pair_is_the_sliced_unit_stiffness(monkeypatch):
+    mesh = build_structured_mesh(6, 6)
+    disc = discretize(mesh)
+    expected = disc.pair(1.0).stiffness
+    monkeypatch.setattr(fem, "assemble_stiffness", None)  # slicing only, no assembly
+    unit = disc.unit_pair
+    assert unit.disc is disc and unit.mass is disc.mass_int
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(unit.stiffness, attr), getattr(expected, attr))
 
 
 def test_h2_surrogate_closed_form_on_eigenvector():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatcoef import fem
+from heatcoef import fem, spectral
 from heatcoef.cli import main
 from heatcoef.mesh import build_structured_mesh, write_grid
 from heatcoef.runner import RunnerError, run_scenario, write_reports
@@ -204,22 +204,43 @@ MODE_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
-def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch):
-    original = fem.assemble_mass
+def _count_calls(monkeypatch, original) -> list:
+    """Replace every heatcoef binding of `original` by a counting wrapper."""
     calls = []
 
-    def counted(mesh):
-        calls.append(mesh)
-        return original(mesh)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "heatcoef" or name.startswith("heatcoef."):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, fem.assemble_mass)
     run_scenario(parse_config_text(MODE_CONFIGS[mode]), mode, tmp_path)
     assert len(calls) == 1
+
+
+def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
+    # a (K=40), A(1) (K=20), then one perturbation sweep: a and a + s*eta for
+    # three scales (K=20 each); A(1) is cut from the Discretization.
+    solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
+    assemblies = _count_calls(monkeypatch, fem.assemble_stiffness)
+    run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path)
+    assert len(solves) == 6
+    assert len(assemblies) == 6
+
+
+def test_verify_spectral_needs_twenty_interior_nodes_for_the_sweep(tmp_path):
+    text = VERIFY_16.replace("nx = 16", "nx = 5").replace("ny = 16", "ny = 5")
+    with pytest.raises(RunnerError, match=r"requested K=20 eigenpairs from a pencil of size 16"):
+        run_scenario(parse_config_text(text), "verify-spectral", tmp_path)
 
 
 def test_bundled_stability_sweep_reports_fit_points(tmp_path):

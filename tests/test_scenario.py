@@ -2,7 +2,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heatcoef import catalog
 from heatcoef.scenario import (
     ConfigError,
     parse_config,
@@ -191,3 +194,61 @@ class TestHashAndOverrides:
         assert (s2.seed, s2.modes) == (9, 13)
         assert s2.coefficient == s.coefficient and s2.name == s.name
         assert with_overrides(s) == s
+
+
+# --- fuzzing -----------------------------------------------------------------
+
+_GROUP_PARAMS = {
+    "coefficient": catalog.coefficient_defaults,
+    "perturbation": catalog.coefficient_defaults,
+    "eta": catalog.direction_defaults,
+}
+# Every key but the two required ones, which _config_text always sets.
+_KEYS = sorted(
+    {"nx", "ny", "a_plus", "T", "modes", "gamma", "delta", "alpha", "tol_fp", "max_iter",
+     "noise", "seed", "cluster_tol", "eta_hat", "T_grid", "scales", "u0", "u0.m", "u0.n",
+     "u0.path", "perturbation", "eta"}
+    | {f"{group}.{p}" for group, defaults in _GROUP_PARAMS.items()
+       for kind in catalog.COEFFICIENT_KINDS for p in defaults(kind)}
+)
+# Single-line text: str.splitlines also breaks on these categories.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1, max_size=12)
+_NUMBER = st.one_of(st.integers(-10, 100).map(str), st.floats().map(repr))
+
+
+def _is_int(value: str) -> bool:
+    try:
+        int(value.split("#", 1)[0])
+    except ValueError:
+        return False
+    return True
+
+
+def _value(key: str):
+    if key in ("nx", "ny"):  # parsing builds the mesh, so keep it small
+        return st.one_of(st.integers(-2, 64).map(str), _TEXT.filter(lambda v: not _is_int(v)))
+    if key == "u0":
+        return st.one_of(st.sampled_from(catalog.U0_KINDS), _TEXT)
+    if key == "coefficient":  # a valid kind, so the fuzz reaches the later checks
+        return st.sampled_from(catalog.COEFFICIENT_KINDS)
+    if key in _GROUP_PARAMS:
+        return st.one_of(st.sampled_from(catalog.COEFFICIENT_KINDS), _TEXT)
+    if key in ("T_grid", "scales"):
+        return st.one_of(st.lists(_NUMBER, min_size=1, max_size=6).map(",".join), _TEXT)
+    return st.one_of(_NUMBER, _TEXT)
+
+
+@st.composite
+def _config_text(draw):
+    keys = draw(st.lists(st.sampled_from(_KEYS), unique=True, max_size=10))
+    keys = ["name", "coefficient"] + keys  # test_missing_required_keys covers their absence
+    return "\n".join(f"{key} = {draw(_value(key))}" for key in keys) + "\n"
+
+
+@given(_config_text())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_config_parses_or_raises_config_error(text):
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass

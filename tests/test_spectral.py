@@ -11,13 +11,11 @@ from heatcoef.fem import AdmissibilityError, discretize, make_field
 from heatcoef.mesh import build_structured_mesh
 from heatcoef.spectral import (
     EigensolverError,
-    eigen_perturbation_experiment,
     gap_report,
+    perturbation_sweep,
     projection_difference_norm,
-    projection_perturbation_experiment,
     regroup_spectrum,
     solve_generalized_eig,
-    spectral_projection_apply,
     strictify_spectrum,
     verify_minmax_sandwich,
     weyl_ratios,
@@ -155,36 +153,9 @@ class TestGapReport:
 
 
 class TestProjections:
-    def test_projection_identity_and_orthogonality(self, unit_spec32):
-        phi1 = unit_spec32.disc.extend(unit_spec32.eigenvectors[:, 0])
-        assert np.allclose(spectral_projection_apply(unit_spec32, 1, phi1), phi1, atol=1e-12)
-        assert np.allclose(spectral_projection_apply(unit_spec32, 2, phi1), 0.0, atol=1e-12)
-
-    def test_resolution_of_identity_on_span(self, unit_spec32, d_omega32):
-        w_span = sum(
-            spectral_projection_apply(unit_spec32, k, d_omega32)
-            for k in range(1, unit_spec32.n_clusters + 1)
-        )
-        # the projected sum reproduces the in-span part of the field
-        coeffs = unit_spec32.eigenvectors.T @ (unit_spec32.disc.mass_int @ unit_spec32.disc.restrict(d_omega32))
-        span = unit_spec32.disc.extend(unit_spec32.eigenvectors @ coeffs)
-        assert np.allclose(w_span, span, atol=1e-12)
-
-    def test_projection_is_idempotent_and_m_selfadjoint(self, unit_spec32, rng):
-        M = unit_spec32.disc.mass_int
-        w = unit_spec32.disc.extend(rng.normal(size=M.shape[0]))
-        v = unit_spec32.disc.extend(rng.normal(size=M.shape[0]))
-        Pw = spectral_projection_apply(unit_spec32, 2, w)
-        PPw = spectral_projection_apply(unit_spec32, 2, Pw)
-        assert np.allclose(PPw, Pw, atol=1e-12)
-        Pv = spectral_projection_apply(unit_spec32, 2, v)
-        lhs = unit_spec32.disc.restrict(Pw) @ (M @ unit_spec32.disc.restrict(v))
-        rhs = unit_spec32.disc.restrict(w) @ (M @ unit_spec32.disc.restrict(Pv))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
     def test_out_of_range_cluster(self, unit_spec32):
         with pytest.raises(IndexError):
-            spectral_projection_apply(unit_spec32, unit_spec32.n_clusters + 1, None)
+            unit_spec32.cluster_slice(unit_spec32.n_clusters + 1)
 
     def test_difference_norm_same_spec_is_zero(self, unit_spec32, unit_pair32):
         assert projection_difference_norm(unit_spec32, unit_spec32, unit_pair32, 1) == pytest.approx(0.0, abs=1e-12)
@@ -273,27 +244,27 @@ class TestEigenPerturbation:
     def test_zero_scale_has_zero_differences(self, mesh32, disc32):
         a = make_coefficient(mesh32, "constant", {"value": 1.5}, 2.0)
         eta = direction_values(mesh32, "affine", None)
-        tab = eigen_perturbation_experiment(disc32, a, eta, [0.0], K=4)
+        tab, _ = perturbation_sweep(disc32, a, eta, [0.0])
         assert np.allclose(tab.diff, 0.0, atol=1e-10)
 
     def test_uniform_direction_scales_the_spectrum(self, mesh32, disc32):
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         eta = np.ones(mesh32.n_nodes)
-        tab = eigen_perturbation_experiment(disc32, a, eta, [0.5], K=6)
+        tab, _ = perturbation_sweep(disc32, a, eta, [0.5])
         assert np.allclose(tab.lam_tilde, 1.5 * tab.lam, rtol=1e-12)
         assert np.all(np.isfinite(tab.ratio))
 
     def test_inadmissible_perturbation_raises(self, mesh32, disc32):
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         with pytest.raises(AdmissibilityError):
-            eigen_perturbation_experiment(disc32, a, -np.ones(mesh32.n_nodes), [0.5], K=4)
+            perturbation_sweep(disc32, a, -np.ones(mesh32.n_nodes), [0.5])
 
 
 class TestProjectionPerturbation:
     def test_gate_and_ranks(self, mesh32, disc32):
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         eta = direction_values(mesh32, "gaussian-bump", {"amplitude": 0.04, "width": 0.05})
-        tab = projection_perturbation_experiment(disc32, a, eta, (1e-3, 1e-2, 1e-1), n_clusters=5)
+        _, tab = perturbation_sweep(disc32, a, eta, (1e-3, 1e-2, 1e-1))
         assert tab.in_gate.sum() == 7
         # inherited grouping: every row measures equal-rank projections
         assert np.all(tab.proj_norm <= 1.0 + 1e-12)
