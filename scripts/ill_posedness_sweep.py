@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     a_tilde = make_coefficient(mesh, "two-bump", None, 2.0)
     disc = discretize(mesh)
     spec, spec_t = (solve_generalized_eig(disc.pair(c.values), args.modes) for c in (a, a_tilde))
-    tab = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), times, spec, spec_t)
+    tab, _ = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), times, spec, spec_t)
 
     csv = args.out / "ill_posedness.csv"
     with csv.open("w", encoding="ascii") as fh:

@@ -56,7 +56,6 @@ from .heat import (
     evolve,
     compute_F,
     fit_log_slope,
-    f_lipschitz_experiment,
     lower_bound_check,
     check_u0_condition,
     certify_decay_threshold,

@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+# Roundoff allowance of validate_coefficient on the bounds and the trace.
+_ADMISSIBILITY_TOL = 1e-12
+
+
 class AdmissibilityError(ValueError):
     """A coefficient field violates the admissible-set constraints."""
 
@@ -213,25 +217,24 @@ def l2_norm(w: np.ndarray, mass: sp.spmatrix) -> float:
     return float(np.sqrt(max(w @ (mass @ w), 0.0)))
 
 
-def compute_norms(w, pair: OperatorPair) -> Norms:
-    """L2, H1 and H2-surrogate norms of a nodal field.
+def compute_norms(w, disc: Discretization) -> Norms:
+    """L2, H1 and H2-surrogate norms of a nodal field on disc's mesh.
 
-    `pair` must be the pencil of the *unit* coefficient, so that the H1
-    seminorm and the surrogate use the plain Laplacian stiffness.  The H2
-    surrogate adds the L2 norm of the discrete Laplacian z solving
-    M z = -A(1) w on interior nodes; it is only defined for fields
-    vanishing on the boundary and raises otherwise.
+    The H1 seminorm and the surrogate use the unit stiffness A(1), through
+    one product A(1) w.  The H2 surrogate adds the L2 norm of the discrete
+    Laplacian z solving M z = -A(1) w on interior nodes; it is only defined
+    for fields vanishing on the boundary and raises otherwise.
     """
-    disc = pair.disc
     w = np.asarray(w, dtype=float)
-    wi = disc.restrict(w)
-    l2sq = max(w @ (disc.mass @ w), 0.0)
-    h1sq = l2sq + max(w @ (disc.unit_stiffness @ w), 0.0)
+    disc.restrict(w)  # shape check
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     if disc.boundary.size and np.max(np.abs(w[disc.boundary])) > 1e-12 * scale:
         raise ValueError("H2 surrogate undefined: field is nonzero on boundary nodes")
-    z = spla.spsolve(pair.mass.tocsc(), -(pair.stiffness @ wi))
-    h2sq = h1sq + max(z @ (pair.mass @ z), 0.0)
+    Aw = disc.unit_stiffness @ w
+    l2sq = max(w @ (disc.mass @ w), 0.0)
+    h1sq = l2sq + max(w @ Aw, 0.0)
+    z = spla.spsolve(disc.mass_int.tocsc(), -Aw[disc.interior])
+    h2sq = h1sq + max(z @ (disc.mass_int @ z), 0.0)
     return Norms(l2=float(np.sqrt(l2sq)), h1=float(np.sqrt(h1sq)), h2_surrogate=float(np.sqrt(h2sq)))
 
 
@@ -244,9 +247,10 @@ def make_field(mesh: Mesh, values, a_plus: float) -> CoefficientField:
     return CoefficientField(values=v.copy(), a_plus=float(a_plus), boundary_trace=trace)
 
 
-def validate_coefficient(mesh: Mesh, field: CoefficientField, tol: float = 1e-12) -> None:
+def validate_coefficient(mesh: Mesh, field: CoefficientField) -> None:
     """Raise AdmissibilityError (naming the worst node) on non-finite, bound or trace violations."""
     v = field.values
+    tol = _ADMISSIBILITY_TOL
     if field.a_plus <= 1.0:
         raise AdmissibilityError(f"a_plus must exceed 1, got {field.a_plus}")
     bad = np.flatnonzero(~np.isfinite(v))

@@ -8,6 +8,11 @@ over the computed clusters.  The correction field
 removes the ground-mode rate from the snapshot; by construction it has no
 cluster-1 content and decays like e^{-l_2 T}.  (Expanded in the eigenbasis
 its tail coefficients are (l_1 - l_k) e^{-l_k T}, k >= 2.)
+
+No diagnostic here takes a mesh: each reads the mesh and matrices from
+the Discretization it is given, or from its spectrum's.  The
+coefficient-Lipschitz table of F is measured together with the stability
+ratios, in one pass, by inversion.stability_ratio_experiment.
 """
 
 from __future__ import annotations
@@ -16,25 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (
-    CoefficientField,
-    Discretization,
-    l2_norm,
-    nodal_gradients,
-    validate_coefficient,
-)
-from .mesh import BoundaryBand, Mesh, distance_to_boundary
+from .fem import Discretization, l2_norm, nodal_gradients
+from .mesh import BoundaryBand, distance_to_boundary
 from .spectral import SpectralDecomposition
 
 __all__ = [
     "HeatSnapshot",
     "CorrectionF",
-    "FLipschitzTable",
     "LowerBoundReport",
     "evolve",
     "compute_F",
     "fit_log_slope",
-    "f_lipschitz_experiment",
     "lower_bound_check",
     "check_u0_condition",
     "certify_decay_threshold",
@@ -60,12 +57,10 @@ class HeatSnapshot:
 
 @dataclass(frozen=True)
 class CorrectionF:
-    """Correction field at time T; decay_rate_estimate is filled only when
-    compute_F is given a fit grid."""
+    """Correction field at time T as a full nodal field."""
 
     T: float
     values: np.ndarray
-    decay_rate_estimate: float | None = None
 
 
 def _mode_data(spec: SpectralDecomposition, u0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,29 +88,14 @@ def evolve(spec: SpectralDecomposition, u0, t: float) -> HeatSnapshot:
     return HeatSnapshot(t=float(t), u=u, du_dt=du, modes_used=spec.K, truncation_bound=bound)
 
 
-def compute_F(spec: SpectralDecomposition, u0, T: float, fit_T_grid=None) -> CorrectionF:
-    """Correction field d_t u + l_1 u at time T, evaluated as the tail series.
-
-    With fit_T_grid (>= 2 positive times) the exponential decay rate of
-    ||F|| is fitted over that grid and stored on the result.
-    """
+def compute_F(spec: SpectralDecomposition, u0, T: float) -> CorrectionF:
+    """Correction field d_t u + l_1 u at time T, evaluated as the tail series."""
     if T <= 0:
         raise ValueError(f"snapshot time must be positive, got {T}")
     coeffs, rates, _ = _mode_data(spec, u0)
-    lam1 = spec.hat_eigenvalues[0]
-
-    def tail_field(t: float) -> np.ndarray:
-        w = (lam1 - rates) * np.exp(-rates * t)
-        w[spec.cluster_index == 0] = 0.0
-        return spec.eigenvectors @ (coeffs * w)
-
-    values = spec.disc.extend(tail_field(T))
-    rate = None
-    if fit_T_grid is not None:
-        grid = np.asarray(fit_T_grid, dtype=float)
-        norms = np.array([l2_norm(tail_field(t), spec.disc.mass_int) for t in grid])
-        rate = fit_log_slope(grid, norms)
-    return CorrectionF(T=float(T), values=values, decay_rate_estimate=rate)
+    w = (spec.hat_eigenvalues[0] - rates) * np.exp(-rates * T)
+    w[spec.cluster_index == 0] = 0.0
+    return CorrectionF(T=float(T), values=spec.disc.extend(spec.eigenvectors @ (coeffs * w)))
 
 
 def fit_log_slope(ts, values) -> float:
@@ -127,58 +107,6 @@ def fit_log_slope(ts, values) -> float:
         return float("nan")
     slope, _ = np.polyfit(ts[mask], np.log(values[mask]), 1)
     return float(slope)
-
-
-@dataclass(frozen=True)
-class FLipschitzTable:
-    """Per-T Lipschitz quotients ||F(a) - F(a~)|| / ||a - a~||."""
-
-    T: np.ndarray
-    diff_norm: np.ndarray
-    ratio: np.ndarray
-    coeff_diff: float
-    fitted_slope: float
-    beta2: float            # min of the two second strict eigenvalues
-    identical: bool
-
-
-def f_lipschitz_experiment(
-    mesh: Mesh,
-    a: CoefficientField,
-    a_tilde: CoefficientField,
-    u0,
-    T_grid,
-    spec: SpectralDecomposition,
-    spec_t: SpectralDecomposition,
-) -> FLipschitzTable:
-    """Tabulate the coefficient-Lipschitz quotients of F over a time grid.
-
-    spec and spec_t are the decompositions of a and a_tilde.  The fitted
-    log-slope of the quotient is compared downstream against
-    -min(l_2(a), l_2(a~)).  Identical coefficients short-circuit to the
-    zero-numerator path (flagged, no fit).
-    """
-    validate_coefficient(mesh, a)
-    validate_coefficient(mesh, a_tilde)
-    grid = np.asarray(T_grid, dtype=float)
-    if grid.size < 2 or np.any(grid <= 0):
-        raise ValueError("T_grid must hold at least two positive times")
-    cdiff = l2_norm(a.values - a_tilde.values, spec.disc.mass)
-    if cdiff == 0.0:
-        zero = np.zeros(grid.size)
-        return FLipschitzTable(T=grid, diff_norm=zero, ratio=zero, coeff_diff=0.0,
-                               fitted_slope=float("nan"),
-                               beta2=float(spec.hat_eigenvalues[1]), identical=True)
-    diffs = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        Fa = compute_F(spec, u0, t).values
-        Fb = compute_F(spec_t, u0, t).values
-        diffs[i] = l2_norm(spec.disc.restrict(Fa - Fb), spec.disc.mass_int)
-    ratios = diffs / cdiff
-    beta2 = float(min(spec.hat_eigenvalues[1], spec_t.hat_eigenvalues[1]))
-    return FLipschitzTable(T=grid, diff_norm=diffs, ratio=ratios, coeff_diff=cdiff,
-                           fitted_slope=fit_log_slope(grid, ratios), beta2=beta2,
-                           identical=False)
 
 
 @dataclass(frozen=True)
@@ -224,7 +152,6 @@ def check_u0_condition(disc: Discretization, u0) -> float:
 
 
 def lower_bound_check(
-    mesh: Mesh,
     spec: SpectralDecomposition,
     u0,
     T: float,
@@ -250,8 +177,8 @@ def lower_bound_check(
     u_ratio = snap.u[interior] / den
     dudt_ratio = -snap.du_dt[interior] / den
 
-    g_u = nodal_gradients(mesh, snap.u)
-    g_phi = nodal_gradients(mesh, phi1)
+    g_u = nodal_gradients(spec.disc.mesh, snap.u)
+    g_phi = nodal_gradients(spec.disc.mesh, phi1)
     gu2 = np.einsum("nd,nd->n", g_u, g_u)
     gp2 = np.einsum("nd,nd->n", g_phi, g_phi)
     bmask = band.node_mask
@@ -274,7 +201,6 @@ def lower_bound_check(
 
 
 def certify_decay_threshold(
-    mesh: Mesh,
     spec: SpectralDecomposition,
     u0,
     T_grid,
@@ -284,7 +210,7 @@ def certify_decay_threshold(
     for t in sorted(np.asarray(T_grid, dtype=float)):
         if t <= 0:
             continue
-        report = lower_bound_check(mesh, spec, u0, t, band)
+        report = lower_bound_check(spec, u0, t, band)
         if report.all_positive:
             return float(t)
     return None

@@ -20,6 +20,11 @@ therefore refines the scalar by solving the self-consistency equation
 phi(x) = l_1(candidate(x)) - x = 0 over the one-parameter family of
 transport solves; phi is a near-touching parabola, so a fitted-parabola
 root step converges in a handful of inner evaluations.
+
+stability_ratio_experiment measures both facts the stability estimate
+rests on for one coefficient pair, in one pass over a time grid: the
+inversion constant rho(T) grows exponentially in T, and F(a; ., T) is
+Lipschitz in a with a constant that decays like e^{-l_2 T}.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .fem import (
     element_gradients,
     gradient_bound,
     l2_norm,
+    validate_coefficient,
 )
 from .heat import check_u0_condition, compute_F, evolve, fit_log_slope
 from .mesh import Mesh
@@ -50,6 +56,7 @@ __all__ = [
     "InversionOptions",
     "InversionReport",
     "StabilityTable",
+    "FLipschitzTable",
     "TransportSolveError",
     "assemble_transport_operator",
     "build_transport_system",
@@ -454,6 +461,23 @@ class StabilityTable:
         return float(c.max() / c.min())
 
 
+@dataclass(frozen=True)
+class FLipschitzTable:
+    """Per-T Lipschitz quotients ||F(a) - F(a~)|| / ||a - a~||.
+
+    The fitted log-slope of the quotient is compared against
+    -beta2 = -min(l_2(a), l_2(a~)).
+    """
+
+    T: np.ndarray
+    diff_norm: np.ndarray
+    ratio: np.ndarray
+    coeff_diff: float
+    fitted_slope: float
+    beta2: float
+    identical: bool
+
+
 def stability_ratio_experiment(
     a: CoefficientField,
     a_tilde: CoefficientField,
@@ -461,29 +485,46 @@ def stability_ratio_experiment(
     T_grid,
     spec: SpectralDecomposition,
     spec_t: SpectralDecomposition,
-) -> StabilityTable:
-    """Measure how fast distinguishing two coefficients degrades with T.
+) -> tuple[StabilityTable, FLipschitzTable]:
+    """Measure both halves of the stability estimate in one pass over T_grid.
 
-    spec and spec_t are the decompositions of a and a_tilde; the unit
-    pencil of spec.disc gives the H2 norms and its ground eigenvalue,
-    solved at spec.cluster_tol.  Identical coefficients return an empty,
-    flagged table; per-T snapshot differences below 1e-14 are flagged
-    indistinguishable and excluded from the rate fit.
+    spec and spec_t are the decompositions of a and a_tilde on one
+    Discretization, each with at least two strict eigenvalues.  Per T the
+    pass evolves both snapshots for the stability ratio rho(T) and forms
+    both correction fields for the Lipschitz quotient of F; the unit pencil
+    of spec.disc gives the H2 norms and its ground eigenvalue, solved at
+    spec.cluster_tol.  Identical coefficients return an empty stability
+    table and a zero Lipschitz table, both flagged; per-T snapshot
+    differences below 1e-14 are flagged indistinguishable and excluded
+    from the rate fit.
     """
+    disc = spec.disc
+    validate_coefficient(disc.mesh, a)
+    validate_coefficient(disc.mesh, a_tilde)
     grid = np.asarray(T_grid, dtype=float)
     if grid.size < 2 or np.any(grid <= 0):
         raise ValueError("T_grid must hold at least two positive times")
-    unit_pair = spec.disc.unit_pair
-    spec_unit = solve_generalized_eig(unit_pair, 1, spec.cluster_tol)
-    cdiff = l2_norm(a.values - a_tilde.values, spec.disc.mass)
+    n_strict = (spec.hat_eigenvalues.size, spec_t.hat_eigenvalues.size)
+    if min(n_strict) < 2:
+        raise ValueError(f"the stability experiment needs two strict eigenvalues per spectrum "
+                         f"(l_2 sets the decay rates), got {n_strict[0]} and {n_strict[1]}")
+    spec_unit = solve_generalized_eig(disc.unit_pair, 1, spec.cluster_tol)
+    lam1_unit = float(spec_unit.eigenvalues[0])
+    cdiff = l2_norm(a.values - a_tilde.values, disc.mass)
     if cdiff == 0.0:
         empty = np.array([])
-        return StabilityTable(
-            T=empty, l2_udiff=empty, h2_udiff=empty, rho=empty, bracket=empty,
-            c_fit=empty, indistinguishable=np.array([], dtype=bool), coeff_diff=0.0,
-            recip_gap=0.0, fitted_rate=float("nan"), lambda1=float("nan"),
-            lambda1_tilde=float("nan"), lambda1_unit=float(spec_unit.eigenvalues[0]),
-            a_plus=a.a_plus, identical=True,
+        zero = np.zeros(grid.size)
+        return (
+            StabilityTable(
+                T=empty, l2_udiff=empty, h2_udiff=empty, rho=empty, bracket=empty,
+                c_fit=empty, indistinguishable=np.array([], dtype=bool), coeff_diff=0.0,
+                recip_gap=0.0, fitted_rate=float("nan"), lambda1=float("nan"),
+                lambda1_tilde=float("nan"), lambda1_unit=lam1_unit, a_plus=a.a_plus,
+                identical=True,
+            ),
+            FLipschitzTable(T=grid, diff_norm=zero, ratio=zero, coeff_diff=0.0,
+                            fitted_slope=float("nan"),
+                            beta2=float(spec.hat_eigenvalues[1]), identical=True),
         )
     lam1, lam1t = float(spec.hat_eigenvalues[0]), float(spec_t.hat_eigenvalues[0])
     lam2 = float(spec.hat_eigenvalues[1])
@@ -491,11 +532,14 @@ def stability_ratio_experiment(
 
     l2d = np.empty(grid.size)
     h2d = np.empty(grid.size)
+    fdiff = np.empty(grid.size)
     for i, t in enumerate(grid):
         du = evolve(spec, u0, t).u - evolve(spec_t, u0, t).u
-        norms = compute_norms(du, unit_pair)
+        norms = compute_norms(du, disc)
         l2d[i] = norms.l2
         h2d[i] = norms.h2_surrogate
+        dF = compute_F(spec, u0, t).values - compute_F(spec_t, u0, t).values
+        fdiff[i] = l2_norm(disc.restrict(dF), disc.mass_int)
     flagged = l2d < 1e-14
     with np.errstate(divide="ignore"):
         rho = np.where(h2d > 0, cdiff / np.where(h2d > 0, h2d, 1.0), np.inf)
@@ -504,9 +548,16 @@ def stability_ratio_experiment(
     c_fit = np.where(bracket > 0, recip_gap / np.where(bracket > 0, bracket, 1.0), np.nan)
     ok = ~flagged
     fitted = fit_log_slope(grid[ok], rho[ok]) if ok.sum() >= 2 else float("nan")
-    return StabilityTable(
-        T=grid, l2_udiff=l2d, h2_udiff=h2d, rho=rho, bracket=bracket, c_fit=c_fit,
-        indistinguishable=flagged, coeff_diff=cdiff, recip_gap=recip_gap,
-        fitted_rate=fitted, lambda1=lam1, lambda1_tilde=lam1t,
-        lambda1_unit=float(spec_unit.eigenvalues[0]), a_plus=a.a_plus, identical=False,
+    ratios = fdiff / cdiff
+    return (
+        StabilityTable(
+            T=grid, l2_udiff=l2d, h2_udiff=h2d, rho=rho, bracket=bracket, c_fit=c_fit,
+            indistinguishable=flagged, coeff_diff=cdiff, recip_gap=recip_gap,
+            fitted_rate=fitted, lambda1=lam1, lambda1_tilde=lam1t,
+            lambda1_unit=lam1_unit, a_plus=a.a_plus, identical=False,
+        ),
+        FLipschitzTable(T=grid, diff_norm=fdiff, ratio=ratios, coeff_diff=cdiff,
+                        fitted_slope=fit_log_slope(grid, ratios),
+                        beta2=float(min(spec.hat_eigenvalues[1], spec_t.hat_eigenvalues[1])),
+                        identical=False),
     )

@@ -32,7 +32,6 @@ from .heat import (
     compute_F,
     evolve,
     fit_log_slope,
-    f_lipschitz_experiment,
     lower_bound_check,
 )
 from .inversion import (
@@ -279,12 +278,12 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
 
     if weight > 0:
         band = boundary_band(ctx.mesh, _BAND_EPS)
-        rep = lower_bound_check(ctx.mesh, ctx.spec, ctx.u0, s.T, band)
+        rep = lower_bound_check(ctx.spec, ctx.u0, s.T, band)
         _check(lines, "lower-bounds", rep.all_positive,
                f"T={s.T:g} measured=(u {rep.u_ratio_min:.6g}, du/dt {rep.dudt_ratio_min:.6g}, "
                f"grad {rep.grad_ratio_min:.6g}, band |grad phi1| {rep.grad_phi1_band_min:.6g}, "
                f"eig floor {rep.eig_floor_min:.6g}) bound=0 (strict)")
-        thr = certify_decay_threshold(ctx.mesh, ctx.spec, ctx.u0, grid, band)
+        thr = certify_decay_threshold(ctx.spec, ctx.u0, grid, band)
         _info(lines, "certified-threshold",
               f"first grid time with all lower bounds positive: "
               f"{'T=%g' % thr if thr is not None else 'none within T_grid'}")
@@ -312,7 +311,7 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
     if s.noise > 0:
         rng = np.random.default_rng(s.seed)
         g = ctx.disc.extend(rng.standard_normal(ctx.disc.interior.size))
-        h2 = compute_norms(g, ctx.disc.unit_pair).h2_surrogate
+        h2 = compute_norms(g, ctx.disc).h2_surrogate
         u_T = u_T + (s.noise / h2) * g
         _info(lines, "noise",
               f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
@@ -462,19 +461,15 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
 
     a_tilde = catalog.make_coefficient(ctx.mesh, s.perturbation.kind,
                                        s.perturbation.params_dict(), s.a_plus)
-    validate_coefficient(ctx.mesh, a_tilde)
     spec_t = solve_generalized_eig(ctx.disc.pair(a_tilde.values), ctx.spec.K, s.cluster_tol)
 
-    tab = stability_ratio_experiment(ctx.coeff, a_tilde, ctx.u0, s.T_grid,
-                                     ctx.spec, spec_t)
+    tab, ft = stability_ratio_experiment(ctx.coeff, a_tilde, ctx.u0, s.T_grid,
+                                         ctx.spec, spec_t)
     _write_csv(out / "stability.csv",
                ("T", "l2_udiff", "h2_udiff", "rho", "bracket", "c_fit", "indistinguishable"),
                zip(tab.T, tab.l2_udiff, tab.h2_udiff, tab.rho, tab.bracket,
                    tab.c_fit, tab.indistinguishable))
     files.append("stability.csv")
-
-    ft = f_lipschitz_experiment(ctx.mesh, ctx.coeff, a_tilde, ctx.u0, s.T_grid,
-                                ctx.spec, spec_t)
     _write_csv(out / "f_lipschitz.csv", ("T", "diff_norm", "ratio"),
                zip(ft.T, ft.diff_norm, ft.ratio))
     files.append("f_lipschitz.csv")
@@ -490,7 +485,7 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
                  f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
 
     band = boundary_band(ctx.mesh, _BAND_EPS)
-    thr = certify_decay_threshold(ctx.mesh, ctx.spec, ctx.u0, s.T_grid, band)
+    thr = certify_decay_threshold(ctx.spec, ctx.u0, s.T_grid, band)
     if thr is None:
         _info(lines, "rho-monotone", "no certified threshold inside T_grid; check skipped")
     else:

@@ -61,6 +61,8 @@ PROJECTION_SWEEP_ROWS = 5
 _SWEEP_K = 4 * PROJECTION_SWEEP_ROWS
 
 _RESIDUAL_TOL = 1e-8
+# Relative slack of verify_minmax_sandwich, for floating-point noise only.
+_SANDWICH_SLACK = 1e-8
 
 # Pencils with at most this many interior nodes are solved densely.  Measured
 # crossover on the bump pencil (2 cores, OpenBLAS): shift-invert is faster
@@ -301,14 +303,14 @@ def verify_minmax_sandwich(
     spec_a: SpectralDecomposition,
     spec_unit: SpectralDecomposition,
     a_plus: float,
-    rel_slack: float = 1e-8,
 ) -> SandwichReport:
     """Check the two-sided eigenvalue bound against the unit-coefficient pencil.
 
     Exact for the discrete pencils whenever 1 <= a <= a_plus holds
-    elementwise, because the quadratic forms then nest; rel_slack only
-    absorbs floating-point noise.
+    elementwise, because the quadratic forms then nest; the relative slack
+    _SANDWICH_SLACK only absorbs floating-point noise.
     """
+    rel_slack = _SANDWICH_SLACK
     kmax = min(spec_a.K, spec_unit.K)
     lam = spec_a.eigenvalues[:kmax]
     lam1 = spec_unit.eigenvalues[:kmax]
@@ -456,9 +458,12 @@ def perturbation_sweep(
     )
 
 
-def weyl_ratios(spec: SpectralDecomposition, k_lo: int, k_hi: int, area: float = 1.0) -> np.ndarray:
-    """lambda_k / (4 pi k / area) for k in [k_lo, k_hi] (1-based, repeated spectrum)."""
+def weyl_ratios(spec: SpectralDecomposition, k_lo: int, k_hi: int) -> np.ndarray:
+    """lambda_k / (4 pi k) for k in [k_lo, k_hi] (1-based, repeated spectrum).
+
+    4 pi k / |Omega| is Weyl's asymptote, with |Omega| = 1 on the unit square.
+    """
     if not 1 <= k_lo <= k_hi <= spec.K:
         raise ValueError(f"range [{k_lo}, {k_hi}] outside computed 1..{spec.K}")
     ks = np.arange(k_lo, k_hi + 1)
-    return spec.eigenvalues[k_lo - 1:k_hi] * area / (4.0 * np.pi * ks)
+    return spec.eigenvalues[k_lo - 1:k_hi] / (4.0 * np.pi * ks)

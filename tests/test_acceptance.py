@@ -16,7 +16,7 @@ import pytest
 
 from heatcoef.catalog import COEFFICIENT_KINDS, direction_values, make_coefficient
 from heatcoef.fem import discretize, nodal_gradients
-from heatcoef.heat import compute_F, evolve, f_lipschitz_experiment, fit_log_slope, l2_norm
+from heatcoef.heat import compute_F, evolve, fit_log_slope, l2_norm
 from heatcoef.heat import lower_bound_check
 from heatcoef.fem import assemble_mass
 from heatcoef.inversion import stability_ratio_experiment
@@ -58,7 +58,7 @@ def test_eigenvalues_sandwiched_by_unit_pencil_for_every_catalog_coefficient():
         a = make_coefficient(mesh, kind, None, 2.0)
         spec_a = solve_generalized_eig(discretize(mesh).pair(a.values),
                                        20, 1e-6)
-        report = verify_minmax_sandwich(spec_a, spec_unit, 2.0, rel_slack=1e-8)
+        report = verify_minmax_sandwich(spec_a, spec_unit, 2.0)
         assert report.ok, f"{kind}: first violation at k={report.first_violation}"
     assert time.monotonic() - start < 60.0
 
@@ -96,12 +96,13 @@ def test_correction_field_decay_and_lipschitz_slopes():
     spec = solve_generalized_eig(discretize(mesh).pair(bump.values),
                                  40, 1e-6)
     lam2 = spec.hat_eigenvalues[1]
-    F = compute_F(spec, d, 2.0, fit_T_grid=grid)
-    assert abs(F.decay_rate_estimate + lam2) <= 0.05 * lam2  # measured 0.49%
+    norms = [l2_norm(spec.disc.restrict(compute_F(spec, d, t).values), spec.disc.mass_int)
+             for t in grid]
+    assert abs(fit_log_slope(grid, norms) + lam2) <= 0.05 * lam2  # measured 0.49%
 
     spec_two = solve_generalized_eig(discretize(mesh).pair(two.values),
                                      40, 1e-6)
-    ft = f_lipschitz_experiment(mesh, bump, two, d, grid, spec, spec_two)
+    _, ft = stability_ratio_experiment(bump, two, d, grid, spec, spec_two)
     assert abs(ft.fitted_slope + ft.beta2) <= 0.05 * ft.beta2  # measured 0.44%
 
 
@@ -124,7 +125,7 @@ def test_snapshot_norm_decays_at_ground_rate(mesh32, bump_spec32):
 
 def test_ground_mode_lower_bound_quotients_all_positive(mesh32, bump_spec32):
     d = distance_to_boundary(mesh32)
-    report = lower_bound_check(mesh32, bump_spec32, d, 2.0, boundary_band(mesh32, 0.1))
+    report = lower_bound_check(bump_spec32, d, 2.0, boundary_band(mesh32, 0.1))
     assert report.all_positive
     assert report.u_ratio_min > 0.0
     assert report.dudt_ratio_min > 0.0
@@ -235,7 +236,7 @@ def test_noise_floor_grows_with_snapshot_time(tmp_path):
     d = distance_to_boundary(mesh)
     spec, spec_two = (solve_generalized_eig(discretize(mesh).pair(c.values),
                                             8, 1e-6) for c in (bump, two))
-    tab = stability_ratio_experiment(bump, two, d, ladder_T, spec, spec_two)
+    tab, _ = stability_ratio_experiment(bump, two, d, ladder_T, spec, spec_two)
     assert tab.rate_low <= tab.fitted_rate <= tab.rate_high  # measured 20.13 in [17.00, 47.48]
     assert tab.rate_low == pytest.approx(0.8 * tab.lambda1, abs=1e-12)
     assert tab.rate_high == pytest.approx(1.2 * tab.a_plus * tab.lambda1_unit, abs=1e-12)

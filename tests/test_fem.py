@@ -104,7 +104,7 @@ def test_h2_surrogate_closed_form_on_eigenvector():
     spec = solve_generalized_eig(pair, 3, 1e-6)
     lam = spec.eigenvalues[0]
     w = spec.disc.extend(spec.eigenvectors[:, 0])
-    norms = compute_norms(w, pair)
+    norms = compute_norms(w, pair.disc)
     assert norms.l2 == pytest.approx(1.0, rel=1e-12)
     assert norms.h1 == pytest.approx(np.sqrt(1.0 + lam), rel=1e-10)
     assert norms.h2_surrogate == pytest.approx(np.sqrt(1.0 + lam + lam ** 2), rel=1e-10)
@@ -112,9 +112,8 @@ def test_h2_surrogate_closed_form_on_eigenvector():
 
 def test_norms_reject_nonzero_boundary():
     mesh = build_structured_mesh(6, 6)
-    pair = discretize(mesh).pair(1.0)
     with pytest.raises(ValueError, match="boundary"):
-        compute_norms(np.ones(mesh.n_nodes), pair)
+        compute_norms(np.ones(mesh.n_nodes), discretize(mesh))
 
 
 def test_l2_norm_matches_quadratic_form(rng):

@@ -8,7 +8,6 @@ from heatcoef.heat import (
     check_u0_condition,
     compute_F,
     evolve,
-    f_lipschitz_experiment,
     fit_log_slope,
     lower_bound_check,
 )
@@ -137,46 +136,18 @@ class TestCorrectionField:
     def test_fitted_decay_rate_matches_lambda2(self, mesh32, unit_spec32):
         d = distance_to_boundary(mesh32)
         ts = np.linspace(1.0, 5.0, 9)
-        F = compute_F(unit_spec32, d, 2.0, fit_T_grid=ts)
+        disc = unit_spec32.disc
+        norms = [l2_norm(disc.restrict(compute_F(unit_spec32, d, t).values), disc.mass_int)
+                 for t in ts]
+        rate = fit_log_slope(ts, norms)
         lam2 = unit_spec32.hat_eigenvalues[1]
         assert lam2 == pytest.approx(49.57696526, abs=1e-6)
-        assert abs(F.decay_rate_estimate + lam2) / lam2 < 0.05
+        assert abs(rate + lam2) / lam2 < 0.05
 
     def test_rejects_nonpositive_time(self, unit_spec32):
         phi1 = unit_spec32.disc.extend(unit_spec32.eigenvectors[:, 0])
         with pytest.raises(ValueError, match="positive"):
             compute_F(unit_spec32, phi1, 0.0)
-
-
-class TestFLipschitz:
-    def test_close_pair_slope_matches_beta2(self, mesh32, bump32, spectrum):
-        other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
-        d = distance_to_boundary(mesh32)
-        ts = np.linspace(1.0, 5.0, 9)
-        tab = f_lipschitz_experiment(mesh32, bump32, other, d, ts,
-                                     spectrum(mesh32, bump32, 40), spectrum(mesh32, other, 40))
-        assert not tab.identical
-        assert tab.coeff_diff == pytest.approx(0.01524830, abs=1e-7)
-        assert np.all(np.diff(tab.ratio) < 0)
-        assert abs(tab.fitted_slope + tab.beta2) / tab.beta2 < 0.05  # measured 2.26e-4
-
-    def test_identical_pair_short_circuits(self, mesh32, bump32, spectrum):
-        d = distance_to_boundary(mesh32)
-        spec = spectrum(mesh32, bump32, 8)
-        tab = f_lipschitz_experiment(mesh32, bump32, bump32, d, np.linspace(1, 5, 9), spec, spec)
-        assert tab.identical
-        assert np.all(tab.ratio == 0.0)
-        assert np.all(tab.diff_norm == 0.0)
-        assert np.isnan(tab.fitted_slope)
-        assert tab.beta2 == pytest.approx(53.95827446, abs=1e-6)
-
-    def test_rejects_bad_time_grid(self, mesh32, bump32, spectrum):
-        d = distance_to_boundary(mesh32)
-        spec = spectrum(mesh32, bump32, 8)
-        with pytest.raises(ValueError, match="two positive times"):
-            f_lipschitz_experiment(mesh32, bump32, bump32, d, [1.0], spec, spec)
-        with pytest.raises(ValueError, match="two positive times"):
-            f_lipschitz_experiment(mesh32, bump32, bump32, d, [-1.0, 2.0], spec, spec)
 
 
 class TestLowerBounds:
@@ -189,7 +160,7 @@ class TestLowerBounds:
     def test_report_minima_frozen(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)
         band = boundary_band(mesh32, 0.1)
-        rep = lower_bound_check(mesh32, bump_spec32, d, 2.0, band)
+        rep = lower_bound_check(bump_spec32, d, 2.0, band)
         assert rep.all_positive
         assert rep.u_ratio_min == pytest.approx(0.20242208, abs=1e-7)
         assert rep.dudt_ratio_min == pytest.approx(4.30258701, abs=1e-7)
@@ -202,13 +173,13 @@ class TestLowerBounds:
         d = distance_to_boundary(mesh32)
         band = boundary_band(mesh32, 0.1)
         with pytest.raises(ValueError, match="positive"):
-            lower_bound_check(mesh32, bump_spec32, -d, 2.0, band)
+            lower_bound_check(bump_spec32, -d, 2.0, band)
         with pytest.raises(ValueError, match="positive"):
-            lower_bound_check(mesh32, bump_spec32, d, 0.0, band)
+            lower_bound_check(bump_spec32, d, 0.0, band)
 
     def test_certified_threshold(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)
         band = boundary_band(mesh32, 0.1)
-        thr = certify_decay_threshold(mesh32, bump_spec32, d, [0.25, 0.5, 1.0, 2.0], band)
+        thr = certify_decay_threshold(bump_spec32, d, [0.25, 0.5, 1.0, 2.0], band)
         assert thr == 0.25  # every grid time already passes on this state
-        assert certify_decay_threshold(mesh32, bump_spec32, d, [-1.0, 0.0], band) is None
+        assert certify_decay_threshold(bump_spec32, d, [-1.0, 0.0], band) is None

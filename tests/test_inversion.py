@@ -10,6 +10,7 @@ from heatcoef.catalog import make_coefficient
 from heatcoef.fem import (
     assemble_mass,
     assemble_stiffness,
+    compute_norms,
     l2_norm,
 )
 from heatcoef.heat import compute_F, evolve
@@ -224,8 +225,8 @@ class TestStabilityExperiment:
     def test_close_pair_rate_and_bracket(self, mesh32, bump32, spectrum):
         other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
         d = distance_to_boundary(mesh32)
-        tab = stability_ratio_experiment(bump32, other, d, [0.15, 0.3, 0.6, 1.2],
-                                         spectrum(mesh32, bump32, 8), spectrum(mesh32, other, 8))
+        tab, _ = stability_ratio_experiment(bump32, other, d, [0.15, 0.3, 0.6, 1.2],
+                                            spectrum(mesh32, bump32, 8), spectrum(mesh32, other, 8))
         assert not tab.identical
         assert not tab.indistinguishable.any()
         assert np.all(np.diff(tab.rho) > 0)  # conditioning degrades with T
@@ -236,16 +237,57 @@ class TestStabilityExperiment:
         assert tab.lambda1 == pytest.approx(21.255523, abs=1e-5)
         assert tab.lambda1_unit == pytest.approx(19.781512, abs=1e-5)
 
+    def test_close_pair_lipschitz_slope_matches_beta2(self, mesh32, bump32, spectrum):
+        other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
+        d = distance_to_boundary(mesh32)
+        ts = np.linspace(1.0, 5.0, 9)
+        _, tab = stability_ratio_experiment(bump32, other, d, ts,
+                                            spectrum(mesh32, bump32, 40), spectrum(mesh32, other, 40))
+        assert not tab.identical
+        assert tab.coeff_diff == pytest.approx(0.01524830, abs=1e-7)
+        assert np.all(np.diff(tab.ratio) < 0)
+        assert abs(tab.fitted_slope + tab.beta2) / tab.beta2 < 0.05  # measured 2.26e-4
+
+    def test_one_pass_matches_reference_loop(self, mesh16, spectrum):
+        bump = make_coefficient(mesh16, "gaussian-bump", None, 2.0)
+        two = make_coefficient(mesh16, "two-bump", None, 2.0)
+        spec, spec_t = spectrum(mesh16, bump, 8), spectrum(mesh16, two, 8)
+        d = distance_to_boundary(mesh16)
+        ts = np.array([0.15, 0.3, 0.6, 1.2])
+        tab, ft = stability_ratio_experiment(bump, two, d, ts, spec, spec_t)
+
+        disc = spec.disc
+        cdiff = l2_norm(bump.values - two.values, disc.mass)
+        l2d, h2d, fdiff = np.empty(4), np.empty(4), np.empty(4)
+        for i, t in enumerate(ts):
+            norms = compute_norms(evolve(spec, d, t).u - evolve(spec_t, d, t).u, disc)
+            l2d[i], h2d[i] = norms.l2, norms.h2_surrogate
+            dF = compute_F(spec, d, t).values - compute_F(spec_t, d, t).values
+            fdiff[i] = l2_norm(disc.restrict(dF), disc.mass_int)
+        assert not tab.indistinguishable.any()
+        assert tab.coeff_diff == ft.coeff_diff == cdiff
+        for got, want in ((tab.T, ts), (tab.l2_udiff, l2d), (tab.h2_udiff, h2d),
+                          (tab.rho, cdiff / h2d), (ft.T, ts), (ft.diff_norm, fdiff),
+                          (ft.ratio, fdiff / cdiff)):
+            assert np.array_equal(got, want)
+
     def test_identical_pair_is_flagged_empty(self, mesh32, bump32, spectrum):
         d = distance_to_boundary(mesh32)
-        spec = spectrum(mesh32, bump32, 4)
-        tab = stability_ratio_experiment(bump32, bump32, d, [0.5, 1.0], spec, spec)
+        spec = spectrum(mesh32, bump32, 8)
+        tab, ft = stability_ratio_experiment(bump32, bump32, d, np.linspace(1, 5, 9), spec, spec)
         assert tab.identical
         assert tab.T.size == 0
         assert tab.coeff_diff == 0.0
+        assert ft.identical
+        assert np.all(ft.ratio == 0.0)
+        assert np.all(ft.diff_norm == 0.0)
+        assert np.isnan(ft.fitted_slope)
+        assert ft.beta2 == pytest.approx(53.95827446, abs=1e-6)
 
     def test_rejects_bad_grid(self, mesh32, bump32, spectrum):
         d = distance_to_boundary(mesh32)
         spec = spectrum(mesh32, bump32, 4)
         with pytest.raises(ValueError, match="two positive times"):
             stability_ratio_experiment(bump32, bump32, d, [1.0], spec, spec)
+        with pytest.raises(ValueError, match="two positive times"):
+            stability_ratio_experiment(bump32, bump32, d, [-1.0, 2.0], spec, spec)

@@ -139,6 +139,16 @@ def test_stability_sweep_artifacts(tmp_path):
     assert len(rows) == 1 + 4
 
 
+
+def test_stability_sweep_with_one_mode_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(SWEEP_16.replace("modes = 8", "modes = 1"))
+    assert main(["stability-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "needs two strict eigenvalues per spectrum" in err
+    assert "got 1 and 1" in err
+
 class TestCli:
     def _write_cfg(self, tmp_path, text):
         p = tmp_path / "case.cfg"
