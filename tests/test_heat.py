@@ -11,6 +11,7 @@ from heatcoef.heat import (
     fit_log_slope,
     lower_bound_check,
 )
+from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import boundary_band, distance_to_boundary
 
 
@@ -148,6 +149,26 @@ class TestCorrectionField:
         phi1 = unit_spec32.disc.extend(unit_spec32.eigenvectors[:, 0])
         with pytest.raises(ValueError, match="positive"):
             compute_F(unit_spec32, phi1, 0.0)
+
+
+class TestFLipschitz:
+    def test_identical_pair_short_circuits(self, mesh32, bump32, spectrum):
+        d = distance_to_boundary(mesh32)
+        spec = spectrum(mesh32, bump32, 8)
+        _, tab = stability_ratio_experiment(bump32, bump32, d, np.linspace(1, 5, 9), spec, spec)
+        assert tab.identical
+        assert np.all(tab.ratio == 0.0)
+        assert np.all(tab.diff_norm == 0.0)
+        assert np.isnan(tab.fitted_slope)
+        assert tab.beta2 == pytest.approx(53.95827446, abs=1e-6)
+
+    def test_rejects_bad_time_grid(self, mesh32, bump32, spectrum):
+        d = distance_to_boundary(mesh32)
+        spec = spectrum(mesh32, bump32, 8)
+        with pytest.raises(ValueError, match="two positive times"):
+            stability_ratio_experiment(bump32, bump32, d, [1.0], spec, spec)
+        with pytest.raises(ValueError, match="two positive times"):
+            stability_ratio_experiment(bump32, bump32, d, [-1.0, 2.0], spec, spec)
 
 
 class TestLowerBounds:
