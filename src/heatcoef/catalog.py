@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import CoefficientField, make_field
+from .fem import CoefficientField, make_field, require_zero_boundary
 from .mesh import Mesh, distance_to_boundary, read_grid
 
 __all__ = [
@@ -149,9 +149,8 @@ def initial_state(mesh: Mesh, kind: str, params: dict | None = None, spectral=No
             x, y = mesh.nodes[k]
             raise ValueError(f"custom initial state value {v[k]} is not finite at node {k} "
                              f"(x={x:.6g}, y={y:.6g})")
-        scale = max(1.0, float(np.max(np.abs(v))))
-        if np.any(np.abs(v[mesh.boundary_node_flags]) > 1e-12 * scale):
-            raise ValueError("custom initial state must vanish on the boundary")
+        require_zero_boundary(v, mesh.boundary_node_flags,
+                              "custom initial state must vanish on the boundary")
         v[mesh.boundary_node_flags] = 0.0
         return v
     raise KeyError(f"unknown initial-state kind {kind!r}")

@@ -16,6 +16,7 @@ Discretization.unit_pair is the reduced unit pencil cut from A(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "apply_dirichlet",
     "discretize",
     "compute_norms",
+    "require_zero_boundary",
     "l2_norm",
     "make_field",
     "validate_coefficient",
@@ -75,6 +77,7 @@ class Discretization:
     mass / unit_stiffness : full M and A(1) over all nodes.
     interior / boundary : sorted node indices of the Dirichlet partition.
     mass_int : the interior block M_II.
+    mass_int_factor : SuperLU factor of M_II, built on first use (no reference cycle).
     """
 
     mesh: Mesh
@@ -92,6 +95,10 @@ class Discretization:
         """Dirichlet-reduced pencil (A(a)_II, M_II) of one coefficient."""
         I = self.interior
         return OperatorPair(stiffness=assemble_stiffness(self.mesh, a)[I][:, I].tocsr(), disc=self)
+
+    @cached_property
+    def mass_int_factor(self) -> spla.SuperLU:
+        return spla.splu(self.mass_int.tocsc())
 
     @property
     def unit_pair(self) -> OperatorPair:
@@ -217,6 +224,14 @@ def l2_norm(w: np.ndarray, mass: sp.spmatrix) -> float:
     return float(np.sqrt(max(w @ (mass @ w), 0.0)))
 
 
+def require_zero_boundary(w, boundary, message: str) -> None:
+    """Raise ValueError(message) if |w| > 1e-12 max(1, max |w|) on a boundary node."""
+    w = np.asarray(w, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    if np.any(np.abs(w[boundary]) > 1e-12 * scale):
+        raise ValueError(message)
+
+
 def compute_norms(w, disc: Discretization) -> Norms:
     """L2, H1 and H2-surrogate norms of a nodal field on disc's mesh.
 
@@ -227,13 +242,12 @@ def compute_norms(w, disc: Discretization) -> Norms:
     """
     w = np.asarray(w, dtype=float)
     disc.restrict(w)  # shape check
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if disc.boundary.size and np.max(np.abs(w[disc.boundary])) > 1e-12 * scale:
-        raise ValueError("H2 surrogate undefined: field is nonzero on boundary nodes")
+    require_zero_boundary(w, disc.boundary,
+                          "H2 surrogate undefined: field is nonzero on boundary nodes")
     Aw = disc.unit_stiffness @ w
     l2sq = max(w @ (disc.mass @ w), 0.0)
     h1sq = l2sq + max(w @ Aw, 0.0)
-    z = spla.spsolve(disc.mass_int.tocsc(), -Aw[disc.interior])
+    z = disc.mass_int_factor.solve(-Aw[disc.interior])
     h2sq = h1sq + max(z @ (disc.mass_int @ z), 0.0)
     return Norms(l2=float(np.sqrt(l2sq)), h1=float(np.sqrt(h1sq)), h2_surrogate=float(np.sqrt(h2sq)))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import Discretization, l2_norm, nodal_gradients
+from .fem import Discretization, l2_norm, nodal_gradients, require_zero_boundary
 from .mesh import BoundaryBand, distance_to_boundary
 from .spectral import SpectralDecomposition
 
@@ -67,9 +67,7 @@ def _mode_data(spec: SpectralDecomposition, u0) -> tuple[np.ndarray, np.ndarray,
     """(coefficients, clustered rates, tail of u0 outside the span)."""
     u0 = np.asarray(u0, dtype=float)
     wi = spec.disc.restrict(u0)
-    boundary_scale = max(1.0, float(np.max(np.abs(u0))))
-    if np.any(np.abs(u0[spec.disc.boundary]) > 1e-12 * boundary_scale):
-        raise ValueError("initial state must vanish on boundary nodes")
+    require_zero_boundary(u0, spec.disc.boundary, "initial state must vanish on boundary nodes")
     coeffs = spec.eigenvectors.T @ (spec.disc.mass_int @ wi)
     rates = spec.hat_eigenvalues[spec.cluster_index]
     tail = wi - spec.eigenvectors @ coeffs

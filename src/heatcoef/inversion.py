@@ -45,6 +45,7 @@ from .fem import (
     element_gradients,
     gradient_bound,
     l2_norm,
+    require_zero_boundary,
     validate_coefficient,
 )
 from .heat import check_u0_condition, compute_F, evolve, fit_log_slope
@@ -72,7 +73,7 @@ _SMOOTHING_PASS_CAP = 5
 # back-substitution with the factored transport normal matrix, an admissible
 # projection and a K=1 shift-invert eigensolve: about 12 ms at 32^2, a fifth
 # of the 56 ms K=40 eigensolve that opens the step (2 cores).  A capped
-# closure therefore costs more than that solve, and most steps reach the cap.
+# closure therefore costs more than that solve; all 5 bundled bump steps cap.
 _CLOSURE_EVAL_CAP = 7
 
 
@@ -119,7 +120,6 @@ class InversionOptions:
     alpha: float = 1e-8
     tol_fp: float = 1e-8
     max_iter: int = 50
-    cluster_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,7 @@ def assemble_transport_operator(mesh: Mesh, u_T) -> sp.csr_matrix:
     u_T = np.asarray(u_T, dtype=float)
     if u_T.shape != (mesh.n_nodes,):
         raise ValueError(f"snapshot has shape {u_T.shape}, expected ({mesh.n_nodes},)")
-    scale = max(1.0, float(np.max(np.abs(u_T))))
-    if np.any(np.abs(u_T[mesh.boundary_node_flags]) > 1e-12 * scale):
-        raise ValueError("snapshot must vanish on boundary nodes")
+    require_zero_boundary(u_T, mesh.boundary_node_flags, "snapshot must vanish on boundary nodes")
     b, c, _ = _element_geometry(mesh)
     g = element_gradients(mesh, u_T)
     # test-function factor per (element, local i): grad u_T . grad phi_i * |K|
@@ -278,11 +276,6 @@ def admissible_projection(
     return CoefficientField(values=values, a_plus=float(a_plus), boundary_trace=trace), capped
 
 
-def _ground_eigenvalue(disc: Discretization, values, cluster_tol: float) -> float:
-    """Lowest eigenvalue of the operator pair for one nodal coefficient."""
-    return float(solve_generalized_eig(disc.pair(values), 1, cluster_tol).hat_eigenvalues[0])
-
-
 def _next_closure_point(samples: list[tuple[float, float]], x0: float) -> float | None:
     """Next trial eigenvalue for the root of phi(x) = l_1(candidate(x)) - x.
 
@@ -365,7 +358,7 @@ def fixed_point_invert(
     capped_count = 0
     system = None
     for _ in range(opts.max_iter):
-        spec = solve_generalized_eig(disc.pair(current.values), opts.modes, opts.cluster_tol)
+        spec = solve_generalized_eig(disc.pair(current.values), opts.modes)
         lam_raw = float(spec.hat_eigenvalues[0])
         F = compute_F(spec, u0, opts.T).values
 
@@ -375,7 +368,8 @@ def fixed_point_invert(
             sys_x = dataclasses.replace(base, rhs=transport_rhs(disc, u_T, x, F))
             raw = solve_transport_ls(sys_x, current)
             projected, capped = admissible_projection(disc, raw.values, a0, a_plus)
-            phi = _ground_eigenvalue(disc, projected.values, opts.cluster_tol) - x
+            lam1 = solve_generalized_eig(disc.pair(projected.values), 1).eigenvalues[0]
+            phi = float(lam1) - x
             samples.append((x, phi, sys_x, projected, capped))
             return phi
 
@@ -492,11 +486,10 @@ def stability_ratio_experiment(
     Discretization, each with at least two strict eigenvalues.  Per T the
     pass evolves both snapshots for the stability ratio rho(T) and forms
     both correction fields for the Lipschitz quotient of F; the unit pencil
-    of spec.disc gives the H2 norms and its ground eigenvalue, solved at
-    spec.cluster_tol.  Identical coefficients return an empty stability
-    table and a zero Lipschitz table, both flagged; per-T snapshot
-    differences below 1e-14 are flagged indistinguishable and excluded
-    from the rate fit.
+    of spec.disc gives the H2 norms and its ground eigenvalue.  Identical
+    coefficients return an empty stability table and a zero Lipschitz
+    table, both flagged; per-T snapshot differences below 1e-14 are
+    flagged indistinguishable and excluded from the rate fit.
     """
     disc = spec.disc
     validate_coefficient(disc.mesh, a)
@@ -508,7 +501,7 @@ def stability_ratio_experiment(
     if min(n_strict) < 2:
         raise ValueError(f"the stability experiment needs two strict eigenvalues per spectrum "
                          f"(l_2 sets the decay rates), got {n_strict[0]} and {n_strict[1]}")
-    spec_unit = solve_generalized_eig(disc.unit_pair, 1, spec.cluster_tol)
+    spec_unit = solve_generalized_eig(disc.unit_pair, 1)
     lam1_unit = float(spec_unit.eigenvalues[0])
     cdiff = l2_norm(a.values - a_tilde.values, disc.mass)
     if cdiff == 0.0:

@@ -154,7 +154,7 @@ def _build_context(s: Scenario) -> _Context:
     disc = discretize(mesh)
     pair = disc.pair(coeff.values)
     K = min(s.modes, pair.stiffness.shape[0])
-    spec = solve_generalized_eig(pair, K, s.cluster_tol)
+    spec = solve_generalized_eig(pair, K)
     u0 = catalog.initial_state(
         mesh, s.u0.kind, {"m": s.u0.m, "n": s.u0.n, "path": s.u0.path}, spectral=spec,
     )
@@ -317,7 +317,7 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
               f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
 
     opts = InversionOptions(T=s.T, modes=ctx.spec.K, alpha=s.alpha, tol_fp=s.tol_fp,
-                            max_iter=s.max_iter, cluster_tol=s.cluster_tol)
+                            max_iter=s.max_iter)
     report = fixed_point_invert(ctx.disc, ctx.u0, u_T, ctx.coeff.boundary_trace,
                                 s.a_plus, opts, a_true=ctx.coeff)
 
@@ -375,7 +375,7 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
         _info(lines, "spectral-gap-positive", "only one strict eigenvalue computed")
 
     kmax = min(20, spec.K)
-    spec_unit = solve_generalized_eig(ctx.disc.unit_pair, kmax, s.cluster_tol)
+    spec_unit = solve_generalized_eig(ctx.disc.unit_pair, kmax)
     sandwich = verify_minmax_sandwich(spec, spec_unit, s.a_plus)
     _write_csv(out / "minmax.csv",
                ("k", "lambda_unit", "lambda", "upper", "lower_ok", "upper_ok"),
@@ -421,9 +421,8 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
 
     if s.eta is not None:
         eta_vals = catalog.direction_values(ctx.mesh, s.eta.kind, s.eta.params_dict())
-        etab, ptab = perturbation_sweep(ctx.disc, ctx.coeff, eta_vals, s.scales,
-                                        gamma=s.gamma, eta_hat=s.eta_hat,
-                                        cluster_tol=s.cluster_tol)
+        etab, ptab = perturbation_sweep(spec, ctx.coeff, eta_vals, s.scales,
+                                        gamma=s.gamma, eta_hat=s.eta_hat)
         _write_csv(out / "eigen_perturbation.csv", EigenPerturbationTable.CSV_HEADER, etab.rows())
         files.append("eigen_perturbation.csv")
         spread = etab.ratio_spread()
@@ -461,7 +460,7 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
 
     a_tilde = catalog.make_coefficient(ctx.mesh, s.perturbation.kind,
                                        s.perturbation.params_dict(), s.a_plus)
-    spec_t = solve_generalized_eig(ctx.disc.pair(a_tilde.values), ctx.spec.K, s.cluster_tol)
+    spec_t = solve_generalized_eig(ctx.disc.pair(a_tilde.values), ctx.spec.K)
 
     tab, ft = stability_ratio_experiment(ctx.coeff, a_tilde, ctx.u0, s.T_grid,
                                          ctx.spec, spec_t)

@@ -84,7 +84,6 @@ class Scenario:
     max_iter: int = 50
     noise: float = 0.0
     seed: int = 0
-    cluster_tol: float = 1e-6
     eta_hat: float = 0.05
     perturbation: FieldSpec | None = None
     eta: FieldSpec | None = None
@@ -105,7 +104,6 @@ _SCALAR_KEYS = {
     "max_iter": int,
     "noise": float,
     "seed": int,
-    "cluster_tol": float,
     "eta_hat": float,
 }
 _LIST_KEYS = ("T_grid", "scales")
@@ -262,7 +260,7 @@ def _validate_scenario(s: Scenario) -> None:
         raise ConfigError(f"modes must be >= 1, got {s.modes}")
     if s.gamma < 0:
         raise ConfigError(f"gamma must be >= 0, got {s.gamma}")
-    for key in ("delta", "alpha", "tol_fp", "cluster_tol", "eta_hat"):
+    for key in ("delta", "alpha", "tol_fp", "eta_hat"):
         if getattr(s, key) <= 0:
             raise ConfigError(f"{key} must be positive, got {getattr(s, key)}")
     if s.max_iter < 1:
@@ -320,7 +318,7 @@ def serialize_scenario(s: Scenario) -> str:
     if s.T_grid is not None:
         lines.append("T_grid = " + ",".join(_fmt(t) for t in s.T_grid))
     for key in ("modes", "gamma", "delta", "alpha", "tol_fp", "max_iter",
-                "noise", "seed", "cluster_tol", "eta_hat"):
+                "noise", "seed", "eta_hat"):
         lines.append(f"{key} = {_fmt(getattr(s, key))}")
     emit_group("perturbation", s.perturbation)
     emit_group("eta", s.eta)
@@ -333,10 +331,10 @@ def scenario_hash(s: Scenario) -> str:
 
 
 def with_overrides(s: Scenario, seed: int | None = None, modes: int | None = None) -> Scenario:
-    """CLI-level overrides of the seeded RNG and eigenpair count."""
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if modes is not None:
-        updates["modes"] = modes
-    return replace(s, **updates) if updates else s
+    """CLI-level overrides of the seeded RNG and eigenpair count, checked as parsing checks them."""
+    updates = {key: v for key, v in (("seed", seed), ("modes", modes)) if v is not None}
+    if not updates:
+        return s
+    s = replace(s, **updates)
+    _validate_scenario(s)
+    return s

@@ -1,20 +1,20 @@
 """Generalized eigendecomposition of the elliptic pencil and its diagnostics.
 
-solve_generalized_eig is the one eigensolver entry point: it solves
-A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) (sparse
-ARPACK shift-invert about zero, dense LAPACK for small pencils), merges
-near-degenerate eigenvalues into a strictly ordered spectrum, and keeps
-the pencil's Discretization on the result.  The module also provides the
-gap and min-max checks, the projection-difference norm, and one
-perturbation sweep a -> a + s*eta that solves each pencil once and
-tabulates both the eigenvalue shifts (Kato) and the spectral-projection
-differences (Davis-Kahan) from the same spectra.
+This module owns how a pencil becomes a spectrum: solve_generalized_eig
+solves A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) by
+ARPACK shift-invert about zero (dense LAPACK only where ARPACK's 2K + 1
+Lanczos vectors do not fit), and strict clusters follow the one rule
+CLUSTER_TOL.  Also here: the gap and min-max checks, the
+projection-difference norm, and one perturbation sweep a -> a + s*eta that
+reads the run's spectrum of a, solves each perturbed pencil once, and
+tabulates eigenvalue shifts (Kato) and projection differences (Davis-Kahan).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -60,15 +60,14 @@ EIGEN_SWEEP_ROWS = 10
 PROJECTION_SWEEP_ROWS = 5
 _SWEEP_K = 4 * PROJECTION_SWEEP_ROWS
 
+# Consecutive eigenvalues closer than this relative gap form one strict
+# cluster (strictify_spectrum); every spectrum is grouped by this rule.
+CLUSTER_TOL = 1e-6
+
 _RESIDUAL_TOL = 1e-8
 # Relative slack of verify_minmax_sandwich, for floating-point noise only.
 _SANDWICH_SLACK = 1e-8
 
-# Pencils with at most this many interior nodes are solved densely.  Measured
-# crossover on the bump pencil (2 cores, OpenBLAS): shift-invert is faster
-# from n ~ 200 at K = 1 and from n ~ 440 at K = 40 (K = 40, dense vs
-# shift-invert: 20 vs 25 ms at n = 361, 28 vs 25 ms at n = 441).
-_DENSE_MAX_N = 400
 # Seed of the fixed ARPACK start vector, so repeated solves are identical.
 _V0_SEED = 0
 
@@ -84,24 +83,35 @@ class SpectralDecomposition:
     eigenvalues : (K,) ascending, multiplicities repeated.
     eigenvectors : (n_interior, K), M-orthonormal columns; the first is
         normalized to positive M-weighted mean.
-    hat_eigenvalues : strictly increasing cluster values (means).
     multiplicities : cluster sizes, summing to K.
-    cluster_index : (K,) position of each eigenvalue's cluster.
     disc : the Discretization of the pencil (mass matrix and partition).
+
+    K, hat_eigenvalues and cluster_index are derived from these.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    hat_eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    cluster_index: np.ndarray
-    cluster_tol: float
-    K: int
     disc: Discretization
 
     @property
+    def K(self) -> int:
+        return self.eigenvalues.size
+
+    @property
     def n_clusters(self) -> int:
-        return self.hat_eigenvalues.size
+        return self.multiplicities.size
+
+    @cached_property
+    def hat_eigenvalues(self) -> np.ndarray:
+        """Strictly increasing cluster values, the mean of each cluster's members."""
+        o = np.concatenate([[0], np.cumsum(self.multiplicities)])
+        return np.array([self.eigenvalues[o[i]:o[i + 1]].mean() for i in range(self.n_clusters)])
+
+    @cached_property
+    def cluster_index(self) -> np.ndarray:
+        """(K,) position of each eigenvalue's cluster."""
+        return np.repeat(np.arange(self.n_clusters), self.multiplicities)
 
     def cluster_slice(self, k: int) -> slice:
         """Column slice of the eigenvectors belonging to strict index k (1-based)."""
@@ -109,6 +119,14 @@ class SpectralDecomposition:
             raise IndexError(f"strict index k={k} outside 1..{self.n_clusters}")
         offsets = np.concatenate([[0], np.cumsum(self.multiplicities)])
         return slice(int(offsets[k - 1]), int(offsets[k]))
+
+    def leading(self, k: int) -> SpectralDecomposition:
+        """The first k eigenpairs, clustered afresh as a K=k solve would be."""
+        if not 1 <= k <= self.K:
+            raise ValueError(f"requested {k} leading eigenpairs of a spectrum with K={self.K}")
+        vals = self.eigenvalues[:k]
+        return SpectralDecomposition(vals, self.eigenvectors[:, :k],
+                                     strictify_spectrum(vals, CLUSTER_TOL)[1], self.disc)
 
 
 @dataclass(frozen=True)
@@ -143,19 +161,20 @@ class SandwichReport:
         return self.first_violation is None
 
 
-def solve_generalized_eig(pair: OperatorPair, K: int, cluster_tol: float = 1e-6) -> SpectralDecomposition:
+def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
     """Lowest K eigenpairs of the reduced pencil disc.pair(a), M-orthonormal.
 
     ARPACK shift-invert Lanczos about sigma = 0 (Lehoucq-Sorensen-Yang,
     ARPACK Users' Guide, 1998) on the sparse pencil: A is SPD, so the K
     eigenvalues nearest zero are the lowest.  The start vector is fixed.
-    Small pencils (n <= _DENSE_MAX_N), and pencils whose default Lanczos
-    basis of 2K + 1 vectors would not fit in n, take the dense LAPACK path.
+    Only a pencil too small for ARPACK's default Lanczos basis of 2K + 1
+    vectors takes the dense LAPACK path.  Eigenvalues are clustered by
+    CLUSTER_TOL.
     """
     n = pair.stiffness.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"requested K={K} eigenpairs from a pencil of size {n}")
-    if n <= _DENSE_MAX_N or 2 * K + 1 > n:
+    if 2 * K + 1 > n:
         try:
             vals, vecs = la.eigh(pair.stiffness.toarray(), pair.mass.toarray(),
                                  subset_by_index=(0, K - 1))
@@ -189,18 +208,7 @@ def solve_generalized_eig(pair: OperatorPair, K: int, cluster_tol: float = 1e-6)
         if vecs[lead, j] < 0:
             vecs[:, j] = -vecs[:, j]
 
-    hat, mult = strictify_spectrum(vals, cluster_tol)
-    cluster_index = np.repeat(np.arange(hat.size), mult)
-    return SpectralDecomposition(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        hat_eigenvalues=hat,
-        multiplicities=mult,
-        cluster_index=cluster_index,
-        cluster_tol=float(cluster_tol),
-        K=K,
-        disc=pair.disc,
-    )
+    return SpectralDecomposition(vals, vecs, strictify_spectrum(vals, CLUSTER_TOL)[1], pair.disc)
 
 
 def strictify_spectrum(eigenvalues, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +256,7 @@ def regroup_spectrum(
     The projection sweep compares cluster projections of two operators whose
     spectra are grouped the same way.  Clustering the perturbed spectrum
     independently can split a symmetry degeneracy (the split is tiny but
-    larger than cluster_tol), which changes the cluster ranks and turns
+    larger than CLUSTER_TOL), which changes the cluster ranks and turns
     ||P_k - P~_k|| into a rank-mismatch constant instead of a perturbation
     measurement.  Inheriting the grouping keeps the ranks aligned.
     """
@@ -257,18 +265,7 @@ def regroup_spectrum(
         raise ValueError(
             f"multiplicity pattern sums to {multiplicities.sum()}, expected K={spec.K}"
         )
-    offsets = np.concatenate([[0], np.cumsum(multiplicities)])
-    hat = np.array([
-        spec.eigenvalues[offsets[i]:offsets[i + 1]].mean()
-        for i in range(multiplicities.size)
-    ])
-    cluster_index = np.repeat(np.arange(multiplicities.size), multiplicities)
-    return dataclasses.replace(
-        spec,
-        hat_eigenvalues=hat,
-        multiplicities=multiplicities,
-        cluster_index=cluster_index,
-    )
+    return dataclasses.replace(spec, multiplicities=multiplicities)
 
 
 def projection_difference_norm(
@@ -396,20 +393,20 @@ def _columns(rows: list[tuple], n: int) -> list[np.ndarray]:
 
 
 def perturbation_sweep(
-    disc: Discretization,
+    spec: SpectralDecomposition,
     a: CoefficientField,
     eta: np.ndarray,
     scales,
     gamma: float = 0.0,
     eta_hat: float = 0.05,
-    cluster_tol: float = 1e-6,
 ) -> tuple[EigenPerturbationTable, ProjectionPerturbationTable]:
     """Sweep a -> a + s*eta and tabulate eigenvalue and projection differences.
 
-    Every coefficient must stay within [1, a_plus]; all are validated
-    before the first solve.  The base and each perturbed pencil are then
-    solved once, with _SWEEP_K eigenpairs, and both tables read those
-    spectra.
+    spec is the decomposition of a's pencil.  Every coefficient must stay
+    within [1, a_plus]; all are validated before the first solve.  The base
+    spectrum is the first _SWEEP_K pairs of spec (solved afresh only when
+    spec holds fewer), each perturbed pencil is solved once with _SWEEP_K
+    eigenpairs, and both tables read those spectra.
 
     Eigenvalue rows (k <= EIGEN_SWEEP_ROWS, repeated spectrum):
     ratio = diff / (min(lambda, lambda~)^(1 + n/4) * ||a - a~||_L2), n = 2.
@@ -421,13 +418,14 @@ def perturbation_sweep(
     The perturbed spectrum inherits the base multiplicity pattern (see
     regroup_spectrum) so that cluster k has the same rank on both sides.
     """
+    disc = spec.disc
     eta = np.asarray(eta, dtype=float)
     perturbed = [(float(s), a.values + s * eta) for s in scales]
     _validate_sweep_field(disc.mesh, a.values, a.a_plus, "base coefficient")
     for s, values in perturbed:
         _validate_sweep_field(disc.mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
-    pair = disc.pair(a.values)
-    base = solve_generalized_eig(pair, _SWEEP_K, cluster_tol)
+    base = (spec.leading(_SWEEP_K) if spec.K >= _SWEEP_K
+            else solve_generalized_eig(disc.pair(a.values), _SWEEP_K))
     if base.n_clusters < PROJECTION_SWEEP_ROWS:
         raise ValueError(
             f"K={_SWEEP_K} eigenpairs yield only {base.n_clusters} strict eigenvalues, "
@@ -435,8 +433,8 @@ def perturbation_sweep(
         )
     eig_rows, proj_rows = [], []
     for s, values in perturbed:
-        pert = solve_generalized_eig(disc.pair(values), _SWEEP_K, cluster_tol)
-        pert = regroup_spectrum(pert, base.multiplicities)
+        pair = disc.pair(values)
+        pert = regroup_spectrum(solve_generalized_eig(pair, _SWEEP_K), base.multiplicities)
         cdiff = l2_norm(values - a.values, disc.mass)
         for k in range(EIGEN_SWEEP_ROWS):
             lam, lamt = float(base.eigenvalues[k]), float(pert.eigenvalues[k])

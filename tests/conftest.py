@@ -33,7 +33,7 @@ def unit_pair32(disc32):
 @pytest.fixture(scope="session")
 def unit_spec32(unit_pair32):
     """Unit-coefficient decomposition, K=10 (the analytic-oracle workhorse)."""
-    return solve_generalized_eig(unit_pair32, 10, 1e-6)
+    return solve_generalized_eig(unit_pair32, 10)
 
 
 @pytest.fixture(scope="session")
@@ -48,14 +48,14 @@ def bump_pair32(disc32, bump32):
 
 @pytest.fixture(scope="session")
 def bump_spec32(bump_pair32):
-    return solve_generalized_eig(bump_pair32, 8, 1e-6)
+    return solve_generalized_eig(bump_pair32, 8)
 
 
 @pytest.fixture(scope="session")
 def spectrum():
     """spectrum(mesh, coeff, K): decomposition of the coefficient's pencil at cluster_tol 1e-6."""
     def solve(mesh, coeff, K):
-        return solve_generalized_eig(discretize(mesh).pair(coeff.values), K, 1e-6)
+        return solve_generalized_eig(discretize(mesh).pair(coeff.values), K)
     return solve
 
 

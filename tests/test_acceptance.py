@@ -36,8 +36,7 @@ def test_unit_square_spectrum_matches_analytic_oracle():
     start = time.monotonic()
     mesh = build_structured_mesh(32, 32)
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
-    spec = solve_generalized_eig(discretize(mesh).pair(unit.values),
-                                 10, 1e-6)
+    spec = solve_generalized_eig(discretize(mesh).pair(unit.values), 10)
     lam1_exact = 2.0 * np.pi ** 2
     lam2_exact = 5.0 * np.pi ** 2
     assert abs(spec.eigenvalues[0] - lam1_exact) <= 0.01 * lam1_exact
@@ -52,12 +51,10 @@ def test_eigenvalues_sandwiched_by_unit_pencil_for_every_catalog_coefficient():
     start = time.monotonic()
     mesh = build_structured_mesh(32, 32)
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
-    spec_unit = solve_generalized_eig(discretize(mesh).pair(unit.values),
-                                      20, 1e-6)
+    spec_unit = solve_generalized_eig(discretize(mesh).pair(unit.values), 20)
     for kind in sorted(COEFFICIENT_KINDS):
         a = make_coefficient(mesh, kind, None, 2.0)
-        spec_a = solve_generalized_eig(discretize(mesh).pair(a.values),
-                                       20, 1e-6)
+        spec_a = solve_generalized_eig(discretize(mesh).pair(a.values), 20)
         report = verify_minmax_sandwich(spec_a, spec_unit, 2.0)
         assert report.ok, f"{kind}: first violation at k={report.first_violation}"
     assert time.monotonic() - start < 60.0
@@ -68,7 +65,8 @@ def test_eigenvalue_shift_ratio_uniform_across_perturbation_sweep():
     mesh = build_structured_mesh(32, 32)
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
     eta = direction_values(mesh, "gaussian-bump", {"amplitude": 0.04})
-    table, _ = perturbation_sweep(discretize(mesh), unit, eta, (1e-3, 1e-2, 1e-1))
+    spec = solve_generalized_eig(discretize(mesh).pair(unit.values), 20)
+    table, _ = perturbation_sweep(spec, unit, eta, (1e-3, 1e-2, 1e-1))
     spread = table.ratio_spread()
     assert np.isfinite(spread)
     assert spread <= 50.0  # measured 2.30
@@ -79,8 +77,8 @@ def test_projection_difference_normalized_within_one_order_of_magnitude():
     mesh = build_structured_mesh(32, 32)
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
     eta = direction_values(mesh, "gaussian-bump", {"amplitude": 0.04})
-    _, table = perturbation_sweep(discretize(mesh), unit, eta, (1e-3, 1e-2, 1e-1),
-                                  gamma=0.0, eta_hat=0.05)
+    spec = solve_generalized_eig(discretize(mesh).pair(unit.values), 20)
+    _, table = perturbation_sweep(spec, unit, eta, (1e-3, 1e-2, 1e-1), gamma=0.0, eta_hat=0.05)
     assert table.in_gate.sum() >= 2  # the gate must actually select a regime
     spread = table.gated_spread()
     assert np.isfinite(spread)
@@ -93,15 +91,13 @@ def test_correction_field_decay_and_lipschitz_slopes():
     two = make_coefficient(mesh, "two-bump", None, 2.0)
     d = distance_to_boundary(mesh)
     grid = np.linspace(1.0, 5.0, 9)
-    spec = solve_generalized_eig(discretize(mesh).pair(bump.values),
-                                 40, 1e-6)
+    spec = solve_generalized_eig(discretize(mesh).pair(bump.values), 40)
     lam2 = spec.hat_eigenvalues[1]
     norms = [l2_norm(spec.disc.restrict(compute_F(spec, d, t).values), spec.disc.mass_int)
              for t in grid]
     assert abs(fit_log_slope(grid, norms) + lam2) <= 0.05 * lam2  # measured 0.49%
 
-    spec_two = solve_generalized_eig(discretize(mesh).pair(two.values),
-                                     40, 1e-6)
+    spec_two = solve_generalized_eig(discretize(mesh).pair(two.values), 40)
     _, ft = stability_ratio_experiment(bump, two, d, grid, spec, spec_two)
     assert abs(ft.fitted_slope + ft.beta2) <= 0.05 * ft.beta2  # measured 0.44%
 
@@ -156,8 +152,7 @@ def test_band_gradient_floor_stable_under_mesh_refinement():
     for n in (16, 32, 48):
         mesh = build_structured_mesh(n, n)
         a = make_coefficient(mesh, "gaussian-bump", None, 2.0)
-        spec = solve_generalized_eig(discretize(mesh).pair(a.values),
-                                     1, 1e-6)
+        spec = solve_generalized_eig(discretize(mesh).pair(a.values), 1)
         phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         g = nodal_gradients(mesh, phi1)
         grad_norm = np.sqrt(np.einsum("nd,nd->n", g, g))
@@ -234,8 +229,8 @@ def test_noise_floor_grows_with_snapshot_time(tmp_path):
     bump = make_coefficient(mesh, "gaussian-bump", None, 2.0)
     two = make_coefficient(mesh, "two-bump", None, 2.0)
     d = distance_to_boundary(mesh)
-    spec, spec_two = (solve_generalized_eig(discretize(mesh).pair(c.values),
-                                            8, 1e-6) for c in (bump, two))
+    spec, spec_two = (solve_generalized_eig(discretize(mesh).pair(c.values), 8)
+                      for c in (bump, two))
     tab, _ = stability_ratio_experiment(bump, two, d, ladder_T, spec, spec_two)
     assert tab.rate_low <= tab.fitted_rate <= tab.rate_high  # measured 20.13 in [17.00, 47.48]
     assert tab.rate_low == pytest.approx(0.8 * tab.lambda1, abs=1e-12)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatcoef import fem
+from heatcoef.catalog import initial_state
 from heatcoef.fem import (
     AdmissibilityError,
     assemble_mass,
@@ -17,7 +18,9 @@ from heatcoef.fem import (
     nodal_gradients,
     validate_coefficient,
 )
-from heatcoef.mesh import Mesh, build_structured_mesh
+from heatcoef.heat import evolve
+from heatcoef.inversion import assemble_transport_operator
+from heatcoef.mesh import Mesh, build_structured_mesh, distance_to_boundary, write_grid
 from heatcoef.spectral import solve_generalized_eig
 
 
@@ -101,7 +104,7 @@ def test_h2_surrogate_closed_form_on_eigenvector():
     # norm is sqrt(1 + lambda + lambda^2) for an M-normalized vector
     mesh = build_structured_mesh(12, 12)
     pair = discretize(mesh).pair(1.0)
-    spec = solve_generalized_eig(pair, 3, 1e-6)
+    spec = solve_generalized_eig(pair, 3)
     lam = spec.eigenvalues[0]
     w = spec.disc.extend(spec.eigenvectors[:, 0])
     norms = compute_norms(w, pair.disc)
@@ -114,6 +117,36 @@ def test_norms_reject_nonzero_boundary():
     mesh = build_structured_mesh(6, 6)
     with pytest.raises(ValueError, match="boundary"):
         compute_norms(np.ones(mesh.n_nodes), discretize(mesh))
+
+
+def _custom_u0(disc, w, tmp_path):
+    write_grid(tmp_path / "u0.grid", disc.mesh, w)
+    initial_state(disc.mesh, "custom", {"path": str(tmp_path / "u0.grid")})
+
+
+# Every field that must vanish on the boundary is checked by one rule,
+# |w| <= 1e-12 max(1, max |w|) on boundary nodes, with its caller's message.
+_BOUNDARY_CALLERS = {
+    "transport": (lambda disc, w, _: assemble_transport_operator(disc.mesh, w),
+                  "snapshot must vanish on boundary nodes"),
+    "norms": (lambda disc, w, _: compute_norms(w, disc),
+              "H2 surrogate undefined: field is nonzero on boundary nodes"),
+    "evolve": (lambda disc, w, _: evolve(solve_generalized_eig(disc.pair(1.0), 4), w, 0.1),
+               "initial state must vanish on boundary nodes"),
+    "custom-u0": (_custom_u0, "custom initial state must vanish on the boundary"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_BOUNDARY_CALLERS))
+def test_boundary_vanishing_rule(caller, tmp_path):
+    disc = discretize(build_structured_mesh(8, 8))
+    call, message = _BOUNDARY_CALLERS[caller]
+    w = distance_to_boundary(disc.mesh)  # max 0.5, so the scale is 1
+    w[disc.boundary[3]] = 1e-13
+    call(disc, w, tmp_path)
+    w[disc.boundary[3]] = 1e-9
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(disc, w, tmp_path)
 
 
 def test_l2_norm_matches_quadratic_form(rng):

@@ -193,6 +193,17 @@ class TestCli:
         capsys.readouterr()
         assert _read(out1 / "residuals.csv") != _read(out2 / "residuals.csv")
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--modes", "0", "modes must be >= 1, got 0"),
+    ])
+    def test_exit_one_on_override_the_parser_refuses(self, tmp_path, capsys, flag, value,
+                                                     message):
+        cfg = self._write_cfg(tmp_path, INVERT_16)
+        code = main(["invert", "--config", cfg, "--out", str(tmp_path / "out"), flag, value])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 VERIFY_16 = """\
 name = spec16
@@ -238,13 +249,14 @@ def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch):
 
 
 def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
-    # a (K=40), A(1) (K=20), then one perturbation sweep: a and a + s*eta for
-    # three scales (K=20 each); A(1) is cut from the Discretization.
+    # a (K=40), A(1) (K=20), then one perturbation sweep that reads the first
+    # 20 pairs of a's spectrum and solves a + s*eta for three scales (K=20
+    # each); A(1) is assembled by discretize and cut from the Discretization.
     solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
     assemblies = _count_calls(monkeypatch, fem.assemble_stiffness)
     run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path)
-    assert len(solves) == 6
-    assert len(assemblies) == 6
+    assert len(solves) == 5
+    assert len(assemblies) == 5
 
 
 def test_verify_spectral_needs_twenty_interior_nodes_for_the_sweep(tmp_path):

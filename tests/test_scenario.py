@@ -206,7 +206,7 @@ _GROUP_PARAMS = {
 # Every key but the two required ones, which _config_text always sets.
 _KEYS = sorted(
     {"nx", "ny", "a_plus", "T", "modes", "gamma", "delta", "alpha", "tol_fp", "max_iter",
-     "noise", "seed", "cluster_tol", "eta_hat", "T_grid", "scales", "u0", "u0.m", "u0.n",
+     "noise", "seed", "eta_hat", "T_grid", "scales", "u0", "u0.m", "u0.n",
      "u0.path", "perturbation", "eta"}
     | {f"{group}.{p}" for group, defaults in _GROUP_PARAMS.items()
        for kind in catalog.COEFFICIENT_KINDS for p in defaults(kind)}

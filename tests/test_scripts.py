@@ -44,3 +44,29 @@ def test_run_all_smoke(tmp_path, capsys):
     assert (out / "forward_decay" / "manifest.txt").is_file()
     assert not (out / "unregistered").exists()
     assert "unregistered: no registered mode, skipping" in captured.err
+
+
+def test_compare_runs_smoke(tmp_path, capsys):
+    compare = _load("compare_runs")
+    for side, lam, state in (("parent", "2.0", "PASS"), ("change", "2.000002", "FAIL")):
+        case = tmp_path / side / "case"
+        case.mkdir(parents=True)
+        (case / "table.csv").write_text(f"k,lambda\n1,1.5\n2,{lam}\n")
+        (case / "u.grid").write_text("1 1\n0 0\n0 0\n")
+        (case / "summary.txt").write_text(f"scenario: case\n\n{state} gap: measured\nINFO n: 1\n")
+    assert compare.main([str(tmp_path / "parent"), str(tmp_path / "parent")]) == 0
+    assert "identical: summary.txt, table.csv, u.grid" in capsys.readouterr().out
+
+    assert compare.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
+    out = capsys.readouterr().out
+    assert "table.csv: k 0, lambda 1e-06" in out
+    assert "identical: u.grid" in out
+    assert "state changed: gap PASS -> FAIL" in out
+
+    (tmp_path / "change" / "case" / "summary.txt").write_text(
+        "scenario: case\n\nPASS gap: measured\nINFO n: 2\n")
+    (tmp_path / "change" / "case" / "u.grid").unlink()
+    assert compare.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
+    out = capsys.readouterr().out
+    assert "u.grid: only in parent" in out
+    assert "state changed" not in out

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from heatcoef import spectral
 from heatcoef.catalog import direction_values, make_coefficient
 from heatcoef.fem import AdmissibilityError, discretize, make_field
 from heatcoef.mesh import build_structured_mesh
@@ -61,16 +60,14 @@ class TestSparseSolver:
     @pytest.mark.parametrize("which", ["unit_pair32", "bump_pair32"])
     def test_matches_dense_reference(self, request, which, K):
         pair = request.getfixturevalue(which)
-        n = pair.stiffness.shape[0]
-        assert n > spectral._DENSE_MAX_N  # 961: the sparse path runs
-        spec = solve_generalized_eig(pair, K, 1e-6)
+        assert 2 * K + 1 <= pair.stiffness.shape[0]  # n = 961: the sparse path runs
+        spec = solve_generalized_eig(pair, K)
         # one pair past the cut tells whether the cut splits the last cluster
         vals, vecs = la.eigh(pair.stiffness.toarray(), pair.mass.toarray(),
                              subset_by_index=(0, K))
-        hat, mult = strictify_spectrum(vals[:K], 1e-6)
-        ref = dataclasses.replace(
-            spec, eigenvalues=vals[:K], eigenvectors=vecs[:, :K], hat_eigenvalues=hat,
-            multiplicities=mult, cluster_index=np.repeat(np.arange(hat.size), mult))
+        _, mult = strictify_spectrum(vals[:K], 1e-6)
+        ref = dataclasses.replace(spec, eigenvalues=vals[:K], eigenvectors=vecs[:, :K],
+                                  multiplicities=mult)
 
         assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues) / ref.eigenvalues) <= 1e-10
         V = spec.eigenvectors
@@ -98,14 +95,30 @@ class TestSparseSolver:
         with pytest.raises(EigensolverError, match="No convergence"):
             solve_generalized_eig(unit_pair32, 1)
 
+    @pytest.mark.parametrize("nx", [3, 5, 8])
+    def test_small_pencils_take_arpack_wherever_it_fits(self, nx, monkeypatch):
+        eigsh, calls = spla.eigsh, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+        monkeypatch.setattr(spla, "eigsh", counted)
+        mesh = build_structured_mesh(nx, nx)
+        bump = make_coefficient(mesh, "gaussian-bump", None, 2.0)
+        pair = discretize(mesh).pair(bump.values)
+        n = pair.stiffness.shape[0]
+        ref = la.eigh(pair.stiffness.toarray(), pair.mass.toarray(), eigvals_only=True)
+        ks = range(1, (n - 1) // 2 + 1)  # every K with 2K + 1 <= n
+        for K in ks:
+            lam = solve_generalized_eig(pair, K).eigenvalues
+            assert np.max(np.abs(lam - ref[:K]) / ref[:K]) <= 1e-10, K
+        assert calls == list(ks)
+
     def test_small_or_nearly_full_requests_stay_dense(self, monkeypatch):
         def unexpected(*args, **kwargs):
             raise AssertionError("eigsh called")
         monkeypatch.setattr(spla, "eigsh", unexpected)
-        small = discretize(build_structured_mesh(16, 16)).pair(1.0)  # n = 225
-        assert solve_generalized_eig(small, 4).K == 4
         pair = discretize(build_structured_mesh(22, 22)).pair(1.0)  # n = 441
-        assert pair.stiffness.shape[0] > spectral._DENSE_MAX_N
         spec = solve_generalized_eig(pair, 221)  # 2K + 1 > n
         assert spec.K == 221
 
@@ -171,9 +184,8 @@ class TestProjections:
     def test_difference_norm_bounded_by_one(self, mesh32, unit_spec32, unit_pair32):
         eta = direction_values(mesh32, "gaussian-bump", {"amplitude": 0.04, "width": 0.05})
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
-        pert = solve_generalized_eig(
-            discretize(mesh32).pair(a.values + 0.01 * eta),
-            unit_spec32.K, 1e-6)
+        pert = solve_generalized_eig(discretize(mesh32).pair(a.values + 0.01 * eta),
+                                     unit_spec32.K)
         pert = regroup_spectrum(pert, unit_spec32.multiplicities)
         for k in range(1, 4):
             nrm = projection_difference_norm(unit_spec32, pert, unit_pair32, k)
@@ -185,8 +197,7 @@ class TestProjections:
         # independently clustered perturbed spectrum has rank-1 clusters
         # where the unit spectrum has rank-2 ones.
         eta = direction_values(mesh32, "gaussian-bump", None)
-        pert = solve_generalized_eig(
-            discretize(mesh32).pair(1.0 + 0.1 * eta), unit_spec32.K, 1e-9)
+        pert = solve_generalized_eig(discretize(mesh32).pair(1.0 + 0.1 * eta), unit_spec32.K)
         # dense reference: largest |eigenvalue| of S (P - P~) S^-1, S = M^(1/2)
         w, U = np.linalg.eigh(unit_pair32.mass.toarray())
         S = (U * np.sqrt(w)) @ U.T
@@ -216,6 +227,25 @@ class TestRegroup:
         assert np.array_equal(re.cluster_index, np.repeat([0, 1, 2], [3, 3, 4]))
 
 
+class TestLeading:
+    @pytest.mark.parametrize("k", [1, 8, 20])
+    def test_matches_a_fresh_solve(self, mesh32, bump32, spectrum, k):
+        lead = spectrum(mesh32, bump32, 40).leading(k)
+        fresh = spectrum(mesh32, bump32, k)
+        assert lead.K == k
+        assert np.array_equal(lead.multiplicities, fresh.multiplicities)
+        assert np.allclose(lead.hat_eigenvalues, fresh.hat_eigenvalues, rtol=1e-10, atol=0)
+
+    def test_reclusters_the_unit_spectrum(self, unit_pair32, unit_spec32):
+        lead = solve_generalized_eig(unit_pair32, 40).leading(10)
+        assert np.array_equal(lead.multiplicities, unit_spec32.multiplicities)
+        assert np.allclose(lead.hat_eigenvalues, unit_spec32.hat_eigenvalues, rtol=1e-10, atol=0)
+
+    def test_rejects_more_pairs_than_held(self, unit_spec32):
+        with pytest.raises(ValueError):
+            unit_spec32.leading(11)
+
+
 class TestMinmaxSandwich:
     def test_unit_coefficient_equality(self, unit_spec32):
         rep = verify_minmax_sandwich(unit_spec32, unit_spec32, a_plus=2.0)
@@ -223,7 +253,7 @@ class TestMinmaxSandwich:
         assert np.allclose(rep.lambdas, rep.lambdas_unit)
 
     def test_scaled_coefficient_upper_equality(self, mesh32, unit_pair32, unit_spec32):
-        spec2 = solve_generalized_eig(discretize(mesh32).pair(2.0), 10, 1e-6)
+        spec2 = solve_generalized_eig(discretize(mesh32).pair(2.0), 10)
         rep = verify_minmax_sandwich(spec2, unit_spec32, a_plus=2.0)
         assert rep.ok
         assert np.allclose(rep.lambdas, 2.0 * rep.lambdas_unit, rtol=1e-10)
@@ -233,38 +263,57 @@ class TestMinmaxSandwich:
         pair = discretize(mesh32).pair(values)
         unit = discretize(mesh32).pair(1.0)
         rep = verify_minmax_sandwich(
-            solve_generalized_eig(pair, 20, 1e-6),
-            solve_generalized_eig(unit, 20, 1e-6),
+            solve_generalized_eig(pair, 20),
+            solve_generalized_eig(unit, 20),
             a_plus=2.0,
         )
         assert rep.ok, rep.first_violation
 
 
 class TestEigenPerturbation:
-    def test_zero_scale_has_zero_differences(self, mesh32, disc32):
+    def test_zero_scale_has_zero_differences(self, mesh32, spectrum):
         a = make_coefficient(mesh32, "constant", {"value": 1.5}, 2.0)
         eta = direction_values(mesh32, "affine", None)
-        tab, _ = perturbation_sweep(disc32, a, eta, [0.0])
+        tab, _ = perturbation_sweep(spectrum(mesh32, a, 20), a, eta, [0.0])
         assert np.allclose(tab.diff, 0.0, atol=1e-10)
 
-    def test_uniform_direction_scales_the_spectrum(self, mesh32, disc32):
+    def test_uniform_direction_scales_the_spectrum(self, mesh32, unit_pair32):
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         eta = np.ones(mesh32.n_nodes)
-        tab, _ = perturbation_sweep(disc32, a, eta, [0.5])
+        tab, _ = perturbation_sweep(solve_generalized_eig(unit_pair32, 20), a, eta, [0.5])
         assert np.allclose(tab.lam_tilde, 1.5 * tab.lam, rtol=1e-12)
         assert np.all(np.isfinite(tab.ratio))
 
-    def test_inadmissible_perturbation_raises(self, mesh32, disc32):
+    def test_inadmissible_perturbation_raises(self, mesh32, unit_spec32):
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         with pytest.raises(AdmissibilityError):
-            perturbation_sweep(disc32, a, -np.ones(mesh32.n_nodes), [0.5])
+            perturbation_sweep(unit_spec32, a, -np.ones(mesh32.n_nodes), [0.5])
+
+
+class TestSweepReusesTheRunSpectrum:
+    def test_matches_a_fresh_k20_base(self, mesh32, unit_pair32, unit_spec32):
+        # The bundled verify-spectral sweep: unit coefficient, bump direction.
+        # A K=40 run spectrum is cut to its first 20 pairs; a K=10 one makes
+        # the sweep solve its own K=20 base.
+        a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
+        eta = direction_values(mesh32, "gaussian-bump", {"amplitude": 0.04})
+        scales = (1e-3, 1e-2, 1e-1)
+        ref = perturbation_sweep(solve_generalized_eig(unit_pair32, 20), a, eta, scales)
+        for run_spec in (solve_generalized_eig(unit_pair32, 40), unit_spec32):
+            got = perturbation_sweep(run_spec, a, eta, scales)
+            for tab, ref_tab in zip(got, ref):
+                for name in ref_tab.CSV_HEADER:
+                    col = {"lambda": "lam", "lambda_tilde": "lam_tilde"}.get(name, name)
+                    np.testing.assert_allclose(getattr(tab, col), getattr(ref_tab, col),
+                                               rtol=1e-8, atol=0, err_msg=name)
 
 
 class TestProjectionPerturbation:
-    def test_gate_and_ranks(self, mesh32, disc32):
+    def test_gate_and_ranks(self, mesh32, unit_pair32):
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         eta = direction_values(mesh32, "gaussian-bump", {"amplitude": 0.04, "width": 0.05})
-        _, tab = perturbation_sweep(disc32, a, eta, (1e-3, 1e-2, 1e-1))
+        _, tab = perturbation_sweep(solve_generalized_eig(unit_pair32, 20), a, eta,
+                                    (1e-3, 1e-2, 1e-1))
         assert tab.in_gate.sum() == 7
         # inherited grouping: every row measures equal-rank projections
         assert np.all(tab.proj_norm <= 1.0 + 1e-12)
@@ -274,7 +323,7 @@ class TestProjectionPerturbation:
 
 class TestWeyl:
     def test_frozen_endpoint_ratios(self, unit_pair32):
-        spec = solve_generalized_eig(unit_pair32, 40, 1e-6)
+        spec = solve_generalized_eig(unit_pair32, 40)
         r = weyl_ratios(spec, 10, 40)
         assert r[0] == pytest.approx(1.35250, abs=1e-3)
         assert r[-1] == pytest.approx(1.27619, abs=1e-3)
