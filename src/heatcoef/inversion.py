@@ -18,8 +18,10 @@ iterate's eigenvalue contracts that direction only algebraically (the
 error decays like 1/iteration -- measured, not a guess).  Each outer step
 therefore refines the scalar by solving the self-consistency equation
 phi(x) = l_1(candidate(x)) - x = 0 over the one-parameter family of
-transport solves; phi is a near-touching parabola, so a fitted-parabola
-root step converges in a handful of inner evaluations.
+transport solves.  phi is only piecewise smooth -- it has kinks where the
+active set of the admissible clamp changes -- so each inner evaluation
+takes a secant step through the last two samples, which needs no model of
+phi beyond a local slope.
 
 stability_ratio_experiment measures both facts the stability estimate
 rests on for one coefficient pair, in one pass over a time grid: the
@@ -73,7 +75,8 @@ _SMOOTHING_PASS_CAP = 5
 # back-substitution with the factored transport normal matrix, an admissible
 # projection and a K=1 shift-invert eigensolve: about 12 ms at 32^2, a fifth
 # of the 56 ms K=40 eigensolve that opens the step (2 cores).  A capped
-# closure therefore costs more than that solve; all 5 bundled bump steps cap.
+# closure therefore costs more than that solve; 3 of the 5 bundled bump steps
+# cap, 26 evaluations in all.
 _CLOSURE_EVAL_CAP = 7
 
 
@@ -130,7 +133,6 @@ class InversionReport:
     data_residual: float
     rel_error: float | None
     converged: bool
-    stalled: bool
     lambda1_trace: np.ndarray
     smoothing_capped: int
 
@@ -276,36 +278,24 @@ def admissible_projection(
     return CoefficientField(values=values, a_plus=float(a_plus), boundary_trace=trace), capped
 
 
-def _next_closure_point(samples: list[tuple[float, float]], x0: float) -> float | None:
+def _next_closure_point(samples: list[tuple[float, float]], lam_raw: float) -> float | None:
     """Next trial eigenvalue for the root of phi(x) = l_1(candidate(x)) - x.
 
-    With fewer than three samples take Picard steps x + phi.  Afterwards
-    fit a parabola through the three smallest-|phi| samples and step to
-    its left root -- the branch the plain iteration contracts toward; the
-    right root is a spurious self-consistent pair -- or to the vertex when
-    the parabola has no real root.  Falls back to a Picard step from the
-    best sample, and returns None when the trial would duplicate an
-    existing sample (nothing new to learn).
+    Steps to the secant root through the last two samples.  Falls back to
+    a Picard step x + phi from the last sample when there is only one, when
+    the two phi values are equal, or when the secant point is farther than
+    0.5 |lam_raw| from lam_raw (a non-finite point fails that test, and for
+    lam_raw > 0 so does a non-positive one).  Returns None when the trial is
+    non-positive or would duplicate an existing sample (nothing new to
+    learn).
     """
-    if len(samples) < 3:
-        xq, phiq = samples[-1]
-        xn = xq + phiq
-    else:
-        pts = sorted(samples, key=lambda t: abs(t[1]))[:3]
-        xa = np.array([t[0] for t in pts])
-        pa = np.array([t[1] for t in pts])
-        xn = None
-        if np.unique(xa).size == 3:
-            c2, c1, c0 = np.polyfit(xa - xa[0], pa, 2)
-            if np.all(np.isfinite([c2, c1, c0])) and c2 > 0:
-                disc = c1 * c1 - 4.0 * c2 * c0
-                if disc >= 0.0:
-                    xn = float(xa[0] + (-c1 - np.sqrt(disc)) / (2.0 * c2))
-                else:
-                    xn = float(xa[0] - c1 / (2.0 * c2))
-        if xn is None or not np.isfinite(xn) or xn <= 0.0 or abs(xn - x0) > 0.5 * abs(x0):
-            xq, phiq = min(samples, key=lambda t: abs(t[1]))
-            xn = xq + phiq
+    x1, phi1 = samples[-1]
+    xn = x1 + phi1
+    if len(samples) > 1 and phi1 != samples[-2][1]:
+        x0, phi0 = samples[-2]
+        secant = x1 - phi1 * (x1 - x0) / (phi1 - phi0)
+        if abs(secant - lam_raw) <= 0.5 * abs(lam_raw):
+            xn = secant
     if not np.isfinite(xn) or xn <= 0.0:
         return None
     if any(abs(xn - xs) <= 1e-15 * max(1.0, abs(xn)) for xs, _ in samples):
@@ -331,9 +321,10 @@ def fixed_point_invert(
     inserted into the right-hand side is refined within the step by the
     scalar closure phi(x) = l_1(candidate(x)) - x = 0 (see module
     docstring); the candidate belonging to the accepted scalar becomes the
-    next iterate.  Stops when the L2 step drops below tol_fp; an
-    increasing step or hitting max_iter sets the stall flag (on an
-    increase the pre-increase iterate is kept).
+    next iterate.  Converges when the L2 step drops below tol_fp; otherwise
+    stops when a step increases (keeping the pre-increase iterate) or after
+    max_iter steps.  data_residual is that of the transport system which
+    produced the returned iterate.
     """
     if check_u0_condition(disc, u0) <= 0:
         raise ValueError("initial state must satisfy int u0 * d_Omega > 0")
@@ -354,7 +345,7 @@ def fixed_point_invert(
     base = build_transport_system(mesh, disc.unit_pair, u_T, 0.0, np.zeros(mesh.n_nodes),
                                   opts.alpha, a0)
     trace, lam1s = [], []
-    converged = stalled = False
+    converged = False
     capped_count = 0
     system = None
     for _ in range(opts.max_iter):
@@ -380,21 +371,18 @@ def fixed_point_invert(
             if xn is None:
                 break
             evaluate(xn)
-        x_acc, phi_acc, system, projected, capped = min(samples, key=lambda t: abs(t[1]))
+        x_acc, phi_acc, sys_acc, projected, capped = min(samples, key=lambda t: abs(t[1]))
         capped_count += int(capped)
         step = l2_norm(projected.values - current.values, M_full)
         lam1s.append(x_acc + phi_acc)  # ground eigenvalue of the accepted iterate
         if trace and step > trace[-1]:
             trace.append(step)
-            stalled = True
-            break  # keep `current`, the pre-increase iterate
+            break  # keep `current`, the pre-increase iterate, and its system
         trace.append(step)
-        current = projected
+        current, system = projected, sys_acc
         if step <= opts.tol_fp:
             converged = True
             break
-    else:
-        stalled = True
 
     data_residual = float(np.linalg.norm(system.G @ current.values - system.rhs)) if system is not None else float("nan")
     rel_error = None
@@ -409,7 +397,6 @@ def fixed_point_invert(
         data_residual=data_residual,
         rel_error=rel_error,
         converged=converged,
-        stalled=stalled,
         lambda1_trace=np.array(lam1s),
         smoothing_capped=capped_count,
     )

@@ -338,7 +338,7 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
         _info(lines, "fixed-point-state",
               f"converged={report.converged} step={final_step:.6g} "
               f"after {report.iterations} iteration(s) at noise level {s.noise:g}")
-    if report.stalled:
+    if not report.converged:
         _warn(lines, "fixed-point-stalled",
               "step norm increased or max_iter was hit; kept the best iterate")
     if s.noise == 0:

@@ -182,7 +182,7 @@ def test_noiseless_reconstruction_quality(tmp_path):
     assert conv.startswith("PASS") and iters <= 50
     err_line = next(l for l in art.summary_lines if "reconstruction-error" in l)
     rel = float(re.search(r"measured=([0-9.e+-]+)", err_line).group(1))
-    assert rel <= 0.02  # measured 1.18e-6
+    assert rel <= 0.02  # measured 8.41e-7 after 5 outer steps
 
     const = parse_config(SCENARIO_DIR / "constant_invert.cfg")
     art_c = run_scenario(const, "invert", tmp_path / "const")
@@ -193,14 +193,27 @@ def test_noiseless_reconstruction_quality(tmp_path):
     assert time.monotonic() - start < 120.0
 
 
+@pytest.mark.parametrize("amplitude,cx,cy", [(0.512, 0.3007, 0.3893), (0.5, 0.6, 0.7)])
+def test_admissible_bump_stall_reproducers_converge(tmp_path, amplitude, cx, cy):
+    # admissible bumps of benchmark/NOTES.md known defect 2, which once
+    # stalled above tol_fp
+    text = (f"name = stall\ncoefficient = gaussian-bump\ncoefficient.amplitude = {amplitude}\n"
+            f"coefficient.center_x = {cx}\ncoefficient.center_y = {cy}\n"
+            "nx = 32\nny = 32\nT = 0.15\n")
+    art = run_scenario(parse_config_text(text), "invert", tmp_path)
+    conv = next(l for l in art.summary_lines if "fixed-point-converged" in l)
+    assert conv.startswith("PASS"), conv  # measured 5 steps, final step 2.1e-9 / 2.2e-9
+    assert art.all_pass, art.summary_lines
+
+
 def test_bump_reconstruction_on_64_grid(tmp_path):
     start = time.monotonic()
     art = run_scenario(parse_config(SCENARIO_DIR / "bump_invert64.cfg"), "invert", tmp_path)
     assert art.all_pass, art.summary_lines
     err_line = next(l for l in art.summary_lines if "reconstruction-error" in l)
     rel = float(re.search(r"measured=([0-9.e+-]+)", err_line).group(1))
-    assert rel <= 0.02  # measured 1.09e-6 after 6 outer steps
-    assert time.monotonic() - start < 60.0  # measured 3.5 s (2 cores)
+    assert rel <= 0.02  # measured 9.90e-7 after 6 outer steps
+    assert time.monotonic() - start < 60.0  # measured 3.0 s (2 cores)
 
 
 NOISY_INVERT = """\

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,27 @@ from heatcoef.inversion import (
     transport_rhs,
 )
 from heatcoef.mesh import distance_to_boundary
+from heatcoef.runner import run_scenario
+from heatcoef.scenario import parse_config
+
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _count_calls(monkeypatch, *names, counts=lambda *args: True):
+    """Wrap each named inversion function; the returned dict tallies the
+    calls whose positional arguments satisfy counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += counts(*args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(inversion, name, counted(name, getattr(inversion, name)))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -143,23 +165,37 @@ class TestAdmissibleProjection:
 
 
 class TestClosurePoint:
-    def test_picard_under_three_samples(self):
+    def test_picard_with_one_sample(self):
         assert _next_closure_point([(20.0, 1.5)], 20.0) == pytest.approx(21.5)
 
-    def test_parabola_left_root(self):
-        phi = lambda x: (x - 19.0) * (x - 25.0) / 10.0
-        samples = [(x, phi(x)) for x in (18.0, 21.0, 24.0)]
-        assert _next_closure_point(samples, 20.0) == pytest.approx(19.0, abs=1e-9)
+    def test_secant_lands_on_linear_root(self):
+        phi = lambda x: -0.7 * (x - 19.25)
+        samples = [(x, phi(x)) for x in (20.0, 21.0)]
+        assert _next_closure_point(samples, 20.0) == pytest.approx(19.25, abs=1e-12)
+
+    def test_secant_uses_the_last_two_samples(self):
+        # the first sample is the best one, but only the last two enter
+        phi = lambda x: -0.5 * (x - 19.0)
+        samples = [(19.1, 0.05), (21.0, phi(21.0)), (22.0, phi(22.0))]
+        assert _next_closure_point(samples, 20.0) == pytest.approx(19.0, abs=1e-12)
 
     def test_duplicate_returns_none(self):
         assert _next_closure_point([(20.0, 0.0)], 20.0) is None
 
     def test_wild_extrapolation_falls_back_to_picard(self):
-        # parabola rooted far outside the trust region around x0: the fit
-        # is discarded and the best sample takes a plain Picard step.
-        phi = lambda x: (x - 100.0) * (x - 200.0) / 1000.0
-        samples = [(x, phi(x)) for x in (18.0, 20.0, 22.0)]
-        assert _next_closure_point(samples, 20.0) == pytest.approx(22.0 + phi(22.0))
+        # a nearly flat phi puts the secant root at 100, outside the trust
+        # region around 20: the last sample, not the best, takes a Picard step.
+        phi = lambda x: (100.0 - x) / 1000.0
+        samples = [(x, phi(x)) for x in (22.0, 20.0)]
+        assert _next_closure_point(samples, 20.0) == pytest.approx(20.0 + phi(20.0))
+
+    @pytest.mark.parametrize("samples", [
+        [(20.0, 0.5), (21.0, 0.5)],  # equal phi: no secant
+        [(20.0, 19.0), (21.0, 19.5)],  # secant point at -18
+    ])
+    def test_unusable_secant_falls_back_to_picard(self, samples):
+        x1, phi1 = samples[-1]
+        assert _next_closure_point(samples, 20.0) == pytest.approx(x1 + phi1)
 
     def test_nonpositive_target_returns_none(self):
         assert _next_closure_point([(1.0, -2.0)], 1.0) is None
@@ -170,7 +206,7 @@ class TestFixedPointInvert:
         d, T, u_T, _, _ = bump_snapshot
         opts = InversionOptions(T=T, modes=8)
         rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts, a_true=bump32)
-        assert rep.converged and not rep.stalled
+        assert rep.converged
         assert rep.iterations <= 8  # measured 6
         assert rep.rel_error < 1e-5  # measured 1.96e-6
         assert rep.lambda1_trace[-1] == pytest.approx(21.25552253, abs=1e-4)
@@ -188,31 +224,43 @@ class TestFixedPointInvert:
 
     def test_transport_system_built_once_per_inversion(self, disc32, bump32, bump_snapshot,
                                                        monkeypatch):
-        calls = {"assemble": 0, "solve": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(inversion, "assemble_transport_operator",
-                            counted("assemble", inversion.assemble_transport_operator))
-        monkeypatch.setattr(inversion, "solve_transport_ls",
-                            counted("solve", inversion.solve_transport_ls))
+        calls = _count_calls(monkeypatch, "assemble_transport_operator", "solve_transport_ls")
         d, T, u_T, _, _ = bump_snapshot
         opts = InversionOptions(T=T, modes=8, max_iter=1)
         fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts)
-        assert calls["assemble"] == 1
-        assert calls["solve"] >= 2  # one per closure evaluation
+        assert calls["assemble_transport_operator"] == 1
+        assert calls["solve_transport_ls"] >= 2  # one per closure evaluation
+
+    def test_bundled_bump_closure_eigensolves(self, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch, "solve_generalized_eig",
+                             counts=lambda pair, K: K == 1)
+        art = run_scenario(parse_config(SCENARIO_DIR / "bump_invert.cfg"), "invert", tmp_path)
+        assert art.all_pass
+        assert calls["solve_generalized_eig"] <= 26  # one per closure evaluation; measured 26
 
     def test_iteration_cap_flags_stall(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot
         opts = InversionOptions(T=T, modes=8, max_iter=1, tol_fp=1e-14)
         rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts)
         assert not rep.converged
-        assert rep.stalled
         assert rep.iterations == 1
+
+    def test_stall_reports_the_kept_iterate(self, mesh16, spectrum):
+        # A growing step is rejected and the previous iterate kept, so the
+        # report must match a run capped just before that step, bit for bit.
+        bump = make_coefficient(mesh16, "gaussian-bump", None, 2.0)
+        spec = spectrum(mesh16, bump, 40)
+        d = distance_to_boundary(mesh16)
+        u_T = evolve(spec, d, 0.15).u
+        opts = InversionOptions(T=0.15, tol_fp=1e-300)
+        stalled = fixed_point_invert(spec.disc, d, u_T, bump.values, 2.0, opts)
+        assert not stalled.converged
+        assert stalled.iterations < opts.max_iter  # measured 10
+        assert stalled.residual_trace[-1] > stalled.residual_trace[-2]
+        capped = fixed_point_invert(spec.disc, d, u_T, bump.values, 2.0,
+                                    dataclasses.replace(opts, max_iter=stalled.iterations - 1))
+        assert np.array_equal(capped.a_rec.values, stalled.a_rec.values)
+        assert capped.data_residual == stalled.data_residual
 
     def test_rejects_sign_indefinite_initial_state(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot
