@@ -52,7 +52,7 @@ from .fem import (
 )
 from .heat import check_u0_condition, compute_F, evolve, fit_log_slope
 from .mesh import Mesh
-from .spectral import SpectralDecomposition, solve_generalized_eig
+from .spectral import SpectralDecomposition, solve_generalized_eig, solve_ground_pair
 
 __all__ = [
     "TransportSystem",
@@ -73,10 +73,10 @@ __all__ = [
 _SMOOTHING_PASS_CAP = 5
 # Inner eigenvalue-closure budget per outer step.  One evaluation costs a
 # back-substitution with the factored transport normal matrix, an admissible
-# projection and a K=1 shift-invert eigensolve: about 12 ms at 32^2, a fifth
-# of the 56 ms K=40 eigensolve that opens the step (2 cores).  A capped
-# closure therefore costs more than that solve; 3 of the 5 bundled bump steps
-# cap, 26 evaluations in all.
+# projection and a warm K=1 ground solve (solve_ground_pair): about 4 ms at
+# 32^2, a twelfth of the 50 ms K=40 eigensolve that opens the step (2 cores).
+# A capped closure therefore costs about half that solve; 3 of the 5 bundled
+# bump steps cap, 26 evaluations in all.
 _CLOSURE_EVAL_CAP = 7
 
 
@@ -135,6 +135,8 @@ class InversionReport:
     converged: bool
     lambda1_trace: np.ndarray
     smoothing_capped: int
+    closure_solves: int  # K=1 ground solves of the closure evaluations
+    closure_fallbacks: int  # of those, solves that fell back to ARPACK
 
 
 def assemble_transport_operator(mesh: Mesh, u_T) -> sp.csr_matrix:
@@ -347,21 +349,30 @@ def fixed_point_invert(
     trace, lam1s = [], []
     converged = False
     capped_count = 0
+    ground_solves = fallbacks = 0
     system = None
     for _ in range(opts.max_iter):
         spec = solve_generalized_eig(disc.pair(current.values), opts.modes)
         lam_raw = float(spec.hat_eigenvalues[0])
         F = compute_F(spec, u0, opts.T).values
 
-        samples: list[tuple[float, float, TransportSystem, CoefficientField, bool]] = []
+        samples: list[tuple[float, float, TransportSystem, CoefficientField, bool,
+                            SpectralDecomposition]] = []
 
         def evaluate(x: float) -> float:
+            nonlocal ground_solves, fallbacks
             sys_x = dataclasses.replace(base, rhs=transport_rhs(disc, u_T, x, F))
             raw = solve_transport_ls(sys_x, current)
             projected, capped = admissible_projection(disc, raw.values, a0, a_plus)
-            lam1 = solve_generalized_eig(disc.pair(projected.values), 1).eigenvalues[0]
-            phi = float(lam1) - x
-            samples.append((x, phi, sys_x, projected, capped))
+            # Warm start from the nearest pencil solved so far: the last
+            # sample's, or the step's K=modes spectrum for the first.
+            near = samples[-1][5] if samples else spec
+            ground, warm = solve_ground_pair(disc.pair(projected.values),
+                                             near.eigenvectors[:, 0], float(near.eigenvalues[0]))
+            ground_solves += 1
+            fallbacks += int(not warm)
+            phi = float(ground.eigenvalues[0]) - x
+            samples.append((x, phi, sys_x, projected, capped, ground))
             return phi
 
         evaluate(lam_raw)
@@ -371,7 +382,7 @@ def fixed_point_invert(
             if xn is None:
                 break
             evaluate(xn)
-        x_acc, phi_acc, sys_acc, projected, capped = min(samples, key=lambda t: abs(t[1]))
+        x_acc, phi_acc, sys_acc, projected, capped, _ = min(samples, key=lambda t: abs(t[1]))
         capped_count += int(capped)
         step = l2_norm(projected.values - current.values, M_full)
         lam1s.append(x_acc + phi_acc)  # ground eigenvalue of the accepted iterate
@@ -399,6 +410,8 @@ def fixed_point_invert(
         converged=converged,
         lambda1_trace=np.array(lam1s),
         smoothing_capped=capped_count,
+        closure_solves=ground_solves,
+        closure_fallbacks=fallbacks,
     )
 
 

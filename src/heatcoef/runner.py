@@ -349,6 +349,9 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
               f"rel_error={report.rel_error:.6g} at noise level {s.noise:g}")
     _info(lines, "data-residual",
           f"least-squares residual of the final transport system = {report.data_residual:.6g}")
+    _info(lines, "closure-eigensolves",
+          f"warm={report.closure_solves - report.closure_fallbacks} "
+          f"fallback={report.closure_fallbacks}")
     if report.smoothing_capped:
         _info(lines, "projection-smoothing",
               f"gradient-bound smoothing hit its pass cap {report.smoothing_capped} time(s)")

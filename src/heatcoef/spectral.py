@@ -4,10 +4,14 @@ This module owns how a pencil becomes a spectrum: solve_generalized_eig
 solves A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) by
 ARPACK shift-invert about zero (dense LAPACK only where ARPACK's 2K + 1
 Lanczos vectors do not fit), and strict clusters follow the one rule
-CLUSTER_TOL.  Also here: the gap and min-max checks, the
-projection-difference norm, and one perturbation sweep a -> a + s*eta that
-reads the run's spectrum of a, solves each perturbed pencil once, and
-tabulates eigenvalue shifts (Kato) and projection differences (Davis-Kahan).
+CLUSTER_TOL.  solve_ground_pair is the warm K=1 solve of a pencil close to
+one already solved: shifted inverse iteration from the known ground pair,
+with the shift certified below lambda_1 by the inertia of its factor, and
+solve_generalized_eig as the fallback.  Also here: the gap and min-max
+checks, the projection-difference norm, and one perturbation sweep
+a -> a + s*eta that reads the run's spectrum of a, solves each perturbed
+pencil once, and tabulates eigenvalue shifts (Kato) and projection
+differences (Davis-Kahan).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "ProjectionPerturbationTable",
     "EigensolverError",
     "solve_generalized_eig",
+    "solve_ground_pair",
     "strictify_spectrum",
     "gap_report",
     "regroup_spectrum",
@@ -70,6 +75,14 @@ _SANDWICH_SLACK = 1e-8
 
 # Seed of the fixed ARPACK start vector, so repeated solves are identical.
 _V0_SEED = 0
+
+# solve_ground_pair shifts by this fraction of the previous ground
+# eigenvalue.  With lambda_2 about 2.5 lambda_1 each inverse-iteration
+# solve shrinks the error by about (1 - 0.9) / (2.5 - 0.9) ~ 1/16, while
+# the shift stays below lambda_1 unless the pencil moved by 10%.
+_GROUND_SHIFT = 0.9
+# Safety net only: reaching it sends the solve to ARPACK, never accepts.
+_GROUND_MAX_ITER = 20
 
 
 class EigensolverError(RuntimeError):
@@ -190,25 +203,78 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 
-    res = pair.stiffness @ vecs - (pair.mass @ vecs) * vals[None, :]
-    scale = np.abs(vals)[None, :] * np.abs(pair.mass @ vecs) + 1e-300
-    rel = np.max(np.abs(res) / np.max(scale, axis=0, keepdims=True))
+    rel = _relative_residual(pair, vals, vecs)
     if not np.isfinite(vals).all() or rel > _RESIDUAL_TOL:
         raise EigensolverError(
             f"eigensolver residual {rel:.3e} above {_RESIDUAL_TOL:.0e} "
             f"(n={n}, K={K}); pencil may be ill-conditioned"
         )
 
-    ones = np.ones(n)
-    mean0 = ones @ (pair.mass @ vecs[:, 0])
-    if mean0 < 0:
-        vecs[:, 0] = -vecs[:, 0]
+    _orient_ground(pair, vecs)
     for j in range(1, K):
         lead = int(np.argmax(np.abs(vecs[:, j])))
         if vecs[lead, j] < 0:
             vecs[:, j] = -vecs[:, j]
 
     return SpectralDecomposition(vals, vecs, strictify_spectrum(vals, CLUSTER_TOL)[1], pair.disc)
+
+
+def _relative_residual(pair: OperatorPair, vals: np.ndarray, vecs: np.ndarray) -> float:
+    """Largest |A v - lambda M v| entry, relative to the largest |lambda M v| per column."""
+    res = pair.stiffness @ vecs - (pair.mass @ vecs) * vals[None, :]
+    scale = np.abs(vals)[None, :] * np.abs(pair.mass @ vecs) + 1e-300
+    return float(np.max(np.abs(res) / np.max(scale, axis=0, keepdims=True)))
+
+
+def _orient_ground(pair: OperatorPair, vecs: np.ndarray) -> None:
+    """Flip the first column in place to a positive M-weighted mean."""
+    if np.ones(vecs.shape[0]) @ (pair.mass @ vecs[:, 0]) < 0:
+        vecs[:, 0] = -vecs[:, 0]
+
+
+def solve_ground_pair(
+    pair: OperatorPair, start: np.ndarray, lam_prev: float
+) -> tuple[SpectralDecomposition, bool]:
+    """Ground eigenpair of disc.pair(a), warm-started from a nearby pencil's.
+
+    start and lam_prev are the ground vector and eigenvalue of a pencil
+    close to this one.  Shifted inverse iteration (Parlett, The Symmetric
+    Eigenvalue Problem, 1998, ch. 4) with sigma = _GROUND_SHIFT * lam_prev
+    factors A - sigma M once, symmetric-mode and without pivoting.  The
+    factor certifies sigma < lambda_1 when rows and columns share one
+    permutation and every pivot of U is positive: by Sylvester's law of
+    inertia A - sigma M is then positive definite.  The iteration from
+    start stops once the relative residual is at most _RESIDUAL_TOL and the
+    Rayleigh quotient is stationary to 4 ulp.
+
+    Returns (spec, warm): spec is a K=1 decomposition with the residual
+    bound and sign rule of solve_generalized_eig; warm is False when the
+    certificate failed or _GROUND_MAX_ITER was reached, and spec then comes
+    from solve_generalized_eig(pair, 1).
+    """
+    A, M = pair.stiffness, pair.mass
+    try:
+        lu = spla.splu((A - _GROUND_SHIFT * lam_prev * M).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return solve_generalized_eig(pair, 1), False
+    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0):
+        v = np.asarray(start, dtype=float)
+        Mv = M @ v
+        lam = np.inf
+        for _ in range(_GROUND_MAX_ITER):
+            v = lu.solve(Mv)
+            Mv = M @ v
+            norm = np.sqrt(v @ Mv)
+            v, Mv = v / norm, Mv / norm
+            lam_old, lam = lam, v @ (A @ v)
+            vals, vecs = np.array([lam]), v[:, None]
+            if (_relative_residual(pair, vals, vecs) <= _RESIDUAL_TOL
+                    and abs(lam - lam_old) <= 4 * np.finfo(float).eps * abs(lam)):
+                _orient_ground(pair, vecs)
+                return SpectralDecomposition(vals, vecs, np.array([1]), pair.disc), True
+    return solve_generalized_eig(pair, 1), False
 
 
 def strictify_spectrum(eigenvalues, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from heatcoef import inversion
+from heatcoef import inversion, spectral
 
 from heatcoef.catalog import make_coefficient
 from heatcoef.fem import (
@@ -35,9 +35,10 @@ from heatcoef.scenario import parse_config
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def _count_calls(monkeypatch, *names, counts=lambda *args: True):
-    """Wrap each named inversion function; the returned dict tallies the
-    calls whose positional arguments satisfy counts."""
+def _count_calls(monkeypatch, *names, counts=lambda *args: True, module=inversion):
+    """Wrap each named function of module (inversion by default); the
+    returned dict tallies the calls whose positional arguments satisfy
+    counts."""
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -47,7 +48,7 @@ def _count_calls(monkeypatch, *names, counts=lambda *args: True):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(inversion, name, counted(name, getattr(inversion, name)))
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
 
 
@@ -232,11 +233,16 @@ class TestFixedPointInvert:
         assert calls["solve_transport_ls"] >= 2  # one per closure evaluation
 
     def test_bundled_bump_closure_eigensolves(self, tmp_path, monkeypatch):
-        calls = _count_calls(monkeypatch, "solve_generalized_eig",
-                             counts=lambda pair, K: K == 1)
+        calls = _count_calls(monkeypatch, "solve_ground_pair")
+        # the ground solver's fallback is spectral's own K=1 binding
+        arpack = _count_calls(monkeypatch, "solve_generalized_eig",
+                              counts=lambda pair, K: K == 1, module=spectral)
         art = run_scenario(parse_config(SCENARIO_DIR / "bump_invert.cfg"), "invert", tmp_path)
         assert art.all_pass
-        assert calls["solve_generalized_eig"] <= 26  # one per closure evaluation; measured 26
+        n = calls["solve_ground_pair"]
+        assert n <= 26  # one per closure evaluation; measured 26
+        assert arpack["solve_generalized_eig"] == 0
+        assert f"INFO closure-eigensolves: warm={n} fallback=0" in art.summary_lines
 
     def test_iteration_cap_flags_stall(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot

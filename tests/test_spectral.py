@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
+from heatcoef import spectral
 from heatcoef.catalog import direction_values, make_coefficient
 from heatcoef.fem import AdmissibilityError, discretize, make_field
 from heatcoef.mesh import build_structured_mesh
@@ -15,6 +16,7 @@ from heatcoef.spectral import (
     projection_difference_norm,
     regroup_spectrum,
     solve_generalized_eig,
+    solve_ground_pair,
     strictify_spectrum,
     verify_minmax_sandwich,
     weyl_ratios,
@@ -121,6 +123,62 @@ class TestSparseSolver:
         pair = discretize(build_structured_mesh(22, 22)).pair(1.0)  # n = 441
         spec = solve_generalized_eig(pair, 221)  # 2K + 1 > n
         assert spec.K == 221
+
+
+class TestGroundPair:
+    """The warm K=1 solve against the ARPACK one on the same pencil."""
+
+    @staticmethod
+    def bump_pencils(nx):
+        # the pencil to solve, and a nearby one whose ground pair starts it
+        disc = discretize(build_structured_mesh(nx, nx))
+        pairs = [disc.pair(make_coefficient(disc.mesh, "gaussian-bump", {"amplitude": amp},
+                                            2.0).values) for amp in (0.5, 0.499)]
+        return pairs[0], solve_generalized_eig(pairs[1], 1)
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        calls, solve = [], spectral.solve_generalized_eig
+
+        def counted(pair, K):
+            calls.append(K)
+            return solve(pair, K)
+        monkeypatch.setattr(spectral, "solve_generalized_eig", counted)
+        return calls
+
+    @pytest.mark.parametrize("nx", [32, 64])
+    def test_warm_start_matches_arpack(self, nx, monkeypatch):
+        pair, near = self.bump_pencils(nx)
+        ref = solve_generalized_eig(pair, 1)
+        fallbacks = self.count_fallbacks(monkeypatch)
+        # a negated start vector checks the sign rule as well
+        spec, warm = solve_ground_pair(pair, -near.eigenvectors[:, 0], near.eigenvalues[0])
+        assert warm and fallbacks == []
+        assert spec.K == 1 and list(spec.multiplicities) == [1]
+        lam, lam_ref = spec.eigenvalues[0], ref.eigenvalues[0]
+        assert abs(lam - lam_ref) <= 1e-13 * lam_ref
+        v = spec.eigenvectors[:, 0]
+        assert 1.0 - abs(v @ (pair.mass @ ref.eigenvectors[:, 0])) <= 1e-12
+        assert np.ones(v.size) @ (pair.mass @ v) > 0
+
+    def test_shift_above_ground_fails_the_certificate(self, monkeypatch):
+        pair, near = self.bump_pencils(32)
+        fallbacks = self.count_fallbacks(monkeypatch)
+        # sigma = 0.9 * 1.5 lambda_1 lies between lambda_1 and lambda_2
+        spec, warm = solve_ground_pair(pair, near.eigenvectors[:, 0], 1.5 * near.eigenvalues[0])
+        assert not warm and fallbacks == [1]
+        ref = solve_generalized_eig(pair, 1)
+        assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, ref.eigenvectors)
+
+    def test_iteration_cap_falls_back(self, monkeypatch):
+        pair, near = self.bump_pencils(32)
+        fallbacks = self.count_fallbacks(monkeypatch)
+        # one iteration can never show a stationary Rayleigh quotient
+        monkeypatch.setattr(spectral, "_GROUND_MAX_ITER", 1)
+        spec, warm = solve_ground_pair(pair, near.eigenvectors[:, 0], near.eigenvalues[0])
+        assert not warm and fallbacks == [1]
+        assert np.array_equal(spec.eigenvalues, solve_generalized_eig(pair, 1).eigenvalues)
 
 
 class TestStrictify:
