@@ -55,6 +55,8 @@ from .heat import (
     CorrectionF,
     evolve,
     compute_F,
+    KrylovFlow,
+    krylov_flow,
     fit_log_slope,
     lower_bound_check,
     check_u0_condition,

@@ -9,6 +9,10 @@ removes the ground-mode rate from the snapshot; by construction it has no
 cluster-1 content and decays like e^{-l_2 T}.  (Expanded in the eigenbasis
 its tail coefficients are (l_1 - l_k) e^{-l_k T}, k >= 2.)
 
+krylov_flow computes u(T), F and the ground Ritz pair of one pencil
+without an eigenbasis, from a shift-invert Krylov space of u0; the
+inversion's outer steps use it.
+
 No diagnostic here takes a mesh: each reads the mesh and matrices from
 the Discretization it is given, or from its spectrum's.  The
 coefficient-Lipschitz table of F is measured together with the stability
@@ -20,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 
-from .fem import Discretization, l2_norm, nodal_gradients, require_zero_boundary
+from .fem import Discretization, OperatorPair, l2_norm, nodal_gradients, require_zero_boundary
 from .mesh import BoundaryBand, distance_to_boundary
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, _definite_factor, _orient_ground
 
 __all__ = [
     "HeatSnapshot",
@@ -31,6 +36,8 @@ __all__ = [
     "LowerBoundReport",
     "evolve",
     "compute_F",
+    "KrylovFlow",
+    "krylov_flow",
     "fit_log_slope",
     "lower_bound_check",
     "check_u0_condition",
@@ -94,6 +101,114 @@ def compute_F(spec: SpectralDecomposition, u0, T: float) -> CorrectionF:
     w = (spec.hat_eigenvalues[0] - rates) * np.exp(-rates * T)
     w[spec.cluster_index == 0] = 0.0
     return CorrectionF(T=float(T), values=spec.disc.extend(spec.eigenvectors @ (coeffs * w)))
+
+
+# krylov_flow grows its space from _KRYLOV_START vectors by _KRYLOV_STEP
+# until F moves by at most _KRYLOV_TOL relative between two sizes.
+_KRYLOV_START = 16
+_KRYLOV_STEP = 4
+_KRYLOV_TOL = 1e-10
+# A new Lanczos vector whose M-norm is at most this fraction of its
+# solve's is rounding: the space is invariant (happy breakdown).
+_BREAKDOWN_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class KrylovFlow:
+    """u(T), F and the ground Ritz pair from one Krylov space of u0.
+
+    u and F are full nodal fields; ground is a K=1 decomposition of the top
+    Ritz pair, oriented by the sign rule of solve_generalized_eig but not
+    certified (spectral.certify_ground does that); m is the dimension of
+    the Krylov space.
+    """
+
+    u: np.ndarray
+    F: np.ndarray
+    ground: SpectralDecomposition
+    m: int
+
+
+def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
+    """Heat flow and correction field of u0 from a shift-invert Krylov space.
+
+    M-orthonormal Lanczos on A^-1 M from the interior part of u0, with full
+    re-orthogonalisation and one symmetric-mode sparse factor of A (that of
+    spectral._definite_factor, which also checks that A is positive
+    definite).  The first pass of each re-orthogonalisation is a column of
+    the projected matrix H = V' M A^-1 M V, so H costs no extra solve.
+    With H = Q diag(theta) Q' the Ritz values are 1/theta, and a function f
+    of L = M^-1 A acts on u0 as ||u0||_M V Q f(1/theta) Q' e_1: f = e^{-lT}
+    for u(T) and (l_1 - l) e^{-lT} for F, with l_1 the top Ritz value, so F
+    has no ground Ritz component (shift-invert rational Krylov
+    approximation of the matrix exponential: Hochbruck-Lubich, SINUM 34,
+    1997; van den Eshof-Hochbruck, SISC 27, 2006).  The space grows from
+    _KRYLOV_START vectors by _KRYLOV_STEP until ||F_{m+step} - F_m||_M is at
+    most _KRYLOV_TOL ||F||_M, and stops early on a happy breakdown, where
+    the space is invariant and the flow exact; it cannot exceed the pencil
+    size.
+    """
+    if T <= 0:
+        raise ValueError(f"snapshot time must be positive, got {T}")
+    disc = pair.disc
+    u0 = np.asarray(u0, dtype=float)
+    w = disc.restrict(u0)
+    require_zero_boundary(u0, disc.boundary, "initial state must vanish on boundary nodes")
+    M = pair.mass
+    n = w.size
+    Mw = M @ w
+    beta0 = float(np.sqrt(w @ Mw))
+    if not beta0 > 0:
+        raise ValueError("initial state vanishes on the interior nodes")
+    lu = _definite_factor(pair, 0.0)
+    if lu is None:
+        raise ValueError("stiffness matrix is not positive definite")
+
+    V, MV, H = np.empty((n, 0)), np.empty((n, 0)), np.empty((0, 0))
+    v, Mv = w / beta0, Mw / beta0
+    prev = None
+    size = _KRYLOV_START
+    while True:
+        m0 = V.shape[1]
+        grow = min(size, n) - m0
+        V = np.concatenate([V, np.empty((n, grow))], axis=1)
+        MV = np.concatenate([MV, np.empty((n, grow))], axis=1)
+        H = np.pad(H, (0, grow))
+        invariant = False
+        for j in range(m0, m0 + grow):
+            V[:, j], MV[:, j] = v, Mv
+            x = lu.solve(Mv)
+            h = MV[:, :j + 1].T @ x
+            H[:j + 1, j] = H[j, :j + 1] = h
+            r = x - V[:, :j + 1] @ h
+            r -= V[:, :j + 1] @ (MV[:, :j + 1].T @ r)
+            Mr = M @ r
+            beta = float(np.sqrt(max(r @ Mr, 0.0)))
+            if beta <= _BREAKDOWN_TOL * np.linalg.norm(h):
+                V, MV, H = V[:, :j + 1], MV[:, :j + 1], H[:j + 1, :j + 1]
+                invariant = True
+                break
+            v, Mv = r / beta, Mr / beta
+        theta, Q = la.eigh(H)
+        lam = 1.0 / theta  # Ritz values, descending; lam[-1] is the ground
+        damp = np.exp(-lam * T)
+        gain = (lam[-1] - lam) * damp
+        gain[-1] = 0.0
+        coef_F = Q @ (gain * Q[0])
+        m = V.shape[1]
+        if invariant or m == n or (
+                prev is not None and np.linalg.norm(coef_F - np.pad(prev, (0, m - prev.size)))
+                <= _KRYLOV_TOL * np.linalg.norm(coef_F)):
+            break
+        prev = coef_F
+        size = m + _KRYLOV_STEP
+
+    u = V @ (beta0 * (Q @ (damp * Q[0])))
+    F = V @ (beta0 * coef_F)
+    vecs = V @ Q[:, -1:]
+    _orient_ground(pair, vecs)
+    ground = SpectralDecomposition(lam[-1:], vecs, np.array([1]), disc)
+    return KrylovFlow(u=disc.extend(u), F=disc.extend(F), ground=ground, m=m)
 
 
 def fit_log_slope(ts, values) -> float:

@@ -9,7 +9,12 @@ in the nodal coefficient values:
 
 with G_ij = -sum_{K contains j} (|K|/3) grad u_T . grad phi_i.  Both l_1
 and F depend on the unknown coefficient, which the outer fixed-point loop
-re-estimates from the current iterate.
+re-estimates from the current iterate.  It needs no eigenbasis for that:
+F = (l_1 - L) e^{-TL} u0 with L = M^-1 A(a), and the weights e^{-l_k T}
+kill the high modes, so one shift-invert Krylov space of u0
+(heat.krylov_flow) gives F and the ground Ritz pair.  The pair is
+accepted only when spectral.certify_ground proves it is the ground pair;
+otherwise the step falls back to a K=modes spectrum and compute_F.
 
 The scalar l_1 needs special treatment: M u_T lies almost entirely inside
 the range of G (a coefficient increment can absorb an eigenvalue shift),
@@ -50,9 +55,14 @@ from .fem import (
     require_zero_boundary,
     validate_coefficient,
 )
-from .heat import check_u0_condition, compute_F, evolve, fit_log_slope
+from .heat import check_u0_condition, compute_F, evolve, fit_log_slope, krylov_flow
 from .mesh import Mesh
-from .spectral import SpectralDecomposition, solve_generalized_eig, solve_ground_pair
+from .spectral import (
+    SpectralDecomposition,
+    certify_ground,
+    solve_generalized_eig,
+    solve_ground_pair,
+)
 
 __all__ = [
     "TransportSystem",
@@ -73,10 +83,11 @@ __all__ = [
 _SMOOTHING_PASS_CAP = 5
 # Inner eigenvalue-closure budget per outer step.  One evaluation costs a
 # back-substitution with the factored transport normal matrix, an admissible
-# projection and a warm K=1 ground solve (solve_ground_pair): about 4 ms at
-# 32^2, a twelfth of the 50 ms K=40 eigensolve that opens the step (2 cores).
-# A capped closure therefore costs about half that solve; 3 of the 5 bundled
-# bump steps cap, 26 evaluations in all.
+# projection and a warm K=1 ground solve (solve_ground_pair): about 4.7 ms
+# at 32^2, under half of the 11 ms that open the step (_outer_step:
+# krylov_flow and certify_ground; 2 cores).  A capped closure therefore
+# costs about three step openings; 3 of the 5 bundled bump steps cap, 26
+# evaluations in all.
 _CLOSURE_EVAL_CAP = 7
 
 
@@ -116,7 +127,8 @@ class TransportSystem:
 @dataclass(frozen=True)
 class InversionOptions:
     """Knobs of the fixed-point reconstruction (alpha is relative to
-    the largest diagonal of G'G)."""
+    the largest diagonal of G'G; modes is the K of the spectral fallback
+    of an outer step)."""
 
     T: float
     modes: int = 40
@@ -137,6 +149,12 @@ class InversionReport:
     smoothing_capped: int
     closure_solves: int  # K=1 ground solves of the closure evaluations
     closure_fallbacks: int  # of those, solves that fell back to ARPACK
+    krylov_m: np.ndarray  # Krylov dimension per outer step, 0 where the step fell back
+
+    @property
+    def outer_fallbacks(self) -> int:
+        """Outer steps whose Krylov ground pair failed certify_ground."""
+        return int(np.count_nonzero(self.krylov_m == 0))
 
 
 def assemble_transport_operator(mesh: Mesh, u_T) -> sp.csr_matrix:
@@ -305,6 +323,21 @@ def _next_closure_point(samples: list[tuple[float, float]], lam_raw: float) -> f
     return float(xn)
 
 
+def _outer_step(pair: OperatorPair, u0, T: float, modes: int
+                ) -> tuple[SpectralDecomposition, np.ndarray, int]:
+    """Ground pair and correction field F of one outer pencil.
+
+    Returns (ground, F, m): krylov_flow's ground Ritz pair and F when
+    certify_ground accepts the pair, with m the Krylov dimension; otherwise
+    a K=modes spectrum, compute_F and m = 0.
+    """
+    flow = krylov_flow(pair, u0, T)
+    if certify_ground(pair, flow.ground):
+        return flow.ground, flow.F, flow.m
+    spec = solve_generalized_eig(pair, modes)
+    return spec, compute_F(spec, u0, T).values, 0
+
+
 def fixed_point_invert(
     disc: Discretization,
     u0,
@@ -317,9 +350,10 @@ def fixed_point_invert(
     """Reconstruct the coefficient from one final-time snapshot.
 
     Starting from the harmonic extension of the boundary trace, each
-    iteration re-solves the eigenproblem at the current iterate, rebuilds
-    F, solves the regularized transport system with the iterate as
-    Tikhonov prior, and projects onto the admissible set.  The eigenvalue
+    iteration takes the ground pair and F of the current iterate's pencil
+    from _outer_step (a certified Krylov flow, or its K=modes fallback),
+    solves the regularized transport system with the iterate as Tikhonov
+    prior, and projects onto the admissible set.  The eigenvalue
     inserted into the right-hand side is refined within the step by the
     scalar closure phi(x) = l_1(candidate(x)) - x = 0 (see module
     docstring); the candidate belonging to the accepted scalar becomes the
@@ -351,10 +385,11 @@ def fixed_point_invert(
     capped_count = 0
     ground_solves = fallbacks = 0
     system = None
+    krylov_m = []
     for _ in range(opts.max_iter):
-        spec = solve_generalized_eig(disc.pair(current.values), opts.modes)
+        spec, F, m = _outer_step(disc.pair(current.values), u0, opts.T, opts.modes)
+        krylov_m.append(m)
         lam_raw = float(spec.hat_eigenvalues[0])
-        F = compute_F(spec, u0, opts.T).values
 
         samples: list[tuple[float, float, TransportSystem, CoefficientField, bool,
                             SpectralDecomposition]] = []
@@ -365,7 +400,7 @@ def fixed_point_invert(
             raw = solve_transport_ls(sys_x, current)
             projected, capped = admissible_projection(disc, raw.values, a0, a_plus)
             # Warm start from the nearest pencil solved so far: the last
-            # sample's, or the step's K=modes spectrum for the first.
+            # sample's, or the step's own ground pair for the first.
             near = samples[-1][5] if samples else spec
             ground, warm = solve_ground_pair(disc.pair(projected.values),
                                              near.eigenvectors[:, 0], float(near.eigenvalues[0]))
@@ -412,6 +447,7 @@ def fixed_point_invert(
         smoothing_capped=capped_count,
         closure_solves=ground_solves,
         closure_fallbacks=fallbacks,
+        krylov_m=np.array(krylov_m, dtype=int),
     )
 
 

@@ -322,8 +322,8 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
                                 s.a_plus, opts, a_true=ctx.coeff)
 
     steps = report.residual_trace
-    _write_csv(out / "residuals.csv", ("iter", "step_l2", "lambda1"),
-               zip(range(1, steps.size + 1), steps, report.lambda1_trace))
+    _write_csv(out / "residuals.csv", ("iter", "step_l2", "lambda1", "krylov_m"),
+               zip(range(1, steps.size + 1), steps, report.lambda1_trace, report.krylov_m))
     files.append("residuals.csv")
     write_grid(out / "a_rec.grid", ctx.mesh, report.a_rec.values)
     files.append("a_rec.grid")
@@ -352,6 +352,8 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
     _info(lines, "closure-eigensolves",
           f"warm={report.closure_solves - report.closure_fallbacks} "
           f"fallback={report.closure_fallbacks}")
+    _info(lines, "outer-step-flow",
+          f"krylov={report.iterations - report.outer_fallbacks} fallback={report.outer_fallbacks}")
     if report.smoothing_capped:
         _info(lines, "projection-smoothing",
               f"gradient-bound smoothing hit its pass cap {report.smoothing_capped} time(s)")
@@ -378,7 +380,9 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
         _info(lines, "spectral-gap-positive", "only one strict eigenvalue computed")
 
     kmax = min(20, spec.K)
-    spec_unit = solve_generalized_eig(ctx.disc.unit_pair, kmax)
+    # A unit coefficient's pencil is A(1) itself, already solved for the run.
+    spec_unit = (spec.leading(kmax) if np.all(ctx.coeff.values == 1.0)
+                 else solve_generalized_eig(ctx.disc.unit_pair, kmax))
     sandwich = verify_minmax_sandwich(spec, spec_unit, s.a_plus)
     _write_csv(out / "minmax.csv",
                ("k", "lambda_unit", "lambda", "upper", "lower_ok", "upper_ok"),

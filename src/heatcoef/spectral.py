@@ -7,7 +7,9 @@ Lanczos vectors do not fit), and strict clusters follow the one rule
 CLUSTER_TOL.  solve_ground_pair is the warm K=1 solve of a pencil close to
 one already solved: shifted inverse iteration from the known ground pair,
 with the shift certified below lambda_1 by the inertia of its factor, and
-solve_generalized_eig as the fallback.  Also here: the gap and min-max
+solve_generalized_eig as the fallback.  certify_ground uses the same
+inertia test to prove that a pair found elsewhere (a Krylov Ritz pair) is
+the ground pair and not a higher eigenpair.  Also here: the gap and min-max
 checks, the projection-difference norm, and one perturbation sweep
 a -> a + s*eta that reads the run's spectrum of a, solves each perturbed
 pencil once, and tabulates eigenvalue shifts (Kato) and projection
@@ -44,6 +46,7 @@ __all__ = [
     "EigensolverError",
     "solve_generalized_eig",
     "solve_ground_pair",
+    "certify_ground",
     "strictify_spectrum",
     "gap_report",
     "regroup_spectrum",
@@ -83,6 +86,10 @@ _V0_SEED = 0
 _GROUND_SHIFT = 0.9
 # Safety net only: reaching it sends the solve to ARPACK, never accepts.
 _GROUND_MAX_ITER = 20
+# certify_ground: relative width of the interval below a candidate ground
+# eigenvalue that must hold lambda_1.  The inertia test resolves 1e-12 on the
+# bump and unit pencils at 32^2 to 128^2.
+_GROUND_AGREEMENT = 1e-10
 
 
 class EigensolverError(RuntimeError):
@@ -240,12 +247,9 @@ def solve_ground_pair(
     start and lam_prev are the ground vector and eigenvalue of a pencil
     close to this one.  Shifted inverse iteration (Parlett, The Symmetric
     Eigenvalue Problem, 1998, ch. 4) with sigma = _GROUND_SHIFT * lam_prev
-    factors A - sigma M once, symmetric-mode and without pivoting.  The
-    factor certifies sigma < lambda_1 when rows and columns share one
-    permutation and every pivot of U is positive: by Sylvester's law of
-    inertia A - sigma M is then positive definite.  The iteration from
-    start stops once the relative residual is at most _RESIDUAL_TOL and the
-    Rayleigh quotient is stationary to 4 ulp.
+    uses the factor of _definite_factor, which certifies sigma < lambda_1.
+    The iteration from start stops once the relative residual is at most
+    _RESIDUAL_TOL and the Rayleigh quotient is stationary to 4 ulp.
 
     Returns (spec, warm): spec is a K=1 decomposition with the residual
     bound and sign rule of solve_generalized_eig; warm is False when the
@@ -253,13 +257,8 @@ def solve_ground_pair(
     from solve_generalized_eig(pair, 1).
     """
     A, M = pair.stiffness, pair.mass
-    try:
-        lu = spla.splu((A - _GROUND_SHIFT * lam_prev * M).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return solve_generalized_eig(pair, 1), False
-    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0):
+    lu = _definite_factor(pair, _GROUND_SHIFT * lam_prev)
+    if lu is not None:
         v = np.asarray(start, dtype=float)
         Mv = M @ v
         lam = np.inf
@@ -275,6 +274,43 @@ def solve_ground_pair(
                 _orient_ground(pair, vecs)
                 return SpectralDecomposition(vals, vecs, np.array([1]), pair.disc), True
     return solve_generalized_eig(pair, 1), False
+
+
+def _definite_factor(pair: OperatorPair, sigma: float) -> spla.SuperLU | None:
+    """LU factor of A - sigma M if it certifies sigma < lambda_1, else None.
+
+    The factor is symmetric-mode and without pivoting.  When rows and
+    columns share one permutation and every pivot of U is positive, by
+    Sylvester's law of inertia A - sigma M is positive definite, so every
+    eigenvalue of the pencil exceeds sigma.
+    """
+    try:
+        lu = spla.splu((pair.stiffness - sigma * pair.mass).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0):
+        return lu
+    return None
+
+
+def certify_ground(pair: OperatorPair, ground: SpectralDecomposition) -> bool:
+    """Whether a K=1 pair found outside this module is the pencil's ground pair.
+
+    The residual bound of solve_generalized_eig puts an eigenvalue next to
+    the pair's lam, but every eigenpair passes it: a Krylov start vector
+    with no ground component yields lambda_2 or higher.  The inertia of
+    A - (1 - _GROUND_AGREEMENT) lam M (_definite_factor) adds that no
+    eigenvalue lies below (1 - _GROUND_AGREEMENT) lam, so the eigenvalue
+    next to lam is lambda_1.  A top Ritz value of a shift-invert Krylov
+    space is never below lambda_1, so for it lambda_1 lies in
+    ((1 - _GROUND_AGREEMENT) lam, lam].
+    """
+    lam = float(ground.eigenvalues[0])
+    return (_relative_residual(pair, ground.eigenvalues[:1], ground.eigenvectors[:, :1])
+            <= _RESIDUAL_TOL
+            and _definite_factor(pair, (1.0 - _GROUND_AGREEMENT) * lam) is not None)
 
 
 def strictify_spectrum(eigenvalues, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,17 @@ from heatcoef.heat import (
     compute_F,
     evolve,
     fit_log_slope,
+    krylov_flow,
     lower_bound_check,
 )
 from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import boundary_band, distance_to_boundary
+from heatcoef.spectral import (
+    _RESIDUAL_TOL,
+    _relative_residual,
+    certify_ground,
+    solve_generalized_eig,
+)
 
 
 class TestEvolve:
@@ -149,6 +156,48 @@ class TestCorrectionField:
         phi1 = unit_spec32.disc.extend(unit_spec32.eigenvectors[:, 0])
         with pytest.raises(ValueError, match="positive"):
             compute_F(unit_spec32, phi1, 0.0)
+
+
+class TestKrylovFlow:
+    def test_matches_the_spectral_flow(self, mesh32, bump32, bump_pair32, spectrum):
+        spec = spectrum(mesh32, bump32, 40)
+        d = distance_to_boundary(mesh32)
+        M = spec.disc.mass
+        flow = krylov_flow(bump_pair32, d, 0.15)
+        u_ref = evolve(spec, d, 0.15).u
+        F_ref = compute_F(spec, d, 0.15).values
+        assert l2_norm(flow.u - u_ref, M) <= 1e-12 * l2_norm(u_ref, M)  # measured 4.7e-15
+        assert l2_norm(flow.F - F_ref, M) <= 1e-9 * l2_norm(F_ref, M)  # measured 3.2e-14
+        lam1 = solve_generalized_eig(bump_pair32, 1).eigenvalues[0]
+        assert abs(flow.ground.eigenvalues[0] - lam1) <= 1e-12 * lam1  # measured 1.8e-15
+        assert flow.m == 24
+        assert certify_ground(bump_pair32, flow.ground)
+
+    def test_higher_eigenvector_breaks_down_on_its_own_pair(self, bump_pair32, bump_spec32):
+        # A discrete eigenvector spans an invariant space: the recurrence
+        # stops after one solve, and the Ritz pair is (lambda_2, phi_2), an
+        # eigenpair that passes the residual check but is not the ground.
+        spec = bump_spec32
+        phi2 = spec.disc.extend(spec.eigenvectors[:, 1])
+        flow = krylov_flow(bump_pair32, phi2, 0.15)
+        assert flow.m == 1
+        assert np.all(np.isfinite(flow.u)) and np.all(np.isfinite(flow.F))
+        assert flow.ground.eigenvalues[0] == pytest.approx(spec.eigenvalues[1], rel=1e-12)
+        assert np.max(np.abs(flow.F)) == 0.0  # u0 is all ground Ritz component
+        assert _relative_residual(bump_pair32, flow.ground.eigenvalues,
+                                  flow.ground.eigenvectors) <= _RESIDUAL_TOL
+        assert not certify_ground(bump_pair32, flow.ground)
+
+    def test_rejects_bad_input(self, mesh32, bump_pair32):
+        d = distance_to_boundary(mesh32)
+        with pytest.raises(ValueError, match="positive"):
+            krylov_flow(bump_pair32, d, 0.0)
+        with pytest.raises(ValueError, match="boundary"):
+            krylov_flow(bump_pair32, np.ones(mesh32.n_nodes), 0.15)
+        with pytest.raises(ValueError, match="vanishes"):
+            krylov_flow(bump_pair32, np.zeros(mesh32.n_nodes), 0.15)
+        with pytest.raises(ValueError, match="positive definite"):
+            krylov_flow(bump_pair32.disc.pair(-1.0), d, 0.15)
 
 
 class TestFLipschitz:

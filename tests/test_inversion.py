@@ -208,8 +208,8 @@ class TestFixedPointInvert:
         opts = InversionOptions(T=T, modes=8)
         rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts, a_true=bump32)
         assert rep.converged
-        assert rep.iterations <= 8  # measured 6
-        assert rep.rel_error < 1e-5  # measured 1.96e-6
+        assert rep.iterations <= 8  # measured 5
+        assert rep.rel_error < 1e-5  # measured 8.41e-7
         assert rep.lambda1_trace[-1] == pytest.approx(21.25552253, abs=1e-4)
         assert rep.residual_trace[-1] <= opts.tol_fp
 
@@ -243,6 +243,24 @@ class TestFixedPointInvert:
         assert n <= 26  # one per closure evaluation; measured 26
         assert arpack["solve_generalized_eig"] == 0
         assert f"INFO closure-eigensolves: warm={n} fallback=0" in art.summary_lines
+        # every outer step certified its Krylov ground pair
+        assert "INFO outer-step-flow: krylov=5 fallback=0" in art.summary_lines
+        rows = (tmp_path / "residuals.csv").read_text().splitlines()
+        assert rows[0] == "iter,step_l2,lambda1,krylov_m"
+        assert [int(row.split(",")[3]) for row in rows[1:]] == [24] * 5
+
+    def test_uncertified_outer_step_falls_back(self, bump_pair32, bump_spec32, monkeypatch):
+        # u0 = phi_2 has no ground component, so its Krylov space is
+        # invariant after one solve and its Ritz pair is (lambda_2, phi_2):
+        # the certificate rejects it and the step solves K=modes instead.
+        calls = _count_calls(monkeypatch, "solve_generalized_eig", "compute_F")
+        phi2 = bump_spec32.disc.extend(bump_spec32.eigenvectors[:, 1])
+        ground, F, m = inversion._outer_step(bump_pair32, phi2, 0.15, 8)
+        assert calls == {"solve_generalized_eig": 1, "compute_F": 1}
+        assert m == 0
+        assert ground.K == 8
+        assert ground.eigenvalues[0] == pytest.approx(bump_spec32.eigenvalues[0], rel=1e-12)
+        assert np.array_equal(F, compute_F(ground, phi2, 0.15).values)
 
     def test_iteration_cap_flags_stall(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot

@@ -249,13 +249,14 @@ def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch):
 
 
 def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
-    # a (K=40), A(1) (K=20), then one perturbation sweep that reads the first
-    # 20 pairs of a's spectrum and solves a + s*eta for three scales (K=20
-    # each); A(1) is assembled by discretize and cut from the Discretization.
+    # a = 1 (K=40), whose first 20 pairs are both the min-max sandwich's unit
+    # spectrum and the base of one perturbation sweep that solves a + s*eta
+    # for three scales (K=20 each); A(1) is assembled by discretize and cut
+    # from the Discretization.
     solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
     assemblies = _count_calls(monkeypatch, fem.assemble_stiffness)
     run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path)
-    assert len(solves) == 5
+    assert len(solves) == 4
     assert len(assemblies) == 5
 
 

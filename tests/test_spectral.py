@@ -11,6 +11,8 @@ from heatcoef.fem import AdmissibilityError, discretize, make_field
 from heatcoef.mesh import build_structured_mesh
 from heatcoef.spectral import (
     EigensolverError,
+    SpectralDecomposition,
+    certify_ground,
     gap_report,
     perturbation_sweep,
     projection_difference_norm,
@@ -179,6 +181,52 @@ class TestGroundPair:
         spec, warm = solve_ground_pair(pair, near.eigenvectors[:, 0], near.eigenvalues[0])
         assert not warm and fallbacks == [1]
         assert np.array_equal(spec.eigenvalues, solve_generalized_eig(pair, 1).eigenvalues)
+
+
+class TestCertifyGround:
+    """The ground certificate of a pair found outside spectral."""
+
+    @staticmethod
+    def two_well_pencil():
+        # a = 1 in two discs and 30 elsewhere: lambda_2 lies within 10% of
+        # lambda_1 (150.7 and 164.5 at 16^2)
+        disc = discretize(build_structured_mesh(16, 16))
+        x, y = disc.mesh.nodes[:, 0], disc.mesh.nodes[:, 1]
+        wells = (np.hypot(x - 0.25, y - 0.5) < 0.2) | (np.hypot(x - 0.75, y - 0.5) < 0.2)
+        pair = disc.pair(np.where(wells, 1.0, 30.0))
+        spec = solve_generalized_eig(pair, 2)
+        assert spec.eigenvalues[1] < spec.eigenvalues[0] / spectral._GROUND_SHIFT
+        return pair, spec
+
+    @staticmethod
+    def kth_pair(spec, k):
+        return SpectralDecomposition(spec.eigenvalues[k:k + 1], spec.eigenvectors[:, k:k + 1],
+                                     np.array([1]), spec.disc)
+
+    def test_accepts_the_ground_pair_only(self):
+        pair, spec = self.two_well_pencil()
+        assert certify_ground(pair, self.kth_pair(spec, 0))
+        assert not certify_ground(pair, self.kth_pair(spec, 1))
+
+    def test_second_pair_within_the_warm_shift_is_rejected(self):
+        # Warm inverse iteration from (lambda_2, phi_2) keeps its shift
+        # 0.9 lambda_2 below lambda_1, so its own certificate passes and it
+        # stays on phi_2: it cannot tell the second pair from the ground.
+        pair, spec = self.two_well_pencil()
+        second = self.kth_pair(spec, 1)
+        warm_spec, warm = solve_ground_pair(pair, second.eigenvectors[:, 0],
+                                            second.eigenvalues[0])
+        assert warm
+        assert warm_spec.eigenvalues[0] == pytest.approx(spec.eigenvalues[1], rel=1e-12)
+        assert not certify_ground(pair, second)
+
+    def test_rejects_a_large_residual(self):
+        # below lambda_1 the inertia test passes; the residual bound does not
+        pair, spec = self.two_well_pencil()
+        ground = self.kth_pair(spec, 0)
+        low = dataclasses.replace(ground, eigenvalues=ground.eigenvalues * (1.0 - 1e-6))
+        assert spectral._definite_factor(pair, float(low.eigenvalues[0])) is not None
+        assert not certify_ground(pair, low)
 
 
 class TestStrictify:
