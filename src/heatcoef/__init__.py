@@ -67,7 +67,6 @@ from .inversion import (
     InversionOptions,
     InversionReport,
     TransportSolveError,
-    assemble_transport_operator,
     build_transport_system,
     transport_rhs,
     solve_transport_ls,

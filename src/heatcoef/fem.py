@@ -3,14 +3,15 @@
 The diffusion coefficient lives in the same P1 nodal space as the solution;
 inside each element it is replaced by the average of its three vertex
 values, which keeps assembly exact for piecewise-constant data and makes
-the weak transport operator of the inversion module an exact factorization
-of a |-> A(a) u.
+A(a) linear in the nodal values: A(a).data = S a on a fixed CSR pattern.
+_stiffness_map builds S; no other code knows the element rule.
 
 Everything that does not depend on the coefficient -- the mass matrix,
-the unit stiffness A(1) and the interior/boundary partition -- is built
-once per mesh by discretize(); Discretization.pair(a) then assembles only
-the stiffness of a and returns the Dirichlet-reduced pencil, and
-Discretization.unit_pair is the reduced unit pencil cut from A(1).
+the interior/boundary partition and S -- is built once per mesh by a
+Discretization (discretize()).  Its pair(a) is one product with the
+interior rows S_II of S, and its transport_operator(u), the weak
+transport operator G(u) a = -(A(a) u)_I of the inversion module, is
+-Rows diag(u_I[col]) S_II.
 """
 
 from __future__ import annotations
@@ -74,15 +75,15 @@ class CoefficientField:
 class Discretization:
     """Coefficient-free P1 data of one mesh; build it with discretize(mesh).
 
-    mass / unit_stiffness : full M and A(1) over all nodes.
+    mass : full M over all nodes.
     interior / boundary : sorted node indices of the Dirichlet partition.
     mass_int : the interior block M_II.
-    mass_int_factor : SuperLU factor of M_II, built on first use (no reference cycle).
+    The interior rows S_II of S, unit_stiffness (the full A(1)) and
+    mass_int_factor (SuperLU of M_II) are built on first use (no reference cycle).
     """
 
     mesh: Mesh
     mass: sp.csr_matrix
-    unit_stiffness: sp.csr_matrix
     interior: np.ndarray
     boundary: np.ndarray
     mass_int: sp.csr_matrix
@@ -91,10 +92,22 @@ class Discretization:
     def n_nodes(self) -> int:
         return self.mesh.n_nodes
 
+    @cached_property
+    def _map(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """(A(1), S_II, pattern of A(a)_II): S_II holds the rows of S that the block's data number."""
+        S, pattern = _stiffness_map(self.mesh)
+        block = pattern[self.interior][:, self.interior]
+        return _on_pattern(S @ np.ones(self.n_nodes), pattern), S[block.data], block
+
+    @property
+    def unit_stiffness(self) -> sp.csr_matrix:
+        """Full A(1) over all nodes."""
+        return self._map[0]
+
     def pair(self, a) -> OperatorPair:
         """Dirichlet-reduced pencil (A(a)_II, M_II) of one coefficient."""
-        I = self.interior
-        return OperatorPair(stiffness=assemble_stiffness(self.mesh, a)[I][:, I].tocsr(), disc=self)
+        _, S_II, block = self._map
+        return OperatorPair(_on_pattern(S_II @ _coefficient_values(a, self.n_nodes), block), self)
 
     @cached_property
     def mass_int_factor(self) -> spla.SuperLU:
@@ -102,13 +115,22 @@ class Discretization:
 
     @property
     def unit_pair(self) -> OperatorPair:
-        """Reduced unit pencil (A(1)_II, M_II), sliced from unit_stiffness.
+        """pair(1.0); not cached, since a pair stored on its own Discretization is a
+        reference cycle that keeps the mesh's matrices alive until a cyclic collection."""
+        return self.pair(1.0)
 
-        Not cached: a pair stored on its own Discretization is a reference
-        cycle that keeps the mesh's matrices alive until a cyclic collection.
+    def transport_operator(self, u) -> sp.csr_matrix:
+        """G(u), (n_interior, n_nodes), with G a = -(A(a) u)_I for every nodal a.
+
+        A snapshot u vanishes on the boundary, so (A(a) u)_I =
+        Rows diag(u_I[col]) S_II a, where Rows sums each row of A(a)_II.
         """
-        I = self.interior
-        return OperatorPair(stiffness=self.unit_stiffness[I][:, I].tocsr(), disc=self)
+        u_I = self.restrict(u)
+        require_zero_boundary(u, self.boundary, "snapshot must vanish on boundary nodes")
+        _, S_II, block = self._map
+        rows = sp.csr_matrix((-u_I[block.indices], np.arange(block.nnz), block.indptr),
+                             shape=(block.shape[0], block.nnz))
+        return rows @ S_II
 
     def restrict(self, w: np.ndarray) -> np.ndarray:
         """Interior values of a full nodal field."""
@@ -168,21 +190,35 @@ def _coefficient_values(a, n_nodes: int) -> np.ndarray:
     return v
 
 
-def assemble_stiffness(mesh: Mesh, a) -> sp.csr_matrix:
-    """Assemble A(a)_ij = sum_K abar_K int_K grad(phi_i).grad(phi_j).
+def _stiffness_map(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(S, pattern) of A(a)_ij = sum_K abar_K int_K grad(phi_i).grad(phi_j), abar_K the vertex mean.
 
-    `a` may be a scalar, a nodal array, or a CoefficientField; the element
-    value abar_K is the mean of the three vertex values.
+    S = Q V: V sums the vertex values of each element, Q places its local
+    entries (b_i b_j + c_i c_j) / (12 |K|) on the pattern of all node pairs
+    sharing an element, whose data number them: entry k of A(a) is (S a)_k.
     """
-    v = _coefficient_values(a, mesh.n_nodes)
+    n, els = mesh.n_nodes, mesh.elements
+    E = els.shape[0]
     b, c, area = _element_geometry(mesh)
-    abar = v[mesh.elements].mean(axis=1)
-    scale = abar / (4.0 * area)
-    local = (np.einsum("ei,ej->eij", b, b) + np.einsum("ei,ej->eij", c, c)) * scale[:, None, None]
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-    return A.tocsr()
+    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (12.0 * area)[:, None, None]
+    keys = (np.repeat(els, 3, axis=1).astype(np.int64) * n + np.tile(els, (1, 3))).ravel()
+    keys, entry = np.unique(keys, return_inverse=True)
+    Q = sp.csc_matrix((local.ravel(), entry, np.arange(0, 9 * E + 1, 9)), shape=(keys.size, E))
+    V = sp.csr_matrix((np.ones(3 * E), els.ravel(), np.arange(0, 3 * E + 1, 3)), shape=(E, n))
+    pattern = sp.csr_matrix((np.arange(keys.size), keys % n, np.searchsorted(keys, np.arange(n + 1) * n)),
+                            shape=(n, n))
+    return Q.tocsr() @ V, pattern
+
+
+def _on_pattern(data: np.ndarray, pattern: sp.csr_matrix) -> sp.csr_matrix:
+    """data on copies of the pattern's arrays (eliminate_zeros edits them in place)."""
+    return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape)
+
+
+def assemble_stiffness(mesh: Mesh, a) -> sp.csr_matrix:
+    """A(a) from a fresh map of mesh; a may be a scalar, a nodal array or a CoefficientField."""
+    S, pattern = _stiffness_map(mesh)
+    return _on_pattern(S @ _coefficient_values(a, mesh.n_nodes), pattern)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -197,13 +233,13 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 
 
 def discretize(mesh: Mesh) -> Discretization:
-    """Assemble the coefficient-free data of a mesh: M, A(1) and the Dirichlet partition."""
+    """The coefficient-free data of a mesh: M and the Dirichlet partition (S on first use)."""
     interior = np.flatnonzero(mesh.interior_node_flags)
     if interior.size == 0:
         raise ValueError("mesh has no interior nodes")
     M = assemble_mass(mesh)
-    return Discretization(mesh=mesh, mass=M, unit_stiffness=assemble_stiffness(mesh, 1.0),
-                          interior=interior, boundary=np.flatnonzero(mesh.boundary_node_flags),
+    return Discretization(mesh=mesh, mass=M, interior=interior,
+                          boundary=np.flatnonzero(mesh.boundary_node_flags),
                           mass_int=M[interior][:, interior].tocsr())
 
 

@@ -7,14 +7,16 @@ in the nodal coefficient values:
 
     G(u_T) a = -l_1 M u_T + M F        (interior rows)
 
-with G_ij = -sum_{K contains j} (|K|/3) grad u_T . grad phi_i.  Both l_1
-and F depend on the unknown coefficient, which the outer fixed-point loop
-re-estimates from the current iterate.  It needs no eigenbasis for that:
+with G a = -(A(a) u_T)_I for every a, built from the stiffness map S of
+fem (Discretization.transport_operator).  Both l_1 and F depend on the
+unknown coefficient, which the outer fixed-point loop re-estimates from
+the current iterate.  It needs no eigenbasis for that:
 F = (l_1 - L) e^{-TL} u0 with L = M^-1 A(a), and the weights e^{-l_k T}
 kill the high modes, so one shift-invert Krylov space of u0
 (heat.krylov_flow) gives F and the ground Ritz pair.  The pair is
 accepted only when spectral.certify_ground proves it is the ground pair;
-otherwise the step falls back to a K=modes spectrum and compute_F.
+otherwise the step takes the ground pair from a K=1 eigensolve and moves
+F, which is affine in the inserted eigenvalue, to it.
 
 The scalar l_1 needs special treatment: M u_T lies almost entirely inside
 the range of G (a coefficient increment can absorb an eigenvalue shift),
@@ -47,12 +49,10 @@ from .fem import (
     CoefficientField,
     Discretization,
     OperatorPair,
-    _element_geometry,
     compute_norms,
-    element_gradients,
     gradient_bound,
     l2_norm,
-    require_zero_boundary,
+    make_field,
     validate_coefficient,
 )
 from .heat import check_u0_condition, compute_F, evolve, fit_log_slope, krylov_flow
@@ -71,7 +71,6 @@ __all__ = [
     "StabilityTable",
     "FLipschitzTable",
     "TransportSolveError",
-    "assemble_transport_operator",
     "build_transport_system",
     "transport_rhs",
     "solve_transport_ls",
@@ -83,11 +82,11 @@ __all__ = [
 _SMOOTHING_PASS_CAP = 5
 # Inner eigenvalue-closure budget per outer step.  One evaluation costs a
 # back-substitution with the factored transport normal matrix, an admissible
-# projection and a warm K=1 ground solve (solve_ground_pair): about 4.7 ms
-# at 32^2, under half of the 11 ms that open the step (_outer_step:
-# krylov_flow and certify_ground; 2 cores).  A capped closure therefore
-# costs about three step openings; 3 of the 5 bundled bump steps cap, 26
-# evaluations in all.
+# projection, a pencil (one product with the stiffness map) and a warm K=1
+# ground solve (solve_ground_pair): about 4.4 ms at 32^2, under half of the
+# 10 ms that open the step (_outer_step: krylov_flow and certify_ground;
+# 2 cores).  A capped closure therefore costs about three step openings;
+# 3 of the 5 bundled bump steps cap, 26 evaluations in all.
 _CLOSURE_EVAL_CAP = 7
 
 
@@ -127,11 +126,9 @@ class TransportSystem:
 @dataclass(frozen=True)
 class InversionOptions:
     """Knobs of the fixed-point reconstruction (alpha is relative to
-    the largest diagonal of G'G; modes is the K of the spectral fallback
-    of an outer step)."""
+    the largest diagonal of G'G)."""
 
     T: float
-    modes: int = 40
     alpha: float = 1e-8
     tol_fp: float = 1e-8
     max_iter: int = 50
@@ -157,28 +154,6 @@ class InversionReport:
         return int(np.count_nonzero(self.krylov_m == 0))
 
 
-def assemble_transport_operator(mesh: Mesh, u_T) -> sp.csr_matrix:
-    """Assemble G with G a = -(A(a) u_T) restricted to interior rows, exactly.
-
-    Exactness holds because the elementwise coefficient is the vertex
-    average: each element spreads -(|K|) grad u_T . grad phi_i equally over
-    its three coefficient vertices.
-    """
-    u_T = np.asarray(u_T, dtype=float)
-    if u_T.shape != (mesh.n_nodes,):
-        raise ValueError(f"snapshot has shape {u_T.shape}, expected ({mesh.n_nodes},)")
-    require_zero_boundary(u_T, mesh.boundary_node_flags, "snapshot must vanish on boundary nodes")
-    b, c, _ = _element_geometry(mesh)
-    g = element_gradients(mesh, u_T)
-    # test-function factor per (element, local i): grad u_T . grad phi_i * |K|
-    dot = (g[:, :1] * b + g[:, 1:] * c) / 2.0
-    vals = np.repeat(-dot / 3.0, 3, axis=1).ravel()
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    G = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    return G[mesh.interior_node_flags]
-
-
 def transport_rhs(disc: Discretization, u_T, lambda1: float, F_values) -> np.ndarray:
     """Interior moments -lambda1 (M u_T)_I + (M F)_I of the transport right-hand side."""
     M = disc.mass
@@ -198,16 +173,19 @@ def build_transport_system(
 ) -> TransportSystem:
     """Assemble and factor the regularized transport system of one snapshot.
 
-    The mass matrix, the Tikhonov metric A(1) and the partition come from
-    unit_pair.disc.  alpha is relative: the stored weight is alpha times
-    the largest diagonal of G'G (falling back to alpha itself when G
-    vanishes).  The interior block of the normal matrix is LU-factored
-    here, once; solve_transport_ls only back-substitutes.
+    G, the mass matrix, the Tikhonov metric A(1) and the partition come
+    from unit_pair.disc, which must be built on mesh.  alpha is relative:
+    the stored weight is alpha times the largest diagonal of G'G (falling
+    back to alpha itself when G vanishes).  The interior block of the
+    normal matrix is LU-factored here, once; solve_transport_ls only
+    back-substitutes.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     disc = unit_pair.disc
-    G = assemble_transport_operator(mesh, u_T)
+    if disc.mesh is not mesh:
+        raise ValueError("unit_pair was built on a different mesh")
+    G = disc.transport_operator(u_T)
     col_sq = np.asarray(G.multiply(G).sum(axis=0)).ravel()
     scale = float(col_sq.max()) if col_sq.max() > 0 else 1.0
     a0 = np.asarray(a0, dtype=float)
@@ -252,9 +230,7 @@ def solve_transport_ls(system: TransportSystem, a_prior: CoefficientField) -> Co
     a = np.empty(disc.n_nodes)
     a[B] = system.boundary_values[B]
     a[I] = sol
-    trace = np.zeros_like(a)
-    trace[B] = a[B]
-    return CoefficientField(values=a, a_plus=a_prior.a_plus, boundary_trace=trace)
+    return make_field(disc.mesh, a, a_prior.a_plus)
 
 
 def admissible_projection(
@@ -293,9 +269,7 @@ def admissible_projection(
                 break
         else:
             capped = True
-    trace = np.zeros_like(values)
-    trace[bnd] = values[bnd]
-    return CoefficientField(values=values, a_plus=float(a_plus), boundary_trace=trace), capped
+    return make_field(disc.mesh, values, a_plus), capped
 
 
 def _next_closure_point(samples: list[tuple[float, float]], lam_raw: float) -> float | None:
@@ -323,19 +297,20 @@ def _next_closure_point(samples: list[tuple[float, float]], lam_raw: float) -> f
     return float(xn)
 
 
-def _outer_step(pair: OperatorPair, u0, T: float, modes: int
-                ) -> tuple[SpectralDecomposition, np.ndarray, int]:
+def _outer_step(pair: OperatorPair, u0, T: float) -> tuple[SpectralDecomposition, np.ndarray, int]:
     """Ground pair and correction field F of one outer pencil.
 
     Returns (ground, F, m): krylov_flow's ground Ritz pair and F when
     certify_ground accepts the pair, with m the Krylov dimension; otherwise
-    a K=modes spectrum, compute_F and m = 0.
+    the K=1 spectrum, F moved to its eigenvalue and m = 0 (F = (l_1 - L) u(T)
+    is affine in the inserted l_1).
     """
     flow = krylov_flow(pair, u0, T)
     if certify_ground(pair, flow.ground):
         return flow.ground, flow.F, flow.m
-    spec = solve_generalized_eig(pair, modes)
-    return spec, compute_F(spec, u0, T).values, 0
+    ground = solve_generalized_eig(pair, 1)
+    shift = float(ground.eigenvalues[0] - flow.ground.eigenvalues[0])
+    return ground, flow.F + shift * flow.u, 0
 
 
 def fixed_point_invert(
@@ -351,7 +326,7 @@ def fixed_point_invert(
 
     Starting from the harmonic extension of the boundary trace, each
     iteration takes the ground pair and F of the current iterate's pencil
-    from _outer_step (a certified Krylov flow, or its K=modes fallback),
+    from _outer_step (a certified Krylov flow, or its K=1 fallback),
     solves the regularized transport system with the iterate as Tikhonov
     prior, and projects onto the admissible set.  The eigenvalue
     inserted into the right-hand side is refined within the step by the
@@ -387,7 +362,7 @@ def fixed_point_invert(
     system = None
     krylov_m = []
     for _ in range(opts.max_iter):
-        spec, F, m = _outer_step(disc.pair(current.values), u0, opts.T, opts.modes)
+        spec, F, m = _outer_step(disc.pair(current.values), u0, opts.T)
         krylov_m.append(m)
         lam_raw = float(spec.hat_eigenvalues[0])
 

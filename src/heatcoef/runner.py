@@ -316,8 +316,7 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
         _info(lines, "noise",
               f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
 
-    opts = InversionOptions(T=s.T, modes=ctx.spec.K, alpha=s.alpha, tol_fp=s.tol_fp,
-                            max_iter=s.max_iter)
+    opts = InversionOptions(T=s.T, alpha=s.alpha, tol_fp=s.tol_fp, max_iter=s.max_iter)
     report = fixed_point_invert(ctx.disc, ctx.u0, u_T, ctx.coeff.boundary_trace,
                                 s.a_plus, opts, a_true=ctx.coeff)
 

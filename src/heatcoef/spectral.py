@@ -248,8 +248,10 @@ def solve_ground_pair(
     close to this one.  Shifted inverse iteration (Parlett, The Symmetric
     Eigenvalue Problem, 1998, ch. 4) with sigma = _GROUND_SHIFT * lam_prev
     uses the factor of _definite_factor, which certifies sigma < lambda_1.
-    The iteration from start stops once the relative residual is at most
-    _RESIDUAL_TOL and the Rayleigh quotient is stationary to 4 ulp.
+    For sigma < lambda_1 the Rayleigh quotient cannot increase in exact
+    arithmetic, so the iteration stops at the first iterate with relative
+    residual at most _RESIDUAL_TOL whose quotient did not decrease, and
+    keeps the lowest quotient of the iterates within that residual.
 
     Returns (spec, warm): spec is a K=1 decomposition with the residual
     bound and sign rule of solve_generalized_eig; warm is False when the
@@ -261,18 +263,18 @@ def solve_ground_pair(
     if lu is not None:
         v = np.asarray(start, dtype=float)
         Mv = M @ v
-        lam = np.inf
+        lam, best = np.inf, (np.inf, None)
         for _ in range(_GROUND_MAX_ITER):
             v = lu.solve(Mv)
             Mv = M @ v
             norm = np.sqrt(v @ Mv)
             v, Mv = v / norm, Mv / norm
             lam_old, lam = lam, v @ (A @ v)
-            vals, vecs = np.array([lam]), v[:, None]
-            if (_relative_residual(pair, vals, vecs) <= _RESIDUAL_TOL
-                    and abs(lam - lam_old) <= 4 * np.finfo(float).eps * abs(lam)):
-                _orient_ground(pair, vecs)
-                return SpectralDecomposition(vals, vecs, np.array([1]), pair.disc), True
+            if _relative_residual(pair, np.array([lam]), v[:, None]) <= _RESIDUAL_TOL:
+                best = min(best, (lam, v[:, None]), key=lambda it: it[0])
+                if lam >= lam_old:
+                    _orient_ground(pair, best[1])
+                    return SpectralDecomposition(np.array([best[0]]), best[1], np.array([1]), pair.disc), True
     return solve_generalized_eig(pair, 1), False
 
 

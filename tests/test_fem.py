@@ -19,7 +19,6 @@ from heatcoef.fem import (
     validate_coefficient,
 )
 from heatcoef.heat import evolve
-from heatcoef.inversion import assemble_transport_operator
 from heatcoef.mesh import Mesh, build_structured_mesh, distance_to_boundary, write_grid
 from heatcoef.spectral import solve_generalized_eig
 
@@ -89,14 +88,29 @@ def test_discretize_pair_blocks(rng):
 
 
 def test_unit_pair_is_the_sliced_unit_stiffness(monkeypatch):
+    # pair(1.0), unit_pair and the interior block of unit_stiffness are one
+    # product with one map, bit for bit, and none of them assembles again.
     mesh = build_structured_mesh(6, 6)
     disc = discretize(mesh)
-    expected = disc.pair(1.0).stiffness
-    monkeypatch.setattr(fem, "assemble_stiffness", None)  # slicing only, no assembly
+    expected = disc.unit_stiffness[disc.interior][:, disc.interior].tocsr()
+    monkeypatch.setattr(fem, "_stiffness_map", None)  # the map is built once, above
     unit = disc.unit_pair
     assert unit.disc is disc and unit.mass is disc.mass_int
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(unit.stiffness, attr), getattr(expected, attr))
+    for pair in (unit, disc.pair(1.0)):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(pair.stiffness, attr), getattr(expected, attr))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=20)
+def test_pair_is_additive_in_the_coefficient(seed):
+    # A(a).data = S a, so the pencil of a + b is the sum of the pencils to rounding
+    disc = discretize(build_structured_mesh(5, 4))
+    rng = np.random.default_rng(seed)
+    a, b = 1.0 + rng.random((2, disc.n_nodes))
+    A, B, AB = (disc.pair(c).stiffness for c in (a, b, a + b))
+    assert np.array_equal(AB.indices, A.indices) and np.array_equal(AB.indptr, A.indptr)
+    assert np.allclose(AB.data, A.data + B.data, rtol=1e-14, atol=0.0)
 
 
 def test_h2_surrogate_closed_form_on_eigenvector():
@@ -127,7 +141,7 @@ def _custom_u0(disc, w, tmp_path):
 # Every field that must vanish on the boundary is checked by one rule,
 # |w| <= 1e-12 max(1, max |w|) on boundary nodes, with its caller's message.
 _BOUNDARY_CALLERS = {
-    "transport": (lambda disc, w, _: assemble_transport_operator(disc.mesh, w),
+    "transport": (lambda disc, w, _: disc.transport_operator(w),
                   "snapshot must vanish on boundary nodes"),
     "norms": (lambda disc, w, _: compute_norms(w, disc),
               "H2 surrogate undefined: field is nonzero on boundary nodes"),

@@ -9,6 +9,7 @@ from heatcoef import inversion, spectral
 
 from heatcoef.catalog import make_coefficient
 from heatcoef.fem import (
+    Discretization,
     assemble_mass,
     assemble_stiffness,
     compute_norms,
@@ -19,7 +20,6 @@ from heatcoef.inversion import (
     InversionOptions,
     _next_closure_point,
     admissible_projection,
-    assemble_transport_operator,
     build_transport_system,
     fixed_point_invert,
     gradient_bound,
@@ -63,12 +63,12 @@ def bump_snapshot(mesh32, bump32, bump_spec32):
 
 
 class TestTransportOperator:
-    def test_factorization_is_exact_for_any_coefficient(self, mesh32, bump_snapshot, rng):
+    def test_factorization_is_exact_for_any_coefficient(self, mesh32, disc32, bump_snapshot, rng):
         # G a must reproduce -(A(a) u_T) on interior rows without any
         # quadrature error, because the coefficient enters elementwise as
         # the vertex average.
         _, _, u_T, _, _ = bump_snapshot
-        G = assemble_transport_operator(mesh32, u_T)
+        G = disc32.transport_operator(u_T)
         a = 1.0 + 0.4 * rng.random(mesh32.n_nodes)
         lhs = G @ a
         rhs = -(assemble_stiffness(mesh32, a) @ u_T)[~mesh32.boundary_node_flags]
@@ -81,6 +81,11 @@ class TestTransportOperator:
         system = build_transport_system(mesh32, unit_pair32, u_T, lam1, F, 1e-8, bump32.values)
         residual = np.linalg.norm(system.G @ bump32.values - system.rhs)
         assert residual < 1e-13  # measured 2.94e-15
+
+    def test_rejects_a_unit_pair_of_another_mesh(self, mesh16, unit_pair32):
+        zero = np.zeros(mesh16.n_nodes)
+        with pytest.raises(ValueError, match="^unit_pair was built on a different mesh$"):
+            build_transport_system(mesh16, unit_pair32, zero, 0.0, zero, 1e-8, zero)
 
     def test_zero_snapshot_returns_prior(self, mesh32, disc32, unit_pair32, bump32):
         zero = np.zeros(mesh32.n_nodes)
@@ -205,7 +210,7 @@ class TestClosurePoint:
 class TestFixedPointInvert:
     def test_recovers_bump_from_clean_snapshot(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot
-        opts = InversionOptions(T=T, modes=8)
+        opts = InversionOptions(T=T)
         rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts, a_true=bump32)
         assert rep.converged
         assert rep.iterations <= 8  # measured 5
@@ -218,18 +223,19 @@ class TestFixedPointInvert:
         unit = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         u_T = evolve(unit_spec32, d, 2.0).u
         rep = fixed_point_invert(disc32, d, u_T, unit.values, 2.0,
-                                 InversionOptions(T=2.0, modes=8), a_true=unit)
+                                 InversionOptions(T=2.0), a_true=unit)
         assert rep.converged
         assert rep.iterations <= 2  # measured 1
         assert rep.rel_error < 1e-6  # measured 1.16e-12
 
     def test_transport_system_built_once_per_inversion(self, disc32, bump32, bump_snapshot,
                                                        monkeypatch):
-        calls = _count_calls(monkeypatch, "assemble_transport_operator", "solve_transport_ls")
+        operators = _count_calls(monkeypatch, "transport_operator", module=Discretization)
+        calls = _count_calls(monkeypatch, "solve_transport_ls")
         d, T, u_T, _, _ = bump_snapshot
-        opts = InversionOptions(T=T, modes=8, max_iter=1)
+        opts = InversionOptions(T=T, max_iter=1)
         fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts)
-        assert calls["assemble_transport_operator"] == 1
+        assert operators["transport_operator"] == 1
         assert calls["solve_transport_ls"] >= 2  # one per closure evaluation
 
     def test_bundled_bump_closure_eigensolves(self, tmp_path, monkeypatch):
@@ -252,19 +258,23 @@ class TestFixedPointInvert:
     def test_uncertified_outer_step_falls_back(self, bump_pair32, bump_spec32, monkeypatch):
         # u0 = phi_2 has no ground component, so its Krylov space is
         # invariant after one solve and its Ritz pair is (lambda_2, phi_2):
-        # the certificate rejects it and the step solves K=modes instead.
+        # the certificate rejects it, and the step takes lambda_1 from a K=1
+        # solve and moves the Krylov F to it.
         calls = _count_calls(monkeypatch, "solve_generalized_eig", "compute_F")
         phi2 = bump_spec32.disc.extend(bump_spec32.eigenvectors[:, 1])
-        ground, F, m = inversion._outer_step(bump_pair32, phi2, 0.15, 8)
-        assert calls == {"solve_generalized_eig": 1, "compute_F": 1}
+        ground, F, m = inversion._outer_step(bump_pair32, phi2, 0.15)
+        assert calls == {"solve_generalized_eig": 1, "compute_F": 0}
         assert m == 0
-        assert ground.K == 8
+        assert ground.K == 1
         assert ground.eigenvalues[0] == pytest.approx(bump_spec32.eigenvalues[0], rel=1e-12)
-        assert np.array_equal(F, compute_F(ground, phi2, 0.15).values)
+        # the spectral F of the K=8 spectrum, (lambda_1 - lambda_2) e^{-lambda_2 T} phi_2
+        ref = compute_F(bump_spec32, phi2, 0.15).values
+        M = bump_spec32.disc.mass
+        assert l2_norm(F - ref, M) <= 1e-12 * l2_norm(ref, M)  # measured 7.6e-15
 
     def test_iteration_cap_flags_stall(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot
-        opts = InversionOptions(T=T, modes=8, max_iter=1, tol_fp=1e-14)
+        opts = InversionOptions(T=T, max_iter=1, tol_fp=1e-14)
         rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts)
         assert not rep.converged
         assert rep.iterations == 1
@@ -290,7 +300,7 @@ class TestFixedPointInvert:
         d, T, u_T, _, _ = bump_snapshot
         with pytest.raises(ValueError, match="int u0"):
             fixed_point_invert(disc32, -d, u_T, bump32.values, 2.0,
-                               InversionOptions(T=T, modes=8))
+                               InversionOptions(T=T))
 
 
 class TestStabilityExperiment:

@@ -251,13 +251,20 @@ def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch):
 def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
     # a = 1 (K=40), whose first 20 pairs are both the min-max sandwich's unit
     # spectrum and the base of one perturbation sweep that solves a + s*eta
-    # for three scales (K=20 each); A(1) is assembled by discretize and cut
-    # from the Discretization.
+    # for three scales (K=20 each).  The run builds the stiffness map of its
+    # mesh once and reads 4 pencils from it; nothing assembles A(a) anew.
     solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
+    maps = _count_calls(monkeypatch, fem._stiffness_map)
     assemblies = _count_calls(monkeypatch, fem.assemble_stiffness)
+    pencils, pair = [], fem.Discretization.pair
+
+    def counted_pair(disc, a):
+        pencils.append(a)
+        return pair(disc, a)
+    monkeypatch.setattr(fem.Discretization, "pair", counted_pair)
     run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path)
     assert len(solves) == 4
-    assert len(assemblies) == 5
+    assert (len(maps), len(pencils), len(assemblies)) == (1, 4, 0)
 
 
 def test_verify_spectral_needs_twenty_interior_nodes_for_the_sweep(tmp_path):

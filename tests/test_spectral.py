@@ -6,8 +6,9 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from heatcoef import spectral
-from heatcoef.catalog import direction_values, make_coefficient
+from heatcoef.catalog import direction_values, initial_state, make_coefficient
 from heatcoef.fem import AdmissibilityError, discretize, make_field
+from heatcoef.heat import krylov_flow
 from heatcoef.mesh import build_structured_mesh
 from heatcoef.spectral import (
     EigensolverError,
@@ -173,10 +174,26 @@ class TestGroundPair:
         assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
         assert np.array_equal(spec.eigenvectors, ref.eigenvectors)
 
+    @pytest.mark.parametrize("nx,a", [(32, 1.89), (16, 1.94)])
+    def test_stops_once_the_quotient_reaches_rounding(self, nx, a, monkeypatch):
+        # From the Krylov ground pair of these constant pencils the iteration
+        # reaches rounding at once, and the Rayleigh quotient can then
+        # alternate between values a few ulp apart (6 ulp at 32^2, a = 1.89,
+        # with one summation order of A(a); 16^2, a = 1.94 with another)
+        # while the residual sits near 6e-14.  The solve must stop there.
+        disc = discretize(build_structured_mesh(nx, nx))
+        pair = disc.pair(a)
+        near = krylov_flow(pair, initial_state(disc.mesh, "d_Omega"), 0.15).ground
+        ref = solve_generalized_eig(pair, 1)
+        fallbacks = self.count_fallbacks(monkeypatch)
+        spec, warm = solve_ground_pair(pair, near.eigenvectors[:, 0], near.eigenvalues[0])
+        assert warm and fallbacks == []
+        assert abs(spec.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-13 * ref.eigenvalues[0]
+
     def test_iteration_cap_falls_back(self, monkeypatch):
         pair, near = self.bump_pencils(32)
         fallbacks = self.count_fallbacks(monkeypatch)
-        # one iteration can never show a stationary Rayleigh quotient
+        # one iteration can never show a quotient that did not decrease
         monkeypatch.setattr(spectral, "_GROUND_MAX_ITER", 1)
         spec, warm = solve_ground_pair(pair, near.eigenvectors[:, 0], near.eigenvalues[0])
         assert not warm and fallbacks == [1]
