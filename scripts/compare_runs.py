@@ -5,10 +5,13 @@
 
 For each scenario directory the script lists the files whose SHA-256
 matches.  For every other file it prints the largest relative difference
-|x - y| / max(|x|, |y|) per CSV column, or over the whole grid file, and
-for other text files how many lines differ.  It then prints every
-summary check whose PASS / FAIL / WARN state changed.  Exits 1 when a
-state changed or a scenario or file exists in only one tree, 0 otherwise.
+|x - y| / max(|x|, |y|) per CSV column, or over the whole grid file,
+then the largest absolute difference |x - y| (for a CSV, with the column
+holding it), since two values near zero can differ by a large relative
+amount; for other text files it prints how many lines differ.  It then
+prints every summary check whose PASS / FAIL / WARN state changed.
+Exits 1 when a state changed or a scenario or file exists in only one
+tree, 0 otherwise.
 """
 
 import argparse
@@ -26,16 +29,27 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def rel_diff(a, b) -> float:
-    """Largest |x - y| / max(|x|, |y|) over paired values; inf on a shape mismatch."""
+def _differences(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(|x - y|, |x - y| / max(|x|, |y|)) per pair: 0 where x == y or both are
+    nan, inf where only one is nan; a single inf pair on a shape mismatch."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        return float("inf")
+        return np.array([np.inf]), np.array([np.inf])
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    rel = np.where(same, 0.0, np.where(np.isnan(rel), np.inf, rel))
-    return float(rel.max(initial=0.0))
+        diff = np.abs(a - b)
+        rel = diff / np.maximum(np.abs(a), np.abs(b))
+    return tuple(np.where(same, 0.0, np.where(np.isnan(d), np.inf, d)) for d in (diff, rel))
+
+
+def rel_diff(a, b) -> float:
+    """Largest |x - y| / max(|x|, |y|) over paired values; inf on a shape mismatch."""
+    return float(_differences(a, b)[1].max(initial=0.0))
+
+
+def abs_diff(a, b) -> float:
+    """Largest |x - y| over paired values; inf on a shape mismatch."""
+    return float(_differences(a, b)[0].max(initial=0.0))
 
 
 def _csv_columns(path: Path) -> dict[str, list[float]]:
@@ -54,9 +68,13 @@ def describe_difference(a: Path, b: Path) -> str:
         ca, cb = _csv_columns(a), _csv_columns(b)
         if list(ca) != list(cb):
             return f"header differs: {list(ca)} vs {list(cb)}"
-        return ", ".join(f"{name} {rel_diff(ca[name], cb[name]):.3g}" for name in ca)
+        gaps = {name: abs_diff(ca[name], cb[name]) for name in ca}
+        worst = max(gaps, key=gaps.get)
+        return (", ".join(f"{name} {rel_diff(ca[name], cb[name]):.3g}" for name in ca)
+                + f"; max abs {gaps[worst]:.3g} ({worst})")
     if a.suffix == ".grid":
-        return f"max rel diff {rel_diff(_grid_values(a), _grid_values(b)):.3g}"
+        ga, gb = _grid_values(a), _grid_values(b)
+        return f"max rel diff {rel_diff(ga, gb):.3g}; max abs {abs_diff(ga, gb):.3g}"
     la, lb = a.read_text().splitlines(), b.read_text().splitlines()
     changed = sum(x != y for x, y in zip(la, lb)) + abs(len(la) - len(lb))
     return f"{changed} of {max(len(la), len(lb))} lines differ"

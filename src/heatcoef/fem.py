@@ -12,6 +12,10 @@ Discretization (discretize()).  Its pair(a) is one product with the
 interior rows S_II of S, and its transport_operator(u), the weak
 transport operator G(u) a = -(A(a) u)_I of the inversion module, is
 -Rows diag(u_I[col]) S_II.
+
+definite_factor is the one sparse factor of a symmetric positive definite
+matrix: every SPD solve of the package, ARPACK's shift-invert included,
+goes through it, and its inertia proves the matrix definite.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "assemble_pair",
     "apply_dirichlet",
     "discretize",
+    "definite_factor",
     "compute_norms",
     "require_zero_boundary",
     "l2_norm",
@@ -79,7 +84,8 @@ class Discretization:
     interior / boundary : sorted node indices of the Dirichlet partition.
     mass_int : the interior block M_II.
     The interior rows S_II of S, unit_stiffness (the full A(1)) and
-    mass_int_factor (SuperLU of M_II) are built on first use (no reference cycle).
+    mass_int_factor (the definite_factor of M_II) are built on first use
+    (no reference cycle).
     """
 
     mesh: Mesh
@@ -111,7 +117,10 @@ class Discretization:
 
     @cached_property
     def mass_int_factor(self) -> spla.SuperLU:
-        return spla.splu(self.mass_int.tocsc())
+        lu = definite_factor(self.mass_int)
+        if lu is None:
+            raise ValueError("interior mass matrix is not positive definite")
+        return lu
 
     @property
     def unit_pair(self) -> OperatorPair:
@@ -241,6 +250,25 @@ def discretize(mesh: Mesh) -> Discretization:
     return Discretization(mesh=mesh, mass=M, interior=interior,
                           boundary=np.flatnonzero(mesh.boundary_node_flags),
                           mass_int=M[interior][:, interior].tocsr())
+
+
+def definite_factor(C: sp.spmatrix) -> spla.SuperLU | None:
+    """Sparse LU factor of a symmetric C if it proves C positive definite, else None.
+
+    The factor is symmetric-mode, ordered by minimum degree on the pattern
+    of C (George-Liu, SIAM Review 31, 1989) and without pivoting.  When
+    rows and columns share one permutation and every pivot of U is
+    positive, by Sylvester's law of inertia C is positive definite; for
+    C = A - sigma M that puts every eigenvalue of the pencil above sigma.
+    """
+    try:
+        lu = spla.splu(C.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0):
+        return lu
+    return None
 
 
 def assemble_pair(mesh: Mesh, a) -> OperatorPair:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .fem import Discretization, OperatorPair, l2_norm, nodal_gradients, require_zero_boundary
+from .fem import Discretization, OperatorPair, definite_factor, l2_norm, nodal_gradients, require_zero_boundary
 from .mesh import BoundaryBand, distance_to_boundary
-from .spectral import SpectralDecomposition, _definite_factor, _orient_ground
+from .spectral import SpectralDecomposition, orient_ground
 
 __all__ = [
     "HeatSnapshot",
@@ -133,10 +133,11 @@ def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
     """Heat flow and correction field of u0 from a shift-invert Krylov space.
 
     M-orthonormal Lanczos on A^-1 M from the interior part of u0, with full
-    re-orthogonalisation and one symmetric-mode sparse factor of A (that of
-    spectral._definite_factor, which also checks that A is positive
-    definite).  The first pass of each re-orthogonalisation is a column of
-    the projected matrix H = V' M A^-1 M V, so H costs no extra solve.
+    re-orthogonalisation and one sparse factor of A: fem.definite_factor,
+    which also proves A positive definite, the same factor ARPACK inverts
+    A with in spectral.solve_generalized_eig.  The first pass of each
+    re-orthogonalisation is a column of the projected matrix
+    H = V' M A^-1 M V, so H costs no extra solve.
     With H = Q diag(theta) Q' the Ritz values are 1/theta, and a function f
     of L = M^-1 A acts on u0 as ||u0||_M V Q f(1/theta) Q' e_1: f = e^{-lT}
     for u(T) and (l_1 - l) e^{-lT} for F, with l_1 the top Ritz value, so F
@@ -160,7 +161,7 @@ def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
     beta0 = float(np.sqrt(w @ Mw))
     if not beta0 > 0:
         raise ValueError("initial state vanishes on the interior nodes")
-    lu = _definite_factor(pair, 0.0)
+    lu = definite_factor(pair.stiffness)
     if lu is None:
         raise ValueError("stiffness matrix is not positive definite")
 
@@ -206,7 +207,7 @@ def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
     u = V @ (beta0 * (Q @ (damp * Q[0])))
     F = V @ (beta0 * coef_F)
     vecs = V @ Q[:, -1:]
-    _orient_ground(pair, vecs)
+    orient_ground(pair, vecs)
     ground = SpectralDecomposition(lam[-1:], vecs, np.array([1]), disc)
     return KrylovFlow(u=disc.extend(u), F=disc.extend(F), ground=ground, m=m)
 

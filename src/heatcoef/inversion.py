@@ -50,6 +50,7 @@ from .fem import (
     Discretization,
     OperatorPair,
     compute_norms,
+    definite_factor,
     gradient_bound,
     l2_norm,
     make_field,
@@ -196,6 +197,8 @@ def build_transport_system(
     H = (G.T @ G + alpha * disc.unit_stiffness).tocsr()
     H_II = H[I][:, I].tocsc()
     try:
+        # H_II is SPD, but the unpivoted fem.definite_factor moves the solve
+        # by 7e-11 from the pivoted direct solve; this factor stays within 1e-12.
         factor = spla.splu(H_II)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         diag = H_II.diagonal()
@@ -346,7 +349,10 @@ def fixed_point_invert(
 
     start = np.empty(mesh.n_nodes)
     start[B] = a0[B]
-    start[I] = spla.spsolve(disc.unit_pair.stiffness.tocsc(), -(R[I][:, B] @ a0[B]))
+    unit = definite_factor(disc.unit_pair.stiffness)
+    if unit is None:
+        raise ValueError("unit stiffness matrix is not positive definite")
+    start[I] = unit.solve(-(R[I][:, B] @ a0[B]))
     start = np.maximum(start, 1.0)
     current, _ = admissible_projection(disc, start, a0, a_plus)
 

@@ -4,9 +4,12 @@ This module owns how a pencil becomes a spectrum: solve_generalized_eig
 solves A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) by
 ARPACK shift-invert about zero (dense LAPACK only where ARPACK's 2K + 1
 Lanczos vectors do not fit), and strict clusters follow the one rule
-CLUSTER_TOL.  solve_ground_pair is the warm K=1 solve of a pencil close to
-one already solved: shifted inverse iteration from the known ground pair,
-with the shift certified below lambda_1 by the inertia of its factor, and
+CLUSTER_TOL.  Every sparse factor here is fem.definite_factor, whose
+inertia proves the factored matrix positive definite: that of A for
+ARPACK's inverse, that of A - sigma M for the two solves below.
+solve_ground_pair is the warm K=1 solve of a pencil close to one already
+solved: shifted inverse iteration from the known ground pair, with the
+shift certified below lambda_1 by the inertia of its factor, and
 solve_generalized_eig as the fallback.  certify_ground uses the same
 inertia test to prove that a pair found elsewhere (a Krylov Ritz pair) is
 the ground pair and not a higher eigenpair.  Also here: the gap and min-max
@@ -31,6 +34,7 @@ from .fem import (
     CoefficientField,
     Discretization,
     OperatorPair,
+    definite_factor,
     l2_norm,
     make_field,
     validate_coefficient,
@@ -47,6 +51,7 @@ __all__ = [
     "solve_generalized_eig",
     "solve_ground_pair",
     "certify_ground",
+    "orient_ground",
     "strictify_spectrum",
     "gap_report",
     "regroup_spectrum",
@@ -185,11 +190,12 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
     """Lowest K eigenpairs of the reduced pencil disc.pair(a), M-orthonormal.
 
     ARPACK shift-invert Lanczos about sigma = 0 (Lehoucq-Sorensen-Yang,
-    ARPACK Users' Guide, 1998) on the sparse pencil: A is SPD, so the K
-    eigenvalues nearest zero are the lowest.  The start vector is fixed.
-    Only a pencil too small for ARPACK's default Lanczos basis of 2K + 1
-    vectors takes the dense LAPACK path.  Eigenvalues are clustered by
-    CLUSTER_TOL.
+    ARPACK Users' Guide, 1998) on the sparse pencil, with A^-1 applied by
+    the definite_factor of A.  That factor proves A positive definite, so
+    the K eigenvalues nearest zero are the lowest; a stiffness it rejects
+    raises EigensolverError.  The start vector is fixed.  Only a pencil too
+    small for ARPACK's default Lanczos basis of 2K + 1 vectors takes the
+    dense LAPACK path.  Eigenvalues are clustered by CLUSTER_TOL.
     """
     n = pair.stiffness.shape[0]
     if not 1 <= K <= n:
@@ -201,9 +207,14 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
         except la.LinAlgError as exc:  # pragma: no cover - depends on LAPACK failure
             raise EigensolverError(f"generalized eigensolver failed: {exc}") from exc
     else:
+        lu = definite_factor(pair.stiffness)
+        if lu is None:
+            raise EigensolverError(f"stiffness matrix is not positive definite (n={n})")
+        inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
         try:
-            vals, vecs = spla.eigsh(pair.stiffness, k=K, M=pair.mass, sigma=0.0, v0=v0)
+            vals, vecs = spla.eigsh(pair.stiffness, k=K, M=pair.mass, sigma=0.0, v0=v0,
+                                    OPinv=inverse)
         except spla.ArpackError as exc:  # ArpackNoConvergence included
             raise EigensolverError(
                 f"ARPACK eigensolver failed (n={n}, K={K}): {exc}") from exc
@@ -217,7 +228,7 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
             f"(n={n}, K={K}); pencil may be ill-conditioned"
         )
 
-    _orient_ground(pair, vecs)
+    orient_ground(pair, vecs)
     for j in range(1, K):
         lead = int(np.argmax(np.abs(vecs[:, j])))
         if vecs[lead, j] < 0:
@@ -228,12 +239,13 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
 
 def _relative_residual(pair: OperatorPair, vals: np.ndarray, vecs: np.ndarray) -> float:
     """Largest |A v - lambda M v| entry, relative to the largest |lambda M v| per column."""
-    res = pair.stiffness @ vecs - (pair.mass @ vecs) * vals[None, :]
-    scale = np.abs(vals)[None, :] * np.abs(pair.mass @ vecs) + 1e-300
+    Mv = pair.mass @ vecs
+    res = pair.stiffness @ vecs - Mv * vals[None, :]
+    scale = np.abs(vals)[None, :] * np.abs(Mv) + 1e-300
     return float(np.max(np.abs(res) / np.max(scale, axis=0, keepdims=True)))
 
 
-def _orient_ground(pair: OperatorPair, vecs: np.ndarray) -> None:
+def orient_ground(pair: OperatorPair, vecs: np.ndarray) -> None:
     """Flip the first column in place to a positive M-weighted mean."""
     if np.ones(vecs.shape[0]) @ (pair.mass @ vecs[:, 0]) < 0:
         vecs[:, 0] = -vecs[:, 0]
@@ -247,7 +259,7 @@ def solve_ground_pair(
     start and lam_prev are the ground vector and eigenvalue of a pencil
     close to this one.  Shifted inverse iteration (Parlett, The Symmetric
     Eigenvalue Problem, 1998, ch. 4) with sigma = _GROUND_SHIFT * lam_prev
-    uses the factor of _definite_factor, which certifies sigma < lambda_1.
+    uses the definite_factor of A - sigma M, which certifies sigma < lambda_1.
     For sigma < lambda_1 the Rayleigh quotient cannot increase in exact
     arithmetic, so the iteration stops at the first iterate with relative
     residual at most _RESIDUAL_TOL whose quotient did not decrease, and
@@ -259,7 +271,7 @@ def solve_ground_pair(
     from solve_generalized_eig(pair, 1).
     """
     A, M = pair.stiffness, pair.mass
-    lu = _definite_factor(pair, _GROUND_SHIFT * lam_prev)
+    lu = definite_factor(A - _GROUND_SHIFT * lam_prev * M)
     if lu is not None:
         v = np.asarray(start, dtype=float)
         Mv = M @ v
@@ -273,28 +285,9 @@ def solve_ground_pair(
             if _relative_residual(pair, np.array([lam]), v[:, None]) <= _RESIDUAL_TOL:
                 best = min(best, (lam, v[:, None]), key=lambda it: it[0])
                 if lam >= lam_old:
-                    _orient_ground(pair, best[1])
+                    orient_ground(pair, best[1])
                     return SpectralDecomposition(np.array([best[0]]), best[1], np.array([1]), pair.disc), True
     return solve_generalized_eig(pair, 1), False
-
-
-def _definite_factor(pair: OperatorPair, sigma: float) -> spla.SuperLU | None:
-    """LU factor of A - sigma M if it certifies sigma < lambda_1, else None.
-
-    The factor is symmetric-mode and without pivoting.  When rows and
-    columns share one permutation and every pivot of U is positive, by
-    Sylvester's law of inertia A - sigma M is positive definite, so every
-    eigenvalue of the pencil exceeds sigma.
-    """
-    try:
-        lu = spla.splu((pair.stiffness - sigma * pair.mass).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return None
-    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0):
-        return lu
-    return None
 
 
 def certify_ground(pair: OperatorPair, ground: SpectralDecomposition) -> bool:
@@ -303,16 +296,16 @@ def certify_ground(pair: OperatorPair, ground: SpectralDecomposition) -> bool:
     The residual bound of solve_generalized_eig puts an eigenvalue next to
     the pair's lam, but every eigenpair passes it: a Krylov start vector
     with no ground component yields lambda_2 or higher.  The inertia of
-    A - (1 - _GROUND_AGREEMENT) lam M (_definite_factor) adds that no
+    A - (1 - _GROUND_AGREEMENT) lam M (its definite_factor) adds that no
     eigenvalue lies below (1 - _GROUND_AGREEMENT) lam, so the eigenvalue
     next to lam is lambda_1.  A top Ritz value of a shift-invert Krylov
     space is never below lambda_1, so for it lambda_1 lies in
     ((1 - _GROUND_AGREEMENT) lam, lam].
     """
     lam = float(ground.eigenvalues[0])
+    shifted = pair.stiffness - (1.0 - _GROUND_AGREEMENT) * lam * pair.mass
     return (_relative_residual(pair, ground.eigenvalues[:1], ground.eigenvectors[:, :1])
-            <= _RESIDUAL_TOL
-            and _definite_factor(pair, (1.0 - _GROUND_AGREEMENT) * lam) is not None)
+            <= _RESIDUAL_TOL and definite_factor(shifted) is not None)
 
 
 def strictify_spectrum(eigenvalues, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from heatcoef.fem import (
     assemble_mass,
     assemble_stiffness,
     compute_norms,
+    definite_factor,
     discretize,
     element_gradients,
     gradient_bound,
@@ -111,6 +113,16 @@ def test_pair_is_additive_in_the_coefficient(seed):
     A, B, AB = (disc.pair(c).stiffness for c in (a, b, a + b))
     assert np.array_equal(AB.indices, A.indices) and np.array_equal(AB.indptr, A.indptr)
     assert np.allclose(AB.data, A.data + B.data, rtol=1e-14, atol=0.0)
+
+
+def test_definite_factor_certifies_by_inertia(disc32, bump_pair32, unit_pair32):
+    # the unit pencil shifted above lambda_1 is indefinite: no factor
+    lam1 = solve_generalized_eig(unit_pair32, 1).eigenvalues[0]
+    assert definite_factor(unit_pair32.stiffness - 1.1 * lam1 * unit_pair32.mass) is None
+    b = np.random.default_rng(7).standard_normal(disc32.interior.size)
+    for C in (bump_pair32.stiffness, disc32.mass_int):
+        ref = spla.spsolve(C.tocsc(), b)
+        assert np.linalg.norm(definite_factor(C).solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_h2_surrogate_closed_form_on_eigenvector():

@@ -59,7 +59,7 @@ def test_compare_runs_smoke(tmp_path, capsys):
 
     assert compare.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
     out = capsys.readouterr().out
-    assert "table.csv: k 0, lambda 1e-06" in out
+    assert "table.csv: k 0, lambda 1e-06; max abs 2e-06 (lambda)" in out
     assert "identical: u.grid" in out
     assert "state changed: gap PASS -> FAIL" in out
 
@@ -70,3 +70,9 @@ def test_compare_runs_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "u.grid: only in parent" in out
     assert "state changed" not in out
+
+    # a grid line ends with its largest absolute difference
+    (tmp_path / "change" / "case" / "u.grid").write_text("1 1\n0 1e-12\n0 0\n")
+    (tmp_path / "parent" / "case" / "u.grid").write_text("1 1\n0 3e-12\n0 0\n")
+    assert compare.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 0
+    assert "u.grid: max rel diff 0.667; max abs 2e-12" in capsys.readouterr().out

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from heatcoef import spectral
 from heatcoef.catalog import direction_values, initial_state, make_coefficient
-from heatcoef.fem import AdmissibilityError, discretize, make_field
+from heatcoef.fem import AdmissibilityError, OperatorPair, definite_factor, discretize, make_field
 from heatcoef.heat import krylov_flow
 from heatcoef.mesh import build_structured_mesh
 from heatcoef.spectral import (
@@ -100,13 +100,43 @@ class TestSparseSolver:
         with pytest.raises(EigensolverError, match="No convergence"):
             solve_generalized_eig(unit_pair32, 1)
 
+    @pytest.mark.parametrize("nx", [32, 48])
+    def test_matches_scipys_own_shift_invert(self, nx):
+        # the same ARPACK run with scipy's internal factor of A (column
+        # minimum degree, partial pivoting) in place of definite_factor's
+        mesh = build_structured_mesh(nx, nx)
+        pair = discretize(mesh).pair(make_coefficient(mesh, "gaussian-bump", None, 2.0).values)
+        n, K = pair.stiffness.shape[0], 40
+        spec = solve_generalized_eig(pair, K)
+        v0 = np.random.default_rng(spectral._V0_SEED).standard_normal(n)
+        vals, vecs = spla.eigsh(pair.stiffness, k=K, M=pair.mass, sigma=0.0, v0=v0)
+        order = np.argsort(vals)
+        ref = dataclasses.replace(spec, eigenvalues=vals[order], eigenvectors=vecs[:, order],
+                                  multiplicities=strictify_spectrum(vals[order], 1e-6)[1])
+
+        assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues) / ref.eigenvalues) <= 1e-10
+        complete = ref.n_clusters - 1  # the cut may split the last cluster
+        assert np.array_equal(spec.multiplicities[:complete], ref.multiplicities[:complete])
+        for k in range(1, complete + 1):
+            assert projection_difference_norm(spec, ref, pair, k) <= 1e-8, k
+
+    def test_indefinite_stiffness_is_refused(self, unit_pair32):
+        lam1 = solve_generalized_eig(unit_pair32, 1).eigenvalues[0]
+        shifted = OperatorPair(unit_pair32.stiffness - 2.0 * lam1 * unit_pair32.mass,
+                               unit_pair32.disc)
+        with pytest.raises(EigensolverError, match="positive definite"):
+            solve_generalized_eig(shifted, 4)
+
     @pytest.mark.parametrize("nx", [3, 5, 8])
     def test_small_pencils_take_arpack_wherever_it_fits(self, nx, monkeypatch):
         eigsh, calls = spla.eigsh, []
 
-        def counted(*args, **kwargs):
+        def counted(A, **kwargs):
+            # ARPACK inverts A through the package's own factor, not scipy's
+            x = np.arange(1.0, A.shape[0] + 1)
+            assert np.allclose(kwargs["OPinv"].matvec(A @ x), x, rtol=1e-10, atol=0.0)
             calls.append(kwargs["k"])
-            return eigsh(*args, **kwargs)
+            return eigsh(A, **kwargs)
         monkeypatch.setattr(spla, "eigsh", counted)
         mesh = build_structured_mesh(nx, nx)
         bump = make_coefficient(mesh, "gaussian-bump", None, 2.0)
@@ -242,7 +272,7 @@ class TestCertifyGround:
         pair, spec = self.two_well_pencil()
         ground = self.kth_pair(spec, 0)
         low = dataclasses.replace(ground, eigenvalues=ground.eigenvalues * (1.0 - 1e-6))
-        assert spectral._definite_factor(pair, float(low.eigenvalues[0])) is not None
+        assert definite_factor(pair.stiffness - float(low.eigenvalues[0]) * pair.mass) is not None
         assert not certify_ground(pair, low)
 
 
