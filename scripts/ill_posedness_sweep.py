@@ -4,8 +4,10 @@
 For each T in the grid this runs a noisy inversion of the bump
 coefficient and records the relative error, then fits the exponential
 growth rate of the stability ratio rho(T) = ||a - a~|| / ||u - u~||_H2
-for a fixed admissible pair.  Output is one CSV ready for plotting plus
-a fitted-rate line on stdout.
+for a fixed admissible pair.  The pair's spectra follow the stability-sweep
+mode: --modes caps them, and each holds only the eigenpairs the earliest
+time can see (solve_flow_spectrum), with its cutoff printed on stdout.
+Output is one CSV ready for plotting plus a fitted-rate line on stdout.
 """
 
 import argparse
@@ -22,7 +24,7 @@ from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import build_structured_mesh, distance_to_boundary
 from heatcoef.runner import run_scenario
 from heatcoef.scenario import parse_config_text
-from heatcoef.spectral import solve_generalized_eig
+from heatcoef.spectral import solve_flow_spectrum
 
 CONFIG = """\
 name = ill_posedness
@@ -43,7 +45,8 @@ def main(argv=None) -> int:
                         help="H2-surrogate data-error level")
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--nx", type=int, default=32)
-    parser.add_argument("--modes", type=int, default=8)
+    parser.add_argument("--modes", type=int, default=8,
+                        help="eigenpairs of the inversions; cap of the stability pair's spectra")
     parser.add_argument("--times", default="0.15,0.3,0.6,1.2",
                         help="comma-separated snapshot times")
     args = parser.parse_args(argv)
@@ -68,8 +71,13 @@ def main(argv=None) -> int:
     a = make_coefficient(mesh, "gaussian-bump", None, 2.0)
     a_tilde = make_coefficient(mesh, "two-bump", None, 2.0)
     disc = discretize(mesh)
-    spec, spec_t = (solve_generalized_eig(disc.pair(c.values), args.modes) for c in (a, a_tilde))
-    tab, _ = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), times, spec, spec_t)
+    spectra = []
+    for label, c in (("a", a), ("a~", a_tilde)):
+        pair = disc.pair(c.values)
+        spec, cut = solve_flow_spectrum(pair, min(times), min(args.modes, pair.stiffness.shape[0]))
+        print(f"flow-spectrum {label}: {cut.describe()}")
+        spectra.append(spec)
+    tab, _ = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), times, *spectra)
 
     csv = args.out / "ill_posedness.csv"
     with csv.open("w", encoding="ascii") as fh:

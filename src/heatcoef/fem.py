@@ -13,9 +13,12 @@ interior rows S_II of S, and its transport_operator(u), the weak
 transport operator G(u) a = -(A(a) u)_I of the inversion module, is
 -Rows diag(u_I[col]) S_II.
 
-definite_factor is the one sparse factor of a symmetric positive definite
-matrix: every SPD solve of the package, ARPACK's shift-invert included,
-goes through it, and its inertia proves the matrix definite.
+symmetric_factor is the one symmetric-mode sparse factor, and it reports
+the factor's inertia.  definite_factor takes it for a symmetric positive
+definite matrix: every SPD solve of the package but the transport normal
+matrix's, ARPACK's shift-invert included, goes through it, and the inertia
+proves the matrix definite.  spectral.solve_flow_spectrum reads the
+inertia of an indefinite A - sigma M to count the eigenvalues below sigma.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "apply_dirichlet",
     "discretize",
     "definite_factor",
+    "symmetric_factor",
     "compute_norms",
     "require_zero_boundary",
     "l2_norm",
@@ -252,23 +256,37 @@ def discretize(mesh: Mesh) -> Discretization:
                           mass_int=M[interior][:, interior].tocsr())
 
 
-def definite_factor(C: sp.spmatrix) -> spla.SuperLU | None:
-    """Sparse LU factor of a symmetric C if it proves C positive definite, else None.
+def symmetric_factor(C: sp.spmatrix) -> tuple[spla.SuperLU, int] | None:
+    """Sparse LU factor of a symmetric C and its count of negative pivots.
 
     The factor is symmetric-mode, ordered by minimum degree on the pattern
     of C (George-Liu, SIAM Review 31, 1989) and without pivoting.  When
-    rows and columns share one permutation and every pivot of U is
-    positive, by Sylvester's law of inertia C is positive definite; for
-    C = A - sigma M that puts every eigenvalue of the pencil above sigma.
+    rows and columns share one permutation P, P C P' = L D L' with D the
+    diagonal of U, so by Sylvester's law of inertia the count is the number
+    of negative eigenvalues of C; for C = A - sigma M it is the number of
+    pencil eigenvalues below sigma.  Returns None when the factor gives no
+    inertia: SuperLU left the diagonal, found C singular, or a pivot is not
+    finite.
     """
     try:
         lu = spla.splu(C.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
         return None
-    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0):
-        return lu
-    return None
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(np.isfinite(pivots) & (pivots != 0))):
+        return None
+    return lu, int(np.count_nonzero(pivots < 0))
+
+
+def definite_factor(C: sp.spmatrix) -> spla.SuperLU | None:
+    """The symmetric_factor of C if it has no negative pivot, else None.
+
+    Such a factor proves C positive definite; for C = A - sigma M that puts
+    every eigenvalue of the pencil above sigma.
+    """
+    factor = symmetric_factor(C)
+    return factor[0] if factor is not None and factor[1] == 0 else None
 
 
 def assemble_pair(mesh: Mesh, a) -> OperatorPair:

@@ -50,9 +50,12 @@ class HeatSnapshot:
     """State of the spectral heat flow at one time.
 
     u and du_dt are full nodal fields (zero on the boundary); the
-    truncation bound is e^{-l_K t} times the L2 norm of the part of u0
-    outside the computed span, a valid tail bound since every dropped mode
-    decays at least that fast.
+    truncation bound is e^{-l_K t}, l_K the top computed cluster, times the
+    L2 norm of the part of u0 outside the computed span.  It bounds the
+    dropped tail when no eigenvalue below l_K was skipped, which the
+    inertia count of spectral.solve_flow_spectrum certifies for the
+    spectra of the forward and stability-sweep runs; those solve only the
+    pairs the flow can see, so modes_used is often below the run's modes.
     """
 
     t: float
@@ -254,8 +257,9 @@ class LowerBoundReport:
 
     @property
     def all_positive(self) -> bool:
-        return min(self.u_ratio_min, self.dudt_ratio_min, self.grad_ratio_min,
-                   self.grad_phi1_band_min, self.eig_floor_min) > 0.0
+        """Every minimum is positive; a nan minimum (nothing to compare) is not."""
+        return bool(np.all(np.array([self.u_ratio_min, self.dudt_ratio_min, self.grad_ratio_min,
+                                     self.grad_phi1_band_min, self.eig_floor_min]) > 0.0))
 
 
 def check_u0_condition(disc: Discretization, u0) -> float:
@@ -263,6 +267,55 @@ def check_u0_condition(disc: Discretization, u0) -> float:
     u0 = np.asarray(u0, dtype=float)
     d = distance_to_boundary(disc.mesh)
     return float(u0 @ (disc.mass @ d))
+
+
+class _GroundComparison:
+    """What the lower-bound quotients of one (spectrum, u0, band) share over T.
+
+    The quotients divide u(T) by e^{-l_1 T} phi1, so they are formed from the
+    flow scaled by e^{l_1 T}, sum_k e^{-(l_k - l_1) T} c_k phi_k, which
+    neither underflows nor divides by an underflowed e^{-l_1 T} at large T.
+    """
+
+    def __init__(self, spec: SpectralDecomposition, u0, band: BoundaryBand) -> None:
+        self.weight = check_u0_condition(spec.disc, u0)
+        if self.weight <= 0:
+            raise ValueError(f"int u0 * d_Omega = {self.weight:.6g} must be positive for lower bounds")
+        self.spec, self.band = spec, band
+        self.coeffs, self.rates, _ = _mode_data(spec, u0)
+        self.lam1 = float(spec.hat_eigenvalues[0])
+        self.phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
+        g_phi = nodal_gradients(spec.disc.mesh, self.phi1)
+        self.gp2 = np.einsum("nd,nd->n", g_phi, g_phi)
+        self.bmask = band.node_mask
+
+    def report(self, T: float) -> LowerBoundReport:
+        if T <= 0:
+            raise ValueError(f"snapshot time must be positive, got {T}")
+        V, disc, bmask, gp2 = self.spec.eigenvectors, self.spec.disc, self.bmask, self.gp2
+        damp = np.exp(-(self.rates - self.lam1) * T)
+        u = V @ (self.coeffs * damp)
+        u_ratio = u / V[:, 0]
+        dudt_ratio = (V @ (self.rates * self.coeffs * damp)) / V[:, 0]
+
+        g_u = nodal_gradients(disc.mesh, disc.extend(u))
+        gu2 = np.einsum("nd,nd->n", g_u, g_u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad_ratio = gu2[bmask] / gp2[bmask]
+        grad_ratio = grad_ratio[np.isfinite(grad_ratio)]
+        floor = self.phi1 ** 2 + np.where(bmask, gp2, 0.0)
+
+        return LowerBoundReport(
+            T=float(T),
+            epsilon=self.band.epsilon,
+            u0_weight=self.weight,
+            u_ratio_min=float(np.min(u_ratio)),
+            dudt_ratio_min=float(np.min(dudt_ratio)),
+            grad_ratio_min=float(np.min(grad_ratio)) if grad_ratio.size else float("nan"),
+            grad_phi1_band_min=float(np.min(np.sqrt(gp2[bmask]))) if bmask.any() else float("nan"),
+            eig_floor_min=float(np.min(floor)),
+            lambda1=self.lam1,
+        )
 
 
 def lower_bound_check(
@@ -276,42 +329,7 @@ def lower_bound_check(
     Requires int u0 d_Omega > 0 (otherwise the snapshot has no certified
     sign and the quotients are meaningless).
     """
-    weight = check_u0_condition(spec.disc, u0)
-    if weight <= 0:
-        raise ValueError(f"int u0 * d_Omega = {weight:.6g} must be positive for lower bounds")
-    if T <= 0:
-        raise ValueError(f"snapshot time must be positive, got {T}")
-    snap = evolve(spec, u0, T)
-    lam1 = float(spec.hat_eigenvalues[0])
-    phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
-    interior = spec.disc.interior
-    decay = np.exp(-lam1 * T)
-
-    den = decay * phi1[interior]
-    u_ratio = snap.u[interior] / den
-    dudt_ratio = -snap.du_dt[interior] / den
-
-    g_u = nodal_gradients(spec.disc.mesh, snap.u)
-    g_phi = nodal_gradients(spec.disc.mesh, phi1)
-    gu2 = np.einsum("nd,nd->n", g_u, g_u)
-    gp2 = np.einsum("nd,nd->n", g_phi, g_phi)
-    bmask = band.node_mask
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad_ratio = gu2[bmask] / (decay ** 2 * gp2[bmask])
-    grad_ratio = grad_ratio[np.isfinite(grad_ratio)]
-    floor = phi1 ** 2 + np.where(bmask, gp2, 0.0)
-
-    return LowerBoundReport(
-        T=float(T),
-        epsilon=band.epsilon,
-        u0_weight=weight,
-        u_ratio_min=float(np.min(u_ratio)),
-        dudt_ratio_min=float(np.min(dudt_ratio)),
-        grad_ratio_min=float(np.min(grad_ratio)) if grad_ratio.size else float("nan"),
-        grad_phi1_band_min=float(np.min(np.sqrt(gp2[bmask]))) if bmask.any() else float("nan"),
-        eig_floor_min=float(np.min(floor)),
-        lambda1=lam1,
-    )
+    return _GroundComparison(spec, u0, band).report(T)
 
 
 def certify_decay_threshold(
@@ -320,11 +338,16 @@ def certify_decay_threshold(
     T_grid,
     band: BoundaryBand,
 ) -> float | None:
-    """Smallest grid time at which all lower-bound minima are positive, or None."""
-    for t in sorted(np.asarray(T_grid, dtype=float)):
-        if t <= 0:
-            continue
-        report = lower_bound_check(spec, u0, t, band)
-        if report.all_positive:
+    """Smallest grid time at which all lower-bound minima are positive, or None.
+
+    phi1, its gradients, the band and the u0 condition are evaluated once
+    for the whole grid.
+    """
+    times = [t for t in sorted(np.asarray(T_grid, dtype=float)) if t > 0]
+    if not times:
+        return None
+    comparison = _GroundComparison(spec, u0, band)
+    for t in times:
+        if comparison.report(t).all_positive:
             return float(t)
     return None

@@ -500,7 +500,10 @@ def stability_ratio_experiment(
     """Measure both halves of the stability estimate in one pass over T_grid.
 
     spec and spec_t are the decompositions of a and a_tilde on one
-    Discretization, each with at least two strict eigenvalues.  Per T the
+    Discretization, each with at least two strict eigenvalues; they may
+    differ in K (the stability-sweep mode cuts each with
+    spectral.solve_flow_spectrum, whose inertia count certifies the
+    truncation bound of every snapshot from min(T_grid) on).  Per T the
     pass evolves both snapshots for the stability ratio rho(T) and forms
     both correction fields for the Lipschitz quotient of F; the unit pencil
     of spec.disc gives the H2 norms and its ground eigenvalue.  Identical

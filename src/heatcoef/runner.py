@@ -49,6 +49,7 @@ from .spectral import (
     SpectralDecomposition,
     gap_report,
     perturbation_sweep,
+    solve_flow_spectrum,
     solve_generalized_eig,
     verify_minmax_sandwich,
     weyl_ratios,
@@ -147,23 +148,60 @@ class _Context:
         return self.disc.mesh
 
 
-def _build_context(s: Scenario) -> _Context:
+def _time_grid(s: Scenario) -> np.ndarray:
+    return np.asarray(s.T_grid if s.T_grid is not None else _DEFAULT_T_GRID, dtype=float)
+
+
+def _flow_time(s: Scenario, mode: str) -> float | None:
+    """Earliest time a heat-flow mode evaluates the flow at; None for the
+    modes that use the K = modes spectrum itself."""
+    if mode == "forward":
+        return float(min(s.T, *_time_grid(s)))
+    if mode == "stability-sweep":
+        return float(min(s.T_grid))
+    return None
+
+
+def _flow_spectrum(pair: OperatorPair, t_min: float, modes: int,
+                   lines: list[str]) -> SpectralDecomposition:
+    """solve_flow_spectrum capped at modes (and the pencil size), with its
+    cutoff as an INFO line (WARN when uncertified)."""
+    spec, cut = solve_flow_spectrum(pair, t_min, min(modes, pair.stiffness.shape[0]))
+    (_info if cut.certified else _warn)(lines, "flow-spectrum", cut.describe())
+    return spec
+
+
+def _build_context(s: Scenario, t_flow: float | None, lines: list[str]) -> _Context:
+    """Mesh, coefficient, pencil, spectrum and u0 of a run.  With t_flow the
+    spectrum holds the pairs a flow from t_flow on can see (modes is the
+    cap), otherwise K = modes pairs."""
     mesh = build_structured_mesh(s.nx, s.ny)
     coeff = catalog.make_coefficient(mesh, s.coefficient.kind, s.coefficient.params_dict(), s.a_plus)
     validate_coefficient(mesh, coeff)
     disc = discretize(mesh)
     pair = disc.pair(coeff.values)
-    K = min(s.modes, pair.stiffness.shape[0])
-    spec = solve_generalized_eig(pair, K)
+    spec = (solve_generalized_eig(pair, min(s.modes, pair.stiffness.shape[0])) if t_flow is None
+            else _flow_spectrum(pair, t_flow, s.modes, lines))
     u0 = catalog.initial_state(
         mesh, s.u0.kind, {"m": s.u0.m, "n": s.u0.n, "path": s.u0.path}, spectral=spec,
     )
     return _Context(scenario=s, disc=disc, coeff=coeff, pair=pair, spec=spec, u0=u0)
 
 
+def _require_sweep_inputs(s: Scenario) -> None:
+    if s.perturbation is None:
+        raise RunnerError(f"scenario {s.name!r}: stability-sweep needs a perturbation block")
+    if s.T_grid is None or len(s.T_grid) < 4:
+        raise RunnerError(f"scenario {s.name!r}: stability-sweep needs T_grid with >= 4 points")
+
+
 def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None,
                  modes: int | None = None) -> RunArtifact:
-    """Run one scenario in one mode, writing artifacts into out_dir."""
+    """Run one scenario in one mode, writing artifacts into out_dir.
+
+    forward and stability-sweep take modes as a cap: they solve only the
+    eigenpairs their earliest time can see (spectral.solve_flow_spectrum).
+    """
     if mode not in MODES:
         raise RunnerError(f"unknown mode {mode!r}; expected one of {MODES}")
     scenario = with_overrides(scenario, seed=seed, modes=modes)
@@ -181,8 +219,10 @@ def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None
         "verify-spectral": _run_verify_spectral,
         "stability-sweep": _run_stability_sweep,
     }
+    if mode == "stability-sweep":
+        _require_sweep_inputs(scenario)
     try:
-        ctx = _build_context(scenario)
+        ctx = _build_context(scenario, _flow_time(scenario, mode), lines)
         runners[mode](ctx, out, lines, files)
     except RunnerError:
         raise
@@ -200,7 +240,7 @@ def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None
 
 def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
     s = ctx.scenario
-    grid = np.asarray(s.T_grid if s.T_grid is not None else _DEFAULT_T_GRID, dtype=float)
+    grid = _time_grid(s)
     M = ctx.disc.mass
     lam_hat = ctx.spec.hat_eigenvalues
     lam1 = float(lam_hat[0])
@@ -459,14 +499,10 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
 
 def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
     s = ctx.scenario
-    if s.perturbation is None:
-        raise RunnerError(f"scenario {s.name!r}: stability-sweep needs a perturbation block")
-    if s.T_grid is None or len(s.T_grid) < 4:
-        raise RunnerError(f"scenario {s.name!r}: stability-sweep needs T_grid with >= 4 points")
-
     a_tilde = catalog.make_coefficient(ctx.mesh, s.perturbation.kind,
                                        s.perturbation.params_dict(), s.a_plus)
-    spec_t = solve_generalized_eig(ctx.disc.pair(a_tilde.values), ctx.spec.K)
+    spec_t = _flow_spectrum(ctx.disc.pair(a_tilde.values), _flow_time(s, "stability-sweep"),
+                            s.modes, lines)
 
     tab, ft = stability_ratio_experiment(ctx.coeff, a_tilde, ctx.u0, s.T_grid,
                                          ctx.spec, spec_t)

@@ -4,9 +4,12 @@ This module owns how a pencil becomes a spectrum: solve_generalized_eig
 solves A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) by
 ARPACK shift-invert about zero (dense LAPACK only where ARPACK's 2K + 1
 Lanczos vectors do not fit), and strict clusters follow the one rule
-CLUSTER_TOL.  Every sparse factor here is fem.definite_factor, whose
-inertia proves the factored matrix positive definite: that of A for
-ARPACK's inverse, that of A - sigma M for the two solves below.
+CLUSTER_TOL.  Every sparse factor here is fem.symmetric_factor, whose
+inertia counts the eigenvalues below a shift: through definite_factor it
+proves A positive definite for ARPACK's inverse and A - sigma M for the two
+ground solves below.  solve_flow_spectrum solves only the pairs a heat flow
+from a given earliest time can see, and its count of the eigenvalues below
+the cut proves that none was skipped.
 solve_ground_pair is the warm K=1 solve of a pencil close to one already
 solved: shifted inverse iteration from the known ground pair, with the
 shift certified below lambda_1 by the inertia of its factor, and
@@ -37,18 +40,21 @@ from .fem import (
     definite_factor,
     l2_norm,
     make_field,
+    symmetric_factor,
     validate_coefficient,
 )
 from .mesh import Mesh
 
 __all__ = [
     "SpectralDecomposition",
+    "FlowCutoff",
     "GapReport",
     "SandwichReport",
     "EigenPerturbationTable",
     "ProjectionPerturbationTable",
     "EigensolverError",
     "solve_generalized_eig",
+    "solve_flow_spectrum",
     "solve_ground_pair",
     "certify_ground",
     "orient_ground",
@@ -95,6 +101,13 @@ _GROUND_MAX_ITER = 20
 # eigenvalue that must hold lambda_1.  The inertia test resolves 1e-12 on the
 # bump and unit pencils at 32^2 to 128^2.
 _GROUND_AGREEMENT = 1e-10
+
+# solve_flow_spectrum starts at _FLOW_K_START pairs and doubles K up to its
+# cap.  It accepts a cut whose dropped tail, against cluster 2, the heat
+# flow has damped by at most FLOW_TAIL_TOL at the earliest evaluated time:
+# below double-precision rounding of anything the flow still carries.
+_FLOW_K_START = 12
+FLOW_TAIL_TOL = 1e-16
 
 
 class EigensolverError(RuntimeError):
@@ -235,6 +248,78 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
             vecs[:, j] = -vecs[:, j]
 
     return SpectralDecomposition(vals, vecs, strictify_spectrum(vals, CLUSTER_TOL)[1], pair.disc)
+
+
+@dataclass(frozen=True)
+class FlowCutoff:
+    """How solve_flow_spectrum cut the spectrum it returned.
+
+    K : pairs returned.  K_max : the cap.  t_min : earliest flow time.
+    sigma : lambda_K' (1 - CLUSTER_TOL) of the last solve, K' its size.
+    kept : eigenpairs of that solve strictly below sigma.
+    count : pencil eigenvalues below sigma by the inertia of A - sigma M
+        (symmetric_factor), None when the factor gave no inertia.
+    tail : e^{-(sigma - hat_lambda_2) t_min}, hat_lambda_2 of the kept
+        pairs; inf when they hold fewer than two clusters.
+    certified : count == kept and tail <= FLOW_TAIL_TOL.  The K returned
+        pairs are then every eigenpair below sigma; otherwise they are the
+        K_max pairs of the capped solve.
+    """
+
+    K: int
+    K_max: int
+    t_min: float
+    sigma: float
+    kept: int
+    count: int | None
+    tail: float
+    certified: bool
+
+    def describe(self) -> str:
+        text = (f"K={self.K} of modes={self.K_max}, t_min={self.t_min:g}, sigma={self.sigma:.10g}, "
+                f"count={self.count if self.count is not None else 'none'}, tail={self.tail:.3g}")
+        if self.certified:
+            return text
+        return (text + f"; uncertified at the cap ({self.kept} solved pairs below sigma, "
+                f"tail bound {FLOW_TAIL_TOL:g}), all {self.K} pairs kept")
+
+
+def solve_flow_spectrum(
+    pair: OperatorPair, t_min: float, K_max: int
+) -> tuple[SpectralDecomposition, FlowCutoff]:
+    """The eigenpairs a heat flow evaluated at times t >= t_min can see.
+
+    The flow damps mode k by e^{-lambda_k t}, so pairs far above lambda_2
+    do not change it.  solve_generalized_eig runs with K = min(
+    _FLOW_K_START, K_max), doubling up to K_max.  Each solve keeps its
+    pairs strictly below sigma = lambda_K (1 - CLUSTER_TOL), which drops a
+    top cluster the cut may have split, and is accepted when the tail
+    factor e^{-(sigma - hat_lambda_2) t_min} is at most FLOW_TAIL_TOL and
+    the inertia of A - sigma M counts exactly the kept eigenvalues: then no
+    eigenvalue below sigma was skipped (the missed-eigenvalue check of
+    shift-invert Lanczos, Grimes-Lewis-Simon, SIMAX 15, 1994), and every
+    dropped mode decays at least like e^{-sigma t}.  When K_max is reached
+    without acceptance the K_max solve is returned whole and the cutoff
+    says it is uncertified.
+    """
+    if not t_min > 0:
+        raise ValueError(f"earliest flow time must be positive, got {t_min}")
+    K = min(_FLOW_K_START, K_max)
+    while True:
+        spec = solve_generalized_eig(pair, K)
+        sigma = float(spec.eigenvalues[-1]) * (1.0 - CLUSTER_TOL)
+        kept = int(np.count_nonzero(spec.eigenvalues < sigma))
+        lead = spec.leading(kept) if kept else None
+        tail = (float(np.exp(-(sigma - lead.hat_eigenvalues[1]) * t_min))
+                if lead is not None and lead.n_clusters >= 2 else float("inf"))
+        factor = symmetric_factor(pair.stiffness - sigma * pair.mass)
+        count = factor[1] if factor is not None else None
+        certified = count == kept and tail <= FLOW_TAIL_TOL
+        if certified or K >= K_max:
+            out = lead if certified else spec
+            return out, FlowCutoff(K=out.K, K_max=K_max, t_min=float(t_min), sigma=sigma,
+                                   kept=kept, count=count, tail=tail, certified=certified)
+        K = min(2 * K, K_max)
 
 
 def _relative_residual(pair: OperatorPair, vals: np.ndarray, vecs: np.ndarray) -> float:

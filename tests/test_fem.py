@@ -18,6 +18,7 @@ from heatcoef.fem import (
     l2_norm,
     make_field,
     nodal_gradients,
+    symmetric_factor,
     validate_coefficient,
 )
 from heatcoef.heat import evolve
@@ -123,6 +124,17 @@ def test_definite_factor_certifies_by_inertia(disc32, bump_pair32, unit_pair32):
     for C in (bump_pair32.stiffness, disc32.mass_int):
         ref = spla.spsolve(C.tocsc(), b)
         assert np.linalg.norm(definite_factor(C).solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_symmetric_factor_counts_the_eigenvalues_below_the_shift(bump_pair32):
+    A, M = bump_pair32.stiffness, bump_pair32.mass
+    lam = solve_generalized_eig(bump_pair32, 12).eigenvalues
+    for sigma in (0.5 * lam[0], 0.5 * (lam[0] + lam[1]), 0.5 * (lam[4] + lam[5]),
+                  0.5 * (lam[10] + lam[11])):
+        _, count = symmetric_factor(A - sigma * M)
+        assert count == np.count_nonzero(lam < sigma)
+        assert (definite_factor(A - sigma * M) is not None) == (count == 0)
+    assert symmetric_factor(A)[1] == 0
 
 
 def test_h2_surrogate_closed_form_on_eigenvector():

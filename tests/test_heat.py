@@ -1,8 +1,13 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+from heatcoef import heat
 from heatcoef.catalog import make_coefficient
 from heatcoef.fem import assemble_mass, l2_norm
+from heatcoef.fem import nodal_gradients
 from heatcoef.heat import (
     certify_decay_threshold,
     check_u0_condition,
@@ -253,3 +258,41 @@ class TestLowerBounds:
         thr = certify_decay_threshold(bump_spec32, d, [0.25, 0.5, 1.0, 2.0], band)
         assert thr == 0.25  # every grid time already passes on this state
         assert certify_decay_threshold(bump_spec32, d, [-1.0, 0.0], band) is None
+
+    @pytest.mark.parametrize("T", [20.0, 40.0])
+    def test_late_times_neither_underflow_nor_divide_by_zero(self, mesh32, bump_spec32, T):
+        # e^{-l1 T} ~ 1e-185 at T = 20 and underflows at T >= 36: the quotients
+        # come from the flow scaled by e^{l1 T}, whose limit is c1 phi1
+        d = distance_to_boundary(mesh32)
+        band = boundary_band(mesh32, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = lower_bound_check(bump_spec32, d, T, band)
+        c1 = bump_spec32.eigenvectors[:, 0] @ (bump_spec32.disc.mass_int @ d[bump_spec32.disc.interior])
+        assert rep.all_positive
+        assert rep.u_ratio_min == pytest.approx(c1, rel=1e-12)
+        assert rep.dudt_ratio_min == pytest.approx(rep.lambda1 * c1, rel=1e-12)
+        assert rep.grad_ratio_min == pytest.approx(c1 ** 2, rel=1e-12)
+
+    def test_a_nan_minimum_is_not_positive(self, mesh32, bump_spec32):
+        rep = lower_bound_check(bump_spec32, distance_to_boundary(mesh32), 2.0,
+                                boundary_band(mesh32, 0.1))
+        assert rep.all_positive
+        assert not dataclasses.replace(rep, grad_ratio_min=float("nan")).all_positive
+        assert not dataclasses.replace(rep, u_ratio_min=float("nan")).all_positive
+
+    def test_threshold_search_evaluates_the_ground_mode_once(self, mesh32, bump_spec32, monkeypatch):
+        # u0 = 0.3 phi1 + phi2 changes sign until phi2 has decayed: the first
+        # two grid times fail, the third passes
+        band = boundary_band(mesh32, 0.1)
+        V = bump_spec32.eigenvectors
+        u0 = bump_spec32.disc.extend(0.3 * V[:, 0] + V[:, 1])
+        grid = [0.02, 0.05, 0.1, 0.2]
+        first = [t for t in grid if lower_bound_check(bump_spec32, u0, t, band).all_positive][0]
+        gradients, conditions = [], []
+        monkeypatch.setattr(heat, "nodal_gradients",
+                            lambda mesh, w: gradients.append(1) or nodal_gradients(mesh, w))
+        monkeypatch.setattr(heat, "check_u0_condition",
+                            lambda disc, u: conditions.append(1) or check_u0_condition(disc, u))
+        assert certify_decay_threshold(bump_spec32, u0, grid, band) == first == 0.1
+        assert (len(gradients), len(conditions)) == (1 + 3, 1)  # phi1 once, u at 3 times

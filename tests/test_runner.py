@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatcoef import fem, spectral
+from heatcoef import fem, runner, spectral
 from heatcoef.cli import main
 from heatcoef.mesh import build_structured_mesh, write_grid
 from heatcoef.runner import RunnerError, run_scenario, write_reports
@@ -297,3 +297,71 @@ def test_non_finite_custom_u0_exits_one(tmp_path, capsys, node, value):
     assert main(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     x, y = mesh.nodes[node]
     assert f"{value} is not finite at node {node} (x={x:.6g}, y={y:.6g})" in capsys.readouterr().err
+
+
+def _states(lines) -> list[tuple[str, str]]:
+    return [tuple(line.split()[:2]) for line in lines if not line.startswith("INFO ")]
+
+
+def _run_with_K_max_spectra(scenario, mode, out, monkeypatch):
+    """The run with every flow spectrum replaced by the K = modes solve."""
+    with monkeypatch.context() as m:
+        m.setattr(runner, "_flow_spectrum",
+                  lambda pair, t_min, modes, lines: spectral.solve_generalized_eig(pair, modes))
+        return run_scenario(scenario, mode, out)
+
+
+def _read_csv(path) -> dict[str, np.ndarray]:
+    rows = path.read_text().splitlines()
+    header = rows[0].split(",")
+    values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    return dict(zip(header, values.T))
+
+
+@pytest.mark.parametrize("name,mode,n_spectra", [("forward_decay", "forward", 1),
+                                                 ("stability_sweep", "stability-sweep", 2)])
+def test_bundled_flow_modes_match_the_K40_evaluation(tmp_path, monkeypatch, name, mode, n_spectra):
+    s = parse_config(SCENARIO_DIR / f"{name}.cfg")
+    art = run_scenario(s, mode, tmp_path / "cut")
+    ref = _run_with_K_max_spectra(s, mode, tmp_path / "K40", monkeypatch)
+
+    flow = [line for line in art.summary_lines if line.split()[1] == "flow-spectrum:"]
+    assert len(flow) == n_spectra
+    for line in flow:
+        assert line.startswith("INFO flow-spectrum: K=11 of modes=40, ")
+        assert ", count=11, " in line
+    assert _states(art.summary_lines) == _states(ref.summary_lines)
+    for csv_name in art.files:
+        if not csv_name.endswith(".csv"):
+            continue
+        got, want = _read_csv(tmp_path / "cut" / csv_name), _read_csv(tmp_path / "K40" / csv_name)
+        for column in got:
+            if column == "truncation_bound":  # bounds the dropped tail: depends on K
+                continue
+            np.testing.assert_allclose(got[column], want[column], rtol=1e-11, atol=0.0,
+                                       err_msg=f"{csv_name}: {column}")
+
+
+def test_unit_coefficient_forward_reads_past_the_empty_second_cluster(tmp_path, monkeypatch):
+    # On the square d_Omega populates only the (m, m) modes, so clusters 2-6
+    # are empty and the first populated tail cluster is (3, 3), the 11th
+    # pair: the certified cut keeps it.  The check fails on either spectrum
+    # (rounding content of cluster 2 sets F's measured slope); the cut must
+    # not change that state.
+    s = parse_config_text("name = unit_fwd\nnx = 32\nny = 32\ncoefficient = constant\n"
+                          "u0 = d_Omega\nT = 2.0\nT_grid = 1.0,1.5,2.0,2.5,3.0\n")
+    art = run_scenario(s, "forward", tmp_path / "cut")
+    ref = _run_with_K_max_spectra(s, "forward", tmp_path / "K40", monkeypatch)
+    for run in (art, ref):
+        slope = [line for line in run.summary_lines if line.split()[1] == "F-decay-slope:"]
+        assert len(slope) == 1 and "(first populated tail cluster k=7)" in slope[0]
+    assert "INFO flow-spectrum: K=11 of modes=40, t_min=1, " in art.summary_lines[0]
+    assert _states(art.summary_lines) == _states(ref.summary_lines)
+
+
+def test_modes_below_the_certified_K_warn_and_keep_every_pair(tmp_path):
+    art = run_scenario(parse_config_text(FORWARD_16), "forward", tmp_path, modes=4)
+    warn = [line for line in art.summary_lines if line.startswith("WARN flow-spectrum: ")]
+    assert len(warn) == 1 and warn[0].startswith("WARN flow-spectrum: K=4 of modes=4, t_min=1, ")
+    assert "uncertified at the cap" in warn[0]
+    assert art.summary_lines[-1].endswith("(K=4)")  # the truncation line

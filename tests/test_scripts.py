@@ -4,6 +4,12 @@ from pathlib import Path
 
 import numpy as np
 
+from heatcoef.catalog import make_coefficient
+from heatcoef.fem import discretize
+from heatcoef.inversion import stability_ratio_experiment
+from heatcoef.mesh import build_structured_mesh, distance_to_boundary
+from heatcoef.spectral import solve_generalized_eig
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCENARIOS = SCRIPTS.parent / "scenarios"
 
@@ -15,16 +21,43 @@ def _load(name):
     return module
 
 
+def _sweep_rows(out):
+    with (out / "ill_posedness.csv").open(encoding="ascii") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_ill_posedness_sweep_smoke(tmp_path, capsys):
     sweep = _load("ill_posedness_sweep")
     assert sweep.main(["--out", str(tmp_path), "--nx", "8", "--times", "0.15,0.3"]) == 0
-    capsys.readouterr()
-    with (tmp_path / "ill_posedness.csv").open(encoding="ascii") as fh:
-        rows = list(csv.DictReader(fh))
+    flow = [line for line in capsys.readouterr().out.splitlines() if line.startswith("flow-spectrum")]
+    # 8 pairs cannot bound the tail at T = 0.15: the capped spectra, reported
+    assert len(flow) == 2
+    for line in flow:
+        assert ": K=8 of modes=8, t_min=0.15, " in line and "uncertified at the cap" in line
+    rows = _sweep_rows(tmp_path)
     assert [float(r["T"]) for r in rows] == [0.15, 0.3]
     for r in rows:
         assert np.isfinite(float(r["rel_error"]))
         assert np.isfinite(float(r["rho"]))
+
+
+def test_ill_posedness_sweep_shares_the_stability_sweep_spectra(tmp_path, capsys):
+    sweep = _load("ill_posedness_sweep")
+    args = ["--out", str(tmp_path), "--nx", "8", "--times", "0.15,0.3", "--modes", "40"]
+    assert sweep.main(args) == 0
+    flow = [line for line in capsys.readouterr().out.splitlines() if line.startswith("flow-spectrum")]
+    assert [line.split(":")[0] for line in flow] == ["flow-spectrum a", "flow-spectrum a~"]
+    for line in flow:
+        assert ": K=23 of modes=40, t_min=0.15, " in line and ", count=23, " in line
+        assert "uncertified" not in line
+
+    mesh = build_structured_mesh(8, 8)
+    disc = discretize(mesh)
+    a, a_tilde = (make_coefficient(mesh, kind, None, 2.0) for kind in ("gaussian-bump", "two-bump"))
+    spectra = [solve_generalized_eig(disc.pair(c.values), 40) for c in (a, a_tilde)]
+    tab, _ = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), [0.15, 0.3], *spectra)
+    rho = [float(r["rho"]) for r in _sweep_rows(tmp_path)]
+    np.testing.assert_allclose(rho, tab.rho, rtol=1e-11, atol=0.0)
 
 
 def test_run_all_smoke(tmp_path, capsys):

@@ -11,6 +11,7 @@ from heatcoef.fem import AdmissibilityError, OperatorPair, definite_factor, disc
 from heatcoef.heat import krylov_flow
 from heatcoef.mesh import build_structured_mesh
 from heatcoef.spectral import (
+    FLOW_TAIL_TOL,
     EigensolverError,
     SpectralDecomposition,
     certify_ground,
@@ -18,6 +19,7 @@ from heatcoef.spectral import (
     perturbation_sweep,
     projection_difference_norm,
     regroup_spectrum,
+    solve_flow_spectrum,
     solve_generalized_eig,
     solve_ground_pair,
     strictify_spectrum,
@@ -156,6 +158,74 @@ class TestSparseSolver:
         pair = discretize(build_structured_mesh(22, 22)).pair(1.0)  # n = 441
         spec = solve_generalized_eig(pair, 221)  # 2K + 1 > n
         assert spec.K == 221
+
+
+def _gapped_solver(solve, skip: int, times: int):
+    """solve_generalized_eig that, on its first `times` calls, misses pair
+    `skip` (0-based): it solves K + 1 pairs and returns the other K."""
+    calls = []
+
+    def gapped(pair, K):
+        calls.append(K)
+        if len(calls) > times:
+            return solve(pair, K)
+        full = solve(pair, K + 1)
+        keep = np.delete(np.arange(K + 1), skip)
+        vals = full.eigenvalues[keep]
+        return SpectralDecomposition(vals, full.eigenvectors[:, keep],
+                                     strictify_spectrum(vals, spectral.CLUSTER_TOL)[1], full.disc)
+    return gapped, calls
+
+
+class TestFlowSpectrum:
+    def test_bump_is_certified_by_the_first_solve(self, bump_pair32):
+        spec, cut = solve_flow_spectrum(bump_pair32, 0.5, 40)
+        assert (cut.certified, cut.K, cut.kept, cut.count) == (True, 11, 11, 11)
+        assert cut.tail <= FLOW_TAIL_TOL and spec.K == 11
+        ref = solve_generalized_eig(bump_pair32, 40)
+        assert cut.sigma < ref.eigenvalues[11]  # every dropped pair lies above the cut
+        assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues[:11]) / ref.eigenvalues[:11]) <= 1e-10
+        assert np.array_equal(spec.multiplicities, ref.leading(11).multiplicities)
+
+    def test_a_split_top_pair_is_dropped(self, unit_pair32):
+        # on the square lambda_12 = lambda_13 = 20 pi^2 (to rounding): the K=12
+        # solve holds one vector of that eigenspace, and the cut drops it
+        spec, cut = solve_flow_spectrum(unit_pair32, 1.0, 40)
+        assert (cut.certified, cut.K, cut.count) == (True, 11, 11)
+        assert list(spec.multiplicities) == [1, 2, 1, 2, 2, 2, 1]
+
+    def test_a_skipped_pair_grows_K(self, bump_pair32, monkeypatch):
+        gapped, calls = _gapped_solver(solve_generalized_eig, skip=3, times=1)
+        monkeypatch.setattr(spectral, "solve_generalized_eig", gapped)
+        spec, cut = solve_flow_spectrum(bump_pair32, 0.5, 40)
+        assert calls == [12, 24]
+        assert cut.certified and cut.count == cut.kept == spec.K
+        ref = solve_generalized_eig(bump_pair32, spec.K)
+        assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues) / ref.eigenvalues) <= 1e-10
+
+    def test_a_pair_skipped_up_to_the_cap_is_reported(self, bump_pair32, monkeypatch):
+        gapped, calls = _gapped_solver(solve_generalized_eig, skip=3, times=3)
+        monkeypatch.setattr(spectral, "solve_generalized_eig", gapped)
+        spec, cut = solve_flow_spectrum(bump_pair32, 0.5, 40)
+        assert calls == [12, 24, 40]
+        assert not cut.certified and cut.count == cut.kept + 1
+        assert spec.K == cut.K == 40
+        assert "uncertified at the cap" in cut.describe()
+
+    def test_a_cap_below_the_certified_K_is_the_capped_solve(self, bump_pair32):
+        spec, cut = solve_flow_spectrum(bump_pair32, 0.5, 6)  # certified K is 11 here
+        ref = solve_generalized_eig(bump_pair32, 6)
+        assert not cut.certified and cut.tail > FLOW_TAIL_TOL
+        for attr in ("eigenvalues", "eigenvectors", "multiplicities"):
+            assert np.array_equal(getattr(spec, attr), getattr(ref, attr))
+
+    def test_one_pair_has_no_tail_bound(self, bump_pair32):
+        spec, cut = solve_flow_spectrum(bump_pair32, 1.0, 1)
+        assert (spec.K, cut.kept, cut.tail, cut.certified) == (1, 0, np.inf, False)
+
+    def test_rejects_a_nonpositive_time(self, bump_pair32):
+        with pytest.raises(ValueError, match="positive"):
+            solve_flow_spectrum(bump_pair32, 0.0, 40)
 
 
 class TestGroundPair:
