@@ -23,7 +23,7 @@ from heatcoef.fem import discretize
 from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import build_structured_mesh, distance_to_boundary
 from heatcoef.runner import run_scenario
-from heatcoef.scenario import parse_config_text
+from heatcoef.scenario import Scenario, parse_config_text
 from heatcoef.spectral import solve_flow_spectrum
 
 CONFIG = """\
@@ -45,8 +45,9 @@ def main(argv=None) -> int:
                         help="H2-surrogate data-error level")
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--nx", type=int, default=32)
-    parser.add_argument("--modes", type=int, default=8,
-                        help="eigenpairs of the inversions; cap of the stability pair's spectra")
+    parser.add_argument("--modes", type=int, default=Scenario.modes,
+                        help="eigenpairs of the inversions; cap of the stability pair's spectra "
+                             "(default: the runner's)")
     parser.add_argument("--times", default="0.15,0.3,0.6,1.2",
                         help="comma-separated snapshot times")
     args = parser.parse_args(argv)

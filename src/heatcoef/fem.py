@@ -13,12 +13,14 @@ interior rows S_II of S, and its transport_operator(u), the weak
 transport operator G(u) a = -(A(a) u)_I of the inversion module, is
 -Rows diag(u_I[col]) S_II.
 
-symmetric_factor is the one symmetric-mode sparse factor, and it reports
-the factor's inertia.  definite_factor takes it for a symmetric positive
-definite matrix: every SPD solve of the package but the transport normal
-matrix's, ARPACK's shift-invert included, goes through it, and the inertia
-proves the matrix definite.  spectral.solve_flow_spectrum reads the
-inertia of an indefinite A - sigma M to count the eigenvalues below sigma.
+definite_factor is the banded Cholesky factor of a symmetric positive
+definite matrix on the mesh's own node order: every SPD solve of the
+package but the transport normal matrix's, ARPACK's shift-invert
+included, goes through it, and Cholesky completes only on a positive
+definite matrix, which it thereby proves.  symmetric_factor is the one
+symmetric-mode sparse LU, kept for the inertia of an indefinite
+A - sigma M, which spectral.solve_flow_spectrum reads to count the
+eigenvalues below sigma.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .mesh import Mesh
 
@@ -38,6 +41,7 @@ __all__ = [
     "Discretization",
     "OperatorPair",
     "AdmissibilityError",
+    "BandCholesky",
     "Norms",
     "assemble_stiffness",
     "assemble_mass",
@@ -120,7 +124,7 @@ class Discretization:
         return OperatorPair(_on_pattern(S_II @ _coefficient_values(a, self.n_nodes), block), self)
 
     @cached_property
-    def mass_int_factor(self) -> spla.SuperLU:
+    def mass_int_factor(self) -> BandCholesky:
         lu = definite_factor(self.mass_int)
         if lu is None:
             raise ValueError("interior mass matrix is not positive definite")
@@ -279,14 +283,40 @@ def symmetric_factor(C: sp.spmatrix) -> tuple[spla.SuperLU, int] | None:
     return lu, int(np.count_nonzero(pivots < 0))
 
 
-def definite_factor(C: sp.spmatrix) -> spla.SuperLU | None:
-    """The symmetric_factor of C if it has no negative pivot, else None.
+@dataclass(frozen=True)
+class BandCholesky:
+    """C = L L' with L in LAPACK lower band storage: band[i - j, j] = L[i, j]."""
 
-    Such a factor proves C positive definite; for C = A - sigma M that puts
-    every eigenvalue of the pencil above sigma.
+    band: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """C^-1 b by the two band triangular solves of dpbtrs."""
+        return dpbtrs(self.band, b, lower=1)[0]
+
+
+def definite_factor(C: sp.spmatrix) -> BandCholesky | None:
+    """Banded Cholesky factor of a symmetric C, None unless C is positive definite.
+
+    The lower triangle of C, in C's own order, goes into LAPACK lower band
+    storage of half-width max(i - j) (the row length of a structured mesh)
+    and is factored by dpbtrf (Anderson et al., LAPACK Users' Guide, 1999).
+    Cholesky stops at the first pivot that is not positive, so a factor
+    whose diagonal is finite proves C positive definite in floating point
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 10.1);
+    for C = A - sigma M that puts every eigenvalue of the pencil above
+    sigma.  dpbtrf passes a NaN pivot, hence the finite test.
     """
-    factor = symmetric_factor(C)
-    return factor[0] if factor is not None and factor[1] == 0 else None
+    C = sp.csr_matrix(C)
+    if not C.has_canonical_format:
+        C = C.copy()
+        C.sum_duplicates()
+    n = C.shape[0]
+    offset = np.repeat(np.arange(n), np.diff(C.indptr)) - C.indices
+    lower = offset >= 0
+    band = np.zeros((int(offset.max(initial=0)) + 1, n), order="F")
+    band[offset[lower], C.indices[lower]] = C.data[lower]
+    L, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    return BandCholesky(L) if info == 0 and np.all(np.isfinite(L[0])) else None
 
 
 def assemble_pair(mesh: Mesh, a) -> OperatorPair:

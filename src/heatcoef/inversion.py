@@ -197,8 +197,11 @@ def build_transport_system(
     H = (G.T @ G + alpha * disc.unit_stiffness).tocsr()
     H_II = H[I][:, I].tocsc()
     try:
-        # H_II is SPD, but the unpivoted fem.definite_factor moves the solve
-        # by 7e-11 from the pivoted direct solve; this factor stays within 1e-12.
+        # H_II is SPD, but at alpha = 1e-8 every other elimination order
+        # rounds the solve differently: at 32^2 the band Cholesky of
+        # fem.definite_factor lands 2.1e-11 from the pivoted direct solve
+        # (spsolve), the unpivoted fem.symmetric_factor 2.0e-11.  This
+        # pivoted factor stays within the 1e-12 the tests pin.
         factor = spla.splu(H_II)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         diag = H_II.diagonal()

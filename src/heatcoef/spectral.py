@@ -4,17 +4,18 @@ This module owns how a pencil becomes a spectrum: solve_generalized_eig
 solves A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) by
 ARPACK shift-invert about zero (dense LAPACK only where ARPACK's 2K + 1
 Lanczos vectors do not fit), and strict clusters follow the one rule
-CLUSTER_TOL.  Every sparse factor here is fem.symmetric_factor, whose
-inertia counts the eigenvalues below a shift: through definite_factor it
-proves A positive definite for ARPACK's inverse and A - sigma M for the two
-ground solves below.  solve_flow_spectrum solves only the pairs a heat flow
-from a given earliest time can see, and its count of the eigenvalues below
-the cut proves that none was skipped.
+CLUSTER_TOL.  Every definite factor here is fem.definite_factor, a banded
+Cholesky that exists only for a positive definite matrix: it proves A
+positive definite for ARPACK's inverse and A - sigma M for the two ground
+solves below.  solve_flow_spectrum solves only the pairs a heat flow from
+a given earliest time can see, and its count of the eigenvalues below the
+cut, the inertia of the indefinite A - sigma M by fem.symmetric_factor,
+proves that none was skipped.
 solve_ground_pair is the warm K=1 solve of a pencil close to one already
 solved: shifted inverse iteration from the known ground pair, with the
-shift certified below lambda_1 by the inertia of its factor, and
+shift certified below lambda_1 by the Cholesky factor of A - sigma M, and
 solve_generalized_eig as the fallback.  certify_ground uses the same
-inertia test to prove that a pair found elsewhere (a Krylov Ritz pair) is
+test to prove that a pair found elsewhere (a Krylov Ritz pair) is
 the ground pair and not a higher eigenpair.  Also here: the gap and min-max
 checks, the projection-difference norm, and one perturbation sweep
 a -> a + s*eta that reads the run's spectrum of a, solves each perturbed
@@ -98,7 +99,7 @@ _GROUND_SHIFT = 0.9
 # Safety net only: reaching it sends the solve to ARPACK, never accepts.
 _GROUND_MAX_ITER = 20
 # certify_ground: relative width of the interval below a candidate ground
-# eigenvalue that must hold lambda_1.  The inertia test resolves 1e-12 on the
+# eigenvalue that must hold lambda_1.  The Cholesky test resolves 1e-12 on the
 # bump and unit pencils at 32^2 to 128^2.
 _GROUND_AGREEMENT = 1e-10
 
@@ -380,8 +381,8 @@ def certify_ground(pair: OperatorPair, ground: SpectralDecomposition) -> bool:
 
     The residual bound of solve_generalized_eig puts an eigenvalue next to
     the pair's lam, but every eigenpair passes it: a Krylov start vector
-    with no ground component yields lambda_2 or higher.  The inertia of
-    A - (1 - _GROUND_AGREEMENT) lam M (its definite_factor) adds that no
+    with no ground component yields lambda_2 or higher.  A Cholesky factor
+    of A - (1 - _GROUND_AGREEMENT) lam M (its definite_factor) adds that no
     eigenvalue lies below (1 - _GROUND_AGREEMENT) lam, so the eigenvalue
     next to lam is lambda_1.  A top Ritz value of a shift-invert Krylov
     space is never below lambda_1, so for it lambda_1 lies in

@@ -64,6 +64,19 @@ def d_omega32(mesh32):
     return initial_state(mesh32, "d_Omega")
 
 
+@pytest.fixture(scope="session")
+def two_well16():
+    """(pair, K=2 spectrum) of a = 1 in two discs and 30 elsewhere at 16^2.
+
+    lambda_2 lies within 10% of lambda_1 (150.7 and 164.5).
+    """
+    disc = discretize(build_structured_mesh(16, 16))
+    x, y = disc.mesh.nodes[:, 0], disc.mesh.nodes[:, 1]
+    wells = (np.hypot(x - 0.25, y - 0.5) < 0.2) | (np.hypot(x - 0.75, y - 0.5) < 0.2)
+    pair = disc.pair(np.where(wells, 1.0, 30.0))
+    return pair, solve_generalized_eig(pair, 2)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

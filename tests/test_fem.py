@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatcoef import fem
-from heatcoef.catalog import initial_state
+from heatcoef.catalog import initial_state, make_coefficient
 from heatcoef.fem import (
     AdmissibilityError,
     assemble_mass,
@@ -116,14 +116,35 @@ def test_pair_is_additive_in_the_coefficient(seed):
     assert np.allclose(AB.data, A.data + B.data, rtol=1e-14, atol=0.0)
 
 
-def test_definite_factor_certifies_by_inertia(disc32, bump_pair32, unit_pair32):
+def test_definite_factor_certifies_by_cholesky(unit_pair32):
     # the unit pencil shifted above lambda_1 is indefinite: no factor
     lam1 = solve_generalized_eig(unit_pair32, 1).eigenvalues[0]
     assert definite_factor(unit_pair32.stiffness - 1.1 * lam1 * unit_pair32.mass) is None
-    b = np.random.default_rng(7).standard_normal(disc32.interior.size)
-    for C in (bump_pair32.stiffness, disc32.mass_int):
+
+
+@pytest.mark.parametrize("nx", [32, 48])
+def test_band_cholesky_solves_like_spsolve(nx):
+    mesh = build_structured_mesh(nx, nx)
+    disc = discretize(mesh)
+    pair = disc.pair(make_coefficient(mesh, "gaussian-bump", {"base": 1.0, "amplitude": 0.5}, 2.0).values)
+    lam1 = solve_generalized_eig(pair, 1).eigenvalues[0]
+    b = np.random.default_rng(7).standard_normal(disc.interior.size)
+    for C in (pair.stiffness, pair.stiffness - 0.9 * lam1 * pair.mass, disc.mass_int):
         ref = spla.spsolve(C.tocsc(), b)
         assert np.linalg.norm(definite_factor(C).solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_band_cholesky_refuses_what_is_not_definite(disc32, two_well16):
+    nan = disc32.mass_int.copy()
+    diagonal = nan.diagonal()
+    diagonal[diagonal.size // 2] = np.nan  # dpbtrf itself passes a NaN pivot
+    nan.setdiag(diagonal)
+    assert definite_factor(nan) is None
+    assert definite_factor(0.0 * disc32.mass_int) is None
+    # the two-well pencil shifted just above lambda_1: one negative eigenvalue
+    pair, spec = two_well16
+    assert definite_factor(pair.stiffness - (1.0 + 1e-6) * spec.eigenvalues[0] * pair.mass) is None
+    assert definite_factor(pair.stiffness - (1.0 - 1e-6) * spec.eigenvalues[0] * pair.mass) is not None
 
 
 def test_symmetric_factor_counts_the_eigenvalues_below_the_shift(bump_pair32):

@@ -28,7 +28,7 @@ def _sweep_rows(out):
 
 def test_ill_posedness_sweep_smoke(tmp_path, capsys):
     sweep = _load("ill_posedness_sweep")
-    assert sweep.main(["--out", str(tmp_path), "--nx", "8", "--times", "0.15,0.3"]) == 0
+    assert sweep.main(["--out", str(tmp_path), "--nx", "8", "--times", "0.15,0.3", "--modes", "8"]) == 0
     flow = [line for line in capsys.readouterr().out.splitlines() if line.startswith("flow-spectrum")]
     # 8 pairs cannot bound the tail at T = 0.15: the capped spectra, reported
     assert len(flow) == 2

@@ -105,7 +105,7 @@ class TestSparseSolver:
     @pytest.mark.parametrize("nx", [32, 48])
     def test_matches_scipys_own_shift_invert(self, nx):
         # the same ARPACK run with scipy's internal factor of A (column
-        # minimum degree, partial pivoting) in place of definite_factor's
+        # minimum degree, partial pivoting) in place of definite_factor's band Cholesky
         mesh = build_structured_mesh(nx, nx)
         pair = discretize(mesh).pair(make_coefficient(mesh, "gaussian-bump", None, 2.0).values)
         n, K = pair.stiffness.shape[0], 40
@@ -303,15 +303,9 @@ class TestGroundPair:
 class TestCertifyGround:
     """The ground certificate of a pair found outside spectral."""
 
-    @staticmethod
-    def two_well_pencil():
-        # a = 1 in two discs and 30 elsewhere: lambda_2 lies within 10% of
-        # lambda_1 (150.7 and 164.5 at 16^2)
-        disc = discretize(build_structured_mesh(16, 16))
-        x, y = disc.mesh.nodes[:, 0], disc.mesh.nodes[:, 1]
-        wells = (np.hypot(x - 0.25, y - 0.5) < 0.2) | (np.hypot(x - 0.75, y - 0.5) < 0.2)
-        pair = disc.pair(np.where(wells, 1.0, 30.0))
-        spec = solve_generalized_eig(pair, 2)
+    @pytest.fixture()
+    def two_well(self, two_well16):
+        pair, spec = two_well16
         assert spec.eigenvalues[1] < spec.eigenvalues[0] / spectral._GROUND_SHIFT
         return pair, spec
 
@@ -320,16 +314,16 @@ class TestCertifyGround:
         return SpectralDecomposition(spec.eigenvalues[k:k + 1], spec.eigenvectors[:, k:k + 1],
                                      np.array([1]), spec.disc)
 
-    def test_accepts_the_ground_pair_only(self):
-        pair, spec = self.two_well_pencil()
+    def test_accepts_the_ground_pair_only(self, two_well):
+        pair, spec = two_well
         assert certify_ground(pair, self.kth_pair(spec, 0))
         assert not certify_ground(pair, self.kth_pair(spec, 1))
 
-    def test_second_pair_within_the_warm_shift_is_rejected(self):
+    def test_second_pair_within_the_warm_shift_is_rejected(self, two_well):
         # Warm inverse iteration from (lambda_2, phi_2) keeps its shift
         # 0.9 lambda_2 below lambda_1, so its own certificate passes and it
         # stays on phi_2: it cannot tell the second pair from the ground.
-        pair, spec = self.two_well_pencil()
+        pair, spec = two_well
         second = self.kth_pair(spec, 1)
         warm_spec, warm = solve_ground_pair(pair, second.eigenvectors[:, 0],
                                             second.eigenvalues[0])
@@ -337,9 +331,9 @@ class TestCertifyGround:
         assert warm_spec.eigenvalues[0] == pytest.approx(spec.eigenvalues[1], rel=1e-12)
         assert not certify_ground(pair, second)
 
-    def test_rejects_a_large_residual(self):
+    def test_rejects_a_large_residual(self, two_well):
         # below lambda_1 the inertia test passes; the residual bound does not
-        pair, spec = self.two_well_pencil()
+        pair, spec = two_well
         ground = self.kth_pair(spec, 0)
         low = dataclasses.replace(ground, eigenvalues=ground.eigenvalues * (1.0 - 1e-6))
         assert definite_factor(pair.stiffness - float(low.eigenvalues[0]) * pair.mass) is not None
