@@ -116,8 +116,9 @@ def make_coefficient(mesh: Mesh, kind: str, params: dict[str, float] | None, a_p
 def initial_state(mesh: Mesh, kind: str, params: dict | None = None, spectral=None) -> np.ndarray:
     """Nodal initial state from the catalog; zero on the boundary by construction.
 
-    "first-eigenfunction" needs the spectral decomposition of the scenario
-    coefficient; "custom" reads a grid dump matching the mesh resolution.
+    "first-eigenfunction" reads the ground vector of `spectral`, a K=1
+    decomposition of the scenario pencil; "custom" reads a grid dump
+    matching the mesh resolution.
     """
     p = u0_defaults(kind)
     p.update(params or {})

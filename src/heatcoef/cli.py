@@ -36,9 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory for CSV/grid/report files")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--modes", type=int, default=None,
-                       help="override the number of computed eigenpairs; forward and "
-                            "stability-sweep take it as a cap and solve only the pairs "
-                            "their earliest time can see")
+                       help="override the number of eigenpairs verify-spectral solves; "
+                            "forward and stability-sweep take it as a cap and solve only "
+                            "the pairs their earliest time can see; invert ignores it")
     return parser
 
 

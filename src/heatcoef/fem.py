@@ -185,16 +185,6 @@ class Norms(NamedTuple):
     h2_surrogate: float
 
 
-def _element_geometry(mesh: Mesh):
-    """P1 shape data per element: (b, c, area) with grad(lambda_i) = (b_i, c_i) / (2 area)."""
-    p = mesh.nodes[mesh.elements]
-    x, y = p[..., 0], p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * np.einsum("ei,ei->e", x, b)
-    return b, c, area
-
-
 def _coefficient_values(a, n_nodes: int) -> np.ndarray:
     if isinstance(a, CoefficientField):
         v = a.values
@@ -216,7 +206,7 @@ def _stiffness_map(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """
     n, els = mesh.n_nodes, mesh.elements
     E = els.shape[0]
-    b, c, area = _element_geometry(mesh)
+    b, c, area = mesh.element_geometry
     local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (12.0 * area)[:, None, None]
     keys = (np.repeat(els, 3, axis=1).astype(np.int64) * n + np.tile(els, (1, 3))).ravel()
     keys, entry = np.unique(keys, return_inverse=True)
@@ -240,7 +230,7 @@ def assemble_stiffness(mesh: Mesh, a) -> sp.csr_matrix:
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Assemble the consistent P1 mass matrix, local block (|K|/12)[[2,1,1],[1,2,1],[1,1,2]]."""
-    _, _, area = _element_geometry(mesh)
+    _, _, area = mesh.element_geometry
     template = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = area[:, None, None] * template
     rows = np.repeat(mesh.elements, 3, axis=1).ravel()
@@ -411,7 +401,7 @@ def validate_coefficient(mesh: Mesh, field: CoefficientField) -> None:
 def element_gradients(mesh: Mesh, w) -> np.ndarray:
     """Constant gradient of the P1 interpolant on each element, shape (n_elements, 2)."""
     w = np.asarray(w, dtype=float)
-    b, c, area = _element_geometry(mesh)
+    b, c, area = mesh.element_geometry
     we = w[mesh.elements]
     gx = np.einsum("ei,ei->e", we, b) / (2.0 * area)
     gy = np.einsum("ei,ei->e", we, c) / (2.0 * area)
@@ -421,7 +411,7 @@ def element_gradients(mesh: Mesh, w) -> np.ndarray:
 def nodal_gradients(mesh: Mesh, w) -> np.ndarray:
     """Area-weighted average of the element gradients at each node."""
     g = element_gradients(mesh, w)
-    _, _, area = _element_geometry(mesh)
+    _, _, area = mesh.element_geometry
     acc = np.zeros((mesh.n_nodes, 2))
     wsum = np.zeros(mesh.n_nodes)
     for local in range(3):

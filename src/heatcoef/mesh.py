@@ -12,6 +12,7 @@ familiar five-point star.  Node index = j * (nx + 1) + i for grid position
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,12 +61,22 @@ class Mesh:
     def interior_node_flags(self) -> np.ndarray:
         return ~self.boundary_node_flags
 
+    @cached_property
+    def element_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """P1 shape data per element, built once: (b, c, area) with
+        grad(lambda_i) = (b_i, c_i) / (2 area), area signed."""
+        p = self.nodes[self.elements]
+        x, y = p[..., 0], p[..., 1]
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        area = 0.5 * np.einsum("ei,ei->e", x, b)
+        for v in (b, c, area):
+            v.flags.writeable = False
+        return b, c, area
+
     def signed_areas(self) -> np.ndarray:
         """Signed area of every element; positive iff stored counterclockwise."""
-        p = self.nodes[self.elements]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return self.element_geometry[2]
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .heat import (
     compute_F,
     evolve,
     fit_log_slope,
+    krylov_flow,
     lower_bound_check,
 )
 from .inversion import (
@@ -140,7 +141,6 @@ class _Context:
     disc: Discretization
     coeff: CoefficientField
     pair: OperatorPair
-    spec: SpectralDecomposition
     u0: np.ndarray
 
     @property
@@ -152,16 +152,6 @@ def _time_grid(s: Scenario) -> np.ndarray:
     return np.asarray(s.T_grid if s.T_grid is not None else _DEFAULT_T_GRID, dtype=float)
 
 
-def _flow_time(s: Scenario, mode: str) -> float | None:
-    """Earliest time a heat-flow mode evaluates the flow at; None for the
-    modes that use the K = modes spectrum itself."""
-    if mode == "forward":
-        return float(min(s.T, *_time_grid(s)))
-    if mode == "stability-sweep":
-        return float(min(s.T_grid))
-    return None
-
-
 def _flow_spectrum(pair: OperatorPair, t_min: float, modes: int,
                    lines: list[str]) -> SpectralDecomposition:
     """solve_flow_spectrum capped at modes (and the pencil size), with its
@@ -171,21 +161,20 @@ def _flow_spectrum(pair: OperatorPair, t_min: float, modes: int,
     return spec
 
 
-def _build_context(s: Scenario, t_flow: float | None, lines: list[str]) -> _Context:
-    """Mesh, coefficient, pencil, spectrum and u0 of a run.  With t_flow the
-    spectrum holds the pairs a flow from t_flow on can see (modes is the
-    cap), otherwise K = modes pairs."""
+def _build_context(s: Scenario) -> _Context:
+    """Mesh, coefficient, pencil and u0 of a run; each mode solves the
+    spectrum it reads.  u0 = first-eigenfunction is the ground vector of
+    one K=1 solve."""
     mesh = build_structured_mesh(s.nx, s.ny)
     coeff = catalog.make_coefficient(mesh, s.coefficient.kind, s.coefficient.params_dict(), s.a_plus)
     validate_coefficient(mesh, coeff)
     disc = discretize(mesh)
     pair = disc.pair(coeff.values)
-    spec = (solve_generalized_eig(pair, min(s.modes, pair.stiffness.shape[0])) if t_flow is None
-            else _flow_spectrum(pair, t_flow, s.modes, lines))
+    ground = solve_generalized_eig(pair, 1) if s.u0.kind == "first-eigenfunction" else None
     u0 = catalog.initial_state(
-        mesh, s.u0.kind, {"m": s.u0.m, "n": s.u0.n, "path": s.u0.path}, spectral=spec,
+        mesh, s.u0.kind, {"m": s.u0.m, "n": s.u0.n, "path": s.u0.path}, spectral=ground,
     )
-    return _Context(scenario=s, disc=disc, coeff=coeff, pair=pair, spec=spec, u0=u0)
+    return _Context(scenario=s, disc=disc, coeff=coeff, pair=pair, u0=u0)
 
 
 def _require_sweep_inputs(s: Scenario) -> None:
@@ -199,8 +188,10 @@ def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None
                  modes: int | None = None) -> RunArtifact:
     """Run one scenario in one mode, writing artifacts into out_dir.
 
-    forward and stability-sweep take modes as a cap: they solve only the
-    eigenpairs their earliest time can see (spectral.solve_flow_spectrum).
+    verify-spectral solves K = modes eigenpairs.  forward and
+    stability-sweep take modes as a cap: they solve only the eigenpairs
+    their earliest time can see (spectral.solve_flow_spectrum).  invert
+    solves no spectrum for its data (heat.krylov_flow) and ignores modes.
     """
     if mode not in MODES:
         raise RunnerError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -222,7 +213,7 @@ def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None
     if mode == "stability-sweep":
         _require_sweep_inputs(scenario)
     try:
-        ctx = _build_context(scenario, _flow_time(scenario, mode), lines)
+        ctx = _build_context(scenario)
         runners[mode](ctx, out, lines, files)
     except RunnerError:
         raise
@@ -241,16 +232,17 @@ def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None
 def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
     s = ctx.scenario
     grid = _time_grid(s)
+    spec = _flow_spectrum(ctx.pair, float(min(s.T, *grid)), s.modes, lines)
     M = ctx.disc.mass
-    lam_hat = ctx.spec.hat_eigenvalues
+    lam_hat = spec.hat_eigenvalues
     lam1 = float(lam_hat[0])
 
     u_norms = np.empty(grid.size)
     F_norms = np.empty(grid.size)
     truncs = np.empty(grid.size)
     for i, t in enumerate(grid):
-        snap = evolve(ctx.spec, ctx.u0, float(t))
-        corr = compute_F(ctx.spec, ctx.u0, float(t))
+        snap = evolve(spec, ctx.u0, float(t))
+        corr = compute_F(spec, ctx.u0, float(t))
         u_norms[i] = l2_norm(snap.u, M)
         F_norms[i] = l2_norm(corr.values, M)
         truncs[i] = snap.truncation_bound
@@ -258,7 +250,7 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
                zip(grid, u_norms, F_norms, truncs))
     files.append("decay.csv")
 
-    snap_T = evolve(ctx.spec, ctx.u0, s.T)
+    snap_T = evolve(spec, ctx.u0, s.T)
     write_grid(out / "u_T.grid", ctx.mesh, snap_T.u)
     files.append("u_T.grid")
 
@@ -276,10 +268,10 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
     # F is the k >= 2 tail of the mode expansion, so its decay rate is the
     # eigenvalue of the first tail cluster that u0 actually populates.
     u0_l2 = l2_norm(ctx.u0, M)
-    coeffs = ctx.spec.eigenvectors.T @ (ctx.disc.mass_int @ ctx.disc.restrict(ctx.u0))
+    coeffs = spec.eigenvectors.T @ (ctx.disc.mass_int @ ctx.disc.restrict(ctx.u0))
     k_star = None
-    for k in range(2, ctx.spec.n_clusters + 1):
-        if np.linalg.norm(coeffs[ctx.spec.cluster_slice(k)]) > 1e-10 * max(u0_l2, 1e-300):
+    for k in range(2, spec.n_clusters + 1):
+        if np.linalg.norm(coeffs[spec.cluster_slice(k)]) > 1e-10 * max(u0_l2, 1e-300):
             k_star = k
             break
     if k_star is None or np.count_nonzero(F_norms > 0) < 2:
@@ -307,7 +299,7 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
     # div(a grad u_T) = -l1 u_T + F on interior nodes, up to roundoff.
     I = ctx.disc.interior
     A_int, M_int = ctx.pair.stiffness, ctx.pair.mass
-    corr_T = compute_F(ctx.spec, ctx.u0, s.T)
+    corr_T = compute_F(spec, ctx.u0, s.T)
     r = A_int @ snap_T.u[I] - lam1 * (M_int @ snap_T.u[I]) + M_int @ corr_T.values[I]
     scale = max(np.linalg.norm(A_int @ snap_T.u[I]),
                 lam1 * np.linalg.norm(M_int @ snap_T.u[I]),
@@ -318,12 +310,12 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
 
     if weight > 0:
         band = boundary_band(ctx.mesh, _BAND_EPS)
-        rep = lower_bound_check(ctx.spec, ctx.u0, s.T, band)
+        rep = lower_bound_check(spec, ctx.u0, s.T, band)
         _check(lines, "lower-bounds", rep.all_positive,
                f"T={s.T:g} measured=(u {rep.u_ratio_min:.6g}, du/dt {rep.dudt_ratio_min:.6g}, "
                f"grad {rep.grad_ratio_min:.6g}, band |grad phi1| {rep.grad_phi1_band_min:.6g}, "
                f"eig floor {rep.eig_floor_min:.6g}) bound=0 (strict)")
-        thr = certify_decay_threshold(ctx.spec, ctx.u0, grid, band)
+        thr = certify_decay_threshold(spec, ctx.u0, grid, band)
         _info(lines, "certified-threshold",
               f"first grid time with all lower bounds positive: "
               f"{'T=%g' % thr if thr is not None else 'none within T_grid'}")
@@ -332,7 +324,7 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
               f"skipped: int u0 d_Omega = {weight:.6g} is not positive")
 
     _info(lines, "truncation",
-          f"max tail bound over grid = {truncs.max() if grid.size else 0.0:.6g} (K={ctx.spec.K})")
+          f"max tail bound over grid = {truncs.max() if grid.size else 0.0:.6g} (K={spec.K})")
 
 
 # --- invert ------------------------------------------------------------------
@@ -340,7 +332,7 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
 def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
     s = ctx.scenario
     M = ctx.disc.mass
-    u_T = evolve(ctx.spec, ctx.u0, s.T).u
+    u_T = krylov_flow(ctx.pair, ctx.u0, s.T).u
     data_l2 = l2_norm(u_T, M)
     u0_l2 = l2_norm(ctx.u0, M)
     if data_l2 < 1e-10 * max(u0_l2, 1e-300):
@@ -402,7 +394,7 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
 
 def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
     s = ctx.scenario
-    spec = ctx.spec
+    spec = solve_generalized_eig(ctx.pair, min(s.modes, ctx.pair.stiffness.shape[0]))
     lam_hat = spec.hat_eigenvalues
 
     _check(lines, "ground-eigenvalue-simple", int(spec.multiplicities[0]) == 1,
@@ -499,13 +491,14 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
 
 def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
     s = ctx.scenario
+    t_min = float(min(s.T_grid))
+    spec = _flow_spectrum(ctx.pair, t_min, s.modes, lines)
     a_tilde = catalog.make_coefficient(ctx.mesh, s.perturbation.kind,
                                        s.perturbation.params_dict(), s.a_plus)
-    spec_t = _flow_spectrum(ctx.disc.pair(a_tilde.values), _flow_time(s, "stability-sweep"),
-                            s.modes, lines)
+    spec_t = _flow_spectrum(ctx.disc.pair(a_tilde.values), t_min, s.modes, lines)
 
     tab, ft = stability_ratio_experiment(ctx.coeff, a_tilde, ctx.u0, s.T_grid,
-                                         ctx.spec, spec_t)
+                                         spec, spec_t)
     _write_csv(out / "stability.csv",
                ("T", "l2_udiff", "h2_udiff", "rho", "bracket", "c_fit", "indistinguishable"),
                zip(tab.T, tab.l2_udiff, tab.h2_udiff, tab.rho, tab.bracket,
@@ -526,7 +519,7 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
                  f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
 
     band = boundary_band(ctx.mesh, _BAND_EPS)
-    thr = certify_decay_threshold(ctx.spec, ctx.u0, s.T_grid, band)
+    thr = certify_decay_threshold(spec, ctx.u0, s.T_grid, band)
     if thr is None:
         _info(lines, "rho-monotone", "no certified threshold inside T_grid; check skipped")
     else:

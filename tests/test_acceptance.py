@@ -221,7 +221,6 @@ name = ladder
 coefficient = gaussian-bump
 nx = 32
 ny = 32
-modes = 8
 noise = 1e-6
 seed = 1234
 T = {T}

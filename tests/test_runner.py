@@ -267,6 +267,44 @@ def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
     assert (len(maps), len(pencils), len(assemblies)) == (1, 4, 0)
 
 
+def test_bundled_invert_makes_no_k_many_eigensolve(tmp_path, monkeypatch):
+    # The data snapshot and every outer step come from heat.krylov_flow, and
+    # the closure's ground pairs from warm K=1 solves (their fallback is K=1).
+    solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
+    run_scenario(parse_config(SCENARIO_DIR / "bump_invert.cfg"), "invert", tmp_path)
+    assert [args[1] for args in solves if args[1] > 1] == []
+
+
+def test_invert_ignores_modes(tmp_path):
+    s = parse_config_text(INVERT_16)
+    few, many = (run_scenario(s, "invert", tmp_path / str(k), modes=k) for k in (4, 40))
+    for name in ("a_rec.grid", "residuals.csv"):
+        assert _read(tmp_path / "4" / name) == _read(tmp_path / "40" / name), name
+    assert few.summary_lines == many.summary_lines
+
+
+def _line(lines, name: str) -> str:
+    return next(line for line in lines if line.split()[1] == f"{name}:")
+
+
+def test_first_eigenfunction_forward_decays_at_the_ground_rate(tmp_path):
+    art = run_scenario(parse_config_text(FORWARD_16 + "u0 = first-eigenfunction\n"),
+                       "forward", tmp_path)
+    assert art.all_pass, art.summary_lines
+    assert _line(art.summary_lines, "u-decay-slope").startswith("PASS ")
+    assert " rel_tol=1e-06 " in _line(art.summary_lines, "u-decay-slope")
+    assert _line(art.summary_lines, "F-decay-slope") == \
+        "INFO F-decay-slope: correction term vanishes (single-mode data)"
+
+
+def test_first_eigenfunction_invert_converges(tmp_path):
+    s = parse_config_text(INVERT_16.replace("16", "24") + "u0 = first-eigenfunction\n")
+    art = run_scenario(s, "invert", tmp_path)
+    assert _line(art.summary_lines, "fixed-point-converged").startswith("PASS ")
+    err = _line(art.summary_lines, "reconstruction-error")
+    assert float(re.search(r"measured=(\S+)", err).group(1)) <= 0.02  # 8.07e-7 after 5 steps
+
+
 def test_verify_spectral_needs_twenty_interior_nodes_for_the_sweep(tmp_path):
     text = VERIFY_16.replace("nx = 16", "nx = 5").replace("ny = 16", "ny = 5")
     with pytest.raises(RunnerError, match=r"requested K=20 eigenpairs from a pencil of size 16"):
