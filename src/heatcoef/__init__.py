@@ -52,15 +52,12 @@ from .spectral import (
 )
 from .heat import (
     HeatSnapshot,
-    CorrectionF,
+    GroundComparison,
     evolve,
-    compute_F,
     KrylovFlow,
     krylov_flow,
     fit_log_slope,
-    lower_bound_check,
     check_u0_condition,
-    certify_decay_threshold,
 )
 from .inversion import (
     TransportSystem,

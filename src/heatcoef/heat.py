@@ -7,11 +7,16 @@ over the computed clusters.  The correction field
 
 removes the ground-mode rate from the snapshot; by construction it has no
 cluster-1 content and decays like e^{-l_2 T}.  (Expanded in the eigenbasis
-its tail coefficients are (l_1 - l_k) e^{-l_k T}, k >= 2.)
+its tail coefficients are (l_1 - l_k) e^{-l_k T}, k >= 2.)  evolve forms u
+and F from one projection of u0 onto the eigenbasis.
 
 krylov_flow computes u(T), F and the ground Ritz pair of one pencil
 without an eigenbasis, from a shift-invert Krylov space of u0; the
 inversion's outer steps use it.
+
+GroundComparison holds what the lower-bound quotients u(T) / (e^{-l_1 T}
+phi1) of one (spectrum, u0, band) share over T: it reports the quotients
+at one time and finds the first grid time at which all are positive.
 
 No diagnostic here takes a mesh: each reads the mesh and matrices from
 the Discretization it is given, or from its spectrum's.  The
@@ -32,16 +37,13 @@ from .spectral import SpectralDecomposition, orient_ground
 
 __all__ = [
     "HeatSnapshot",
-    "CorrectionF",
     "LowerBoundReport",
+    "GroundComparison",
     "evolve",
-    "compute_F",
     "KrylovFlow",
     "krylov_flow",
     "fit_log_slope",
-    "lower_bound_check",
     "check_u0_condition",
-    "certify_decay_threshold",
 ]
 
 
@@ -49,28 +51,19 @@ __all__ = [
 class HeatSnapshot:
     """State of the spectral heat flow at one time.
 
-    u and du_dt are full nodal fields (zero on the boundary); the
-    truncation bound is e^{-l_K t}, l_K the top computed cluster, times the
-    L2 norm of the part of u0 outside the computed span.  It bounds the
+    u and F are full nodal fields (zero on the boundary): the snapshot and
+    its correction field d_t u + l_1 u, both from one projection of u0.
+    The truncation bound is e^{-l_K t}, l_K the top computed cluster, times
+    the L2 norm of the part of u0 outside the computed span.  It bounds the
     dropped tail when no eigenvalue below l_K was skipped, which the
     inertia count of spectral.solve_flow_spectrum certifies for the
-    spectra of the forward and stability-sweep runs; those solve only the
-    pairs the flow can see, so modes_used is often below the run's modes.
+    spectra of the forward and stability-sweep runs.
     """
 
     t: float
     u: np.ndarray
-    du_dt: np.ndarray
-    modes_used: int
+    F: np.ndarray
     truncation_bound: float
-
-
-@dataclass(frozen=True)
-class CorrectionF:
-    """Correction field at time T as a full nodal field."""
-
-    T: float
-    values: np.ndarray
 
 
 def _mode_data(spec: SpectralDecomposition, u0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -85,25 +78,21 @@ def _mode_data(spec: SpectralDecomposition, u0) -> tuple[np.ndarray, np.ndarray,
 
 
 def evolve(spec: SpectralDecomposition, u0, t: float) -> HeatSnapshot:
-    """Heat snapshot sum_k e^{-l_k t} P_k u0 with its time derivative."""
+    """Heat snapshot sum_k e^{-l_k t} P_k u0 and its correction field.
+
+    F is the tail series sum_{k >= 2} (l_1 - l_k) e^{-l_k t} P_k u0, its
+    cluster-1 weight set to zero rather than computed as l_1 - l_1.
+    """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     coeffs, rates, tail = _mode_data(spec, u0)
     damp = np.exp(-rates * t)
+    gain = (spec.hat_eigenvalues[0] - rates) * damp
+    gain[spec.cluster_index == 0] = 0.0
     u = spec.disc.extend(spec.eigenvectors @ (coeffs * damp))
-    du = spec.disc.extend(spec.eigenvectors @ (-(rates * coeffs) * damp))
+    F = spec.disc.extend(spec.eigenvectors @ (coeffs * gain))
     bound = float(np.exp(-spec.hat_eigenvalues[-1] * t)) * l2_norm(tail, spec.disc.mass_int)
-    return HeatSnapshot(t=float(t), u=u, du_dt=du, modes_used=spec.K, truncation_bound=bound)
-
-
-def compute_F(spec: SpectralDecomposition, u0, T: float) -> CorrectionF:
-    """Correction field d_t u + l_1 u at time T, evaluated as the tail series."""
-    if T <= 0:
-        raise ValueError(f"snapshot time must be positive, got {T}")
-    coeffs, rates, _ = _mode_data(spec, u0)
-    w = (spec.hat_eigenvalues[0] - rates) * np.exp(-rates * T)
-    w[spec.cluster_index == 0] = 0.0
-    return CorrectionF(T=float(T), values=spec.disc.extend(spec.eigenvectors @ (coeffs * w)))
+    return HeatSnapshot(t=float(t), u=u, F=F, truncation_bound=bound)
 
 
 # krylov_flow grows its space from _KRYLOV_START vectors by _KRYLOV_STEP
@@ -269,12 +258,17 @@ def check_u0_condition(disc: Discretization, u0) -> float:
     return float(u0 @ (disc.mass @ d))
 
 
-class _GroundComparison:
+class GroundComparison:
     """What the lower-bound quotients of one (spectrum, u0, band) share over T.
 
-    The quotients divide u(T) by e^{-l_1 T} phi1, so they are formed from the
-    flow scaled by e^{l_1 T}, sum_k e^{-(l_k - l_1) T} c_k phi_k, which
-    neither underflows nor divides by an underflowed e^{-l_1 T} at large T.
+    u0, phi1 and its gradients are projected and evaluated once; report(T)
+    forms the quotients at one time and threshold(T_grid) finds the first
+    grid time at which all are positive.  Requires int u0 d_Omega > 0
+    (otherwise the snapshot has no certified sign and the quotients are
+    meaningless).  The quotients divide u(T) by e^{-l_1 T} phi1, so they are
+    formed from the flow scaled by e^{l_1 T},
+    sum_k e^{-(l_k - l_1) T} c_k phi_k, which neither underflows nor divides
+    by an underflowed e^{-l_1 T} at large T.
     """
 
     def __init__(self, spec: SpectralDecomposition, u0, band: BoundaryBand) -> None:
@@ -290,6 +284,7 @@ class _GroundComparison:
         self.bmask = band.node_mask
 
     def report(self, T: float) -> LowerBoundReport:
+        """The ground-mode lower-bound quotients at time T > 0."""
         if T <= 0:
             raise ValueError(f"snapshot time must be positive, got {T}")
         V, disc, bmask, gp2 = self.spec.eigenvectors, self.spec.disc, self.bmask, self.gp2
@@ -317,37 +312,10 @@ class _GroundComparison:
             lambda1=self.lam1,
         )
 
-
-def lower_bound_check(
-    spec: SpectralDecomposition,
-    u0,
-    T: float,
-    band: BoundaryBand,
-) -> LowerBoundReport:
-    """Evaluate the ground-mode lower-bound quotients at time T.
-
-    Requires int u0 d_Omega > 0 (otherwise the snapshot has no certified
-    sign and the quotients are meaningless).
-    """
-    return _GroundComparison(spec, u0, band).report(T)
-
-
-def certify_decay_threshold(
-    spec: SpectralDecomposition,
-    u0,
-    T_grid,
-    band: BoundaryBand,
-) -> float | None:
-    """Smallest grid time at which all lower-bound minima are positive, or None.
-
-    phi1, its gradients, the band and the u0 condition are evaluated once
-    for the whole grid.
-    """
-    times = [t for t in sorted(np.asarray(T_grid, dtype=float)) if t > 0]
-    if not times:
+    def threshold(self, T_grid) -> float | None:
+        """Smallest positive grid time at which all lower-bound minima are
+        positive, or None; the search stops at the first such time."""
+        for t in sorted(np.asarray(T_grid, dtype=float)):
+            if t > 0 and self.report(t).all_positive:
+                return float(t)
         return None
-    comparison = _GroundComparison(spec, u0, band)
-    for t in times:
-        if comparison.report(t).all_positive:
-            return float(t)
-    return None

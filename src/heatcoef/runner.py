@@ -26,15 +26,7 @@ from .fem import (
     l2_norm,
     validate_coefficient,
 )
-from .heat import (
-    certify_decay_threshold,
-    check_u0_condition,
-    compute_F,
-    evolve,
-    fit_log_slope,
-    krylov_flow,
-    lower_bound_check,
-)
+from .heat import GroundComparison, check_u0_condition, evolve, fit_log_slope, krylov_flow
 from .inversion import (
     InversionOptions,
     fixed_point_invert,
@@ -242,9 +234,8 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
     truncs = np.empty(grid.size)
     for i, t in enumerate(grid):
         snap = evolve(spec, ctx.u0, float(t))
-        corr = compute_F(spec, ctx.u0, float(t))
         u_norms[i] = l2_norm(snap.u, M)
-        F_norms[i] = l2_norm(corr.values, M)
+        F_norms[i] = l2_norm(snap.F, M)
         truncs[i] = snap.truncation_bound
     _write_csv(out / "decay.csv", ("T", "u_l2", "F_l2", "truncation_bound"),
                zip(grid, u_norms, F_norms, truncs))
@@ -299,23 +290,22 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
     # div(a grad u_T) = -l1 u_T + F on interior nodes, up to roundoff.
     I = ctx.disc.interior
     A_int, M_int = ctx.pair.stiffness, ctx.pair.mass
-    corr_T = compute_F(spec, ctx.u0, s.T)
-    r = A_int @ snap_T.u[I] - lam1 * (M_int @ snap_T.u[I]) + M_int @ corr_T.values[I]
+    r = A_int @ snap_T.u[I] - lam1 * (M_int @ snap_T.u[I]) + M_int @ snap_T.F[I]
     scale = max(np.linalg.norm(A_int @ snap_T.u[I]),
                 lam1 * np.linalg.norm(M_int @ snap_T.u[I]),
-                np.linalg.norm(M_int @ corr_T.values[I]), 1e-300)
+                np.linalg.norm(M_int @ snap_T.F[I]), 1e-300)
     rel = float(np.linalg.norm(r) / scale)
     _check(lines, "transport-identity", rel <= _TRANSPORT_TOL,
            f"measured={rel:.6g} bound={_TRANSPORT_TOL:g} (relative residual at T={s.T:g})")
 
     if weight > 0:
-        band = boundary_band(ctx.mesh, _BAND_EPS)
-        rep = lower_bound_check(spec, ctx.u0, s.T, band)
+        ground = GroundComparison(spec, ctx.u0, boundary_band(ctx.mesh, _BAND_EPS))
+        rep = ground.report(s.T)
         _check(lines, "lower-bounds", rep.all_positive,
                f"T={s.T:g} measured=(u {rep.u_ratio_min:.6g}, du/dt {rep.dudt_ratio_min:.6g}, "
                f"grad {rep.grad_ratio_min:.6g}, band |grad phi1| {rep.grad_phi1_band_min:.6g}, "
                f"eig floor {rep.eig_floor_min:.6g}) bound=0 (strict)")
-        thr = certify_decay_threshold(spec, ctx.u0, grid, band)
+        thr = ground.threshold(grid)
         _info(lines, "certified-threshold",
               f"first grid time with all lower bounds positive: "
               f"{'T=%g' % thr if thr is not None else 'none within T_grid'}")
@@ -434,11 +424,9 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
         _info(lines, "gap-property", "needs at least two strict eigenvalues; skipped")
     else:
         gap_rep = gap_report(lam_hat, s.gamma, s.delta)
-        gaps = np.diff(lam_hat)
-        required = s.delta * lam_hat[:-1] ** (-s.gamma)
         _write_csv(out / "gap.csv",
                    ("k", "hat_lambda", "next_gap", "required", "rho", "satisfied"),
-                   zip(range(1, lam_hat.size), lam_hat[:-1], gaps, required,
+                   zip(range(1, lam_hat.size), lam_hat[:-1], gap_rep.gaps, gap_rep.bounds,
                        gap_rep.rho[:-1], gap_rep.satisfied))
         files.append("gap.csv")
         if gap_rep.all_satisfied:
@@ -448,7 +436,7 @@ def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list
         else:
             k = int(np.flatnonzero(~gap_rep.satisfied)[0])
             _check(lines, "gap-property", False,
-                   f"index={k + 1} measured={gaps[k]:.10g} bound={required[k]:.10g} "
+                   f"index={k + 1} measured={gap_rep.gaps[k]:.10g} bound={gap_rep.bounds[k]:.10g} "
                    f"(gamma={s.gamma:g}, delta={s.delta:g})")
 
     if spec.K >= 10:
@@ -518,8 +506,7 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
                  f"measured={tab.fitted_rate:.6g} bracket=[{tab.rate_low:.6g}, {tab.rate_high:.6g}] "
                  f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
 
-    band = boundary_band(ctx.mesh, _BAND_EPS)
-    thr = certify_decay_threshold(spec, ctx.u0, s.T_grid, band)
+    thr = GroundComparison(spec, ctx.u0, boundary_band(ctx.mesh, _BAND_EPS)).threshold(s.T_grid)
     if thr is None:
         _info(lines, "rho-monotone", "no certified threshold inside T_grid; check skipped")
     else:
@@ -543,12 +530,9 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
     else:
         _info(lines, "gap-constant-spread", "fewer than two usable grid points")
 
-    if ft.identical:
-        _info(lines, "F-lipschitz-slope", "coefficients identical; quotient undefined")
-    else:
-        _slope_check(lines, "F-lipschitz-slope", abs(ft.fitted_slope + ft.beta2) <= 0.05 * ft.beta2,
-                     f"measured={ft.fitted_slope:.10g} expected={-ft.beta2:.10g} rel_tol=0.05",
-                     ft.ratio)
+    _slope_check(lines, "F-lipschitz-slope", abs(ft.fitted_slope + ft.beta2) <= 0.05 * ft.beta2,
+                 f"measured={ft.fitted_slope:.10g} expected={-ft.beta2:.10g} rel_tol=0.05",
+                 ft.ratio)
 
     _info(lines, "reciprocal-gap",
           f"|1/l1 - 1/l1~| = {tab.recip_gap:.6g} at coefficient distance {tab.coeff_diff:.6g}")

@@ -174,7 +174,9 @@ class GapReport:
 
     gamma: float
     delta: float
-    satisfied: np.ndarray  # per consecutive strict pair
+    gaps: np.ndarray       # hat_lambda_{k+1} - hat_lambda_k per consecutive strict pair
+    bounds: np.ndarray     # the required gap delta * hat_lambda_k^-gamma per pair
+    satisfied: np.ndarray  # gaps >= bounds
     delta_max: float       # largest delta for which every pair passes
     rho: np.ndarray        # isolation radii delta / (4 lambda_k^gamma)
 
@@ -427,8 +429,8 @@ def gap_report(hat_eigenvalues, gamma: float, delta: float) -> GapReport:
     satisfied = gaps >= bounds
     delta_max = float(np.min(gaps * hat[:-1] ** gamma))
     rho = delta / (4.0 * hat ** gamma)
-    return GapReport(gamma=float(gamma), delta=float(delta), satisfied=satisfied,
-                     delta_max=delta_max, rho=rho)
+    return GapReport(gamma=float(gamma), delta=float(delta), gaps=gaps, bounds=bounds,
+                     satisfied=satisfied, delta_max=delta_max, rho=rho)
 
 
 def regroup_spectrum(

@@ -16,8 +16,7 @@ import pytest
 
 from heatcoef.catalog import COEFFICIENT_KINDS, direction_values, make_coefficient
 from heatcoef.fem import discretize, nodal_gradients
-from heatcoef.heat import compute_F, evolve, fit_log_slope, l2_norm
-from heatcoef.heat import lower_bound_check
+from heatcoef.heat import GroundComparison, evolve, fit_log_slope, l2_norm
 from heatcoef.fem import assemble_mass
 from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import boundary_band, build_structured_mesh, distance_to_boundary
@@ -93,7 +92,7 @@ def test_correction_field_decay_and_lipschitz_slopes():
     grid = np.linspace(1.0, 5.0, 9)
     spec = solve_generalized_eig(discretize(mesh).pair(bump.values), 40)
     lam2 = spec.hat_eigenvalues[1]
-    norms = [l2_norm(spec.disc.restrict(compute_F(spec, d, t).values), spec.disc.mass_int)
+    norms = [l2_norm(spec.disc.restrict(evolve(spec, d, t).F), spec.disc.mass_int)
              for t in grid]
     assert abs(fit_log_slope(grid, norms) + lam2) <= 0.05 * lam2  # measured 0.49%
 
@@ -121,7 +120,7 @@ def test_snapshot_norm_decays_at_ground_rate(mesh32, bump_spec32):
 
 def test_ground_mode_lower_bound_quotients_all_positive(mesh32, bump_spec32):
     d = distance_to_boundary(mesh32)
-    report = lower_bound_check(bump_spec32, d, 2.0, boundary_band(mesh32, 0.1))
+    report = GroundComparison(bump_spec32, d, boundary_band(mesh32, 0.1)).report(2.0)
     assert report.all_positive
     assert report.u_ratio_min > 0.0
     assert report.dudt_ratio_min > 0.0

@@ -9,13 +9,11 @@ from heatcoef.catalog import make_coefficient
 from heatcoef.fem import assemble_mass, l2_norm
 from heatcoef.fem import nodal_gradients
 from heatcoef.heat import (
-    certify_decay_threshold,
+    GroundComparison,
     check_u0_condition,
-    compute_F,
     evolve,
     fit_log_slope,
     krylov_flow,
-    lower_bound_check,
 )
 from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import boundary_band, distance_to_boundary
@@ -34,9 +32,7 @@ class TestEvolve:
         lam1 = spec.hat_eigenvalues[0]
         snap = evolve(spec, phi1, 0.7)
         assert np.allclose(snap.u, np.exp(-lam1 * 0.7) * phi1, atol=1e-13)
-        assert np.allclose(snap.du_dt, -lam1 * snap.u, atol=1e-11)
         assert snap.truncation_bound < 1e-12
-        assert snap.modes_used == spec.K
 
     def test_linearity(self, bump_spec32):
         spec = bump_spec32
@@ -121,17 +117,27 @@ class TestCorrectionField:
     def test_ground_mode_gives_zero(self, unit_spec32):
         spec = unit_spec32
         phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
-        F = compute_F(spec, phi1, 1.0)
-        assert np.max(np.abs(F.values)) < 1e-14
+        F = evolve(spec, phi1, 1.0).F
+        assert np.max(np.abs(F)) < 1e-14
 
     def test_nodewise_identity_with_snapshot(self, mesh32, unit_spec32):
-        # F must equal du/dt + l_1 u at the same time, node for node.
+        # F must equal du/dt + l_1 u at the same time, node for node: the
+        # closed form sum_k (l_1 - l_k) e^{-l_k T} c_k phi_k, summed mode by
+        # mode over the clustered rates, with the snapshot's u beside it.
         spec = unit_spec32
         d = distance_to_boundary(mesh32)
-        F = compute_F(spec, d, 2.0)
         snap = evolve(spec, d, 2.0)
-        recon = snap.du_dt + spec.hat_eigenvalues[0] * snap.u
-        assert np.max(np.abs(F.values - recon)) < 1e-12
+        coeffs = spec.eigenvectors.T @ (spec.disc.mass_int @ spec.disc.restrict(d))
+        lam1 = spec.hat_eigenvalues[0]
+        u = np.zeros(mesh32.n_nodes)
+        recon = np.zeros(mesh32.n_nodes)
+        for j, k in enumerate(spec.cluster_index):
+            lam = spec.hat_eigenvalues[k]
+            mode = coeffs[j] * np.exp(-lam * 2.0) * spec.disc.extend(spec.eigenvectors[:, j])
+            u += mode
+            recon += (lam1 - lam) * mode
+        assert np.max(np.abs(snap.u - u)) < 1e-12
+        assert np.max(np.abs(snap.F - recon)) < 1e-12
 
     def test_two_mode_closed_form(self, bump_spec32):
         # all bump clusters are simple, so u0 = phi1 + phi2 gives
@@ -141,26 +147,21 @@ class TestCorrectionField:
         phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         phi2 = spec.disc.extend(spec.eigenvectors[:, 1])
         lam1, lam2 = spec.hat_eigenvalues[:2]
-        F = compute_F(spec, phi1 + phi2, 0.4)
+        F = evolve(spec, phi1 + phi2, 0.4).F
         closed = (lam1 - lam2) * np.exp(-lam2 * 0.4) * phi2
         scale = np.max(np.abs(closed))
-        assert np.max(np.abs(F.values - closed)) < 1e-12 * scale
+        assert np.max(np.abs(F - closed)) < 1e-12 * scale
 
     def test_fitted_decay_rate_matches_lambda2(self, mesh32, unit_spec32):
         d = distance_to_boundary(mesh32)
         ts = np.linspace(1.0, 5.0, 9)
         disc = unit_spec32.disc
-        norms = [l2_norm(disc.restrict(compute_F(unit_spec32, d, t).values), disc.mass_int)
+        norms = [l2_norm(disc.restrict(evolve(unit_spec32, d, t).F), disc.mass_int)
                  for t in ts]
         rate = fit_log_slope(ts, norms)
         lam2 = unit_spec32.hat_eigenvalues[1]
         assert lam2 == pytest.approx(49.57696526, abs=1e-6)
         assert abs(rate + lam2) / lam2 < 0.05
-
-    def test_rejects_nonpositive_time(self, unit_spec32):
-        phi1 = unit_spec32.disc.extend(unit_spec32.eigenvectors[:, 0])
-        with pytest.raises(ValueError, match="positive"):
-            compute_F(unit_spec32, phi1, 0.0)
 
 
 class TestKrylovFlow:
@@ -169,8 +170,8 @@ class TestKrylovFlow:
         d = distance_to_boundary(mesh32)
         M = spec.disc.mass
         flow = krylov_flow(bump_pair32, d, 0.15)
-        u_ref = evolve(spec, d, 0.15).u
-        F_ref = compute_F(spec, d, 0.15).values
+        ref = evolve(spec, d, 0.15)
+        u_ref, F_ref = ref.u, ref.F
         assert l2_norm(flow.u - u_ref, M) <= 1e-12 * l2_norm(u_ref, M)  # measured 4.7e-15
         assert l2_norm(flow.F - F_ref, M) <= 1e-9 * l2_norm(F_ref, M)  # measured 3.2e-14
         lam1 = solve_generalized_eig(bump_pair32, 1).eigenvalues[0]
@@ -235,7 +236,7 @@ class TestLowerBounds:
     def test_report_minima_frozen(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)
         band = boundary_band(mesh32, 0.1)
-        rep = lower_bound_check(bump_spec32, d, 2.0, band)
+        rep = GroundComparison(bump_spec32, d, band).report(2.0)
         assert rep.all_positive
         assert rep.u_ratio_min == pytest.approx(0.20242208, abs=1e-7)
         assert rep.dudt_ratio_min == pytest.approx(4.30258701, abs=1e-7)
@@ -248,16 +249,16 @@ class TestLowerBounds:
         d = distance_to_boundary(mesh32)
         band = boundary_band(mesh32, 0.1)
         with pytest.raises(ValueError, match="positive"):
-            lower_bound_check(bump_spec32, -d, 2.0, band)
+            GroundComparison(bump_spec32, -d, band)
         with pytest.raises(ValueError, match="positive"):
-            lower_bound_check(bump_spec32, d, 0.0, band)
+            GroundComparison(bump_spec32, d, band).report(0.0)
 
     def test_certified_threshold(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)
         band = boundary_band(mesh32, 0.1)
-        thr = certify_decay_threshold(bump_spec32, d, [0.25, 0.5, 1.0, 2.0], band)
-        assert thr == 0.25  # every grid time already passes on this state
-        assert certify_decay_threshold(bump_spec32, d, [-1.0, 0.0], band) is None
+        ground = GroundComparison(bump_spec32, d, band)
+        assert ground.threshold([0.25, 0.5, 1.0, 2.0]) == 0.25  # every grid time passes
+        assert ground.threshold([-1.0, 0.0]) is None
 
     @pytest.mark.parametrize("T", [20.0, 40.0])
     def test_late_times_neither_underflow_nor_divide_by_zero(self, mesh32, bump_spec32, T):
@@ -267,7 +268,7 @@ class TestLowerBounds:
         band = boundary_band(mesh32, 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = lower_bound_check(bump_spec32, d, T, band)
+            rep = GroundComparison(bump_spec32, d, band).report(T)
         c1 = bump_spec32.eigenvectors[:, 0] @ (bump_spec32.disc.mass_int @ d[bump_spec32.disc.interior])
         assert rep.all_positive
         assert rep.u_ratio_min == pytest.approx(c1, rel=1e-12)
@@ -275,8 +276,8 @@ class TestLowerBounds:
         assert rep.grad_ratio_min == pytest.approx(c1 ** 2, rel=1e-12)
 
     def test_a_nan_minimum_is_not_positive(self, mesh32, bump_spec32):
-        rep = lower_bound_check(bump_spec32, distance_to_boundary(mesh32), 2.0,
-                                boundary_band(mesh32, 0.1))
+        rep = GroundComparison(bump_spec32, distance_to_boundary(mesh32),
+                               boundary_band(mesh32, 0.1)).report(2.0)
         assert rep.all_positive
         assert not dataclasses.replace(rep, grad_ratio_min=float("nan")).all_positive
         assert not dataclasses.replace(rep, u_ratio_min=float("nan")).all_positive
@@ -288,11 +289,12 @@ class TestLowerBounds:
         V = bump_spec32.eigenvectors
         u0 = bump_spec32.disc.extend(0.3 * V[:, 0] + V[:, 1])
         grid = [0.02, 0.05, 0.1, 0.2]
-        first = [t for t in grid if lower_bound_check(bump_spec32, u0, t, band).all_positive][0]
+        first = [t for t in grid
+                 if GroundComparison(bump_spec32, u0, band).report(t).all_positive][0]
         gradients, conditions = [], []
         monkeypatch.setattr(heat, "nodal_gradients",
                             lambda mesh, w: gradients.append(1) or nodal_gradients(mesh, w))
         monkeypatch.setattr(heat, "check_u0_condition",
                             lambda disc, u: conditions.append(1) or check_u0_condition(disc, u))
-        assert certify_decay_threshold(bump_spec32, u0, grid, band) == first == 0.1
+        assert GroundComparison(bump_spec32, u0, band).threshold(grid) == first == 0.1
         assert (len(gradients), len(conditions)) == (1 + 3, 1)  # phi1 once, u at 3 times

@@ -15,7 +15,7 @@ from heatcoef.fem import (
     compute_norms,
     l2_norm,
 )
-from heatcoef.heat import compute_F, evolve
+from heatcoef.heat import evolve
 from heatcoef.inversion import (
     InversionOptions,
     _next_closure_point,
@@ -58,8 +58,7 @@ def bump_snapshot(mesh32, bump32, bump_spec32):
     d = distance_to_boundary(mesh32)
     T = 0.15
     snap = evolve(bump_spec32, d, T)
-    F = compute_F(bump_spec32, d, T)
-    return d, T, snap.u, float(bump_spec32.hat_eigenvalues[0]), F.values
+    return d, T, snap.u, float(bump_spec32.hat_eigenvalues[0]), snap.F
 
 
 class TestTransportOperator:
@@ -134,6 +133,26 @@ class TestTransportOperator:
         ref[I] = spla.spsolve(H[I][:, I].tocsc(), b[I] - H[I][:, B] @ bump32.values[B])
         sol = solve_transport_ls(system, prior)
         assert np.max(np.abs(sol.values - ref)) <= 1e-12
+
+    def test_factored_solve_forward_error(self, mesh32, disc32, bump32, unit_pair32,
+                                          bump_snapshot):
+        # reference: the solve refined three times with its own factor against
+        # the residual of H_II formed here.  H_II at alpha = 1e-8 has condition
+        # number about 6.0e5 at 32^2, so a backward-stable solve may be off by
+        # about cond * eps = 1.3e-10 relative; the bound leaves room above that
+        # (at 64^2 the same error measures 1.8e-9).
+        _, _, u_T, lam1, F = bump_snapshot
+        system = build_transport_system(mesh32, unit_pair32, u_T, lam1, F, 1e-8, bump32.values)
+        prior, _ = admissible_projection(disc32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
+        G, R, I = system.G, disc32.unit_stiffness, disc32.interior
+        H_II = (G.T @ G + system.alpha * R).tocsr()[I][:, I]
+        b = (G.T @ system.rhs + system.alpha * (R @ prior.values))[I] - system.boundary_lift
+        sol = solve_transport_ls(system, prior).values[I]
+        ref = sol.copy()
+        for _ in range(3):
+            ref += system.factor.solve(b - H_II @ ref)
+        err = np.max(np.abs(sol - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-9  # measured 1.3e-11
 
     def test_replacing_rhs_equals_rebuilding(self, mesh32, disc32, bump32, unit_pair32,
                                              bump_snapshot):
@@ -260,15 +279,15 @@ class TestFixedPointInvert:
         # invariant after one solve and its Ritz pair is (lambda_2, phi_2):
         # the certificate rejects it, and the step takes lambda_1 from a K=1
         # solve and moves the Krylov F to it.
-        calls = _count_calls(monkeypatch, "solve_generalized_eig", "compute_F")
+        calls = _count_calls(monkeypatch, "solve_generalized_eig", "evolve")
         phi2 = bump_spec32.disc.extend(bump_spec32.eigenvectors[:, 1])
         ground, F, m = inversion._outer_step(bump_pair32, phi2, 0.15)
-        assert calls == {"solve_generalized_eig": 1, "compute_F": 0}
+        assert calls == {"solve_generalized_eig": 1, "evolve": 0}
         assert m == 0
         assert ground.K == 1
         assert ground.eigenvalues[0] == pytest.approx(bump_spec32.eigenvalues[0], rel=1e-12)
         # the spectral F of the K=8 spectrum, (lambda_1 - lambda_2) e^{-lambda_2 T} phi_2
-        ref = compute_F(bump_spec32, phi2, 0.15).values
+        ref = evolve(bump_spec32, phi2, 0.15).F
         M = bump_spec32.disc.mass
         assert l2_norm(F - ref, M) <= 1e-12 * l2_norm(ref, M)  # measured 7.6e-15
 
@@ -342,10 +361,10 @@ class TestStabilityExperiment:
         cdiff = l2_norm(bump.values - two.values, disc.mass)
         l2d, h2d, fdiff = np.empty(4), np.empty(4), np.empty(4)
         for i, t in enumerate(ts):
-            norms = compute_norms(evolve(spec, d, t).u - evolve(spec_t, d, t).u, disc)
+            snap, snap_t = evolve(spec, d, t), evolve(spec_t, d, t)
+            norms = compute_norms(snap.u - snap_t.u, disc)
             l2d[i], h2d[i] = norms.l2, norms.h2_surrogate
-            dF = compute_F(spec, d, t).values - compute_F(spec_t, d, t).values
-            fdiff[i] = l2_norm(disc.restrict(dF), disc.mass_int)
+            fdiff[i] = l2_norm(disc.restrict(snap.F - snap_t.F), disc.mass_int)
         assert not tab.indistinguishable.any()
         assert tab.coeff_diff == ft.coeff_diff == cdiff
         for got, want in ((tab.T, ts), (tab.l2_udiff, l2d), (tab.h2_udiff, h2d),

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatcoef import fem, runner, spectral
+from heatcoef import fem, heat, runner, spectral
 from heatcoef.cli import main
 from heatcoef.mesh import build_structured_mesh, write_grid
 from heatcoef.runner import RunnerError, run_scenario, write_reports
@@ -246,6 +246,21 @@ def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, fem.assemble_mass)
     run_scenario(parse_config_text(MODE_CONFIGS[mode]), mode, tmp_path)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode, per_time, once", [("forward", 1, 2), ("stability-sweep", 2, 1)])
+def test_each_spectrum_is_projected_once_per_time(mode, per_time, once, tmp_path, monkeypatch):
+    # forward: one evolve per grid time, one at T and one GroundComparison
+    # for both the lower bounds at T and the certified threshold;
+    # stability-sweep: one evolve per spectrum per time and one comparison.
+    calls = []
+    mode_data = heat._mode_data
+    monkeypatch.setattr(heat, "_mode_data",
+                        lambda spec, u0: calls.append(spec) or mode_data(spec, u0))
+    s = parse_config_text(MODE_CONFIGS[mode])
+    art = run_scenario(s, mode, tmp_path)
+    assert art.all_pass, art.summary_lines
+    assert len(calls) == per_time * runner._time_grid(s).size + once
 
 
 def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
