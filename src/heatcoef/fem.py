@@ -17,7 +17,11 @@ definite_factor is the banded Cholesky factor of a symmetric positive
 definite matrix on the mesh's own node order: every SPD solve of the
 package but the transport normal matrix's, ARPACK's shift-invert
 included, goes through it, and Cholesky completes only on a positive
-definite matrix, which it thereby proves.  symmetric_factor is the one
+definite matrix, which it thereby proves.  A pencil's A(a) - sigma M
+(OperatorPair.pencil_factor) skips the sparse subtraction: the
+Discretization keeps the band positions of the pattern of A(a)_II and
+M_II's values there, so its band is one scatter of the stiffness data.
+symmetric_factor is the one
 symmetric-mode sparse LU, kept for the inertia of an indefinite
 A - sigma M, which spectral.solve_flow_spectrum reads to count the
 eigenvalues below sigma.
@@ -91,9 +95,9 @@ class Discretization:
     mass : full M over all nodes.
     interior / boundary : sorted node indices of the Dirichlet partition.
     mass_int : the interior block M_II.
-    The interior rows S_II of S, unit_stiffness (the full A(1)) and
-    mass_int_factor (the definite_factor of M_II) are built on first use
-    (no reference cycle).
+    The interior rows S_II of S, unit_stiffness (the full A(1)),
+    mass_int_factor (the definite_factor of M_II) and the band index of
+    the pencils (_pencil_band) are built on first use (no reference cycle).
     """
 
     mesh: Mesh
@@ -112,6 +116,14 @@ class Discretization:
         S, pattern = _stiffness_map(self.mesh)
         block = pattern[self.interior][:, self.interior]
         return _on_pattern(S @ np.ones(self.n_nodes), pattern), S[block.data], block
+
+    @cached_property
+    def _pencil_band(self) -> tuple[sp.csr_matrix, _BandIndex, np.ndarray]:
+        """(pattern of A(a)_II, its band index, M_II's values at the index's lower entries)."""
+        block = self._map[2]
+        index = _band_index(block)
+        rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))[index.lower]
+        return block, index, np.asarray(self.mass_int[rows, block.indices[index.lower]]).ravel()
 
     @property
     def unit_stiffness(self) -> sp.csr_matrix:
@@ -177,6 +189,18 @@ class OperatorPair:
     @property
     def mass(self) -> sp.csr_matrix:
         return self.disc.mass_int
+
+    def pencil_factor(self, sigma: float) -> BandCholesky | None:
+        """definite_factor(A - sigma M), its band scattered from the stiffness data.
+
+        A stiffness off the Discretization's pattern (a pair built by hand)
+        takes definite_factor of the sparse difference, the same band.
+        """
+        block, index, mass_lower = self.disc._pencil_band
+        A = self.stiffness
+        if not (np.array_equal(A.indptr, block.indptr) and np.array_equal(A.indices, block.indices)):
+            return definite_factor(A - sigma * self.mass)
+        return _band_cholesky(A.data[index.lower] - sigma * mass_lower, index)
 
 
 class Norms(NamedTuple):
@@ -284,6 +308,35 @@ class BandCholesky:
         return dpbtrs(self.band, b, lower=1)[0]
 
 
+class _BandIndex(NamedTuple):
+    """Where the lower triangle of a CSR pattern lies in LAPACK lower band storage.
+
+    lower : positions in the pattern's data of the entries with i >= j.
+    flat : their places band[i - j, j] in the band flattened in Fortran order.
+    shape : (half-width + 1, n), the half-width being max(i - j).
+    """
+
+    lower: np.ndarray
+    flat: np.ndarray
+    shape: tuple[int, int]
+
+
+def _band_index(C: sp.csr_matrix) -> _BandIndex:
+    n = C.shape[0]
+    offset = np.repeat(np.arange(n), np.diff(C.indptr)) - C.indices
+    lower = np.flatnonzero(offset >= 0)
+    width = int(offset.max(initial=0)) + 1
+    return _BandIndex(lower, offset[lower] + width * C.indices[lower], (width, n))
+
+
+def _band_cholesky(values: np.ndarray, index: _BandIndex) -> BandCholesky | None:
+    """dpbtrf of the band that holds values at index.flat and zeros elsewhere."""
+    band = np.zeros(index.shape[0] * index.shape[1])
+    band[index.flat] = values
+    L, info = dpbtrf(band.reshape(index.shape, order="F"), lower=1, overwrite_ab=1)
+    return BandCholesky(L) if info == 0 and np.all(np.isfinite(L[0])) else None
+
+
 def definite_factor(C: sp.spmatrix) -> BandCholesky | None:
     """Banded Cholesky factor of a symmetric C, None unless C is positive definite.
 
@@ -300,13 +353,8 @@ def definite_factor(C: sp.spmatrix) -> BandCholesky | None:
     if not C.has_canonical_format:
         C = C.copy()
         C.sum_duplicates()
-    n = C.shape[0]
-    offset = np.repeat(np.arange(n), np.diff(C.indptr)) - C.indices
-    lower = offset >= 0
-    band = np.zeros((int(offset.max(initial=0)) + 1, n), order="F")
-    band[offset[lower], C.indices[lower]] = C.data[lower]
-    L, info = dpbtrf(band, lower=1, overwrite_ab=1)
-    return BandCholesky(L) if info == 0 and np.all(np.isfinite(L[0])) else None
+    index = _band_index(C)
+    return _band_cholesky(C.data[index.lower], index)
 
 
 def assemble_pair(mesh: Mesh, a) -> OperatorPair:

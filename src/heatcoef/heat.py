@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .fem import Discretization, OperatorPair, definite_factor, l2_norm, nodal_gradients, require_zero_boundary
+from .fem import Discretization, OperatorPair, l2_norm, nodal_gradients, require_zero_boundary
 from .mesh import BoundaryBand, distance_to_boundary
 from .spectral import SpectralDecomposition, orient_ground
 
@@ -125,8 +125,8 @@ def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
     """Heat flow and correction field of u0 from a shift-invert Krylov space.
 
     M-orthonormal Lanczos on A^-1 M from the interior part of u0, with full
-    re-orthogonalisation and one banded Cholesky factor of A:
-    fem.definite_factor, which also proves A positive definite, the same
+    re-orthogonalisation and one banded Cholesky factor of A,
+    pair.pencil_factor(0), which also proves A positive definite, the same
     factor ARPACK inverts A with in spectral.solve_generalized_eig.  The
     first pass of each re-orthogonalisation is a column of the projected
     matrix H = V' M A^-1 M V, so H costs no extra solve.
@@ -153,7 +153,7 @@ def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
     beta0 = float(np.sqrt(w @ Mw))
     if not beta0 > 0:
         raise ValueError("initial state vanishes on the interior nodes")
-    lu = definite_factor(pair.stiffness)
+    lu = pair.pencil_factor(0.0)
     if lu is None:
         raise ValueError("stiffness matrix is not positive definite")
 

@@ -24,11 +24,14 @@ so the data equation leaves l_1 nearly free and re-inserting the previous
 iterate's eigenvalue contracts that direction only algebraically (the
 error decays like 1/iteration -- measured, not a guess).  Each outer step
 therefore refines the scalar by solving the self-consistency equation
-phi(x) = l_1(candidate(x)) - x = 0 over the one-parameter family of
-transport solves.  phi is only piecewise smooth -- it has kinks where the
-active set of the admissible clamp changes -- so each inner evaluation
-takes a secant step through the last two samples, which needs no model of
-phi beyond a local slope.
+phi(x) = l_1(candidate(x)) - x = 0.  The right-hand side is affine in the
+inserted x, so the unprojected candidate is raw(x) = raw_0 - x d: d is
+solved once per inversion and raw_0 once per outer step, and each
+evaluation of phi costs an axpy, an admissible projection and a ground
+solve.  phi is only piecewise smooth -- it has kinks where the active set
+of the admissible clamp changes -- so each inner evaluation takes a secant
+step through the last two samples, which needs no model of phi beyond a
+local slope.
 
 stability_ratio_experiment measures both facts the stability estimate
 rests on for one coefficient pair, in one pass over a time grid: the
@@ -50,7 +53,6 @@ from .fem import (
     Discretization,
     OperatorPair,
     compute_norms,
-    definite_factor,
     gradient_bound,
     l2_norm,
     make_field,
@@ -81,13 +83,11 @@ __all__ = [
 ]
 
 _SMOOTHING_PASS_CAP = 5
-# Inner eigenvalue-closure budget per outer step.  One evaluation costs a
-# back-substitution with the factored transport normal matrix, an admissible
-# projection, a pencil (one product with the stiffness map) and a warm K=1
-# ground solve (solve_ground_pair): about 4.4 ms at 32^2, under half of the
-# 10 ms that open the step (_outer_step: krylov_flow and certify_ground;
-# 2 cores).  A capped closure therefore costs about three step openings;
-# 3 of the 5 bundled bump steps cap, 26 evaluations in all.
+# Inner eigenvalue-closure budget per outer step.  One evaluation costs an
+# axpy on the affine candidate raw_0 - x d, an admissible projection, a
+# pencil (one product with the stiffness map) and a warm K=1 ground solve
+# (solve_ground_pair), whose band factor and inverse iteration are most of
+# it; 3 of the 5 bundled bump steps cap, 26 evaluations in all.
 _CLOSURE_EVAL_CAP = 7
 
 
@@ -112,7 +112,10 @@ class TransportSystem:
 
     Everything but rhs depends only on u_T, alpha and a0, so a system for
     another eigenvalue or correction field is
-    dataclasses.replace(system, rhs=transport_rhs(...)).
+    dataclasses.replace(system, rhs=transport_rhs(...)).  Its solution is
+    affine in the eigenvalue: solve_transport_ls at l_1 is the solve at 0
+    minus l_1 times _eigenvalue_direction(system, u_T), which
+    fixed_point_invert uses so that its closure makes no back-substitution.
     """
 
     G: sp.csr_matrix
@@ -147,6 +150,7 @@ class InversionReport:
     smoothing_capped: int
     closure_solves: int  # K=1 ground solves of the closure evaluations
     closure_fallbacks: int  # of those, solves that fell back to ARPACK
+    transport_solves: int  # solve_transport_ls calls: one per outer step, one for d
     krylov_m: np.ndarray  # Krylov dimension per outer step, 0 where the step fell back
 
     @property
@@ -278,6 +282,22 @@ def admissible_projection(
     return make_field(disc.mesh, values, a_plus), capped
 
 
+def _eigenvalue_direction(system: TransportSystem, u_T) -> np.ndarray:
+    """d with solve_transport_ls(system at eigenvalue x) = (solve at 0) - x d.
+
+    transport_rhs(x) = transport_rhs(0) - x (M u_T)_I, so d is the solve of
+    the right-hand side (M u_T)_I with a zero prior and zero boundary values;
+    it vanishes on the boundary.
+    """
+    disc = system.disc
+    zero = np.zeros(disc.n_nodes)
+    homogeneous = dataclasses.replace(system, rhs=transport_rhs(disc, u_T, -1.0, zero),
+                                      boundary_values=zero,
+                                      boundary_lift=np.zeros_like(system.boundary_lift))
+    # a_plus of the zero prior is only carried to the returned field
+    return solve_transport_ls(homogeneous, make_field(disc.mesh, zero, np.inf)).values
+
+
 def _next_closure_point(samples: list[tuple[float, float]], lam_raw: float) -> float | None:
     """Next trial eigenvalue for the root of phi(x) = l_1(candidate(x)) - x.
 
@@ -352,7 +372,7 @@ def fixed_point_invert(
 
     start = np.empty(mesh.n_nodes)
     start[B] = a0[B]
-    unit = definite_factor(disc.unit_pair.stiffness)
+    unit = disc.unit_pair.pencil_factor(0.0)
     if unit is None:
         raise ValueError("unit stiffness matrix is not positive definite")
     start[I] = unit.solve(-(R[I][:, B] @ a0[B]))
@@ -361,37 +381,39 @@ def fixed_point_invert(
 
     M_full = disc.mass
     # G, its scale and the factored normal matrix depend only on u_T, alpha
-    # and a0; each closure evaluation swaps in its own right-hand side.
+    # and a0, and so does the candidate's slope -d in the inserted eigenvalue.
     base = build_transport_system(mesh, disc.unit_pair, u_T, 0.0, np.zeros(mesh.n_nodes),
                                   opts.alpha, a0)
+    d = _eigenvalue_direction(base, u_T)
+    transport_solves = 1
     trace, lam1s = [], []
     converged = False
     capped_count = 0
     ground_solves = fallbacks = 0
-    system = None
+    accepted = None  # (eigenvalue, F) of the transport system of `current`
     krylov_m = []
     for _ in range(opts.max_iter):
         spec, F, m = _outer_step(disc.pair(current.values), u0, opts.T)
         krylov_m.append(m)
         lam_raw = float(spec.hat_eigenvalues[0])
+        raw0 = solve_transport_ls(dataclasses.replace(base, rhs=transport_rhs(disc, u_T, 0.0, F)),
+                                  current).values
+        transport_solves += 1
 
-        samples: list[tuple[float, float, TransportSystem, CoefficientField, bool,
-                            SpectralDecomposition]] = []
+        samples: list[tuple[float, float, CoefficientField, bool, SpectralDecomposition]] = []
 
         def evaluate(x: float) -> float:
             nonlocal ground_solves, fallbacks
-            sys_x = dataclasses.replace(base, rhs=transport_rhs(disc, u_T, x, F))
-            raw = solve_transport_ls(sys_x, current)
-            projected, capped = admissible_projection(disc, raw.values, a0, a_plus)
+            projected, capped = admissible_projection(disc, raw0 - x * d, a0, a_plus)
             # Warm start from the nearest pencil solved so far: the last
             # sample's, or the step's own ground pair for the first.
-            near = samples[-1][5] if samples else spec
+            near = samples[-1][4] if samples else spec
             ground, warm = solve_ground_pair(disc.pair(projected.values),
                                              near.eigenvectors[:, 0], float(near.eigenvalues[0]))
             ground_solves += 1
             fallbacks += int(not warm)
             phi = float(ground.eigenvalues[0]) - x
-            samples.append((x, phi, sys_x, projected, capped, ground))
+            samples.append((x, phi, projected, capped, ground))
             return phi
 
         evaluate(lam_raw)
@@ -401,7 +423,7 @@ def fixed_point_invert(
             if xn is None:
                 break
             evaluate(xn)
-        x_acc, phi_acc, sys_acc, projected, capped, _ = min(samples, key=lambda t: abs(t[1]))
+        x_acc, phi_acc, projected, capped, _ = min(samples, key=lambda t: abs(t[1]))
         capped_count += int(capped)
         step = l2_norm(projected.values - current.values, M_full)
         lam1s.append(x_acc + phi_acc)  # ground eigenvalue of the accepted iterate
@@ -409,12 +431,15 @@ def fixed_point_invert(
             trace.append(step)
             break  # keep `current`, the pre-increase iterate, and its system
         trace.append(step)
-        current, system = projected, sys_acc
+        current, accepted = projected, (x_acc, F)
         if step <= opts.tol_fp:
             converged = True
             break
 
-    data_residual = float(np.linalg.norm(system.G @ current.values - system.rhs)) if system is not None else float("nan")
+    data_residual = float("nan")
+    if accepted is not None:
+        rhs = transport_rhs(disc, u_T, *accepted)
+        data_residual = float(np.linalg.norm(base.G @ current.values - rhs))
     rel_error = None
     if a_true is not None:
         num = l2_norm(current.values - a_true.values, M_full)
@@ -431,6 +456,7 @@ def fixed_point_invert(
         smoothing_capped=capped_count,
         closure_solves=ground_solves,
         closure_fallbacks=fallbacks,
+        transport_solves=transport_solves,
         krylov_m=np.array(krylov_m, dtype=int),
     )
 

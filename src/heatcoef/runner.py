@@ -133,11 +133,19 @@ class _Context:
     disc: Discretization
     coeff: CoefficientField
     pair: OperatorPair
-    u0: np.ndarray
+    u0: np.ndarray | None  # None for u0 = first-eigenfunction; see initial_state
 
     @property
     def mesh(self) -> Mesh:
         return self.disc.mesh
+
+    def initial_state(self, spec: SpectralDecomposition | None = None) -> np.ndarray:
+        """u0 of the run.  first-eigenfunction reads the ground vector of spec,
+        a spectrum of pair that the mode solves anyway, or else of one K=1 solve."""
+        if self.u0 is not None:
+            return self.u0
+        ground = spec if spec is not None else solve_generalized_eig(self.pair, 1)
+        return catalog.initial_state(self.mesh, "first-eigenfunction", spectral=ground)
 
 
 def _time_grid(s: Scenario) -> np.ndarray:
@@ -155,18 +163,16 @@ def _flow_spectrum(pair: OperatorPair, t_min: float, modes: int,
 
 def _build_context(s: Scenario) -> _Context:
     """Mesh, coefficient, pencil and u0 of a run; each mode solves the
-    spectrum it reads.  u0 = first-eigenfunction is the ground vector of
-    one K=1 solve."""
+    spectrum it reads, and u0 = first-eigenfunction waits for it
+    (_Context.initial_state)."""
     mesh = build_structured_mesh(s.nx, s.ny)
     coeff = catalog.make_coefficient(mesh, s.coefficient.kind, s.coefficient.params_dict(), s.a_plus)
     validate_coefficient(mesh, coeff)
     disc = discretize(mesh)
-    pair = disc.pair(coeff.values)
-    ground = solve_generalized_eig(pair, 1) if s.u0.kind == "first-eigenfunction" else None
-    u0 = catalog.initial_state(
-        mesh, s.u0.kind, {"m": s.u0.m, "n": s.u0.n, "path": s.u0.path}, spectral=ground,
-    )
-    return _Context(scenario=s, disc=disc, coeff=coeff, pair=pair, u0=u0)
+    u0 = None
+    if s.u0.kind != "first-eigenfunction":
+        u0 = catalog.initial_state(mesh, s.u0.kind, {"m": s.u0.m, "n": s.u0.n, "path": s.u0.path})
+    return _Context(scenario=s, disc=disc, coeff=coeff, pair=disc.pair(coeff.values), u0=u0)
 
 
 def _require_sweep_inputs(s: Scenario) -> None:
@@ -225,6 +231,7 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
     s = ctx.scenario
     grid = _time_grid(s)
     spec = _flow_spectrum(ctx.pair, float(min(s.T, *grid)), s.modes, lines)
+    u0 = ctx.initial_state(spec)
     M = ctx.disc.mass
     lam_hat = spec.hat_eigenvalues
     lam1 = float(lam_hat[0])
@@ -233,7 +240,7 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
     F_norms = np.empty(grid.size)
     truncs = np.empty(grid.size)
     for i, t in enumerate(grid):
-        snap = evolve(spec, ctx.u0, float(t))
+        snap = evolve(spec, u0, float(t))
         u_norms[i] = l2_norm(snap.u, M)
         F_norms[i] = l2_norm(snap.F, M)
         truncs[i] = snap.truncation_bound
@@ -241,11 +248,11 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
                zip(grid, u_norms, F_norms, truncs))
     files.append("decay.csv")
 
-    snap_T = evolve(spec, ctx.u0, s.T)
+    snap_T = evolve(spec, u0, s.T)
     write_grid(out / "u_T.grid", ctx.mesh, snap_T.u)
     files.append("u_T.grid")
 
-    weight = check_u0_condition(ctx.disc, ctx.u0)
+    weight = check_u0_condition(ctx.disc, u0)
     single_mode = s.u0.kind == "first-eigenfunction"
     slope_u = fit_log_slope(grid, u_norms)
     if weight > 0 or single_mode:
@@ -258,8 +265,8 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
 
     # F is the k >= 2 tail of the mode expansion, so its decay rate is the
     # eigenvalue of the first tail cluster that u0 actually populates.
-    u0_l2 = l2_norm(ctx.u0, M)
-    coeffs = spec.eigenvectors.T @ (ctx.disc.mass_int @ ctx.disc.restrict(ctx.u0))
+    u0_l2 = l2_norm(u0, M)
+    coeffs = spec.eigenvectors.T @ (ctx.disc.mass_int @ ctx.disc.restrict(u0))
     k_star = None
     for k in range(2, spec.n_clusters + 1):
         if np.linalg.norm(coeffs[spec.cluster_slice(k)]) > 1e-10 * max(u0_l2, 1e-300):
@@ -299,7 +306,7 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
            f"measured={rel:.6g} bound={_TRANSPORT_TOL:g} (relative residual at T={s.T:g})")
 
     if weight > 0:
-        ground = GroundComparison(spec, ctx.u0, boundary_band(ctx.mesh, _BAND_EPS))
+        ground = GroundComparison(spec, u0, boundary_band(ctx.mesh, _BAND_EPS))
         rep = ground.report(s.T)
         _check(lines, "lower-bounds", rep.all_positive,
                f"T={s.T:g} measured=(u {rep.u_ratio_min:.6g}, du/dt {rep.dudt_ratio_min:.6g}, "
@@ -322,9 +329,10 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
 def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
     s = ctx.scenario
     M = ctx.disc.mass
-    u_T = krylov_flow(ctx.pair, ctx.u0, s.T).u
+    u0 = ctx.initial_state()
+    u_T = krylov_flow(ctx.pair, u0, s.T).u
     data_l2 = l2_norm(u_T, M)
-    u0_l2 = l2_norm(ctx.u0, M)
+    u0_l2 = l2_norm(u0, M)
     if data_l2 < 1e-10 * max(u0_l2, 1e-300):
         _warn(lines, "data-magnitude",
               f"||u(T)|| = {data_l2:.6g} is below 1e-10 ||u0||; T={s.T:g} may be too large "
@@ -339,7 +347,7 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
               f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
 
     opts = InversionOptions(T=s.T, alpha=s.alpha, tol_fp=s.tol_fp, max_iter=s.max_iter)
-    report = fixed_point_invert(ctx.disc, ctx.u0, u_T, ctx.coeff.boundary_trace,
+    report = fixed_point_invert(ctx.disc, u0, u_T, ctx.coeff.boundary_trace,
                                 s.a_plus, opts, a_true=ctx.coeff)
 
     steps = report.residual_trace
@@ -373,6 +381,7 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
     _info(lines, "closure-eigensolves",
           f"warm={report.closure_solves - report.closure_fallbacks} "
           f"fallback={report.closure_fallbacks}")
+    _info(lines, "transport-solves", str(report.transport_solves))
     _info(lines, "outer-step-flow",
           f"krylov={report.iterations - report.outer_fallbacks} fallback={report.outer_fallbacks}")
     if report.smoothing_capped:
@@ -481,11 +490,12 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
     s = ctx.scenario
     t_min = float(min(s.T_grid))
     spec = _flow_spectrum(ctx.pair, t_min, s.modes, lines)
+    u0 = ctx.initial_state(spec)
     a_tilde = catalog.make_coefficient(ctx.mesh, s.perturbation.kind,
                                        s.perturbation.params_dict(), s.a_plus)
     spec_t = _flow_spectrum(ctx.disc.pair(a_tilde.values), t_min, s.modes, lines)
 
-    tab, ft = stability_ratio_experiment(ctx.coeff, a_tilde, ctx.u0, s.T_grid,
+    tab, ft = stability_ratio_experiment(ctx.coeff, a_tilde, u0, s.T_grid,
                                          spec, spec_t)
     _write_csv(out / "stability.csv",
                ("T", "l2_udiff", "h2_udiff", "rho", "bracket", "c_fit", "indistinguishable"),
@@ -506,7 +516,7 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
                  f"measured={tab.fitted_rate:.6g} bracket=[{tab.rate_low:.6g}, {tab.rate_high:.6g}] "
                  f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
 
-    thr = GroundComparison(spec, ctx.u0, boundary_band(ctx.mesh, _BAND_EPS)).threshold(s.T_grid)
+    thr = GroundComparison(spec, u0, boundary_band(ctx.mesh, _BAND_EPS)).threshold(s.T_grid)
     if thr is None:
         _info(lines, "rho-monotone", "no certified threshold inside T_grid; check skipped")
     else:

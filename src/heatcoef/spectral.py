@@ -4,10 +4,11 @@ This module owns how a pencil becomes a spectrum: solve_generalized_eig
 solves A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) by
 ARPACK shift-invert about zero (dense LAPACK only where ARPACK's 2K + 1
 Lanczos vectors do not fit), and strict clusters follow the one rule
-CLUSTER_TOL.  Every definite factor here is fem.definite_factor, a banded
-Cholesky that exists only for a positive definite matrix: it proves A
-positive definite for ARPACK's inverse and A - sigma M for the two ground
-solves below.  solve_flow_spectrum solves only the pairs a heat flow from
+CLUSTER_TOL.  Every definite factor here is the pencil's pencil_factor,
+the fem.definite_factor of A - sigma M scattered straight into its band:
+a banded Cholesky that exists only for a positive definite matrix, it
+proves A positive definite for ARPACK's inverse and A - sigma M for the
+two ground solves below.  solve_flow_spectrum solves only the pairs a heat flow from
 a given earliest time can see, and its count of the eigenvalues below the
 cut, the inertia of the indefinite A - sigma M by fem.symmetric_factor,
 proves that none was skipped.
@@ -38,7 +39,6 @@ from .fem import (
     CoefficientField,
     Discretization,
     OperatorPair,
-    definite_factor,
     l2_norm,
     make_field,
     symmetric_factor,
@@ -207,11 +207,12 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
 
     ARPACK shift-invert Lanczos about sigma = 0 (Lehoucq-Sorensen-Yang,
     ARPACK Users' Guide, 1998) on the sparse pencil, with A^-1 applied by
-    the definite_factor of A.  That factor proves A positive definite, so
-    the K eigenvalues nearest zero are the lowest; a stiffness it rejects
-    raises EigensolverError.  The start vector is fixed.  Only a pencil too
-    small for ARPACK's default Lanczos basis of 2K + 1 vectors takes the
-    dense LAPACK path.  Eigenvalues are clustered by CLUSTER_TOL.
+    the definite_factor of A (pair.pencil_factor(0)).  That factor proves
+    A positive definite, so the K eigenvalues nearest zero are the lowest;
+    a stiffness it rejects raises EigensolverError.  The start vector is
+    fixed.  Only a pencil too small for ARPACK's default Lanczos basis of
+    2K + 1 vectors takes the dense LAPACK path.  Eigenvalues are clustered
+    by CLUSTER_TOL.
     """
     n = pair.stiffness.shape[0]
     if not 1 <= K <= n:
@@ -223,7 +224,7 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
         except la.LinAlgError as exc:  # pragma: no cover - depends on LAPACK failure
             raise EigensolverError(f"generalized eigensolver failed: {exc}") from exc
     else:
-        lu = definite_factor(pair.stiffness)
+        lu = pair.pencil_factor(0.0)
         if lu is None:
             raise EigensolverError(f"stiffness matrix is not positive definite (n={n})")
         inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
@@ -327,10 +328,14 @@ def solve_flow_spectrum(
 
 def _relative_residual(pair: OperatorPair, vals: np.ndarray, vecs: np.ndarray) -> float:
     """Largest |A v - lambda M v| entry, relative to the largest |lambda M v| per column."""
-    Mv = pair.mass @ vecs
-    res = pair.stiffness @ vecs - Mv * vals[None, :]
-    scale = np.abs(vals)[None, :] * np.abs(Mv) + 1e-300
-    return float(np.max(np.abs(res) / np.max(scale, axis=0, keepdims=True)))
+    return _residual_of(pair.stiffness @ vecs, pair.mass @ vecs, vals)
+
+
+def _residual_of(Av: np.ndarray, Mv: np.ndarray, vals: np.ndarray) -> float:
+    """_relative_residual from the products A v and M v of the columns v."""
+    res = np.abs(Av - Mv * vals[None, :])
+    res /= np.abs(vals) * np.max(np.abs(Mv), axis=0) + 1e-300
+    return float(np.max(res))
 
 
 def orient_ground(pair: OperatorPair, vecs: np.ndarray) -> None:
@@ -347,11 +352,13 @@ def solve_ground_pair(
     start and lam_prev are the ground vector and eigenvalue of a pencil
     close to this one.  Shifted inverse iteration (Parlett, The Symmetric
     Eigenvalue Problem, 1998, ch. 4) with sigma = _GROUND_SHIFT * lam_prev
-    uses the definite_factor of A - sigma M, which certifies sigma < lambda_1.
-    For sigma < lambda_1 the Rayleigh quotient cannot increase in exact
-    arithmetic, so the iteration stops at the first iterate with relative
-    residual at most _RESIDUAL_TOL whose quotient did not decrease, and
-    keeps the lowest quotient of the iterates within that residual.
+    uses the definite_factor of A - sigma M (pair.pencil_factor), which
+    certifies sigma < lambda_1.  For sigma < lambda_1 the Rayleigh quotient
+    cannot increase in exact arithmetic, so the iteration stops at the first
+    iterate with relative residual at most _RESIDUAL_TOL whose quotient did
+    not decrease, and keeps the lowest quotient of the iterates within that
+    residual.  The residual is _relative_residual's, formed from the A v
+    and M v the iteration computes anyway.
 
     Returns (spec, warm): spec is a K=1 decomposition with the residual
     bound and sign rule of solve_generalized_eig; warm is False when the
@@ -359,7 +366,7 @@ def solve_ground_pair(
     from solve_generalized_eig(pair, 1).
     """
     A, M = pair.stiffness, pair.mass
-    lu = definite_factor(A - _GROUND_SHIFT * lam_prev * M)
+    lu = pair.pencil_factor(_GROUND_SHIFT * lam_prev)
     if lu is not None:
         v = np.asarray(start, dtype=float)
         Mv = M @ v
@@ -369,8 +376,9 @@ def solve_ground_pair(
             Mv = M @ v
             norm = np.sqrt(v @ Mv)
             v, Mv = v / norm, Mv / norm
-            lam_old, lam = lam, v @ (A @ v)
-            if _relative_residual(pair, np.array([lam]), v[:, None]) <= _RESIDUAL_TOL:
+            Av = A @ v
+            lam_old, lam = lam, v @ Av
+            if _residual_of(Av[:, None], Mv[:, None], np.array([lam])) <= _RESIDUAL_TOL:
                 best = min(best, (lam, v[:, None]), key=lambda it: it[0])
                 if lam >= lam_old:
                     orient_ground(pair, best[1])
@@ -384,16 +392,15 @@ def certify_ground(pair: OperatorPair, ground: SpectralDecomposition) -> bool:
     The residual bound of solve_generalized_eig puts an eigenvalue next to
     the pair's lam, but every eigenpair passes it: a Krylov start vector
     with no ground component yields lambda_2 or higher.  A Cholesky factor
-    of A - (1 - _GROUND_AGREEMENT) lam M (its definite_factor) adds that no
+    of A - (1 - _GROUND_AGREEMENT) lam M (pair.pencil_factor) adds that no
     eigenvalue lies below (1 - _GROUND_AGREEMENT) lam, so the eigenvalue
     next to lam is lambda_1.  A top Ritz value of a shift-invert Krylov
     space is never below lambda_1, so for it lambda_1 lies in
     ((1 - _GROUND_AGREEMENT) lam, lam].
     """
     lam = float(ground.eigenvalues[0])
-    shifted = pair.stiffness - (1.0 - _GROUND_AGREEMENT) * lam * pair.mass
     return (_relative_residual(pair, ground.eigenvalues[:1], ground.eigenvectors[:, :1])
-            <= _RESIDUAL_TOL and definite_factor(shifted) is not None)
+            <= _RESIDUAL_TOL and pair.pencil_factor((1.0 - _GROUND_AGREEMENT) * lam) is not None)
 
 
 def strictify_spectrum(eigenvalues, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:

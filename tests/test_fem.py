@@ -134,6 +134,24 @@ def test_band_cholesky_solves_like_spsolve(nx):
         assert np.linalg.norm(definite_factor(C).solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_pencil_factor_scatters_the_band_of_the_sparse_difference(bump_pair32):
+    # the band of A(a) - sigma M straight from the stiffness data is the band
+    # definite_factor builds from the sparse difference, bit for bit.  At
+    # sigma = 0 the reference is A itself: A - 0 M would drop the zeros A(a)
+    # stores for the vertex pairs whose element entries vanish, and narrow the band.
+    A, M = bump_pair32.stiffness, bump_pair32.mass
+    lam1 = solve_generalized_eig(bump_pair32, 1).eigenvalues[0]
+    for sigma, C in ((0.0, A), (0.9 * lam1, A - 0.9 * lam1 * M)):
+        assert np.array_equal(bump_pair32.pencil_factor(sigma).band, definite_factor(C).band)
+    assert bump_pair32.pencil_factor(1.1 * lam1) is None
+    assert definite_factor(A - 1.1 * lam1 * M) is None
+    # a pair built by hand off the Discretization's pattern factors the difference
+    narrow = A.copy()
+    narrow.eliminate_zeros()
+    assert np.array_equal(fem.OperatorPair(narrow, bump_pair32.disc).pencil_factor(0.9 * lam1).band,
+                          definite_factor(narrow - 0.9 * lam1 * M).band)
+
+
 def test_band_cholesky_refuses_what_is_not_definite(disc32, two_well16):
     nan = disc32.mass_int.copy()
     diagonal = nan.diagonal()

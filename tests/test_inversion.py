@@ -252,10 +252,29 @@ class TestFixedPointInvert:
         operators = _count_calls(monkeypatch, "transport_operator", module=Discretization)
         calls = _count_calls(monkeypatch, "solve_transport_ls")
         d, T, u_T, _, _ = bump_snapshot
-        opts = InversionOptions(T=T, max_iter=1)
-        fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts)
+        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, InversionOptions(T=T))
         assert operators["transport_operator"] == 1
-        assert calls["solve_transport_ls"] >= 2  # one per closure evaluation
+        # one back-substitution per outer step and one for the candidate's
+        # slope in the eigenvalue, however many closure evaluations there are
+        assert calls["solve_transport_ls"] == rep.transport_solves == rep.iterations + 1
+        assert rep.closure_solves > rep.transport_solves  # measured 26 against 6
+
+    def test_affine_candidate_matches_direct_solves(self, mesh32, disc32, bump32, unit_pair32,
+                                                    bump_snapshot):
+        # raw(x) = raw_0 - x d against a back-substitution at each x; the
+        # bound is test_factored_solve_forward_error's
+        _, _, u_T, lam1, F = bump_snapshot
+        base = build_transport_system(mesh32, unit_pair32, u_T, 0.0, np.zeros_like(F), 1e-8,
+                                      bump32.values)
+        prior, _ = admissible_projection(disc32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
+        solve = lambda x: solve_transport_ls(
+            dataclasses.replace(base, rhs=transport_rhs(disc32, u_T, x, F)), prior).values
+        raw0, d = solve(0.0), inversion._eigenvalue_direction(base, u_T)
+        assert np.all(d[disc32.boundary] == 0.0)
+        for x in (0.9 * lam1, lam1, 1.1 * lam1):
+            direct = solve(x)
+            err = np.max(np.abs(raw0 - x * d - direct)) / np.max(np.abs(direct))
+            assert err <= 1e-9, x  # measured 6.4e-12, 2.2e-11, 4.8e-11
 
     def test_bundled_bump_closure_eigensolves(self, tmp_path, monkeypatch):
         calls = _count_calls(monkeypatch, "solve_ground_pair")
@@ -268,6 +287,7 @@ class TestFixedPointInvert:
         assert n <= 26  # one per closure evaluation; measured 26
         assert arpack["solve_generalized_eig"] == 0
         assert f"INFO closure-eigensolves: warm={n} fallback=0" in art.summary_lines
+        assert "INFO transport-solves: 6" in art.summary_lines  # 5 outer steps and d
         # every outer step certified its Krylov ground pair
         assert "INFO outer-step-flow: krylov=5 fallback=0" in art.summary_lines
         rows = (tmp_path / "residuals.csv").read_text().splitlines()

@@ -282,6 +282,20 @@ def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
     assert (len(maps), len(pencils), len(assemblies)) == (1, 4, 0)
 
 
+@pytest.mark.parametrize("mode,text,expected", [
+    ("forward", FORWARD_16, [8]),
+    # the flow spectra of a and a~, then the unit pencil's ground pair
+    ("stability-sweep", SWEEP_16, [8, 8, 1]),
+])
+def test_first_eigenfunction_reads_the_mode_spectrum(tmp_path, monkeypatch, mode, text, expected):
+    # u0 is the ground vector of the flow spectrum the mode solves anyway,
+    # not of a K=1 solve of its own: one solve of the coefficient's pencil.
+    solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
+    art = run_scenario(parse_config_text(text + "u0 = first-eigenfunction\n"), mode, tmp_path)
+    assert art.all_pass, art.summary_lines
+    assert [K for _, K in solves] == expected
+
+
 def test_bundled_invert_makes_no_k_many_eigensolve(tmp_path, monkeypatch):
     # The data snapshot and every outer step come from heat.krylov_flow, and
     # the closure's ground pairs from warm K=1 solves (their fallback is K=1).
