@@ -8,7 +8,8 @@ for a fixed admissible pair.  The pair's spectra follow the stability-sweep
 mode: --modes caps them, and each holds only the eigenpairs the earliest
 time can see (solve_flow_spectrum), with its cutoff printed on stdout.
 --modes caps nothing else: the inversions solve no spectrum.
-Output is one CSV ready for plotting plus a fitted-rate line on stdout.
+Output is one CSV ready for plotting plus a fitted-rate line on stdout
+that ends with the number of grid times the fit used (fit_points=N).
 """
 
 import argparse
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
         spec, cut = solve_flow_spectrum(pair, min(times), min(args.modes, pair.stiffness.shape[0]))
         print(f"flow-spectrum {label}: {cut.describe()}")
         spectra.append(spec)
-    tab, _ = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), times, *spectra)
+    tab = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), times, *spectra)
 
     csv = args.out / "ill_posedness.csv"
     with csv.open("w", encoding="ascii") as fh:
@@ -86,9 +87,10 @@ def main(argv=None) -> int:
             fh.write(f"{T:.17g},{rel:.17g},{rho:.17g},{bracket:.17g}\n")
 
     inside = tab.rate_low <= tab.fitted_rate <= tab.rate_high
+    fit_points = int(np.count_nonzero(tab.rho[~tab.indistinguishable] > 0))
     print(f"fitted rho-rate: {tab.fitted_rate:.6f} "
           f"(bracket [{tab.rate_low:.4f}, {tab.rate_high:.4f}], "
-          f"{'inside' if inside else 'OUTSIDE'})")
+          f"{'inside' if inside else 'OUTSIDE'}) fit_points={fit_points}")
     print(f"wrote {csv}")
     return 0
 

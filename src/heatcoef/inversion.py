@@ -72,7 +72,6 @@ __all__ = [
     "InversionOptions",
     "InversionReport",
     "StabilityTable",
-    "FLipschitzTable",
     "TransportSolveError",
     "build_transport_system",
     "transport_rhs",
@@ -89,6 +88,10 @@ _SMOOTHING_PASS_CAP = 5
 # (solve_ground_pair), whose band factor and inverse iteration are most of
 # it; 3 of the 5 bundled bump steps cap, 26 evaluations in all.
 _CLOSURE_EVAL_CAP = 7
+# Relative M-norm difference of two snapshots at or below which the
+# stability experiment calls them indistinguishable: rounding of the modal
+# sums, with margin.
+_INDISTINGUISHABLE_RTOL = 1e-12
 
 
 class TransportSolveError(RuntimeError):
@@ -463,28 +466,35 @@ def fixed_point_invert(
 
 @dataclass(frozen=True)
 class StabilityTable:
-    """Stability ratios rho(T) = ||a - a~|| / ||u(T) - u~(T)||_H2 over a grid.
+    """Both halves of the stability estimate for one coefficient pair over a grid.
 
+    rho(T) = ||a - a~|| / ||u(T) - u~(T)||_H2 is the inversion constant.
     bracket(T) = e^{l_1 T} ||u - u~||_L2 + e^{-(l_2 - l_1) T} ||a - a~||_L2
     is the envelope the reciprocal-eigenvalue gap is measured against;
     c_fit are the per-T quotients |1/l_1 - 1/l_1~| / bracket(T).
+    F_ratio(T) = ||F(a) - F(a~)|| / ||a - a~|| is the Lipschitz quotient of
+    the correction field; its fitted log-slope F_slope is compared against
+    -beta2 = -min(l_2(a), l_2(a~)).
     """
 
     T: np.ndarray
+    coeff_diff: float
     l2_udiff: np.ndarray
     h2_udiff: np.ndarray
     rho: np.ndarray
     bracket: np.ndarray
     c_fit: np.ndarray
     indistinguishable: np.ndarray
-    coeff_diff: float
     recip_gap: float
     fitted_rate: float
     lambda1: float
     lambda1_tilde: float
     lambda1_unit: float
     a_plus: float
-    identical: bool
+    F_diff: np.ndarray
+    F_ratio: np.ndarray
+    F_slope: float
+    beta2: float
 
     @property
     def rate_low(self) -> float:
@@ -501,23 +511,6 @@ class StabilityTable:
         return float(c.max() / c.min())
 
 
-@dataclass(frozen=True)
-class FLipschitzTable:
-    """Per-T Lipschitz quotients ||F(a) - F(a~)|| / ||a - a~||.
-
-    The fitted log-slope of the quotient is compared against
-    -beta2 = -min(l_2(a), l_2(a~)).
-    """
-
-    T: np.ndarray
-    diff_norm: np.ndarray
-    ratio: np.ndarray
-    coeff_diff: float
-    fitted_slope: float
-    beta2: float
-    identical: bool
-
-
 def stability_ratio_experiment(
     a: CoefficientField,
     a_tilde: CoefficientField,
@@ -525,7 +518,7 @@ def stability_ratio_experiment(
     T_grid,
     spec: SpectralDecomposition,
     spec_t: SpectralDecomposition,
-) -> tuple[StabilityTable, FLipschitzTable]:
+) -> StabilityTable:
     """Measure both halves of the stability estimate in one pass over T_grid.
 
     spec and spec_t are the decompositions of a and a_tilde on one
@@ -535,11 +528,14 @@ def stability_ratio_experiment(
     truncation bound of every snapshot from min(T_grid) on).  Per T the
     pass makes one evolve of each spectrum, whose snapshots give the
     stability ratio rho(T) and whose correction fields give the Lipschitz
-    quotient of F; the unit pencil of spec.disc gives the H2 norms and its
-    ground eigenvalue.  Identical
-    coefficients return an empty stability table and a zero Lipschitz
-    table, both flagged; per-T snapshot differences below 1e-14 are
-    flagged indistinguishable and excluded from the rate fit.
+    quotient of F; the unit pencil of spec.disc gives the H2 norms.  Its
+    ground eigenvalue comes from a warm solve_ground_pair started at a's
+    ground pair: every element mean of a is at most max(a), so
+    A(a) <= max(a) A(1) and l_1(a) / max(a) is a shift below l_1(1).
+    A time T is flagged indistinguishable, and left out of the rate fit,
+    when ||u - u~||_M <= _INDISTINGUISHABLE_RTOL max(||u||_M, ||u~||_M).
+    Coinciding coefficients (||a - a~|| = 0) raise ValueError: every ratio
+    divides by or into that distance.
     """
     disc = spec.disc
     validate_coefficient(disc.mesh, a)
@@ -551,38 +547,29 @@ def stability_ratio_experiment(
     if min(n_strict) < 2:
         raise ValueError(f"the stability experiment needs two strict eigenvalues per spectrum "
                          f"(l_2 sets the decay rates), got {n_strict[0]} and {n_strict[1]}")
-    spec_unit = solve_generalized_eig(disc.unit_pair, 1)
-    lam1_unit = float(spec_unit.eigenvalues[0])
     cdiff = l2_norm(a.values - a_tilde.values, disc.mass)
     if cdiff == 0.0:
-        empty = np.array([])
-        zero = np.zeros(grid.size)
-        return (
-            StabilityTable(
-                T=empty, l2_udiff=empty, h2_udiff=empty, rho=empty, bracket=empty,
-                c_fit=empty, indistinguishable=np.array([], dtype=bool), coeff_diff=0.0,
-                recip_gap=0.0, fitted_rate=float("nan"), lambda1=float("nan"),
-                lambda1_tilde=float("nan"), lambda1_unit=lam1_unit, a_plus=a.a_plus,
-                identical=True,
-            ),
-            FLipschitzTable(T=grid, diff_norm=zero, ratio=zero, coeff_diff=0.0,
-                            fitted_slope=float("nan"),
-                            beta2=float(spec.hat_eigenvalues[1]), identical=True),
-        )
+        raise ValueError("the perturbation coincides with the coefficient (||a - a~|| = 0); "
+                         "the stability ratios are undefined")
     lam1, lam1t = float(spec.hat_eigenvalues[0]), float(spec_t.hat_eigenvalues[0])
     lam2 = float(spec.hat_eigenvalues[1])
     recip_gap = abs(1.0 / lam1 - 1.0 / lam1t)
+    ground_unit, _ = solve_ground_pair(disc.unit_pair, spec.eigenvectors[:, 0],
+                                       float(spec.eigenvalues[0]) / float(a.values.max()))
+    lam1_unit = float(ground_unit.eigenvalues[0])
 
     l2d = np.empty(grid.size)
     h2d = np.empty(grid.size)
     fdiff = np.empty(grid.size)
+    scale = np.empty(grid.size)
     for i, t in enumerate(grid):
         snap, snap_t = evolve(spec, u0, t), evolve(spec_t, u0, t)
         norms = compute_norms(snap.u - snap_t.u, disc)
         l2d[i] = norms.l2
         h2d[i] = norms.h2_surrogate
         fdiff[i] = l2_norm(disc.restrict(snap.F - snap_t.F), disc.mass_int)
-    flagged = l2d < 1e-14
+        scale[i] = max(l2_norm(snap.u, disc.mass), l2_norm(snap_t.u, disc.mass))
+    flagged = l2d <= _INDISTINGUISHABLE_RTOL * scale
     with np.errstate(divide="ignore"):
         rho = np.where(h2d > 0, cdiff / np.where(h2d > 0, h2d, 1.0), np.inf)
     rho[flagged] = np.nan
@@ -591,15 +578,10 @@ def stability_ratio_experiment(
     ok = ~flagged
     fitted = fit_log_slope(grid[ok], rho[ok]) if ok.sum() >= 2 else float("nan")
     ratios = fdiff / cdiff
-    return (
-        StabilityTable(
-            T=grid, l2_udiff=l2d, h2_udiff=h2d, rho=rho, bracket=bracket, c_fit=c_fit,
-            indistinguishable=flagged, coeff_diff=cdiff, recip_gap=recip_gap,
-            fitted_rate=fitted, lambda1=lam1, lambda1_tilde=lam1t,
-            lambda1_unit=lam1_unit, a_plus=a.a_plus, identical=False,
-        ),
-        FLipschitzTable(T=grid, diff_norm=fdiff, ratio=ratios, coeff_diff=cdiff,
-                        fitted_slope=fit_log_slope(grid, ratios),
-                        beta2=float(min(spec.hat_eigenvalues[1], spec_t.hat_eigenvalues[1])),
-                        identical=False),
+    return StabilityTable(
+        T=grid, coeff_diff=cdiff, l2_udiff=l2d, h2_udiff=h2d, rho=rho, bracket=bracket,
+        c_fit=c_fit, indistinguishable=flagged, recip_gap=recip_gap, fitted_rate=fitted,
+        lambda1=lam1, lambda1_tilde=lam1t, lambda1_unit=lam1_unit, a_plus=a.a_plus,
+        F_diff=fdiff, F_ratio=ratios, F_slope=fit_log_slope(grid, ratios),
+        beta2=float(min(spec.hat_eigenvalues[1], spec_t.hat_eigenvalues[1])),
     )

@@ -495,21 +495,15 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
                                        s.perturbation.params_dict(), s.a_plus)
     spec_t = _flow_spectrum(ctx.disc.pair(a_tilde.values), t_min, s.modes, lines)
 
-    tab, ft = stability_ratio_experiment(ctx.coeff, a_tilde, u0, s.T_grid,
-                                         spec, spec_t)
+    tab = stability_ratio_experiment(ctx.coeff, a_tilde, u0, s.T_grid, spec, spec_t)
     _write_csv(out / "stability.csv",
                ("T", "l2_udiff", "h2_udiff", "rho", "bracket", "c_fit", "indistinguishable"),
                zip(tab.T, tab.l2_udiff, tab.h2_udiff, tab.rho, tab.bracket,
                    tab.c_fit, tab.indistinguishable))
     files.append("stability.csv")
     _write_csv(out / "f_lipschitz.csv", ("T", "diff_norm", "ratio"),
-               zip(ft.T, ft.diff_norm, ft.ratio))
+               zip(tab.T, tab.F_diff, tab.F_ratio))
     files.append("f_lipschitz.csv")
-
-    if tab.identical:
-        _info(lines, "stability-sweep",
-              "perturbation coincides with the coefficient; ratios are undefined")
-        return
 
     _slope_check(lines, "stability-rate",
                  tab.rate_low <= tab.fitted_rate <= tab.rate_high,
@@ -540,9 +534,9 @@ def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list
     else:
         _info(lines, "gap-constant-spread", "fewer than two usable grid points")
 
-    _slope_check(lines, "F-lipschitz-slope", abs(ft.fitted_slope + ft.beta2) <= 0.05 * ft.beta2,
-                 f"measured={ft.fitted_slope:.10g} expected={-ft.beta2:.10g} rel_tol=0.05",
-                 ft.ratio)
+    _slope_check(lines, "F-lipschitz-slope", abs(tab.F_slope + tab.beta2) <= 0.05 * tab.beta2,
+                 f"measured={tab.F_slope:.10g} expected={-tab.beta2:.10g} rel_tol=0.05",
+                 tab.F_ratio)
 
     _info(lines, "reciprocal-gap",
           f"|1/l1 - 1/l1~| = {tab.recip_gap:.6g} at coefficient distance {tab.coeff_diff:.6g}")

@@ -207,15 +207,11 @@ class TestKrylovFlow:
 
 
 class TestFLipschitz:
-    def test_identical_pair_short_circuits(self, mesh32, bump32, spectrum):
+    def test_identical_pair_is_refused(self, mesh32, bump32, spectrum):
         d = distance_to_boundary(mesh32)
         spec = spectrum(mesh32, bump32, 8)
-        _, tab = stability_ratio_experiment(bump32, bump32, d, np.linspace(1, 5, 9), spec, spec)
-        assert tab.identical
-        assert np.all(tab.ratio == 0.0)
-        assert np.all(tab.diff_norm == 0.0)
-        assert np.isnan(tab.fitted_slope)
-        assert tab.beta2 == pytest.approx(53.95827446, abs=1e-6)
+        with pytest.raises(ValueError, match="coincides"):
+            stability_ratio_experiment(bump32, bump32, d, np.linspace(1, 5, 9), spec, spec)
 
     def test_rejects_bad_time_grid(self, mesh32, bump32, spectrum):
         d = distance_to_boundary(mesh32)

@@ -7,13 +7,14 @@ import scipy.sparse.linalg as spla
 
 from heatcoef import inversion, spectral
 
-from heatcoef.catalog import make_coefficient
+from heatcoef.catalog import direction_values, make_coefficient
 from heatcoef.fem import (
     Discretization,
     assemble_mass,
     assemble_stiffness,
     compute_norms,
     l2_norm,
+    make_field,
 )
 from heatcoef.heat import evolve
 from heatcoef.inversion import (
@@ -346,9 +347,8 @@ class TestStabilityExperiment:
     def test_close_pair_rate_and_bracket(self, mesh32, bump32, spectrum):
         other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
         d = distance_to_boundary(mesh32)
-        tab, _ = stability_ratio_experiment(bump32, other, d, [0.15, 0.3, 0.6, 1.2],
-                                            spectrum(mesh32, bump32, 8), spectrum(mesh32, other, 8))
-        assert not tab.identical
+        tab = stability_ratio_experiment(bump32, other, d, [0.15, 0.3, 0.6, 1.2],
+                                         spectrum(mesh32, bump32, 8), spectrum(mesh32, other, 8))
         assert not tab.indistinguishable.any()
         assert np.all(np.diff(tab.rho) > 0)  # conditioning degrades with T
         assert tab.fitted_rate == pytest.approx(19.434238, abs=1e-4)
@@ -362,12 +362,11 @@ class TestStabilityExperiment:
         other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
         d = distance_to_boundary(mesh32)
         ts = np.linspace(1.0, 5.0, 9)
-        _, tab = stability_ratio_experiment(bump32, other, d, ts,
-                                            spectrum(mesh32, bump32, 40), spectrum(mesh32, other, 40))
-        assert not tab.identical
+        tab = stability_ratio_experiment(bump32, other, d, ts,
+                                         spectrum(mesh32, bump32, 40), spectrum(mesh32, other, 40))
         assert tab.coeff_diff == pytest.approx(0.01524830, abs=1e-7)
-        assert np.all(np.diff(tab.ratio) < 0)
-        assert abs(tab.fitted_slope + tab.beta2) / tab.beta2 < 0.05  # measured 2.26e-4
+        assert np.all(np.diff(tab.F_ratio) < 0)
+        assert abs(tab.F_slope + tab.beta2) / tab.beta2 < 0.05  # measured 2.26e-4
 
     def test_one_pass_matches_reference_loop(self, mesh16, spectrum):
         bump = make_coefficient(mesh16, "gaussian-bump", None, 2.0)
@@ -375,7 +374,7 @@ class TestStabilityExperiment:
         spec, spec_t = spectrum(mesh16, bump, 8), spectrum(mesh16, two, 8)
         d = distance_to_boundary(mesh16)
         ts = np.array([0.15, 0.3, 0.6, 1.2])
-        tab, ft = stability_ratio_experiment(bump, two, d, ts, spec, spec_t)
+        tab = stability_ratio_experiment(bump, two, d, ts, spec, spec_t)
 
         disc = spec.disc
         cdiff = l2_norm(bump.values - two.values, disc.mass)
@@ -386,20 +385,44 @@ class TestStabilityExperiment:
             l2d[i], h2d[i] = norms.l2, norms.h2_surrogate
             fdiff[i] = l2_norm(disc.restrict(snap.F - snap_t.F), disc.mass_int)
         assert not tab.indistinguishable.any()
-        assert tab.coeff_diff == ft.coeff_diff == cdiff
+        assert tab.coeff_diff == cdiff
         for got, want in ((tab.T, ts), (tab.l2_udiff, l2d), (tab.h2_udiff, h2d),
-                          (tab.rho, cdiff / h2d), (ft.T, ts), (ft.diff_norm, fdiff),
-                          (ft.ratio, fdiff / cdiff)):
+                          (tab.rho, cdiff / h2d), (tab.F_diff, fdiff), (tab.F_ratio, fdiff / cdiff)):
             assert np.array_equal(got, want)
 
-    def test_identical_pair_is_flagged_empty(self, mesh32, bump32, spectrum):
+    def test_warm_unit_ground_matches_arpack(self, mesh32, bump32, spectrum):
+        other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
         d = distance_to_boundary(mesh32)
         spec = spectrum(mesh32, bump32, 8)
-        tab, ft = stability_ratio_experiment(bump32, bump32, d, np.linspace(1, 5, 9), spec, spec)
-        assert tab.identical
-        assert tab.T.size == 0
-        assert tab.coeff_diff == 0.0
-        assert ft.identical
+        tab = stability_ratio_experiment(bump32, other, d, [0.15, 0.3], spec,
+                                         spectrum(mesh32, other, 8))
+        cold = spectral.solve_generalized_eig(spec.disc.unit_pair, 1).eigenvalues[0]
+        assert tab.lambda1_unit == pytest.approx(cold, rel=1e-12, abs=0.0)
+
+    def test_indistinguishable_is_relative_to_the_snapshots(self, mesh32, bump32, spectrum):
+        # a~ = a + 1e-13 eta differs from a by rounding at every T; the
+        # bundled pair at T = 3 differs by 1e-29 in norm, but by a fraction
+        # of the snapshots themselves, which are as small.
+        d = distance_to_boundary(mesh32)
+        ts = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        eta = direction_values(mesh32, "gaussian-bump")
+        near = make_field(mesh32, bump32.values + 1e-13 * eta, bump32.a_plus)
+        tab = stability_ratio_experiment(bump32, near, d, ts, spectrum(mesh32, bump32, 8),
+                                         spectrum(mesh32, near, 8))
+        assert tab.indistinguishable.all()
+        assert np.isnan(tab.rho).all()
+
+        bump, two = (make_coefficient(mesh32, kind, None, 2.0) for kind in ("gaussian-bump", "two-bump"))
+        tab = stability_ratio_experiment(bump, two, d, ts, spectrum(mesh32, bump, 8),
+                                         spectrum(mesh32, two, 8))
+        assert tab.l2_udiff[-1] < 1e-14
+        assert not tab.indistinguishable[-1]
+
+    def test_identical_pair_is_refused(self, mesh32, bump32, spectrum):
+        d = distance_to_boundary(mesh32)
+        spec = spectrum(mesh32, bump32, 8)
+        with pytest.raises(ValueError, match="coincides"):
+            stability_ratio_experiment(bump32, bump32, d, np.linspace(1, 5, 9), spec, spec)
 
     def test_rejects_bad_grid(self, mesh32, bump32, spectrum):
         d = distance_to_boundary(mesh32)

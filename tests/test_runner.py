@@ -149,6 +149,17 @@ def test_stability_sweep_with_one_mode_exits_one(tmp_path, capsys):
     assert "needs two strict eigenvalues per spectrum" in err
     assert "got 1 and 1" in err
 
+
+def test_stability_sweep_of_a_coinciding_pair_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(SWEEP_16.replace("perturbation.amplitude = 0.45\n", ""))
+    assert main(["stability-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "perturbation coincides with the coefficient" in err
+    assert "ratios are undefined" in err
+
+
 class TestCli:
     def _write_cfg(self, tmp_path, text):
         p = tmp_path / "case.cfg"
@@ -284,8 +295,8 @@ def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode,text,expected", [
     ("forward", FORWARD_16, [8]),
-    # the flow spectra of a and a~, then the unit pencil's ground pair
-    ("stability-sweep", SWEEP_16, [8, 8, 1]),
+    # the flow spectra of a and a~; the unit pencil's ground pair is warm
+    ("stability-sweep", SWEEP_16, [8, 8]),
 ])
 def test_first_eigenfunction_reads_the_mode_spectrum(tmp_path, monkeypatch, mode, text, expected):
     # u0 is the ground vector of the flow spectrum the mode solves anyway,
@@ -345,8 +356,8 @@ def test_bundled_stability_sweep_reports_fit_points(tmp_path):
                        tmp_path)
     lines = art.summary_lines
     rate = next(line for line in lines if line.split()[1] == "stability-rate:")
-    assert rate.endswith(" fit_points=2")  # 4 of the 6 T points are indistinguishable
-    assert "WARN fit-points: stability-rate fitted from 2 point(s)" in lines
+    assert rate.endswith(" fit_points=6")  # no T point is indistinguishable
+    assert not any(line.startswith("WARN fit-points") for line in lines)
     lipschitz = next(line for line in lines if line.split()[1] == "F-lipschitz-slope:")
     assert lipschitz.endswith(" fit_points=6")
     assert not any("F-lipschitz-slope fitted" in line for line in lines)

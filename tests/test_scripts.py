@@ -29,7 +29,8 @@ def _sweep_rows(out):
 def test_ill_posedness_sweep_smoke(tmp_path, capsys):
     sweep = _load("ill_posedness_sweep")
     assert sweep.main(["--out", str(tmp_path), "--nx", "8", "--times", "0.15,0.3", "--modes", "8"]) == 0
-    flow = [line for line in capsys.readouterr().out.splitlines() if line.startswith("flow-spectrum")]
+    out = capsys.readouterr().out
+    flow = [line for line in out.splitlines() if line.startswith("flow-spectrum")]
     # 8 pairs cannot bound the tail at T = 0.15: the capped spectra, reported
     assert len(flow) == 2
     for line in flow:
@@ -39,6 +40,8 @@ def test_ill_posedness_sweep_smoke(tmp_path, capsys):
     for r in rows:
         assert np.isfinite(float(r["rel_error"]))
         assert np.isfinite(float(r["rho"]))
+    rate = next(line for line in out.splitlines() if line.startswith("fitted rho-rate:"))
+    assert rate.endswith(" fit_points=2")
 
 
 def test_ill_posedness_sweep_shares_the_stability_sweep_spectra(tmp_path, capsys):
@@ -55,7 +58,7 @@ def test_ill_posedness_sweep_shares_the_stability_sweep_spectra(tmp_path, capsys
     disc = discretize(mesh)
     a, a_tilde = (make_coefficient(mesh, kind, None, 2.0) for kind in ("gaussian-bump", "two-bump"))
     spectra = [solve_generalized_eig(disc.pair(c.values), 40) for c in (a, a_tilde)]
-    tab, _ = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), [0.15, 0.3], *spectra)
+    tab = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), [0.15, 0.3], *spectra)
     rho = [float(r["rho"]) for r in _sweep_rows(tmp_path)]
     np.testing.assert_allclose(rho, tab.rho, rtol=1e-11, atol=0.0)
 
