@@ -71,7 +71,7 @@ from .inversion import (
     fixed_point_invert,
     stability_ratio_experiment,
 )
-from .scenario import Scenario, FieldSpec, U0Spec, ConfigError, parse_config, serialize_scenario, scenario_hash
+from .scenario import Scenario, FieldSpec, ConfigError, parse_config, serialize_scenario, scenario_hash
 from .runner import RunArtifact, RunnerError, run_scenario, write_reports
 
 __version__ = "0.1.0"

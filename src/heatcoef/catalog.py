@@ -11,9 +11,8 @@ from .mesh import Mesh, distance_to_boundary, read_grid
 __all__ = [
     "COEFFICIENT_KINDS",
     "U0_KINDS",
-    "coefficient_defaults",
-    "direction_defaults",
-    "u0_defaults",
+    "GROUPS",
+    "group_defaults",
     "coefficient_values",
     "direction_values",
     "make_coefficient",
@@ -50,33 +49,34 @@ _DIRECTION_PARAMS: dict[str, dict[str, float]] = {
     },
 }
 
+# The type of each default is the type a config value is parsed as:
+# int for the sine orders, str for the grid path, float otherwise.
 _U0_PARAMS: dict[str, dict] = {
     "d_Omega": {},
     "first-eigenfunction": {},
     "sine-product": {"m": 1, "n": 1},
-    "custom": {"path": None},
+    "custom": {"path": ""},
+}
+
+# Config group -> (the name its kinds go by in errors, its parameter table).
+_GROUPS: dict[str, tuple[str, dict[str, dict]]] = {
+    "coefficient": ("coefficient", _COEFF_PARAMS),
+    "u0": ("initial-state", _U0_PARAMS),
+    "perturbation": ("coefficient", _COEFF_PARAMS),
+    "eta": ("direction", _DIRECTION_PARAMS),
 }
 
 COEFFICIENT_KINDS = tuple(_COEFF_PARAMS)
 U0_KINDS = tuple(_U0_PARAMS)
+GROUPS = {group: tuple(table) for group, (_, table) in _GROUPS.items()}  # group -> kinds
 
 
-def coefficient_defaults(kind: str) -> dict[str, float]:
-    if kind not in _COEFF_PARAMS:
-        raise KeyError(f"unknown coefficient kind {kind!r}; catalog: {sorted(_COEFF_PARAMS)}")
-    return dict(_COEFF_PARAMS[kind])
-
-
-def direction_defaults(kind: str) -> dict[str, float]:
-    if kind not in _DIRECTION_PARAMS:
-        raise KeyError(f"unknown direction kind {kind!r}; catalog: {sorted(_DIRECTION_PARAMS)}")
-    return dict(_DIRECTION_PARAMS[kind])
-
-
-def u0_defaults(kind: str) -> dict:
-    if kind not in _U0_PARAMS:
-        raise KeyError(f"unknown initial-state kind {kind!r}; catalog: {sorted(_U0_PARAMS)}")
-    return dict(_U0_PARAMS[kind])
+def group_defaults(group: str, kind: str) -> dict:
+    """The parameters of `kind` in config group `group` with their defaults."""
+    label, table = _GROUPS[group]
+    if kind not in table:
+        raise KeyError(f"unknown {label} kind {kind!r}; catalog: {sorted(table)}")
+    return dict(table[kind])
 
 
 def _field_values(mesh: Mesh, kind: str, p: dict[str, float]) -> np.ndarray:
@@ -98,13 +98,13 @@ def _field_values(mesh: Mesh, kind: str, p: dict[str, float]) -> np.ndarray:
 
 
 def coefficient_values(mesh: Mesh, kind: str, params: dict[str, float] | None = None) -> np.ndarray:
-    p = coefficient_defaults(kind)
+    p = group_defaults("coefficient", kind)
     p.update(params or {})
     return _field_values(mesh, kind, p)
 
 
 def direction_values(mesh: Mesh, kind: str, params: dict[str, float] | None = None) -> np.ndarray:
-    p = direction_defaults(kind)
+    p = group_defaults("eta", kind)
     p.update(params or {})
     return _field_values(mesh, kind, p)
 
@@ -120,7 +120,7 @@ def initial_state(mesh: Mesh, kind: str, params: dict | None = None, spectral=No
     decomposition of the scenario pencil; "custom" reads a grid dump
     matching the mesh resolution.
     """
-    p = u0_defaults(kind)
+    p = group_defaults("u0", kind)
     p.update(params or {})
     if kind == "d_Omega":
         return distance_to_boundary(mesh)

@@ -40,6 +40,7 @@ __all__ = [
     "LowerBoundReport",
     "GroundComparison",
     "evolve",
+    "cluster_weights",
     "KrylovFlow",
     "krylov_flow",
     "fit_log_slope",
@@ -93,6 +94,12 @@ def evolve(spec: SpectralDecomposition, u0, t: float) -> HeatSnapshot:
     F = spec.disc.extend(spec.eigenvectors @ (coeffs * gain))
     bound = float(np.exp(-spec.hat_eigenvalues[-1] * t)) * l2_norm(tail, spec.disc.mass_int)
     return HeatSnapshot(t=float(t), u=u, F=F, truncation_bound=bound)
+
+
+def cluster_weights(spec: SpectralDecomposition, u0) -> np.ndarray:
+    """M-norm of u0's projection onto each cluster of spec, cluster 1 first."""
+    coeffs, _, _ = _mode_data(spec, u0)
+    return np.sqrt(np.bincount(spec.cluster_index, weights=coeffs ** 2, minlength=spec.n_clusters))
 
 
 # krylov_flow grows its space from _KRYLOV_START vectors by _KRYLOV_STEP

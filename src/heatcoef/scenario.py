@@ -1,20 +1,22 @@
 """Scenario configs: a flat key = value text format with a closed schema.
 
 Lines are `key = value`; blank lines and `#` comments are ignored.  Field
-groups (coefficient, perturbation, eta, u0) take a catalog kind on the
+groups (coefficient, u0, perturbation, eta) take a catalog kind on the
 bare key plus dotted parameter keys, e.g.
 
     coefficient = gaussian-bump
     coefficient.amplitude = 0.5
 
-Unknown keys, duplicate keys, out-of-catalog kinds and non-admissible
+Each kind's parameters and their types are those of its catalog table
+(catalog.group_defaults).  Unknown keys, duplicate keys, out-of-catalog
+kinds, parameters outside their kind's table and non-admissible
 coefficients are rejected at parse time with the offending line/node.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from .mesh import build_structured_mesh
 
 __all__ = [
     "FieldSpec",
-    "U0Spec",
     "Scenario",
     "ConfigError",
     "parse_config",
@@ -44,24 +45,10 @@ class FieldSpec:
     """Catalog kind plus fully resolved parameters (defaults filled in)."""
 
     kind: str
-    params: tuple[tuple[str, float], ...]
+    params: tuple[tuple[str, float | int | str], ...]
 
-    def params_dict(self) -> dict[str, float]:
+    def params_dict(self) -> dict[str, float | int | str]:
         return dict(self.params)
-
-
-@dataclass(frozen=True)
-class U0Spec:
-    kind: str
-    m: int = 1
-    n: int = 1
-    path: str | None = None
-
-
-def _field_spec(kind: str, params: dict[str, float], defaults: dict[str, float]) -> FieldSpec:
-    merged = dict(defaults)
-    merged.update(params)
-    return FieldSpec(kind=kind, params=tuple(sorted(merged.items())))
 
 
 @dataclass(frozen=True)
@@ -73,7 +60,7 @@ class Scenario:
     nx: int = 32
     ny: int = 32
     a_plus: float = 2.0
-    u0: U0Spec = field(default_factory=lambda: U0Spec(kind="d_Omega"))
+    u0: FieldSpec = FieldSpec(kind="d_Omega", params=())
     T: float = 0.15
     T_grid: tuple[float, ...] | None = None
     modes: int = 40
@@ -107,7 +94,6 @@ _SCALAR_KEYS = {
     "eta_hat": float,
 }
 _LIST_KEYS = ("T_grid", "scales")
-_GROUP_KEYS = ("coefficient", "perturbation", "eta", "u0")
 _REQUIRED_KEYS = ("name", "coefficient")
 
 
@@ -151,29 +137,26 @@ def _take_list(entries, key):
     return items
 
 
-def _take_group(entries, group, defaults_fn):
+def _take_group(entries, group) -> FieldSpec | None:
+    """The group's kind and its parameters, each cast to the type of its
+    catalog default and the unset ones defaulted; None if the group is unset."""
     if group not in entries:
         return None
     kind, lineno = entries.pop(group)
     try:
-        defaults = defaults_fn(kind)
+        params = catalog.group_defaults(group, kind)
     except KeyError as exc:
         raise ConfigError(f"line {lineno}: {exc.args[0]}") from exc
-    params = {}
     prefix = group + "."
     for key in [k for k in entries if k.startswith(prefix)]:
-        value, plineno = entries.pop(key)
         pname = key[len(prefix):]
-        if pname not in defaults:
+        if pname not in params:
             raise ConfigError(
-                f"line {plineno}: parameter {key!r} not valid for {group} kind {kind!r} "
-                f"(allowed: {sorted(defaults)})"
+                f"line {entries[key][1]}: parameter {key!r} not valid for {group} kind {kind!r} "
+                f"(allowed: {sorted(params)})"
             )
-        try:
-            params[pname] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {plineno}: cannot parse {key} = {value!r} as float") from exc
-    return kind, params, lineno
+        params[pname] = _take_scalar(entries, key, type(params[pname]), None)
+    return FieldSpec(kind=kind, params=tuple(sorted(params.items())))
 
 
 def parse_config(path) -> Scenario:
@@ -198,37 +181,14 @@ def parse_config_text(text: str) -> Scenario:
     if scales is not None:
         kwargs["scales"] = scales
 
-    coeff = _take_group(entries, "coefficient", catalog.coefficient_defaults)
-    perturbation = _take_group(entries, "perturbation", catalog.coefficient_defaults)
-    eta = _take_group(entries, "eta", catalog.direction_defaults)
-
-    u0_spec = U0Spec(kind="d_Omega")
-    if "u0" in entries:
-        kind, lineno = entries.pop("u0")
-        try:
-            defaults = catalog.u0_defaults(kind)
-        except KeyError as exc:
-            raise ConfigError(f"line {lineno}: {exc.args[0]}") from exc
-        m = _take_scalar(entries, "u0.m", int, defaults.get("m", 1))
-        n = _take_scalar(entries, "u0.n", int, defaults.get("n", 1))
-        path_value = None
-        if "u0.path" in entries:
-            path_value, _ = entries.pop("u0.path")
-        u0_spec = U0Spec(kind=kind, m=m, n=n, path=path_value)
+    for group in catalog.GROUPS:
+        spec = _take_group(entries, group)
+        if spec is not None:
+            kwargs[group] = spec
 
     if entries:
         key = min(entries, key=lambda k: entries[k][1])
         raise ConfigError(f"line {entries[key][1]}: unknown key {key!r}")
-
-    kwargs["coefficient"] = _field_spec(coeff[0], coeff[1], catalog.coefficient_defaults(coeff[0]))
-    kwargs["perturbation"] = (
-        _field_spec(perturbation[0], perturbation[1], catalog.coefficient_defaults(perturbation[0]))
-        if perturbation else None
-    )
-    kwargs["eta"] = (
-        _field_spec(eta[0], eta[1], catalog.direction_defaults(eta[0])) if eta else None
-    )
-    kwargs["u0"] = u0_spec
 
     scenario = Scenario(**kwargs)
     _validate_scenario(scenario)
@@ -239,9 +199,10 @@ def _validate_scenario(s: Scenario) -> None:
     # NaN passes every ordering guard below, so non-finite input is refused first.
     numbers = [(key, getattr(s, key)) for key, caster in _SCALAR_KEYS.items() if caster is float]
     numbers += [(key, v) for key in _LIST_KEYS for v in getattr(s, key) or ()]
-    for group in ("coefficient", "perturbation", "eta"):
+    for group in catalog.GROUPS:
         spec = getattr(s, group)
-        numbers += [(f"{group}.{pname}", v) for pname, v in (spec.params if spec else ())]
+        numbers += [(f"{group}.{pname}", v) for pname, v in (spec.params if spec else ())
+                    if isinstance(v, float)]
     for key, value in numbers:
         if not np.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
@@ -269,11 +230,15 @@ def _validate_scenario(s: Scenario) -> None:
         raise ConfigError(f"noise must be >= 0, got {s.noise}")
     if s.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {s.seed}")
+    u0 = s.u0.params_dict()
+    for pname in ("m", "n"):  # the sine-product orders
+        if pname in u0 and u0[pname] < 1:
+            raise ConfigError(f"u0.{pname} must be >= 1, got {u0[pname]}")
     if s.u0.kind == "custom":
-        if not s.u0.path:
+        if not u0["path"]:
             raise ConfigError("u0 = custom requires u0.path")
-        if not Path(s.u0.path).is_file():
-            raise ConfigError(f"u0.path does not exist: {s.u0.path}")
+        if not Path(u0["path"]).is_file():
+            raise ConfigError(f"u0.path does not exist: {u0['path']}")
 
     mesh = build_structured_mesh(s.nx, s.ny)
     for label, spec in (("coefficient", s.coefficient), ("perturbation", s.perturbation)):
@@ -308,12 +273,7 @@ def serialize_scenario(s: Scenario) -> str:
             lines.append(f"{group}.{pname} = {_fmt(pvalue)}")
 
     emit_group("coefficient", s.coefficient)
-    lines.append(f"u0 = {s.u0.kind}")
-    if s.u0.kind == "sine-product":
-        lines.append(f"u0.m = {s.u0.m}")
-        lines.append(f"u0.n = {s.u0.n}")
-    if s.u0.path is not None:
-        lines.append(f"u0.path = {s.u0.path}")
+    emit_group("u0", s.u0)
     lines.append(f"T = {_fmt(s.T)}")
     if s.T_grid is not None:
         lines.append("T_grid = " + ",".join(_fmt(t) for t in s.T_grid))

@@ -259,10 +259,11 @@ def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("mode, per_time, once", [("forward", 1, 2), ("stability-sweep", 2, 1)])
+@pytest.mark.parametrize("mode, per_time, once", [("forward", 1, 3), ("stability-sweep", 2, 1)])
 def test_each_spectrum_is_projected_once_per_time(mode, per_time, once, tmp_path, monkeypatch):
-    # forward: one evolve per grid time, one at T and one GroundComparison
-    # for both the lower bounds at T and the certified threshold;
+    # forward: one evolve per grid time, one at T, one cluster_weights for
+    # the F-decay fit and one GroundComparison for both the lower bounds at
+    # T and the certified threshold;
     # stability-sweep: one evolve per spectrum per time and one comparison.
     calls = []
     mode_data = heat._mode_data
@@ -420,21 +421,35 @@ def test_bundled_flow_modes_match_the_K40_evaluation(tmp_path, monkeypatch, name
                                        err_msg=f"{csv_name}: {column}")
 
 
+_UNIT_FORWARD = "name = unit_fwd\nnx = 32\nny = 32\ncoefficient = constant\nu0 = d_Omega\n"
+
+
 def test_unit_coefficient_forward_reads_past_the_empty_second_cluster(tmp_path, monkeypatch):
     # On the square d_Omega populates only the (m, m) modes, so clusters 2-6
-    # are empty and the first populated tail cluster is (3, 3), the 11th
-    # pair: the certified cut keeps it.  The check fails on either spectrum
-    # (rounding content of cluster 2 sets F's measured slope); the cut must
-    # not change that state.
-    s = parse_config_text("name = unit_fwd\nnx = 32\nny = 32\ncoefficient = constant\n"
-                          "u0 = d_Omega\nT = 2.0\nT_grid = 1.0,1.5,2.0,2.5,3.0\n")
+    # hold only rounding and the first populated tail cluster is (3, 3), the
+    # 11th pair: the certified cut keeps it.  That rounding decays at l2 and
+    # outweighs cluster 7's content at every time of this grid, so F's slope
+    # is not fitted, on either spectrum.
+    s = parse_config_text(_UNIT_FORWARD + "T = 2.0\nT_grid = 1.0,1.5,2.0,2.5,3.0\n")
     art = run_scenario(s, "forward", tmp_path / "cut")
     ref = _run_with_K_max_spectra(s, "forward", tmp_path / "K40", monkeypatch)
     for run in (art, ref):
-        slope = [line for line in run.summary_lines if line.split()[1] == "F-decay-slope:"]
-        assert len(slope) == 1 and "(first populated tail cluster k=7)" in slope[0]
+        assert run.all_pass, run.summary_lines
+        assert _line(run.summary_lines, "F-decay-slope") == (
+            "INFO F-decay-slope: skipped: the first populated tail cluster k=7 outweighs the "
+            "summed content of clusters 2..6 at 0 of 5 grid times (a slope needs 2)")
     assert "INFO flow-spectrum: K=11 of modes=40, t_min=1, " in art.summary_lines[0]
     assert _states(art.summary_lines) == _states(ref.summary_lines)
+
+
+def test_unit_coefficient_forward_fits_F_where_its_first_tail_cluster_dominates(tmp_path):
+    # Up to T = 0.25 cluster 7's content still outweighs the rounding of
+    # clusters 2-6: the slope is fitted at the 5 grid times up to 0.25 and
+    # reads l_7, not l_2.
+    s = parse_config_text(_UNIT_FORWARD + "T = 0.1\nT_grid = 0.05,0.1,0.15,0.2,0.25,0.3,0.4\n")
+    line = _line(run_scenario(s, "forward", tmp_path).summary_lines, "F-decay-slope")
+    assert line.startswith("PASS F-decay-slope: ")
+    assert line.endswith("(first populated tail cluster k=7) fit_points=5")
 
 
 def test_modes_below_the_certified_K_warn_and_keep_every_pair(tmp_path):

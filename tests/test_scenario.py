@@ -50,7 +50,7 @@ def test_bundled_scenarios_round_trip(cfg):
 
 def test_full_variant_round_trips():
     s = parse_config_text(FULL)
-    assert s.u0.kind == "sine-product" and (s.u0.m, s.u0.n) == (2, 3)
+    assert s.u0.kind == "sine-product" and s.u0.params_dict() == {"m": 2, "n": 3}
     assert s.T_grid == (0.15, 0.3, 0.6)
     assert s.perturbation.kind == "two-bump"
     assert dict(s.eta.params)["amplitude"] == 0.02
@@ -119,6 +119,19 @@ class TestRejections:
         with pytest.raises(ConfigError, match="unknown initial-state kind"):
             parse_config_text(MINIMAL + "u0 = blob\n")
 
+    @pytest.mark.parametrize("u0,stray,allowed", [
+        ("d_Omega", "u0.m = 5", "[]"),
+        ("sine-product", "u0.path = u0.grid", "['m', 'n']"),
+        ("custom", "u0.n = 2", "['path']"),
+        ("first-eigenfunction", "u0.n = 2", "[]"),
+    ])
+    def test_u0_kind_refuses_parameters_outside_its_table(self, u0, stray, allowed):
+        key = stray.split(" = ")[0]
+        message = (f"line 4: parameter '{key}' not valid for u0 kind '{u0}' "
+                   f"(allowed: {allowed})")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(MINIMAL + f"u0 = {u0}\n{stray}\n")
+
     def test_t_grid_must_increase(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
             parse_config_text(MINIMAL + "T_grid = 0.3,0.15\n")
@@ -138,6 +151,8 @@ class TestRejections:
             ("seed = -1", "seed must be >= 0"),
             ("max_iter = 0", "max_iter must be >= 1"),
             ("nx = 1", "at least 2 cells"),
+            ("u0 = sine-product\nu0.m = 0", "u0.m must be >= 1, got 0"),
+            ("u0 = sine-product\nu0.n = -2", "u0.n must be >= 1, got -2"),
         ):
             with pytest.raises(ConfigError, match=message):
                 parse_config_text(MINIMAL + bad + "\n")
@@ -160,7 +175,7 @@ class TestRejections:
         p = tmp_path / "u0.grid"
         p.write_text("2 2\n0 0 0\n0 0 0\n0 0 0\n")
         s = parse_config_text(MINIMAL + f"u0 = custom\nu0.path = {p}\n")
-        assert s.u0.path == str(p)
+        assert s.u0.params_dict() == {"path": str(p)}
 
 
 @pytest.mark.parametrize("line,key", [
@@ -188,6 +203,13 @@ class TestHashAndOverrides:
         assert h == scenario_hash(parse_config_text(MINIMAL))
         assert h != scenario_hash(parse_config_text(MINIMAL + "seed = 5\n"))
 
+    def test_full_config_hash_is_pinned(self):
+        # The canonical text (sine-product writes u0.m and u0.n) is what
+        # every run's config_sha256 hashes; a change to it re-keys them all.
+        s = parse_config_text(FULL)
+        assert "\nu0 = sine-product\nu0.m = 2\nu0.n = 3\nT = 0.29999999999999999\n" in serialize_scenario(s)
+        assert scenario_hash(s) == "402b70713bc87b6a1a6bc223983007a1e1ee2ffb7ed87c4d24344c52d0b592cc"
+
     def test_overrides_replace_only_requested_fields(self):
         s = parse_config_text(MINIMAL)
         s2 = with_overrides(s, seed=9, modes=13)
@@ -198,18 +220,12 @@ class TestHashAndOverrides:
 
 # --- fuzzing -----------------------------------------------------------------
 
-_GROUP_PARAMS = {
-    "coefficient": catalog.coefficient_defaults,
-    "perturbation": catalog.coefficient_defaults,
-    "eta": catalog.direction_defaults,
-}
 # Every key but the two required ones, which _config_text always sets.
 _KEYS = sorted(
     {"nx", "ny", "a_plus", "T", "modes", "gamma", "delta", "alpha", "tol_fp", "max_iter",
-     "noise", "seed", "eta_hat", "T_grid", "scales", "u0", "u0.m", "u0.n",
-     "u0.path", "perturbation", "eta"}
-    | {f"{group}.{p}" for group, defaults in _GROUP_PARAMS.items()
-       for kind in catalog.COEFFICIENT_KINDS for p in defaults(kind)}
+     "noise", "seed", "eta_hat", "T_grid", "scales", "u0", "perturbation", "eta"}
+    | {f"{group}.{p}" for group, kinds in catalog.GROUPS.items()
+       for kind in kinds for p in catalog.group_defaults(group, kind)}
 )
 # Single-line text: str.splitlines also breaks on these categories.
 _TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1, max_size=12)
@@ -227,12 +243,10 @@ def _is_int(value: str) -> bool:
 def _value(key: str):
     if key in ("nx", "ny"):  # parsing builds the mesh, so keep it small
         return st.one_of(st.integers(-2, 64).map(str), _TEXT.filter(lambda v: not _is_int(v)))
-    if key == "u0":
-        return st.one_of(st.sampled_from(catalog.U0_KINDS), _TEXT)
     if key == "coefficient":  # a valid kind, so the fuzz reaches the later checks
         return st.sampled_from(catalog.COEFFICIENT_KINDS)
-    if key in _GROUP_PARAMS:
-        return st.one_of(st.sampled_from(catalog.COEFFICIENT_KINDS), _TEXT)
+    if key in catalog.GROUPS:
+        return st.one_of(st.sampled_from(catalog.GROUPS[key]), _TEXT)
     if key in ("T_grid", "scales"):
         return st.one_of(st.lists(_NUMBER, min_size=1, max_size=6).map(",".join), _TEXT)
     return st.one_of(_NUMBER, _TEXT)
