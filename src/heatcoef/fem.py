@@ -20,11 +20,11 @@ included, goes through it, and Cholesky completes only on a positive
 definite matrix, which it thereby proves.  A pencil's A(a) - sigma M
 (OperatorPair.pencil_factor) skips the sparse subtraction: the
 Discretization keeps the band positions of the pattern of A(a)_II and
-M_II's values there, so its band is one scatter of the stiffness data.
-symmetric_factor is the one
-symmetric-mode sparse LU, kept for the inertia of an indefinite
-A - sigma M, which spectral.solve_flow_spectrum reads to count the
-eigenvalues below sigma.
+M_II's values there, so its band is one scatter of the stiffness data,
+and Discretization.mass_int_factor one scatter of those values.
+symmetric_factor is the one symmetric-mode sparse LU, kept for the
+inertia of an indefinite A - sigma M, which spectral.solve_flow_spectrum
+reads to count the eigenvalues below sigma.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ class Discretization:
     mass : full M over all nodes.
     interior / boundary : sorted node indices of the Dirichlet partition.
     mass_int : the interior block M_II.
-    The interior rows S_II of S, unit_stiffness (the full A(1)),
-    mass_int_factor (the definite_factor of M_II) and the band index of
-    the pencils (_pencil_band) are built on first use (no reference cycle).
+    The interior rows S_II of S, unit_stiffness (the full A(1)), the band
+    index of the pencils (_pencil_band) and mass_int_factor (M_II's values
+    scattered into that band, factored) are built on first use (no cycle).
     """
 
     mesh: Mesh
@@ -137,7 +137,8 @@ class Discretization:
 
     @cached_property
     def mass_int_factor(self) -> BandCholesky:
-        lu = definite_factor(self.mass_int)
+        _, index, mass_lower = self._pencil_band
+        lu = _band_cholesky(mass_lower, index)
         if lu is None:
             raise ValueError("interior mass matrix is not positive definite")
         return lu
@@ -193,13 +194,12 @@ class OperatorPair:
     def pencil_factor(self, sigma: float) -> BandCholesky | None:
         """definite_factor(A - sigma M), its band scattered from the stiffness data.
 
-        A stiffness off the Discretization's pattern (a pair built by hand)
-        takes definite_factor of the sparse difference, the same band.
+        Raises ValueError for a stiffness off the Discretization's pattern.
         """
         block, index, mass_lower = self.disc._pencil_band
         A = self.stiffness
         if not (np.array_equal(A.indptr, block.indptr) and np.array_equal(A.indices, block.indices)):
-            return definite_factor(A - sigma * self.mass)
+            raise ValueError("stiffness is not on the pattern of its Discretization")
         return _band_cholesky(A.data[index.lower] - sigma * mass_lower, index)
 
 

@@ -1,4 +1,4 @@
-"""Scenario configs: a flat key = value text format with a closed schema.
+"""Scenario configs: a flat key = value text format whose closed schema is Scenario.
 
 Lines are `key = value`; blank lines and `#` comments are ignored.  Field
 groups (coefficient, u0, perturbation, eta) take a catalog kind on the
@@ -16,8 +16,11 @@ coefficients are rejected at parse time with the offending line/node.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -51,50 +54,58 @@ class FieldSpec:
         return dict(self.params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """One fully resolved experiment description."""
+    """One fully resolved experiment description, and the config schema.
+
+    Each field is a key: its type is the parse rule, a field without a
+    default is required, metadata "min" / "above" is an inclusive / strict
+    lower bound, and the field order is that of the hashed canonical text.
+    """
 
     name: str
-    coefficient: FieldSpec
     nx: int = 32
     ny: int = 32
-    a_plus: float = 2.0
+    a_plus: float = field(default=2.0, metadata={"above": 1})
+    coefficient: FieldSpec
     u0: FieldSpec = FieldSpec(kind="d_Omega", params=())
-    T: float = 0.15
+    T: float = field(default=0.15, metadata={"above": 0})
     T_grid: tuple[float, ...] | None = None
-    modes: int = 40
-    gamma: float = 0.0
-    delta: float = 1.0
-    alpha: float = 1e-8
-    tol_fp: float = 1e-8
-    max_iter: int = 50
-    noise: float = 0.0
-    seed: int = 0
-    eta_hat: float = 0.05
+    modes: int = field(default=40, metadata={"min": 1})
+    gamma: float = field(default=0.0, metadata={"min": 0})
+    delta: float = field(default=1.0, metadata={"above": 0})
+    alpha: float = field(default=1e-8, metadata={"above": 0})
+    tol_fp: float = field(default=1e-8, metadata={"above": 0})
+    max_iter: int = field(default=50, metadata={"min": 1})
+    noise: float = field(default=0.0, metadata={"min": 0})
+    seed: int = field(default=0, metadata={"min": 0})
+    eta_hat: float = field(default=0.05, metadata={"above": 0})
     perturbation: FieldSpec | None = None
     eta: FieldSpec | None = None
     scales: tuple[float, ...] = (1e-3, 1e-2, 1e-1)
 
 
-_SCALAR_KEYS = {
-    "name": str,
-    "nx": int,
-    "ny": int,
-    "a_plus": float,
-    "T": float,
-    "modes": int,
-    "gamma": float,
-    "delta": float,
-    "alpha": float,
-    "tol_fp": float,
-    "max_iter": int,
-    "noise": float,
-    "seed": int,
-    "eta_hat": float,
-}
-_LIST_KEYS = ("T_grid", "scales")
-_REQUIRED_KEYS = ("name", "coefficient")
+class _Key(NamedTuple):
+    """One config key: a Scenario field with its type reduced to a parse rule."""
+
+    name: str
+    rule: type  # str, int or float (a scalar), tuple (a list) or FieldSpec (a group)
+    required: bool
+    bounds: Mapping[str, float]
+
+
+def _key_table() -> tuple[_Key, ...]:
+    hints = get_type_hints(Scenario)
+    keys = []
+    for f in fields(Scenario):
+        hint = hints[f.name]
+        if isinstance(hint, UnionType):  # X | None
+            (hint,) = (t for t in get_args(hint) if t is not NoneType)
+        keys.append(_Key(f.name, get_origin(hint) or hint, f.default is MISSING, f.metadata))
+    return tuple(keys)
+
+
+_KEYS = _key_table()  # once, at import: get_type_hints is too slow to call per parse
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -114,9 +125,7 @@ def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _take_scalar(entries, key, caster, default):
-    if key not in entries:
-        return default
+def _take_scalar(entries, key, caster):
     value, lineno = entries.pop(key)
     try:
         return caster(value)
@@ -125,8 +134,6 @@ def _take_scalar(entries, key, caster, default):
 
 
 def _take_list(entries, key):
-    if key not in entries:
-        return None
     value, lineno = entries.pop(key)
     try:
         items = tuple(float(tok) for tok in value.split(",") if tok.strip())
@@ -137,11 +144,9 @@ def _take_list(entries, key):
     return items
 
 
-def _take_group(entries, group) -> FieldSpec | None:
+def _take_group(entries, group) -> FieldSpec:
     """The group's kind and its parameters, each cast to the type of its
-    catalog default and the unset ones defaulted; None if the group is unset."""
-    if group not in entries:
-        return None
+    catalog default and the unset ones defaulted."""
     kind, lineno = entries.pop(group)
     try:
         params = catalog.group_defaults(group, kind)
@@ -155,7 +160,7 @@ def _take_group(entries, group) -> FieldSpec | None:
                 f"line {entries[key][1]}: parameter {key!r} not valid for {group} kind {kind!r} "
                 f"(allowed: {sorted(params)})"
             )
-        params[pname] = _take_scalar(entries, key, type(params[pname]), None)
+        params[pname] = _take_scalar(entries, key, type(params[pname]))
     return FieldSpec(kind=kind, params=tuple(sorted(params.items())))
 
 
@@ -168,23 +173,18 @@ def parse_config_text(text: str) -> Scenario:
     """Parse and validate scenario config text (same grammar as files)."""
     entries = _parse_lines(text)
 
-    for required in _REQUIRED_KEYS:
-        if required not in entries:
-            raise ConfigError(f"missing required key {required!r}")
+    for key in _KEYS:
+        if key.required and key.name not in entries:
+            raise ConfigError(f"missing required key {key.name!r}")
 
     kwargs = {}
-    for key, caster in _SCALAR_KEYS.items():
-        default = Scenario.__dataclass_fields__[key].default if key != "name" else None
-        kwargs[key] = _take_scalar(entries, key, caster, default)
-    kwargs["T_grid"] = _take_list(entries, "T_grid")
-    scales = _take_list(entries, "scales")
-    if scales is not None:
-        kwargs["scales"] = scales
-
-    for group in catalog.GROUPS:
-        spec = _take_group(entries, group)
-        if spec is not None:
-            kwargs[group] = spec
+    for key in (k for k in _KEYS if k.name in entries):
+        if key.rule is FieldSpec:
+            kwargs[key.name] = _take_group(entries, key.name)
+        elif key.rule is tuple:
+            kwargs[key.name] = _take_list(entries, key.name)
+        else:
+            kwargs[key.name] = _take_scalar(entries, key.name, key.rule)
 
     if entries:
         key = min(entries, key=lambda k: entries[k][1])
@@ -196,40 +196,31 @@ def parse_config_text(text: str) -> Scenario:
 
 
 def _validate_scenario(s: Scenario) -> None:
-    # NaN passes every ordering guard below, so non-finite input is refused first.
-    numbers = [(key, getattr(s, key)) for key, caster in _SCALAR_KEYS.items() if caster is float]
-    numbers += [(key, v) for key in _LIST_KEYS for v in getattr(s, key) or ()]
-    for group in catalog.GROUPS:
-        spec = getattr(s, group)
-        numbers += [(f"{group}.{pname}", v) for pname, v in (spec.params if spec else ())
-                    if isinstance(v, float)]
-    for key, value in numbers:
-        if not np.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
+    for key in _KEYS:
+        value = getattr(s, key.name)
+        if value is None:
+            continue
+        if key.rule is FieldSpec:
+            numbers = [(f"{key.name}.{pname}", v) for pname, v in value.params]
+        else:
+            numbers = [(key.name, v) for v in (value if key.rule is tuple else (value,))]
+        # NaN passes every ordering guard, so non-finite input is refused first.
+        for label, v in numbers:
+            if isinstance(v, float) and not np.isfinite(v):
+                raise ConfigError(f"{label} must be finite, got {v}")
+        above, least = key.bounds.get("above"), key.bounds.get("min")
+        if above is not None and not value > above:
+            must = "be positive" if above == 0 else f"exceed {above}"
+            raise ConfigError(f"{key.name} must {must}, got {value}")
+        if least is not None and value < least:
+            raise ConfigError(f"{key.name} must be >= {least}, got {value}")
     if s.nx < 2 or s.ny < 2:
         raise ConfigError(f"grid must have at least 2 cells per side, got nx={s.nx}, ny={s.ny}")
-    if s.a_plus <= 1.0:
-        raise ConfigError(f"a_plus must exceed 1, got {s.a_plus}")
-    if s.T <= 0:
-        raise ConfigError(f"T must be positive, got {s.T}")
     if s.T_grid is not None:
         if any(t <= 0 for t in s.T_grid):
             raise ConfigError(f"T_grid times must be positive, got {s.T_grid}")
         if any(b <= a for a, b in zip(s.T_grid, s.T_grid[1:])):
             raise ConfigError("T_grid must be strictly increasing")
-    if s.modes < 1:
-        raise ConfigError(f"modes must be >= 1, got {s.modes}")
-    if s.gamma < 0:
-        raise ConfigError(f"gamma must be >= 0, got {s.gamma}")
-    for key in ("delta", "alpha", "tol_fp", "eta_hat"):
-        if getattr(s, key) <= 0:
-            raise ConfigError(f"{key} must be positive, got {getattr(s, key)}")
-    if s.max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {s.max_iter}")
-    if s.noise < 0:
-        raise ConfigError(f"noise must be >= 0, got {s.noise}")
-    if s.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {s.seed}")
     u0 = s.u0.params_dict()
     for pname in ("m", "n"):  # the sine-product orders
         if pname in u0 and u0[pname] < 1:
@@ -252,37 +243,26 @@ def _validate_scenario(s: Scenario) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
 
 
 def serialize_scenario(s: Scenario) -> str:
-    """Canonical text form; parse_config_text(serialize_scenario(s)) == s."""
-    lines = [f"name = {s.name}"]
-    for key in ("nx", "ny", "a_plus"):
-        lines.append(f"{key} = {_fmt(getattr(s, key))}")
-
-    def emit_group(group: str, spec: FieldSpec | None):
-        if spec is None:
-            return
-        lines.append(f"{group} = {spec.kind}")
-        for pname, pvalue in spec.params:
-            lines.append(f"{group}.{pname} = {_fmt(pvalue)}")
-
-    emit_group("coefficient", s.coefficient)
-    emit_group("u0", s.u0)
-    lines.append(f"T = {_fmt(s.T)}")
-    if s.T_grid is not None:
-        lines.append("T_grid = " + ",".join(_fmt(t) for t in s.T_grid))
-    for key in ("modes", "gamma", "delta", "alpha", "tol_fp", "max_iter",
-                "noise", "seed", "eta_hat"):
-        lines.append(f"{key} = {_fmt(getattr(s, key))}")
-    emit_group("perturbation", s.perturbation)
-    emit_group("eta", s.eta)
-    lines.append("scales = " + ",".join(_fmt(x) for x in s.scales))
+    """Canonical text form, one key per field in field order (unset ones left out);
+    parse_config_text(serialize_scenario(s)) == s."""
+    lines = []
+    for key in _KEYS:
+        value = getattr(s, key.name)
+        if value is None:
+            continue
+        if key.rule is FieldSpec:
+            lines.append(f"{key.name} = {value.kind}")
+            lines += [f"{key.name}.{pname} = {_fmt(v)}" for pname, v in value.params]
+        elif key.rule is tuple:
+            lines.append(f"{key.name} = " + ",".join(_fmt(v) for v in value))
+        else:
+            lines.append(f"{key.name} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -145,11 +145,13 @@ def test_pencil_factor_scatters_the_band_of_the_sparse_difference(bump_pair32):
         assert np.array_equal(bump_pair32.pencil_factor(sigma).band, definite_factor(C).band)
     assert bump_pair32.pencil_factor(1.1 * lam1) is None
     assert definite_factor(A - 1.1 * lam1 * M) is None
-    # a pair built by hand off the Discretization's pattern factors the difference
+    # a pair built by hand off the Discretization's pattern is refused
     narrow = A.copy()
     narrow.eliminate_zeros()
-    assert np.array_equal(fem.OperatorPair(narrow, bump_pair32.disc).pencil_factor(0.9 * lam1).band,
-                          definite_factor(narrow - 0.9 * lam1 * M).band)
+    with pytest.raises(ValueError, match="not on the pattern"):
+        fem.OperatorPair(narrow, bump_pair32.disc).pencil_factor(0.9 * lam1)
+    # M_II's own factor is M_II's values scattered into the same band
+    assert np.array_equal(bump_pair32.disc.mass_int_factor.band, definite_factor(M).band)
 
 
 def test_band_cholesky_refuses_what_is_not_definite(disc32, two_well16):
