@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 
-# Roundoff allowance of validate_coefficient on the bounds and the trace.
+# Roundoff allowance of validate_coefficient on the bounds.
 _ADMISSIBILITY_TOL = 1e-12
 
 
@@ -77,15 +77,13 @@ class AdmissibilityError(ValueError):
 class CoefficientField:
     """Nodal diffusion coefficient with its admissibility data.
 
-    values : nodal values on all mesh nodes (>= 1, <= a_plus when admissible).
+    values : nodal values on all mesh nodes (>= 1, <= a_plus when admissible);
+        the entries at boundary nodes are the coefficient's boundary trace.
     a_plus : upper bound of the admissible set (> 1).
-    boundary_trace : full-length array carrying the prescribed boundary
-        values at boundary nodes; interior entries are zero by convention.
     """
 
     values: np.ndarray
     a_plus: float
-    boundary_trace: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -210,12 +208,9 @@ class Norms(NamedTuple):
 
 
 def _coefficient_values(a, n_nodes: int) -> np.ndarray:
-    if isinstance(a, CoefficientField):
-        v = a.values
-    else:
-        v = np.asarray(a, dtype=float)
-        if v.ndim == 0:
-            v = np.full(n_nodes, float(v))
+    v = np.asarray(a, dtype=float)
+    if v.ndim == 0:
+        v = np.full(n_nodes, float(v))
     if v.shape != (n_nodes,):
         raise ValueError(f"coefficient has shape {v.shape}, expected ({n_nodes},)")
     return v
@@ -247,7 +242,7 @@ def _on_pattern(data: np.ndarray, pattern: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def assemble_stiffness(mesh: Mesh, a) -> sp.csr_matrix:
-    """A(a) from a fresh map of mesh; a may be a scalar, a nodal array or a CoefficientField."""
+    """A(a) from a fresh map of mesh; a may be a scalar or a nodal array."""
     S, pattern = _stiffness_map(mesh)
     return _on_pattern(S @ _coefficient_values(a, mesh.n_nodes), pattern)
 
@@ -403,16 +398,15 @@ def compute_norms(w, disc: Discretization) -> Norms:
 
 
 def make_field(mesh: Mesh, values, a_plus: float) -> CoefficientField:
-    """Wrap nodal values as a CoefficientField, taking the trace from the boundary nodes."""
+    """Wrap a copy of the nodal values as a CoefficientField."""
     v = np.asarray(values, dtype=float)
     if v.shape != (mesh.n_nodes,):
         raise ValueError(f"expected {mesh.n_nodes} nodal values, got shape {v.shape}")
-    trace = np.where(mesh.boundary_node_flags, v, 0.0)
-    return CoefficientField(values=v.copy(), a_plus=float(a_plus), boundary_trace=trace)
+    return CoefficientField(values=v.copy(), a_plus=float(a_plus))
 
 
 def validate_coefficient(mesh: Mesh, field: CoefficientField) -> None:
-    """Raise AdmissibilityError (naming the worst node) on non-finite, bound or trace violations."""
+    """Raise AdmissibilityError (naming the worst node) on non-finite values or bound violations."""
     v = field.values
     tol = _ADMISSIBILITY_TOL
     if field.a_plus <= 1.0:
@@ -436,13 +430,6 @@ def validate_coefficient(mesh: Mesh, field: CoefficientField) -> None:
         raise AdmissibilityError(
             f"coefficient value {v[high]:.6g} > a_plus={field.a_plus:.6g} at node {high} "
             f"(x={x:.6g}, y={y:.6g})"
-        )
-    bnd = mesh.boundary_node_flags
-    mismatch = np.abs(v[bnd] - field.boundary_trace[bnd])
-    if mismatch.size and np.max(mismatch) > tol:
-        k = np.flatnonzero(bnd)[int(np.argmax(mismatch))]
-        raise AdmissibilityError(
-            f"boundary value {v[k]:.6g} differs from trace {field.boundary_trace[k]:.6g} at node {k}"
         )
 
 

@@ -105,7 +105,7 @@ class TransportSystem:
     G : (n_interior, n_nodes) operator on nodal coefficient values.
     rhs : interior test-function moments of -l_1 u_T + F (transport_rhs).
     alpha : absolute regularization weight (already scaled).
-    boundary_values : full-length array, prescribed a0 at boundary nodes.
+    boundary_values : a0 as given; only its entries at boundary nodes are read.
     disc : supplies the Tikhonov metric A(1) over all coefficient nodes and
         the interior/boundary partition of the coefficient dofs.
     factor : sparse LU factor of the interior block H_II of the normal
@@ -153,7 +153,7 @@ class InversionReport:
     smoothing_capped: int
     closure_solves: int  # K=1 ground solves of the closure evaluations
     closure_fallbacks: int  # of those, solves that fell back to ARPACK
-    transport_solves: int  # solve_transport_ls calls: one per outer step, one for d
+    transport_solves: int  # normal-matrix back-substitutions: one per outer step, one for d
     krylov_m: np.ndarray  # Krylov dimension per outer step, 0 where the step fell back
 
     @property
@@ -186,7 +186,7 @@ def build_transport_system(
     the stored weight is alpha times the largest diagonal of G'G (falling
     back to alpha itself when G vanishes).  The interior block of the
     normal matrix is LU-factored here, once; solve_transport_ls only
-    back-substitutes.
+    back-substitutes.  Only the boundary entries of a0 are read.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -221,6 +221,18 @@ def build_transport_system(
                            boundary_lift=H[I][:, B] @ a0[B])
 
 
+def _normal_solve(system: TransportSystem, b: np.ndarray) -> np.ndarray:
+    """H_II^-1 b by back-substitution with the factor of build_transport_system."""
+    sol = system.factor.solve(b)
+    if not np.all(np.isfinite(sol)):
+        pivots = np.abs(system.factor.U.diagonal())
+        cond = float(pivots.max() / max(pivots.min(), 1e-300))
+        raise TransportSolveError(
+            f"singular normal matrix in transport solve (pivot ratio {cond:.3e})"
+        )
+    return sol
+
+
 def solve_transport_ls(system: TransportSystem, a_prior: CoefficientField) -> CoefficientField:
     """Minimize ||G a - rhs||^2 + alpha (a - prior)' R (a - prior), a|_G = a0.
 
@@ -233,16 +245,9 @@ def solve_transport_ls(system: TransportSystem, a_prior: CoefficientField) -> Co
     G, alpha, disc = system.G, system.alpha, system.disc
     R, I, B = disc.unit_stiffness, disc.interior, disc.boundary
     b = G.T @ system.rhs + alpha * (R @ a_prior.values)
-    sol = system.factor.solve(b[I] - system.boundary_lift)
-    if not np.all(np.isfinite(sol)):
-        pivots = np.abs(system.factor.U.diagonal())
-        cond = float(pivots.max() / max(pivots.min(), 1e-300))
-        raise TransportSolveError(
-            f"singular normal matrix in transport solve (pivot ratio {cond:.3e})"
-        )
     a = np.empty(disc.n_nodes)
     a[B] = system.boundary_values[B]
-    a[I] = sol
+    a[I] = _normal_solve(system, b[I] - system.boundary_lift)
     return make_field(disc.mesh, a, a_prior.a_plus)
 
 
@@ -288,17 +293,12 @@ def admissible_projection(
 def _eigenvalue_direction(system: TransportSystem, u_T) -> np.ndarray:
     """d with solve_transport_ls(system at eigenvalue x) = (solve at 0) - x d.
 
-    transport_rhs(x) = transport_rhs(0) - x (M u_T)_I, so d is the solve of
-    the right-hand side (M u_T)_I with a zero prior and zero boundary values;
-    it vanishes on the boundary.
+    transport_rhs(x) = transport_rhs(0) - x (M u_T)_I, so d is the normal
+    solve of G' (M u_T)_I: no prior, zero boundary values.  It vanishes on
+    the boundary.
     """
-    disc = system.disc
-    zero = np.zeros(disc.n_nodes)
-    homogeneous = dataclasses.replace(system, rhs=transport_rhs(disc, u_T, -1.0, zero),
-                                      boundary_values=zero,
-                                      boundary_lift=np.zeros_like(system.boundary_lift))
-    # a_plus of the zero prior is only carried to the returned field
-    return solve_transport_ls(homogeneous, make_field(disc.mesh, zero, np.inf)).values
+    disc, I = system.disc, system.disc.interior
+    return disc.extend(_normal_solve(system, (system.G.T @ (disc.mass @ u_T)[I])[I]))
 
 
 def _next_closure_point(samples: list[tuple[float, float]], lam_raw: float) -> float | None:
@@ -364,7 +364,8 @@ def fixed_point_invert(
     next iterate.  Converges when the L2 step drops below tol_fp; otherwise
     stops when a step increases (keeping the pre-increase iterate) or after
     max_iter steps.  data_residual is that of the transport system which
-    produced the returned iterate.
+    produced the returned iterate.  Only the boundary entries of a0 are
+    read: they are the prescribed trace.
     """
     if check_u0_condition(disc, u0) <= 0:
         raise ValueError("initial state must satisfy int u0 * d_Omega > 0")
@@ -379,16 +380,13 @@ def fixed_point_invert(
     if unit is None:
         raise ValueError("unit stiffness matrix is not positive definite")
     start[I] = unit.solve(-(R[I][:, B] @ a0[B]))
-    start = np.maximum(start, 1.0)
     current, _ = admissible_projection(disc, start, a0, a_plus)
 
-    M_full = disc.mass
     # G, its scale and the factored normal matrix depend only on u_T, alpha
     # and a0, and so does the candidate's slope -d in the inserted eigenvalue.
     base = build_transport_system(mesh, disc.unit_pair, u_T, 0.0, np.zeros(mesh.n_nodes),
                                   opts.alpha, a0)
     d = _eigenvalue_direction(base, u_T)
-    transport_solves = 1
     trace, lam1s = [], []
     converged = False
     capped_count = 0
@@ -401,34 +399,25 @@ def fixed_point_invert(
         lam_raw = float(spec.hat_eigenvalues[0])
         raw0 = solve_transport_ls(dataclasses.replace(base, rhs=transport_rhs(disc, u_T, 0.0, F)),
                                   current).values
-        transport_solves += 1
 
-        samples: list[tuple[float, float, CoefficientField, bool, SpectralDecomposition]] = []
-
-        def evaluate(x: float) -> float:
-            nonlocal ground_solves, fallbacks
-            projected, capped = admissible_projection(disc, raw0 - x * d, a0, a_plus)
-            # Warm start from the nearest pencil solved so far: the last
-            # sample's, or the step's own ground pair for the first.
-            near = samples[-1][4] if samples else spec
-            ground, warm = solve_ground_pair(disc.pair(projected.values),
-                                             near.eigenvectors[:, 0], float(near.eigenvalues[0]))
-            ground_solves += 1
+        # Each ground solve is warm-started from the previous pencil's pair:
+        # the step's own for the first evaluation.
+        phi_tol = 1e-10 * max(1.0, abs(lam_raw))
+        samples: list[tuple[float, float, CoefficientField, bool]] = []
+        ground, x = spec, lam_raw
+        while x is not None:
+            field, capped = admissible_projection(disc, raw0 - x * d, a0, a_plus)
+            ground, warm = solve_ground_pair(disc.pair(field.values), ground.eigenvectors[:, 0],
+                                             float(ground.eigenvalues[0]))
             fallbacks += int(not warm)
             phi = float(ground.eigenvalues[0]) - x
-            samples.append((x, phi, projected, capped, ground))
-            return phi
-
-        evaluate(lam_raw)
-        phi_tol = 1e-10 * max(1.0, abs(lam_raw))
-        while abs(samples[-1][1]) > phi_tol and len(samples) < _CLOSURE_EVAL_CAP:
-            xn = _next_closure_point([(s[0], s[1]) for s in samples], lam_raw)
-            if xn is None:
-                break
-            evaluate(xn)
-        x_acc, phi_acc, projected, capped, _ = min(samples, key=lambda t: abs(t[1]))
+            samples.append((x, phi, field, capped))
+            done = abs(phi) <= phi_tol or len(samples) >= _CLOSURE_EVAL_CAP
+            x = None if done else _next_closure_point([s[:2] for s in samples], lam_raw)
+        ground_solves += len(samples)
+        x_acc, phi_acc, projected, capped = min(samples, key=lambda t: abs(t[1]))
         capped_count += int(capped)
-        step = l2_norm(projected.values - current.values, M_full)
+        step = l2_norm(projected.values - current.values, disc.mass)
         lam1s.append(x_acc + phi_acc)  # ground eigenvalue of the accepted iterate
         if trace and step > trace[-1]:
             trace.append(step)
@@ -445,8 +434,8 @@ def fixed_point_invert(
         data_residual = float(np.linalg.norm(base.G @ current.values - rhs))
     rel_error = None
     if a_true is not None:
-        num = l2_norm(current.values - a_true.values, M_full)
-        den = l2_norm(a_true.values, M_full)
+        num = l2_norm(current.values - a_true.values, disc.mass)
+        den = l2_norm(a_true.values, disc.mass)
         rel_error = float(num / den)
     return InversionReport(
         a_rec=current,
@@ -459,7 +448,7 @@ def fixed_point_invert(
         smoothing_capped=capped_count,
         closure_solves=ground_solves,
         closure_fallbacks=fallbacks,
-        transport_solves=transport_solves,
+        transport_solves=len(trace) + 1,
         krylov_m=np.array(krylov_m, dtype=int),
     )
 

@@ -168,19 +168,32 @@ def write_grid(path, mesh: Mesh, values) -> None:
 
 
 def read_grid(path) -> tuple[int, int, np.ndarray]:
-    """Read a grid dump; returns (nx, ny, flat nodal values in node order)."""
-    text = Path(path).read_text(encoding="ascii").strip().splitlines()
+    """Read a grid dump; returns (nx, ny, flat nodal values in node order).
+
+    Errors name the file and, for a malformed entry, its line number.
+    """
+    raw = Path(path).read_text(encoding="ascii")
+    text = raw.strip().splitlines()
     if not text:
         raise ValueError(f"empty grid file: {path}")
+    first = raw[: len(raw) - len(raw.lstrip())].count("\n") + 1  # line number of the header
     head = text[0].split()
     if len(head) != 2:
         raise ValueError(f"malformed grid header {text[0]!r} in {path}")
-    nx, ny = int(head[0]), int(head[1])
+    try:
+        nx, ny = int(head[0]), int(head[1])
+    except ValueError:
+        raise ValueError(f"grid header {text[0]!r} in {path}, line {first}: "
+                         f"sizes must be integers") from None
     if len(text) != ny + 2:
         raise ValueError(f"grid file {path} has {len(text) - 1} rows, expected {ny + 1}")
     rows = []
-    for line in text[1:]:
-        row = np.array([float(t) for t in line.split()])
+    for lineno, line in enumerate(text[1:], start=first + 1):
+        try:
+            row = np.array([float(t) for t in line.split()])
+        except ValueError:
+            raise ValueError(f"grid value that is not a number in {path}, line {lineno}: "
+                             f"{line!r}") from None
         if row.size != nx + 1:
             raise ValueError(f"grid row with {row.size} values, expected {nx + 1} in {path}")
         rows.append(row)

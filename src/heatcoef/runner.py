@@ -363,7 +363,7 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
               f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
 
     opts = InversionOptions(T=s.T, alpha=s.alpha, tol_fp=s.tol_fp, max_iter=s.max_iter)
-    report = fixed_point_invert(ctx.disc, u0, u_T, ctx.coeff.boundary_trace,
+    report = fixed_point_invert(ctx.disc, u0, u_T, ctx.coeff.values,
                                 s.a_plus, opts, a_true=ctx.coeff)
 
     steps = report.residual_trace

@@ -228,6 +228,15 @@ def test_boundary_vanishing_rule(caller, tmp_path):
         call(disc, w, tmp_path)
 
 
+def test_sine_product_initial_state():
+    mesh = build_structured_mesh(8, 6)
+    u0 = initial_state(mesh, "sine-product", {"m": 2, "n": 1})
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    inside = mesh.interior_node_flags
+    assert np.array_equal(u0[inside], (np.sin(2 * np.pi * x) * np.sin(np.pi * y))[inside])
+    assert np.all(u0[mesh.boundary_node_flags] == 0.0)
+
+
 def test_l2_norm_matches_quadratic_form(rng):
     mesh = build_structured_mesh(5, 5)
     M = assemble_mass(mesh)
@@ -249,13 +258,6 @@ def test_validate_coefficient_bounds_and_trace():
     high[3] = 2.5
     with pytest.raises(AdmissibilityError, match="> a_plus"):
         validate_coefficient(mesh, make_field(mesh, high, 2.0))
-
-    field = make_field(mesh, np.full(mesh.n_nodes, 1.5), 2.0)
-    bad_trace = field.boundary_trace.copy()
-    bad_trace[np.flatnonzero(mesh.boundary_node_flags)[0]] += 0.1
-    tampered = type(field)(values=field.values, a_plus=2.0, boundary_trace=bad_trace)
-    with pytest.raises(AdmissibilityError, match="trace"):
-        validate_coefficient(mesh, tampered)
 
     with pytest.raises(AdmissibilityError, match="a_plus"):
         validate_coefficient(mesh, make_field(mesh, np.ones(mesh.n_nodes), 1.0))

@@ -251,14 +251,34 @@ class TestFixedPointInvert:
     def test_transport_system_built_once_per_inversion(self, disc32, bump32, bump_snapshot,
                                                        monkeypatch):
         operators = _count_calls(monkeypatch, "transport_operator", module=Discretization)
-        calls = _count_calls(monkeypatch, "solve_transport_ls")
+        calls = _count_calls(monkeypatch, "_normal_solve")
         d, T, u_T, _, _ = bump_snapshot
         rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, InversionOptions(T=T))
         assert operators["transport_operator"] == 1
         # one back-substitution per outer step and one for the candidate's
         # slope in the eigenvalue, however many closure evaluations there are
-        assert calls["solve_transport_ls"] == rep.transport_solves == rep.iterations + 1
+        assert calls["_normal_solve"] == rep.transport_solves == rep.iterations + 1
         assert rep.closure_solves > rep.transport_solves  # measured 26 against 6
+
+    def test_reads_only_the_boundary_entries_of_a0(self, disc32, bump32, bump_snapshot):
+        # the runner passes the coefficient's full values as a0: NaN at
+        # every interior node must not reach the reconstruction
+        d, T, u_T, _, _ = bump_snapshot
+        blind = bump32.values.copy()
+        blind[disc32.interior] = np.nan
+        ref, rep = (fixed_point_invert(disc32, d, u_T, a0, 2.0, InversionOptions(T=T, max_iter=3))
+                    for a0 in (bump32.values, blind))
+        assert rep.iterations == ref.iterations > 0
+        assert np.array_equal(rep.a_rec.values, ref.a_rec.values)
+        assert np.array_equal(rep.residual_trace, ref.residual_trace)
+
+    def test_closure_stops_when_no_new_point_is_offered(self, disc32, bump32, bump_snapshot,
+                                                         monkeypatch):
+        monkeypatch.setattr(inversion, "_next_closure_point", lambda samples, lam_raw: None)
+        d, T, u_T, _, _ = bump_snapshot
+        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, InversionOptions(T=T, max_iter=3))
+        assert rep.iterations > 0
+        assert rep.closure_solves == rep.iterations  # one evaluation per outer step
 
     def test_affine_candidate_matches_direct_solves(self, mesh32, disc32, bump32, unit_pair32,
                                                     bump_snapshot):

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -115,6 +116,12 @@ def test_grid_read_rejects_malformed(tmp_path):
         read_grid(p)
     p.write_text("2 2\n0 0\n0 0 0\n0 0 0\n")  # short row
     with pytest.raises(ValueError):
+        read_grid(p)
+    p.write_text("2 x\n0 0 0\n0 0 0\n0 0 0\n")  # header entry not an integer
+    with pytest.raises(ValueError, match=rf"{re.escape(str(p))}, line 1: sizes must be integers"):
+        read_grid(p)
+    p.write_text("\n\n2 2\n0 0 0\n0 abc 0\n0 0 0\n")  # value not a number, after blank lines
+    with pytest.raises(ValueError, match=rf"not a number in {re.escape(str(p))}, line 5: '0 abc 0'"):
         read_grid(p)
 
 

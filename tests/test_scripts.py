@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 from pathlib import Path
@@ -12,6 +13,7 @@ from heatcoef.spectral import solve_generalized_eig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCENARIOS = SCRIPTS.parent / "scenarios"
+BENCHMARK = SCRIPTS.parent / "benchmark"
 
 
 def _load(name):
@@ -61,6 +63,48 @@ def test_ill_posedness_sweep_shares_the_stability_sweep_spectra(tmp_path, capsys
     tab = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), [0.15, 0.3], *spectra)
     rho = [float(r["rho"]) for r in _sweep_rows(tmp_path)]
     np.testing.assert_allclose(rho, tab.rho, rtol=1e-11, atol=0.0)
+
+
+def _heatcoef_names(path):
+    """Dotted heatcoef names a file imports or reads as heatcoef.<module>.<attribute>."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "heatcoef":
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "heatcoef")
+        elif isinstance(node, ast.Attribute):
+            parts, inner = [node.attr], node
+            while isinstance(inner.value, ast.Attribute):
+                inner = inner.value
+                parts.append(inner.attr)
+            if isinstance(inner.value, ast.Name) and inner.value.id == "heatcoef":
+                yield ".".join(["heatcoef", *reversed(parts)])
+
+
+def _resolves(dotted: str) -> bool:
+    """True when dotted names a module, or an attribute chain on the longest importable prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_benchmark_and_scripts_use_only_names_the_package_has():
+    # benchmark/ and scripts/ call the package from outside its tests, so a
+    # simplification that deletes a name they use fails here first
+    files = sorted(BENCHMARK.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    used = {(path.relative_to(SCRIPTS.parent).as_posix(), name)
+            for path in files for name in _heatcoef_names(path)}
+    assert any(name == "heatcoef.fem.make_field" for _, name in used)
+    assert [(path, name) for path, name in sorted(used) if not _resolves(name)] == []
 
 
 def test_every_bundled_scenario_has_a_run_all_mode():

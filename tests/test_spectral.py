@@ -486,6 +486,19 @@ class TestMinmaxSandwich:
         )
         assert rep.ok, rep.first_violation
 
+    def test_first_violation_below_the_unit_spectrum(self, unit_spec32, bump_spec32):
+        # swapped: the bump pencil (a >= 1) plays the unit one and lies above
+        rep = verify_minmax_sandwich(unit_spec32, bump_spec32, a_plus=2.0)
+        assert not rep.ok
+        lam, lam_unit = unit_spec32.eigenvalues[0], bump_spec32.eigenvalues[0]
+        assert rep.first_violation == (1, "lower", lam, lam_unit)
+
+    def test_first_violation_above_a_plus_times_the_unit_spectrum(self, unit_spec32, bump_spec32):
+        rep = verify_minmax_sandwich(bump_spec32, unit_spec32, a_plus=1.0001)
+        assert not rep.ok
+        lam, lam_unit = bump_spec32.eigenvalues[0], unit_spec32.eigenvalues[0]
+        assert rep.first_violation == (1, "upper", lam, 1.0001 * lam_unit)
+
 
 class TestEigenPerturbation:
     def test_zero_scale_has_zero_differences(self, mesh32, spectrum):
