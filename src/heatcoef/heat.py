@@ -259,10 +259,16 @@ class LowerBoundReport:
 
 
 def check_u0_condition(disc: Discretization, u0) -> float:
-    """Weighted mass int u0 * d_Omega dx (mass-matrix quadrature)."""
+    """Weighted mass int u0 * d_Omega dx (mass-matrix quadrature).
+
+    0.0 when the sum is within the rounding bound of its dot product,
+    n eps (|u0| . M d_Omega) (Higham, Accuracy and Stability, section 3.1):
+    there its sign is that of rounding, as for a u0 odd about a midline.
+    """
     u0 = np.asarray(u0, dtype=float)
-    d = distance_to_boundary(disc.mesh)
-    return float(u0 @ (disc.mass @ d))
+    md = disc.mass @ distance_to_boundary(disc.mesh)
+    w = float(u0 @ md)
+    return 0.0 if abs(w) <= u0.size * np.finfo(float).eps * float(np.abs(u0) @ md) else w
 
 
 class GroundComparison:

@@ -185,6 +185,9 @@ def read_grid(path) -> tuple[int, int, np.ndarray]:
     except ValueError:
         raise ValueError(f"grid header {text[0]!r} in {path}, line {first}: "
                          f"sizes must be integers") from None
+    if nx < 1 or ny < 1:
+        raise ValueError(f"grid header {text[0]!r} in {path}, line {first}: "
+                         f"sizes must be >= 1")
     if len(text) != ny + 2:
         raise ValueError(f"grid file {path} has {len(text) - 1} rows, expected {ny + 1}")
     rows = []

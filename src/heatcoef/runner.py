@@ -1,11 +1,14 @@
 """Scenario orchestration: run one experiment mode, persist artifacts.
 
-Each mode writes plot-ready CSV/grid files into the output directory plus
-a summary whose lines start with PASS / FAIL / INFO / WARN.  FAIL lines
-carry the measured value, the bound it broke, and (for per-index checks)
-the first violating index.  All numeric output uses fixed %.17g formatting
-and fixed iteration orders, so identical (config, seed) runs are
-byte-identical.
+Each mode (MODES maps its name to its function) writes plot-ready
+CSV/grid files into the output directory plus a summary whose lines start
+with PASS / FAIL / INFO / WARN, all through one _Report: its csv() and
+grid() write a file and list it for the manifest, so no written file can
+miss manifest.txt.  FAIL lines carry the measured value, the bound it
+broke, and (for per-index checks) the first violating index, counted from
+1 in T_grid or the spectrum.  All numeric output uses fixed %.17g
+formatting and fixed iteration orders, so identical (config, seed) runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ from .scenario import Scenario, scenario_hash, with_overrides
 from .spectral import (
     EIGEN_SWEEP_ROWS,
     PROJECTION_SWEEP_ROWS,
-    EigenPerturbationTable,
-    ProjectionPerturbationTable,
     SpectralDecomposition,
     gap_report,
     perturbation_sweep,
@@ -56,8 +57,6 @@ from .spectral import (
 )
 
 __all__ = ["RunArtifact", "RunnerError", "run_scenario", "write_reports"]
-
-MODES = ("forward", "invert", "verify-spectral", "stability-sweep")
 
 _DEFAULT_T_GRID = tuple(1.0 + 0.5 * i for i in range(9))
 _BAND_EPS = 0.1
@@ -93,43 +92,50 @@ class RunArtifact:
         return self.n_fail == 0
 
 
-# --- summary-line helpers -------------------------------------------------
-
-def _check(lines: list[str], name: str, ok, detail: str) -> bool:
-    lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    return bool(ok)
-
-
-def _info(lines: list[str], name: str, detail: str) -> None:
-    lines.append(f"INFO {name}: {detail}")
-
-
-def _warn(lines: list[str], name: str, detail: str) -> None:
-    lines.append(f"WARN {name}: {detail}")
-
-
-def _slope_check(lines: list[str], name: str, ok, detail: str, fitted) -> None:
-    """_check of a fit_log_slope result over `fitted` (it keeps the positive
-    values), naming how many points the fit used; under three adds a WARN."""
-    n = int(np.count_nonzero(np.asarray(fitted) > 0))
-    _check(lines, name, ok, f"{detail} fit_points={n}")
-    if n < 3:
-        _warn(lines, "fit-points", f"{name} fitted from {n} point(s)")
-
+# --- the run's report ------------------------------------------------------
 
 def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     return format(float(v), ".17g")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(out) + "\n", encoding="ascii")
+@dataclass
+class _Report:
+    """The summary lines of a run and the files it wrote into out, in order.
+
+    Every artifact is written through csv() or grid(), which list it for
+    manifest.txt where they write it."""
+
+    out: Path
+    lines: list[str] = field(default_factory=list)
+    files: list[str] = field(default_factory=list)
+
+    def check(self, name: str, ok, detail: str) -> None:
+        self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+
+    def info(self, name: str, detail: str) -> None:
+        self.lines.append(f"INFO {name}: {detail}")
+
+    def warn(self, name: str, detail: str) -> None:
+        self.lines.append(f"WARN {name}: {detail}")
+
+    def slope_check(self, name: str, ok, detail: str, fitted) -> None:
+        """check of a fit_log_slope result over `fitted` (it keeps the positive
+        values), naming how many points the fit used; under three adds a WARN."""
+        n = int(np.count_nonzero(np.asarray(fitted) > 0))
+        self.check(name, ok, f"{detail} fit_points={n}")
+        if n < 3:
+            self.warn("fit-points", f"{name} fitted from {n} point(s)")
+
+    def csv(self, name: str, header, rows) -> None:
+        text = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+        (self.out / name).write_text("\n".join(text) + "\n", encoding="ascii")
+        self.files.append(name)
+
+    def grid(self, name: str, mesh: Mesh, values) -> None:
+        write_grid(self.out / name, mesh, values)
+        self.files.append(name)
 
 
 # --- shared per-run state ---------------------------------------------------
@@ -160,11 +166,11 @@ def _time_grid(s: Scenario) -> np.ndarray:
 
 
 def _flow_spectrum(pair: OperatorPair, t_min: float, modes: int,
-                   lines: list[str]) -> SpectralDecomposition:
+                   rep: _Report) -> SpectralDecomposition:
     """solve_flow_spectrum capped at modes (and the pencil size), with its
     cutoff as an INFO line (WARN when uncertified)."""
     spec, cut = solve_flow_spectrum(pair, t_min, min(modes, pair.stiffness.shape[0]))
-    (_info if cut.certified else _warn)(lines, "flow-spectrum", cut.describe())
+    (rep.info if cut.certified else rep.warn)("flow-spectrum", cut.describe())
     return spec
 
 
@@ -182,13 +188,6 @@ def _build_context(s: Scenario) -> _Context:
     return _Context(scenario=s, disc=disc, coeff=coeff, pair=disc.pair(coeff.values), u0=u0)
 
 
-def _require_sweep_inputs(s: Scenario) -> None:
-    if s.perturbation is None:
-        raise RunnerError(f"scenario {s.name!r}: stability-sweep needs a perturbation block")
-    if s.T_grid is None or len(s.T_grid) < 4:
-        raise RunnerError(f"scenario {s.name!r}: stability-sweep needs T_grid with >= 4 points")
-
-
 def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None,
                  modes: int | None = None) -> RunArtifact:
     """Run one scenario in one mode, writing artifacts into out_dir.
@@ -199,7 +198,7 @@ def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None
     solves no spectrum for its data (heat.krylov_flow) and ignores modes.
     """
     if mode not in MODES:
-        raise RunnerError(f"unknown mode {mode!r}; expected one of {MODES}")
+        raise RunnerError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
     scenario = with_overrides(scenario, seed=seed, modes=modes)
     out = Path(out_dir)
     try:
@@ -207,19 +206,9 @@ def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None
     except OSError as exc:
         raise RunnerError(f"cannot create output directory {out}: {exc}") from exc
 
-    lines: list[str] = []
-    files: list[str] = []
-    runners = {
-        "forward": _run_forward,
-        "invert": _run_invert,
-        "verify-spectral": _run_verify_spectral,
-        "stability-sweep": _run_stability_sweep,
-    }
-    if mode == "stability-sweep":
-        _require_sweep_inputs(scenario)
+    rep = _Report(out)
     try:
-        ctx = _build_context(scenario)
-        runners[mode](ctx, out, lines, files)
+        MODES[mode](_build_context(scenario), rep)
     except RunnerError:
         raise
     except (ValueError, RuntimeError, KeyError, ArithmeticError, OSError) as exc:
@@ -228,16 +217,16 @@ def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None
     return RunArtifact(
         scenario=scenario, mode=mode, out_dir=out,
         scenario_hash=scenario_hash(scenario),
-        summary_lines=tuple(lines), files=tuple(files),
+        summary_lines=tuple(rep.lines), files=tuple(rep.files),
     )
 
 
 # --- forward ---------------------------------------------------------------
 
-def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
+def _run_forward(ctx: _Context, rep: _Report) -> None:
     s = ctx.scenario
     grid = _time_grid(s)
-    spec = _flow_spectrum(ctx.pair, float(min(s.T, *grid)), s.modes, lines)
+    spec = _flow_spectrum(ctx.pair, float(min(s.T, *grid)), s.modes, rep)
     u0 = ctx.initial_state(spec)
     M = ctx.disc.mass
     lam_hat = spec.hat_eigenvalues
@@ -251,24 +240,21 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
         u_norms[i] = l2_norm(snap.u, M)
         F_norms[i] = l2_norm(snap.F, M)
         truncs[i] = snap.truncation_bound
-    _write_csv(out / "decay.csv", ("T", "u_l2", "F_l2", "truncation_bound"),
-               zip(grid, u_norms, F_norms, truncs))
-    files.append("decay.csv")
+    rep.csv("decay.csv", ("T", "u_l2", "F_l2", "truncation_bound"),
+            zip(grid, u_norms, F_norms, truncs))
 
     snap_T = evolve(spec, u0, s.T)
-    write_grid(out / "u_T.grid", ctx.mesh, snap_T.u)
-    files.append("u_T.grid")
+    rep.grid("u_T.grid", ctx.mesh, snap_T.u)
 
     weight = check_u0_condition(ctx.disc, u0)
     single_mode = s.u0.kind == "first-eigenfunction"
     slope_u = fit_log_slope(grid, u_norms)
     if weight > 0 or single_mode:
         tol = 1e-6 if single_mode else 0.02
-        _slope_check(lines, "u-decay-slope", abs(slope_u + lam1) <= tol * lam1,
-                     f"measured={slope_u:.10g} expected={-lam1:.10g} rel_tol={tol:g}", u_norms)
+        rep.slope_check("u-decay-slope", abs(slope_u + lam1) <= tol * lam1,
+                        f"measured={slope_u:.10g} expected={-lam1:.10g} rel_tol={tol:g}", u_norms)
     else:
-        _info(lines, "u-decay-slope",
-              f"skipped: int u0 d_Omega = {weight:.6g} is not positive")
+        rep.info("u-decay-slope", f"skipped: int u0 d_Omega = {weight:.6g} is not positive")
 
     # F is the k >= 2 tail of the mode expansion, so its decay rate is the
     # eigenvalue of the first tail cluster k* that u0 actually populates.
@@ -279,35 +265,36 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
     weights = cluster_weights(spec, u0)
     populated = np.flatnonzero(weights[1:] > 1e-10 * max(u0_l2, 1e-300))
     if populated.size == 0 or np.count_nonzero(F_norms > 0) < 2:
-        _info(lines, "F-decay-slope", "correction term vanishes (single-mode data)")
+        rep.info("F-decay-slope", "correction term vanishes (single-mode data)")
     else:
         k_star = int(populated[0]) + 2
         lam_tail = lam_hat[1:k_star]
         content = ((lam_tail - lam1) * weights[1:k_star])[:, None] * np.exp(-np.outer(lam_tail, grid))
         fit = content[-1] > content[:-1].sum(axis=0)
         if np.count_nonzero(fit) < 2:
-            _info(lines, "F-decay-slope",
-                  f"skipped: the first populated tail cluster k={k_star} outweighs the summed "
-                  f"content of clusters 2..{k_star - 1} at {np.count_nonzero(fit)} of {grid.size} "
-                  f"grid times (a slope needs 2)")
+            rep.info("F-decay-slope",
+                     f"skipped: the first populated tail cluster k={k_star} outweighs the summed "
+                     f"content of clusters 2..{k_star - 1} at {np.count_nonzero(fit)} of {grid.size} "
+                     f"grid times (a slope needs 2)")
         else:
             rate = float(lam_hat[k_star - 1])
             slope_F = fit_log_slope(grid[fit], F_norms[fit])
-            _slope_check(lines, "F-decay-slope", abs(slope_F + rate) <= 0.05 * rate,
-                         f"measured={slope_F:.10g} expected={-rate:.10g} rel_tol=0.05 "
-                         f"(first populated tail cluster k={k_star})", F_norms[fit])
+            rep.slope_check("F-decay-slope", abs(slope_F + rate) <= 0.05 * rate,
+                            f"measured={slope_F:.10g} expected={-rate:.10g} rel_tol=0.05 "
+                            f"(first populated tail cluster k={k_star})", F_norms[fit])
 
     envelope = u0_l2 * np.exp(-lam1 * grid) * (1.0 + 1e-9)
     bad = np.flatnonzero(u_norms > envelope)
     if bad.size:
         i = int(bad[0])
-        _check(lines, "decay-envelope", False,
-               f"index={i} T={grid[i]:g} measured={u_norms[i]:.10g} bound={envelope[i]:.10g}")
+        rep.check("decay-envelope", False,
+                  f"index={i + 1} T={grid[i]:g} measured={u_norms[i]:.10g} "
+                  f"bound={envelope[i]:.10g}")
     else:
         worst = float((u_norms / envelope).max()) if grid.size else 0.0
-        _check(lines, "decay-envelope", True,
-               f"||u(T)|| <= ||u0|| e^(-l1 T) on all {grid.size} grid points "
-               f"(max quotient {worst:.6g})")
+        rep.check("decay-envelope", True,
+                  f"||u(T)|| <= ||u0|| e^(-l1 T) on all {grid.size} grid points "
+                  f"(max quotient {worst:.6g})")
 
     # The snapshot/correction pair must satisfy the stationary identity
     # div(a grad u_T) = -l1 u_T + F on interior nodes, up to roundoff.
@@ -318,31 +305,30 @@ def _run_forward(ctx: _Context, out: Path, lines: list[str], files: list[str]) -
                 lam1 * np.linalg.norm(M_int @ snap_T.u[I]),
                 np.linalg.norm(M_int @ snap_T.F[I]), 1e-300)
     rel = float(np.linalg.norm(r) / scale)
-    _check(lines, "transport-identity", rel <= _TRANSPORT_TOL,
-           f"measured={rel:.6g} bound={_TRANSPORT_TOL:g} (relative residual at T={s.T:g})")
+    rep.check("transport-identity", rel <= _TRANSPORT_TOL,
+              f"measured={rel:.6g} bound={_TRANSPORT_TOL:g} (relative residual at T={s.T:g})")
 
     if weight > 0:
         ground = GroundComparison(spec, u0, boundary_band(ctx.mesh, _BAND_EPS))
-        rep = ground.report(s.T)
-        _check(lines, "lower-bounds", rep.all_positive,
-               f"T={s.T:g} measured=(u {rep.u_ratio_min:.6g}, du/dt {rep.dudt_ratio_min:.6g}, "
-               f"grad {rep.grad_ratio_min:.6g}, band |grad phi1| {rep.grad_phi1_band_min:.6g}, "
-               f"eig floor {rep.eig_floor_min:.6g}) bound=0 (strict)")
+        low = ground.report(s.T)
+        rep.check("lower-bounds", low.all_positive,
+                  f"T={s.T:g} measured=(u {low.u_ratio_min:.6g}, du/dt {low.dudt_ratio_min:.6g}, "
+                  f"grad {low.grad_ratio_min:.6g}, band |grad phi1| {low.grad_phi1_band_min:.6g}, "
+                  f"eig floor {low.eig_floor_min:.6g}) bound=0 (strict)")
         thr = ground.threshold(grid)
-        _info(lines, "certified-threshold",
-              f"first grid time with all lower bounds positive: "
-              f"{'T=%g' % thr if thr is not None else 'none within T_grid'}")
+        rep.info("certified-threshold",
+                 f"first grid time with all lower bounds positive: "
+                 f"{'T=%g' % thr if thr is not None else 'none within T_grid'}")
     else:
-        _info(lines, "lower-bounds",
-              f"skipped: int u0 d_Omega = {weight:.6g} is not positive")
+        rep.info("lower-bounds", f"skipped: int u0 d_Omega = {weight:.6g} is not positive")
 
-    _info(lines, "truncation",
-          f"max tail bound over grid = {truncs.max() if grid.size else 0.0:.6g} (K={spec.K})")
+    rep.info("truncation",
+             f"max tail bound over grid = {truncs.max() if grid.size else 0.0:.6g} (K={spec.K})")
 
 
 # --- invert ------------------------------------------------------------------
 
-def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
+def _run_invert(ctx: _Context, rep: _Report) -> None:
     s = ctx.scenario
     M = ctx.disc.mass
     u0 = ctx.initial_state()
@@ -350,212 +336,219 @@ def _run_invert(ctx: _Context, out: Path, lines: list[str], files: list[str]) ->
     data_l2 = l2_norm(u_T, M)
     u0_l2 = l2_norm(u0, M)
     if data_l2 < 1e-10 * max(u0_l2, 1e-300):
-        _warn(lines, "data-magnitude",
-              f"||u(T)|| = {data_l2:.6g} is below 1e-10 ||u0||; T={s.T:g} may be too large "
-              "for a well-conditioned reconstruction")
+        rep.warn("data-magnitude",
+                 f"||u(T)|| = {data_l2:.6g} is below 1e-10 ||u0||; T={s.T:g} may be too large "
+                 "for a well-conditioned reconstruction")
 
     if s.noise > 0:
         rng = np.random.default_rng(s.seed)
         g = ctx.disc.extend(rng.standard_normal(ctx.disc.interior.size))
         h2 = compute_norms(g, ctx.disc).h2_surrogate
         u_T = u_T + (s.noise / h2) * g
-        _info(lines, "noise",
-              f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
+        rep.info("noise",
+                 f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
 
     opts = InversionOptions(T=s.T, alpha=s.alpha, tol_fp=s.tol_fp, max_iter=s.max_iter)
     report = fixed_point_invert(ctx.disc, u0, u_T, ctx.coeff.values,
                                 s.a_plus, opts, a_true=ctx.coeff)
 
     steps = report.residual_trace
-    _write_csv(out / "residuals.csv", ("iter", "step_l2", "lambda1", "krylov_m"),
-               zip(range(1, steps.size + 1), steps, report.lambda1_trace, report.krylov_m))
-    files.append("residuals.csv")
-    write_grid(out / "a_rec.grid", ctx.mesh, report.a_rec.values)
-    files.append("a_rec.grid")
+    rep.csv("residuals.csv", ("iter", "step_l2", "lambda1", "krylov_m"),
+            zip(range(1, steps.size + 1), steps, report.lambda1_trace, report.krylov_m))
+    rep.grid("a_rec.grid", ctx.mesh, report.a_rec.values)
 
     final_step = float(steps[-1]) if steps.size else float("nan")
     if s.noise == 0:
-        _check(lines, "fixed-point-converged", report.converged,
-               f"measured={final_step:.6g} bound={s.tol_fp:g} after {report.iterations} iteration(s)")
+        rep.check("fixed-point-converged", report.converged,
+                  f"measured={final_step:.6g} bound={s.tol_fp:g} after {report.iterations} iteration(s)")
     else:
         # Noisy data puts a floor under the step norm, so stalling there is
         # the expected terminal state, not a failure.
-        _info(lines, "fixed-point-state",
-              f"converged={report.converged} step={final_step:.6g} "
-              f"after {report.iterations} iteration(s) at noise level {s.noise:g}")
+        rep.info("fixed-point-state",
+                 f"converged={report.converged} step={final_step:.6g} "
+                 f"after {report.iterations} iteration(s) at noise level {s.noise:g}")
     if not report.converged:
-        _warn(lines, "fixed-point-stalled",
-              "step norm increased or max_iter was hit; kept the best iterate")
+        rep.warn("fixed-point-stalled",
+                 "step norm increased or max_iter was hit; kept the best iterate")
     if s.noise == 0:
-        _check(lines, "reconstruction-error", report.rel_error <= 0.02,
-               f"measured={report.rel_error:.6g} bound=0.02 (noiseless L2-relative)")
+        rep.check("reconstruction-error", report.rel_error <= 0.02,
+                  f"measured={report.rel_error:.6g} bound=0.02 (noiseless L2-relative)")
     else:
-        _info(lines, "reconstruction-error",
-              f"rel_error={report.rel_error:.6g} at noise level {s.noise:g}")
-    _info(lines, "data-residual",
-          f"least-squares residual of the final transport system = {report.data_residual:.6g}")
-    _info(lines, "closure-eigensolves",
-          f"warm={report.closure_solves - report.closure_fallbacks} "
-          f"fallback={report.closure_fallbacks}")
-    _info(lines, "transport-solves", str(report.transport_solves))
-    _info(lines, "outer-step-flow",
-          f"krylov={report.iterations - report.outer_fallbacks} fallback={report.outer_fallbacks}")
+        rep.info("reconstruction-error",
+                 f"rel_error={report.rel_error:.6g} at noise level {s.noise:g}")
+    rep.info("data-residual",
+             f"least-squares residual of the final transport system = {report.data_residual:.6g}")
+    rep.info("closure-eigensolves",
+             f"warm={report.closure_solves - report.closure_fallbacks} "
+             f"fallback={report.closure_fallbacks}")
+    rep.info("transport-solves", str(report.transport_solves))
+    rep.info("outer-step-flow",
+             f"krylov={report.iterations - report.outer_fallbacks} fallback={report.outer_fallbacks}")
     if report.smoothing_capped:
-        _info(lines, "projection-smoothing",
-              f"gradient-bound smoothing hit its pass cap {report.smoothing_capped} time(s)")
+        rep.info("projection-smoothing",
+                 f"gradient-bound smoothing hit its pass cap {report.smoothing_capped} time(s)")
 
 
 # --- verify-spectral ---------------------------------------------------------
 
-def _run_verify_spectral(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
+def _run_verify_spectral(ctx: _Context, rep: _Report) -> None:
     s = ctx.scenario
     spec = solve_generalized_eig(ctx.pair, min(s.modes, ctx.pair.stiffness.shape[0]))
     lam_hat = spec.hat_eigenvalues
 
-    _check(lines, "ground-eigenvalue-simple", int(spec.multiplicities[0]) == 1,
-           f"measured multiplicity={int(spec.multiplicities[0])} bound=1 "
-           f"(lambda1={lam_hat[0]:.10g})")
+    rep.check("ground-eigenvalue-simple", int(spec.multiplicities[0]) == 1,
+              f"measured multiplicity={int(spec.multiplicities[0])} bound=1 "
+              f"(lambda1={lam_hat[0]:.10g})")
     phi1_min = float(spec.eigenvectors[:, 0].min())
-    _check(lines, "ground-mode-positive", phi1_min > 0,
-           f"measured={phi1_min:.6g} bound=0 (strict, min over interior nodes)")
+    rep.check("ground-mode-positive", phi1_min > 0,
+              f"measured={phi1_min:.6g} bound=0 (strict, min over interior nodes)")
     if lam_hat.size > 1:
         gap = float(lam_hat[1] - lam_hat[0])
-        _check(lines, "spectral-gap-positive", gap > 0,
-               f"measured={gap:.10g} bound=0 (strict)")
+        rep.check("spectral-gap-positive", gap > 0, f"measured={gap:.10g} bound=0 (strict)")
     else:
-        _info(lines, "spectral-gap-positive", "only one strict eigenvalue computed")
+        rep.info("spectral-gap-positive", "only one strict eigenvalue computed")
 
     kmax = min(20, spec.K)
     # A unit coefficient's pencil is A(1) itself, already solved for the run.
     spec_unit = (spec.leading(kmax) if np.all(ctx.coeff.values == 1.0)
                  else solve_generalized_eig(ctx.disc.unit_pair, kmax))
     sandwich = verify_minmax_sandwich(spec, spec_unit, s.a_plus)
-    _write_csv(out / "minmax.csv",
-               ("k", "lambda_unit", "lambda", "upper", "lower_ok", "upper_ok"),
-               zip(range(1, sandwich.lambdas.size + 1), sandwich.lambdas_unit,
-                   sandwich.lambdas, s.a_plus * sandwich.lambdas_unit,
-                   sandwich.lower_ok, sandwich.upper_ok))
-    files.append("minmax.csv")
+    rep.csv("minmax.csv", ("k", "lambda_unit", "lambda", "upper", "lower_ok", "upper_ok"),
+            zip(range(1, sandwich.lambdas.size + 1), sandwich.lambdas_unit,
+                sandwich.lambdas, s.a_plus * sandwich.lambdas_unit,
+                sandwich.lower_ok, sandwich.upper_ok))
     if sandwich.ok:
-        _check(lines, "minmax-sandwich", True,
-               f"lambda_k^unit <= lambda_k <= a_plus lambda_k^unit for k <= {sandwich.lambdas.size} "
-               f"(a_plus={s.a_plus:g}, slack={sandwich.rel_slack:g})")
+        rep.check("minmax-sandwich", True,
+                  f"lambda_k^unit <= lambda_k <= a_plus lambda_k^unit for k <= {sandwich.lambdas.size} "
+                  f"(a_plus={s.a_plus:g}, slack={sandwich.rel_slack:g})")
     else:
         k, side, lam, bound = sandwich.first_violation
-        _check(lines, "minmax-sandwich", False,
-               f"index={k} side={side} measured={lam:.10g} bound={bound:.10g}")
+        rep.check("minmax-sandwich", False,
+                  f"index={k} side={side} measured={lam:.10g} bound={bound:.10g}")
 
     if lam_hat.size < 2:
-        _info(lines, "gap-property", "needs at least two strict eigenvalues; skipped")
+        rep.info("gap-property", "needs at least two strict eigenvalues; skipped")
     else:
         gap_rep = gap_report(lam_hat, s.gamma, s.delta)
-        _write_csv(out / "gap.csv",
-                   ("k", "hat_lambda", "next_gap", "required", "rho", "satisfied"),
-                   zip(range(1, lam_hat.size), lam_hat[:-1], gap_rep.gaps, gap_rep.bounds,
-                       gap_rep.rho[:-1], gap_rep.satisfied))
-        files.append("gap.csv")
+        rep.csv("gap.csv", ("k", "hat_lambda", "next_gap", "required", "rho", "satisfied"),
+                zip(range(1, lam_hat.size), lam_hat[:-1], gap_rep.gaps, gap_rep.bounds,
+                    gap_rep.rho[:-1], gap_rep.satisfied))
         if gap_rep.all_satisfied:
-            _check(lines, "gap-property", True,
-                   f"holds at gamma={s.gamma:g}, delta={s.delta:g}; "
-                   f"largest admissible delta={gap_rep.delta_max:.10g}")
+            rep.check("gap-property", True,
+                      f"holds at gamma={s.gamma:g}, delta={s.delta:g}; "
+                      f"largest admissible delta={gap_rep.delta_max:.10g}")
         else:
             k = int(np.flatnonzero(~gap_rep.satisfied)[0])
-            _check(lines, "gap-property", False,
-                   f"index={k + 1} measured={gap_rep.gaps[k]:.10g} bound={gap_rep.bounds[k]:.10g} "
-                   f"(gamma={s.gamma:g}, delta={s.delta:g})")
+            rep.check("gap-property", False,
+                      f"index={k + 1} measured={gap_rep.gaps[k]:.10g} bound={gap_rep.bounds[k]:.10g} "
+                      f"(gamma={s.gamma:g}, delta={s.delta:g})")
 
     if spec.K >= 10:
         ratios = weyl_ratios(spec, 10, spec.K)
-        _info(lines, "weyl-ratio",
-              f"lambda_k/(4 pi k) in [{ratios.min():.6g}, {ratios.max():.6g}] "
-              f"for k=10..{spec.K}")
+        rep.info("weyl-ratio",
+                 f"lambda_k/(4 pi k) in [{ratios.min():.6g}, {ratios.max():.6g}] "
+                 f"for k=10..{spec.K}")
 
     if s.eta is not None:
         eta_vals = catalog.direction_values(ctx.mesh, s.eta.kind, s.eta.params_dict())
         etab, ptab = perturbation_sweep(spec, ctx.coeff, eta_vals, s.scales,
                                         gamma=s.gamma, eta_hat=s.eta_hat)
-        _write_csv(out / "eigen_perturbation.csv", EigenPerturbationTable.CSV_HEADER, etab.rows())
-        files.append("eigen_perturbation.csv")
+        rep.csv("eigen_perturbation.csv",
+                ("k", "s", "lambda", "lambda_tilde", "diff", "l2_coeff_diff", "ratio"),
+                zip(etab.k, etab.s, etab.lam, etab.lam_tilde, etab.diff,
+                    etab.l2_coeff_diff, etab.ratio))
         spread = etab.ratio_spread()
         if np.isfinite(spread):
-            _check(lines, "eigen-perturbation-spread", spread <= 50.0,
-                   f"measured={spread:.6g} bound=50 (max/min normalized ratio, "
-                   f"k <= {EIGEN_SWEEP_ROWS})")
+            rep.check("eigen-perturbation-spread", spread <= 50.0,
+                      f"measured={spread:.6g} bound=50 (max/min normalized ratio, "
+                      f"k <= {EIGEN_SWEEP_ROWS})")
         else:
-            _info(lines, "eigen-perturbation-spread", "no finite ratios (direction is null)")
+            rep.info("eigen-perturbation-spread", "no finite ratios (direction is null)")
 
-        _write_csv(out / "projection_perturbation.csv",
-                   ProjectionPerturbationTable.CSV_HEADER, ptab.rows())
-        files.append("projection_perturbation.csv")
+        rep.csv("projection_perturbation.csv",
+                ("k", "s", "l2_coeff_diff", "gate_bound", "in_gate", "proj_norm", "normalized"),
+                zip(ptab.k, ptab.s, ptab.l2_coeff_diff, ptab.gate_bound,
+                    ptab.in_gate, ptab.proj_norm, ptab.normalized))
         gspread = ptab.gated_spread()
         n_gated = int(ptab.in_gate.sum())
         if np.isfinite(gspread):
-            _check(lines, "projection-perturbation-spread", gspread <= 10.0,
-                   f"measured={gspread:.6g} bound=10 ({n_gated} gated rows, "
-                   f"k <= {PROJECTION_SWEEP_ROWS})")
+            rep.check("projection-perturbation-spread", gspread <= 10.0,
+                      f"measured={gspread:.6g} bound=10 ({n_gated} gated rows, "
+                      f"k <= {PROJECTION_SWEEP_ROWS})")
         else:
-            _info(lines, "projection-perturbation-spread",
-                  f"not enough gated rows to form a spread ({n_gated} in gate)")
+            rep.info("projection-perturbation-spread",
+                     f"not enough gated rows to form a spread ({n_gated} in gate)")
     else:
-        _info(lines, "perturbation-sweeps", "skipped: no eta direction configured")
+        rep.info("perturbation-sweeps", "skipped: no eta direction configured")
 
 
 # --- stability-sweep ---------------------------------------------------------
 
-def _run_stability_sweep(ctx: _Context, out: Path, lines: list[str], files: list[str]) -> None:
+def _run_stability_sweep(ctx: _Context, rep: _Report) -> None:
     s = ctx.scenario
+    if s.perturbation is None:
+        raise RunnerError(f"scenario {s.name!r}: stability-sweep needs a perturbation block")
+    if s.T_grid is None or len(s.T_grid) < 4:
+        raise RunnerError(f"scenario {s.name!r}: stability-sweep needs T_grid with >= 4 points")
     t_min = float(min(s.T_grid))
-    spec = _flow_spectrum(ctx.pair, t_min, s.modes, lines)
+    spec = _flow_spectrum(ctx.pair, t_min, s.modes, rep)
     u0 = ctx.initial_state(spec)
     a_tilde = catalog.make_coefficient(ctx.mesh, s.perturbation.kind,
                                        s.perturbation.params_dict(), s.a_plus)
-    spec_t = _flow_spectrum(ctx.disc.pair(a_tilde.values), t_min, s.modes, lines)
+    spec_t = _flow_spectrum(ctx.disc.pair(a_tilde.values), t_min, s.modes, rep)
 
     tab = stability_ratio_experiment(ctx.coeff, a_tilde, u0, s.T_grid, spec, spec_t)
-    _write_csv(out / "stability.csv",
-               ("T", "l2_udiff", "h2_udiff", "rho", "bracket", "c_fit", "indistinguishable"),
-               zip(tab.T, tab.l2_udiff, tab.h2_udiff, tab.rho, tab.bracket,
-                   tab.c_fit, tab.indistinguishable))
-    files.append("stability.csv")
-    _write_csv(out / "f_lipschitz.csv", ("T", "diff_norm", "ratio"),
-               zip(tab.T, tab.F_diff, tab.F_ratio))
-    files.append("f_lipschitz.csv")
+    rep.csv("stability.csv",
+            ("T", "l2_udiff", "h2_udiff", "rho", "bracket", "c_fit", "indistinguishable"),
+            zip(tab.T, tab.l2_udiff, tab.h2_udiff, tab.rho, tab.bracket,
+                tab.c_fit, tab.indistinguishable))
+    rep.csv("f_lipschitz.csv", ("T", "diff_norm", "ratio"), zip(tab.T, tab.F_diff, tab.F_ratio))
 
-    _slope_check(lines, "stability-rate",
-                 tab.rate_low <= tab.fitted_rate <= tab.rate_high,
-                 f"measured={tab.fitted_rate:.6g} bracket=[{tab.rate_low:.6g}, {tab.rate_high:.6g}] "
-                 f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
+    rep.slope_check("stability-rate", tab.rate_low <= tab.fitted_rate <= tab.rate_high,
+                    f"measured={tab.fitted_rate:.6g} "
+                    f"bracket=[{tab.rate_low:.6g}, {tab.rate_high:.6g}] "
+                    f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
 
-    thr = GroundComparison(spec, u0, boundary_band(ctx.mesh, _BAND_EPS)).threshold(s.T_grid)
-    if thr is None:
-        _info(lines, "rho-monotone", "no certified threshold inside T_grid; check skipped")
+    weight = check_u0_condition(ctx.disc, u0)
+    ground = GroundComparison(spec, u0, boundary_band(ctx.mesh, _BAND_EPS)) if weight > 0 else None
+    if ground is None:
+        rep.info("rho-monotone", f"skipped: int u0 d_Omega = {weight:.6g} is not positive")
+    elif (thr := ground.threshold(s.T_grid)) is None:
+        rep.info("rho-monotone", "no certified threshold inside T_grid; check skipped")
     else:
-        mask = (tab.T >= thr) & np.isfinite(tab.rho)
-        rr = tab.rho[mask]
-        tt = tab.T[mask]
+        idx = np.flatnonzero((tab.T >= thr) & np.isfinite(tab.rho))  # into T_grid
+        rr = tab.rho[idx]
         bad = np.flatnonzero(rr[1:] < rr[:-1] * (1.0 - 1e-9))
         if bad.size:
-            i = int(bad[0])
-            _check(lines, "rho-monotone", False,
-                   f"index={i + 1} T={tt[i + 1]:g} measured={rr[i + 1]:.6g} "
-                   f"bound={rr[i]:.6g} (previous value)")
+            i, prev = int(idx[bad[0] + 1]), int(idx[bad[0]])
+            rep.check("rho-monotone", False,
+                      f"index={i + 1} T={tab.T[i]:g} measured={tab.rho[i]:.6g} "
+                      f"bound={tab.rho[prev]:.6g} (previous value)")
         else:
-            _check(lines, "rho-monotone", True,
-                   f"rho(T) non-decreasing on the {rr.size} grid points with T >= {thr:g}")
+            rep.check("rho-monotone", True,
+                      f"rho(T) non-decreasing on the {rr.size} grid points with T >= {thr:g}")
 
     cspread = tab.c_fit_spread()
     if np.isfinite(cspread):
-        _check(lines, "gap-constant-spread", cspread <= 10.0,
-               f"measured={cspread:.6g} bound=10 (max/min fitted gap constant)")
+        rep.check("gap-constant-spread", cspread <= 10.0,
+                  f"measured={cspread:.6g} bound=10 (max/min fitted gap constant)")
     else:
-        _info(lines, "gap-constant-spread", "fewer than two usable grid points")
+        rep.info("gap-constant-spread", "fewer than two usable grid points")
 
-    _slope_check(lines, "F-lipschitz-slope", abs(tab.F_slope + tab.beta2) <= 0.05 * tab.beta2,
-                 f"measured={tab.F_slope:.10g} expected={-tab.beta2:.10g} rel_tol=0.05",
-                 tab.F_ratio)
+    rep.slope_check("F-lipschitz-slope", abs(tab.F_slope + tab.beta2) <= 0.05 * tab.beta2,
+                    f"measured={tab.F_slope:.10g} expected={-tab.beta2:.10g} rel_tol=0.05",
+                    tab.F_ratio)
 
-    _info(lines, "reciprocal-gap",
-          f"|1/l1 - 1/l1~| = {tab.recip_gap:.6g} at coefficient distance {tab.coeff_diff:.6g}")
+    rep.info("reciprocal-gap",
+             f"|1/l1 - 1/l1~| = {tab.recip_gap:.6g} at coefficient distance {tab.coeff_diff:.6g}")
+
+
+MODES = {
+    "forward": _run_forward,
+    "invert": _run_invert,
+    "verify-spectral": _run_verify_spectral,
+    "stability-sweep": _run_stability_sweep,
+}
 
 
 # --- reports -----------------------------------------------------------------

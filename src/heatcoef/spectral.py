@@ -531,12 +531,6 @@ class EigenPerturbationTable:
     l2_coeff_diff: np.ndarray
     ratio: np.ndarray
 
-    CSV_HEADER = ("k", "s", "lambda", "lambda_tilde", "diff", "l2_coeff_diff", "ratio")
-
-    def rows(self):
-        return zip(self.k, self.s, self.lam, self.lam_tilde, self.diff,
-                   self.l2_coeff_diff, self.ratio)
-
     def ratio_spread(self) -> float:
         """max/min of the finite positive normalized ratios."""
         r = self.ratio[np.isfinite(self.ratio) & (self.ratio > 0)]
@@ -556,12 +550,6 @@ class ProjectionPerturbationTable:
     in_gate: np.ndarray
     proj_norm: np.ndarray
     normalized: np.ndarray
-
-    CSV_HEADER = ("k", "s", "l2_coeff_diff", "gate_bound", "in_gate", "proj_norm", "normalized")
-
-    def rows(self):
-        return zip(self.k, self.s, self.l2_coeff_diff, self.gate_bound,
-                   self.in_gate.astype(int), self.proj_norm, self.normalized)
 
     def gated_spread(self) -> float:
         """max/min of the normalized constants over the gated rows."""

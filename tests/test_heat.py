@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from heatcoef import heat
-from heatcoef.catalog import make_coefficient
-from heatcoef.fem import assemble_mass, l2_norm
+from heatcoef.catalog import initial_state, make_coefficient
+from heatcoef.fem import assemble_mass, discretize, l2_norm
 from heatcoef.fem import nodal_gradients
 from heatcoef.heat import (
     GroundComparison,
@@ -16,7 +16,7 @@ from heatcoef.heat import (
     krylov_flow,
 )
 from heatcoef.inversion import stability_ratio_experiment
-from heatcoef.mesh import boundary_band, distance_to_boundary
+from heatcoef.mesh import boundary_band, build_structured_mesh, distance_to_boundary
 from heatcoef.spectral import (
     _RESIDUAL_TOL,
     _relative_residual,
@@ -228,6 +228,17 @@ class TestLowerBounds:
         w = check_u0_condition(disc32, d)
         assert w == pytest.approx(0.04166667, abs=1e-7)
         assert check_u0_condition(disc32, -d) == pytest.approx(-w, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_weighted_mass_of_rounding_is_zero(self, n):
+        # sin(m pi x) sin(n pi y) with (m, n) != (1, 1) is odd about a midline,
+        # so its sum is rounding (about 1e-18) under the bound n eps (|u0| . M d)
+        disc = discretize(build_structured_mesh(n, n))
+        for m, k in [(2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]:
+            u0 = initial_state(disc.mesh, "sine-product", {"m": m, "n": k})
+            assert check_u0_condition(disc, u0) == 0.0, (m, k)
+        assert check_u0_condition(disc, initial_state(disc.mesh, "sine-product", None)) > 0.1
+        assert check_u0_condition(disc, initial_state(disc.mesh, "d_Omega", None)) > 0.04
 
     def test_report_minima_frozen(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)

@@ -120,6 +120,10 @@ def test_grid_read_rejects_malformed(tmp_path):
     p.write_text("2 x\n0 0 0\n0 0 0\n0 0 0\n")  # header entry not an integer
     with pytest.raises(ValueError, match=rf"{re.escape(str(p))}, line 1: sizes must be integers"):
         read_grid(p)
+    for header in ("3 -1", "0 2"):  # sizes below 1
+        p.write_text(f"\n{header}\n0 0 0 0\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(p))}, line 2: sizes must be >= 1"):
+            read_grid(p)
     p.write_text("\n\n2 2\n0 0 0\n0 abc 0\n0 0 0\n")  # value not a number, after blank lines
     with pytest.raises(ValueError, match=rf"not a number in {re.escape(str(p))}, line 5: '0 abc 0'"):
         read_grid(p)

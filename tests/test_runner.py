@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import sys
@@ -386,7 +387,7 @@ def _run_with_K_max_spectra(scenario, mode, out, monkeypatch):
     """The run with every flow spectrum replaced by the K = modes solve."""
     with monkeypatch.context() as m:
         m.setattr(runner, "_flow_spectrum",
-                  lambda pair, t_min, modes, lines: spectral.solve_generalized_eig(pair, modes))
+                  lambda pair, t_min, modes, rep: spectral.solve_generalized_eig(pair, modes))
         return run_scenario(scenario, mode, out)
 
 
@@ -458,3 +459,108 @@ def test_modes_below_the_certified_K_warn_and_keep_every_pair(tmp_path):
     assert len(warn) == 1 and warn[0].startswith("WARN flow-spectrum: K=4 of modes=4, t_min=1, ")
     assert "uncertified at the cap" in warn[0]
     assert art.summary_lines[-1].endswith("(K=4)")  # the truncation line
+
+
+def _sine_u0(m: int, n: int) -> str:
+    return f"u0 = sine-product\nu0.m = {m}\nu0.n = {n}\n"
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 2)])
+def test_forward_skips_the_lower_bounds_of_a_zero_integral_u0(tmp_path, m, n):
+    # int u0 d_Omega of sin(m pi x) sin(n pi y) vanishes for (m, n) != (1, 1);
+    # its rounding (about +-1e-18) must not decide whether the bounds are checked
+    text = FORWARD_16.replace("16", "32") + _sine_u0(m, n)
+    art = run_scenario(parse_config_text(text), "forward", tmp_path)
+    assert art.n_fail == 0, art.summary_lines
+    skipped = "skipped: int u0 d_Omega = 0 is not positive"
+    assert _line(art.summary_lines, "lower-bounds") == f"INFO lower-bounds: {skipped}"
+    assert _line(art.summary_lines, "u-decay-slope") == f"INFO u-decay-slope: {skipped}"
+
+
+def test_invert_refuses_a_zero_integral_u0(tmp_path):
+    with pytest.raises(RunnerError, match=r"initial state must satisfy int u0 \* d_Omega > 0"):
+        run_scenario(parse_config_text(INVERT_16 + _sine_u0(2, 1)), "invert", tmp_path)
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 2)])
+def test_stability_sweep_skips_rho_monotone_of_a_zero_integral_u0(tmp_path, m, n):
+    art = run_scenario(parse_config_text(SWEEP_16 + _sine_u0(m, n)), "stability-sweep", tmp_path)
+    assert _line(art.summary_lines, "rho-monotone") == \
+        "INFO rho-monotone: skipped: int u0 d_Omega = 0 is not positive"
+
+
+def _index(line: str) -> int:
+    return int(re.search(r" index=(\d+) ", line).group(1))
+
+
+def test_gap_property_fail_names_the_spectral_index(tmp_path):
+    art = run_scenario(parse_config_text(FORWARD_16 + "delta = 1e6\n"), "verify-spectral", tmp_path)
+    line = _line(art.summary_lines, "gap-property")
+    assert line.startswith("FAIL gap-property: index=")
+    gap = _read_csv(tmp_path / "gap.csv")
+    assert _index(line) == gap["k"][gap["satisfied"] == 0][0] == 1
+
+
+def test_decay_envelope_fail_names_the_grid_index(tmp_path, monkeypatch):
+    # the snapshot at T = 2.5, the 4th time of the default grid, is doubled
+    evolve = runner.evolve
+
+    def doubled(spec, u0, t):
+        snap = evolve(spec, u0, t)
+        return dataclasses.replace(snap, u=2 * snap.u) if t == 2.5 else snap
+    monkeypatch.setattr(runner, "evolve", doubled)
+    art = run_scenario(parse_config_text(FORWARD_16), "forward", tmp_path)
+    line = _line(art.summary_lines, "decay-envelope")
+    assert line.startswith("FAIL decay-envelope: index=4 T=2.5 ")
+    assert _read_csv(tmp_path / "decay.csv")["T"][_index(line) - 1] == 2.5
+
+
+def test_rho_monotone_fail_names_the_grid_index(tmp_path, monkeypatch):
+    # rho is left undefined at the first time and halved at the last, the
+    # 4th of T_grid and the 3rd of the times the check reads
+    experiment = runner.stability_ratio_experiment
+
+    def halved(*args):
+        tab = experiment(*args)
+        rho = tab.rho.copy()
+        rho[0], rho[3] = np.nan, 0.5 * rho[2]
+        return dataclasses.replace(tab, rho=rho)
+    monkeypatch.setattr(runner, "stability_ratio_experiment", halved)
+    art = run_scenario(parse_config_text(SWEEP_16), "stability-sweep", tmp_path)
+    line = _line(art.summary_lines, "rho-monotone")
+    assert line.startswith("FAIL rho-monotone: index=4 T=1.2 ")
+    assert _read_csv(tmp_path / "stability.csv")["T"][_index(line) - 1] == 1.2
+
+
+def test_minmax_sandwich_fail_names_the_spectral_index(tmp_path, monkeypatch):
+    # checked against a_plus = 1, the bump's eigenvalues all break the upper side
+    sandwich = runner.verify_minmax_sandwich
+    monkeypatch.setattr(runner, "verify_minmax_sandwich",
+                        lambda spec, spec_unit, a_plus: sandwich(spec, spec_unit, 1.0))
+    art = run_scenario(parse_config_text(FORWARD_16), "verify-spectral", tmp_path)
+    line = _line(art.summary_lines, "minmax-sandwich")
+    assert line.startswith("FAIL minmax-sandwich: index=1 side=upper ")
+    minmax = _read_csv(tmp_path / "minmax.csv")
+    assert _index(line) == minmax["k"][minmax["upper_ok"] == 0][0]
+
+
+def test_verify_spectral_of_a_non_unit_coefficient_solves_the_unit_pencil(tmp_path):
+    art = run_scenario(parse_config_text(FORWARD_16.replace("modes = 8", "modes = 24")),
+                       "verify-spectral", tmp_path)
+    assert _line(art.summary_lines, "minmax-sandwich").startswith("PASS ")
+    disc = fem.discretize(build_structured_mesh(16, 16))
+    want = spectral.solve_generalized_eig(disc.unit_pair, 20).eigenvalues
+    np.testing.assert_allclose(_read_csv(tmp_path / "minmax.csv")["lambda_unit"], want,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_a_two_point_fit_warns(tmp_path):
+    art = run_scenario(parse_config_text(FORWARD_16 + "T_grid = 1.0,2.0\n"), "forward", tmp_path)
+    assert _line(art.summary_lines, "u-decay-slope").endswith(" fit_points=2")
+    assert "WARN fit-points: u-decay-slope fitted from 2 point(s)" in art.summary_lines
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+def test_every_written_file_is_in_the_manifest(mode, tmp_path):
+    manifest = write_reports(run_scenario(parse_config_text(MODE_CONFIGS[mode]), mode, tmp_path))
+    assert {p.name for p in tmp_path.iterdir()} == set(manifest) | {"manifest.txt"}
