@@ -14,10 +14,12 @@ transport operator G(u) a = -(A(a) u)_I of the inversion module, is
 -Rows diag(u_I[col]) S_II.
 
 definite_factor is the banded Cholesky factor of a symmetric positive
-definite matrix on the mesh's own node order: every SPD solve of the
-package but the transport normal matrix's, ARPACK's shift-invert
-included, goes through it, and Cholesky completes only on a positive
-definite matrix, which it thereby proves.  A pencil's A(a) - sigma M
+definite matrix on the mesh's own node order, and Cholesky completes
+only on a positive definite matrix, which it thereby proves.  Every SPD
+solve of the package but the transport normal matrix's, ARPACK's
+shift-invert included, uses that factor of a band scattered from cached
+positions; definite_factor itself is the reference the tests compare
+those bands against.  A pencil's A(a) - sigma M
 (OperatorPair.pencil_factor) skips the sparse subtraction: the
 Discretization keeps the band positions of the pattern of A(a)_II and
 M_II's values there, so its band is one scatter of the stiffness data,

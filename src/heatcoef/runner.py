@@ -504,36 +504,38 @@ def _run_stability_sweep(ctx: _Context, rep: _Report) -> None:
                 tab.c_fit, tab.indistinguishable))
     rep.csv("f_lipschitz.csv", ("T", "diff_norm", "ratio"), zip(tab.T, tab.F_diff, tab.F_ratio))
 
-    rep.slope_check("stability-rate", tab.rate_low <= tab.fitted_rate <= tab.rate_high,
-                    f"measured={tab.fitted_rate:.6g} "
-                    f"bracket=[{tab.rate_low:.6g}, {tab.rate_high:.6g}] "
-                    f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
-
+    # The rate bracket, the ground comparison and the fitted gap constant all
+    # presume a populated ground mode.
     weight = check_u0_condition(ctx.disc, u0)
-    ground = GroundComparison(spec, u0, boundary_band(ctx.mesh, _BAND_EPS)) if weight > 0 else None
-    if ground is None:
-        rep.info("rho-monotone", f"skipped: int u0 d_Omega = {weight:.6g} is not positive")
-    elif (thr := ground.threshold(s.T_grid)) is None:
-        rep.info("rho-monotone", "no certified threshold inside T_grid; check skipped")
-    else:
-        idx = np.flatnonzero((tab.T >= thr) & np.isfinite(tab.rho))  # into T_grid
-        rr = tab.rho[idx]
-        bad = np.flatnonzero(rr[1:] < rr[:-1] * (1.0 - 1e-9))
-        if bad.size:
-            i, prev = int(idx[bad[0] + 1]), int(idx[bad[0]])
-            rep.check("rho-monotone", False,
-                      f"index={i + 1} T={tab.T[i]:g} measured={tab.rho[i]:.6g} "
-                      f"bound={tab.rho[prev]:.6g} (previous value)")
+    if weight > 0:
+        rep.slope_check("stability-rate", tab.rate_low <= tab.fitted_rate <= tab.rate_high,
+                        f"measured={tab.fitted_rate:.6g} "
+                        f"bracket=[{tab.rate_low:.6g}, {tab.rate_high:.6g}] "
+                        f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
+        ground = GroundComparison(spec, u0, boundary_band(ctx.mesh, _BAND_EPS))
+        if (thr := ground.threshold(s.T_grid)) is None:
+            rep.info("rho-monotone", "no certified threshold inside T_grid; check skipped")
         else:
-            rep.check("rho-monotone", True,
-                      f"rho(T) non-decreasing on the {rr.size} grid points with T >= {thr:g}")
-
-    cspread = tab.c_fit_spread()
-    if np.isfinite(cspread):
-        rep.check("gap-constant-spread", cspread <= 10.0,
-                  f"measured={cspread:.6g} bound=10 (max/min fitted gap constant)")
+            idx = np.flatnonzero((tab.T >= thr) & np.isfinite(tab.rho))  # into T_grid
+            rr = tab.rho[idx]
+            bad = np.flatnonzero(rr[1:] < rr[:-1] * (1.0 - 1e-9))
+            if bad.size:
+                i, prev = int(idx[bad[0] + 1]), int(idx[bad[0]])
+                rep.check("rho-monotone", False,
+                          f"index={i + 1} T={tab.T[i]:g} measured={tab.rho[i]:.6g} "
+                          f"bound={tab.rho[prev]:.6g} (previous value)")
+            else:
+                rep.check("rho-monotone", True,
+                          f"rho(T) non-decreasing on the {rr.size} grid points with T >= {thr:g}")
+        cspread = tab.c_fit_spread()
+        if np.isfinite(cspread):
+            rep.check("gap-constant-spread", cspread <= 10.0,
+                      f"measured={cspread:.6g} bound=10 (max/min fitted gap constant)")
+        else:
+            rep.info("gap-constant-spread", "fewer than two usable grid points")
     else:
-        rep.info("gap-constant-spread", "fewer than two usable grid points")
+        for name in ("stability-rate", "rho-monotone", "gap-constant-spread"):
+            rep.info(name, f"skipped: int u0 d_Omega = {weight:.6g} is not positive")
 
     rep.slope_check("F-lipschitz-slope", abs(tab.F_slope + tab.beta2) <= 0.05 * tab.beta2,
                     f"measured={tab.F_slope:.10g} expected={-tab.beta2:.10g} rel_tol=0.05",

@@ -3,8 +3,8 @@
 This module owns how a pencil becomes a spectrum: solve_generalized_eig
 solves A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) by
 ARPACK shift-invert about zero (dense LAPACK only where ARPACK's 2K + 1
-Lanczos vectors do not fit), and strict clusters follow the one rule
-CLUSTER_TOL.  Every definite factor here is the pencil's pencil_factor,
+Lanczos vectors do not fit), and strictify_spectrum groups every spectrum
+by the one rule CLUSTER_TOL.  Every definite factor is a pencil_factor,
 the fem.definite_factor of A - sigma M scattered straight into its band:
 a banded Cholesky that exists only for a positive definite matrix, it
 proves A positive definite for ARPACK's inverse and A - sigma M for the
@@ -20,8 +20,8 @@ test to prove that a pair found elsewhere (a Krylov Ritz pair) is
 the ground pair and not a higher eigenpair.  Also here: the gap and min-max
 checks, the projection-difference norm, and one perturbation sweep
 a -> a + s*eta that reads the run's spectrum of a, solves each perturbed
-pencil once, and tabulates eigenvalue shifts (Kato) and projection
-differences (Davis-Kahan).
+pencil once, groups it like that spectrum, and tabulates eigenvalue
+shifts (Kato) and projection differences (Davis-Kahan).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .fem import (
     symmetric_factor,
     validate_coefficient,
 )
-from .mesh import Mesh
 
 __all__ = [
     "SpectralDecomposition",
@@ -61,7 +60,6 @@ __all__ = [
     "orient_ground",
     "strictify_spectrum",
     "gap_report",
-    "regroup_spectrum",
     "projection_difference_norm",
     "verify_minmax_sandwich",
     "perturbation_sweep",
@@ -142,9 +140,14 @@ class SpectralDecomposition:
         return self.multiplicities.size
 
     @cached_property
+    def _offsets(self) -> np.ndarray:
+        """(n_clusters + 1,) first column of each cluster, then K."""
+        return np.concatenate([[0], np.cumsum(self.multiplicities)])
+
+    @cached_property
     def hat_eigenvalues(self) -> np.ndarray:
         """Strictly increasing cluster values, the mean of each cluster's members."""
-        o = np.concatenate([[0], np.cumsum(self.multiplicities)])
+        o = self._offsets
         return np.array([self.eigenvalues[o[i]:o[i + 1]].mean() for i in range(self.n_clusters)])
 
     @cached_property
@@ -156,24 +159,21 @@ class SpectralDecomposition:
         """Column slice of the eigenvectors belonging to strict index k (1-based)."""
         if not 1 <= k <= self.n_clusters:
             raise IndexError(f"strict index k={k} outside 1..{self.n_clusters}")
-        offsets = np.concatenate([[0], np.cumsum(self.multiplicities)])
-        return slice(int(offsets[k - 1]), int(offsets[k]))
+        return slice(int(self._offsets[k - 1]), int(self._offsets[k]))
 
     def leading(self, k: int) -> SpectralDecomposition:
         """The first k eigenpairs, clustered afresh as a K=k solve would be."""
         if not 1 <= k <= self.K:
             raise ValueError(f"requested {k} leading eigenpairs of a spectrum with K={self.K}")
         vals = self.eigenvalues[:k]
-        return SpectralDecomposition(vals, self.eigenvectors[:, :k],
-                                     strictify_spectrum(vals, CLUSTER_TOL)[1], self.disc)
+        return SpectralDecomposition(vals, self.eigenvectors[:, :k], strictify_spectrum(vals),
+                                     self.disc)
 
 
 @dataclass(frozen=True)
 class GapReport:
     """Separation of the strict spectrum against delta * lambda^-gamma."""
 
-    gamma: float
-    delta: float
     gaps: np.ndarray       # hat_lambda_{k+1} - hat_lambda_k per consecutive strict pair
     bounds: np.ndarray     # the required gap delta * hat_lambda_k^-gamma per pair
     satisfied: np.ndarray  # gaps >= bounds
@@ -189,7 +189,6 @@ class GapReport:
 class SandwichReport:
     """Per-index check lambda_k(1) <= lambda_k(a) <= a_plus * lambda_k(1)."""
 
-    a_plus: float
     rel_slack: float
     lambdas: np.ndarray
     lambdas_unit: np.ndarray
@@ -238,7 +237,7 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 
-    rel = _relative_residual(pair, vals, vecs)
+    rel = _residual_of(pair.stiffness @ vecs, pair.mass @ vecs, vals)
     if not np.isfinite(vals).all() or rel > _RESIDUAL_TOL:
         raise EigensolverError(
             f"eigensolver residual {rel:.3e} above {_RESIDUAL_TOL:.0e} "
@@ -246,12 +245,11 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
         )
 
     orient_ground(pair, vecs)
-    for j in range(1, K):
-        lead = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    # every other column: its largest-magnitude entry positive
+    lead = np.argmax(np.abs(vecs[:, 1:]), axis=0)
+    vecs[:, 1:] *= np.where(vecs[lead, np.arange(1, K)] < 0, -1.0, 1.0)
 
-    return SpectralDecomposition(vals, vecs, strictify_spectrum(vals, CLUSTER_TOL)[1], pair.disc)
+    return SpectralDecomposition(vals, vecs, strictify_spectrum(vals), pair.disc)
 
 
 @dataclass(frozen=True)
@@ -326,13 +324,9 @@ def solve_flow_spectrum(
         K = min(2 * K, K_max)
 
 
-def _relative_residual(pair: OperatorPair, vals: np.ndarray, vecs: np.ndarray) -> float:
-    """Largest |A v - lambda M v| entry, relative to the largest |lambda M v| per column."""
-    return _residual_of(pair.stiffness @ vecs, pair.mass @ vecs, vals)
-
-
 def _residual_of(Av: np.ndarray, Mv: np.ndarray, vals: np.ndarray) -> float:
-    """_relative_residual from the products A v and M v of the columns v."""
+    """Largest |A v - lambda M v| entry, relative to the largest |lambda M v| per
+    column, from the products A v and M v of the columns v."""
     res = np.abs(Av - Mv * vals[None, :])
     res /= np.abs(vals) * np.max(np.abs(Mv), axis=0) + 1e-300
     return float(np.max(res))
@@ -357,8 +351,8 @@ def solve_ground_pair(
     cannot increase in exact arithmetic, so the iteration stops at the first
     iterate with relative residual at most _RESIDUAL_TOL whose quotient did
     not decrease, and keeps the lowest quotient of the iterates within that
-    residual.  The residual is _relative_residual's, formed from the A v
-    and M v the iteration computes anyway.
+    residual.  The residual is _residual_of the A v and M v the iteration
+    computes anyway.
 
     Returns (spec, warm): spec is a K=1 decomposition with the residual
     bound and sign rule of solve_generalized_eig; warm is False when the
@@ -398,30 +392,22 @@ def certify_ground(pair: OperatorPair, ground: SpectralDecomposition) -> bool:
     space is never below lambda_1, so for it lambda_1 lies in
     ((1 - _GROUND_AGREEMENT) lam, lam].
     """
-    lam = float(ground.eigenvalues[0])
-    return (_relative_residual(pair, ground.eigenvalues[:1], ground.eigenvectors[:, :1])
+    lam, v = float(ground.eigenvalues[0]), ground.eigenvectors[:, :1]
+    return (_residual_of(pair.stiffness @ v, pair.mass @ v, ground.eigenvalues[:1])
             <= _RESIDUAL_TOL and pair.pencil_factor((1.0 - _GROUND_AGREEMENT) * lam) is not None)
 
 
-def strictify_spectrum(eigenvalues, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Merge consecutive eigenvalues with relative gap below cluster_tol.
-
-    Returns (hat_eigenvalues, multiplicities); each cluster value is the
-    mean of its members and the output sequence is strictly increasing.
-    """
+def strictify_spectrum(eigenvalues) -> np.ndarray:
+    """Strict cluster sizes of an ascending spectrum: consecutive eigenvalues
+    with relative gap below CLUSTER_TOL share a cluster."""
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a non-empty 1-d eigenvalue array")
-    if np.any(np.diff(lam) < 0):
+    gaps = np.diff(lam)
+    if np.any(gaps < 0):
         raise ValueError("eigenvalues must be sorted ascending")
-    hat, mult = [], []
-    start = 0
-    for i in range(1, lam.size + 1):
-        if i == lam.size or lam[i] - lam[i - 1] >= cluster_tol * max(abs(lam[i - 1]), 1e-300):
-            hat.append(lam[start:i].mean())
-            mult.append(i - start)
-            start = i
-    return np.array(hat), np.array(mult, dtype=int)
+    cuts = np.flatnonzero(gaps >= CLUSTER_TOL * np.maximum(np.abs(lam[:-1]), 1e-300)) + 1
+    return np.diff(np.concatenate([[0], cuts, [lam.size]]))
 
 
 def gap_report(hat_eigenvalues, gamma: float, delta: float) -> GapReport:
@@ -436,28 +422,7 @@ def gap_report(hat_eigenvalues, gamma: float, delta: float) -> GapReport:
     satisfied = gaps >= bounds
     delta_max = float(np.min(gaps * hat[:-1] ** gamma))
     rho = delta / (4.0 * hat ** gamma)
-    return GapReport(gamma=float(gamma), delta=float(delta), gaps=gaps, bounds=bounds,
-                     satisfied=satisfied, delta_max=delta_max, rho=rho)
-
-
-def regroup_spectrum(
-    spec: SpectralDecomposition, multiplicities: np.ndarray
-) -> SpectralDecomposition:
-    """Re-cluster a decomposition using an externally supplied multiplicity pattern.
-
-    The projection sweep compares cluster projections of two operators whose
-    spectra are grouped the same way.  Clustering the perturbed spectrum
-    independently can split a symmetry degeneracy (the split is tiny but
-    larger than CLUSTER_TOL), which changes the cluster ranks and turns
-    ||P_k - P~_k|| into a rank-mismatch constant instead of a perturbation
-    measurement.  Inheriting the grouping keeps the ranks aligned.
-    """
-    multiplicities = np.asarray(multiplicities, dtype=int)
-    if multiplicities.sum() != spec.K:
-        raise ValueError(
-            f"multiplicity pattern sums to {multiplicities.sum()}, expected K={spec.K}"
-        )
-    return dataclasses.replace(spec, multiplicities=multiplicities)
+    return GapReport(gaps=gaps, bounds=bounds, satisfied=satisfied, delta_max=delta_max, rho=rho)
 
 
 def projection_difference_norm(
@@ -506,17 +471,12 @@ def verify_minmax_sandwich(
     lower_ok = lam >= lam1 * (1.0 - rel_slack)
     upper_ok = lam <= a_plus * lam1 * (1.0 + rel_slack)
     first = None
-    for k in range(kmax):
-        if not lower_ok[k]:
-            first = (k + 1, "lower", float(lam[k]), float(lam1[k]))
-            break
-        if not upper_ok[k]:
-            first = (k + 1, "upper", float(lam[k]), float(a_plus * lam1[k]))
-            break
-    return SandwichReport(
-        a_plus=float(a_plus), rel_slack=rel_slack, lambdas=lam, lambdas_unit=lam1,
-        lower_ok=lower_ok, upper_ok=upper_ok, first_violation=first,
-    )
+    if (bad := np.flatnonzero(~(lower_ok & upper_ok))).size:
+        k = int(bad[0])
+        first = ((k + 1, "lower", float(lam[k]), float(lam1[k])) if not lower_ok[k]
+                 else (k + 1, "upper", float(lam[k]), float(a_plus * lam1[k])))
+    return SandwichReport(rel_slack=rel_slack, lambdas=lam, lambdas_unit=lam1,
+                          lower_ok=lower_ok, upper_ok=upper_ok, first_violation=first)
 
 
 @dataclass(frozen=True)
@@ -559,19 +519,6 @@ class ProjectionPerturbationTable:
         return float(r.max() / r.min())
 
 
-def _validate_sweep_field(mesh: Mesh, values: np.ndarray, a_plus: float, label: str) -> None:
-    """validate_coefficient on nodal values, naming the sweep field that failed."""
-    try:
-        validate_coefficient(mesh, make_field(mesh, values, a_plus))
-    except AdmissibilityError as exc:
-        raise AdmissibilityError(f"{label}: {exc}") from exc
-
-
-def _columns(rows: list[tuple], n: int) -> list[np.ndarray]:
-    """Row tuples as n column arrays (empty arrays when there are no rows)."""
-    return [np.array(col) for col in zip(*rows)] if rows else [np.array([])] * n
-
-
 def perturbation_sweep(
     spec: SpectralDecomposition,
     a: CoefficientField,
@@ -595,15 +542,24 @@ def perturbation_sweep(
     "gated" when ||a - a~|| <= eta_hat * max(l_k, l_k~)^-(1+gamma+n/4)
     (the smallness regime of the projection bound); normalized is
     ||P_k - P~_k|| / ((max(l_k, l_k~)^(gamma+1) + 1)^2 ||a - a~||).
-    The perturbed spectrum inherits the base multiplicity pattern (see
-    regroup_spectrum) so that cluster k has the same rank on both sides.
+    Each perturbed spectrum inherits the base multiplicity pattern, so that
+    cluster k has the same rank on both sides: clustering it afresh can
+    split a symmetry degeneracy (by more than CLUSTER_TOL but still tiny),
+    and ||P_k - P~_k|| would then measure a rank mismatch, not the
+    perturbation.  Both spectra hold _SWEEP_K pairs, so the pattern fits.
     """
     disc = spec.disc
     eta = np.asarray(eta, dtype=float)
     perturbed = [(float(s), a.values + s * eta) for s in scales]
-    _validate_sweep_field(disc.mesh, a.values, a.a_plus, "base coefficient")
-    for s, values in perturbed:
-        _validate_sweep_field(disc.mesh, values, a.a_plus, f"perturbed coefficient (s={s:g})")
+    if not perturbed:
+        raise ValueError("perturbation sweep needs at least one scale")
+    labelled = [("base coefficient", a.values)] + [
+        (f"perturbed coefficient (s={s:g})", values) for s, values in perturbed]
+    for label, values in labelled:
+        try:
+            validate_coefficient(disc.mesh, make_field(disc.mesh, values, a.a_plus))
+        except AdmissibilityError as exc:
+            raise AdmissibilityError(f"{label}: {exc}") from exc
     base = (spec.leading(_SWEEP_K) if spec.K >= _SWEEP_K
             else solve_generalized_eig(disc.pair(a.values), _SWEEP_K))
     if base.n_clusters < PROJECTION_SWEEP_ROWS:
@@ -614,7 +570,8 @@ def perturbation_sweep(
     eig_rows, proj_rows = [], []
     for s, values in perturbed:
         pair = disc.pair(values)
-        pert = regroup_spectrum(solve_generalized_eig(pair, _SWEEP_K), base.multiplicities)
+        pert = dataclasses.replace(solve_generalized_eig(pair, _SWEEP_K),
+                                   multiplicities=base.multiplicities)
         cdiff = l2_norm(values - a.values, disc.mass)
         for k in range(EIGEN_SWEEP_ROWS):
             lam, lamt = float(base.eigenvalues[k]), float(pert.eigenvalues[k])
@@ -629,11 +586,8 @@ def perturbation_sweep(
             denom = (lmax ** (gamma + 1.0) + 1.0) ** 2 * cdiff
             proj_rows.append((k, s, cdiff, gate, cdiff <= gate, pnorm,
                               pnorm / denom if denom > 0 else float("nan")))
-    k, s, cd, gate, in_gate, pnorm, nrm = _columns(proj_rows, 7)
-    return (
-        EigenPerturbationTable(*_columns(eig_rows, 7)),
-        ProjectionPerturbationTable(k, s, cd, gate, in_gate.astype(bool), pnorm, nrm),
-    )
+    return (EigenPerturbationTable(*map(np.array, zip(*eig_rows))),
+            ProjectionPerturbationTable(*map(np.array, zip(*proj_rows))))
 
 
 def weyl_ratios(spec: SpectralDecomposition, k_lo: int, k_hi: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from heatcoef.fem import (
 from heatcoef.heat import evolve
 from heatcoef.inversion import (
     InversionOptions,
+    TransportSolveError,
+    _normal_solve,
     _next_closure_point,
     admissible_projection,
     build_transport_system,
@@ -29,8 +32,8 @@ from heatcoef.inversion import (
     transport_rhs,
 )
 from heatcoef.mesh import distance_to_boundary
-from heatcoef.runner import run_scenario
-from heatcoef.scenario import parse_config
+from heatcoef.runner import RunnerError, run_scenario
+from heatcoef.scenario import parse_config, parse_config_text
 
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -166,6 +169,40 @@ class TestTransportOperator:
         prior, _ = admissible_projection(disc32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
         assert np.array_equal(solve_transport_ls(swapped, prior).values,
                               solve_transport_ls(rebuilt, prior).values)
+
+
+def _singular_splu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+class TestTransportSolveError:
+    def test_a_singular_factor_names_the_diagonal_ratio(self, mesh32, unit_pair32, bump32,
+                                                        bump_snapshot, monkeypatch):
+        _, _, u_T, lam1, F = bump_snapshot
+        monkeypatch.setattr(inversion.spla, "splu", _singular_splu)
+        with pytest.raises(TransportSolveError,
+                           match=r"^singular normal matrix in transport solve "
+                                 r"\(diagonal ratio \d\.\d{3}e[+-]\d+\)$"):
+            build_transport_system(mesh32, unit_pair32, u_T, lam1, F, 1e-8, bump32.values)
+
+    def test_a_non_finite_solve_names_the_pivot_ratio(self, mesh32, unit_pair32, bump32,
+                                                      bump_snapshot):
+        _, _, u_T, lam1, F = bump_snapshot
+        system = build_transport_system(mesh32, unit_pair32, u_T, lam1, F, 1e-8, bump32.values)
+        nan_factor = SimpleNamespace(solve=lambda b: np.full_like(b, np.nan), U=system.factor.U)
+        with pytest.raises(TransportSolveError,
+                           match=r"^singular normal matrix in transport solve "
+                                 r"\(pivot ratio \d\.\d{3}e[+-]\d+\)$"):
+            _normal_solve(dataclasses.replace(system, factor=nan_factor), system.rhs)
+
+    def test_invert_surfaces_it_as_a_runner_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(inversion.spla, "splu", _singular_splu)
+        scenario = parse_config_text("name = inv16\nnx = 16\nny = 16\n"
+                                     "coefficient = gaussian-bump\nT = 0.15\n")
+        with pytest.raises(RunnerError,
+                           match=r"^scenario 'inv16', mode invert: singular normal matrix "
+                                 r"in transport solve \(diagonal ratio "):
+            run_scenario(scenario, "invert", tmp_path)
 
 
 class TestAdmissibleProjection:

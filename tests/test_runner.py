@@ -489,6 +489,18 @@ def test_stability_sweep_skips_rho_monotone_of_a_zero_integral_u0(tmp_path, m, n
         "INFO rho-monotone: skipped: int u0 d_Omega = 0 is not positive"
 
 
+def test_stability_sweep_skips_every_ground_check_of_a_zero_integral_u0(tmp_path):
+    # the (2, 2) mode has no ground content: the rate bracket and the fitted
+    # gap constant (measured 78.5 against the bound 10) presume one
+    text = SWEEP_16.replace("T = 0.15\nT_grid = 0.15,0.3,0.6,1.2",
+                            "T = 0.5\nT_grid = 0.5,1.0,1.5,2.0,2.5,3.0") + _sine_u0(2, 2)
+    art = run_scenario(parse_config_text(text), "stability-sweep", tmp_path)
+    assert art.n_fail == 0, art.summary_lines
+    for name in ("stability-rate", "rho-monotone", "gap-constant-spread"):
+        assert _line(art.summary_lines, name) == \
+            f"INFO {name}: skipped: int u0 d_Omega = 0 is not positive"
+
+
 def _index(line: str) -> int:
     return int(re.search(r" index=(\d+) ", line).group(1))
 

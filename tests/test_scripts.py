@@ -16,8 +16,8 @@ SCENARIOS = SCRIPTS.parent / "scenarios"
 BENCHMARK = SCRIPTS.parent / "benchmark"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load(name, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -105,6 +105,16 @@ def test_benchmark_and_scripts_use_only_names_the_package_has():
             for path in files for name in _heatcoef_names(path)}
     assert any(name == "heatcoef.fem.make_field" for _, name in used)
     assert [(path, name) for path, name in sorted(used) if not _resolves(name)] == []
+
+
+def test_every_benchmark_scaling_layer_runs():
+    # the calls themselves, not only their names: a dropped positional
+    # parameter of a layer's package function fails here
+    scaling = _load("scaling", BENCHMARK)
+    scaling.MIN_SECONDS = 0
+    for layer in scaling.LAYERS:
+        row = scaling.measure(layer, 8)
+        assert (row["layer"], row["n"], row["reps"]) == (layer, 49, 1)
 
 
 def test_every_bundled_scenario_has_a_run_all_mode():

@@ -18,7 +18,6 @@ from heatcoef.spectral import (
     gap_report,
     perturbation_sweep,
     projection_difference_norm,
-    regroup_spectrum,
     solve_flow_spectrum,
     solve_generalized_eig,
     solve_ground_pair,
@@ -72,7 +71,7 @@ class TestSparseSolver:
         # one pair past the cut tells whether the cut splits the last cluster
         vals, vecs = la.eigh(pair.stiffness.toarray(), pair.mass.toarray(),
                              subset_by_index=(0, K))
-        _, mult = strictify_spectrum(vals[:K], 1e-6)
+        mult = strictify_spectrum(vals[:K])
         ref = dataclasses.replace(spec, eigenvalues=vals[:K], eigenvectors=vecs[:, :K],
                                   multiplicities=mult)
 
@@ -114,13 +113,20 @@ class TestSparseSolver:
         vals, vecs = spla.eigsh(pair.stiffness, k=K, M=pair.mass, sigma=0.0, v0=v0)
         order = np.argsort(vals)
         ref = dataclasses.replace(spec, eigenvalues=vals[order], eigenvectors=vecs[:, order],
-                                  multiplicities=strictify_spectrum(vals[order], 1e-6)[1])
+                                  multiplicities=strictify_spectrum(vals[order]))
 
         assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues) / ref.eigenvalues) <= 1e-10
         complete = ref.n_clusters - 1  # the cut may split the last cluster
         assert np.array_equal(spec.multiplicities[:complete], ref.multiplicities[:complete])
         for k in range(1, complete + 1):
             assert projection_difference_norm(spec, ref, pair, k) <= 1e-8, k
+
+    @pytest.mark.parametrize("which", ["unit_pair32", "bump_pair32"])
+    def test_each_non_ground_column_leads_with_a_positive_entry(self, request, which):
+        V = solve_generalized_eig(request.getfixturevalue(which), 20).eigenvectors
+        for j in range(1, 20):
+            lead = int(np.argmax(np.abs(V[:, j])))
+            assert V[lead, j] > 0, j
 
     def test_indefinite_stiffness_is_refused(self, unit_pair32):
         lam1 = solve_generalized_eig(unit_pair32, 1).eigenvalues[0]
@@ -172,8 +178,8 @@ def _gapped_solver(solve, skip: int, times: int):
         full = solve(pair, K + 1)
         keep = np.delete(np.arange(K + 1), skip)
         vals = full.eigenvalues[keep]
-        return SpectralDecomposition(vals, full.eigenvectors[:, keep],
-                                     strictify_spectrum(vals, spectral.CLUSTER_TOL)[1], full.disc)
+        return SpectralDecomposition(vals, full.eigenvectors[:, keep], strictify_spectrum(vals),
+                                     full.disc)
     return gapped, calls
 
 
@@ -340,24 +346,31 @@ class TestCertifyGround:
         assert not certify_ground(pair, low)
 
 
-class TestStrictify:
-    def test_no_merge_for_separated_values(self):
-        hat, mult = strictify_spectrum([2.0, 5.0, 10.0], 1e-6)
-        assert np.array_equal(hat, [2.0, 5.0, 10.0])
-        assert np.array_equal(mult, [1, 1, 1])
+def _clustered(spec: SpectralDecomposition, lam) -> SpectralDecomposition:
+    """spec with eigenvalues lam, grouped by strictify_spectrum (eigenvectors kept)."""
+    lam = np.asarray(lam, dtype=float)
+    return dataclasses.replace(spec, eigenvalues=lam, multiplicities=strictify_spectrum(lam))
 
-    def test_merges_to_cluster_mean(self):
+
+class TestStrictify:
+    def test_no_merge_for_separated_values(self, unit_spec32):
+        mult = strictify_spectrum([2.0, 5.0, 10.0])
+        assert np.array_equal(mult, [1, 1, 1])
+        assert np.array_equal(_clustered(unit_spec32, [2.0, 5.0, 10.0]).hat_eigenvalues,
+                              [2.0, 5.0, 10.0])
+
+    def test_merges_to_cluster_mean(self, unit_spec32):
         lam = [2.0, 2.0 + 2e-9, 5.0]
-        hat, mult = strictify_spectrum(lam, 1e-6)
+        assert np.array_equal(strictify_spectrum(lam), [2, 1])
+        hat = _clustered(unit_spec32, lam).hat_eigenvalues
         assert hat[0] == pytest.approx(2.0 + 1e-9, abs=1e-15)
-        assert np.array_equal(mult, [2, 1])
         assert np.all(np.diff(hat) > 0)
 
     def test_rejects_unsorted_and_empty(self):
         with pytest.raises(ValueError):
-            strictify_spectrum([3.0, 2.0], 1e-6)
+            strictify_spectrum([3.0, 2.0])
         with pytest.raises(ValueError):
-            strictify_spectrum([], 1e-6)
+            strictify_spectrum([])
 
 
 class TestGapReport:
@@ -403,7 +416,7 @@ class TestProjections:
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         pert = solve_generalized_eig(discretize(mesh32).pair(a.values + 0.01 * eta),
                                      unit_spec32.K)
-        pert = regroup_spectrum(pert, unit_spec32.multiplicities)
+        pert = dataclasses.replace(pert, multiplicities=unit_spec32.multiplicities)
         for k in range(1, 4):
             nrm = projection_difference_norm(unit_spec32, pert, unit_pair32, k)
             assert 0.0 <= nrm <= 1.0 + 1e-12
@@ -432,13 +445,9 @@ class TestProjections:
 
 
 class TestRegroup:
-    def test_rejects_wrong_total(self, unit_spec32):
-        with pytest.raises(ValueError):
-            regroup_spectrum(unit_spec32, np.array([1, 2]))
-
     def test_inherits_pattern_and_means(self, unit_spec32):
         pattern = np.array([3, 3, 4])
-        re = regroup_spectrum(unit_spec32, pattern)
+        re = dataclasses.replace(unit_spec32, multiplicities=pattern)
         assert np.array_equal(re.multiplicities, pattern)
         assert re.hat_eigenvalues[0] == pytest.approx(unit_spec32.eigenvalues[:3].mean())
         assert np.array_equal(re.cluster_index, np.repeat([0, 1, 2], [3, 3, 4]))
@@ -518,6 +527,35 @@ class TestEigenPerturbation:
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         with pytest.raises(AdmissibilityError):
             perturbation_sweep(unit_spec32, a, -np.ones(mesh32.n_nodes), [0.5])
+
+
+class TestSweepRefusals:
+    def test_names_an_inadmissible_base(self, mesh32, unit_spec32):
+        a = make_field(mesh32, np.full(mesh32.n_nodes, 0.5), 2.0)
+        eta = np.zeros(mesh32.n_nodes)
+        with pytest.raises(AdmissibilityError) as info:
+            perturbation_sweep(unit_spec32, a, eta, [0.1])
+        assert str(info.value) == "base coefficient: coefficient value 0.5 < 1 at node 0 (x=0, y=0)"
+
+    def test_names_the_first_inadmissible_scale(self, mesh32, unit_spec32):
+        a = make_coefficient(mesh32, "constant", {"value": 1.5}, 2.0)
+        with pytest.raises(AdmissibilityError) as info:
+            perturbation_sweep(unit_spec32, a, -np.ones(mesh32.n_nodes), [0.1, 0.9, 1.2])
+        assert str(info.value) == ("perturbed coefficient (s=0.9): "
+                                   "coefficient value 0.6 < 1 at node 0 (x=0, y=0)")
+
+    def test_refuses_too_few_strict_eigenvalues(self, mesh32, unit_spec32, monkeypatch):
+        # four pairs of the square hold the clusters [1, 2, 1]
+        monkeypatch.setattr(spectral, "_SWEEP_K", 4)
+        a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
+        with pytest.raises(ValueError,
+                           match=r"^K=4 eigenpairs yield only 3 strict eigenvalues, need 5$"):
+            perturbation_sweep(unit_spec32, a, np.zeros(mesh32.n_nodes), [0.1])
+
+    def test_refuses_an_empty_scale_list(self, mesh32, unit_spec32):
+        a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
+        with pytest.raises(ValueError, match="^perturbation sweep needs at least one scale$"):
+            perturbation_sweep(unit_spec32, a, np.zeros(mesh32.n_nodes), [])
 
 
 class TestSweepReusesTheRunSpectrum:
