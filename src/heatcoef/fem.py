@@ -16,10 +16,10 @@ transport operator G(u) a = -(A(a) u)_I of the inversion module, is
 definite_factor is the banded Cholesky factor of a symmetric positive
 definite matrix on the mesh's own node order, and Cholesky completes
 only on a positive definite matrix, which it thereby proves.  Every SPD
-solve of the package but the transport normal matrix's, ARPACK's
-shift-invert included, uses that factor of a band scattered from cached
-positions; definite_factor itself is the reference the tests compare
-those bands against.  A pencil's A(a) - sigma M
+solve of the package but the transport normal matrix's, and the halves
+L^-1 and L^-T of the ARPACK operator L^-1 M L^-T, use that factor of a
+band scattered from cached positions; definite_factor itself is the
+reference the tests compare those bands against.  A pencil's A(a) - sigma M
 (OperatorPair.pencil_factor) skips the sparse subtraction: the
 Discretization keeps the band positions of the pattern of A(a)_II and
 M_II's values there, so its band is one scatter of the stiffness data,
@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .mesh import Mesh
 
@@ -303,6 +303,14 @@ class BandCholesky:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """C^-1 b by the two band triangular solves of dpbtrs."""
         return dpbtrs(self.band, b, lower=1)[0]
+
+    def solve_lower(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b, the first half of solve, by dtbtrs."""
+        return dtbtrs(self.band, b, uplo="L")[0]
+
+    def solve_upper(self, b: np.ndarray) -> np.ndarray:
+        """L'^-1 b, the second half of solve, by dtbtrs."""
+        return dtbtrs(self.band, b, uplo="L", trans="T")[0]
 
 
 class _BandIndex(NamedTuple):

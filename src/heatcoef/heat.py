@@ -134,9 +134,10 @@ def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
     M-orthonormal Lanczos on A^-1 M from the interior part of u0, with full
     re-orthogonalisation and one banded Cholesky factor of A,
     pair.pencil_factor(0), which also proves A positive definite, the same
-    factor ARPACK inverts A with in spectral.solve_generalized_eig.  The
-    first pass of each re-orthogonalisation is a column of the projected
-    matrix H = V' M A^-1 M V, so H costs no extra solve.
+    factor whose two triangular halves ARPACK's standard operator applies
+    in spectral.solve_generalized_eig.  The first pass of each
+    re-orthogonalisation is a column of the projected matrix
+    H = V' M A^-1 M V, so H costs no extra solve.
     With H = Q diag(theta) Q' the Ritz values are 1/theta, and a function f
     of L = M^-1 A acts on u0 as ||u0||_M V Q f(1/theta) Q' e_1: f = e^{-lT}
     for u(T) and (l_1 - l) e^{-lT} for F, with l_1 the top Ritz value, so F

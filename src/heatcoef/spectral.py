@@ -2,13 +2,13 @@
 
 This module owns how a pencil becomes a spectrum: solve_generalized_eig
 solves A(a) v = lambda M v for a Dirichlet-reduced pencil disc.pair(a) by
-ARPACK shift-invert about zero (dense LAPACK only where ARPACK's 2K + 1
-Lanczos vectors do not fit), and strictify_spectrum groups every spectrum
-by the one rule CLUSTER_TOL.  Every definite factor is a pencil_factor,
-the fem.definite_factor of A - sigma M scattered straight into its band:
-a banded Cholesky that exists only for a positive definite matrix, it
-proves A positive definite for ARPACK's inverse and A - sigma M for the
-two ground solves below.  solve_flow_spectrum solves only the pairs a heat flow from
+standard ARPACK Lanczos on L^-1 M L^-T, A = L L' (dense LAPACK only where
+ARPACK's 2K + 1 Lanczos vectors do not fit), and strictify_spectrum groups
+every spectrum by the one rule CLUSTER_TOL.  Every definite factor is a
+pencil_factor, the fem.definite_factor of A - sigma M scattered straight
+into its band: a banded Cholesky that exists only for a positive definite
+matrix, it proves A positive definite for ARPACK's L and A - sigma M for
+the two ground solves below.  solve_flow_spectrum solves only the pairs a heat flow from
 a given earliest time can see, and its count of the eigenvalues below the
 cut, the inertia of the indefinite A - sigma M by fem.symmetric_factor,
 proves that none was skipped.
@@ -204,11 +204,15 @@ class SandwichReport:
 def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
     """Lowest K eigenpairs of the reduced pencil disc.pair(a), M-orthonormal.
 
-    ARPACK shift-invert Lanczos about sigma = 0 (Lehoucq-Sorensen-Yang,
-    ARPACK Users' Guide, 1998) on the sparse pencil, with A^-1 applied by
-    the definite_factor of A (pair.pencil_factor(0)).  That factor proves
-    A positive definite, so the K eigenvalues nearest zero are the lowest;
-    a stiffness it rejects raises EigensolverError.  The start vector is
+    With A = L L' the definite_factor of A (pair.pencil_factor(0)), the
+    pencil is congruent to the standard symmetric problem C y = mu y,
+    C = L^-1 M L^-T, mu = 1/lambda (Ericsson-Ruhe, Math. Comp. 35, 1980;
+    Lehoucq-Sorensen-Yang, ARPACK Users' Guide, 1998, 3.2).  ARPACK's
+    standard Lanczos finds the K largest mu, each step one band solve with
+    L', one product with M and one band solve with L, and x = L^-T y /
+    sqrt(mu) is M-orthonormal, since y' C y = mu.  The factor proves A
+    positive definite, so the K largest mu give the lowest lambda; a
+    stiffness it rejects raises EigensolverError.  The start vector is
     fixed.  Only a pencil too small for ARPACK's default Lanczos basis of
     2K + 1 vectors takes the dense LAPACK path.  Eigenvalues are clustered
     by CLUSTER_TOL.
@@ -226,19 +230,21 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
         lu = pair.pencil_factor(0.0)
         if lu is None:
             raise EigensolverError(f"stiffness matrix is not positive definite (n={n})")
-        inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        mass = pair.mass
+        congruent = spla.LinearOperator(
+            (n, n), matvec=lambda y: lu.solve_lower(mass @ lu.solve_upper(y)), dtype=float)
         v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
         try:
-            vals, vecs = spla.eigsh(pair.stiffness, k=K, M=pair.mass, sigma=0.0, v0=v0,
-                                    OPinv=inverse)
+            mu, Y = spla.eigsh(congruent, k=K, which="LA", v0=v0)
         except spla.ArpackError as exc:  # ArpackNoConvergence included
             raise EigensolverError(
                 f"ARPACK eigensolver failed (n={n}, K={K}): {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        order = np.argsort(-mu)
+        mu = mu[order]
+        vals, vecs = 1.0 / mu, lu.solve_upper(Y[:, order]) / np.sqrt(mu)
 
     rel = _residual_of(pair.stiffness @ vecs, pair.mass @ vecs, vals)
-    if not np.isfinite(vals).all() or rel > _RESIDUAL_TOL:
+    if not np.isfinite(vals).all() or not rel <= _RESIDUAL_TOL:
         raise EigensolverError(
             f"eigensolver residual {rel:.3e} above {_RESIDUAL_TOL:.0e} "
             f"(n={n}, K={K}); pencil may be ill-conditioned"

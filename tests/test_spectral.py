@@ -60,7 +60,7 @@ class TestSquareOracle:
 
 
 class TestSparseSolver:
-    """The shift-invert path against a dense LAPACK reference written here."""
+    """The ARPACK path against a dense LAPACK reference written here."""
 
     @pytest.mark.parametrize("K", [1, 40])
     @pytest.mark.parametrize("which", ["unit_pair32", "bump_pair32"])
@@ -101,10 +101,22 @@ class TestSparseSolver:
         with pytest.raises(EigensolverError, match="No convergence"):
             solve_generalized_eig(unit_pair32, 1)
 
+    def test_nan_back_transform_raises_eigensolver_error(self, unit_pair32, monkeypatch):
+        eigsh = spla.eigsh
+
+        def nan_vector(*args, **kwargs):
+            mu, Y = eigsh(*args, **kwargs)
+            Y[0, -1] = np.nan
+            return mu, Y
+        monkeypatch.setattr(spla, "eigsh", nan_vector)
+        with pytest.raises(EigensolverError, match="residual nan"):
+            solve_generalized_eig(unit_pair32, 4)
+
     @pytest.mark.parametrize("nx", [32, 48])
     def test_matches_scipys_own_shift_invert(self, nx):
-        # the same ARPACK run with scipy's internal factor of A (column
-        # minimum degree, partial pivoting) in place of definite_factor's band Cholesky
+        # scipy's own ARPACK shift-invert (mode 3) with its internal factor of A
+        # (column minimum degree, partial pivoting), against the standard mode
+        # on definite_factor's band Cholesky
         mesh = build_structured_mesh(nx, nx)
         pair = discretize(mesh).pair(make_coefficient(mesh, "gaussian-bump", None, 2.0).values)
         n, K = pair.stiffness.shape[0], 40
@@ -139,23 +151,38 @@ class TestSparseSolver:
     def test_small_pencils_take_arpack_wherever_it_fits(self, nx, monkeypatch):
         eigsh, calls = spla.eigsh, []
 
-        def counted(A, **kwargs):
-            # ARPACK inverts A through the package's own factor, not scipy's
-            x = np.arange(1.0, A.shape[0] + 1)
-            assert np.allclose(kwargs["OPinv"].matvec(A @ x), x, rtol=1e-10, atol=0.0)
+        def counted(C, **kwargs):
+            # ARPACK runs on L^-1 M L^-T, L the package's own factor of A
+            assert isinstance(C, spla.LinearOperator)
+            assert not {"M", "sigma", "OPinv"} & kwargs.keys()
+            x = np.arange(1.0, n + 1)
+            expected = la.solve_triangular(L, pair.mass @ x, lower=True)
+            assert np.allclose(C.matvec(L.T @ x), expected, rtol=1e-10, atol=0.0)
             calls.append(kwargs["k"])
-            return eigsh(A, **kwargs)
+            return eigsh(C, **kwargs)
         monkeypatch.setattr(spla, "eigsh", counted)
         mesh = build_structured_mesh(nx, nx)
         bump = make_coefficient(mesh, "gaussian-bump", None, 2.0)
         pair = discretize(mesh).pair(bump.values)
         n = pair.stiffness.shape[0]
+        band = pair.pencil_factor(0.0).band  # band[i - j, j] = L[i, j]
+        L = sum(np.diag(band[d, :n - d], -d) for d in range(band.shape[0]))
         ref = la.eigh(pair.stiffness.toarray(), pair.mass.toarray(), eigvals_only=True)
         ks = range(1, (n - 1) // 2 + 1)  # every K with 2K + 1 <= n
         for K in ks:
             lam = solve_generalized_eig(pair, K).eigenvalues
             assert np.max(np.abs(lam - ref[:K]) / ref[:K]) <= 1e-10, K
         assert calls == list(ks)
+
+    def test_back_transform_is_m_orthonormal_at_48(self):
+        # the 48^2 bump with K=12, the first solve of a forward flow spectrum
+        mesh = build_structured_mesh(48, 48)
+        pair = discretize(mesh).pair(make_coefficient(mesh, "gaussian-bump", None, 2.0).values)
+        spec = solve_generalized_eig(pair, 12)
+        V, lam = spec.eigenvectors, spec.eigenvalues
+        assert np.max(np.abs(V.T @ (pair.mass @ V) - np.eye(12))) <= 1e-12
+        scale = np.sqrt(np.outer(lam, lam))
+        assert np.max(np.abs(V.T @ (pair.stiffness @ V) - np.diag(lam)) / scale) <= 1e-10
 
     def test_small_or_nearly_full_requests_stay_dense(self, monkeypatch):
         def unexpected(*args, **kwargs):
