@@ -16,15 +16,15 @@ transport operator G(u) a = -(A(a) u)_I of the inversion module, is
 definite_factor is the banded Cholesky factor of a symmetric positive
 definite matrix on the mesh's own node order, and Cholesky completes
 only on a positive definite matrix, which it thereby proves.  Every SPD
-solve of the package but the transport normal matrix's, and the halves
-L^-1 and L^-T of the ARPACK operator L^-1 M L^-T, use that factor of a
-band scattered from cached positions; definite_factor itself is the
-reference the tests compare those bands against.  A pencil's A(a) - sigma M
-(OperatorPair.pencil_factor) skips the sparse subtraction: the
-Discretization keeps the band positions of the pattern of A(a)_II and
-M_II's values there, so its band is one scatter of the stiffness data,
-and Discretization.mass_int_factor one scatter of those values.
-symmetric_factor is the one symmetric-mode sparse LU, kept for the
+solve of the package, and the halves L^-1 and L^-T of the ARPACK
+operator L^-1 M L^-T, use that factor: the inversion's transport normal
+matrix through definite_factor, the others through a band scattered from
+cached positions.  A pencil's A(a) - sigma M (OperatorPair.pencil_factor)
+skips the sparse subtraction: the Discretization keeps the band positions
+of the pattern of A(a)_II and M_II's values there, so its band is one
+scatter of the stiffness data, and Discretization.mass_int_factor one
+scatter of those values.
+symmetric_factor is the package's only sparse LU, used only for the
 inertia of an indefinite A - sigma M, which spectral.solve_flow_spectrum
 reads to count the eigenvalues below sigma.
 """
@@ -274,14 +274,15 @@ def discretize(mesh: Mesh) -> Discretization:
 def symmetric_factor(C: sp.spmatrix) -> tuple[spla.SuperLU, int] | None:
     """Sparse LU factor of a symmetric C and its count of negative pivots.
 
-    The factor is symmetric-mode, ordered by minimum degree on the pattern
-    of C (George-Liu, SIAM Review 31, 1989) and without pivoting.  When
-    rows and columns share one permutation P, P C P' = L D L' with D the
-    diagonal of U, so by Sylvester's law of inertia the count is the number
-    of negative eigenvalues of C; for C = A - sigma M it is the number of
-    pencil eigenvalues below sigma.  Returns None when the factor gives no
-    inertia: SuperLU left the diagonal, found C singular, or a pivot is not
-    finite.
+    The package's only sparse LU, used only for inertia (every definite
+    solve uses definite_factor).  It is symmetric-mode, ordered by minimum
+    degree on the pattern of C (George-Liu, SIAM Review 31, 1989) and
+    without pivoting.  When rows and columns share one permutation P,
+    P C P' = L D L' with D the diagonal of U, so by Sylvester's law of
+    inertia the count is the number of negative eigenvalues of C; for
+    C = A - sigma M it is the number of pencil eigenvalues below sigma.
+    Returns None when the factor gives no inertia: SuperLU left the
+    diagonal, found C singular, or a pivot is not finite.
     """
     try:
         lu = spla.splu(C.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,

@@ -46,13 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fem import (
+    BandCholesky,
     CoefficientField,
     Discretization,
     OperatorPair,
     compute_norms,
+    definite_factor,
     gradient_bound,
     l2_norm,
     make_field,
@@ -108,8 +109,8 @@ class TransportSystem:
     boundary_values : a0 as given; only its entries at boundary nodes are read.
     disc : supplies the Tikhonov metric A(1) over all coefficient nodes and
         the interior/boundary partition of the coefficient dofs.
-    factor : sparse LU factor of the interior block H_II of the normal
-        matrix H = G'G + alpha A(1).
+    factor : band Cholesky factor (fem.definite_factor) of the interior
+        block H_II of the normal matrix H = G'G + alpha A(1).
     boundary_lift : H_IB a0_B, the prescribed boundary values' share of
         the normal equations.
 
@@ -126,7 +127,7 @@ class TransportSystem:
     alpha: float
     boundary_values: np.ndarray
     disc: Discretization
-    factor: spla.SuperLU
+    factor: BandCholesky
     boundary_lift: np.ndarray
 
 
@@ -185,8 +186,9 @@ def build_transport_system(
     from unit_pair.disc, which must be built on mesh.  alpha is relative:
     the stored weight is alpha times the largest diagonal of G'G (falling
     back to alpha itself when G vanishes).  The interior block of the
-    normal matrix is LU-factored here, once; solve_transport_ls only
-    back-substitutes.  Only the boundary entries of a0 are read.
+    normal matrix, symmetric positive definite, is Cholesky-factored here,
+    once; solve_transport_ls only back-substitutes.  Only the boundary
+    entries of a0 are read.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -202,30 +204,25 @@ def build_transport_system(
     alpha = float(alpha * scale)
     I, B = disc.interior, disc.boundary
     H = (G.T @ G + alpha * disc.unit_stiffness).tocsr()
-    H_II = H[I][:, I].tocsc()
-    try:
-        # H_II is SPD, but at alpha = 1e-8 every other elimination order
-        # rounds the solve differently: at 32^2 the band Cholesky of
-        # fem.definite_factor lands 2.1e-11 from the pivoted direct solve
-        # (spsolve), the unpivoted fem.symmetric_factor 2.0e-11.  This
-        # pivoted factor stays within the 1e-12 the tests pin.
-        factor = spla.splu(H_II)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+    H_I = H[I]
+    H_II = H_I[:, I]
+    factor = definite_factor(H_II)
+    if factor is None:
         diag = H_II.diagonal()
         cond = float(diag.max() / max(diag.min(), 1e-300))
         raise TransportSolveError(
             f"singular normal matrix in transport solve (diagonal ratio {cond:.3e})"
-        ) from exc
+        )
     return TransportSystem(G=G, rhs=transport_rhs(disc, u_T, lambda1, F_values), alpha=alpha,
                            boundary_values=a0, disc=disc, factor=factor,
-                           boundary_lift=H[I][:, B] @ a0[B])
+                           boundary_lift=H_I[:, B] @ a0[B])
 
 
 def _normal_solve(system: TransportSystem, b: np.ndarray) -> np.ndarray:
     """H_II^-1 b by back-substitution with the factor of build_transport_system."""
     sol = system.factor.solve(b)
     if not np.all(np.isfinite(sol)):
-        pivots = np.abs(system.factor.U.diagonal())
+        pivots = system.factor.band[0] ** 2
         cond = float(pivots.max() / max(pivots.min(), 1e-300))
         raise TransportSolveError(
             f"singular normal matrix in transport solve (pivot ratio {cond:.3e})"

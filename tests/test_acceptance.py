@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatcoef.catalog import COEFFICIENT_KINDS, direction_values, make_coefficient
+from heatcoef.catalog import COEFFICIENT_KINDS, direction_values, initial_state, make_coefficient
 from heatcoef.fem import discretize, nodal_gradients
-from heatcoef.heat import GroundComparison, evolve, fit_log_slope, l2_norm
+from heatcoef.heat import GroundComparison, evolve, fit_log_slope, krylov_flow, l2_norm
 from heatcoef.fem import assemble_mass
 from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import boundary_band, build_structured_mesh, distance_to_boundary
@@ -44,6 +44,29 @@ def test_unit_square_spectrum_matches_analytic_oracle():
     # the degenerate pair is detected as one cluster of size two
     assert spec.multiplicities[1] == 2
     assert time.monotonic() - start < 30.0
+
+
+def test_unit_square_converges_at_second_order():
+    # P1 eigenvalues and the M-norm error of the flow both converge like h^2;
+    # the observed order log2(e_h / e_{h/2}) is pinned on 8^2 -> 16^2 -> 32^2
+    # against pi^2 (2, 5, 5, 8) and e^{-2 pi^2 T} times the interpolant of
+    # sin(pi x) sin(pi y)
+    T = 0.15
+    lam_exact = np.pi ** 2 * np.array([2.0, 5.0, 5.0, 8.0])
+    lam_err, flow_err = [], []
+    for nx in (8, 16, 32):
+        mesh = build_structured_mesh(nx, nx)
+        pair = discretize(mesh).pair(1.0)
+        spec = solve_generalized_eig(pair, 4)
+        lam_err.append(np.abs(spec.eigenvalues[:4] - lam_exact) / lam_exact)
+        u0 = initial_state(mesh, "sine-product")
+        exact = np.exp(-2.0 * np.pi ** 2 * T) * u0
+        flow = krylov_flow(pair, u0, T).u
+        flow_err.append(l2_norm(flow - exact, pair.disc.mass) / l2_norm(exact, pair.disc.mass))
+    lam_order = np.log2(np.divide(lam_err[:-1], lam_err[1:]))
+    flow_order = np.log2(np.divide(flow_err[:-1], flow_err[1:]))
+    assert np.all((1.9 <= lam_order) & (lam_order <= 2.1))  # measured 2.002-2.023
+    assert np.all((1.9 <= flow_order) & (flow_order <= 2.1))  # measured 1.955, 1.989
 
 
 def test_eigenvalues_sandwiched_by_unit_pencil_for_every_catalog_coefficient():

@@ -14,6 +14,7 @@ from heatcoef.fem import (
     assemble_mass,
     assemble_stiffness,
     compute_norms,
+    definite_factor,
     l2_norm,
     make_field,
 )
@@ -126,7 +127,9 @@ class TestTransportOperator:
 
     def test_factored_solve_matches_normal_equations(self, mesh32, disc32, bump32, unit_pair32,
                                                      bump_snapshot):
-        # reference: the normal equations assembled and solved in full here
+        # reference: the normal equations assembled in full here, with their
+        # boundary lift, and solved by a Cholesky factor of the H_II formed
+        # here; so the system built once must equal them
         _, _, u_T, lam1, F = bump_snapshot
         system = build_transport_system(mesh32, unit_pair32, u_T, lam1, F, 1e-8, bump32.values)
         prior, _ = admissible_projection(disc32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
@@ -134,7 +137,7 @@ class TestTransportOperator:
         H = (G.T @ G + system.alpha * R).tocsr()
         b = G.T @ system.rhs + system.alpha * (R @ prior.values)
         ref = bump32.values.copy()
-        ref[I] = spla.spsolve(H[I][:, I].tocsc(), b[I] - H[I][:, B] @ bump32.values[B])
+        ref[I] = definite_factor(H[I][:, I]).solve(b[I] - H[I][:, B] @ bump32.values[B])
         sol = solve_transport_ls(system, prior)
         assert np.max(np.abs(sol.values - ref)) <= 1e-12
 
@@ -158,6 +161,25 @@ class TestTransportOperator:
         err = np.max(np.abs(sol - ref)) / np.max(np.abs(ref))
         assert err <= 1e-9  # measured 1.3e-11
 
+    def test_factored_solve_lands_on_the_refined_solution(self, mesh32, disc32, bump32,
+                                                          unit_pair32, bump_snapshot):
+        # reference: an independent pivoted LU solve of the H_II formed here,
+        # refined five times against its residual.  The entries are at most
+        # 1.5, so the bound is absolute; the pivoted LU solve itself lands
+        # 7.0e-11 from the reference.
+        _, _, u_T, lam1, F = bump_snapshot
+        system = build_transport_system(mesh32, unit_pair32, u_T, lam1, F, 1e-8, bump32.values)
+        prior, _ = admissible_projection(disc32, np.ones(mesh32.n_nodes), bump32.values, 2.0)
+        G, R, I = system.G, disc32.unit_stiffness, disc32.interior
+        H_II = (G.T @ G + system.alpha * R).tocsr()[I][:, I]
+        b = (G.T @ system.rhs + system.alpha * (R @ prior.values))[I] - system.boundary_lift
+        lu = spla.splu(H_II.tocsc())
+        ref = lu.solve(b)
+        for _ in range(5):
+            ref += lu.solve(b - H_II @ ref)
+        sol = solve_transport_ls(system, prior).values[I]
+        assert np.max(np.abs(sol - ref)) <= 1e-11  # measured 2.2e-12
+
     def test_replacing_rhs_equals_rebuilding(self, mesh32, disc32, bump32, unit_pair32,
                                              bump_snapshot):
         _, _, u_T, lam1, F = bump_snapshot
@@ -171,15 +193,11 @@ class TestTransportOperator:
                               solve_transport_ls(rebuilt, prior).values)
 
 
-def _singular_splu(*args, **kwargs):
-    raise RuntimeError("Factor is exactly singular")
-
-
 class TestTransportSolveError:
     def test_a_singular_factor_names_the_diagonal_ratio(self, mesh32, unit_pair32, bump32,
                                                         bump_snapshot, monkeypatch):
         _, _, u_T, lam1, F = bump_snapshot
-        monkeypatch.setattr(inversion.spla, "splu", _singular_splu)
+        monkeypatch.setattr(inversion, "definite_factor", lambda C: None)
         with pytest.raises(TransportSolveError,
                            match=r"^singular normal matrix in transport solve "
                                  r"\(diagonal ratio \d\.\d{3}e[+-]\d+\)$"):
@@ -189,14 +207,15 @@ class TestTransportSolveError:
                                                       bump_snapshot):
         _, _, u_T, lam1, F = bump_snapshot
         system = build_transport_system(mesh32, unit_pair32, u_T, lam1, F, 1e-8, bump32.values)
-        nan_factor = SimpleNamespace(solve=lambda b: np.full_like(b, np.nan), U=system.factor.U)
+        nan_factor = SimpleNamespace(solve=lambda b: np.full_like(b, np.nan),
+                                     band=system.factor.band)
         with pytest.raises(TransportSolveError,
                            match=r"^singular normal matrix in transport solve "
                                  r"\(pivot ratio \d\.\d{3}e[+-]\d+\)$"):
             _normal_solve(dataclasses.replace(system, factor=nan_factor), system.rhs)
 
     def test_invert_surfaces_it_as_a_runner_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(inversion.spla, "splu", _singular_splu)
+        monkeypatch.setattr(inversion, "definite_factor", lambda C: None)
         scenario = parse_config_text("name = inv16\nnx = 16\nny = 16\n"
                                      "coefficient = gaussian-bump\nT = 0.15\n")
         with pytest.raises(RunnerError,
