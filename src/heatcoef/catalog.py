@@ -10,7 +10,6 @@ from .mesh import Mesh, distance_to_boundary, read_grid
 
 __all__ = [
     "COEFFICIENT_KINDS",
-    "U0_KINDS",
     "GROUPS",
     "group_defaults",
     "coefficient_values",
@@ -67,7 +66,6 @@ _GROUPS: dict[str, tuple[str, dict[str, dict]]] = {
 }
 
 COEFFICIENT_KINDS = tuple(_COEFF_PARAMS)
-U0_KINDS = tuple(_U0_PARAMS)
 GROUPS = {group: tuple(table) for group, (_, table) in _GROUPS.items()}  # group -> kinds
 
 

@@ -24,9 +24,9 @@ skips the sparse subtraction: the Discretization keeps the band positions
 of the pattern of A(a)_II and M_II's values there, so its band is one
 scatter of the stiffness data, and Discretization.mass_int_factor one
 scatter of those values.
-symmetric_factor is the package's only sparse LU, used only for the
-inertia of an indefinite A - sigma M, which spectral.solve_flow_spectrum
-reads to count the eigenvalues below sigma.
+symmetric_factor returns the negative-pivot count of the package's only
+sparse LU: the inertia of an indefinite A - sigma M, which
+spectral.solve_flow_spectrum reads to count the eigenvalues below sigma.
 """
 
 from __future__ import annotations
@@ -271,8 +271,8 @@ def discretize(mesh: Mesh) -> Discretization:
                           mass_int=M[interior][:, interior].tocsr())
 
 
-def symmetric_factor(C: sp.spmatrix) -> tuple[spla.SuperLU, int] | None:
-    """Sparse LU factor of a symmetric C and its count of negative pivots.
+def symmetric_factor(C: sp.spmatrix) -> int | None:
+    """Count of negative pivots of a sparse LU factor of a symmetric C.
 
     The package's only sparse LU, used only for inertia (every definite
     solve uses definite_factor).  It is symmetric-mode, ordered by minimum
@@ -292,7 +292,7 @@ def symmetric_factor(C: sp.spmatrix) -> tuple[spla.SuperLU, int] | None:
     pivots = lu.U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(np.isfinite(pivots) & (pivots != 0))):
         return None
-    return lu, int(np.count_nonzero(pivots < 0))
+    return int(np.count_nonzero(pivots < 0))
 
 
 @dataclass(frozen=True)

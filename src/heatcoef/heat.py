@@ -15,8 +15,9 @@ without an eigenbasis, from a shift-invert Krylov space of u0; the
 inversion's outer steps use it.
 
 GroundComparison holds what the lower-bound quotients u(T) / (e^{-l_1 T}
-phi1) of one (spectrum, u0, band) share over T: it reports the quotients
-at one time and finds the first grid time at which all are positive.
+phi1) of one spectrum, u0 and boundary-band node mask share over T: it
+reports the quotients at one time and finds the first grid time at which
+all are positive.
 
 No diagnostic here takes a mesh: each reads the mesh and matrices from
 the Discretization it is given, or from its spectrum's.  The
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .fem import Discretization, OperatorPair, l2_norm, nodal_gradients, require_zero_boundary
-from .mesh import BoundaryBand, distance_to_boundary
+from .mesh import distance_to_boundary
 from .spectral import SpectralDecomposition, orient_ground
 
 __all__ = [
@@ -61,7 +62,6 @@ class HeatSnapshot:
     spectra of the forward and stability-sweep runs.
     """
 
-    t: float
     u: np.ndarray
     F: np.ndarray
     truncation_bound: float
@@ -93,7 +93,7 @@ def evolve(spec: SpectralDecomposition, u0, t: float) -> HeatSnapshot:
     u = spec.disc.extend(spec.eigenvectors @ (coeffs * damp))
     F = spec.disc.extend(spec.eigenvectors @ (coeffs * gain))
     bound = float(np.exp(-spec.hat_eigenvalues[-1] * t)) * l2_norm(tail, spec.disc.mass_int)
-    return HeatSnapshot(t=float(t), u=u, F=F, truncation_bound=bound)
+    return HeatSnapshot(u=u, F=F, truncation_bound=bound)
 
 
 def cluster_weights(spec: SpectralDecomposition, u0) -> np.ndarray:
@@ -242,15 +242,11 @@ class LowerBoundReport:
     0.097 / 0.095 / 0.048 at 16^2 / 32^2 / 48^2 for the bundled bump).
     """
 
-    T: float
-    epsilon: float
-    u0_weight: float
     u_ratio_min: float
     dudt_ratio_min: float
     grad_ratio_min: float
     grad_phi1_band_min: float
     eig_floor_min: float
-    lambda1: float
 
     @property
     def all_positive(self) -> bool:
@@ -273,11 +269,12 @@ def check_u0_condition(disc: Discretization, u0) -> float:
 
 
 class GroundComparison:
-    """What the lower-bound quotients of one (spectrum, u0, band) share over T.
+    """What the lower-bound quotients of one spectrum, u0 and band share over T.
 
-    u0, phi1 and its gradients are projected and evaluated once; report(T)
-    forms the quotients at one time and threshold(T_grid) finds the first
-    grid time at which all are positive.  Requires int u0 d_Omega > 0
+    band is the bool node mask of mesh.boundary_band.  u0, phi1 and its
+    gradients are projected and evaluated once; report(T) forms the
+    quotients at one time and threshold(T_grid) finds the first grid time
+    at which all are positive.  Requires int u0 d_Omega > 0
     (otherwise the snapshot has no certified sign and the quotients are
     meaningless).  The quotients divide u(T) by e^{-l_1 T} phi1, so they are
     formed from the flow scaled by e^{l_1 T},
@@ -285,17 +282,16 @@ class GroundComparison:
     by an underflowed e^{-l_1 T} at large T.
     """
 
-    def __init__(self, spec: SpectralDecomposition, u0, band: BoundaryBand) -> None:
-        self.weight = check_u0_condition(spec.disc, u0)
-        if self.weight <= 0:
-            raise ValueError(f"int u0 * d_Omega = {self.weight:.6g} must be positive for lower bounds")
-        self.spec, self.band = spec, band
+    def __init__(self, spec: SpectralDecomposition, u0, band: np.ndarray) -> None:
+        weight = check_u0_condition(spec.disc, u0)
+        if weight <= 0:
+            raise ValueError(f"int u0 * d_Omega = {weight:.6g} must be positive for lower bounds")
+        self.spec, self.bmask = spec, band
         self.coeffs, self.rates, _ = _mode_data(spec, u0)
         self.lam1 = float(spec.hat_eigenvalues[0])
         self.phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         g_phi = nodal_gradients(spec.disc.mesh, self.phi1)
         self.gp2 = np.einsum("nd,nd->n", g_phi, g_phi)
-        self.bmask = band.node_mask
 
     def report(self, T: float) -> LowerBoundReport:
         """The ground-mode lower-bound quotients at time T > 0."""
@@ -315,15 +311,11 @@ class GroundComparison:
         floor = self.phi1 ** 2 + np.where(bmask, gp2, 0.0)
 
         return LowerBoundReport(
-            T=float(T),
-            epsilon=self.band.epsilon,
-            u0_weight=self.weight,
             u_ratio_min=float(np.min(u_ratio)),
             dudt_ratio_min=float(np.min(dudt_ratio)),
             grad_ratio_min=float(np.min(grad_ratio)) if grad_ratio.size else float("nan"),
             grad_phi1_band_min=float(np.min(np.sqrt(gp2[bmask]))) if bmask.any() else float("nan"),
             eig_floor_min=float(np.min(floor)),
-            lambda1=self.lam1,
         )
 
     def threshold(self, T_grid) -> float | None:

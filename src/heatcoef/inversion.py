@@ -148,7 +148,6 @@ class InversionReport:
     iterations: int
     residual_trace: np.ndarray
     data_residual: float
-    rel_error: float | None
     converged: bool
     lambda1_trace: np.ndarray
     smoothing_capped: int
@@ -346,7 +345,6 @@ def fixed_point_invert(
     a0,
     a_plus: float,
     opts: InversionOptions,
-    a_true: CoefficientField | None = None,
 ) -> InversionReport:
     """Reconstruct the coefficient from one final-time snapshot.
 
@@ -429,17 +427,11 @@ def fixed_point_invert(
     if accepted is not None:
         rhs = transport_rhs(disc, u_T, *accepted)
         data_residual = float(np.linalg.norm(base.G @ current.values - rhs))
-    rel_error = None
-    if a_true is not None:
-        num = l2_norm(current.values - a_true.values, disc.mass)
-        den = l2_norm(a_true.values, disc.mass)
-        rel_error = float(num / den)
     return InversionReport(
         a_rec=current,
         iterations=len(trace),
         residual_trace=np.array(trace),
         data_residual=data_residual,
-        rel_error=rel_error,
         converged=converged,
         lambda1_trace=np.array(lam1s),
         smoothing_capped=capped_count,

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "Mesh",
-    "BoundaryBand",
     "build_structured_mesh",
     "distance_to_boundary",
     "boundary_band",
@@ -64,7 +63,7 @@ class Mesh:
     @cached_property
     def element_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """P1 shape data per element, built once: (b, c, area) with
-        grad(lambda_i) = (b_i, c_i) / (2 area), area signed."""
+        grad(lambda_i) = (b_i, c_i) / (2 area), area > 0 iff counterclockwise."""
         p = self.nodes[self.elements]
         x, y = p[..., 0], p[..., 1]
         b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
@@ -73,18 +72,6 @@ class Mesh:
         for v in (b, c, area):
             v.flags.writeable = False
         return b, c, area
-
-    def signed_areas(self) -> np.ndarray:
-        """Signed area of every element; positive iff stored counterclockwise."""
-        return self.element_geometry[2]
-
-
-@dataclass(frozen=True)
-class BoundaryBand:
-    """Nodes lying strictly within distance epsilon of the boundary."""
-
-    epsilon: float
-    node_mask: np.ndarray
 
 
 def build_structured_mesh(nx: int, ny: int) -> Mesh:
@@ -137,16 +124,15 @@ def distance_to_boundary(mesh: Mesh) -> np.ndarray:
     return np.minimum.reduce([x, 1.0 - x, y, 1.0 - y])
 
 
-def boundary_band(mesh: Mesh, epsilon: float) -> BoundaryBand:
-    """Mask of nodes with distance-to-boundary strictly below epsilon.
+def boundary_band(mesh: Mesh, epsilon: float) -> np.ndarray:
+    """Bool mask of the nodes with distance-to-boundary strictly below epsilon.
 
     epsilon must lie in (0, 0.5): at 0.5 the band swallows the whole square
     and the complements used by the lower-bound checks become empty.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"band width must satisfy 0 < epsilon < 0.5, got {epsilon}")
-    d = distance_to_boundary(mesh)
-    return BoundaryBand(epsilon=float(epsilon), node_mask=d < epsilon)
+    return distance_to_boundary(mesh) < epsilon
 
 
 def write_grid(path, mesh: Mesh, values) -> None:

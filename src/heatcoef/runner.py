@@ -349,8 +349,7 @@ def _run_invert(ctx: _Context, rep: _Report) -> None:
                  f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
 
     opts = InversionOptions(T=s.T, alpha=s.alpha, tol_fp=s.tol_fp, max_iter=s.max_iter)
-    report = fixed_point_invert(ctx.disc, u0, u_T, ctx.coeff.values,
-                                s.a_plus, opts, a_true=ctx.coeff)
+    report = fixed_point_invert(ctx.disc, u0, u_T, ctx.coeff.values, s.a_plus, opts)
 
     steps = report.residual_trace
     rep.csv("residuals.csv", ("iter", "step_l2", "lambda1", "krylov_m"),
@@ -370,12 +369,14 @@ def _run_invert(ctx: _Context, rep: _Report) -> None:
     if not report.converged:
         rep.warn("fixed-point-stalled",
                  "step norm increased or max_iter was hit; kept the best iterate")
+    a = ctx.coeff.values
+    rel_error = l2_norm(report.a_rec.values - a, M) / l2_norm(a, M)
     if s.noise == 0:
-        rep.check("reconstruction-error", report.rel_error <= 0.02,
-                  f"measured={report.rel_error:.6g} bound=0.02 (noiseless L2-relative)")
+        rep.check("reconstruction-error", rel_error <= 0.02,
+                  f"measured={rel_error:.6g} bound=0.02 (noiseless L2-relative)")
     else:
         rep.info("reconstruction-error",
-                 f"rel_error={report.rel_error:.6g} at noise level {s.noise:g}")
+                 f"rel_error={rel_error:.6g} at noise level {s.noise:g}")
     rep.info("data-residual",
              f"least-squares residual of the final transport system = {report.data_residual:.6g}")
     rep.info("closure-eigensolves",

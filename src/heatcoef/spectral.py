@@ -320,8 +320,7 @@ def solve_flow_spectrum(
         lead = spec.leading(kept) if kept else None
         tail = (float(np.exp(-(sigma - lead.hat_eigenvalues[1]) * t_min))
                 if lead is not None and lead.n_clusters >= 2 else float("inf"))
-        factor = symmetric_factor(pair.stiffness - sigma * pair.mass)
-        count = factor[1] if factor is not None else None
+        count = symmetric_factor(pair.stiffness - sigma * pair.mass)
         certified = count == kept and tail <= FLOW_TAIL_TOL
         if certified or K >= K_max:
             out = lead if certified else spec

@@ -178,7 +178,7 @@ def test_band_gradient_floor_stable_under_mesh_refinement():
         phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         g = nodal_gradients(mesh, phi1)
         grad_norm = np.sqrt(np.einsum("nd,nd->n", g, g))
-        mask = boundary_band(mesh, 0.1).node_mask
+        mask = boundary_band(mesh, 0.1)
         corner_dist = np.min(
             np.linalg.norm(mesh.nodes[:, None, :] - corners[None, :, :], axis=2), axis=1)
         floors.append(float(np.min(grad_norm[mask & (corner_dist >= rho)])))

@@ -251,7 +251,7 @@ class TestLowerBounds:
         assert rep.grad_ratio_min == pytest.approx(0.04097470, abs=1e-7)
         assert rep.grad_phi1_band_min == pytest.approx(0.46080865, abs=1e-7)
         assert rep.eig_floor_min == pytest.approx(0.09517545, abs=1e-7)
-        assert rep.lambda1 == pytest.approx(21.25552253, abs=1e-6)
+        assert bump_spec32.hat_eigenvalues[0] == pytest.approx(21.25552253, abs=1e-6)
 
     def test_rejects_nonpositive_weight_or_time(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)
@@ -280,7 +280,7 @@ class TestLowerBounds:
         c1 = bump_spec32.eigenvectors[:, 0] @ (bump_spec32.disc.mass_int @ d[bump_spec32.disc.interior])
         assert rep.all_positive
         assert rep.u_ratio_min == pytest.approx(c1, rel=1e-12)
-        assert rep.dudt_ratio_min == pytest.approx(rep.lambda1 * c1, rel=1e-12)
+        assert rep.dudt_ratio_min == pytest.approx(bump_spec32.hat_eigenvalues[0] * c1, rel=1e-12)
         assert rep.grad_ratio_min == pytest.approx(c1 ** 2, rel=1e-12)
 
     def test_a_nan_minimum_is_not_positive(self, mesh32, bump_spec32):

@@ -287,10 +287,12 @@ class TestFixedPointInvert:
     def test_recovers_bump_from_clean_snapshot(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot
         opts = InversionOptions(T=T)
-        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts, a_true=bump32)
+        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts)
         assert rep.converged
         assert rep.iterations <= 8  # measured 5
-        assert rep.rel_error < 1e-5  # measured 8.41e-7
+        rel_error = (l2_norm(rep.a_rec.values - bump32.values, disc32.mass)
+                     / l2_norm(bump32.values, disc32.mass))
+        assert rel_error < 1e-5  # measured 8.41e-7
         assert rep.lambda1_trace[-1] == pytest.approx(21.25552253, abs=1e-4)
         assert rep.residual_trace[-1] <= opts.tol_fp
 
@@ -298,11 +300,12 @@ class TestFixedPointInvert:
         d = distance_to_boundary(mesh32)
         unit = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         u_T = evolve(unit_spec32, d, 2.0).u
-        rep = fixed_point_invert(disc32, d, u_T, unit.values, 2.0,
-                                 InversionOptions(T=2.0), a_true=unit)
+        rep = fixed_point_invert(disc32, d, u_T, unit.values, 2.0, InversionOptions(T=2.0))
         assert rep.converged
         assert rep.iterations <= 2  # measured 1
-        assert rep.rel_error < 1e-6  # measured 1.16e-12
+        rel_error = (l2_norm(rep.a_rec.values - unit.values, disc32.mass)
+                     / l2_norm(unit.values, disc32.mass))
+        assert rel_error < 1e-6  # measured 1.16e-12
 
     def test_transport_system_built_once_per_inversion(self, disc32, bump32, bump_snapshot,
                                                        monkeypatch):

@@ -20,7 +20,7 @@ def test_counts_and_orientation():
     mesh = build_structured_mesh(5, 3)
     assert mesh.n_nodes == 6 * 4
     assert mesh.n_elements == 2 * 5 * 3
-    areas = mesh.signed_areas()
+    areas = mesh.element_geometry[2]
     assert np.all(areas > 0)
     assert np.isclose(areas.sum(), 1.0)
 
@@ -65,12 +65,12 @@ def test_band_matches_definition_and_layer_count():
     mesh = build_structured_mesh(10, 10)
     band = boundary_band(mesh, 0.1)
     d = distance_to_boundary(mesh)
-    assert np.array_equal(band.node_mask, d < 0.1)
+    assert np.array_equal(band, d < 0.1)
     # 0.15 sits safely between the first and second node layers, so the
     # band is exactly the boundary ring plus one interior ring (the strict
     # < at 0.1 itself is float-sensitive and not asserted)
     wide = boundary_band(mesh, 0.15)
-    assert wide.node_mask.sum() == 40 + 32
+    assert wide.sum() == 40 + 32
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.2, 0.5, 1.0])
@@ -87,8 +87,8 @@ def test_band_rejects_bad_width(eps):
 def test_band_monotone_in_width(e1, e2):
     mesh = build_structured_mesh(9, 7)
     lo, hi = sorted([e1, e2])
-    inner = boundary_band(mesh, lo).node_mask
-    outer = boundary_band(mesh, hi).node_mask
+    inner = boundary_band(mesh, lo)
+    outer = boundary_band(mesh, hi)
     assert np.all(outer[inner])
 
 

@@ -1,10 +1,16 @@
 import ast
 import csv
 import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import heatcoef
 from heatcoef.catalog import make_coefficient
 from heatcoef.fem import discretize
 from heatcoef.inversion import stability_ratio_experiment
@@ -14,6 +20,8 @@ from heatcoef.spectral import solve_generalized_eig
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCENARIOS = SCRIPTS.parent / "scenarios"
 BENCHMARK = SCRIPTS.parent / "benchmark"
+README = SCRIPTS.parent / "README.md"
+MODULES = ("catalog", "fem", "heat", "inversion", "mesh", "runner", "scenario", "spectral")
 
 
 def _load(name, folder=SCRIPTS):
@@ -105,6 +113,26 @@ def test_benchmark_and_scripts_use_only_names_the_package_has():
             for path in files for name in _heatcoef_names(path)}
     assert any(name == "heatcoef.fem.make_field" for _, name in used)
     assert [(path, name) for path, name in sorted(used) if not _resolves(name)] == []
+
+
+def test_readme_names_and_the_modules_resolve_after_a_bare_package_import():
+    # benchmark/ reads heatcoef.<module> after `import heatcoef` alone, and
+    # README names <module>.<name>; a fresh interpreter, so no submodule
+    # another test imported can stand in for the package's own imports
+    text = README.read_text(encoding="utf-8")
+    refs = sorted({m.groups() for span in re.findall(r"`([^`\n]+)`", text)
+                   for m in re.finditer(rf"(?<![\w./])(?:heatcoef\.)?({'|'.join(MODULES)})"
+                                        r"\.([A-Za-z_]\w*)", span)})
+    assert ("fem", "symmetric_factor") in refs
+    check = ("import json, sys, heatcoef\n"
+             "modules, refs = json.loads(sys.argv[1])\n"
+             "print(json.dumps([m for m in modules if not hasattr(heatcoef, m)]\n"
+             "                 + [f'{m}.{n}' for m, n in refs\n"
+             "                    if not hasattr(getattr(heatcoef, m, None), n)]))\n")
+    out = subprocess.run([sys.executable, "-c", check, json.dumps([MODULES, refs])],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(heatcoef.__file__).parents[1])})
+    assert json.loads(out.stdout) == []
 
 
 def test_every_benchmark_scaling_layer_runs():
