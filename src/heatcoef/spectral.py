@@ -72,11 +72,13 @@ RATE_EXPONENT_2D = 1.5
 
 # Rows of perturbation_sweep: eigenvalue shifts for k <= EIGEN_SWEEP_ROWS and
 # projection differences for strict clusters k <= PROJECTION_SWEEP_ROWS.
-# Every pencil of the sweep is solved with _SWEEP_K eigenpairs, enough to
-# hold PROJECTION_SWEEP_ROWS clusters of the square's degenerate spectrum.
+# Every pencil of the sweep is solved with _SWEEP_K eigenpairs, one more than
+# the rows read: no row reads the solve's top pair, so a cut that splits a
+# cluster never touches a read row (the sweep refuses a base whose last read
+# cluster does not end below the cut).
 EIGEN_SWEEP_ROWS = 10
 PROJECTION_SWEEP_ROWS = 5
-_SWEEP_K = 4 * PROJECTION_SWEEP_ROWS
+_SWEEP_K = EIGEN_SWEEP_ROWS + 1
 
 # Consecutive eigenvalues closer than this relative gap form one strict
 # cluster (strictify_spectrum); every spectrum is grouped by this rule.
@@ -320,12 +322,15 @@ def solve_flow_spectrum(
         lead = spec.leading(kept) if kept else None
         tail = (float(np.exp(-(sigma - lead.hat_eigenvalues[1]) * t_min))
                 if lead is not None and lead.n_clusters >= 2 else float("inf"))
-        count = symmetric_factor(pair.stiffness - sigma * pair.mass)
-        certified = count == kept and tail <= FLOW_TAIL_TOL
-        if certified or K >= K_max:
-            out = lead if certified else spec
-            return out, FlowCutoff(K=out.K, K_max=K_max, t_min=float(t_min), sigma=sigma,
-                                   kept=kept, count=count, tail=tail, certified=certified)
+        # A tail above the bound rejects the cut whatever the inertia says,
+        # so a solve below the cap doubles K without counting.
+        if tail <= FLOW_TAIL_TOL or K >= K_max:
+            count = symmetric_factor(pair.stiffness - sigma * pair.mass)
+            certified = count == kept and tail <= FLOW_TAIL_TOL
+            if certified or K >= K_max:
+                out = lead if certified else spec
+                return out, FlowCutoff(K=out.K, K_max=K_max, t_min=float(t_min), sigma=sigma,
+                                       kept=kept, count=count, tail=tail, certified=certified)
         K = min(2 * K, K_max)
 
 
@@ -552,6 +557,9 @@ def perturbation_sweep(
     split a symmetry degeneracy (by more than CLUSTER_TOL but still tiny),
     and ||P_k - P~_k|| would then measure a rank mismatch, not the
     perturbation.  Both spectra hold _SWEEP_K pairs, so the pattern fits.
+    The base must hold more than PROJECTION_SWEEP_ROWS clusters: then the
+    last projection row's cluster ends below the top pair, which the cut may
+    split and no row reads.
     """
     disc = spec.disc
     eta = np.asarray(eta, dtype=float)
@@ -567,10 +575,10 @@ def perturbation_sweep(
             raise AdmissibilityError(f"{label}: {exc}") from exc
     base = (spec.leading(_SWEEP_K) if spec.K >= _SWEEP_K
             else solve_generalized_eig(disc.pair(a.values), _SWEEP_K))
-    if base.n_clusters < PROJECTION_SWEEP_ROWS:
+    if base.n_clusters <= PROJECTION_SWEEP_ROWS:
         raise ValueError(
             f"K={_SWEEP_K} eigenpairs yield only {base.n_clusters} strict eigenvalues, "
-            f"need {PROJECTION_SWEEP_ROWS}"
+            f"need {PROJECTION_SWEEP_ROWS + 1}"
         )
     eig_rows, proj_rows = [], []
     for s, values in perturbed:

@@ -277,10 +277,11 @@ def test_each_spectrum_is_projected_once_per_time(mode, per_time, once, tmp_path
 
 
 def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
-    # a = 1 (K=40), whose first 20 pairs are both the min-max sandwich's unit
-    # spectrum and the base of one perturbation sweep that solves a + s*eta
-    # for three scales (K=20 each).  The run builds the stiffness map of its
-    # mesh once and reads 4 pencils from it; nothing assembles A(a) anew.
+    # a = 1 (K=40), whose first 20 pairs are the min-max sandwich's unit
+    # spectrum and whose first 11 are the base of one perturbation sweep that
+    # solves a + s*eta for three scales (K=11 each: its rows read 10 pairs).
+    # The run builds the stiffness map of its mesh once and reads 4 pencils
+    # from it; nothing assembles A(a) anew.
     solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
     maps = _count_calls(monkeypatch, fem._stiffness_map)
     assemblies = _count_calls(monkeypatch, fem.assemble_stiffness)
@@ -291,7 +292,7 @@ def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
         return pair(disc, a)
     monkeypatch.setattr(fem.Discretization, "pair", counted_pair)
     run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path)
-    assert len(solves) == 4
+    assert [K for _, K in solves] == [40, 11, 11, 11]
     assert (len(maps), len(pencils), len(assemblies)) == (1, 4, 0)
 
 
@@ -347,10 +348,15 @@ def test_first_eigenfunction_invert_converges(tmp_path):
     assert float(re.search(r"measured=(\S+)", err).group(1)) <= 0.02  # 8.07e-7 after 5 steps
 
 
-def test_verify_spectral_needs_twenty_interior_nodes_for_the_sweep(tmp_path):
-    text = VERIFY_16.replace("nx = 16", "nx = 5").replace("ny = 16", "ny = 5")
-    with pytest.raises(RunnerError, match=r"requested K=20 eigenpairs from a pencil of size 16"):
-        run_scenario(parse_config_text(text), "verify-spectral", tmp_path)
+def _verify_on(n: int) -> str:
+    return VERIFY_16.replace("nx = 16", f"nx = {n}").replace("ny = 16", f"ny = {n}")
+
+
+def test_verify_spectral_needs_eleven_interior_nodes_for_the_sweep(tmp_path):
+    with pytest.raises(RunnerError, match=r"requested K=11 eigenpairs from a pencil of size 9"):
+        run_scenario(parse_config_text(_verify_on(4)), "verify-spectral", tmp_path / "4")
+    art = run_scenario(parse_config_text(_verify_on(5)), "verify-spectral", tmp_path / "5")
+    assert (art.n_pass, art.n_fail) == (7, 0), art.summary_lines
 
 
 def test_bundled_stability_sweep_reports_fit_points(tmp_path):
@@ -444,13 +450,31 @@ def test_unit_coefficient_forward_reads_past_the_empty_second_cluster(tmp_path, 
 
 
 def test_unit_coefficient_forward_fits_F_where_its_first_tail_cluster_dominates(tmp_path):
-    # Up to T = 0.25 cluster 7's content still outweighs the rounding of
-    # clusters 2-6: the slope is fitted at the 5 grid times up to 0.25 and
-    # reads l_7, not l_2.
-    s = parse_config_text(_UNIT_FORWARD + "T = 0.1\nT_grid = 0.05,0.1,0.15,0.2,0.25,0.3,0.4\n")
+    # Up to T = 0.225 cluster 7's content still outweighs the rounding of
+    # clusters 2-6 (by 28 times there, 1.5e-3 times at 0.3): the slope is
+    # fitted at the 5 grid times up to 0.225 and reads l_7, not l_2.  No grid
+    # time sits near a ratio of 1, where rounding would decide the count.
+    s = parse_config_text(_UNIT_FORWARD + "T = 0.1\nT_grid = 0.05,0.1,0.15,0.2,0.225,0.3,0.4\n")
     line = _line(run_scenario(s, "forward", tmp_path).summary_lines, "F-decay-slope")
     assert line.startswith("PASS F-decay-slope: ")
     assert line.endswith("(first populated tail cluster k=7) fit_points=5")
+
+
+@pytest.mark.parametrize("scenario,solved,count", [
+    (lambda: parse_config_text(_UNIT_FORWARD + "T = 0.1\nT_grid = 0.05,0.1,0.2\n"), [12, 24, 40], 39),
+    (lambda: parse_config(SCENARIO_DIR / "forward_decay.cfg"), [12], 11),
+], ids=["unit_fwd", "forward_decay"])
+def test_flow_spectrum_counts_inertia_only_where_the_tail_passes_or_at_the_cap(
+        tmp_path, monkeypatch, scenario, solved, count):
+    # From t_min = 0.05 the tails of the K=12 and K=24 cuts of the unit
+    # pencil fail the bound, so only the capped K=40 solve pays for an
+    # inertia count; the bundled forward's first cut is counted and accepted.
+    solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
+    counts = _count_calls(monkeypatch, fem.symmetric_factor)
+    art = run_scenario(scenario(), "forward", tmp_path)
+    assert [K for _, K in solves] == solved
+    assert len(counts) == 1
+    assert f", count={count}, " in _line(art.summary_lines, "flow-spectrum")
 
 
 def test_modes_below_the_certified_K_warn_and_keep_every_pair(tmp_path):

@@ -576,7 +576,16 @@ class TestSweepRefusals:
         monkeypatch.setattr(spectral, "_SWEEP_K", 4)
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         with pytest.raises(ValueError,
-                           match=r"^K=4 eigenpairs yield only 3 strict eigenvalues, need 5$"):
+                           match=r"^K=4 eigenpairs yield only 3 strict eigenvalues, need 6$"):
+            perturbation_sweep(unit_spec32, a, np.zeros(mesh32.n_nodes), [0.1])
+
+    def test_refuses_a_fifth_cluster_that_reaches_the_cut(self, mesh32, unit_spec32, monkeypatch):
+        # eight pairs hold the clusters [1, 2, 1, 2, 2]: the fifth ends at the
+        # top pair, which a cut may split, so the projection rows cannot trust it
+        monkeypatch.setattr(spectral, "_SWEEP_K", 8)
+        a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
+        with pytest.raises(ValueError,
+                           match=r"^K=8 eigenpairs yield only 5 strict eigenvalues, need 6$"):
             perturbation_sweep(unit_spec32, a, np.zeros(mesh32.n_nodes), [0.1])
 
     def test_refuses_an_empty_scale_list(self, mesh32, unit_spec32):
@@ -585,21 +594,38 @@ class TestSweepRefusals:
             perturbation_sweep(unit_spec32, a, np.zeros(mesh32.n_nodes), [])
 
 
+def _assert_tables_close(got, ref):
+    for tab, ref_tab in zip(got, ref):
+        for f in dataclasses.fields(ref_tab):
+            np.testing.assert_allclose(getattr(tab, f.name), getattr(ref_tab, f.name),
+                                       rtol=1e-8, atol=0, err_msg=f.name)
+
+
 class TestSweepReusesTheRunSpectrum:
     def test_matches_a_fresh_k20_base(self, mesh32, unit_pair32, unit_spec32):
         # The bundled verify-spectral sweep: unit coefficient, bump direction.
-        # A K=40 run spectrum is cut to its first 20 pairs; a K=10 one makes
-        # the sweep solve its own K=20 base.
+        # A K=20 or K=40 run spectrum is cut to its first 11 pairs; a K=10 one
+        # makes the sweep solve its own K=11 base.
         a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         eta = direction_values(mesh32, "gaussian-bump", {"amplitude": 0.04})
         scales = (1e-3, 1e-2, 1e-1)
         ref = perturbation_sweep(solve_generalized_eig(unit_pair32, 20), a, eta, scales)
         for run_spec in (solve_generalized_eig(unit_pair32, 40), unit_spec32):
-            got = perturbation_sweep(run_spec, a, eta, scales)
-            for tab, ref_tab in zip(got, ref):
-                for f in dataclasses.fields(ref_tab):
-                    np.testing.assert_allclose(getattr(tab, f.name), getattr(ref_tab, f.name),
-                                               rtol=1e-8, atol=0, err_msg=f.name)
+            _assert_tables_close(perturbation_sweep(run_spec, a, eta, scales), ref)
+
+    @pytest.mark.parametrize("centre", [(0.3, 0.7), (0.62, 0.21), (0.8, 0.5)])
+    def test_eleven_pairs_per_pencil_match_twenty(self, mesh32, unit_pair32, monkeypatch, centre):
+        # No row reads past pair 10, so solving each pencil with 11 pairs
+        # instead of 20 moves the tables only by ARPACK's rounding (at most
+        # 5.1e-10 relative on these centres).
+        a = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
+        eta = direction_values(mesh32, "gaussian-bump", {
+            "amplitude": 0.04, "center_x": centre[0], "center_y": centre[1]})
+        run_spec = solve_generalized_eig(unit_pair32, 40)
+        scales = (1e-3, 1e-2, 1e-1)
+        got = perturbation_sweep(run_spec, a, eta, scales)
+        monkeypatch.setattr(spectral, "_SWEEP_K", 20)
+        _assert_tables_close(got, perturbation_sweep(run_spec, a, eta, scales))
 
 
 class TestProjectionPerturbation:
