@@ -32,7 +32,6 @@ def main(argv=None) -> int:
                         type=Path, help="directory holding the .cfg files")
     parser.add_argument("--out", default=Path("results"), type=Path,
                         help="root output directory (one subdirectory per scenario)")
-    parser.add_argument("--seed", type=int, default=None, help="override every scenario seed")
     args = parser.parse_args(argv)
 
     any_fail = False
@@ -44,7 +43,7 @@ def main(argv=None) -> int:
         start = time.monotonic()
         try:
             scenario = parse_config(cfg)
-            artifact = run_scenario(scenario, mode, args.out / cfg.stem, seed=args.seed)
+            artifact = run_scenario(scenario, mode, args.out / cfg.stem)
             write_reports(artifact)
         except (ConfigError, RunnerError) as exc:
             print(f"{cfg.stem}: error: {exc}", file=sys.stderr)

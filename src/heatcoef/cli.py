@@ -1,6 +1,9 @@
 """Command-line front end.
 
-    heatcoef <mode> --config scenario.cfg --out results/ [--seed N] [--modes K]
+    heatcoef <mode> --config scenario.cfg --out results/
+
+Every run setting comes from the config file; the command line names only
+the file and the output directory.
 
 Modes: forward, invert, verify-spectral, stability-sweep.  Exit code is 0
 when every summary check passes, 2 when any FAIL line was emitted, and 1
@@ -34,11 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode, help=_MODE_HELP[mode])
         p.add_argument("--config", required=True, help="scenario config file (key = value lines)")
         p.add_argument("--out", required=True, help="output directory for CSV/grid/report files")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--modes", type=int, default=None,
-                       help="override the number of eigenpairs verify-spectral solves; "
-                            "forward and stability-sweep take it as a cap and solve only "
-                            "the pairs their earliest time can see; invert ignores it")
     return parser
 
 
@@ -53,8 +51,7 @@ def main(argv=None) -> int:
 
     try:
         scenario = parse_config(args.config)
-        artifact = run_scenario(scenario, args.mode, args.out,
-                                seed=args.seed, modes=args.modes)
+        artifact = run_scenario(scenario, args.mode, args.out)
         write_reports(artifact)
     except (ConfigError, RunnerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,7 +70,6 @@ from .spectral import (
 
 __all__ = [
     "TransportSystem",
-    "InversionOptions",
     "InversionReport",
     "StabilityTable",
     "TransportSolveError",
@@ -80,9 +79,21 @@ __all__ = [
     "admissible_projection",
     "fixed_point_invert",
     "stability_ratio_experiment",
+    "TOL_FP",
 ]
 
 _SMOOTHING_PASS_CAP = 5
+# Tikhonov weight of fixed_point_invert, relative to the largest diagonal of
+# G'G: one exact-data transport solve lands 9.2e-9 from the bundled bump at
+# 32^2, while the interior normal block keeps a condition number near 6e5.
+_ALPHA = 1e-8
+# L2 step at which fixed_point_invert calls the fixed point converged, set
+# at the relative error floor that _ALPHA leaves.  Public because the runner
+# prints it as the bound of its fixed-point-converged check.
+TOL_FP = 1e-8
+# Safety cap on outer steps: the bundled inversions stop after 1 to 6 steps,
+# the stalling 16^2 bump of the tests after 10.
+_MAX_ITER = 50
 # Inner eigenvalue-closure budget per outer step.  One evaluation costs an
 # axpy on the affine candidate raw_0 - x d, an admissible projection, a
 # pencil (one product with the stiffness map) and a warm K=1 ground solve
@@ -129,17 +140,6 @@ class TransportSystem:
     disc: Discretization
     factor: BandCholesky
     boundary_lift: np.ndarray
-
-
-@dataclass(frozen=True)
-class InversionOptions:
-    """Knobs of the fixed-point reconstruction (alpha is relative to
-    the largest diagonal of G'G)."""
-
-    T: float
-    alpha: float = 1e-8
-    tol_fp: float = 1e-8
-    max_iter: int = 50
 
 
 @dataclass(frozen=True)
@@ -344,7 +344,7 @@ def fixed_point_invert(
     u_T,
     a0,
     a_plus: float,
-    opts: InversionOptions,
+    T: float,
 ) -> InversionReport:
     """Reconstruct the coefficient from one final-time snapshot.
 
@@ -356,9 +356,9 @@ def fixed_point_invert(
     inserted into the right-hand side is refined within the step by the
     scalar closure phi(x) = l_1(candidate(x)) - x = 0 (see module
     docstring); the candidate belonging to the accepted scalar becomes the
-    next iterate.  Converges when the L2 step drops below tol_fp; otherwise
+    next iterate.  Converges when the L2 step drops below TOL_FP; otherwise
     stops when a step increases (keeping the pre-increase iterate) or after
-    max_iter steps.  data_residual is that of the transport system which
+    _MAX_ITER steps.  data_residual is that of the transport system which
     produced the returned iterate.  Only the boundary entries of a0 are
     read: they are the prescribed trace.
     """
@@ -380,16 +380,15 @@ def fixed_point_invert(
     # G, its scale and the factored normal matrix depend only on u_T, alpha
     # and a0, and so does the candidate's slope -d in the inserted eigenvalue.
     base = build_transport_system(mesh, disc.unit_pair, u_T, 0.0, np.zeros(mesh.n_nodes),
-                                  opts.alpha, a0)
+                                  _ALPHA, a0)
     d = _eigenvalue_direction(base, u_T)
     trace, lam1s = [], []
     converged = False
     capped_count = 0
     ground_solves = fallbacks = 0
-    accepted = None  # (eigenvalue, F) of the transport system of `current`
     krylov_m = []
-    for _ in range(opts.max_iter):
-        spec, F, m = _outer_step(disc.pair(current.values), u0, opts.T)
+    for _ in range(_MAX_ITER):
+        spec, F, m = _outer_step(disc.pair(current.values), u0, T)
         krylov_m.append(m)
         lam_raw = float(spec.hat_eigenvalues[0])
         raw0 = solve_transport_ls(dataclasses.replace(base, rhs=transport_rhs(disc, u_T, 0.0, F)),
@@ -418,20 +417,19 @@ def fixed_point_invert(
             trace.append(step)
             break  # keep `current`, the pre-increase iterate, and its system
         trace.append(step)
+        # (eigenvalue, F) of current's transport system; set by every first
+        # step, which has no previous step to grow over.
         current, accepted = projected, (x_acc, F)
-        if step <= opts.tol_fp:
+        if step <= TOL_FP:
             converged = True
             break
 
-    data_residual = float("nan")
-    if accepted is not None:
-        rhs = transport_rhs(disc, u_T, *accepted)
-        data_residual = float(np.linalg.norm(base.G @ current.values - rhs))
+    rhs = transport_rhs(disc, u_T, *accepted)
     return InversionReport(
         a_rec=current,
         iterations=len(trace),
         residual_trace=np.array(trace),
-        data_residual=data_residual,
+        data_residual=float(np.linalg.norm(base.G @ current.values - rhs)),
         converged=converged,
         lambda1_trace=np.array(lam1s),
         smoothing_capped=capped_count,
@@ -553,8 +551,7 @@ def stability_ratio_experiment(
     rho[flagged] = np.nan
     bracket = np.exp(lam1 * grid) * l2d + np.exp(-(lam2 - lam1) * grid) * cdiff
     c_fit = np.where(bracket > 0, recip_gap / np.where(bracket > 0, bracket, 1.0), np.nan)
-    ok = ~flagged
-    fitted = fit_log_slope(grid[ok], rho[ok]) if ok.sum() >= 2 else float("nan")
+    fitted = fit_log_slope(grid[~flagged], rho[~flagged])
     ratios = fdiff / cdiff
     return StabilityTable(
         T=grid, coeff_diff=cdiff, l2_udiff=l2d, h2_udiff=h2d, rho=rho, bracket=bracket,

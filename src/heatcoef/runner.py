@@ -7,8 +7,8 @@ grid() write a file and list it for the manifest, so no written file can
 miss manifest.txt.  FAIL lines carry the measured value, the bound it
 broke, and (for per-index checks) the first violating index, counted from
 1 in T_grid or the spectrum.  All numeric output uses fixed %.17g
-formatting and fixed iteration orders, so identical (config, seed) runs
-are byte-identical.
+formatting and fixed iteration orders, so runs of one config (its seed
+included) are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog
+from . import catalog, inversion
 from .fem import (
     CoefficientField,
     Discretization,
@@ -37,13 +37,9 @@ from .heat import (
     fit_log_slope,
     krylov_flow,
 )
-from .inversion import (
-    InversionOptions,
-    fixed_point_invert,
-    stability_ratio_experiment,
-)
+from .inversion import fixed_point_invert, stability_ratio_experiment
 from .mesh import Mesh, boundary_band, build_structured_mesh, write_grid
-from .scenario import Scenario, scenario_hash, with_overrides
+from .scenario import Scenario, scenario_hash
 from .spectral import (
     EIGEN_SWEEP_ROWS,
     PROJECTION_SWEEP_ROWS,
@@ -188,18 +184,17 @@ def _build_context(s: Scenario) -> _Context:
     return _Context(scenario=s, disc=disc, coeff=coeff, pair=disc.pair(coeff.values), u0=u0)
 
 
-def run_scenario(scenario: Scenario, mode: str, out_dir, seed: int | None = None,
-                 modes: int | None = None) -> RunArtifact:
+def run_scenario(scenario: Scenario, mode: str, out_dir) -> RunArtifact:
     """Run one scenario in one mode, writing artifacts into out_dir.
 
-    verify-spectral solves K = modes eigenpairs.  forward and
-    stability-sweep take modes as a cap: they solve only the eigenpairs
-    their earliest time can see (spectral.solve_flow_spectrum).  invert
-    solves no spectrum for its data (heat.krylov_flow) and ignores modes.
+    The scenario is the run's only source of settings.  verify-spectral
+    solves K = scenario.modes eigenpairs.  forward and stability-sweep take
+    modes as a cap: they solve only the eigenpairs their earliest time can
+    see (spectral.solve_flow_spectrum).  invert solves no spectrum for its
+    data (heat.krylov_flow) and ignores modes.
     """
     if mode not in MODES:
         raise RunnerError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
-    scenario = with_overrides(scenario, seed=seed, modes=modes)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -348,18 +343,18 @@ def _run_invert(ctx: _Context, rep: _Report) -> None:
         rep.info("noise",
                  f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
 
-    opts = InversionOptions(T=s.T, alpha=s.alpha, tol_fp=s.tol_fp, max_iter=s.max_iter)
-    report = fixed_point_invert(ctx.disc, u0, u_T, ctx.coeff.values, s.a_plus, opts)
+    report = fixed_point_invert(ctx.disc, u0, u_T, ctx.coeff.values, s.a_plus, s.T)
 
     steps = report.residual_trace
     rep.csv("residuals.csv", ("iter", "step_l2", "lambda1", "krylov_m"),
             zip(range(1, steps.size + 1), steps, report.lambda1_trace, report.krylov_m))
     rep.grid("a_rec.grid", ctx.mesh, report.a_rec.values)
 
-    final_step = float(steps[-1]) if steps.size else float("nan")
+    final_step = float(steps[-1])
     if s.noise == 0:
         rep.check("fixed-point-converged", report.converged,
-                  f"measured={final_step:.6g} bound={s.tol_fp:g} after {report.iterations} iteration(s)")
+                  f"measured={final_step:.6g} bound={inversion.TOL_FP:g} "
+                  f"after {report.iterations} iteration(s)")
     else:
         # Noisy data puts a floor under the step norm, so stalling there is
         # the expected terminal state, not a failure.
@@ -368,7 +363,7 @@ def _run_invert(ctx: _Context, rep: _Report) -> None:
                  f"after {report.iterations} iteration(s) at noise level {s.noise:g}")
     if not report.converged:
         rep.warn("fixed-point-stalled",
-                 "step norm increased or max_iter was hit; kept the best iterate")
+                 "step norm increased or the step cap was hit; kept the best iterate")
     a = ctx.coeff.values
     rel_error = l2_norm(report.a_rec.values - a, M) / l2_norm(a, M)
     if s.noise == 0:
@@ -452,8 +447,7 @@ def _run_verify_spectral(ctx: _Context, rep: _Report) -> None:
 
     if s.eta is not None:
         eta_vals = catalog.direction_values(ctx.mesh, s.eta.kind, s.eta.params_dict())
-        etab, ptab = perturbation_sweep(spec, ctx.coeff, eta_vals, s.scales,
-                                        gamma=s.gamma, eta_hat=s.eta_hat)
+        etab, ptab = perturbation_sweep(spec, ctx.coeff, eta_vals, s.scales, gamma=s.gamma)
         rep.csv("eigen_perturbation.csv",
                 ("k", "s", "lambda", "lambda_tilde", "diff", "l2_coeff_diff", "ratio"),
                 zip(etab.k, etab.s, etab.lam, etab.lam_tilde, etab.diff,

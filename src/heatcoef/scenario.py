@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import NamedTuple, get_args, get_origin, get_type_hints
@@ -74,12 +74,8 @@ class Scenario:
     modes: int = field(default=40, metadata={"min": 1})
     gamma: float = field(default=0.0, metadata={"min": 0})
     delta: float = field(default=1.0, metadata={"above": 0})
-    alpha: float = field(default=1e-8, metadata={"above": 0})
-    tol_fp: float = field(default=1e-8, metadata={"above": 0})
-    max_iter: int = field(default=50, metadata={"min": 1})
     noise: float = field(default=0.0, metadata={"min": 0})
     seed: int = field(default=0, metadata={"min": 0})
-    eta_hat: float = field(default=0.05, metadata={"above": 0})
     perturbation: FieldSpec | None = None
     eta: FieldSpec | None = None
     scales: tuple[float, ...] = (1e-3, 1e-2, 1e-1)
@@ -269,12 +265,3 @@ def serialize_scenario(s: Scenario) -> str:
 def scenario_hash(s: Scenario) -> str:
     return hashlib.sha256(serialize_scenario(s).encode()).hexdigest()
 
-
-def with_overrides(s: Scenario, seed: int | None = None, modes: int | None = None) -> Scenario:
-    """CLI-level overrides of the seeded RNG and eigenpair count, checked as parsing checks them."""
-    updates = {key: v for key, v in (("seed", seed), ("modes", modes)) if v is not None}
-    if not updates:
-        return s
-    s = replace(s, **updates)
-    _validate_scenario(s)
-    return s

@@ -79,6 +79,10 @@ RATE_EXPONENT_2D = 1.5
 EIGEN_SWEEP_ROWS = 10
 PROJECTION_SWEEP_ROWS = 5
 _SWEEP_K = EIGEN_SWEEP_ROWS + 1
+# Smallness constant of the projection rows' gate
+# ||a - a~|| <= _ETA_HAT max(l_k, l_k~)^-(1+gamma+n/4); the bound leaves it
+# free, and 0.05 gates 7 of the 15 rows of the bundled verify_spectral sweep.
+_ETA_HAT = 0.05
 
 # Consecutive eigenvalues closer than this relative gap form one strict
 # cluster (strictify_spectrum); every spectrum is grouped by this rule.
@@ -535,7 +539,6 @@ def perturbation_sweep(
     eta: np.ndarray,
     scales,
     gamma: float = 0.0,
-    eta_hat: float = 0.05,
 ) -> tuple[EigenPerturbationTable, ProjectionPerturbationTable]:
     """Sweep a -> a + s*eta and tabulate eigenvalue and projection differences.
 
@@ -549,7 +552,7 @@ def perturbation_sweep(
     ratio = diff / (min(lambda, lambda~)^(1 + n/4) * ||a - a~||_L2), n = 2.
 
     Projection rows (strict clusters k <= PROJECTION_SWEEP_ROWS) are
-    "gated" when ||a - a~|| <= eta_hat * max(l_k, l_k~)^-(1+gamma+n/4)
+    "gated" when ||a - a~|| <= _ETA_HAT * max(l_k, l_k~)^-(1+gamma+n/4)
     (the smallness regime of the projection bound); normalized is
     ||P_k - P~_k|| / ((max(l_k, l_k~)^(gamma+1) + 1)^2 ||a - a~||).
     Each perturbed spectrum inherits the base multiplicity pattern, so that
@@ -594,7 +597,7 @@ def perturbation_sweep(
                              diff / denom if denom > 0 else float("nan")))
         for k in range(1, PROJECTION_SWEEP_ROWS + 1):
             lmax = max(base.hat_eigenvalues[k - 1], pert.hat_eigenvalues[k - 1])
-            gate = eta_hat * lmax ** (-(1.0 + gamma + 0.5))
+            gate = _ETA_HAT * lmax ** (-(1.0 + gamma + 0.5))
             pnorm = projection_difference_norm(base, pert, pair, k)
             denom = (lmax ** (gamma + 1.0) + 1.0) ** 2 * cdiff
             proj_rows.append((k, s, cdiff, gate, cdiff <= gate, pnorm,

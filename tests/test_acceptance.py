@@ -100,7 +100,7 @@ def test_projection_difference_normalized_within_one_order_of_magnitude():
     unit = make_coefficient(mesh, "constant", {"value": 1.0}, 2.0)
     eta = direction_values(mesh, "gaussian-bump", {"amplitude": 0.04})
     spec = solve_generalized_eig(discretize(mesh).pair(unit.values), 20)
-    _, table = perturbation_sweep(spec, unit, eta, (1e-3, 1e-2, 1e-1), gamma=0.0, eta_hat=0.05)
+    _, table = perturbation_sweep(spec, unit, eta, (1e-3, 1e-2, 1e-1), gamma=0.0)
     assert table.in_gate.sum() >= 2  # the gate must actually select a regime
     spread = table.gated_spread()
     assert np.isfinite(spread)
@@ -218,7 +218,7 @@ def test_noiseless_reconstruction_quality(tmp_path):
 @pytest.mark.parametrize("amplitude,cx,cy", [(0.512, 0.3007, 0.3893), (0.5, 0.6, 0.7)])
 def test_admissible_bump_stall_reproducers_converge(tmp_path, amplitude, cx, cy):
     # admissible bumps of benchmark/NOTES.md known defect 2, which once
-    # stalled above tol_fp
+    # stalled above TOL_FP
     text = (f"name = stall\ncoefficient = gaussian-bump\ncoefficient.amplitude = {amplitude}\n"
             f"coefficient.center_x = {cx}\ncoefficient.center_y = {cy}\n"
             "nx = 32\nny = 32\nT = 0.15\n")

@@ -20,7 +20,6 @@ from heatcoef.fem import (
 )
 from heatcoef.heat import evolve
 from heatcoef.inversion import (
-    InversionOptions,
     TransportSolveError,
     _normal_solve,
     _next_closure_point,
@@ -286,21 +285,20 @@ class TestClosurePoint:
 class TestFixedPointInvert:
     def test_recovers_bump_from_clean_snapshot(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot
-        opts = InversionOptions(T=T)
-        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts)
+        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, T)
         assert rep.converged
         assert rep.iterations <= 8  # measured 5
         rel_error = (l2_norm(rep.a_rec.values - bump32.values, disc32.mass)
                      / l2_norm(bump32.values, disc32.mass))
         assert rel_error < 1e-5  # measured 8.41e-7
         assert rep.lambda1_trace[-1] == pytest.approx(21.25552253, abs=1e-4)
-        assert rep.residual_trace[-1] <= opts.tol_fp
+        assert rep.residual_trace[-1] <= inversion.TOL_FP
 
     def test_constant_coefficient_in_one_step(self, mesh32, disc32, unit_spec32):
         d = distance_to_boundary(mesh32)
         unit = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
         u_T = evolve(unit_spec32, d, 2.0).u
-        rep = fixed_point_invert(disc32, d, u_T, unit.values, 2.0, InversionOptions(T=2.0))
+        rep = fixed_point_invert(disc32, d, u_T, unit.values, 2.0, 2.0)
         assert rep.converged
         assert rep.iterations <= 2  # measured 1
         rel_error = (l2_norm(rep.a_rec.values - unit.values, disc32.mass)
@@ -312,20 +310,22 @@ class TestFixedPointInvert:
         operators = _count_calls(monkeypatch, "transport_operator", module=Discretization)
         calls = _count_calls(monkeypatch, "_normal_solve")
         d, T, u_T, _, _ = bump_snapshot
-        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, InversionOptions(T=T))
+        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, T)
         assert operators["transport_operator"] == 1
         # one back-substitution per outer step and one for the candidate's
         # slope in the eigenvalue, however many closure evaluations there are
         assert calls["_normal_solve"] == rep.transport_solves == rep.iterations + 1
         assert rep.closure_solves > rep.transport_solves  # measured 26 against 6
 
-    def test_reads_only_the_boundary_entries_of_a0(self, disc32, bump32, bump_snapshot):
+    def test_reads_only_the_boundary_entries_of_a0(self, disc32, bump32, bump_snapshot,
+                                                   monkeypatch):
         # the runner passes the coefficient's full values as a0: NaN at
         # every interior node must not reach the reconstruction
+        monkeypatch.setattr(inversion, "_MAX_ITER", 3)
         d, T, u_T, _, _ = bump_snapshot
         blind = bump32.values.copy()
         blind[disc32.interior] = np.nan
-        ref, rep = (fixed_point_invert(disc32, d, u_T, a0, 2.0, InversionOptions(T=T, max_iter=3))
+        ref, rep = (fixed_point_invert(disc32, d, u_T, a0, 2.0, T)
                     for a0 in (bump32.values, blind))
         assert rep.iterations == ref.iterations > 0
         assert np.array_equal(rep.a_rec.values, ref.a_rec.values)
@@ -334,8 +334,9 @@ class TestFixedPointInvert:
     def test_closure_stops_when_no_new_point_is_offered(self, disc32, bump32, bump_snapshot,
                                                          monkeypatch):
         monkeypatch.setattr(inversion, "_next_closure_point", lambda samples, lam_raw: None)
+        monkeypatch.setattr(inversion, "_MAX_ITER", 3)
         d, T, u_T, _, _ = bump_snapshot
-        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, InversionOptions(T=T, max_iter=3))
+        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, T)
         assert rep.iterations > 0
         assert rep.closure_solves == rep.iterations  # one evaluation per outer step
 
@@ -391,35 +392,35 @@ class TestFixedPointInvert:
         M = bump_spec32.disc.mass
         assert l2_norm(F - ref, M) <= 1e-12 * l2_norm(ref, M)  # measured 7.6e-15
 
-    def test_iteration_cap_flags_stall(self, disc32, bump32, bump_snapshot):
+    def test_iteration_cap_flags_stall(self, disc32, bump32, bump_snapshot, monkeypatch):
+        monkeypatch.setattr(inversion, "_MAX_ITER", 1)
+        monkeypatch.setattr(inversion, "TOL_FP", 1e-14)
         d, T, u_T, _, _ = bump_snapshot
-        opts = InversionOptions(T=T, max_iter=1, tol_fp=1e-14)
-        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, opts)
+        rep = fixed_point_invert(disc32, d, u_T, bump32.values, 2.0, T)
         assert not rep.converged
         assert rep.iterations == 1
 
-    def test_stall_reports_the_kept_iterate(self, mesh16, spectrum):
+    def test_stall_reports_the_kept_iterate(self, mesh16, spectrum, monkeypatch):
         # A growing step is rejected and the previous iterate kept, so the
         # report must match a run capped just before that step, bit for bit.
+        monkeypatch.setattr(inversion, "TOL_FP", 1e-300)
         bump = make_coefficient(mesh16, "gaussian-bump", None, 2.0)
         spec = spectrum(mesh16, bump, 40)
         d = distance_to_boundary(mesh16)
         u_T = evolve(spec, d, 0.15).u
-        opts = InversionOptions(T=0.15, tol_fp=1e-300)
-        stalled = fixed_point_invert(spec.disc, d, u_T, bump.values, 2.0, opts)
+        stalled = fixed_point_invert(spec.disc, d, u_T, bump.values, 2.0, 0.15)
         assert not stalled.converged
-        assert stalled.iterations < opts.max_iter  # measured 10
+        assert stalled.iterations < inversion._MAX_ITER  # measured 10
         assert stalled.residual_trace[-1] > stalled.residual_trace[-2]
-        capped = fixed_point_invert(spec.disc, d, u_T, bump.values, 2.0,
-                                    dataclasses.replace(opts, max_iter=stalled.iterations - 1))
+        monkeypatch.setattr(inversion, "_MAX_ITER", stalled.iterations - 1)
+        capped = fixed_point_invert(spec.disc, d, u_T, bump.values, 2.0, 0.15)
         assert np.array_equal(capped.a_rec.values, stalled.a_rec.values)
         assert capped.data_residual == stalled.data_residual
 
     def test_rejects_sign_indefinite_initial_state(self, disc32, bump32, bump_snapshot):
         d, T, u_T, _, _ = bump_snapshot
         with pytest.raises(ValueError, match="int u0"):
-            fixed_point_invert(disc32, -d, u_T, bump32.values, 2.0,
-                               InversionOptions(T=T))
+            fixed_point_invert(disc32, -d, u_T, bump32.values, 2.0, T)
 
 
 class TestStabilityExperiment:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatcoef import fem, heat, runner, spectral
+from heatcoef import fem, heat, inversion, runner, spectral
 from heatcoef.cli import main
 from heatcoef.mesh import build_structured_mesh, write_grid
 from heatcoef.runner import RunnerError, run_scenario, write_reports
@@ -79,13 +79,6 @@ def test_forward_artifacts_and_reports(tmp_path):
     assert header[2] == f"config_sha256: {art.scenario_hash}"
 
 
-def test_overrides_reach_the_scenario(tmp_path):
-    s = parse_config_text(FORWARD_16)
-    art = run_scenario(s, "forward", tmp_path, seed=77, modes=6)
-    assert art.scenario.seed == 77
-    assert art.scenario.modes == 6
-
-
 def test_invert_is_deterministic(tmp_path):
     s = parse_config_text(INVERT_16)
     a = tmp_path / "a"
@@ -98,10 +91,10 @@ def test_invert_is_deterministic(tmp_path):
 
 def test_noisy_invert_seed_controls_noise(tmp_path):
     noisy = INVERT_16 + "noise = 1e-6\n"
-    s = parse_config_text(noisy)
-    a = run_scenario(s, "invert", tmp_path / "a", seed=3)
-    b = run_scenario(s, "invert", tmp_path / "b", seed=3)
-    c = run_scenario(s, "invert", tmp_path / "c", seed=4)
+    s3, s4 = (parse_config_text(noisy + f"seed = {seed}\n") for seed in (3, 4))
+    a = run_scenario(s3, "invert", tmp_path / "a")
+    b = run_scenario(s3, "invert", tmp_path / "b")
+    c = run_scenario(s4, "invert", tmp_path / "c")
     assert _read(tmp_path / "a/residuals.csv") == _read(tmp_path / "b/residuals.csv")
     assert _read(tmp_path / "a/residuals.csv") != _read(tmp_path / "c/residuals.csv")
     # a noisy run reports its terminal state instead of hard-failing
@@ -111,11 +104,14 @@ def test_noisy_invert_seed_controls_noise(tmp_path):
     assert c.n_fail == 0
 
 
-def test_invert_iteration_cap_produces_fail_lines(tmp_path):
-    s = parse_config_text(INVERT_16 + "max_iter = 1\ntol_fp = 1e-14\n")
-    art = run_scenario(s, "invert", tmp_path)
+def test_invert_iteration_cap_produces_fail_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr(inversion, "_MAX_ITER", 1)
+    monkeypatch.setattr(inversion, "TOL_FP", 1e-14)
+    art = run_scenario(parse_config_text(INVERT_16), "invert", tmp_path)
     assert art.n_fail >= 1
-    assert any(line.startswith("FAIL fixed-point-converged") for line in art.summary_lines)
+    # the bound printed is the one the loop used
+    fail = _line(art.summary_lines, "fixed-point-converged")
+    assert fail.startswith("FAIL ") and " bound=1e-14 after 1 iteration(s)" in fail
     assert not art.all_pass
 
 
@@ -174,8 +170,9 @@ class TestCli:
         assert code == 0
         assert "failed] reports in" in out
 
-    def test_exit_two_on_failed_check(self, tmp_path, capsys):
-        cfg = self._write_cfg(tmp_path, INVERT_16 + "max_iter = 1\ntol_fp = 1e-14\n")
+    def test_exit_two_on_failed_check(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(inversion, "_MAX_ITER", 1)
+        cfg = self._write_cfg(tmp_path, INVERT_16)
         code = main(["invert", "--config", cfg, "--out", str(tmp_path / "out")])
         capsys.readouterr()
         assert code == 2
@@ -197,24 +194,15 @@ class TestCli:
         assert main(["forward"]) == 1
         capsys.readouterr()
 
-    def test_seed_override_changes_noise_draw(self, tmp_path, capsys):
-        cfg = self._write_cfg(tmp_path, INVERT_16 + "noise = 1e-6\n")
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["invert", "--config", cfg, "--out", str(out1), "--seed", "11"]) == 0
-        assert main(["invert", "--config", cfg, "--out", str(out2), "--seed", "12"]) == 0
-        capsys.readouterr()
-        assert _read(out1 / "residuals.csv") != _read(out2 / "residuals.csv")
-
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--seed", "-1", "seed must be >= 0, got -1"),
-        ("--modes", "0", "modes must be >= 1, got 0"),
-    ])
-    def test_exit_one_on_override_the_parser_refuses(self, tmp_path, capsys, flag, value,
-                                                     message):
+    @pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--modes", "4")])
+    def test_removed_override_flags_exit_one(self, tmp_path, capsys, flag, value):
+        # seed and modes are config keys only; the command line names the
+        # config and the output directory and nothing else
         cfg = self._write_cfg(tmp_path, INVERT_16)
-        code = main(["invert", "--config", cfg, "--out", str(tmp_path / "out"), flag, value])
-        assert code == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["invert", "--config", cfg, "--out", str(out), flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 VERIFY_16 = """\
@@ -319,8 +307,8 @@ def test_bundled_invert_makes_no_k_many_eigensolve(tmp_path, monkeypatch):
 
 
 def test_invert_ignores_modes(tmp_path):
-    s = parse_config_text(INVERT_16)
-    few, many = (run_scenario(s, "invert", tmp_path / str(k), modes=k) for k in (4, 40))
+    few, many = (run_scenario(parse_config_text(INVERT_16.replace("modes = 8", f"modes = {k}")),
+                              "invert", tmp_path / str(k)) for k in (4, 40))
     for name in ("a_rec.grid", "residuals.csv"):
         assert _read(tmp_path / "4" / name) == _read(tmp_path / "40" / name), name
     assert few.summary_lines == many.summary_lines
@@ -478,7 +466,8 @@ def test_flow_spectrum_counts_inertia_only_where_the_tail_passes_or_at_the_cap(
 
 
 def test_modes_below_the_certified_K_warn_and_keep_every_pair(tmp_path):
-    art = run_scenario(parse_config_text(FORWARD_16), "forward", tmp_path, modes=4)
+    art = run_scenario(parse_config_text(FORWARD_16.replace("modes = 8", "modes = 4")),
+                       "forward", tmp_path)
     warn = [line for line in art.summary_lines if line.startswith("WARN flow-spectrum: ")]
     assert len(warn) == 1 and warn[0].startswith("WARN flow-spectrum: K=4 of modes=4, t_min=1, ")
     assert "uncertified at the cap" in warn[0]

@@ -14,7 +14,6 @@ from heatcoef.scenario import (
     parse_config_text,
     scenario_hash,
     serialize_scenario,
-    with_overrides,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -45,12 +44,12 @@ scales = 0.001,0.01
 # scenario_hash of each bundled config, which keys its runs' config_sha256;
 # a bundled config fails test_bundled_scenarios_round_trip until pinned here.
 _BUNDLED_HASHES = {
-    "bump_invert": "d6a8d09765fa23fc49e73bd79a2895ca87a1307a92fc6da0b6757ca5ec19efe8",
-    "bump_invert64": "4ca106f55673119b1426e8efcff294625d296b4154f431e0fd3af3c70cb7bd7e",
-    "constant_invert": "03896aa7b5661efe05bb24433a74b03e86ffd1385de93c63a51b8a3b5b4ba487",
-    "forward_decay": "c581943dbb5a45408888bdf13a82b4d673d7344884b02261bdddbebd4b728832",
-    "stability_sweep": "359723c0ad73738a5e8cdf62fae57bb03d94bf2b6e50f2d2939aa07a384db92c",
-    "verify_spectral": "7057de76fc995f4e664aff5578caf96ed79caae8cfe370131abb6ab6c92f19a5",
+    "bump_invert": "a25d814f2f6a8dc241cfa2807d2a9ea284410fd33868d3eb6660a463c0ec2ea0",
+    "bump_invert64": "ac322bcb559138d8b689a09078620a619ff95b024427e2a717408e6e9d2248c3",
+    "constant_invert": "39a1bc64b6655e7b64b2dae7edd4841abe7ee1fda64bf2c1f56f4c94bd571198",
+    "forward_decay": "695d3c4d8283311403df9233cabc1df4b588a2c009625e27aca6357fd7eab308",
+    "stability_sweep": "6440fee9d78878a87e23ca1e154b8079cae3da2ddaa99de4629cbf6a3b7c1133",
+    "verify_spectral": "1a97ae6d81ca0192e586f4d54f743308f3095f0ec72778240af923fa43faf85a",
 }
 
 
@@ -77,10 +76,6 @@ def test_defaults_are_filled_in():
     assert s.a_plus == 2.0
     assert s.u0.kind == "d_Omega"
     assert s.modes == 40
-    assert s.alpha == 1e-8
-    assert s.tol_fp == 1e-8
-    assert s.max_iter == 50
-    assert s.eta_hat == 0.05
     assert s.scales == (1e-3, 1e-2, 1e-1)
     assert dict(s.coefficient.params)["value"] == 1.0  # catalog default
 
@@ -98,6 +93,13 @@ class TestRejections:
     def test_unknown_key_with_line(self):
         with pytest.raises(ConfigError, match="line 3: unknown key 'bogus'"):
             parse_config_text(MINIMAL + "bogus = 3\n")
+
+    @pytest.mark.parametrize("key", ["alpha", "tol_fp", "max_iter", "eta_hat"])
+    def test_removed_keys_are_unknown(self, key):
+        # module constants of inversion and spectral, not keys: a config that
+        # sets one is refused rather than run with a value it would not get
+        with pytest.raises(ConfigError, match=rf"^line 3: unknown key '{key}'$"):
+            parse_config_text(MINIMAL + f"{key} = 1\n")
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigError, match="missing required key 'name'"):
@@ -163,7 +165,6 @@ class TestRejections:
             ("delta = 0", "delta must be positive"),
             ("noise = -1e-6", "noise must be >= 0"),
             ("seed = -1", "seed must be >= 0"),
-            ("max_iter = 0", "max_iter must be >= 1"),
             ("nx = 1", "at least 2 cells"),
             ("u0 = sine-product\nu0.m = 0", "u0.m must be >= 1, got 0"),
             ("u0 = sine-product\nu0.n = -2", "u0.n must be >= 1, got -2"),
@@ -196,9 +197,7 @@ class TestRejections:
     ("T = nan", "T"),
     ("T = inf", "T"),
     ("a_plus = nan", "a_plus"),
-    ("alpha = nan", "alpha"),
     ("noise = nan", "noise"),
-    ("tol_fp = inf", "tol_fp"),
     ("delta = nan", "delta"),
     ("T_grid = 1, nan, 3", "T_grid"),
     ("coefficient.amplitude = nan", "coefficient.amplitude"),
@@ -213,7 +212,7 @@ class TestHashAndOverrides:
     def test_hash_is_stable_and_sensitive(self):
         s = parse_config_text(MINIMAL)
         h = scenario_hash(s)
-        assert h == "cd8205960d33e888e6b97d6975ea900d09cec03921ce3f75d7705426e5cad705"
+        assert h == "85daad9a618a2001690c48d597d4a5ab047ef4bdebbfe954bbc6bfdbb6ec0a24"
         assert h == scenario_hash(parse_config_text(MINIMAL))
         assert h != scenario_hash(parse_config_text(MINIMAL + "seed = 5\n"))
 
@@ -222,14 +221,7 @@ class TestHashAndOverrides:
         # every run's config_sha256 hashes; a change to it re-keys them all.
         s = parse_config_text(FULL)
         assert "\nu0 = sine-product\nu0.m = 2\nu0.n = 3\nT = 0.29999999999999999\n" in serialize_scenario(s)
-        assert scenario_hash(s) == "402b70713bc87b6a1a6bc223983007a1e1ee2ffb7ed87c4d24344c52d0b592cc"
-
-    def test_overrides_replace_only_requested_fields(self):
-        s = parse_config_text(MINIMAL)
-        s2 = with_overrides(s, seed=9, modes=13)
-        assert (s2.seed, s2.modes) == (9, 13)
-        assert s2.coefficient == s.coefficient and s2.name == s.name
-        assert with_overrides(s) == s
+        assert scenario_hash(s) == "e4a28b692d519240ac15dfe8d082d2b0f6074c30dff0e1a1dc943c560df0866d"
 
 
 # --- fuzzing -----------------------------------------------------------------

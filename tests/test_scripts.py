@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from heatcoef.catalog import make_coefficient
 from heatcoef.fem import discretize
 from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import build_structured_mesh, distance_to_boundary
+from heatcoef.scenario import Scenario
 from heatcoef.spectral import solve_generalized_eig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -27,6 +29,7 @@ MODULES = ("catalog", "fem", "heat", "inversion", "mesh", "runner", "scenario", 
 def _load(name, folder=SCRIPTS):
     spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up while the body runs
     spec.loader.exec_module(module)
     return module
 
@@ -143,6 +146,28 @@ def test_every_benchmark_scaling_layer_runs():
     for layer in scaling.LAYERS:
         row = scaling.measure(layer, 8)
         assert (row["layer"], row["n"], row["reps"]) == (layer, 49, 1)
+
+
+def _config_keys(text):
+    """Scenario fields a config text sets; a group's dotted parameter sets its group."""
+    lines = (line.split("#", 1)[0] for line in text.splitlines())
+    return {line.split("=", 1)[0].strip().split(".")[0] for line in lines if "=" in line}
+
+
+def test_every_config_key_has_a_caller():
+    # A key that no bundled scenario, benchmark workload or script sets is a
+    # one-value knob: its value belongs in a module constant beside its reader.
+    texts = [cfg.read_text() for cfg in sorted(SCENARIOS.glob("*.cfg"))]
+    workloads = _load("workloads", BENCHMARK)
+    texts += [solve.config for name in workloads.WORKLOADS
+              for solve in workloads.get(name).make_case(0, 0).solves]
+    texts.append(_load("ill_posedness_sweep").CONFIG)
+    set_keys = set().union(*map(_config_keys, texts))
+    assert {"seed", "modes", "scales", "noise"} <= set_keys
+    # a_plus bounds the paper's admissible set 1 <= a <= a_plus: part of the
+    # problem every coefficient is checked against, not a solver setting.
+    exempt = {"a_plus"}
+    assert [f.name for f in fields(Scenario) if f.name not in set_keys | exempt] == []
 
 
 def test_every_bundled_scenario_has_a_run_all_mode():
