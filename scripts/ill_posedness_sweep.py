@@ -21,9 +21,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from heatcoef.catalog import make_coefficient
-from heatcoef.fem import discretize
+from heatcoef.fem import grid
 from heatcoef.inversion import stability_ratio_experiment
-from heatcoef.mesh import build_structured_mesh, distance_to_boundary
+from heatcoef.mesh import distance_to_boundary
 from heatcoef.runner import run_scenario
 from heatcoef.scenario import Scenario, parse_config_text
 from heatcoef.spectral import solve_flow_spectrum
@@ -68,10 +68,10 @@ def main(argv=None) -> int:
         rows.append((T, rel))
         print(f"T={T:<6g} rel_error={rel:.6e}")
 
-    mesh = build_structured_mesh(args.nx, args.nx)
+    disc = grid(args.nx, args.nx)  # the inversions' grid
+    mesh = disc.mesh
     a = make_coefficient(mesh, "gaussian-bump", None, 2.0)
     a_tilde = make_coefficient(mesh, "two-bump", None, 2.0)
-    disc = discretize(mesh)
     spectra = []
     for label, c in (("a", a), ("a~", a_tilde)):
         pair = disc.pair(c.values)

@@ -13,6 +13,12 @@ interior rows S_II of S, and its transport_operator(u), the weak
 transport operator G(u) a = -(A(a) u)_I of the inversion module, is
 -Rows diag(u_I[col]) S_II.
 
+grid(nx, ny) builds the Discretization of a structured grid once per
+process, and every run of that size shares it; the cache keeps
+_GRID_CACHE_SIZE grids.  Shared data is read-only: an in-place write to
+the mesh's arrays or to the Discretization's index arrays and sparse
+data/indices/indptr raises ValueError instead of reaching the next run.
+
 definite_factor is the banded Cholesky factor of a symmetric positive
 definite matrix on the mesh's own node order, and Cholesky completes
 only on a positive definite matrix, which it thereby proves.  Every SPD
@@ -32,7 +38,7 @@ spectral.solve_flow_spectrum reads to count the eigenvalues below sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
-from .mesh import Mesh
+from .mesh import Mesh, build_structured_mesh
 
 __all__ = [
     "CoefficientField",
@@ -54,6 +60,7 @@ __all__ = [
     "assemble_pair",
     "apply_dirichlet",
     "discretize",
+    "grid",
     "definite_factor",
     "symmetric_factor",
     "compute_norms",
@@ -69,6 +76,13 @@ __all__ = [
 
 # Roundoff allowance of validate_coefficient on the bounds.
 _ADMISSIBILITY_TOL = 1e-12
+
+# Grids grid() keeps.  One holds about 1.2 MB at 32x32, 3.0 MB at 48x48 and
+# 5.8 MB at 64x64 once a run has built its map, band index and mass factor.
+# Every caller reads one size at a time; a second entry keeps that grid
+# across a run at another size, as run_all.py's 64x64 scenario among its
+# 32x32 ones.
+_GRID_CACHE_SIZE = 2
 
 
 class AdmissibilityError(ValueError):
@@ -115,7 +129,8 @@ class Discretization:
         """(A(1), S_II, pattern of A(a)_II): S_II holds the rows of S that the block's data number."""
         S, pattern = _stiffness_map(self.mesh)
         block = pattern[self.interior][:, self.interior]
-        return _on_pattern(S @ np.ones(self.n_nodes), pattern), S[block.data], block
+        unit = _on_pattern(S @ np.ones(self.n_nodes), pattern)
+        return _read_only(unit), _read_only(S[block.data]), _read_only(block)
 
     @cached_property
     def _pencil_band(self) -> tuple[sp.csr_matrix, _BandIndex, np.ndarray]:
@@ -123,7 +138,10 @@ class Discretization:
         block = self._map[2]
         index = _band_index(block)
         rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))[index.lower]
-        return block, index, np.asarray(self.mass_int[rows, block.indices[index.lower]]).ravel()
+        mass_lower = np.asarray(self.mass_int[rows, block.indices[index.lower]]).ravel()
+        for v in (index.lower, index.flat, mass_lower):
+            _read_only(v)
+        return block, index, mass_lower
 
     @property
     def unit_stiffness(self) -> sp.csr_matrix:
@@ -141,6 +159,7 @@ class Discretization:
         lu = _band_cholesky(mass_lower, index)
         if lu is None:
             raise ValueError("interior mass matrix is not positive definite")
+        _read_only(lu.band)
         return lu
 
     @property
@@ -238,6 +257,13 @@ def _stiffness_map(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return Q.tocsr() @ V, pattern
 
 
+def _read_only(x):
+    """x, an array or a sparse matrix's data/indices/indptr, marked read-only."""
+    for v in (x.data, x.indices, x.indptr) if sp.issparse(x) else (x,):
+        v.flags.writeable = False
+    return x
+
+
 def _on_pattern(data: np.ndarray, pattern: sp.csr_matrix) -> sp.csr_matrix:
     """data on copies of the pattern's arrays (eliminate_zeros edits them in place)."""
     return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape)
@@ -261,14 +287,26 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 
 
 def discretize(mesh: Mesh) -> Discretization:
-    """The coefficient-free data of a mesh: M and the Dirichlet partition (S on first use)."""
-    interior = np.flatnonzero(mesh.interior_node_flags)
+    """The coefficient-free data of a mesh: M and the Dirichlet partition (S on first use),
+    all read-only."""
+    interior = _read_only(np.flatnonzero(mesh.interior_node_flags))
     if interior.size == 0:
         raise ValueError("mesh has no interior nodes")
-    M = assemble_mass(mesh)
+    M = _read_only(assemble_mass(mesh))
     return Discretization(mesh=mesh, mass=M, interior=interior,
-                          boundary=np.flatnonzero(mesh.boundary_node_flags),
-                          mass_int=M[interior][:, interior].tocsr())
+                          boundary=_read_only(np.flatnonzero(mesh.boundary_node_flags)),
+                          mass_int=_read_only(M[interior][:, interior].tocsr()))
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def grid(nx: int, ny: int) -> Discretization:
+    """discretize(build_structured_mesh(nx, ny)), built once per process for each size.
+
+    Every run on an nx x ny grid reads the same object, so its lazily built
+    map, band index and mass factor are paid once too.  Callers that hold a
+    mesh of their own use discretize(mesh).
+    """
+    return discretize(build_structured_mesh(nx, ny))
 
 
 def symmetric_factor(C: sp.spmatrix) -> int | None:
@@ -455,16 +493,9 @@ def element_gradients(mesh: Mesh, w) -> np.ndarray:
 
 
 def nodal_gradients(mesh: Mesh, w) -> np.ndarray:
-    """Area-weighted average of the element gradients at each node."""
-    g = element_gradients(mesh, w)
-    _, _, area = mesh.element_geometry
-    acc = np.zeros((mesh.n_nodes, 2))
-    wsum = np.zeros(mesh.n_nodes)
-    for local in range(3):
-        idx = mesh.elements[:, local]
-        np.add.at(acc, idx, g * area[:, None])
-        np.add.at(wsum, idx, area)
-    return acc / wsum[:, None]
+    """Area-weighted average of the element gradients at each node (mesh.nodal_average)."""
+    W, total = mesh.nodal_average
+    return (W @ element_gradients(mesh, w)) / total[:, None]
 
 
 def gradient_bound(mesh: Mesh, values) -> float:

@@ -16,6 +16,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -73,6 +74,24 @@ class Mesh:
             v.flags.writeable = False
         return b, c, area
 
+    @cached_property
+    def nodal_average(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """(W, W 1), built once: W[i, e] = area of e for each element e at node i,
+        so (W g) / (W 1) is the area-weighted average of element values g at
+        each node.  A row lists its elements by local vertex slot, then by
+        element (a stable sort of elements.T.ravel()), which fixes the order of
+        every sum; a column-sorted W would sum the same terms in another order."""
+        E = self.n_elements
+        _, _, area = self.element_geometry
+        slots = self.elements.T.ravel()
+        element = np.argsort(slots, kind="stable") % E
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(slots, minlength=self.n_nodes))])
+        W = sp.csr_matrix((area[element], element, indptr), shape=(self.n_nodes, E))
+        total = W @ np.ones(E)
+        for v in (W.data, W.indices, W.indptr, total):
+            v.flags.writeable = False
+        return W, total
+
 
 def build_structured_mesh(nx: int, ny: int) -> Mesh:
     """Triangulate the unit square into 2*nx*ny right triangles.
@@ -114,6 +133,8 @@ def build_structured_mesh(nx: int, ny: int) -> Mesh:
     flags = (gi == 0) | (gi == nx) | (gj == 0) | (gj == ny)
 
     h = float(np.hypot(1.0 / nx, 1.0 / ny))
+    for v in (nodes, elements, flags):  # fem.grid shares one mesh between runs
+        v.flags.writeable = False
     return Mesh(nodes=nodes, elements=elements, boundary_node_flags=flags, h=h, nx=nx, ny=ny)
 
 

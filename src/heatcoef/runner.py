@@ -19,13 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog, inversion
+from . import catalog, fem, inversion
 from .fem import (
     CoefficientField,
     Discretization,
     OperatorPair,
     compute_norms,
-    discretize,
     l2_norm,
     validate_coefficient,
 )
@@ -38,7 +37,7 @@ from .heat import (
     krylov_flow,
 )
 from .inversion import fixed_point_invert, stability_ratio_experiment
-from .mesh import Mesh, boundary_band, build_structured_mesh, write_grid
+from .mesh import Mesh, boundary_band, write_grid
 from .scenario import Scenario, scenario_hash
 from .spectral import (
     EIGEN_SWEEP_ROWS,
@@ -171,13 +170,13 @@ def _flow_spectrum(pair: OperatorPair, t_min: float, modes: int,
 
 
 def _build_context(s: Scenario) -> _Context:
-    """Mesh, coefficient, pencil and u0 of a run; each mode solves the
-    spectrum it reads, and u0 = first-eigenfunction waits for it
-    (_Context.initial_state)."""
-    mesh = build_structured_mesh(s.nx, s.ny)
+    """Grid, coefficient, pencil and u0 of a run; the grid is fem.grid's,
+    shared by every run of its size.  Each mode solves the spectrum it
+    reads, and u0 = first-eigenfunction waits for it (_Context.initial_state)."""
+    disc = fem.grid(s.nx, s.ny)
+    mesh = disc.mesh
     coeff = catalog.make_coefficient(mesh, s.coefficient.kind, s.coefficient.params_dict(), s.a_plus)
     validate_coefficient(mesh, coeff)
-    disc = discretize(mesh)
     u0 = None
     if s.u0.kind != "first-eigenfunction":
         u0 = catalog.initial_state(mesh, s.u0.kind, s.u0.params_dict())

@@ -25,8 +25,7 @@ from typing import NamedTuple, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import catalog
-from .fem import AdmissibilityError, make_field, validate_coefficient
-from .mesh import build_structured_mesh
+from .fem import AdmissibilityError, grid, make_field, validate_coefficient
 
 __all__ = [
     "FieldSpec",
@@ -227,7 +226,7 @@ def _validate_scenario(s: Scenario) -> None:
         if not Path(u0["path"]).is_file():
             raise ConfigError(f"u0.path does not exist: {u0['path']}")
 
-    mesh = build_structured_mesh(s.nx, s.ny)
+    mesh = grid(s.nx, s.ny).mesh  # the grid every run of this size reads
     for label, spec in (("coefficient", s.coefficient), ("perturbation", s.perturbation)):
         if spec is None:
             continue

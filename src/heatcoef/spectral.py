@@ -365,7 +365,8 @@ def solve_ground_pair(
     cannot increase in exact arithmetic, so the iteration stops at the first
     iterate with relative residual at most _RESIDUAL_TOL whose quotient did
     not decrease, and keeps the lowest quotient of the iterates within that
-    residual.  The residual is _residual_of the A v and M v the iteration
+    residual.  The residual max|A v - lam M v| / (|lam| max|M v|), the
+    measure of _residual_of, comes from the A v and M v the iteration
     computes anyway.
 
     Returns (spec, warm): spec is a K=1 decomposition with the residual
@@ -376,21 +377,22 @@ def solve_ground_pair(
     A, M = pair.stiffness, pair.mass
     lu = pair.pencil_factor(_GROUND_SHIFT * lam_prev)
     if lu is not None:
-        v = np.asarray(start, dtype=float)
-        Mv = M @ v
-        lam, best = np.inf, (np.inf, None)
+        Mv = M @ np.asarray(start, dtype=float)
+        lam = best_lam = np.inf
         for _ in range(_GROUND_MAX_ITER):
             v = lu.solve(Mv)
             Mv = M @ v
             norm = np.sqrt(v @ Mv)
-            v, Mv = v / norm, Mv / norm
+            v /= norm
+            Mv /= norm
             Av = A @ v
             lam_old, lam = lam, v @ Av
-            if _residual_of(Av[:, None], Mv[:, None], np.array([lam])) <= _RESIDUAL_TOL:
-                best = min(best, (lam, v[:, None]), key=lambda it: it[0])
+            if np.max(np.abs(Av - lam * Mv)) / (abs(lam) * np.max(np.abs(Mv)) + 1e-300) <= _RESIDUAL_TOL:
+                if lam < best_lam:
+                    best_lam, best_v = lam, v[:, None]
                 if lam >= lam_old:
-                    orient_ground(pair, best[1])
-                    return SpectralDecomposition(np.array([best[0]]), best[1], np.array([1]), pair.disc), True
+                    orient_ground(pair, best_v)
+                    return SpectralDecomposition(np.array([best_lam]), best_v, np.array([1]), pair.disc), True
     return solve_generalized_eig(pair, 1), False
 
 

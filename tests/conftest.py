@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heatcoef.catalog import initial_state, make_coefficient
-from heatcoef.fem import discretize
+from heatcoef.fem import discretize, grid
 from heatcoef.mesh import build_structured_mesh
 from heatcoef.spectral import solve_generalized_eig
 
@@ -80,3 +80,9 @@ def two_well16():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def cold_grids():
+    """An empty fem.grid cache, so the next run builds its grid."""
+    grid.cache_clear()

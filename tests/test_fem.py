@@ -285,3 +285,49 @@ def test_gradients_exact_for_affine_fields(b, gx, gy):
     gn = nodal_gradients(mesh, w)
     assert np.allclose(gn, [gx, gy], atol=1e-12)
     assert gradient_bound(mesh, w) == pytest.approx(np.hypot(gx, gy), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_nodal_gradients_sum_like_the_scatter_by_local_vertex(n, rng):
+    # reference: scatter each local vertex slot of every element in turn
+    mesh = build_structured_mesh(n, n)
+    _, _, area = mesh.element_geometry
+    for _ in range(5):
+        w = rng.standard_normal(mesh.n_nodes)
+        g = element_gradients(mesh, w)
+        acc, wsum = np.zeros((mesh.n_nodes, 2)), np.zeros(mesh.n_nodes)
+        for local in range(3):
+            np.add.at(acc, mesh.elements[:, local], g * area[:, None])
+            np.add.at(wsum, mesh.elements[:, local], area)
+        assert np.array_equal(nodal_gradients(mesh, w), acc / wsum[:, None])
+
+
+def test_grid_is_one_object_per_size_within_its_bound(cold_grids):
+    g32 = fem.grid(32, 32)
+    assert fem.grid(32, 32) is g32
+    assert fem.grid(16, 32) is not g32
+    assert (g32.mesh.nx, g32.mesh.ny) == (32, 32)
+    for n in (8, 12, 16):
+        fem.grid(n, n)
+        assert fem.grid.cache_info().currsize <= fem._GRID_CACHE_SIZE
+
+
+SHARED_ARRAYS = {
+    "mesh.nodes": lambda d: d.mesh.nodes,
+    "mesh.elements": lambda d: d.mesh.elements,
+    "mesh.boundary_node_flags": lambda d: d.mesh.boundary_node_flags,
+    "mesh.nodal_average": lambda d: d.mesh.nodal_average[0].data,
+    "mass.data": lambda d: d.mass.data,
+    "mass_int.indices": lambda d: d.mass_int.indices,
+    "interior": lambda d: d.interior,
+    "boundary": lambda d: d.boundary,
+    "unit_stiffness.indptr": lambda d: d.unit_stiffness.indptr,
+    "pencil band mass values": lambda d: d._pencil_band[2],
+    "mass_int_factor.band": lambda d: d.mass_int_factor.band,
+}
+
+
+@pytest.mark.parametrize("name", SHARED_ARRAYS)
+def test_a_shared_grid_refuses_in_place_writes(name):
+    with pytest.raises(ValueError, match="read-only"):
+        SHARED_ARRAYS[name](fem.grid(8, 8))[0] += 1

@@ -242,10 +242,27 @@ def _count_calls(monkeypatch, original) -> list:
 
 
 @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
-def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch):
+def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch, cold_grids):
+    # on a cold grid, once; a second run of the config reads the warm grid
     calls = _count_calls(monkeypatch, fem.assemble_mass)
-    run_scenario(parse_config_text(MODE_CONFIGS[mode]), mode, tmp_path)
+    run_scenario(parse_config_text(MODE_CONFIGS[mode]), mode, tmp_path / "cold")
     assert len(calls) == 1
+    run_scenario(parse_config_text(MODE_CONFIGS[mode]), mode, tmp_path / "warm")
+    assert len(calls) == 1
+
+
+def test_a_warm_grid_carries_no_state_between_runs(tmp_path):
+    # each mode on a grid of its own, then all four in turn on one grid
+    cold = {}
+    for mode, text in MODE_CONFIGS.items():
+        fem.grid.cache_clear()
+        write_reports(run_scenario(parse_config_text(text), mode, tmp_path / "cold" / mode))
+        cold[mode] = (tmp_path / "cold" / mode / "manifest.txt").read_bytes()
+    shared = fem.grid(16, 16)
+    for mode, text in MODE_CONFIGS.items():
+        write_reports(run_scenario(parse_config_text(text), mode, tmp_path / "warm" / mode))
+        assert (tmp_path / "warm" / mode / "manifest.txt").read_bytes() == cold[mode], mode
+    assert fem.grid(16, 16) is shared
 
 
 @pytest.mark.parametrize("mode, per_time, once", [("forward", 1, 3), ("stability-sweep", 2, 1)])
@@ -264,12 +281,13 @@ def test_each_spectrum_is_projected_once_per_time(mode, per_time, once, tmp_path
     assert len(calls) == per_time * runner._time_grid(s).size + once
 
 
-def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
+def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch, cold_grids):
     # a = 1 (K=40), whose first 20 pairs are the min-max sandwich's unit
     # spectrum and whose first 11 are the base of one perturbation sweep that
     # solves a + s*eta for three scales (K=11 each: its rows read 10 pairs).
-    # The run builds the stiffness map of its mesh once and reads 4 pencils
-    # from it; nothing assembles A(a) anew.
+    # On a cold grid the run builds the stiffness map of its mesh once and
+    # reads 4 pencils from it; nothing assembles A(a) anew.  A second run
+    # reads the warm grid's map.
     solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
     maps = _count_calls(monkeypatch, fem._stiffness_map)
     assemblies = _count_calls(monkeypatch, fem.assemble_stiffness)
@@ -279,9 +297,12 @@ def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch):
         pencils.append(a)
         return pair(disc, a)
     monkeypatch.setattr(fem.Discretization, "pair", counted_pair)
-    run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path)
+    run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path / "cold")
     assert [K for _, K in solves] == [40, 11, 11, 11]
     assert (len(maps), len(pencils), len(assemblies)) == (1, 4, 0)
+    run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path / "warm")
+    assert [K for _, K in solves] == [40, 11, 11, 11] * 2
+    assert (len(maps), len(pencils), len(assemblies)) == (1, 8, 0)
 
 
 @pytest.mark.parametrize("mode,text,expected", [
