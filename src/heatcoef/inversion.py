@@ -480,12 +480,6 @@ class StabilityTable:
     def rate_high(self) -> float:
         return 1.2 * self.a_plus * self.lambda1_unit
 
-    def c_fit_spread(self) -> float:
-        c = self.c_fit[np.isfinite(self.c_fit) & (self.c_fit > 0)]
-        if c.size < 2:
-            return float("nan")
-        return float(c.max() / c.min())
-
 
 def stability_ratio_experiment(
     a: CoefficientField,

@@ -4,11 +4,14 @@ Each mode (MODES maps its name to its function) writes plot-ready
 CSV/grid files into the output directory plus a summary whose lines start
 with PASS / FAIL / INFO / WARN, all through one _Report: its csv() and
 grid() write a file and list it for the manifest, so no written file can
-miss manifest.txt.  FAIL lines carry the measured value, the bound it
-broke, and (for per-index checks) the first violating index, counted from
-1 in T_grid or the spectrum.  All numeric output uses fixed %.17g
-formatting and fixed iteration orders, so runs of one config (its seed
-included) are byte-identical.
+miss manifest.txt.  FAIL lines carry the measured value and the bound it
+broke.  Three kinds of check share one form each: a per-index check
+(_Report.per_index_check) FAILs at the first violating index, counted
+from 1 in T_grid or the spectrum, naming index, measured and bound; a fit
+(slope_check) ends with fit_points=N; a spread (spread_check, max/min of
+the finite positive values) ends with points=N.  All numeric output uses
+fixed %.17g formatting and fixed iteration orders, so runs of one config
+(its seed included) are byte-identical.
 """
 
 from __future__ import annotations
@@ -122,6 +125,24 @@ class _Report:
         self.check(name, ok, f"{detail} fit_points={n}")
         if n < 3:
             self.warn("fit-points", f"{name} fitted from {n} point(s)")
+
+    def per_index_check(self, name: str, bad, fail, detail: str) -> None:
+        """check that fails at the first set entry i of the bool mask bad,
+        with fail(i) as its detail, and passes with detail when none is set."""
+        first = np.flatnonzero(bad)
+        self.check(name, first.size == 0, fail(int(first[0])) if first.size else detail)
+
+    def spread_check(self, name: str, values, bound: float, detail: str, none: str) -> None:
+        """check of max/min <= bound over the finite positive values, naming
+        how many there were; fewer than two give the INFO line none."""
+        v = np.asarray(values, dtype=float)
+        v = v[np.isfinite(v) & (v > 0)]
+        if v.size < 2:
+            self.info(name, none)
+            return
+        spread = float(v.max() / v.min())
+        self.check(name, spread <= bound,
+                   f"measured={spread:.6g} bound={bound:g} ({detail}) points={v.size}")
 
     def csv(self, name: str, header, rows) -> None:
         text = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
@@ -278,17 +299,12 @@ def _run_forward(ctx: _Context, rep: _Report) -> None:
                             f"(first populated tail cluster k={k_star})", F_norms[fit])
 
     envelope = u0_l2 * np.exp(-lam1 * grid) * (1.0 + 1e-9)
-    bad = np.flatnonzero(u_norms > envelope)
-    if bad.size:
-        i = int(bad[0])
-        rep.check("decay-envelope", False,
-                  f"index={i + 1} T={grid[i]:g} measured={u_norms[i]:.10g} "
-                  f"bound={envelope[i]:.10g}")
-    else:
-        worst = float((u_norms / envelope).max()) if grid.size else 0.0
-        rep.check("decay-envelope", True,
-                  f"||u(T)|| <= ||u0|| e^(-l1 T) on all {grid.size} grid points "
-                  f"(max quotient {worst:.6g})")
+    worst = float((u_norms / envelope).max()) if grid.size else 0.0
+    rep.per_index_check(
+        "decay-envelope", u_norms > envelope,
+        lambda i: f"index={i + 1} T={grid[i]:g} measured={u_norms[i]:.10g} "
+                  f"bound={envelope[i]:.10g}",
+        f"||u(T)|| <= ||u0|| e^(-l1 T) on all {grid.size} grid points (max quotient {worst:.6g})")
 
     # The snapshot/correction pair must satisfy the stationary identity
     # div(a grad u_T) = -l1 u_T + F on interior nodes, up to roundoff.
@@ -365,12 +381,13 @@ def _run_invert(ctx: _Context, rep: _Report) -> None:
                  "step norm increased or the step cap was hit; kept the best iterate")
     a = ctx.coeff.values
     rel_error = l2_norm(report.a_rec.values - a, M) / l2_norm(a, M)
+    source = "data simulated on the solver's own mesh"  # no discretization error in it
     if s.noise == 0:
         rep.check("reconstruction-error", rel_error <= 0.02,
-                  f"measured={rel_error:.6g} bound=0.02 (noiseless L2-relative)")
+                  f"measured={rel_error:.6g} bound=0.02 (noiseless L2-relative; {source})")
     else:
         rep.info("reconstruction-error",
-                 f"rel_error={rel_error:.6g} at noise level {s.noise:g}")
+                 f"rel_error={rel_error:.6g} at noise level {s.noise:g} ({source})")
     rep.info("data-residual",
              f"least-squares residual of the final transport system = {report.data_residual:.6g}")
     rep.info("closure-eigensolves",
@@ -408,18 +425,17 @@ def _run_verify_spectral(ctx: _Context, rep: _Report) -> None:
     spec_unit = (spec.leading(kmax) if np.all(ctx.coeff.values == 1.0)
                  else solve_generalized_eig(ctx.disc.unit_pair, kmax))
     sandwich = verify_minmax_sandwich(spec, spec_unit, s.a_plus)
+    lam, lam_unit, lower_ok = sandwich.lambdas, sandwich.lambdas_unit, sandwich.lower_ok
+    upper = s.a_plus * lam_unit
     rep.csv("minmax.csv", ("k", "lambda_unit", "lambda", "upper", "lower_ok", "upper_ok"),
-            zip(range(1, sandwich.lambdas.size + 1), sandwich.lambdas_unit,
-                sandwich.lambdas, s.a_plus * sandwich.lambdas_unit,
-                sandwich.lower_ok, sandwich.upper_ok))
-    if sandwich.ok:
-        rep.check("minmax-sandwich", True,
-                  f"lambda_k^unit <= lambda_k <= a_plus lambda_k^unit for k <= {sandwich.lambdas.size} "
-                  f"(a_plus={s.a_plus:g}, slack={sandwich.rel_slack:g})")
-    else:
-        k, side, lam, bound = sandwich.first_violation
-        rep.check("minmax-sandwich", False,
-                  f"index={k} side={side} measured={lam:.10g} bound={bound:.10g}")
+            zip(range(1, lam.size + 1), lam_unit, lam, upper, lower_ok, sandwich.upper_ok))
+    bound = np.where(lower_ok, upper, lam_unit)  # of the side that breaks first
+    rep.per_index_check(
+        "minmax-sandwich", ~(lower_ok & sandwich.upper_ok),
+        lambda k: f"index={k + 1} side={'upper' if lower_ok[k] else 'lower'} "
+                  f"measured={lam[k]:.10g} bound={bound[k]:.10g}",
+        f"lambda_k^unit <= lambda_k <= a_plus lambda_k^unit for k <= {lam.size} "
+        f"(a_plus={s.a_plus:g}, slack={sandwich.rel_slack:g})")
 
     if lam_hat.size < 2:
         rep.info("gap-property", "needs at least two strict eigenvalues; skipped")
@@ -428,15 +444,12 @@ def _run_verify_spectral(ctx: _Context, rep: _Report) -> None:
         rep.csv("gap.csv", ("k", "hat_lambda", "next_gap", "required", "rho", "satisfied"),
                 zip(range(1, lam_hat.size), lam_hat[:-1], gap_rep.gaps, gap_rep.bounds,
                     gap_rep.rho[:-1], gap_rep.satisfied))
-        if gap_rep.all_satisfied:
-            rep.check("gap-property", True,
-                      f"holds at gamma={s.gamma:g}, delta={s.delta:g}; "
-                      f"largest admissible delta={gap_rep.delta_max:.10g}")
-        else:
-            k = int(np.flatnonzero(~gap_rep.satisfied)[0])
-            rep.check("gap-property", False,
-                      f"index={k + 1} measured={gap_rep.gaps[k]:.10g} bound={gap_rep.bounds[k]:.10g} "
-                      f"(gamma={s.gamma:g}, delta={s.delta:g})")
+        rep.per_index_check(
+            "gap-property", ~gap_rep.satisfied,
+            lambda k: f"index={k + 1} measured={gap_rep.gaps[k]:.10g} "
+                      f"bound={gap_rep.bounds[k]:.10g} (gamma={s.gamma:g}, delta={s.delta:g})",
+            f"holds at gamma={s.gamma:g}, delta={s.delta:g}; "
+            f"largest admissible delta={gap_rep.delta_max:.10g}")
 
     if spec.K >= 10:
         ratios = weyl_ratios(spec, 10, spec.K)
@@ -451,27 +464,18 @@ def _run_verify_spectral(ctx: _Context, rep: _Report) -> None:
                 ("k", "s", "lambda", "lambda_tilde", "diff", "l2_coeff_diff", "ratio"),
                 zip(etab.k, etab.s, etab.lam, etab.lam_tilde, etab.diff,
                     etab.l2_coeff_diff, etab.ratio))
-        spread = etab.ratio_spread()
-        if np.isfinite(spread):
-            rep.check("eigen-perturbation-spread", spread <= 50.0,
-                      f"measured={spread:.6g} bound=50 (max/min normalized ratio, "
-                      f"k <= {EIGEN_SWEEP_ROWS})")
-        else:
-            rep.info("eigen-perturbation-spread", "no finite ratios (direction is null)")
+        rep.spread_check("eigen-perturbation-spread", etab.ratio, 50.0,
+                         f"max/min normalized ratio, k <= {EIGEN_SWEEP_ROWS}",
+                         "fewer than two finite ratios (direction is null)")
 
         rep.csv("projection_perturbation.csv",
                 ("k", "s", "l2_coeff_diff", "gate_bound", "in_gate", "proj_norm", "normalized"),
                 zip(ptab.k, ptab.s, ptab.l2_coeff_diff, ptab.gate_bound,
                     ptab.in_gate, ptab.proj_norm, ptab.normalized))
-        gspread = ptab.gated_spread()
         n_gated = int(ptab.in_gate.sum())
-        if np.isfinite(gspread):
-            rep.check("projection-perturbation-spread", gspread <= 10.0,
-                      f"measured={gspread:.6g} bound=10 ({n_gated} gated rows, "
-                      f"k <= {PROJECTION_SWEEP_ROWS})")
-        else:
-            rep.info("projection-perturbation-spread",
-                     f"not enough gated rows to form a spread ({n_gated} in gate)")
+        rep.spread_check("projection-perturbation-spread", ptab.normalized[ptab.in_gate], 10.0,
+                         f"{n_gated} gated rows, k <= {PROJECTION_SWEEP_ROWS}",
+                         f"not enough gated rows to form a spread ({n_gated} in gate)")
     else:
         rep.info("perturbation-sweeps", "skipped: no eta direction configured")
 
@@ -512,21 +516,13 @@ def _run_stability_sweep(ctx: _Context, rep: _Report) -> None:
         else:
             idx = np.flatnonzero((tab.T >= thr) & np.isfinite(tab.rho))  # into T_grid
             rr = tab.rho[idx]
-            bad = np.flatnonzero(rr[1:] < rr[:-1] * (1.0 - 1e-9))
-            if bad.size:
-                i, prev = int(idx[bad[0] + 1]), int(idx[bad[0]])
-                rep.check("rho-monotone", False,
-                          f"index={i + 1} T={tab.T[i]:g} measured={tab.rho[i]:.6g} "
-                          f"bound={tab.rho[prev]:.6g} (previous value)")
-            else:
-                rep.check("rho-monotone", True,
-                          f"rho(T) non-decreasing on the {rr.size} grid points with T >= {thr:g}")
-        cspread = tab.c_fit_spread()
-        if np.isfinite(cspread):
-            rep.check("gap-constant-spread", cspread <= 10.0,
-                      f"measured={cspread:.6g} bound=10 (max/min fitted gap constant)")
-        else:
-            rep.info("gap-constant-spread", "fewer than two usable grid points")
+            rep.per_index_check(  # entry j compares grid point idx[j + 1] with idx[j]
+                "rho-monotone", rr[1:] < rr[:-1] * (1.0 - 1e-9),
+                lambda j: f"index={idx[j + 1] + 1} T={tab.T[idx[j + 1]]:g} "
+                          f"measured={rr[j + 1]:.6g} bound={rr[j]:.6g} (previous value)",
+                f"rho(T) non-decreasing on the {rr.size} grid points with T >= {thr:g}")
+        rep.spread_check("gap-constant-spread", tab.c_fit, 10.0, "max/min fitted gap constant",
+                         "fewer than two usable grid points")
     else:
         for name in ("stability-rate", "rho-monotone", "gap-constant-spread"):
             rep.info(name, f"skipped: int u0 d_Omega = {weight:.6g} is not positive")

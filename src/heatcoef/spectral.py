@@ -186,25 +186,16 @@ class GapReport:
     delta_max: float       # largest delta for which every pair passes
     rho: np.ndarray        # isolation radii delta / (4 lambda_k^gamma)
 
-    @property
-    def all_satisfied(self) -> bool:
-        return bool(np.all(self.satisfied))
-
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Per-index check lambda_k(1) <= lambda_k(a) <= a_plus * lambda_k(1)."""
+    """Per-index masks of lambda_k(1) <= lambda_k(a) <= a_plus * lambda_k(1)."""
 
     rel_slack: float
     lambdas: np.ndarray
     lambdas_unit: np.ndarray
     lower_ok: np.ndarray
     upper_ok: np.ndarray
-    first_violation: tuple | None  # (k, side, lambda, bound)
-
-    @property
-    def ok(self) -> bool:
-        return self.first_violation is None
 
 
 def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
@@ -486,13 +477,8 @@ def verify_minmax_sandwich(
     lam1 = spec_unit.eigenvalues[:kmax]
     lower_ok = lam >= lam1 * (1.0 - rel_slack)
     upper_ok = lam <= a_plus * lam1 * (1.0 + rel_slack)
-    first = None
-    if (bad := np.flatnonzero(~(lower_ok & upper_ok))).size:
-        k = int(bad[0])
-        first = ((k + 1, "lower", float(lam[k]), float(lam1[k])) if not lower_ok[k]
-                 else (k + 1, "upper", float(lam[k]), float(a_plus * lam1[k])))
     return SandwichReport(rel_slack=rel_slack, lambdas=lam, lambdas_unit=lam1,
-                          lower_ok=lower_ok, upper_ok=upper_ok, first_violation=first)
+                          lower_ok=lower_ok, upper_ok=upper_ok)
 
 
 @dataclass(frozen=True)
@@ -507,13 +493,6 @@ class EigenPerturbationTable:
     l2_coeff_diff: np.ndarray
     ratio: np.ndarray
 
-    def ratio_spread(self) -> float:
-        """max/min of the finite positive normalized ratios."""
-        r = self.ratio[np.isfinite(self.ratio) & (self.ratio > 0)]
-        if r.size == 0:
-            return float("nan")
-        return float(r.max() / r.min())
-
 
 @dataclass(frozen=True)
 class ProjectionPerturbationTable:
@@ -526,13 +505,6 @@ class ProjectionPerturbationTable:
     in_gate: np.ndarray
     proj_norm: np.ndarray
     normalized: np.ndarray
-
-    def gated_spread(self) -> float:
-        """max/min of the normalized constants over the gated rows."""
-        r = self.normalized[self.in_gate & np.isfinite(self.normalized) & (self.normalized > 0)]
-        if r.size < 2:
-            return float("nan")
-        return float(r.max() / r.min())
 
 
 def perturbation_sweep(

@@ -78,7 +78,8 @@ def test_eigenvalues_sandwiched_by_unit_pencil_for_every_catalog_coefficient():
         a = make_coefficient(mesh, kind, None, 2.0)
         spec_a = solve_generalized_eig(discretize(mesh).pair(a.values), 20)
         report = verify_minmax_sandwich(spec_a, spec_unit, 2.0)
-        assert report.ok, f"{kind}: first violation at k={report.first_violation}"
+        bad = np.flatnonzero(~(report.lower_ok & report.upper_ok))
+        assert bad.size == 0, f"{kind}: first violation at k={bad[0] + 1}"
     assert time.monotonic() - start < 60.0
 
 
@@ -89,9 +90,8 @@ def test_eigenvalue_shift_ratio_uniform_across_perturbation_sweep():
     eta = direction_values(mesh, "gaussian-bump", {"amplitude": 0.04})
     spec = solve_generalized_eig(discretize(mesh).pair(unit.values), 20)
     table, _ = perturbation_sweep(spec, unit, eta, (1e-3, 1e-2, 1e-1))
-    spread = table.ratio_spread()
-    assert np.isfinite(spread)
-    assert spread <= 50.0  # measured 2.30
+    assert np.all(np.isfinite(table.ratio) & (table.ratio > 0))
+    assert table.ratio.max() / table.ratio.min() <= 50.0  # measured 2.30
     assert time.monotonic() - start < 120.0
 
 
@@ -102,9 +102,9 @@ def test_projection_difference_normalized_within_one_order_of_magnitude():
     spec = solve_generalized_eig(discretize(mesh).pair(unit.values), 20)
     _, table = perturbation_sweep(spec, unit, eta, (1e-3, 1e-2, 1e-1), gamma=0.0)
     assert table.in_gate.sum() >= 2  # the gate must actually select a regime
-    spread = table.gated_spread()
-    assert np.isfinite(spread)
-    assert spread <= 10.0  # measured 6.44
+    gated = table.normalized[table.in_gate]
+    assert np.all(np.isfinite(gated) & (gated > 0))
+    assert gated.max() / gated.min() <= 10.0  # measured 6.44
 
 
 def test_correction_field_decay_and_lipschitz_slopes():

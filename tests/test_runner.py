@@ -253,16 +253,26 @@ def test_run_assembles_the_mass_matrix_once(mode, tmp_path, monkeypatch, cold_gr
 
 def test_a_warm_grid_carries_no_state_between_runs(tmp_path):
     # each mode on a grid of its own, then all four in turn on one grid
-    cold = {}
+    cold, lines = {}, []
     for mode, text in MODE_CONFIGS.items():
         fem.grid.cache_clear()
-        write_reports(run_scenario(parse_config_text(text), mode, tmp_path / "cold" / mode))
+        art = run_scenario(parse_config_text(text), mode, tmp_path / "cold" / mode)
+        write_reports(art)
         cold[mode] = (tmp_path / "cold" / mode / "manifest.txt").read_bytes()
+        lines += art.summary_lines
     shared = fem.grid(16, 16)
     for mode, text in MODE_CONFIGS.items():
         write_reports(run_scenario(parse_config_text(text), mode, tmp_path / "warm" / mode))
         assert (tmp_path / "warm" / mode / "manifest.txt").read_bytes() == cold[mode], mode
     assert fem.grid(16, 16) is shared
+    # every fit and spread states how many points it used
+    for name in ("u-decay-slope", "F-decay-slope", "stability-rate", "F-lipschitz-slope",
+                 "eigen-perturbation-spread", "projection-perturbation-spread",
+                 "gap-constant-spread"):
+        checked = [line for line in lines if line.split()[1] == f"{name}:"]
+        assert checked, name
+        for line in checked:
+            assert re.search(r" (fit_)?points=\d+$", line), line
 
 
 @pytest.mark.parametrize("mode, per_time, once", [("forward", 1, 3), ("stability-sweep", 2, 1)])
@@ -590,6 +600,21 @@ def test_minmax_sandwich_fail_names_the_spectral_index(tmp_path, monkeypatch):
     assert _index(line) == minmax["k"][minmax["upper_ok"] == 0][0]
 
 
+def test_minmax_sandwich_fail_names_the_lower_side(tmp_path, monkeypatch):
+    # an admissible a >= 1 never breaks the lower side, so its mask is set here
+    sandwich = runner.verify_minmax_sandwich
+
+    def below(*args):
+        rep = sandwich(*args)
+        return dataclasses.replace(rep, lower_ok=np.r_[False, rep.lower_ok[1:]])
+    monkeypatch.setattr(runner, "verify_minmax_sandwich", below)
+    art = run_scenario(parse_config_text(FORWARD_16), "verify-spectral", tmp_path)
+    minmax = _read_csv(tmp_path / "minmax.csv")
+    assert _line(art.summary_lines, "minmax-sandwich") == (
+        f"FAIL minmax-sandwich: index=1 side=lower measured={minmax['lambda'][0]:.10g} "
+        f"bound={minmax['lambda_unit'][0]:.10g}")
+
+
 def test_verify_spectral_of_a_non_unit_coefficient_solves_the_unit_pencil(tmp_path):
     art = run_scenario(parse_config_text(FORWARD_16.replace("modes = 8", "modes = 24")),
                        "verify-spectral", tmp_path)
@@ -610,3 +635,25 @@ def test_a_two_point_fit_warns(tmp_path):
 def test_every_written_file_is_in_the_manifest(mode, tmp_path):
     manifest = write_reports(run_scenario(parse_config_text(MODE_CONFIGS[mode]), mode, tmp_path))
     assert {p.name for p in tmp_path.iterdir()} == set(manifest) | {"manifest.txt"}
+
+
+class TestReport:
+    def test_spread_check_names_its_points(self, tmp_path):
+        rep = runner._Report(tmp_path)
+        rep.spread_check("s", [2.0, np.nan, 0.0, 1.0, 4.0], 10.0, "d", "none")
+        rep.spread_check("s", [1.0, 20.0, np.inf], 10.0, "d", "none")
+        assert rep.lines == ["PASS s: measured=4 bound=10 (d) points=3",
+                             "FAIL s: measured=20 bound=10 (d) points=2"]
+
+    @pytest.mark.parametrize("values", [[], [3.0], [3.0, -1.0, np.nan]])
+    def test_spread_check_of_fewer_than_two_values_is_info(self, tmp_path, values):
+        rep = runner._Report(tmp_path)
+        rep.spread_check("s", values, 10.0, "d", "too few")
+        assert rep.lines == ["INFO s: too few"]
+
+    def test_per_index_check_fails_at_the_first_set_entry(self, tmp_path):
+        rep = runner._Report(tmp_path)
+        rep.per_index_check("c", np.array([False, False, True, True]), lambda i: f"index={i + 1}",
+                            "all hold")
+        rep.per_index_check("c", np.zeros(4, dtype=bool), lambda i: f"index={i + 1}", "all hold")
+        assert rep.lines == ["FAIL c: index=3", "PASS c: all hold"]

@@ -13,9 +13,9 @@ import numpy as np
 
 import heatcoef
 from heatcoef.catalog import make_coefficient
-from heatcoef.fem import discretize
+from heatcoef.fem import discretize, l2_norm
 from heatcoef.inversion import stability_ratio_experiment
-from heatcoef.mesh import build_structured_mesh, distance_to_boundary
+from heatcoef.mesh import build_structured_mesh, distance_to_boundary, read_grid
 from heatcoef.scenario import Scenario
 from heatcoef.spectral import solve_generalized_eig
 
@@ -50,8 +50,13 @@ def test_ill_posedness_sweep_smoke(tmp_path, capsys):
         assert ": K=8 of modes=8, t_min=0.15, " in line and "uncertified at the cap" in line
     rows = _sweep_rows(tmp_path)
     assert [float(r["T"]) for r in rows] == [0.15, 0.3]
+    mesh = build_structured_mesh(8, 8)
+    mass = discretize(mesh).mass
+    a = make_coefficient(mesh, "gaussian-bump", None, 2.0).values
     for r in rows:
-        assert np.isfinite(float(r["rel_error"]))
+        # the runner's rel_error at full precision, not its %.6g summary text
+        a_rec = read_grid(tmp_path / f"T{float(r['T']):g}" / "a_rec.grid")[2]
+        assert float(r["rel_error"]) == l2_norm(a_rec - a, mass) / l2_norm(a, mass)
         assert np.isfinite(float(r["rho"]))
     rate = next(line for line in out.splitlines() if line.startswith("fitted rho-rate:"))
     assert rate.endswith(" fit_points=2")
