@@ -45,7 +45,7 @@ def main(argv=None) -> int:
             scenario = parse_config(cfg)
             artifact = run_scenario(scenario, mode, args.out / cfg.stem)
             write_reports(artifact)
-        except (ConfigError, RunnerError) as exc:
+        except (ConfigError, RunnerError, OSError) as exc:  # what the CLI catches
             print(f"{cfg.stem}: error: {exc}", file=sys.stderr)
             return 1
         status = "ok" if artifact.all_pass else "FAILED CHECKS"

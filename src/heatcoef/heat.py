@@ -15,7 +15,7 @@ without an eigenbasis, from a shift-invert Krylov space of u0; the
 inversion's outer steps use it.
 
 GroundComparison holds what the lower-bound quotients u(T) / (e^{-l_1 T}
-phi1) of one spectrum, u0 and boundary-band node mask share over T: it
+phi1) of one spectrum and u0 share over T, its boundary band included: it
 reports the quotients at one time and finds the first grid time at which
 all are positive.
 
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .fem import Discretization, OperatorPair, l2_norm, nodal_gradients, require_zero_boundary
-from .mesh import distance_to_boundary
+from .mesh import boundary_band, distance_to_boundary
 from .spectral import SpectralDecomposition, orient_ground
 
 __all__ = [
@@ -268,10 +268,16 @@ def check_u0_condition(disc: Discretization, u0) -> float:
     return 0.0 if abs(w) <= u0.size * np.finfo(float).eps * float(np.abs(u0) @ md) else w
 
 
-class GroundComparison:
-    """What the lower-bound quotients of one spectrum, u0 and band share over T.
+# Width of the lower bounds' boundary band, a tenth of the side: phi1 vanishes
+# on the boundary, so there the bounds rest on gradients, and Hopf's lemma keeps
+# |grad phi1| positive away from the corners (the band-floor refinement test).
+_BAND_EPS = 0.1
 
-    band is the bool node mask of mesh.boundary_band.  u0, phi1 and its
+
+class GroundComparison:
+    """What the lower-bound quotients of one spectrum and u0 share over T.
+
+    The band is mesh.boundary_band at _BAND_EPS.  u0, phi1 and its
     gradients are projected and evaluated once; report(T) forms the
     quotients at one time and threshold(T_grid) finds the first grid time
     at which all are positive.  Requires int u0 d_Omega > 0
@@ -282,11 +288,11 @@ class GroundComparison:
     by an underflowed e^{-l_1 T} at large T.
     """
 
-    def __init__(self, spec: SpectralDecomposition, u0, band: np.ndarray) -> None:
+    def __init__(self, spec: SpectralDecomposition, u0) -> None:
         weight = check_u0_condition(spec.disc, u0)
         if weight <= 0:
             raise ValueError(f"int u0 * d_Omega = {weight:.6g} must be positive for lower bounds")
-        self.spec, self.bmask = spec, band
+        self.spec, self.bmask = spec, boundary_band(spec.disc.mesh, _BAND_EPS)
         self.coeffs, self.rates, _ = _mode_data(spec, u0)
         self.lam1 = float(spec.hat_eigenvalues[0])
         self.phi1 = spec.disc.extend(spec.eigenvectors[:, 0])

@@ -40,7 +40,7 @@ from .heat import (
     krylov_flow,
 )
 from .inversion import fixed_point_invert, stability_ratio_experiment
-from .mesh import Mesh, boundary_band, write_grid
+from .mesh import Mesh, write_grid
 from .scenario import Scenario, scenario_hash
 from .spectral import (
     EIGEN_SWEEP_ROWS,
@@ -57,7 +57,6 @@ from .spectral import (
 __all__ = ["RunArtifact", "RunnerError", "run_scenario", "write_reports"]
 
 _DEFAULT_T_GRID = tuple(1.0 + 0.5 * i for i in range(9))
-_BAND_EPS = 0.1
 _TRANSPORT_TOL = 1e-10
 
 
@@ -67,7 +66,7 @@ class RunnerError(RuntimeError):
 
 @dataclass
 class RunArtifact:
-    """Everything one run produced (manifest is filled by write_reports)."""
+    """Everything one run produced; write_reports writes its summary and manifest."""
 
     scenario: Scenario
     mode: str
@@ -75,7 +74,6 @@ class RunArtifact:
     scenario_hash: str
     summary_lines: tuple[str, ...]
     files: tuple[str, ...]
-    manifest: dict[str, str] = field(default_factory=dict)
 
     @property
     def n_pass(self) -> int:
@@ -319,7 +317,7 @@ def _run_forward(ctx: _Context, rep: _Report) -> None:
               f"measured={rel:.6g} bound={_TRANSPORT_TOL:g} (relative residual at T={s.T:g})")
 
     if weight > 0:
-        ground = GroundComparison(spec, u0, boundary_band(ctx.mesh, _BAND_EPS))
+        ground = GroundComparison(spec, u0)
         low = ground.report(s.T)
         rep.check("lower-bounds", low.all_positive,
                   f"T={s.T:g} measured=(u {low.u_ratio_min:.6g}, du/dt {low.dudt_ratio_min:.6g}, "
@@ -510,7 +508,7 @@ def _run_stability_sweep(ctx: _Context, rep: _Report) -> None:
                         f"measured={tab.fitted_rate:.6g} "
                         f"bracket=[{tab.rate_low:.6g}, {tab.rate_high:.6g}] "
                         f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
-        ground = GroundComparison(spec, u0, boundary_band(ctx.mesh, _BAND_EPS))
+        ground = GroundComparison(spec, u0)
         if (thr := ground.threshold(s.T_grid)) is None:
             rep.info("rho-monotone", "no certified threshold inside T_grid; check skipped")
         else:
@@ -566,5 +564,4 @@ def write_reports(artifact: RunArtifact) -> dict[str, str]:
             encoding="ascii")
     except OSError as exc:
         raise RunnerError(f"cannot write reports into {out}: {exc}") from exc
-    artifact.manifest = manifest
     return manifest

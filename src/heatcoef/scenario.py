@@ -8,9 +8,10 @@ bare key plus dotted parameter keys, e.g.
     coefficient.amplitude = 0.5
 
 Each kind's parameters and their types are those of its catalog table
-(catalog.group_defaults).  Unknown keys, duplicate keys, out-of-catalog
-kinds, parameters outside their kind's table and non-admissible
-coefficients are rejected at parse time with the offending line/node.
+(catalog.group_defaults).  Bytes that are not ASCII, unknown or duplicate
+keys, out-of-catalog kinds, parameters outside their kind's table, inadmissible
+coefficients and whatever the run's grid and u0 constructors refuse are
+rejected at parse time with the offending line/node.
 """
 
 from __future__ import annotations
@@ -106,6 +107,8 @@ _KEYS = _key_table()  # once, at import: get_type_hints is too slow to call per 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():  # like every file a run writes
+            raise ConfigError(f"line {lineno}: {ascii(raw)} is not ASCII text, as a config must be")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -160,8 +163,9 @@ def _take_group(entries, group) -> FieldSpec:
 
 
 def parse_config(path) -> Scenario:
-    """Parse and validate a scenario config file."""
-    return parse_config_text(Path(path).read_text())
+    """Parse and validate a scenario config file, which must be ASCII text."""
+    # latin-1 maps each byte to one character, so the parse names a non-ASCII byte
+    return parse_config_text(Path(path).read_text(encoding="latin-1"))
 
 
 def parse_config_text(text: str) -> Scenario:
@@ -209,24 +213,18 @@ def _validate_scenario(s: Scenario) -> None:
             raise ConfigError(f"{key.name} must {must}, got {value}")
         if least is not None and value < least:
             raise ConfigError(f"{key.name} must be >= {least}, got {value}")
-    if s.nx < 2 or s.ny < 2:
-        raise ConfigError(f"grid must have at least 2 cells per side, got nx={s.nx}, ny={s.ny}")
     if s.T_grid is not None:
         if any(t <= 0 for t in s.T_grid):
             raise ConfigError(f"T_grid times must be positive, got {s.T_grid}")
         if any(b <= a for a, b in zip(s.T_grid, s.T_grid[1:])):
             raise ConfigError("T_grid must be strictly increasing")
-    u0 = s.u0.params_dict()
-    for pname in ("m", "n"):  # the sine-product orders
-        if pname in u0 and u0[pname] < 1:
-            raise ConfigError(f"u0.{pname} must be >= 1, got {u0[pname]}")
-    if s.u0.kind == "custom":
-        if not u0["path"]:
-            raise ConfigError("u0 = custom requires u0.path")
-        if not Path(u0["path"]).is_file():
-            raise ConfigError(f"u0.path does not exist: {u0['path']}")
-
-    mesh = grid(s.nx, s.ny).mesh  # the grid every run of this size reads
+    # the run's own constructors; first-eigenfunction needs the run's spectrum
+    try:
+        mesh = grid(s.nx, s.ny).mesh  # the grid every run of this size reads
+        if s.u0.kind != "first-eigenfunction":
+            catalog.initial_state(mesh, s.u0.kind, s.u0.params_dict())
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"grid {s.nx}x{s.ny} with u0 = {s.u0.kind}: {exc}") from exc
     for label, spec in (("coefficient", s.coefficient), ("perturbation", s.perturbation)):
         if spec is None:
             continue

@@ -356,9 +356,8 @@ def solve_ground_pair(
     cannot increase in exact arithmetic, so the iteration stops at the first
     iterate with relative residual at most _RESIDUAL_TOL whose quotient did
     not decrease, and keeps the lowest quotient of the iterates within that
-    residual.  The residual max|A v - lam M v| / (|lam| max|M v|), the
-    measure of _residual_of, comes from the A v and M v the iteration
-    computes anyway.
+    residual.  The residual (_residual_of) comes from the A v and M v the
+    iteration computes anyway.
 
     Returns (spec, warm): spec is a K=1 decomposition with the residual
     bound and sign rule of solve_generalized_eig; warm is False when the
@@ -378,7 +377,7 @@ def solve_ground_pair(
             Mv /= norm
             Av = A @ v
             lam_old, lam = lam, v @ Av
-            if np.max(np.abs(Av - lam * Mv)) / (abs(lam) * np.max(np.abs(Mv)) + 1e-300) <= _RESIDUAL_TOL:
+            if _residual_of(Av[:, None], Mv[:, None], np.array([lam])) <= _RESIDUAL_TOL:
                 if lam < best_lam:
                     best_lam, best_v = lam, v[:, None]
                 if lam >= lam_old:

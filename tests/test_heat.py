@@ -16,7 +16,7 @@ from heatcoef.heat import (
     krylov_flow,
 )
 from heatcoef.inversion import stability_ratio_experiment
-from heatcoef.mesh import boundary_band, build_structured_mesh, distance_to_boundary
+from heatcoef.mesh import build_structured_mesh, distance_to_boundary
 from heatcoef.spectral import (
     _RESIDUAL_TOL,
     _residual_of,
@@ -243,8 +243,7 @@ class TestLowerBounds:
 
     def test_report_minima_frozen(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)
-        band = boundary_band(mesh32, 0.1)
-        rep = GroundComparison(bump_spec32, d, band).report(2.0)
+        rep = GroundComparison(bump_spec32, d).report(2.0)
         assert rep.all_positive
         assert rep.u_ratio_min == pytest.approx(0.20242208, abs=1e-7)
         assert rep.dudt_ratio_min == pytest.approx(4.30258701, abs=1e-7)
@@ -255,16 +254,14 @@ class TestLowerBounds:
 
     def test_rejects_nonpositive_weight_or_time(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)
-        band = boundary_band(mesh32, 0.1)
         with pytest.raises(ValueError, match="positive"):
-            GroundComparison(bump_spec32, -d, band)
+            GroundComparison(bump_spec32, -d)
         with pytest.raises(ValueError, match="positive"):
-            GroundComparison(bump_spec32, d, band).report(0.0)
+            GroundComparison(bump_spec32, d).report(0.0)
 
     def test_certified_threshold(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)
-        band = boundary_band(mesh32, 0.1)
-        ground = GroundComparison(bump_spec32, d, band)
+        ground = GroundComparison(bump_spec32, d)
         assert ground.threshold([0.25, 0.5, 1.0, 2.0]) == 0.25  # every grid time passes
         assert ground.threshold([-1.0, 0.0]) is None
 
@@ -273,10 +270,9 @@ class TestLowerBounds:
         # e^{-l1 T} ~ 1e-185 at T = 20 and underflows at T >= 36: the quotients
         # come from the flow scaled by e^{l1 T}, whose limit is c1 phi1
         d = distance_to_boundary(mesh32)
-        band = boundary_band(mesh32, 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = GroundComparison(bump_spec32, d, band).report(T)
+            rep = GroundComparison(bump_spec32, d).report(T)
         c1 = bump_spec32.eigenvectors[:, 0] @ (bump_spec32.disc.mass_int @ d[bump_spec32.disc.interior])
         assert rep.all_positive
         assert rep.u_ratio_min == pytest.approx(c1, rel=1e-12)
@@ -284,8 +280,7 @@ class TestLowerBounds:
         assert rep.grad_ratio_min == pytest.approx(c1 ** 2, rel=1e-12)
 
     def test_a_nan_minimum_is_not_positive(self, mesh32, bump_spec32):
-        rep = GroundComparison(bump_spec32, distance_to_boundary(mesh32),
-                               boundary_band(mesh32, 0.1)).report(2.0)
+        rep = GroundComparison(bump_spec32, distance_to_boundary(mesh32)).report(2.0)
         assert rep.all_positive
         assert not dataclasses.replace(rep, grad_ratio_min=float("nan")).all_positive
         assert not dataclasses.replace(rep, u_ratio_min=float("nan")).all_positive
@@ -293,16 +288,15 @@ class TestLowerBounds:
     def test_threshold_search_evaluates_the_ground_mode_once(self, mesh32, bump_spec32, monkeypatch):
         # u0 = 0.3 phi1 + phi2 changes sign until phi2 has decayed: the first
         # two grid times fail, the third passes
-        band = boundary_band(mesh32, 0.1)
         V = bump_spec32.eigenvectors
         u0 = bump_spec32.disc.extend(0.3 * V[:, 0] + V[:, 1])
         grid = [0.02, 0.05, 0.1, 0.2]
         first = [t for t in grid
-                 if GroundComparison(bump_spec32, u0, band).report(t).all_positive][0]
+                 if GroundComparison(bump_spec32, u0).report(t).all_positive][0]
         gradients, conditions = [], []
         monkeypatch.setattr(heat, "nodal_gradients",
                             lambda mesh, w: gradients.append(1) or nodal_gradients(mesh, w))
         monkeypatch.setattr(heat, "check_u0_condition",
                             lambda disc, u: conditions.append(1) or check_u0_condition(disc, u))
-        assert GroundComparison(bump_spec32, u0, band).threshold(grid) == first == 0.1
+        assert GroundComparison(bump_spec32, u0).threshold(grid) == first == 0.1
         assert (len(gradients), len(conditions)) == (1 + 3, 1)  # phi1 once, u at 3 times

@@ -189,6 +189,20 @@ class TestCli:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name", ["caf\u00e9".encode("utf-8"), b"caf\xe9"])
+    def test_exit_one_on_a_config_that_is_not_ascii(self, tmp_path, capsys, name):
+        # refused at parse, so neither the solve nor the ASCII report writer sees it
+        cfg = tmp_path / "case.cfg"
+        cfg.write_bytes(FORWARD_16.encode("ascii").replace(b"fwd16", name))
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: line 1: {ascii('name = ' + name.decode('latin-1'))} is not ASCII text, "
+            f"as a config must be"]
+        assert not out.exists()
+
     def test_exit_one_on_usage_error(self, capsys):
         assert main([]) == 1
         assert main(["forward"]) == 1

@@ -2,11 +2,13 @@ import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatcoef import catalog
+from heatcoef.mesh import build_structured_mesh, write_grid
 from heatcoef.scenario import (
     ConfigError,
     Scenario,
@@ -165,9 +167,12 @@ class TestRejections:
             ("delta = 0", "delta must be positive"),
             ("noise = -1e-6", "noise must be >= 0"),
             ("seed = -1", "seed must be >= 0"),
-            ("nx = 1", "at least 2 cells"),
-            ("u0 = sine-product\nu0.m = 0", "u0.m must be >= 1, got 0"),
-            ("u0 = sine-product\nu0.n = -2", "u0.n must be >= 1, got -2"),
+            # the grid and u0 rules are their constructors', named with u0
+            ("nx = 1", r"^grid 1x32 with u0 = d_Omega: grid must have at least 2 cells per side"),
+            ("u0 = sine-product\nu0.m = 0",
+             r"^grid 32x32 with u0 = sine-product: sine-product orders must be >= 1, got m=0, n=1$"),
+            ("u0 = sine-product\nu0.n = -2",
+             r"^grid 32x32 with u0 = sine-product: sine-product orders must be >= 1, got m=1, n=-2$"),
         ):
             with pytest.raises(ConfigError, match=message):
                 parse_config_text(MINIMAL + bad + "\n")
@@ -183,14 +188,47 @@ class TestRejections:
             parse_config_text(text)
 
     def test_custom_u0_requires_existing_path(self, tmp_path):
-        with pytest.raises(ConfigError, match="requires u0.path"):
+        with pytest.raises(ConfigError, match=r"^grid 32x32 with u0 = custom: custom initial state "
+                                              r"needs u0.path$"):
             parse_config_text(MINIMAL + "u0 = custom\n")
-        with pytest.raises(ConfigError, match="does not exist"):
+        with pytest.raises(ConfigError, match=r"^grid 32x32 with u0 = custom: .*No such file.*"
+                                              r"/nonexistent.grid"):
             parse_config_text(MINIMAL + "u0 = custom\nu0.path = /nonexistent.grid\n")
+        with pytest.raises(ConfigError, match=r"^grid 32x32 with u0 = custom: .*Is a directory"):
+            parse_config_text(MINIMAL + f"u0 = custom\nu0.path = {tmp_path}\n")
         p = tmp_path / "u0.grid"
-        p.write_text("2 2\n0 0 0\n0 0 0\n0 0 0\n")
+        write_grid(p, build_structured_mesh(32, 32), np.zeros(33 * 33))
         s = parse_config_text(MINIMAL + f"u0 = custom\nu0.path = {p}\n")
         assert s.u0.params_dict() == {"path": str(p)}
+
+    @pytest.mark.parametrize("n,node,value,message", [
+        (2, None, 0.0, "custom initial state is 2x2 but the mesh is 8x8"),
+        (8, 40, float("nan"), r"custom initial state value nan is not finite at node 40 \(x=0.5"),
+        (8, 40, float("inf"), r"custom initial state value inf is not finite at node 40"),
+        (8, 3, 0.5, "custom initial state must vanish on the boundary"),
+    ])
+    def test_custom_u0_the_run_would_refuse_is_refused_at_parse(self, tmp_path, n, node, value,
+                                                               message):
+        # the run's u0 constructor refuses each, so the parse does
+        v = np.zeros((n + 1) ** 2)
+        if node is not None:
+            v[node] = value
+        write_grid(tmp_path / "u0.grid", build_structured_mesh(n, n), v)
+        text = (f"name = t\nnx = 8\nny = 8\ncoefficient = constant\n"
+                f"u0 = custom\nu0.path = {tmp_path / 'u0.grid'}\n")
+        with pytest.raises(ConfigError, match=rf"^grid 8x8 with u0 = custom: {message}"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("raw,shown", [
+        (b"name = caf\xc3\xa9\n", r"'name = caf\xc3\xa9'"),  # UTF-8
+        (b"# r\xe9sum\xe9\nname = t\n", r"'# r\xe9sum\xe9'"),  # latin-1, in a comment
+        (b"name = t\xff\n", r"'name = t\xff'"),  # no encoding's text
+    ])
+    def test_a_byte_that_is_not_ascii_is_refused_with_its_line(self, tmp_path, raw, shown):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_bytes(b"coefficient = constant\n" + raw)
+        with pytest.raises(ConfigError, match=rf"^line 2: {re.escape(shown)} is not ASCII text"):
+            parse_config(cfg)
 
 
 @pytest.mark.parametrize("line,key", [

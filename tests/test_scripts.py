@@ -10,13 +10,15 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import heatcoef
 from heatcoef.catalog import make_coefficient
 from heatcoef.fem import discretize, l2_norm
 from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import build_structured_mesh, distance_to_boundary, read_grid
-from heatcoef.scenario import Scenario
+from heatcoef.runner import run_scenario
+from heatcoef.scenario import Scenario, parse_config_text
 from heatcoef.spectral import solve_generalized_eig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -39,17 +41,24 @@ def _sweep_rows(out):
         return list(csv.DictReader(fh))
 
 
+TIMES = [0.15, 0.3, 0.6, 1.2]
+TIMES_ARG = ",".join(map(str, TIMES))  # the script's default grid
+
+
 def test_ill_posedness_sweep_smoke(tmp_path, capsys):
     sweep = _load("ill_posedness_sweep")
-    assert sweep.main(["--out", str(tmp_path), "--nx", "8", "--times", "0.15,0.3", "--modes", "8"]) == 0
-    out = capsys.readouterr().out
-    flow = [line for line in out.splitlines() if line.startswith("flow-spectrum")]
-    # 8 pairs cannot bound the tail at T = 0.15: the capped spectra, reported
-    assert len(flow) == 2
-    for line in flow:
-        assert ": K=8 of modes=8, t_min=0.15, " in line and "uncertified at the cap" in line
+    assert sweep.main(["--out", str(tmp_path), "--nx", "8", "--times", TIMES_ARG]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # the stability-sweep run's own lines: two flow spectra, then the fitted rate
+    printed = [line for line in out if line.split()[1] in ("flow-spectrum:", "stability-rate:")]
+    cfg = sweep.CONFIG.format(nx=8, noise=1e-6, seed=1234, times=TIMES_ARG)
+    ref = run_scenario(parse_config_text(cfg), "stability-sweep", tmp_path / "ref").summary_lines
+    assert [line for line in ref if line in printed] == printed
+    assert [line.split()[:2] for line in printed] == [
+        ["INFO", "flow-spectrum:"], ["INFO", "flow-spectrum:"], ["PASS", "stability-rate:"]]
+    assert printed[2].endswith(" fit_points=4")
     rows = _sweep_rows(tmp_path)
-    assert [float(r["T"]) for r in rows] == [0.15, 0.3]
+    assert [float(r["T"]) for r in rows] == TIMES
     mesh = build_structured_mesh(8, 8)
     mass = discretize(mesh).mass
     a = make_coefficient(mesh, "gaussian-bump", None, 2.0).values
@@ -58,16 +67,18 @@ def test_ill_posedness_sweep_smoke(tmp_path, capsys):
         a_rec = read_grid(tmp_path / f"T{float(r['T']):g}" / "a_rec.grid")[2]
         assert float(r["rel_error"]) == l2_norm(a_rec - a, mass) / l2_norm(a, mass)
         assert np.isfinite(float(r["rho"]))
-    rate = next(line for line in out.splitlines() if line.startswith("fitted rho-rate:"))
-    assert rate.endswith(" fit_points=2")
+    # rho and bracket are the stability run's, bit for bit
+    with (tmp_path / "stability" / "stability.csv").open(encoding="ascii") as fh:
+        table = list(csv.DictReader(fh))
+    assert [(r["T"], r["rho"], r["bracket"]) for r in rows] == [
+        (r["T"], r["rho"], r["bracket"]) for r in table]
 
 
 def test_ill_posedness_sweep_shares_the_stability_sweep_spectra(tmp_path, capsys):
     sweep = _load("ill_posedness_sweep")
-    args = ["--out", str(tmp_path), "--nx", "8", "--times", "0.15,0.3", "--modes", "40"]
-    assert sweep.main(args) == 0
-    flow = [line for line in capsys.readouterr().out.splitlines() if line.startswith("flow-spectrum")]
-    assert [line.split(":")[0] for line in flow] == ["flow-spectrum a", "flow-spectrum a~"]
+    assert sweep.main(["--out", str(tmp_path), "--nx", "8", "--times", TIMES_ARG]) == 0
+    flow = [line for line in capsys.readouterr().out.splitlines() if " flow-spectrum: " in line]
+    assert len(flow) == 2  # a, then a~
     for line in flow:
         assert ": K=23 of modes=40, t_min=0.15, " in line and ", count=23, " in line
         assert "uncertified" not in line
@@ -76,9 +87,20 @@ def test_ill_posedness_sweep_shares_the_stability_sweep_spectra(tmp_path, capsys
     disc = discretize(mesh)
     a, a_tilde = (make_coefficient(mesh, kind, None, 2.0) for kind in ("gaussian-bump", "two-bump"))
     spectra = [solve_generalized_eig(disc.pair(c.values), 40) for c in (a, a_tilde)]
-    tab = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), [0.15, 0.3], *spectra)
+    tab = stability_ratio_experiment(a, a_tilde, distance_to_boundary(mesh), TIMES, *spectra)
     rho = [float(r["rho"]) for r in _sweep_rows(tmp_path)]
     np.testing.assert_allclose(rho, tab.rho, rtol=1e-11, atol=0.0)
+
+
+def test_ill_posedness_sweep_refuses_a_grid_the_mode_refuses_before_any_inversion(tmp_path, capsys):
+    sweep = _load("ill_posedness_sweep")
+    for times, reason in (("0.15,0.3,0.6", "stability-sweep needs T_grid with >= 4 points"),
+                          ("0.15,0.6,0.3,1.2", "T_grid must be strictly increasing")):
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(["--out", str(tmp_path), "--nx", "8", "--times", times])
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err
+    assert not list(tmp_path.glob("T*"))
 
 
 def _heatcoef_names(path):
@@ -199,6 +221,13 @@ def test_run_all_smoke(tmp_path, capsys):
     assert (out / "forward_decay" / "manifest.txt").is_file()
     assert not (out / "unregistered").exists()
     assert "unregistered: no registered mode, skipping" in captured.err
+
+    # a registered config that cannot be read ends the run as the CLI does
+    (scenarios / "stability_sweep.cfg").mkdir()
+    assert run_all.main(["--scenarios", str(scenarios), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("stability_sweep: error: [Errno 21] Is a directory: ")
+    assert not (out / "stability_sweep").exists()
 
 
 def test_compare_runs_smoke(tmp_path, capsys):
