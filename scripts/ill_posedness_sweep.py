@@ -7,7 +7,9 @@ The stability ratio rho(T) = ||a - a~|| / ||u - u~||_H2 of the bump against
 the two-bump coefficient comes from one run of the stability-sweep mode over
 the same times (at least four, increasing), written under <out>/stability;
 its flow-spectrum and stability-rate summary lines are printed on stdout, the
-rate line with its bracket, verdict and fit_points=N.
+rate line with its bracket, verdict and fit_points=N.  Each run writes its
+reports as it ends; a run that is refused or cannot be written ends the
+script with one error: line and exit 1.
 """
 
 import argparse
@@ -20,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from heatcoef.catalog import make_coefficient
 from heatcoef.fem import grid, l2_norm
 from heatcoef.mesh import read_grid
-from heatcoef.runner import RunnerError, run_scenario
+from heatcoef.runner import RunnerError, run_scenario, write_reports
 from heatcoef.scenario import ConfigError, parse_config_text
 
 CONFIG = """\
@@ -47,26 +49,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg = CONFIG.format(nx=args.nx, noise=args.noise, seed=args.seed, times=args.times)
+    rows = []
     try:  # the stability run first: it refuses a time grid before any inversion
         stability = run_scenario(parse_config_text(cfg), "stability-sweep", args.out / "stability")
+        write_reports(stability)
+        for line in stability.summary_lines:
+            if line.split()[1] in ("flow-spectrum:", "stability-rate:"):
+                print(line)
+        table = csv.DictReader(stability.files["stability.csv"].splitlines())
+        disc = grid(args.nx, args.nx)  # the inversions' grid
+        a = make_coefficient(disc.mesh, "gaussian-bump", None, 2.0).values
+        for T, r in zip(stability.scenario.T_grid, table):
+            run = run_scenario(parse_config_text(cfg + f"T = {T}\n"), "invert", args.out / f"T{T:g}")
+            write_reports(run)
+            # the runner's rel_error, at full precision, from the written a_rec
+            a_rec = read_grid(run.out_dir / "a_rec.grid")[2]
+            rel = l2_norm(a_rec - a, disc.mass) / l2_norm(a, disc.mass)
+            rows.append((T, rel, float(r["rho"]), float(r["bracket"])))
+            print(f"T={T:<6g} rel_error={rel:.6e}")
     except (ConfigError, RunnerError) as exc:
-        parser.error(str(exc))
-    for line in stability.summary_lines:
-        if line.split()[1] in ("flow-spectrum:", "stability-rate:"):
-            print(line)
-    with (stability.out_dir / "stability.csv").open(encoding="ascii") as fh:
-        ratios = [(float(r["rho"]), float(r["bracket"])) for r in csv.DictReader(fh)]
-
-    disc = grid(args.nx, args.nx)  # the inversions' grid
-    a = make_coefficient(disc.mesh, "gaussian-bump", None, 2.0).values
-    rows = []
-    for T, (rho, bracket) in zip(stability.scenario.T_grid, ratios):
-        out = run_scenario(parse_config_text(cfg + f"T = {T}\n"), "invert", args.out / f"T{T:g}").out_dir
-        # the runner's rel_error, at full precision, from the written a_rec
-        a_rec = read_grid(out / "a_rec.grid")[2]
-        rel = l2_norm(a_rec - a, disc.mass) / l2_norm(a, disc.mass)
-        rows.append((T, rel, rho, bracket))
-        print(f"T={T:<6g} rel_error={rel:.6e}")
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     csv_path = args.out / "ill_posedness.csv"
     with csv_path.open("w", encoding="ascii") as fh:

@@ -8,7 +8,7 @@ over the computed clusters.  The correction field
 removes the ground-mode rate from the snapshot; by construction it has no
 cluster-1 content and decays like e^{-l_2 T}.  (Expanded in the eigenbasis
 its tail coefficients are (l_1 - l_k) e^{-l_k T}, k >= 2.)  evolve forms u
-and F from one projection of u0 onto the eigenbasis.
+and F from one projection of u0 onto the eigenbasis per call.
 
 krylov_flow computes u(T), F and the ground Ritz pair of one pencil
 without an eigenbasis, from a shift-invert Krylov space of u0; the

@@ -23,7 +23,7 @@ __all__ = [
     "build_structured_mesh",
     "distance_to_boundary",
     "boundary_band",
-    "write_grid",
+    "grid_text",
     "read_grid",
 ]
 
@@ -156,8 +156,8 @@ def boundary_band(mesh: Mesh, epsilon: float) -> np.ndarray:
     return distance_to_boundary(mesh) < epsilon
 
 
-def write_grid(path, mesh: Mesh, values) -> None:
-    """Dump a nodal field in the plain-text grid format.
+def grid_text(mesh: Mesh, values) -> str:
+    """A nodal field in the plain-text grid format, the one read_grid reads.
 
     First line is "nx ny"; then ny+1 lines, one mesh row per line with the
     nx+1 node values in x order, full double precision.
@@ -171,7 +171,7 @@ def write_grid(path, mesh: Mesh, values) -> None:
     lines = [f"{mesh.nx} {mesh.ny}"]
     for row in rows:
         lines.append(" ".join(format(x, ".17g") for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
 
 
 def read_grid(path) -> tuple[int, int, np.ndarray]:

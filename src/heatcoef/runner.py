@@ -1,17 +1,18 @@
-"""Scenario orchestration: run one experiment mode, persist artifacts.
+"""Scenario orchestration: run one experiment mode, then write its reports.
 
-Each mode (MODES maps its name to its function) writes plot-ready
-CSV/grid files into the output directory plus a summary whose lines start
-with PASS / FAIL / INFO / WARN, all through one _Report: its csv() and
-grid() write a file and list it for the manifest, so no written file can
-miss manifest.txt.  FAIL lines carry the measured value and the bound it
-broke.  Three kinds of check share one form each: a per-index check
-(_Report.per_index_check) FAILs at the first violating index, counted
-from 1 in T_grid or the spectrum, naming index, measured and bound; a fit
-(slope_check) ends with fit_points=N; a spread (spread_check, max/min of
-the finite positive values) ends with points=N.  All numeric output uses
-fixed %.17g formatting and fixed iteration orders, so runs of one config
-(its seed included) are byte-identical.
+Each mode (MODES maps its name to its function) makes plot-ready CSV/grid
+texts plus summary lines that start with PASS / FAIL / INFO / WARN, all
+through one _Report, and run_scenario returns them in a RunArtifact,
+touching no file.  write_reports is the one writer of a run's directory,
+so a run that stops or is refused leaves none.  FAIL lines carry the
+measured value and the bound it broke.  Three kinds of check share one
+form each: a per-index check (_Report.per_index_check) FAILs at the first
+violating index, counted from 1 in T_grid or the spectrum, naming index,
+measured and bound; a fit (slope_check) ends with fit_points=N; a spread
+(spread_check, max/min of the finite positive values) ends with
+points=N.  All numeric output uses fixed %.17g formatting and fixed
+iteration orders, so runs of one config (its seed included) are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .heat import (
     krylov_flow,
 )
 from .inversion import fixed_point_invert, stability_ratio_experiment
-from .mesh import Mesh, write_grid
+from .mesh import Mesh, grid_text
 from .scenario import Scenario, scenario_hash
 from .spectral import (
     EIGEN_SWEEP_ROWS,
@@ -66,14 +67,15 @@ class RunnerError(RuntimeError):
 
 @dataclass
 class RunArtifact:
-    """Everything one run produced; write_reports writes its summary and manifest."""
+    """Everything one run produced, in memory (files: name -> text, in the
+    order the mode made them); write_reports writes it into out_dir."""
 
     scenario: Scenario
     mode: str
     out_dir: Path
     scenario_hash: str
     summary_lines: tuple[str, ...]
-    files: tuple[str, ...]
+    files: dict[str, str]
 
     @property
     def n_pass(self) -> int:
@@ -98,14 +100,13 @@ def _cell(v) -> str:
 
 @dataclass
 class _Report:
-    """The summary lines of a run and the files it wrote into out, in order.
+    """The summary lines of a run and the texts of its files, in order.
 
-    Every artifact is written through csv() or grid(), which list it for
-    manifest.txt where they write it."""
+    Every file is made through csv() or grid(), so write_reports writes and
+    lists each one in manifest.txt."""
 
-    out: Path
     lines: list[str] = field(default_factory=list)
-    files: list[str] = field(default_factory=list)
+    files: dict[str, str] = field(default_factory=dict)
 
     def check(self, name: str, ok, detail: str) -> None:
         self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -144,12 +145,10 @@ class _Report:
 
     def csv(self, name: str, header, rows) -> None:
         text = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
-        (self.out / name).write_text("\n".join(text) + "\n", encoding="ascii")
-        self.files.append(name)
+        self.files[name] = "\n".join(text) + "\n"
 
     def grid(self, name: str, mesh: Mesh, values) -> None:
-        write_grid(self.out / name, mesh, values)
-        self.files.append(name)
+        self.files[name] = grid_text(mesh, values)
 
 
 # --- shared per-run state ---------------------------------------------------
@@ -203,7 +202,7 @@ def _build_context(s: Scenario) -> _Context:
 
 
 def run_scenario(scenario: Scenario, mode: str, out_dir) -> RunArtifact:
-    """Run one scenario in one mode, writing artifacts into out_dir.
+    """Run one scenario in one mode; write_reports writes the result into out_dir.
 
     The scenario is the run's only source of settings.  verify-spectral
     solves K = scenario.modes eigenpairs.  forward and stability-sweep take
@@ -213,13 +212,7 @@ def run_scenario(scenario: Scenario, mode: str, out_dir) -> RunArtifact:
     """
     if mode not in MODES:
         raise RunnerError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise RunnerError(f"cannot create output directory {out}: {exc}") from exc
-
-    rep = _Report(out)
+    rep = _Report()
     try:
         MODES[mode](_build_context(scenario), rep)
     except RunnerError:
@@ -228,9 +221,9 @@ def run_scenario(scenario: Scenario, mode: str, out_dir) -> RunArtifact:
         raise RunnerError(f"scenario {scenario.name!r}, mode {mode}: {exc}") from exc
 
     return RunArtifact(
-        scenario=scenario, mode=mode, out_dir=out,
+        scenario=scenario, mode=mode, out_dir=Path(out_dir),
         scenario_hash=scenario_hash(scenario),
-        summary_lines=tuple(rep.lines), files=tuple(rep.files),
+        summary_lines=tuple(rep.lines), files=rep.files,
     )
 
 
@@ -544,24 +537,22 @@ MODES = {
 # --- reports -----------------------------------------------------------------
 
 def write_reports(artifact: RunArtifact) -> dict[str, str]:
-    """Write summary.txt and manifest.txt; returns {filename: sha256}."""
+    """Write the files, summary.txt and manifest.txt into out_dir; returns
+    {filename: sha256}.  Every text is encoded and hashed before the first write."""
     out = artifact.out_dir
-    header = [
-        f"scenario: {artifact.scenario.name}",
-        f"mode: {artifact.mode}",
-        f"config_sha256: {artifact.scenario_hash}",
-        f"checks: {artifact.n_pass} passed, {artifact.n_fail} failed",
-        "",
-    ]
+    summary = [f"scenario: {artifact.scenario.name}", f"mode: {artifact.mode}",
+               f"config_sha256: {artifact.scenario_hash}",
+               f"checks: {artifact.n_pass} passed, {artifact.n_fail} failed", "",
+               *artifact.summary_lines]
+    texts = {**artifact.files, "summary.txt": "\n".join(summary) + "\n"}
     try:
-        (out / "summary.txt").write_text(
-            "\n".join(header + list(artifact.summary_lines)) + "\n", encoding="ascii")
-        manifest: dict[str, str] = {}
-        for name in sorted(set(artifact.files) | {"summary.txt"}):
-            manifest[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        (out / "manifest.txt").write_text(
-            "".join(f"{sha}  {name}\n" for name, sha in sorted(manifest.items())),
-            encoding="ascii")
-    except OSError as exc:
+        data = {name: text.encode("ascii") for name, text in texts.items()}
+        manifest = {name: hashlib.sha256(data[name]).hexdigest() for name in sorted(data)}
+        out.mkdir(parents=True, exist_ok=True)
+        for name, blob in data.items():
+            (out / name).write_bytes(blob)
+        (out / "manifest.txt").write_bytes(
+            "".join(f"{sha}  {name}\n" for name, sha in manifest.items()).encode("ascii"))
+    except (OSError, UnicodeEncodeError) as exc:
         raise RunnerError(f"cannot write reports into {out}: {exc}") from exc
     return manifest

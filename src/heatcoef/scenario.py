@@ -225,10 +225,15 @@ def _validate_scenario(s: Scenario) -> None:
             catalog.initial_state(mesh, s.u0.kind, s.u0.params_dict())
     except (ValueError, OSError) as exc:
         raise ConfigError(f"grid {s.nx}x{s.ny} with u0 = {s.u0.kind}: {exc}") from exc
-    for label, spec in (("coefficient", s.coefficient), ("perturbation", s.perturbation)):
-        if spec is None:
-            continue
-        values = catalog.coefficient_values(mesh, spec.kind, spec.params_dict())
+    a = catalog.coefficient_values(mesh, s.coefficient.kind, s.coefficient.params_dict())
+    checked = [("coefficient", a)]
+    if s.perturbation is not None:
+        p = s.perturbation
+        checked.append(("perturbation", catalog.coefficient_values(mesh, p.kind, p.params_dict())))
+    if s.eta is not None:  # the verify-spectral sweep's a + s*eta, one per scale
+        eta = catalog.direction_values(mesh, s.eta.kind, s.eta.params_dict())
+        checked += [(f"coefficient + s*eta at s={x:g}", a + x * eta) for x in s.scales]
+    for label, values in checked:
         try:
             validate_coefficient(mesh, make_field(mesh, values, s.a_plus))
         except AdmissibilityError as exc:

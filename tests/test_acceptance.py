@@ -294,6 +294,7 @@ def test_repeated_runs_are_byte_identical(tmp_path, cfg, mode):
     write_reports(first)
     second = run_scenario(scenario, mode, tmp_path / "b")
     write_reports(second)
-    assert first.files == second.files
-    for name in first.files + ("summary.txt",):
+    assert first.files == second.files  # the texts, name for name
+    assert list(first.files) == list(second.files)
+    for name in [*first.files, "summary.txt", "manifest.txt"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name

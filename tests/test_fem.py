@@ -22,7 +22,7 @@ from heatcoef.fem import (
     validate_coefficient,
 )
 from heatcoef.heat import evolve
-from heatcoef.mesh import Mesh, build_structured_mesh, distance_to_boundary, write_grid
+from heatcoef.mesh import Mesh, build_structured_mesh, distance_to_boundary, grid_text
 from heatcoef.spectral import solve_generalized_eig
 
 
@@ -199,7 +199,7 @@ def test_norms_reject_nonzero_boundary():
 
 
 def _custom_u0(disc, w, tmp_path):
-    write_grid(tmp_path / "u0.grid", disc.mesh, w)
+    (tmp_path / "u0.grid").write_text(grid_text(disc.mesh, w))
     initial_state(disc.mesh, "custom", {"path": str(tmp_path / "u0.grid")})
 
 

@@ -371,7 +371,7 @@ class TestFixedPointInvert:
         assert "INFO transport-solves: 6" in art.summary_lines  # 5 outer steps and d
         # every outer step certified its Krylov ground pair
         assert "INFO outer-step-flow: krylov=5 fallback=0" in art.summary_lines
-        rows = (tmp_path / "residuals.csv").read_text().splitlines()
+        rows = art.files["residuals.csv"].splitlines()
         assert rows[0] == "iter,step_l2,lambda1,krylov_m"
         assert [int(row.split(",")[3]) for row in rows[1:]] == [24] * 5
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import re
@@ -9,7 +10,7 @@ import pytest
 
 from heatcoef import fem, heat, inversion, runner, spectral
 from heatcoef.cli import main
-from heatcoef.mesh import build_structured_mesh, write_grid
+from heatcoef.mesh import build_structured_mesh, grid_text
 from heatcoef.runner import RunnerError, run_scenario, write_reports
 from heatcoef.scenario import parse_config, parse_config_text
 
@@ -95,8 +96,8 @@ def test_noisy_invert_seed_controls_noise(tmp_path):
     a = run_scenario(s3, "invert", tmp_path / "a")
     b = run_scenario(s3, "invert", tmp_path / "b")
     c = run_scenario(s4, "invert", tmp_path / "c")
-    assert _read(tmp_path / "a/residuals.csv") == _read(tmp_path / "b/residuals.csv")
-    assert _read(tmp_path / "a/residuals.csv") != _read(tmp_path / "c/residuals.csv")
+    assert a.files["residuals.csv"] == b.files["residuals.csv"]
+    assert a.files["residuals.csv"] != c.files["residuals.csv"]
     # a noisy run reports its terminal state instead of hard-failing
     assert a.n_fail == 0
     assert any(line.startswith("INFO fixed-point-state") for line in a.summary_lines)
@@ -126,12 +127,49 @@ def test_stability_sweep_preconditions(tmp_path):
         run_scenario(s2, "stability-sweep", tmp_path)
 
 
+@pytest.mark.parametrize("text,reason", [
+    (INVERT_16 + "T_grid = 0.15,0.3,0.6,1.2\n", "needs a perturbation block"),
+    (SWEEP_16.replace("T_grid = 0.15,0.3,0.6,1.2", "T_grid = 0.15,0.3,0.6"), ">= 4 points"),
+], ids=["no-perturbation", "three-times"])
+def test_a_refused_stability_sweep_writes_nothing(tmp_path, capsys, text, reason):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["stability-sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
+    assert not out.exists()
+
+
+def test_a_run_that_stops_after_its_first_file_writes_nothing(tmp_path, monkeypatch):
+    # minmax.csv and gap.csv are made before the perturbation sweep raises
+    def refused(*args, **kwargs):
+        raise ValueError("refused")
+    monkeypatch.setattr(runner, "perturbation_sweep", refused)
+    out = tmp_path / "out"
+    with pytest.raises(RunnerError, match=r"mode verify-spectral: refused$"):
+        run_scenario(parse_config_text(VERIFY_16), "verify-spectral", out)
+    assert not out.exists()
+
+
+def test_a_name_that_is_not_ascii_writes_nothing(tmp_path):
+    # the parse refuses it; a Scenario built in Python reaches write_reports
+    s = dataclasses.replace(parse_config_text(FORWARD_16), name="caf\u00e9")
+    out = tmp_path / "out"
+    art = run_scenario(s, "forward", out)
+    assert art.all_pass
+    with pytest.raises(RunnerError, match=rf"^cannot write reports into {re.escape(str(out))}: "
+                                          r"'ascii' codec can't encode"):
+        write_reports(art)
+    assert not out.exists()
+
+
 def test_stability_sweep_artifacts(tmp_path):
     s = parse_config_text(SWEEP_16)
     art = run_scenario(s, "stability-sweep", tmp_path)
     assert set(art.files) == {"stability.csv", "f_lipschitz.csv"}
     assert any(line.startswith("PASS stability-rate") for line in art.summary_lines)
-    rows = (tmp_path / "stability.csv").read_text().splitlines()
+    rows = art.files["stability.csv"].splitlines()
     assert rows[0] == "T,l2_udiff,h2_udiff,rho,bracket,c_fit,indistinguishable"
     assert len(rows) == 1 + 4
 
@@ -207,6 +245,15 @@ class TestCli:
         assert main([]) == 1
         assert main(["forward"]) == 1
         capsys.readouterr()
+
+    def test_exit_one_on_an_out_below_a_file(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, FORWARD_16)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write reports into {out}: ")
 
     @pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--modes", "4")])
     def test_removed_override_flags_exit_one(self, tmp_path, capsys, flag, value):
@@ -355,7 +402,7 @@ def test_invert_ignores_modes(tmp_path):
     few, many = (run_scenario(parse_config_text(INVERT_16.replace("modes = 8", f"modes = {k}")),
                               "invert", tmp_path / str(k)) for k in (4, 40))
     for name in ("a_rec.grid", "residuals.csv"):
-        assert _read(tmp_path / "4" / name) == _read(tmp_path / "40" / name), name
+        assert few.files[name] == many.files[name], name
     assert few.summary_lines == many.summary_lines
 
 
@@ -409,7 +456,7 @@ def test_non_finite_custom_u0_exits_one(tmp_path, capsys, node, value):
     mesh = build_structured_mesh(8, 8)
     v = np.zeros(mesh.n_nodes)
     v[node] = float(value)
-    write_grid(tmp_path / "u0.grid", mesh, v)
+    (tmp_path / "u0.grid").write_text(grid_text(mesh, v))
     cfg = tmp_path / "case.cfg"
     cfg.write_text(f"name = bad_u0\nnx = 8\nny = 8\ncoefficient = constant\nmodes = 4\n"
                    f"u0 = custom\nu0.path = {tmp_path / 'u0.grid'}\n")
@@ -430,8 +477,8 @@ def _run_with_K_max_spectra(scenario, mode, out, monkeypatch):
         return run_scenario(scenario, mode, out)
 
 
-def _read_csv(path) -> dict[str, np.ndarray]:
-    rows = path.read_text().splitlines()
+def _read_csv(text: str) -> dict[str, np.ndarray]:
+    rows = text.splitlines()
     header = rows[0].split(",")
     values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     return dict(zip(header, values.T))
@@ -453,7 +500,7 @@ def test_bundled_flow_modes_match_the_K40_evaluation(tmp_path, monkeypatch, name
     for csv_name in art.files:
         if not csv_name.endswith(".csv"):
             continue
-        got, want = _read_csv(tmp_path / "cut" / csv_name), _read_csv(tmp_path / "K40" / csv_name)
+        got, want = _read_csv(art.files[csv_name]), _read_csv(ref.files[csv_name])
         for column in got:
             if column == "truncation_bound":  # bounds the dropped tail: depends on K
                 continue
@@ -567,7 +614,7 @@ def test_gap_property_fail_names_the_spectral_index(tmp_path):
     art = run_scenario(parse_config_text(FORWARD_16 + "delta = 1e6\n"), "verify-spectral", tmp_path)
     line = _line(art.summary_lines, "gap-property")
     assert line.startswith("FAIL gap-property: index=")
-    gap = _read_csv(tmp_path / "gap.csv")
+    gap = _read_csv(art.files["gap.csv"])
     assert _index(line) == gap["k"][gap["satisfied"] == 0][0] == 1
 
 
@@ -582,7 +629,7 @@ def test_decay_envelope_fail_names_the_grid_index(tmp_path, monkeypatch):
     art = run_scenario(parse_config_text(FORWARD_16), "forward", tmp_path)
     line = _line(art.summary_lines, "decay-envelope")
     assert line.startswith("FAIL decay-envelope: index=4 T=2.5 ")
-    assert _read_csv(tmp_path / "decay.csv")["T"][_index(line) - 1] == 2.5
+    assert _read_csv(art.files["decay.csv"])["T"][_index(line) - 1] == 2.5
 
 
 def test_rho_monotone_fail_names_the_grid_index(tmp_path, monkeypatch):
@@ -599,7 +646,7 @@ def test_rho_monotone_fail_names_the_grid_index(tmp_path, monkeypatch):
     art = run_scenario(parse_config_text(SWEEP_16), "stability-sweep", tmp_path)
     line = _line(art.summary_lines, "rho-monotone")
     assert line.startswith("FAIL rho-monotone: index=4 T=1.2 ")
-    assert _read_csv(tmp_path / "stability.csv")["T"][_index(line) - 1] == 1.2
+    assert _read_csv(art.files["stability.csv"])["T"][_index(line) - 1] == 1.2
 
 
 def test_minmax_sandwich_fail_names_the_spectral_index(tmp_path, monkeypatch):
@@ -610,7 +657,7 @@ def test_minmax_sandwich_fail_names_the_spectral_index(tmp_path, monkeypatch):
     art = run_scenario(parse_config_text(FORWARD_16), "verify-spectral", tmp_path)
     line = _line(art.summary_lines, "minmax-sandwich")
     assert line.startswith("FAIL minmax-sandwich: index=1 side=upper ")
-    minmax = _read_csv(tmp_path / "minmax.csv")
+    minmax = _read_csv(art.files["minmax.csv"])
     assert _index(line) == minmax["k"][minmax["upper_ok"] == 0][0]
 
 
@@ -623,7 +670,7 @@ def test_minmax_sandwich_fail_names_the_lower_side(tmp_path, monkeypatch):
         return dataclasses.replace(rep, lower_ok=np.r_[False, rep.lower_ok[1:]])
     monkeypatch.setattr(runner, "verify_minmax_sandwich", below)
     art = run_scenario(parse_config_text(FORWARD_16), "verify-spectral", tmp_path)
-    minmax = _read_csv(tmp_path / "minmax.csv")
+    minmax = _read_csv(art.files["minmax.csv"])
     assert _line(art.summary_lines, "minmax-sandwich") == (
         f"FAIL minmax-sandwich: index=1 side=lower measured={minmax['lambda'][0]:.10g} "
         f"bound={minmax['lambda_unit'][0]:.10g}")
@@ -635,7 +682,7 @@ def test_verify_spectral_of_a_non_unit_coefficient_solves_the_unit_pencil(tmp_pa
     assert _line(art.summary_lines, "minmax-sandwich").startswith("PASS ")
     disc = fem.discretize(build_structured_mesh(16, 16))
     want = spectral.solve_generalized_eig(disc.unit_pair, 20).eigenvalues
-    np.testing.assert_allclose(_read_csv(tmp_path / "minmax.csv")["lambda_unit"], want,
+    np.testing.assert_allclose(_read_csv(art.files["minmax.csv"])["lambda_unit"], want,
                                rtol=1e-12, atol=0.0)
 
 
@@ -651,22 +698,68 @@ def test_every_written_file_is_in_the_manifest(mode, tmp_path):
     assert {p.name for p in tmp_path.iterdir()} == set(manifest) | {"manifest.txt"}
 
 
+_MODE_FILES = {
+    "forward": ["decay.csv", "u_T.grid"],
+    "invert": ["residuals.csv", "a_rec.grid"],
+    "verify-spectral": ["minmax.csv", "gap.csv", "eigen_perturbation.csv",
+                        "projection_perturbation.csv"],
+    "stability-sweep": ["stability.csv", "f_lipschitz.csv"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+def test_an_out_below_a_file_is_refused_by_write_reports(mode, tmp_path):
+    # the run itself touches no file: it returns every text, and only the
+    # writer finds that the directory cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    art = run_scenario(parse_config_text(MODE_CONFIGS[mode]), mode, out)
+    assert list(art.files) == _MODE_FILES[mode]
+    assert all(text.endswith("\n") for text in art.files.values())
+    assert art.all_pass, art.summary_lines
+    with pytest.raises(RunnerError, match=rf"^cannot write reports into {re.escape(str(out))}: "):
+        write_reports(art)
+    assert blocker.read_text() == ""
+
+
+_FILE_CALLS = {"write_text", "write_bytes", "mkdir", "read_bytes", "open"}
+
+
+def test_write_reports_is_the_one_writer():
+    # the package's only call that makes, writes or reads back a run's files;
+    # reads of a u0 grid or a config file use read_text
+    package = Path(runner.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                func = getattr(node, "func", None)
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if isinstance(node, ast.Call) and name in _FILE_CALLS:
+                    callers.add((path.stem, fn.name, name))
+    assert callers == {("runner", "write_reports", "mkdir"),
+                       ("runner", "write_reports", "write_bytes")}
+
+
 class TestReport:
-    def test_spread_check_names_its_points(self, tmp_path):
-        rep = runner._Report(tmp_path)
+    def test_spread_check_names_its_points(self):
+        rep = runner._Report()
         rep.spread_check("s", [2.0, np.nan, 0.0, 1.0, 4.0], 10.0, "d", "none")
         rep.spread_check("s", [1.0, 20.0, np.inf], 10.0, "d", "none")
         assert rep.lines == ["PASS s: measured=4 bound=10 (d) points=3",
                              "FAIL s: measured=20 bound=10 (d) points=2"]
 
     @pytest.mark.parametrize("values", [[], [3.0], [3.0, -1.0, np.nan]])
-    def test_spread_check_of_fewer_than_two_values_is_info(self, tmp_path, values):
-        rep = runner._Report(tmp_path)
+    def test_spread_check_of_fewer_than_two_values_is_info(self, values):
+        rep = runner._Report()
         rep.spread_check("s", values, 10.0, "d", "too few")
         assert rep.lines == ["INFO s: too few"]
 
-    def test_per_index_check_fails_at_the_first_set_entry(self, tmp_path):
-        rep = runner._Report(tmp_path)
+    def test_per_index_check_fails_at_the_first_set_entry(self):
+        rep = runner._Report()
         rep.per_index_check("c", np.array([False, False, True, True]), lambda i: f"index={i + 1}",
                             "all hold")
         rep.per_index_check("c", np.zeros(4, dtype=bool), lambda i: f"index={i + 1}", "all hold")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatcoef import catalog
-from heatcoef.mesh import build_structured_mesh, write_grid
+from heatcoef.mesh import build_structured_mesh, grid_text
 from heatcoef.scenario import (
     ConfigError,
     Scenario,
@@ -187,6 +187,16 @@ class TestRejections:
         with pytest.raises(ConfigError, match="perturbation is not admissible"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("amplitude,scale,bound", [("20", "0.1", "> a_plus=2"),
+                                                       ("-0.5", "0.001", "< 1")])
+    def test_inadmissible_eta_sweep_rejected_with_its_scale(self, amplitude, scale, bound):
+        # verify-spectral solves the pencil of a + s*eta for every s in scales
+        text = MINIMAL + (f"nx = 16\nny = 16\neta = gaussian-bump\neta.amplitude = {amplitude}\n"
+                          "scales = 0.001,0.01,0.1\n")
+        with pytest.raises(ConfigError, match=rf"^coefficient \+ s\*eta at s={scale} is not "
+                                              rf"admissible: coefficient value \S+ {bound} at node "):
+            parse_config_text(text)
+
     def test_custom_u0_requires_existing_path(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^grid 32x32 with u0 = custom: custom initial state "
                                               r"needs u0.path$"):
@@ -197,7 +207,7 @@ class TestRejections:
         with pytest.raises(ConfigError, match=r"^grid 32x32 with u0 = custom: .*Is a directory"):
             parse_config_text(MINIMAL + f"u0 = custom\nu0.path = {tmp_path}\n")
         p = tmp_path / "u0.grid"
-        write_grid(p, build_structured_mesh(32, 32), np.zeros(33 * 33))
+        p.write_text(grid_text(build_structured_mesh(32, 32), np.zeros(33 * 33)))
         s = parse_config_text(MINIMAL + f"u0 = custom\nu0.path = {p}\n")
         assert s.u0.params_dict() == {"path": str(p)}
 
@@ -213,7 +223,7 @@ class TestRejections:
         v = np.zeros((n + 1) ** 2)
         if node is not None:
             v[node] = value
-        write_grid(tmp_path / "u0.grid", build_structured_mesh(n, n), v)
+        (tmp_path / "u0.grid").write_text(grid_text(build_structured_mesh(n, n), v))
         text = (f"name = t\nnx = 8\nny = 8\ncoefficient = constant\n"
                 f"u0 = custom\nu0.path = {tmp_path / 'u0.grid'}\n")
         with pytest.raises(ConfigError, match=rf"^grid 8x8 with u0 = custom: {message}"):

@@ -10,7 +10,6 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import heatcoef
 from heatcoef.catalog import make_coefficient
@@ -72,6 +71,19 @@ def test_ill_posedness_sweep_smoke(tmp_path, capsys):
         table = list(csv.DictReader(fh))
     assert [(r["T"], r["rho"], r["bracket"]) for r in rows] == [
         (r["T"], r["rho"], r["bracket"]) for r in table]
+    # every run directory is complete: each file it holds is in its manifest
+    for run in ["stability", *(f"T{t:g}" for t in TIMES)]:
+        listed = [line.split()[1] for line in (tmp_path / run / "manifest.txt").read_text().splitlines()]
+        assert "summary.txt" in listed
+        assert {p.name for p in (tmp_path / run).iterdir()} == set(listed) | {"manifest.txt"}
+
+    # an --out that cannot be made is a run error, not a usage error
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert sweep.main(["--out", str(out), "--nx", "8", "--times", TIMES_ARG]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write reports into {out / 'stability'}: ")
 
 
 def test_ill_posedness_sweep_shares_the_stability_sweep_spectra(tmp_path, capsys):
@@ -96,11 +108,11 @@ def test_ill_posedness_sweep_refuses_a_grid_the_mode_refuses_before_any_inversio
     sweep = _load("ill_posedness_sweep")
     for times, reason in (("0.15,0.3,0.6", "stability-sweep needs T_grid with >= 4 points"),
                           ("0.15,0.6,0.3,1.2", "T_grid must be strictly increasing")):
-        with pytest.raises(SystemExit) as exc:
-            sweep.main(["--out", str(tmp_path), "--nx", "8", "--times", times])
-        assert exc.value.code == 2
-        assert reason in capsys.readouterr().err
+        assert sweep.main(["--out", str(tmp_path), "--nx", "8", "--times", times]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
     assert not list(tmp_path.glob("T*"))
+    assert not (tmp_path / "stability").exists()
 
 
 def _heatcoef_names(path):
