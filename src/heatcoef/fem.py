@@ -29,7 +29,9 @@ cached positions.  A pencil's A(a) - sigma M (OperatorPair.pencil_factor)
 skips the sparse subtraction: the Discretization keeps the band positions
 of the pattern of A(a)_II and M_II's values there, so its band is one
 scatter of the stiffness data, and Discretization.mass_int_factor one
-scatter of those values.
+scatter of those values.  The unit pencil A(1)_II, M_II is coefficient-free
+too: Discretization.unit_spectra memoizes its spectra (read-only arrays,
+one entry per K) for spectral.unit_spectrum, so each is solved once per grid.
 symmetric_factor returns the negative-pivot count of the package's only
 sparse LU: the inertia of an indefinite A - sigma M, which
 spectral.solve_flow_spectrum reads to count the eigenvalues below sigma.
@@ -78,7 +80,9 @@ __all__ = [
 _ADMISSIBILITY_TOL = 1e-12
 
 # Grids grid() keeps.  One holds about 1.2 MB at 32x32, 3.0 MB at 48x48 and
-# 5.8 MB at 64x64 once a run has built its map, band index and mass factor.
+# 5.8 MB at 64x64 once a run has built its map, band index and mass factor,
+# plus its memoized unit spectra: 8 K n_interior bytes each, 0.3 MB for
+# K=40 at 32x32 and 1.3 MB at 64x64.
 # Every caller reads one size at a time; a second entry keeps that grid
 # across a run at another size, as run_all.py's 64x64 scenario among its
 # 32x32 ones.
@@ -110,8 +114,9 @@ class Discretization:
     interior / boundary : sorted node indices of the Dirichlet partition.
     mass_int : the interior block M_II.
     The interior rows S_II of S, unit_stiffness (the full A(1)), the band
-    index of the pencils (_pencil_band) and mass_int_factor (M_II's values
-    scattered into that band, factored) are built on first use (no cycle).
+    index of the pencils (_pencil_band), mass_int_factor (M_II's values
+    scattered into that band, factored) and unit_spectra are built on first
+    use; none refers back to the Discretization (no cycle).
     """
 
     mesh: Mesh
@@ -161,6 +166,13 @@ class Discretization:
             raise ValueError("interior mass matrix is not positive definite")
         _read_only(lu.band)
         return lu
+
+    @cached_property
+    def unit_spectra(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """K -> read-only (eigenvalues, eigenvectors, multiplicities) of unit_pair,
+        filled by spectral.unit_spectrum; arrays only, since a decomposition
+        points back at its Discretization."""
+        return {}
 
     @property
     def unit_pair(self) -> OperatorPair:

@@ -167,11 +167,9 @@ def grid_text(mesh: Mesh, values) -> str:
     v = np.asarray(values, dtype=float)
     if v.shape != (mesh.n_nodes,):
         raise ValueError(f"expected {mesh.n_nodes} nodal values, got shape {v.shape}")
-    rows = v.reshape(mesh.ny + 1, mesh.nx + 1)
-    lines = [f"{mesh.nx} {mesh.ny}"]
-    for row in rows:
-        lines.append(" ".join(format(x, ".17g") for x in row))
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%.17g"] * (mesh.nx + 1))
+    rows = v.reshape(mesh.ny + 1, mesh.nx + 1).tolist()
+    return "\n".join([f"{mesh.nx} {mesh.ny}", *(row % tuple(r) for r in rows)]) + "\n"
 
 
 def read_grid(path) -> tuple[int, int, np.ndarray]:

@@ -51,6 +51,7 @@ from .spectral import (
     perturbation_sweep,
     solve_flow_spectrum,
     solve_generalized_eig,
+    unit_spectrum,
     verify_minmax_sandwich,
     weyl_ratios,
 )
@@ -396,7 +397,11 @@ def _run_invert(ctx: _Context, rep: _Report) -> None:
 
 def _run_verify_spectral(ctx: _Context, rep: _Report) -> None:
     s = ctx.scenario
-    spec = solve_generalized_eig(ctx.pair, min(s.modes, ctx.pair.stiffness.shape[0]))
+    K = min(s.modes, ctx.pair.stiffness.shape[0])
+    # A unit coefficient's pencil is A(1) itself, bit for bit, so its
+    # spectrum is the grid's unit spectrum.
+    unit = np.all(ctx.coeff.values == 1.0)
+    spec = unit_spectrum(ctx.disc, K) if unit else solve_generalized_eig(ctx.pair, K)
     lam_hat = spec.hat_eigenvalues
 
     rep.check("ground-eigenvalue-simple", int(spec.multiplicities[0]) == 1,
@@ -412,9 +417,7 @@ def _run_verify_spectral(ctx: _Context, rep: _Report) -> None:
         rep.info("spectral-gap-positive", "only one strict eigenvalue computed")
 
     kmax = min(20, spec.K)
-    # A unit coefficient's pencil is A(1) itself, already solved for the run.
-    spec_unit = (spec.leading(kmax) if np.all(ctx.coeff.values == 1.0)
-                 else solve_generalized_eig(ctx.disc.unit_pair, kmax))
+    spec_unit = spec.leading(kmax) if unit else unit_spectrum(ctx.disc, kmax)
     sandwich = verify_minmax_sandwich(spec, spec_unit, s.a_plus)
     lam, lam_unit, lower_ok = sandwich.lambdas, sandwich.lambdas_unit, sandwich.lower_ok
     upper = s.a_plus * lam_unit

@@ -11,7 +11,8 @@ matrix, it proves A positive definite for ARPACK's L and A - sigma M for
 the two ground solves below.  solve_flow_spectrum solves only the pairs a heat flow from
 a given earliest time can see, and its count of the eigenvalues below the
 cut, the inertia of the indefinite A - sigma M by fem.symmetric_factor,
-proves that none was skipped.
+proves that none was skipped.  unit_spectrum solves the coefficient-free
+unit pencil disc.unit_pair once per Discretization and K.
 solve_ground_pair is the warm K=1 solve of a pencil close to one already
 solved: shifted inverse iteration from the known ground pair, with the
 shift certified below lambda_1 by the Cholesky factor of A - sigma M, and
@@ -54,6 +55,7 @@ __all__ = [
     "ProjectionPerturbationTable",
     "EigensolverError",
     "solve_generalized_eig",
+    "unit_spectrum",
     "solve_flow_spectrum",
     "solve_ground_pair",
     "certify_ground",
@@ -253,6 +255,24 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
     vecs[:, 1:] *= np.where(vecs[lead, np.arange(1, K)] < 0, -1.0, 1.0)
 
     return SpectralDecomposition(vals, vecs, strictify_spectrum(vals), pair.disc)
+
+
+def unit_spectrum(disc: Discretization, K: int) -> SpectralDecomposition:
+    """solve_generalized_eig(disc.unit_pair, K), solved once per disc and K.
+
+    The first call for a K stores the solve's arrays, read-only, in
+    disc.unit_spectra; every call wraps them in a new decomposition, since a
+    stored one would point back at disc.  Each K is a solve of its own,
+    never the leading pairs of a larger K, so a run reads the same values
+    whatever ran on the grid before it.
+    """
+    if K not in disc.unit_spectra:
+        spec = solve_generalized_eig(disc.unit_pair, K)
+        arrays = (spec.eigenvalues, spec.eigenvectors, spec.multiplicities)
+        for v in arrays:
+            v.flags.writeable = False
+        disc.unit_spectra[K] = arrays
+    return SpectralDecomposition(*disc.unit_spectra[K], disc)
 
 
 @dataclass(frozen=True)

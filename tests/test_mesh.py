@@ -106,6 +106,14 @@ def test_grid_roundtrip_exact(nx, ny, seed):
     assert np.array_equal(back, values)  # %.17g round-trips doubles exactly
 
 
+def test_grid_text_writes_each_value_as_17_significant_digits():
+    mesh = build_structured_mesh(2, 2)
+    values = [0.1, -0.0, 1e300, 5e-324, 1.0, 2.5, 1 / 3, 1e16, -123456789.0]
+    assert grid_text(mesh, values) == (
+        "2 2\n0.10000000000000001 -0 1.0000000000000001e+300\n"
+        "4.9406564584124654e-324 1 2.5\n0.33333333333333331 10000000000000000 -123456789\n")
+
+
 def test_grid_read_rejects_malformed(tmp_path):
     p = tmp_path / "bad.grid"
     p.write_text("2 2\n0 0 0\n0 0 0\n")  # missing a row

@@ -1,8 +1,10 @@
 import ast
 import dataclasses
+import gc
 import hashlib
 import re
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -353,12 +355,13 @@ def test_each_spectrum_is_projected_once_per_time(mode, per_time, once, tmp_path
 
 
 def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch, cold_grids):
-    # a = 1 (K=40), whose first 20 pairs are the min-max sandwich's unit
-    # spectrum and whose first 11 are the base of one perturbation sweep that
-    # solves a + s*eta for three scales (K=11 each: its rows read 10 pairs).
-    # On a cold grid the run builds the stiffness map of its mesh once and
-    # reads 4 pencils from it; nothing assembles A(a) anew.  A second run
-    # reads the warm grid's map.
+    # a = 1 (K=40), the grid's unit spectrum, whose first 20 pairs are the
+    # min-max sandwich's and whose first 11 are the base of one perturbation
+    # sweep that solves a + s*eta for three scales (K=11 each: its rows read
+    # 10 pairs).  On a cold grid the run builds the stiffness map of its mesh
+    # once and reads 5 pencils from it (the run's a, the unit pencil of the
+    # K=40 solve, three a + s*eta); nothing assembles A(a) anew.  A second
+    # run reads the warm grid's map and unit spectrum: 4 pencils, no K=40.
     solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
     maps = _count_calls(monkeypatch, fem._stiffness_map)
     assemblies = _count_calls(monkeypatch, fem.assemble_stiffness)
@@ -370,10 +373,10 @@ def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch, 
     monkeypatch.setattr(fem.Discretization, "pair", counted_pair)
     run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path / "cold")
     assert [K for _, K in solves] == [40, 11, 11, 11]
-    assert (len(maps), len(pencils), len(assemblies)) == (1, 4, 0)
+    assert (len(maps), len(pencils), len(assemblies)) == (1, 5, 0)
     run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path / "warm")
-    assert [K for _, K in solves] == [40, 11, 11, 11] * 2
-    assert (len(maps), len(pencils), len(assemblies)) == (1, 8, 0)
+    assert [K for _, K in solves] == [40, 11, 11, 11] + [11, 11, 11]
+    assert (len(maps), len(pencils), len(assemblies)) == (1, 9, 0)
 
 
 @pytest.mark.parametrize("mode,text,expected", [
@@ -684,6 +687,35 @@ def test_verify_spectral_of_a_non_unit_coefficient_solves_the_unit_pencil(tmp_pa
     want = spectral.solve_generalized_eig(disc.unit_pair, 20).eigenvalues
     np.testing.assert_allclose(_read_csv(art.files["minmax.csv"])["lambda_unit"], want,
                                rtol=1e-12, atol=0.0)
+
+
+def test_non_unit_runs_on_a_warm_grid_solve_the_unit_spectrum_once(tmp_path, monkeypatch,
+                                                                   cold_grids):
+    solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
+    text = FORWARD_16.replace("modes = 8", "modes = 24")
+    manifests = []
+    for run in ("cold", "warm"):
+        art = run_scenario(parse_config_text(text), "verify-spectral", tmp_path / run)
+        assert _line(art.summary_lines, "minmax-sandwich").startswith("PASS ")
+        write_reports(art)
+        manifests.append((tmp_path / run / "manifest.txt").read_bytes())
+    assert [K for _, K in solves] == [24, 20, 24]
+    assert manifests[0] == manifests[1]
+
+
+def test_a_memoized_unit_spectrum_holds_no_reference_cycle(tmp_path, cold_grids):
+    # with the cyclic collector off, only reference counts can free the grid
+    gc.disable()
+    try:
+        art = run_scenario(parse_config_text(VERIFY_16), "verify-spectral", tmp_path)
+        disc = fem.grid(16, 16)
+        assert list(disc.unit_spectra) == [12]
+        ref = weakref.ref(disc)
+        fem.grid.cache_clear()
+        del art, disc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_two_point_fit_warns(tmp_path):
