@@ -4,7 +4,9 @@ The diffusion coefficient lives in the same P1 nodal space as the solution;
 inside each element it is replaced by the average of its three vertex
 values, which keeps assembly exact for piecewise-constant data and makes
 A(a) linear in the nodal values: A(a).data = S a on a fixed CSR pattern.
-_stiffness_map builds S; no other code knows the element rule.
+_stiffness_map builds S; no other code knows the element rule.  make_field,
+the one constructor of a CoefficientField, runs validate_coefficient, the
+one admissibility check, so every field is admissible by construction.
 
 Everything that does not depend on the coefficient -- the mass matrix,
 the interior/boundary partition and S -- is built once per mesh by a
@@ -31,7 +33,8 @@ of the pattern of A(a)_II and M_II's values there, so its band is one
 scatter of the stiffness data, and Discretization.mass_int_factor one
 scatter of those values.  The unit pencil A(1)_II, M_II is coefficient-free
 too: Discretization.unit_spectra memoizes its spectra (read-only arrays,
-one entry per K) for spectral.unit_spectrum, so each is solved once per grid.
+one entry per K) for spectral.unit_spectrum, so the min-max sandwich's A(1)
+spectrum and the stability sweep's lambda_1(1) are solved once per grid.
 symmetric_factor returns the negative-pivot count of the package's only
 sparse LU: the inertia of an indefinite A - sigma M, which
 spectral.solve_flow_spectrum reads to count the eigenvalues below sigma.
@@ -95,11 +98,11 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Nodal diffusion coefficient with its admissibility data.
+    """Nodal diffusion coefficient, admissible by construction (make_field).
 
-    values : nodal values on all mesh nodes (>= 1, <= a_plus when admissible);
+    values : nodal values on all mesh nodes, finite and in [1, a_plus];
         the entries at boundary nodes are the coefficient's boundary trace.
-    a_plus : upper bound of the admissible set (> 1).
+    a_plus : upper bound of the admissible set, finite and > 1.
     """
 
     values: np.ndarray
@@ -459,18 +462,22 @@ def compute_norms(w, disc: Discretization) -> Norms:
 
 
 def make_field(mesh: Mesh, values, a_plus: float) -> CoefficientField:
-    """Wrap a copy of the nodal values as a CoefficientField."""
+    """A CoefficientField of a copy of the values, refused by validate_coefficient
+    unless admissible: the package's one constructor of a field."""
     v = np.asarray(values, dtype=float)
     if v.shape != (mesh.n_nodes,):
         raise ValueError(f"expected {mesh.n_nodes} nodal values, got shape {v.shape}")
-    return CoefficientField(values=v.copy(), a_plus=float(a_plus))
+    field = CoefficientField(values=v.copy(), a_plus=float(a_plus))
+    validate_coefficient(mesh, field)
+    return field
 
 
 def validate_coefficient(mesh: Mesh, field: CoefficientField) -> None:
-    """Raise AdmissibilityError (naming the worst node) on non-finite values or bound violations."""
+    """make_field's check: raise AdmissibilityError unless 1 < a_plus < inf and every
+    value is finite and in [1, a_plus]; a value error names the worst node."""
     v = field.values
     tol = _ADMISSIBILITY_TOL
-    if field.a_plus <= 1.0:
+    if not 1.0 < field.a_plus < np.inf:
         raise AdmissibilityError(f"a_plus must exceed 1, got {field.a_plus}")
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:

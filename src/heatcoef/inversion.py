@@ -57,7 +57,6 @@ from .fem import (
     gradient_bound,
     l2_norm,
     make_field,
-    validate_coefficient,
 )
 from .heat import check_u0_condition, evolve, fit_log_slope, krylov_flow
 from .mesh import Mesh
@@ -66,6 +65,7 @@ from .spectral import (
     certify_ground,
     solve_generalized_eig,
     solve_ground_pair,
+    unit_spectrum,
 )
 
 __all__ = [
@@ -229,14 +229,14 @@ def _normal_solve(system: TransportSystem, b: np.ndarray) -> np.ndarray:
     return sol
 
 
-def solve_transport_ls(system: TransportSystem, a_prior: CoefficientField) -> CoefficientField:
+def solve_transport_ls(system: TransportSystem, a_prior: CoefficientField) -> np.ndarray:
     """Minimize ||G a - rhs||^2 + alpha (a - prior)' R (a - prior), a|_G = a0.
 
     R is the unit stiffness A(1).  Solved through the symmetric normal
     equations after eliminating the constrained boundary values, by
     back-substitution with the factor built in build_transport_system.
-    The result is *not* projected onto the admissible set; see
-    admissible_projection.
+    Returns the nodal values, *not* projected onto the admissible set and
+    so not a CoefficientField; admissible_projection makes one of them.
     """
     G, alpha, disc = system.G, system.alpha, system.disc
     R, I, B = disc.unit_stiffness, disc.interior, disc.boundary
@@ -244,7 +244,7 @@ def solve_transport_ls(system: TransportSystem, a_prior: CoefficientField) -> Co
     a = np.empty(disc.n_nodes)
     a[B] = system.boundary_values[B]
     a[I] = _normal_solve(system, b[I] - system.boundary_lift)
-    return make_field(disc.mesh, a, a_prior.a_plus)
+    return a
 
 
 def admissible_projection(
@@ -392,7 +392,7 @@ def fixed_point_invert(
         krylov_m.append(m)
         lam_raw = float(spec.hat_eigenvalues[0])
         raw0 = solve_transport_ls(dataclasses.replace(base, rhs=transport_rhs(disc, u_T, 0.0, F)),
-                                  current).values
+                                  current)
 
         # Each ground solve is warm-started from the previous pencil's pair:
         # the step's own for the first evaluation.
@@ -498,18 +498,16 @@ def stability_ratio_experiment(
     truncation bound of every snapshot from min(T_grid) on).  Per T the
     pass makes one evolve of each spectrum, whose snapshots give the
     stability ratio rho(T) and whose correction fields give the Lipschitz
-    quotient of F; the unit pencil of spec.disc gives the H2 norms.  Its
-    ground eigenvalue comes from a warm solve_ground_pair started at a's
-    ground pair: every element mean of a is at most max(a), so
-    A(a) <= max(a) A(1) and l_1(a) / max(a) is a shift below l_1(1).
+    quotient of F; the unit pencil of spec.disc gives the H2 norms, and its
+    ground eigenvalue l_1(1) is the grid's memoized
+    spectral.unit_spectrum(disc, 1).  a and a_tilde are admissible, as
+    every CoefficientField is (fem.make_field).
     A time T is flagged indistinguishable, and left out of the rate fit,
     when ||u - u~||_M <= _INDISTINGUISHABLE_RTOL max(||u||_M, ||u~||_M).
     Coinciding coefficients (||a - a~|| = 0) raise ValueError: every ratio
     divides by or into that distance.
     """
     disc = spec.disc
-    validate_coefficient(disc.mesh, a)
-    validate_coefficient(disc.mesh, a_tilde)
     grid = np.asarray(T_grid, dtype=float)
     if grid.size < 2 or np.any(grid <= 0):
         raise ValueError("T_grid must hold at least two positive times")
@@ -524,9 +522,7 @@ def stability_ratio_experiment(
     lam1, lam1t = float(spec.hat_eigenvalues[0]), float(spec_t.hat_eigenvalues[0])
     lam2 = float(spec.hat_eigenvalues[1])
     recip_gap = abs(1.0 / lam1 - 1.0 / lam1t)
-    ground_unit, _ = solve_ground_pair(disc.unit_pair, spec.eigenvectors[:, 0],
-                                       float(spec.eigenvalues[0]) / float(a.values.max()))
-    lam1_unit = float(ground_unit.eigenvalues[0])
+    lam1_unit = float(unit_spectrum(disc, 1).eigenvalues[0])
 
     l2d = np.empty(grid.size)
     h2d = np.empty(grid.size)

@@ -30,7 +30,6 @@ from .fem import (
     OperatorPair,
     compute_norms,
     l2_norm,
-    validate_coefficient,
 )
 from .heat import (
     GroundComparison,
@@ -195,7 +194,6 @@ def _build_context(s: Scenario) -> _Context:
     disc = fem.grid(s.nx, s.ny)
     mesh = disc.mesh
     coeff = catalog.make_coefficient(mesh, s.coefficient.kind, s.coefficient.params_dict(), s.a_plus)
-    validate_coefficient(mesh, coeff)
     u0 = None
     if s.u0.kind != "first-eigenfunction":
         u0 = catalog.initial_state(mesh, s.u0.kind, s.u0.params_dict())

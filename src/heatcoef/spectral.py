@@ -43,7 +43,6 @@ from .fem import (
     l2_norm,
     make_field,
     symmetric_factor,
-    validate_coefficient,
 )
 
 __all__ = [
@@ -535,8 +534,8 @@ def perturbation_sweep(
 ) -> tuple[EigenPerturbationTable, ProjectionPerturbationTable]:
     """Sweep a -> a + s*eta and tabulate eigenvalue and projection differences.
 
-    spec is the decomposition of a's pencil.  Every coefficient must stay
-    within [1, a_plus]; all are validated before the first solve.  The base
+    spec is the decomposition of a's pencil.  Each a + s*eta is made a field
+    (fem.make_field, which refuses it outside [1, a_plus]) before the first solve.  The base
     spectrum is the first _SWEEP_K pairs of spec (solved afresh only when
     spec holds fewer), each perturbed pencil is solved once with _SWEEP_K
     eigenpairs, and both tables read those spectra.
@@ -559,16 +558,14 @@ def perturbation_sweep(
     """
     disc = spec.disc
     eta = np.asarray(eta, dtype=float)
-    perturbed = [(float(s), a.values + s * eta) for s in scales]
+    perturbed = []
+    for s in map(float, scales):
+        try:
+            perturbed.append((s, make_field(disc.mesh, a.values + s * eta, a.a_plus).values))
+        except AdmissibilityError as exc:
+            raise AdmissibilityError(f"perturbed coefficient (s={s:g}): {exc}") from exc
     if not perturbed:
         raise ValueError("perturbation sweep needs at least one scale")
-    labelled = [("base coefficient", a.values)] + [
-        (f"perturbed coefficient (s={s:g})", values) for s, values in perturbed]
-    for label, values in labelled:
-        try:
-            validate_coefficient(disc.mesh, make_field(disc.mesh, values, a.a_plus))
-        except AdmissibilityError as exc:
-            raise AdmissibilityError(f"{label}: {exc}") from exc
     base = (spec.leading(_SWEEP_K) if spec.K >= _SWEEP_K
             else solve_generalized_eig(disc.pair(a.values), _SWEEP_K))
     if base.n_clusters <= PROJECTION_SWEEP_ROWS:

@@ -252,15 +252,17 @@ def test_validate_coefficient_bounds_and_trace():
     low = np.full(mesh.n_nodes, 1.5)
     low[10] = 0.5
     with pytest.raises(AdmissibilityError, match="node 10"):
-        validate_coefficient(mesh, make_field(mesh, low, 2.0))
+        make_field(mesh, low, 2.0)
 
     high = np.full(mesh.n_nodes, 1.5)
     high[3] = 2.5
     with pytest.raises(AdmissibilityError, match="> a_plus"):
-        validate_coefficient(mesh, make_field(mesh, high, 2.0))
+        make_field(mesh, high, 2.0)
 
-    with pytest.raises(AdmissibilityError, match="a_plus"):
-        validate_coefficient(mesh, make_field(mesh, np.ones(mesh.n_nodes), 1.0))
+    # a NaN bound passed every comparison, and an infinite one lifted the cap
+    for a_plus in (1.0, float("nan"), float("inf")):
+        with pytest.raises(AdmissibilityError, match=f"^a_plus must exceed 1, got {a_plus}$"):
+            make_field(mesh, np.full(mesh.n_nodes, 5.0), a_plus)
 
 
 def test_validate_coefficient_rejects_non_finite_value():
@@ -268,7 +270,7 @@ def test_validate_coefficient_rejects_non_finite_value():
     values = np.full(mesh.n_nodes, 1.5)
     values[10] = np.nan
     with pytest.raises(AdmissibilityError, match="not finite at node 10"):
-        validate_coefficient(mesh, make_field(mesh, values, 2.0))
+        make_field(mesh, values, 2.0)
 
 
 @given(

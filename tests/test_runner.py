@@ -381,10 +381,12 @@ def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("mode,text,expected", [
     ("forward", FORWARD_16, [8]),
-    # the flow spectra of a and a~; the unit pencil's ground pair is warm
-    ("stability-sweep", SWEEP_16, [8, 8]),
+    # the flow spectra of a and a~, then the cold grid's unit ground pair
+    # (spectral.unit_spectrum, K=1), which a warm grid would not solve again
+    ("stability-sweep", SWEEP_16, [8, 8, 1]),
 ])
-def test_first_eigenfunction_reads_the_mode_spectrum(tmp_path, monkeypatch, mode, text, expected):
+def test_first_eigenfunction_reads_the_mode_spectrum(tmp_path, monkeypatch, cold_grids, mode, text,
+                                                     expected):
     # u0 is the ground vector of the flow spectrum the mode solves anyway,
     # not of a K=1 solve of its own: one solve of the coefficient's pencil.
     solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)

@@ -157,6 +157,31 @@ def test_benchmark_and_scripts_use_only_names_the_package_has():
     assert [(path, name) for path, name in sorted(used) if not _resolves(name)] == []
 
 
+def _calls(tree, scope="<module>"):
+    """(innermost enclosing def, called name) of every call by a bare or dotted name."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, (ast.Name, ast.Attribute)):
+                yield scope, func.id if isinstance(func, ast.Name) else func.attr
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _calls(node, inner)
+
+
+def test_only_make_field_builds_and_checks_a_coefficient_field():
+    # fem.make_field validates every field it builds, so a CoefficientField
+    # is admissible by construction; a field built, or a check made, anywhere
+    # else would get round that one owner or repeat it
+    package = SCRIPTS.parent / "src" / "heatcoef"
+    files = sorted(package.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    sites = sorted({(path.relative_to(SCRIPTS.parent).as_posix(), scope, name)
+                    for path in files
+                    for scope, name in _calls(ast.parse(path.read_text(encoding="utf-8")))
+                    if name in ("CoefficientField", "validate_coefficient")})
+    assert sites == [("src/heatcoef/fem.py", "make_field", "CoefficientField"),
+                     ("src/heatcoef/fem.py", "make_field", "validate_coefficient")]
+
+
 def test_readme_names_and_the_modules_resolve_after_a_bare_package_import():
     # benchmark/ reads heatcoef.<module> after `import heatcoef` alone, and
     # README names <module>.<name>; a fresh interpreter, so no submodule

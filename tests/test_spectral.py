@@ -559,12 +559,11 @@ class TestEigenPerturbation:
 
 
 class TestSweepRefusals:
-    def test_names_an_inadmissible_base(self, mesh32, unit_spec32):
-        a = make_field(mesh32, np.full(mesh32.n_nodes, 0.5), 2.0)
-        eta = np.zeros(mesh32.n_nodes)
+    def test_names_an_inadmissible_base(self, mesh32):
+        # the sweep's base is a field, and make_field refuses an inadmissible one
         with pytest.raises(AdmissibilityError) as info:
-            perturbation_sweep(unit_spec32, a, eta, [0.1])
-        assert str(info.value) == "base coefficient: coefficient value 0.5 < 1 at node 0 (x=0, y=0)"
+            make_field(mesh32, np.full(mesh32.n_nodes, 0.5), 2.0)
+        assert str(info.value) == "coefficient value 0.5 < 1 at node 0 (x=0, y=0)"
 
     def test_names_the_first_inadmissible_scale(self, mesh32, unit_spec32):
         a = make_coefficient(mesh32, "constant", {"value": 1.5}, 2.0)
