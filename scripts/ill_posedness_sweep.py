@@ -57,9 +57,11 @@ def main(argv=None) -> int:
             if line.split()[1] in ("flow-spectrum:", "stability-rate:"):
                 print(line)
         table = csv.DictReader(stability.files["stability.csv"].splitlines())
-        disc = grid(args.nx, args.nx)  # the inversions' grid
-        a = make_coefficient(disc.mesh, "gaussian-bump", None, 2.0).values
-        for T, r in zip(stability.scenario.T_grid, table):
+        # the truth of every inversion is the scenario's own coefficient
+        s = stability.scenario
+        disc = grid(s.nx, s.ny)
+        a = make_coefficient(disc.mesh, s.coefficient.kind, s.coefficient.params_dict(), s.a_plus).values
+        for T, r in zip(s.T_grid, table):
             run = run_scenario(parse_config_text(cfg + f"T = {T}\n"), "invert", args.out / f"T{T:g}")
             write_reports(run)
             # the runner's rel_error, at full precision, from the written a_rec

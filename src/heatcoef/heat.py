@@ -1,33 +1,33 @@
 """Spectral heat flow, the first-mode correction field, and decay diagnostics.
 
-Evolution uses the strictly ordered spectrum: u(t) = sum_k e^{-l_k t} P_k u0
-over the computed clusters.  The correction field
+A ModalFlow expands u0 once in the eigenbasis of one spectrum, and every
+reading of that pair comes from the one expansion.  evolve(flow, t) forms
+the strictly ordered flow u(t) = sum_k e^{-l_k t} P_k u0 over the computed
+clusters, and its correction field
 
     F(a; x, T) = d_t u(x, T) + l_1 u(x, T)
 
 removes the ground-mode rate from the snapshot; by construction it has no
 cluster-1 content and decays like e^{-l_2 T}.  (Expanded in the eigenbasis
-its tail coefficients are (l_1 - l_k) e^{-l_k T}, k >= 2.)  evolve forms u
-and F from one projection of u0 onto the eigenbasis per call.
+its tail coefficients are (l_1 - l_k) e^{-l_k T}, k >= 2.)  The flow also
+holds u0's weight per cluster and int u0 d_Omega, and reads the
+lower-bound quotients u(T) / (e^{-l_1 T} phi1) at one time (report) or
+finds the first grid time at which all are positive (threshold).
 
 krylov_flow computes u(T), F and the ground Ritz pair of one pencil
 without an eigenbasis, from a shift-invert Krylov space of u0; the
 inversion's outer steps use it.
 
-GroundComparison holds what the lower-bound quotients u(T) / (e^{-l_1 T}
-phi1) of one spectrum and u0 share over T, its boundary band included: it
-reports the quotients at one time and finds the first grid time at which
-all are positive.
-
 No diagnostic here takes a mesh: each reads the mesh and matrices from
 the Discretization it is given, or from its spectrum's.  The
 coefficient-Lipschitz table of F is measured together with the stability
-ratios, in one pass, by inversion.stability_ratio_experiment.
+ratios, in one pass over two flows, by inversion.stability_ratio_experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -39,9 +39,8 @@ from .spectral import SpectralDecomposition, orient_ground
 __all__ = [
     "HeatSnapshot",
     "LowerBoundReport",
-    "GroundComparison",
+    "ModalFlow",
     "evolve",
-    "cluster_weights",
     "KrylovFlow",
     "krylov_flow",
     "fit_log_slope",
@@ -54,7 +53,7 @@ class HeatSnapshot:
     """State of the spectral heat flow at one time.
 
     u and F are full nodal fields (zero on the boundary): the snapshot and
-    its correction field d_t u + l_1 u, both from one projection of u0.
+    its correction field d_t u + l_1 u, both from the flow's projection of u0.
     The truncation bound is e^{-l_K t}, l_K the top computed cluster, times
     the L2 norm of the part of u0 outside the computed span.  It bounds the
     dropped tail when no eigenvalue below l_K was skipped, which the
@@ -65,41 +64,6 @@ class HeatSnapshot:
     u: np.ndarray
     F: np.ndarray
     truncation_bound: float
-
-
-def _mode_data(spec: SpectralDecomposition, u0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coefficients, clustered rates, tail of u0 outside the span)."""
-    u0 = np.asarray(u0, dtype=float)
-    wi = spec.disc.restrict(u0)
-    require_zero_boundary(u0, spec.disc.boundary, "initial state must vanish on boundary nodes")
-    coeffs = spec.eigenvectors.T @ (spec.disc.mass_int @ wi)
-    rates = spec.hat_eigenvalues[spec.cluster_index]
-    tail = wi - spec.eigenvectors @ coeffs
-    return coeffs, rates, tail
-
-
-def evolve(spec: SpectralDecomposition, u0, t: float) -> HeatSnapshot:
-    """Heat snapshot sum_k e^{-l_k t} P_k u0 and its correction field.
-
-    F is the tail series sum_{k >= 2} (l_1 - l_k) e^{-l_k t} P_k u0, its
-    cluster-1 weight set to zero rather than computed as l_1 - l_1.
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    coeffs, rates, tail = _mode_data(spec, u0)
-    damp = np.exp(-rates * t)
-    gain = (spec.hat_eigenvalues[0] - rates) * damp
-    gain[spec.cluster_index == 0] = 0.0
-    u = spec.disc.extend(spec.eigenvectors @ (coeffs * damp))
-    F = spec.disc.extend(spec.eigenvectors @ (coeffs * gain))
-    bound = float(np.exp(-spec.hat_eigenvalues[-1] * t)) * l2_norm(tail, spec.disc.mass_int)
-    return HeatSnapshot(u=u, F=F, truncation_bound=bound)
-
-
-def cluster_weights(spec: SpectralDecomposition, u0) -> np.ndarray:
-    """M-norm of u0's projection onto each cluster of spec, cluster 1 first."""
-    coeffs, _, _ = _mode_data(spec, u0)
-    return np.sqrt(np.bincount(spec.cluster_index, weights=coeffs ** 2, minlength=spec.n_clusters))
 
 
 # krylov_flow grows its space from _KRYLOV_START vectors by _KRYLOV_STEP
@@ -274,37 +238,55 @@ def check_u0_condition(disc: Discretization, u0) -> float:
 _BAND_EPS = 0.1
 
 
-class GroundComparison:
-    """What the lower-bound quotients of one spectrum and u0 share over T.
+class ModalFlow:
+    """u0 expanded once in the eigenbasis of one spectrum, and what it gives.
 
-    The band is mesh.boundary_band at _BAND_EPS.  u0, phi1 and its
-    gradients are projected and evaluated once; report(T) forms the
-    quotients at one time and threshold(T_grid) finds the first grid time
-    at which all are positive.  Requires int u0 d_Omega > 0
-    (otherwise the snapshot has no certified sign and the quotients are
-    meaningless).  The quotients divide u(T) by e^{-l_1 T} phi1, so they are
-    formed from the flow scaled by e^{l_1 T},
-    sum_k e^{-(l_k - l_1) T} c_k phi_k, which neither underflows nor divides
-    by an underflowed e^{-l_1 T} at large T.
+    The constructor checks that u0 vanishes on the boundary and projects
+    it: coeffs are its M-inner products with the eigenvectors, rates the
+    clustered eigenvalue of each, tail the M-norm of the part of u0
+    outside the span, weights the M-norm of the projection onto each
+    cluster (cluster 1 first) and weight = int u0 d_Omega
+    (check_u0_condition).  evolve(flow, t) reads the flow at one time;
+    report(T) and threshold(T_grid) read the ground-mode lower-bound
+    quotients, which need weight > 0 (otherwise the snapshot has no
+    certified sign and the quotients are meaningless) and raise
+    ValueError without it.  Their band (mesh.boundary_band at _BAND_EPS),
+    phi1 and its gradients are evaluated once, on the first such read.
+    The quotients divide u(T) by e^{-l_1 T} phi1, so they are formed from
+    the flow scaled by e^{l_1 T}, sum_k e^{-(l_k - l_1) T} c_k phi_k,
+    which neither underflows nor divides by an underflowed e^{-l_1 T} at
+    large T.
     """
 
     def __init__(self, spec: SpectralDecomposition, u0) -> None:
-        weight = check_u0_condition(spec.disc, u0)
-        if weight <= 0:
-            raise ValueError(f"int u0 * d_Omega = {weight:.6g} must be positive for lower bounds")
-        self.spec, self.bmask = spec, boundary_band(spec.disc.mesh, _BAND_EPS)
-        self.coeffs, self.rates, _ = _mode_data(spec, u0)
-        self.lam1 = float(spec.hat_eigenvalues[0])
-        self.phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
-        g_phi = nodal_gradients(spec.disc.mesh, self.phi1)
-        self.gp2 = np.einsum("nd,nd->n", g_phi, g_phi)
+        u0 = np.asarray(u0, dtype=float)
+        wi = spec.disc.restrict(u0)
+        require_zero_boundary(u0, spec.disc.boundary, "initial state must vanish on boundary nodes")
+        self.spec = spec
+        self.coeffs = spec.eigenvectors.T @ (spec.disc.mass_int @ wi)
+        self.rates = spec.hat_eigenvalues[spec.cluster_index]
+        self.tail = l2_norm(wi - spec.eigenvectors @ self.coeffs, spec.disc.mass_int)
+        self.weights = np.sqrt(np.bincount(spec.cluster_index, weights=self.coeffs ** 2,
+                                           minlength=spec.n_clusters))
+        self.weight = check_u0_condition(spec.disc, u0)
+
+    @cached_property
+    def _ground(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(band mask, phi1, |grad phi1|^2); refuses a u0 without ground weight."""
+        if self.weight <= 0:
+            raise ValueError(f"int u0 * d_Omega = {self.weight:.6g} must be positive for lower bounds")
+        disc = self.spec.disc
+        phi1 = disc.extend(self.spec.eigenvectors[:, 0])
+        g_phi = nodal_gradients(disc.mesh, phi1)
+        return boundary_band(disc.mesh, _BAND_EPS), phi1, np.einsum("nd,nd->n", g_phi, g_phi)
 
     def report(self, T: float) -> LowerBoundReport:
         """The ground-mode lower-bound quotients at time T > 0."""
+        bmask, phi1, gp2 = self._ground
         if T <= 0:
             raise ValueError(f"snapshot time must be positive, got {T}")
-        V, disc, bmask, gp2 = self.spec.eigenvectors, self.spec.disc, self.bmask, self.gp2
-        damp = np.exp(-(self.rates - self.lam1) * T)
+        V, disc = self.spec.eigenvectors, self.spec.disc
+        damp = np.exp(-(self.rates - self.spec.hat_eigenvalues[0]) * T)
         u = V @ (self.coeffs * damp)
         u_ratio = u / V[:, 0]
         dudt_ratio = (V @ (self.rates * self.coeffs * damp)) / V[:, 0]
@@ -314,7 +296,7 @@ class GroundComparison:
         with np.errstate(divide="ignore", invalid="ignore"):
             grad_ratio = gu2[bmask] / gp2[bmask]
         grad_ratio = grad_ratio[np.isfinite(grad_ratio)]
-        floor = self.phi1 ** 2 + np.where(bmask, gp2, 0.0)
+        floor = phi1 ** 2 + np.where(bmask, gp2, 0.0)
 
         return LowerBoundReport(
             u_ratio_min=float(np.min(u_ratio)),
@@ -327,7 +309,26 @@ class GroundComparison:
     def threshold(self, T_grid) -> float | None:
         """Smallest positive grid time at which all lower-bound minima are
         positive, or None; the search stops at the first such time."""
+        self._ground  # refuses a u0 without ground weight, whatever the grid
         for t in sorted(np.asarray(T_grid, dtype=float)):
             if t > 0 and self.report(t).all_positive:
                 return float(t)
         return None
+
+
+def evolve(flow: ModalFlow, t: float) -> HeatSnapshot:
+    """Heat snapshot sum_k e^{-l_k t} P_k u0 of flow's u0 and its correction field.
+
+    F is the tail series sum_{k >= 2} (l_1 - l_k) e^{-l_k t} P_k u0, its
+    cluster-1 weight set to zero rather than computed as l_1 - l_1.
+    """
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    spec = flow.spec
+    damp = np.exp(-flow.rates * t)
+    gain = (spec.hat_eigenvalues[0] - flow.rates) * damp
+    gain[spec.cluster_index == 0] = 0.0
+    u = spec.disc.extend(spec.eigenvectors @ (flow.coeffs * damp))
+    F = spec.disc.extend(spec.eigenvectors @ (flow.coeffs * gain))
+    bound = float(np.exp(-spec.hat_eigenvalues[-1] * t)) * flow.tail
+    return HeatSnapshot(u=u, F=F, truncation_bound=bound)

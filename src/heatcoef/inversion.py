@@ -58,7 +58,7 @@ from .fem import (
     l2_norm,
     make_field,
 )
-from .heat import check_u0_condition, evolve, fit_log_slope, krylov_flow
+from .heat import ModalFlow, check_u0_condition, evolve, fit_log_slope, krylov_flow
 from .mesh import Mesh
 from .spectral import (
     SpectralDecomposition,
@@ -484,29 +484,29 @@ class StabilityTable:
 def stability_ratio_experiment(
     a: CoefficientField,
     a_tilde: CoefficientField,
-    u0,
     T_grid,
-    spec: SpectralDecomposition,
-    spec_t: SpectralDecomposition,
+    flow: ModalFlow,
+    flow_t: ModalFlow,
 ) -> StabilityTable:
     """Measure both halves of the stability estimate in one pass over T_grid.
 
-    spec and spec_t are the decompositions of a and a_tilde on one
-    Discretization, each with at least two strict eigenvalues; they may
-    differ in K (the stability-sweep mode cuts each with
+    flow and flow_t expand one u0 in the spectra of a and a_tilde, on one
+    Discretization, each spectrum with at least two strict eigenvalues;
+    the spectra may differ in K (the stability-sweep mode cuts each with
     spectral.solve_flow_spectrum, whose inertia count certifies the
     truncation bound of every snapshot from min(T_grid) on).  Per T the
-    pass makes one evolve of each spectrum, whose snapshots give the
-    stability ratio rho(T) and whose correction fields give the Lipschitz
-    quotient of F; the unit pencil of spec.disc gives the H2 norms, and its
-    ground eigenvalue l_1(1) is the grid's memoized
-    spectral.unit_spectrum(disc, 1).  a and a_tilde are admissible, as
-    every CoefficientField is (fem.make_field).
+    pass evolves each flow once; the two snapshots give the stability
+    ratio rho(T) and their correction fields the Lipschitz quotient of F.
+    The unit pencil of the grid gives the H2 norms, and its ground
+    eigenvalue l_1(1) is the grid's memoized spectral.unit_spectrum(disc, 1).
+    a and a_tilde are admissible, as every CoefficientField is
+    (fem.make_field).
     A time T is flagged indistinguishable, and left out of the rate fit,
     when ||u - u~||_M <= _INDISTINGUISHABLE_RTOL max(||u||_M, ||u~||_M).
     Coinciding coefficients (||a - a~|| = 0) raise ValueError: every ratio
     divides by or into that distance.
     """
+    spec, spec_t = flow.spec, flow_t.spec
     disc = spec.disc
     grid = np.asarray(T_grid, dtype=float)
     if grid.size < 2 or np.any(grid <= 0):
@@ -529,7 +529,7 @@ def stability_ratio_experiment(
     fdiff = np.empty(grid.size)
     scale = np.empty(grid.size)
     for i, t in enumerate(grid):
-        snap, snap_t = evolve(spec, u0, t), evolve(spec_t, u0, t)
+        snap, snap_t = evolve(flow, t), evolve(flow_t, t)
         norms = compute_norms(snap.u - snap_t.u, disc)
         l2d[i] = norms.l2
         h2d[i] = norms.h2_surrogate

@@ -31,14 +31,7 @@ from .fem import (
     compute_norms,
     l2_norm,
 )
-from .heat import (
-    GroundComparison,
-    check_u0_condition,
-    cluster_weights,
-    evolve,
-    fit_log_slope,
-    krylov_flow,
-)
+from .heat import ModalFlow, evolve, fit_log_slope, krylov_flow
 from .inversion import fixed_point_invert, stability_ratio_experiment
 from .mesh import Mesh, grid_text
 from .scenario import Scenario, scenario_hash
@@ -233,6 +226,7 @@ def _run_forward(ctx: _Context, rep: _Report) -> None:
     grid = _time_grid(s)
     spec = _flow_spectrum(ctx.pair, float(min(s.T, *grid)), s.modes, rep)
     u0 = ctx.initial_state(spec)
+    flow = ModalFlow(spec, u0)
     M = ctx.disc.mass
     lam_hat = spec.hat_eigenvalues
     lam1 = float(lam_hat[0])
@@ -241,17 +235,17 @@ def _run_forward(ctx: _Context, rep: _Report) -> None:
     F_norms = np.empty(grid.size)
     truncs = np.empty(grid.size)
     for i, t in enumerate(grid):
-        snap = evolve(spec, u0, float(t))
+        snap = evolve(flow, float(t))
         u_norms[i] = l2_norm(snap.u, M)
         F_norms[i] = l2_norm(snap.F, M)
         truncs[i] = snap.truncation_bound
     rep.csv("decay.csv", ("T", "u_l2", "F_l2", "truncation_bound"),
             zip(grid, u_norms, F_norms, truncs))
 
-    snap_T = evolve(spec, u0, s.T)
+    snap_T = evolve(flow, s.T)
     rep.grid("u_T.grid", ctx.mesh, snap_T.u)
 
-    weight = check_u0_condition(ctx.disc, u0)
+    weight = flow.weight
     single_mode = s.u0.kind == "first-eigenfunction"
     slope_u = fit_log_slope(grid, u_norms)
     if weight > 0 or single_mode:
@@ -267,7 +261,7 @@ def _run_forward(ctx: _Context, rep: _Report) -> None:
     # slope is fitted only at the grid times where k*'s content
     # (l_k* - l1) ||c_k*|| e^(-l_k* T) exceeds theirs summed.
     u0_l2 = l2_norm(u0, M)
-    weights = cluster_weights(spec, u0)
+    weights = flow.weights
     populated = np.flatnonzero(weights[1:] > 1e-10 * max(u0_l2, 1e-300))
     if populated.size == 0 or np.count_nonzero(F_norms > 0) < 2:
         rep.info("F-decay-slope", "correction term vanishes (single-mode data)")
@@ -309,13 +303,12 @@ def _run_forward(ctx: _Context, rep: _Report) -> None:
               f"measured={rel:.6g} bound={_TRANSPORT_TOL:g} (relative residual at T={s.T:g})")
 
     if weight > 0:
-        ground = GroundComparison(spec, u0)
-        low = ground.report(s.T)
+        low = flow.report(s.T)
         rep.check("lower-bounds", low.all_positive,
                   f"T={s.T:g} measured=(u {low.u_ratio_min:.6g}, du/dt {low.dudt_ratio_min:.6g}, "
                   f"grad {low.grad_ratio_min:.6g}, band |grad phi1| {low.grad_phi1_band_min:.6g}, "
                   f"eig floor {low.eig_floor_min:.6g}) bound=0 (strict)")
-        thr = ground.threshold(grid)
+        thr = flow.threshold(grid)
         rep.info("certified-threshold",
                  f"first grid time with all lower bounds positive: "
                  f"{'T=%g' % thr if thr is not None else 'none within T_grid'}")
@@ -348,7 +341,10 @@ def _run_invert(ctx: _Context, rep: _Report) -> None:
         rep.info("noise",
                  f"additive Gaussian data error, H2-surrogate level {s.noise:g}, seed={s.seed}")
 
-    report = fixed_point_invert(ctx.disc, u0, u_T, ctx.coeff.values, s.a_plus, s.T)
+    # the inversion is handed the trace alone: an interior read would meet
+    # a NaN, which make_field refuses
+    trace = np.where(ctx.mesh.boundary_node_flags, ctx.coeff.values, np.nan)
+    report = fixed_point_invert(ctx.disc, u0, u_T, trace, s.a_plus, s.T)
 
     steps = report.residual_trace
     rep.csv("residuals.csv", ("iter", "step_l2", "lambda1", "krylov_m"),
@@ -487,7 +483,8 @@ def _run_stability_sweep(ctx: _Context, rep: _Report) -> None:
                                        s.perturbation.params_dict(), s.a_plus)
     spec_t = _flow_spectrum(ctx.disc.pair(a_tilde.values), t_min, s.modes, rep)
 
-    tab = stability_ratio_experiment(ctx.coeff, a_tilde, u0, s.T_grid, spec, spec_t)
+    flow = ModalFlow(spec, u0)
+    tab = stability_ratio_experiment(ctx.coeff, a_tilde, s.T_grid, flow, ModalFlow(spec_t, u0))
     rep.csv("stability.csv",
             ("T", "l2_udiff", "h2_udiff", "rho", "bracket", "c_fit", "indistinguishable"),
             zip(tab.T, tab.l2_udiff, tab.h2_udiff, tab.rho, tab.bracket,
@@ -496,14 +493,12 @@ def _run_stability_sweep(ctx: _Context, rep: _Report) -> None:
 
     # The rate bracket, the ground comparison and the fitted gap constant all
     # presume a populated ground mode.
-    weight = check_u0_condition(ctx.disc, u0)
-    if weight > 0:
+    if flow.weight > 0:
         rep.slope_check("stability-rate", tab.rate_low <= tab.fitted_rate <= tab.rate_high,
                         f"measured={tab.fitted_rate:.6g} "
                         f"bracket=[{tab.rate_low:.6g}, {tab.rate_high:.6g}] "
                         f"(0.8 min(l1, l1~) .. 1.2 a_plus l1^unit)", tab.rho[~tab.indistinguishable])
-        ground = GroundComparison(spec, u0)
-        if (thr := ground.threshold(s.T_grid)) is None:
+        if (thr := flow.threshold(s.T_grid)) is None:
             rep.info("rho-monotone", "no certified threshold inside T_grid; check skipped")
         else:
             idx = np.flatnonzero((tab.T >= thr) & np.isfinite(tab.rho))  # into T_grid
@@ -517,7 +512,7 @@ def _run_stability_sweep(ctx: _Context, rep: _Report) -> None:
                          "fewer than two usable grid points")
     else:
         for name in ("stability-rate", "rho-monotone", "gap-constant-spread"):
-            rep.info(name, f"skipped: int u0 d_Omega = {weight:.6g} is not positive")
+            rep.info(name, f"skipped: int u0 d_Omega = {flow.weight:.6g} is not positive")
 
     rep.slope_check("F-lipschitz-slope", abs(tab.F_slope + tab.beta2) <= 0.05 * tab.beta2,
                     f"measured={tab.F_slope:.10g} expected={-tab.beta2:.10g} rel_tol=0.05",

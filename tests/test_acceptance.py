@@ -16,7 +16,7 @@ import pytest
 
 from heatcoef.catalog import COEFFICIENT_KINDS, direction_values, initial_state, make_coefficient
 from heatcoef.fem import discretize, grid, nodal_gradients
-from heatcoef.heat import GroundComparison, evolve, fit_log_slope, krylov_flow, l2_norm
+from heatcoef.heat import ModalFlow, evolve, fit_log_slope, krylov_flow, l2_norm
 from heatcoef.fem import assemble_mass
 from heatcoef.inversion import stability_ratio_experiment
 from heatcoef.mesh import boundary_band, build_structured_mesh, distance_to_boundary
@@ -128,12 +128,12 @@ def test_correction_field_decay_and_lipschitz_slopes():
     grid = np.linspace(1.0, 5.0, 9)
     spec = solve_generalized_eig(discretize(mesh).pair(bump.values), 40)
     lam2 = spec.hat_eigenvalues[1]
-    norms = [l2_norm(spec.disc.restrict(evolve(spec, d, t).F), spec.disc.mass_int)
-             for t in grid]
+    flow = ModalFlow(spec, d)
+    norms = [l2_norm(spec.disc.restrict(evolve(flow, t).F), spec.disc.mass_int) for t in grid]
     assert abs(fit_log_slope(grid, norms) + lam2) <= 0.05 * lam2  # measured 0.49%
 
     spec_two = solve_generalized_eig(discretize(mesh).pair(two.values), 40)
-    tab = stability_ratio_experiment(bump, two, d, grid, spec, spec_two)
+    tab = stability_ratio_experiment(bump, two, grid, flow, ModalFlow(spec_two, d))
     assert abs(tab.F_slope + tab.beta2) <= 0.05 * tab.beta2  # measured 0.44%
 
 
@@ -142,21 +142,23 @@ def test_snapshot_norm_decays_at_ground_rate(mesh32, bump_spec32):
     d = distance_to_boundary(mesh32)
     M = assemble_mass(mesh32)
     grid = np.linspace(1.0, 5.0, 9)
-    norms = [l2_norm(evolve(bump_spec32, d, t).u, M) for t in grid]
+    flow = ModalFlow(bump_spec32, d)
+    norms = [l2_norm(evolve(flow, t).u, M) for t in grid]
     slope = fit_log_slope(grid, norms)
     lam1 = bump_spec32.hat_eigenvalues[0]
     assert abs(slope + lam1) <= 0.02 * lam1
 
     # pure ground mode: exact
     phi1 = bump_spec32.disc.extend(bump_spec32.eigenvectors[:, 0])
-    norms1 = [l2_norm(evolve(bump_spec32, phi1, t).u, M) for t in grid]
+    flow1 = ModalFlow(bump_spec32, phi1)
+    norms1 = [l2_norm(evolve(flow1, t).u, M) for t in grid]
     slope1 = fit_log_slope(grid, norms1)
     assert abs(slope1 + lam1) <= 1e-6  # measured 1.5e-13
 
 
 def test_ground_mode_lower_bound_quotients_all_positive(mesh32, bump_spec32):
     d = distance_to_boundary(mesh32)
-    report = GroundComparison(bump_spec32, d).report(2.0)
+    report = ModalFlow(bump_spec32, d).report(2.0)
     assert report.all_positive
     assert report.u_ratio_min > 0.0
     assert report.dudt_ratio_min > 0.0
@@ -278,7 +280,7 @@ def test_noise_floor_grows_with_snapshot_time(tmp_path):
     d = distance_to_boundary(mesh)
     spec, spec_two = (solve_generalized_eig(discretize(mesh).pair(c.values), 8)
                       for c in (bump, two))
-    tab = stability_ratio_experiment(bump, two, d, ladder_T, spec, spec_two)
+    tab = stability_ratio_experiment(bump, two, ladder_T, ModalFlow(spec, d), ModalFlow(spec_two, d))
     assert tab.rate_low <= tab.fitted_rate <= tab.rate_high  # measured 20.13 in [17.00, 47.48]
     assert tab.rate_low == pytest.approx(0.8 * tab.lambda1, abs=1e-12)
     assert tab.rate_high == pytest.approx(1.2 * tab.a_plus * tab.lambda1_unit, abs=1e-12)

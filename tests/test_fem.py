@@ -21,7 +21,7 @@ from heatcoef.fem import (
     symmetric_factor,
     validate_coefficient,
 )
-from heatcoef.heat import evolve
+from heatcoef.heat import ModalFlow, evolve
 from heatcoef.mesh import Mesh, build_structured_mesh, distance_to_boundary, grid_text
 from heatcoef.spectral import solve_generalized_eig, unit_spectrum
 
@@ -210,7 +210,7 @@ _BOUNDARY_CALLERS = {
                   "snapshot must vanish on boundary nodes"),
     "norms": (lambda disc, w, _: compute_norms(w, disc),
               "H2 surrogate undefined: field is nonzero on boundary nodes"),
-    "evolve": (lambda disc, w, _: evolve(solve_generalized_eig(disc.pair(1.0), 4), w, 0.1),
+    "evolve": (lambda disc, w, _: evolve(ModalFlow(solve_generalized_eig(disc.pair(1.0), 4), w), 0.1),
                "initial state must vanish on boundary nodes"),
     "custom-u0": (_custom_u0, "custom initial state must vanish on the boundary"),
 }

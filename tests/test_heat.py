@@ -9,7 +9,7 @@ from heatcoef.catalog import initial_state, make_coefficient
 from heatcoef.fem import assemble_mass, discretize, l2_norm
 from heatcoef.fem import nodal_gradients
 from heatcoef.heat import (
-    GroundComparison,
+    ModalFlow,
     check_u0_condition,
     evolve,
     fit_log_slope,
@@ -30,7 +30,7 @@ class TestEvolve:
         spec = unit_spec32
         phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         lam1 = spec.hat_eigenvalues[0]
-        snap = evolve(spec, phi1, 0.7)
+        snap = evolve(ModalFlow(spec, phi1), 0.7)
         assert np.allclose(snap.u, np.exp(-lam1 * 0.7) * phi1, atol=1e-13)
         assert snap.truncation_bound < 1e-12
 
@@ -38,8 +38,8 @@ class TestEvolve:
         spec = bump_spec32
         phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         phi5 = spec.disc.extend(spec.eigenvectors[:, 4])
-        combined = evolve(spec, phi1 + 2.0 * phi5, 0.3)
-        parts = evolve(spec, phi1, 0.3).u + 2.0 * evolve(spec, phi5, 0.3).u
+        combined = evolve(ModalFlow(spec, phi1 + 2.0 * phi5), 0.3)
+        parts = evolve(ModalFlow(spec, phi1), 0.3).u + 2.0 * evolve(ModalFlow(spec, phi5), 0.3).u
         assert np.allclose(combined.u, parts, atol=1e-12)
 
     def test_t0_is_projection_onto_span(self, mesh32, unit_spec32, rng):
@@ -47,7 +47,8 @@ class TestEvolve:
         u0 = np.zeros(mesh32.n_nodes)
         interior = ~mesh32.boundary_node_flags
         u0[interior] = rng.normal(size=interior.sum())
-        snap = evolve(spec, u0, 0.0)
+        flow = ModalFlow(spec, u0)
+        snap = evolve(flow, 0.0)
         coeffs = spec.eigenvectors.T @ (spec.disc.mass_int @ spec.disc.restrict(u0))
         proj = spec.disc.extend(spec.eigenvectors @ coeffs)
         assert np.allclose(snap.u, proj, atol=1e-12)
@@ -55,17 +56,17 @@ class TestEvolve:
         M = assemble_mass(mesh32)
         tail = l2_norm(u0 - proj, M)
         assert snap.truncation_bound == pytest.approx(tail, abs=1e-12)
-        later = evolve(spec, u0, 0.3)
+        later = evolve(flow, 0.3)
         assert later.truncation_bound < snap.truncation_bound
 
     def test_rejects_negative_time(self, unit_spec32):
         phi1 = unit_spec32.disc.extend(unit_spec32.eigenvectors[:, 0])
         with pytest.raises(ValueError, match="nonnegative"):
-            evolve(unit_spec32, phi1, -0.1)
+            evolve(ModalFlow(unit_spec32, phi1), -0.1)
 
     def test_rejects_nonzero_boundary_data(self, mesh32, unit_spec32):
         with pytest.raises(ValueError, match="boundary"):
-            evolve(unit_spec32, np.ones(mesh32.n_nodes), 0.5)
+            ModalFlow(unit_spec32, np.ones(mesh32.n_nodes))
 
     def test_in_span_product_mode_decays_at_cluster_rate(self, mesh32, unit_spec32):
         # sin(pi x) sin(2 pi y) lies (after projection) inside the doubly
@@ -77,8 +78,9 @@ class TestEvolve:
         u0[mesh32.boundary_node_flags] = 0.0
         assert spec.multiplicities[1] == 2
         lam2 = spec.hat_eigenvalues[1]
-        start = evolve(spec, u0, 0.0).u
-        snap = evolve(spec, u0, 0.05)
+        flow = ModalFlow(spec, u0)
+        start = evolve(flow, 0.0).u
+        snap = evolve(flow, 0.05)
         M = assemble_mass(mesh32)
         dev = l2_norm(snap.u - np.exp(-lam2 * 0.05) * start, M) / l2_norm(start, M)
         assert dev < 1e-12  # measured 1.399e-15
@@ -90,7 +92,8 @@ class TestDecaySlopes:
         phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         M = assemble_mass(mesh32)
         ts = np.linspace(0.5, 2.5, 6)
-        norms = [l2_norm(evolve(spec, phi1, t).u, M) for t in ts]
+        flow = ModalFlow(spec, phi1)
+        norms = [l2_norm(evolve(flow, t).u, M) for t in ts]
         slope = fit_log_slope(ts, norms)
         assert abs(slope + spec.hat_eigenvalues[0]) < 1e-10  # measured 7.1e-15
 
@@ -100,7 +103,8 @@ class TestDecaySlopes:
         d = distance_to_boundary(mesh32)
         M = assemble_mass(mesh32)
         ts = np.linspace(1.0, 5.0, 9)
-        norms = [l2_norm(evolve(bump_spec32, d, t).u, M) for t in ts]
+        flow = ModalFlow(bump_spec32, d)
+        norms = [l2_norm(evolve(flow, t).u, M) for t in ts]
         slope = fit_log_slope(ts, norms)
         lam1 = bump_spec32.hat_eigenvalues[0]
         assert abs(slope + lam1) / lam1 < 1e-10  # measured 3.3e-16
@@ -117,7 +121,7 @@ class TestCorrectionField:
     def test_ground_mode_gives_zero(self, unit_spec32):
         spec = unit_spec32
         phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
-        F = evolve(spec, phi1, 1.0).F
+        F = evolve(ModalFlow(spec, phi1), 1.0).F
         assert np.max(np.abs(F)) < 1e-14
 
     def test_nodewise_identity_with_snapshot(self, mesh32, unit_spec32):
@@ -126,7 +130,7 @@ class TestCorrectionField:
         # mode over the clustered rates, with the snapshot's u beside it.
         spec = unit_spec32
         d = distance_to_boundary(mesh32)
-        snap = evolve(spec, d, 2.0)
+        snap = evolve(ModalFlow(spec, d), 2.0)
         coeffs = spec.eigenvectors.T @ (spec.disc.mass_int @ spec.disc.restrict(d))
         lam1 = spec.hat_eigenvalues[0]
         u = np.zeros(mesh32.n_nodes)
@@ -147,7 +151,7 @@ class TestCorrectionField:
         phi1 = spec.disc.extend(spec.eigenvectors[:, 0])
         phi2 = spec.disc.extend(spec.eigenvectors[:, 1])
         lam1, lam2 = spec.hat_eigenvalues[:2]
-        F = evolve(spec, phi1 + phi2, 0.4).F
+        F = evolve(ModalFlow(spec, phi1 + phi2), 0.4).F
         closed = (lam1 - lam2) * np.exp(-lam2 * 0.4) * phi2
         scale = np.max(np.abs(closed))
         assert np.max(np.abs(F - closed)) < 1e-12 * scale
@@ -155,9 +159,8 @@ class TestCorrectionField:
     def test_fitted_decay_rate_matches_lambda2(self, mesh32, unit_spec32):
         d = distance_to_boundary(mesh32)
         ts = np.linspace(1.0, 5.0, 9)
-        disc = unit_spec32.disc
-        norms = [l2_norm(disc.restrict(evolve(unit_spec32, d, t).F), disc.mass_int)
-                 for t in ts]
+        disc, flow = unit_spec32.disc, ModalFlow(unit_spec32, d)
+        norms = [l2_norm(disc.restrict(evolve(flow, t).F), disc.mass_int) for t in ts]
         rate = fit_log_slope(ts, norms)
         lam2 = unit_spec32.hat_eigenvalues[1]
         assert lam2 == pytest.approx(49.57696526, abs=1e-6)
@@ -170,7 +173,7 @@ class TestKrylovFlow:
         d = distance_to_boundary(mesh32)
         M = spec.disc.mass
         flow = krylov_flow(bump_pair32, d, 0.15)
-        ref = evolve(spec, d, 0.15)
+        ref = evolve(ModalFlow(spec, d), 0.15)
         u_ref, F_ref = ref.u, ref.F
         assert l2_norm(flow.u - u_ref, M) <= 1e-12 * l2_norm(u_ref, M)  # measured 4.7e-15
         assert l2_norm(flow.F - F_ref, M) <= 1e-9 * l2_norm(F_ref, M)  # measured 3.2e-14
@@ -209,18 +212,16 @@ class TestKrylovFlow:
 
 class TestFLipschitz:
     def test_identical_pair_is_refused(self, mesh32, bump32, spectrum):
-        d = distance_to_boundary(mesh32)
-        spec = spectrum(mesh32, bump32, 8)
+        flow = ModalFlow(spectrum(mesh32, bump32, 8), distance_to_boundary(mesh32))
         with pytest.raises(ValueError, match="coincides"):
-            stability_ratio_experiment(bump32, bump32, d, np.linspace(1, 5, 9), spec, spec)
+            stability_ratio_experiment(bump32, bump32, np.linspace(1, 5, 9), flow, flow)
 
     def test_rejects_bad_time_grid(self, mesh32, bump32, spectrum):
-        d = distance_to_boundary(mesh32)
-        spec = spectrum(mesh32, bump32, 8)
+        flow = ModalFlow(spectrum(mesh32, bump32, 8), distance_to_boundary(mesh32))
         with pytest.raises(ValueError, match="two positive times"):
-            stability_ratio_experiment(bump32, bump32, d, [1.0], spec, spec)
+            stability_ratio_experiment(bump32, bump32, [1.0], flow, flow)
         with pytest.raises(ValueError, match="two positive times"):
-            stability_ratio_experiment(bump32, bump32, d, [-1.0, 2.0], spec, spec)
+            stability_ratio_experiment(bump32, bump32, [-1.0, 2.0], flow, flow)
 
 
 class TestLowerBounds:
@@ -243,7 +244,7 @@ class TestLowerBounds:
 
     def test_report_minima_frozen(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)
-        rep = GroundComparison(bump_spec32, d).report(2.0)
+        rep = ModalFlow(bump_spec32, d).report(2.0)
         assert rep.all_positive
         assert rep.u_ratio_min == pytest.approx(0.20242208, abs=1e-7)
         assert rep.dudt_ratio_min == pytest.approx(4.30258701, abs=1e-7)
@@ -253,15 +254,21 @@ class TestLowerBounds:
         assert bump_spec32.hat_eigenvalues[0] == pytest.approx(21.25552253, abs=1e-6)
 
     def test_rejects_nonpositive_weight_or_time(self, mesh32, bump_spec32):
+        # a u0 without ground weight still has a flow; only the bounds refuse it
         d = distance_to_boundary(mesh32)
+        flow = ModalFlow(bump_spec32, -d)
+        assert flow.weight < 0
+        assert np.array_equal(evolve(flow, 2.0).u, -evolve(ModalFlow(bump_spec32, d), 2.0).u)
         with pytest.raises(ValueError, match="positive"):
-            GroundComparison(bump_spec32, -d)
+            flow.report(2.0)
         with pytest.raises(ValueError, match="positive"):
-            GroundComparison(bump_spec32, d).report(0.0)
+            flow.threshold([-1.0, 0.0])
+        with pytest.raises(ValueError, match="positive"):
+            ModalFlow(bump_spec32, d).report(0.0)
 
     def test_certified_threshold(self, mesh32, bump_spec32):
         d = distance_to_boundary(mesh32)
-        ground = GroundComparison(bump_spec32, d)
+        ground = ModalFlow(bump_spec32, d)
         assert ground.threshold([0.25, 0.5, 1.0, 2.0]) == 0.25  # every grid time passes
         assert ground.threshold([-1.0, 0.0]) is None
 
@@ -272,7 +279,7 @@ class TestLowerBounds:
         d = distance_to_boundary(mesh32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = GroundComparison(bump_spec32, d).report(T)
+            rep = ModalFlow(bump_spec32, d).report(T)
         c1 = bump_spec32.eigenvectors[:, 0] @ (bump_spec32.disc.mass_int @ d[bump_spec32.disc.interior])
         assert rep.all_positive
         assert rep.u_ratio_min == pytest.approx(c1, rel=1e-12)
@@ -280,7 +287,7 @@ class TestLowerBounds:
         assert rep.grad_ratio_min == pytest.approx(c1 ** 2, rel=1e-12)
 
     def test_a_nan_minimum_is_not_positive(self, mesh32, bump_spec32):
-        rep = GroundComparison(bump_spec32, distance_to_boundary(mesh32)).report(2.0)
+        rep = ModalFlow(bump_spec32, distance_to_boundary(mesh32)).report(2.0)
         assert rep.all_positive
         assert not dataclasses.replace(rep, grad_ratio_min=float("nan")).all_positive
         assert not dataclasses.replace(rep, u_ratio_min=float("nan")).all_positive
@@ -292,11 +299,11 @@ class TestLowerBounds:
         u0 = bump_spec32.disc.extend(0.3 * V[:, 0] + V[:, 1])
         grid = [0.02, 0.05, 0.1, 0.2]
         first = [t for t in grid
-                 if GroundComparison(bump_spec32, u0).report(t).all_positive][0]
+                 if ModalFlow(bump_spec32, u0).report(t).all_positive][0]
         gradients, conditions = [], []
         monkeypatch.setattr(heat, "nodal_gradients",
                             lambda mesh, w: gradients.append(1) or nodal_gradients(mesh, w))
         monkeypatch.setattr(heat, "check_u0_condition",
                             lambda disc, u: conditions.append(1) or check_u0_condition(disc, u))
-        assert GroundComparison(bump_spec32, u0).threshold(grid) == first == 0.1
+        assert ModalFlow(bump_spec32, u0).threshold(grid) == first == 0.1
         assert (len(gradients), len(conditions)) == (1 + 3, 1)  # phi1 once, u at 3 times

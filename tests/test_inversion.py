@@ -18,7 +18,7 @@ from heatcoef.fem import (
     l2_norm,
     make_field,
 )
-from heatcoef.heat import evolve
+from heatcoef.heat import ModalFlow, evolve
 from heatcoef.inversion import (
     TransportSolveError,
     _normal_solve,
@@ -61,7 +61,7 @@ def bump_snapshot(mesh32, bump32, bump_spec32):
     """Forward data (u_T, lam1, F) for the bump coefficient at T=0.15."""
     d = distance_to_boundary(mesh32)
     T = 0.15
-    snap = evolve(bump_spec32, d, T)
+    snap = evolve(ModalFlow(bump_spec32, d), T)
     return d, T, snap.u, float(bump_spec32.hat_eigenvalues[0]), snap.F
 
 
@@ -297,7 +297,7 @@ class TestFixedPointInvert:
     def test_constant_coefficient_in_one_step(self, mesh32, disc32, unit_spec32):
         d = distance_to_boundary(mesh32)
         unit = make_coefficient(mesh32, "constant", {"value": 1.0}, 2.0)
-        u_T = evolve(unit_spec32, d, 2.0).u
+        u_T = evolve(ModalFlow(unit_spec32, d), 2.0).u
         rep = fixed_point_invert(disc32, d, u_T, unit.values, 2.0, 2.0)
         assert rep.converged
         assert rep.iterations <= 2  # measured 1
@@ -319,8 +319,8 @@ class TestFixedPointInvert:
 
     def test_reads_only_the_boundary_entries_of_a0(self, disc32, bump32, bump_snapshot,
                                                    monkeypatch):
-        # the runner passes the coefficient's full values as a0: NaN at
-        # every interior node must not reach the reconstruction
+        # the runner passes the trace alone, NaN at every interior node, as
+        # a0: the NaNs must not reach the reconstruction
         monkeypatch.setattr(inversion, "_MAX_ITER", 3)
         d, T, u_T, _, _ = bump_snapshot
         blind = bump32.values.copy()
@@ -388,7 +388,7 @@ class TestFixedPointInvert:
         assert ground.K == 1
         assert ground.eigenvalues[0] == pytest.approx(bump_spec32.eigenvalues[0], rel=1e-12)
         # the spectral F of the K=8 spectrum, (lambda_1 - lambda_2) e^{-lambda_2 T} phi_2
-        ref = evolve(bump_spec32, phi2, 0.15).F
+        ref = evolve(ModalFlow(bump_spec32, phi2), 0.15).F
         M = bump_spec32.disc.mass
         assert l2_norm(F - ref, M) <= 1e-12 * l2_norm(ref, M)  # measured 7.6e-15
 
@@ -407,7 +407,7 @@ class TestFixedPointInvert:
         bump = make_coefficient(mesh16, "gaussian-bump", None, 2.0)
         spec = spectrum(mesh16, bump, 40)
         d = distance_to_boundary(mesh16)
-        u_T = evolve(spec, d, 0.15).u
+        u_T = evolve(ModalFlow(spec, d), 0.15).u
         stalled = fixed_point_invert(spec.disc, d, u_T, bump.values, 2.0, 0.15)
         assert not stalled.converged
         assert stalled.iterations < inversion._MAX_ITER  # measured 10
@@ -427,8 +427,9 @@ class TestStabilityExperiment:
     def test_close_pair_rate_and_bracket(self, mesh32, bump32, spectrum):
         other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
         d = distance_to_boundary(mesh32)
-        tab = stability_ratio_experiment(bump32, other, d, [0.15, 0.3, 0.6, 1.2],
-                                         spectrum(mesh32, bump32, 8), spectrum(mesh32, other, 8))
+        tab = stability_ratio_experiment(bump32, other, [0.15, 0.3, 0.6, 1.2],
+                                         ModalFlow(spectrum(mesh32, bump32, 8), d),
+                                         ModalFlow(spectrum(mesh32, other, 8), d))
         assert not tab.indistinguishable.any()
         assert np.all(np.diff(tab.rho) > 0)  # conditioning degrades with T
         assert tab.fitted_rate == pytest.approx(19.434238, abs=1e-4)
@@ -442,8 +443,9 @@ class TestStabilityExperiment:
         other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
         d = distance_to_boundary(mesh32)
         ts = np.linspace(1.0, 5.0, 9)
-        tab = stability_ratio_experiment(bump32, other, d, ts,
-                                         spectrum(mesh32, bump32, 40), spectrum(mesh32, other, 40))
+        tab = stability_ratio_experiment(bump32, other, ts,
+                                         ModalFlow(spectrum(mesh32, bump32, 40), d),
+                                         ModalFlow(spectrum(mesh32, other, 40), d))
         assert tab.coeff_diff == pytest.approx(0.01524830, abs=1e-7)
         assert np.all(np.diff(tab.F_ratio) < 0)
         assert abs(tab.F_slope + tab.beta2) / tab.beta2 < 0.05  # measured 2.26e-4
@@ -454,13 +456,14 @@ class TestStabilityExperiment:
         spec, spec_t = spectrum(mesh16, bump, 8), spectrum(mesh16, two, 8)
         d = distance_to_boundary(mesh16)
         ts = np.array([0.15, 0.3, 0.6, 1.2])
-        tab = stability_ratio_experiment(bump, two, d, ts, spec, spec_t)
+        flow, flow_t = ModalFlow(spec, d), ModalFlow(spec_t, d)
+        tab = stability_ratio_experiment(bump, two, ts, flow, flow_t)
 
         disc = spec.disc
         cdiff = l2_norm(bump.values - two.values, disc.mass)
         l2d, h2d, fdiff = np.empty(4), np.empty(4), np.empty(4)
         for i, t in enumerate(ts):
-            snap, snap_t = evolve(spec, d, t), evolve(spec_t, d, t)
+            snap, snap_t = evolve(flow, t), evolve(flow_t, t)
             norms = compute_norms(snap.u - snap_t.u, disc)
             l2d[i], h2d[i] = norms.l2, norms.h2_surrogate
             fdiff[i] = l2_norm(disc.restrict(snap.F - snap_t.F), disc.mass_int)
@@ -470,12 +473,14 @@ class TestStabilityExperiment:
                           (tab.rho, cdiff / h2d), (tab.F_diff, fdiff), (tab.F_ratio, fdiff / cdiff)):
             assert np.array_equal(got, want)
 
-    def test_warm_unit_ground_matches_arpack(self, mesh32, bump32, spectrum):
+    def test_unit_ground_matches_arpack(self, mesh32, bump32, spectrum):
+        # l_1(1) is the grid's memoized unit spectrum; a cold ARPACK solve of
+        # the unit pencil must give the same eigenvalue
         other = make_coefficient(mesh32, "gaussian-bump", {"amplitude": 0.45}, 2.0)
         d = distance_to_boundary(mesh32)
         spec = spectrum(mesh32, bump32, 8)
-        tab = stability_ratio_experiment(bump32, other, d, [0.15, 0.3], spec,
-                                         spectrum(mesh32, other, 8))
+        tab = stability_ratio_experiment(bump32, other, [0.15, 0.3], ModalFlow(spec, d),
+                                         ModalFlow(spectrum(mesh32, other, 8), d))
         cold = spectral.solve_generalized_eig(spec.disc.unit_pair, 1).eigenvalues[0]
         assert tab.lambda1_unit == pytest.approx(cold, rel=1e-12, abs=0.0)
 
@@ -487,25 +492,23 @@ class TestStabilityExperiment:
         ts = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         eta = direction_values(mesh32, "gaussian-bump")
         near = make_field(mesh32, bump32.values + 1e-13 * eta, bump32.a_plus)
-        tab = stability_ratio_experiment(bump32, near, d, ts, spectrum(mesh32, bump32, 8),
-                                         spectrum(mesh32, near, 8))
+        tab = stability_ratio_experiment(bump32, near, ts, ModalFlow(spectrum(mesh32, bump32, 8), d),
+                                         ModalFlow(spectrum(mesh32, near, 8), d))
         assert tab.indistinguishable.all()
         assert np.isnan(tab.rho).all()
 
         bump, two = (make_coefficient(mesh32, kind, None, 2.0) for kind in ("gaussian-bump", "two-bump"))
-        tab = stability_ratio_experiment(bump, two, d, ts, spectrum(mesh32, bump, 8),
-                                         spectrum(mesh32, two, 8))
+        tab = stability_ratio_experiment(bump, two, ts, ModalFlow(spectrum(mesh32, bump, 8), d),
+                                         ModalFlow(spectrum(mesh32, two, 8), d))
         assert tab.l2_udiff[-1] < 1e-14
         assert not tab.indistinguishable[-1]
 
     def test_identical_pair_is_refused(self, mesh32, bump32, spectrum):
-        d = distance_to_boundary(mesh32)
-        spec = spectrum(mesh32, bump32, 8)
+        flow = ModalFlow(spectrum(mesh32, bump32, 8), distance_to_boundary(mesh32))
         with pytest.raises(ValueError, match="coincides"):
-            stability_ratio_experiment(bump32, bump32, d, np.linspace(1, 5, 9), spec, spec)
+            stability_ratio_experiment(bump32, bump32, np.linspace(1, 5, 9), flow, flow)
 
     def test_rejects_bad_grid(self, mesh32, bump32, spectrum):
-        d = distance_to_boundary(mesh32)
-        spec = spectrum(mesh32, bump32, 4)
+        flow = ModalFlow(spectrum(mesh32, bump32, 4), distance_to_boundary(mesh32))
         with pytest.raises(ValueError, match="two positive times"):
-            stability_ratio_experiment(bump32, bump32, d, [1.0], spec, spec)
+            stability_ratio_experiment(bump32, bump32, [1.0], flow, flow)

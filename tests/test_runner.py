@@ -338,20 +338,18 @@ def test_a_warm_grid_carries_no_state_between_runs(tmp_path):
             assert re.search(r" (fit_)?points=\d+$", line), line
 
 
-@pytest.mark.parametrize("mode, per_time, once", [("forward", 1, 3), ("stability-sweep", 2, 1)])
-def test_each_spectrum_is_projected_once_per_time(mode, per_time, once, tmp_path, monkeypatch):
-    # forward: one evolve per grid time, one at T, one cluster_weights for
-    # the F-decay fit and one GroundComparison for both the lower bounds at
-    # T and the certified threshold;
-    # stability-sweep: one evolve per spectrum per time and one comparison.
+@pytest.mark.parametrize("mode, flows", [("forward", 1), ("stability-sweep", 2)])
+def test_each_spectrum_is_projected_once(mode, flows, tmp_path, monkeypatch):
+    # forward: one ModalFlow gives every evolve, the F-decay fit's cluster
+    # weights, the lower bounds at T and the certified threshold;
+    # stability-sweep: one flow per spectrum
     calls = []
-    mode_data = heat._mode_data
-    monkeypatch.setattr(heat, "_mode_data",
-                        lambda spec, u0: calls.append(spec) or mode_data(spec, u0))
-    s = parse_config_text(MODE_CONFIGS[mode])
-    art = run_scenario(s, mode, tmp_path)
+    init = heat.ModalFlow.__init__
+    monkeypatch.setattr(heat.ModalFlow, "__init__",
+                        lambda flow, spec, u0: calls.append(spec) or init(flow, spec, u0))
+    art = run_scenario(parse_config_text(MODE_CONFIGS[mode]), mode, tmp_path)
     assert art.all_pass, art.summary_lines
-    assert len(calls) == per_time * runner._time_grid(s).size + once
+    assert len(calls) == len({id(spec) for spec in calls}) == flows
 
 
 def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch, cold_grids):
@@ -627,8 +625,8 @@ def test_decay_envelope_fail_names_the_grid_index(tmp_path, monkeypatch):
     # the snapshot at T = 2.5, the 4th time of the default grid, is doubled
     evolve = runner.evolve
 
-    def doubled(spec, u0, t):
-        snap = evolve(spec, u0, t)
+    def doubled(flow, t):
+        snap = evolve(flow, t)
         return dataclasses.replace(snap, u=2 * snap.u) if t == 2.5 else snap
     monkeypatch.setattr(runner, "evolve", doubled)
     art = run_scenario(parse_config_text(FORWARD_16), "forward", tmp_path)
