@@ -31,10 +31,10 @@ cached positions.  A pencil's A(a) - sigma M (OperatorPair.pencil_factor)
 skips the sparse subtraction: the Discretization keeps the band positions
 of the pattern of A(a)_II and M_II's values there, so its band is one
 scatter of the stiffness data, and Discretization.mass_int_factor one
-scatter of those values.  The unit pencil A(1)_II, M_II is coefficient-free
-too: Discretization.unit_spectra memoizes its spectra (read-only arrays,
-one entry per K) for spectral.unit_spectrum, so the min-max sandwich's A(1)
-spectrum and the stability sweep's lambda_1(1) are solved once per grid.
+scatter of those values.  Discretization.spectra is spectral's memo of the
+grid's pencil solves (read-only arrays and a flow cut's inertia count per
+pencil and K), so a pencil that several runs read, as the unit pencil
+A(1)_II, M_II of the min-max sandwich and the sweep, is solved once per grid.
 symmetric_factor returns the negative-pivot count of the package's only
 sparse LU: the inertia of an indefinite A - sigma M, which
 spectral.solve_flow_spectrum reads to count the eigenvalues below sigma.
@@ -42,6 +42,7 @@ spectral.solve_flow_spectrum reads to count the eigenvalues below sigma.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -84,8 +85,8 @@ _ADMISSIBILITY_TOL = 1e-12
 
 # Grids grid() keeps.  One holds about 1.2 MB at 32x32, 3.0 MB at 48x48 and
 # 5.8 MB at 64x64 once a run has built its map, band index and mass factor,
-# plus its memoized unit spectra: 8 K n_interior bytes each, 0.3 MB for
-# K=40 at 32x32 and 1.3 MB at 64x64.
+# plus its spectrum memo of spectral.SPECTRUM_MEMO_SIZE = 4 entries, at K=40
+# 1.2 MB at 32x32 and 5.1 MB at 64x64.
 # Every caller reads one size at a time; a second entry keeps that grid
 # across a run at another size, as run_all.py's 64x64 scenario among its
 # 32x32 ones.
@@ -118,8 +119,8 @@ class Discretization:
     mass_int : the interior block M_II.
     The interior rows S_II of S, unit_stiffness (the full A(1)), the band
     index of the pencils (_pencil_band), mass_int_factor (M_II's values
-    scattered into that band, factored) and unit_spectra are built on first
-    use; none refers back to the Discretization (no cycle).
+    scattered into that band, factored) and the spectrum memo spectra are
+    built on first use; none refers back to the Discretization (no cycle).
     """
 
     mesh: Mesh
@@ -171,11 +172,11 @@ class Discretization:
         return lu
 
     @cached_property
-    def unit_spectra(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """K -> read-only (eigenvalues, eigenvectors, multiplicities) of unit_pair,
-        filled by spectral.unit_spectrum; arrays only, since a decomposition
-        points back at its Discretization."""
-        return {}
+    def spectra(self) -> OrderedDict:
+        """spectral's memo of the solves of this grid's pencils, least recently
+        used first; its entries hold arrays only, since a decomposition points
+        back at its Discretization."""
+        return OrderedDict()
 
     @property
     def unit_pair(self) -> OperatorPair:

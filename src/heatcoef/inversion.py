@@ -65,7 +65,6 @@ from .spectral import (
     certify_ground,
     solve_generalized_eig,
     solve_ground_pair,
-    unit_spectrum,
 )
 
 __all__ = [
@@ -497,8 +496,8 @@ def stability_ratio_experiment(
     truncation bound of every snapshot from min(T_grid) on).  Per T the
     pass evolves each flow once; the two snapshots give the stability
     ratio rho(T) and their correction fields the Lipschitz quotient of F.
-    The unit pencil of the grid gives the H2 norms, and its ground
-    eigenvalue l_1(1) is the grid's memoized spectral.unit_spectrum(disc, 1).
+    The unit pencil of the grid gives the H2 norms and, by the grid's
+    memoized solve_generalized_eig(disc.unit_pair, 1), l_1(1).
     a and a_tilde are admissible, as every CoefficientField is
     (fem.make_field).
     A time T is flagged indistinguishable, and left out of the rate fit,
@@ -522,7 +521,7 @@ def stability_ratio_experiment(
     lam1, lam1t = float(spec.hat_eigenvalues[0]), float(spec_t.hat_eigenvalues[0])
     lam2 = float(spec.hat_eigenvalues[1])
     recip_gap = abs(1.0 / lam1 - 1.0 / lam1t)
-    lam1_unit = float(unit_spectrum(disc, 1).eigenvalues[0])
+    lam1_unit = float(solve_generalized_eig(disc.unit_pair, 1).eigenvalues[0])
 
     l2d = np.empty(grid.size)
     h2d = np.empty(grid.size)

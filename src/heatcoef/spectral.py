@@ -11,8 +11,8 @@ matrix, it proves A positive definite for ARPACK's L and A - sigma M for
 the two ground solves below.  solve_flow_spectrum solves only the pairs a heat flow from
 a given earliest time can see, and its count of the eigenvalues below the
 cut, the inertia of the indefinite A - sigma M by fem.symmetric_factor,
-proves that none was skipped.  unit_spectrum solves the coefficient-free
-unit pencil disc.unit_pair once per Discretization and K.
+proves that none was skipped.  Both read the grid's memo disc.spectra, so
+a pencil's solve for a K, and its cut's count, are paid once per grid.
 solve_ground_pair is the warm K=1 solve of a pencil close to one already
 solved: shifted inverse iteration from the known ground pair, with the
 shift certified below lambda_1 by the Cholesky factor of A - sigma M, and
@@ -28,6 +28,7 @@ shifts (Kato) and projection differences (Davis-Kahan).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,7 +55,6 @@ __all__ = [
     "ProjectionPerturbationTable",
     "EigensolverError",
     "solve_generalized_eig",
-    "unit_spectrum",
     "solve_flow_spectrum",
     "solve_ground_pair",
     "certify_ground",
@@ -107,6 +107,12 @@ _GROUND_MAX_ITER = 20
 # eigenvalue that must hold lambda_1.  The Cholesky test resolves 1e-12 on the
 # bump and unit pencils at 32^2 to 128^2.
 _GROUND_AGREEMENT = 1e-10
+
+# Entries of a grid's spectrum memo (disc.spectra), least recently used out
+# first: one run's working set.  verify-spectral of the unit coefficient
+# reads four (K=40, three K=11), a stability sweep three (a, a~, unit K=1).
+# An entry holds 8 K n_interior bytes, 1.3 MB for K=40 at 64^2.
+SPECTRUM_MEMO_SIZE = 4
 
 # solve_flow_spectrum starts at _FLOW_K_START pairs and doubles K up to its
 # cap.  It accepts a cut whose dropped tail, against cluster 2, the heat
@@ -213,8 +219,35 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
     stiffness it rejects raises EigensolverError.  The start vector is
     fixed.  Only a pencil too small for ARPACK's default Lanczos basis of
     2K + 1 vectors takes the dense LAPACK path.  Eigenvalues are clustered
-    by CLUSTER_TOL.
+    by CLUSTER_TOL.  Memoized per pencil and K (_memo_entry), read-only.
     """
+    vals, vecs, mults, _ = _memo_entry(pair, K)
+    return SpectralDecomposition(vals, vecs, mults, pair.disc)
+
+
+def _memo_entry(pair: OperatorPair, K: int) -> tuple:
+    """pair.disc.spectra's entry of the pencil and K, solved (_solve) on a miss:
+    the read-only eigenvalues, eigenvectors and multiplicities (arrays only, as
+    a decomposition points back at its Discretization) and the inertia counts
+    of A - sigma M by sigma that solve_flow_spectrum fills.  K and a SHA-256
+    digest of the stiffness key it (M is the grid's M_II).  Each K is a solve
+    of its own, whatever ran on the grid before; a failed solve leaves none."""
+    A = pair.stiffness
+    key = (hashlib.sha256(b"".join(v.tobytes() for v in (A.data, A.indices, A.indptr))).digest(), K)
+    memo = pair.disc.spectra
+    if key not in memo:
+        vals, vecs = _solve(pair, K)
+        memo[key] = (vals, vecs, strictify_spectrum(vals), {})
+        for v in memo[key][:3]:
+            v.flags.writeable = False
+        if len(memo) > SPECTRUM_MEMO_SIZE:
+            memo.popitem(last=False)
+    memo.move_to_end(key)
+    return memo[key]
+
+
+def _solve(pair: OperatorPair, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of solve_generalized_eig, solved afresh."""
     n = pair.stiffness.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"requested K={K} eigenpairs from a pencil of size {n}")
@@ -252,26 +285,7 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
     # every other column: its largest-magnitude entry positive
     lead = np.argmax(np.abs(vecs[:, 1:]), axis=0)
     vecs[:, 1:] *= np.where(vecs[lead, np.arange(1, K)] < 0, -1.0, 1.0)
-
-    return SpectralDecomposition(vals, vecs, strictify_spectrum(vals), pair.disc)
-
-
-def unit_spectrum(disc: Discretization, K: int) -> SpectralDecomposition:
-    """solve_generalized_eig(disc.unit_pair, K), solved once per disc and K.
-
-    The first call for a K stores the solve's arrays, read-only, in
-    disc.unit_spectra; every call wraps them in a new decomposition, since a
-    stored one would point back at disc.  Each K is a solve of its own,
-    never the leading pairs of a larger K, so a run reads the same values
-    whatever ran on the grid before it.
-    """
-    if K not in disc.unit_spectra:
-        spec = solve_generalized_eig(disc.unit_pair, K)
-        arrays = (spec.eigenvalues, spec.eigenvectors, spec.multiplicities)
-        for v in arrays:
-            v.flags.writeable = False
-        disc.unit_spectra[K] = arrays
-    return SpectralDecomposition(*disc.unit_spectra[K], disc)
+    return vals, vecs
 
 
 @dataclass(frozen=True)
@@ -324,13 +338,14 @@ def solve_flow_spectrum(
     shift-invert Lanczos, Grimes-Lewis-Simon, SIMAX 15, 1994), and every
     dropped mode decays at least like e^{-sigma t}.  When K_max is reached
     without acceptance the K_max solve is returned whole and the cutoff
-    says it is uncertified.
+    says it is uncertified.  The count is kept in the solve's memo entry.
     """
     if not t_min > 0:
         raise ValueError(f"earliest flow time must be positive, got {t_min}")
     K = min(_FLOW_K_START, K_max)
     while True:
-        spec = solve_generalized_eig(pair, K)
+        *arrays, counts = _memo_entry(pair, K)
+        spec = SpectralDecomposition(*arrays, pair.disc)
         sigma = float(spec.eigenvalues[-1]) * (1.0 - CLUSTER_TOL)
         kept = int(np.count_nonzero(spec.eigenvalues < sigma))
         lead = spec.leading(kept) if kept else None
@@ -339,7 +354,9 @@ def solve_flow_spectrum(
         # A tail above the bound rejects the cut whatever the inertia says,
         # so a solve below the cap doubles K without counting.
         if tail <= FLOW_TAIL_TOL or K >= K_max:
-            count = symmetric_factor(pair.stiffness - sigma * pair.mass)
+            if sigma not in counts:
+                counts[sigma] = symmetric_factor(pair.stiffness - sigma * pair.mass)
+            count = counts[sigma]
             certified = count == kept and tail <= FLOW_TAIL_TOL
             if certified or K >= K_max:
                 out = lead if certified else spec

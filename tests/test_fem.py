@@ -23,7 +23,7 @@ from heatcoef.fem import (
 )
 from heatcoef.heat import ModalFlow, evolve
 from heatcoef.mesh import Mesh, build_structured_mesh, distance_to_boundary, grid_text
-from heatcoef.spectral import solve_generalized_eig, unit_spectrum
+from heatcoef.spectral import solve_generalized_eig
 
 
 def reference_triangle():
@@ -326,7 +326,9 @@ SHARED_ARRAYS = {
     "unit_stiffness.indptr": lambda d: d.unit_stiffness.indptr,
     "pencil band mass values": lambda d: d._pencil_band[2],
     "mass_int_factor.band": lambda d: d.mass_int_factor.band,
-    "unit spectrum eigenvectors": lambda d: unit_spectrum(d, 2).eigenvectors,
+    "unit spectrum eigenvectors": lambda d: solve_generalized_eig(d.unit_pair, 2).eigenvectors,
+    "memoized eigenvalues": lambda d: solve_generalized_eig(d.pair(1.5), 3).eigenvalues,
+    "memoized multiplicities": lambda d: solve_generalized_eig(d.pair(1.5), 3).multiplicities,
 }
 
 

@@ -16,7 +16,8 @@ Tolerances:
 - Inversions: _INVERSION_TOL, a hundredth of TOL_FP.  Both runs take the
   same steps, and rounding enters each step's transport solve, whose
   normal block is conditioned near 6e5; they agree far below the step at
-  which the inversion stops (measured 4.6e-13 to 9.8e-13).
+  which the inversion stops (measured 4.6e-13 to 9.8e-13, the same
+  through configs and written a_rec.grid files).
 """
 
 import numpy as np
@@ -26,7 +27,9 @@ from heatcoef.catalog import make_coefficient
 from heatcoef.fem import grid, make_field
 from heatcoef.heat import krylov_flow
 from heatcoef.inversion import TOL_FP, fixed_point_invert
-from heatcoef.mesh import distance_to_boundary
+from heatcoef.mesh import distance_to_boundary, read_grid
+from heatcoef.runner import run_scenario, write_reports
+from heatcoef.scenario import parse_config_text
 from heatcoef.spectral import solve_generalized_eig
 
 N, T, A_PLUS, SCALE, K = 16, 0.15, 2.0, 1.2, 20
@@ -112,6 +115,24 @@ def test_scaling_the_coefficient_runs_the_clock_faster(base, reference):
     flow_c, flow_t = krylov_flow(pair_c, d, T), krylov_flow(disc.pair(a.values), d, SCALE * T)
     assert _rel(flow_c.u, flow_t.u) <= _ROUNDING  # measured 6.8e-15
     assert _rel(flow_c.F, SCALE * flow_t.F) <= _ROUNDING  # measured 2.0e-14
+
+
+def test_swapped_bump_centres_write_transposed_a_rec_grids(tmp_path):
+    # end to end through configs: the bundled bump centred at (0.3, 0.4) and
+    # at (0.4, 0.3) are transposed coefficients, u0 = d_Omega is fixed by
+    # the transpose, so the written reconstructions are transposed grids
+    recs = []
+    for cx, cy in ((0.3, 0.4), (0.4, 0.3)):
+        out = tmp_path / f"{cx}_{cy}"
+        art = run_scenario(parse_config_text(
+            f"name = bump\ncoefficient = gaussian-bump\ncoefficient.center_x = {cx}\n"
+            f"coefficient.center_y = {cy}\nnx = {N}\nny = {N}\nT = {T}\n"), "invert", out)
+        assert art.all_pass, art.summary_lines
+        assert "after 5 iteration(s)" in next(line for line in art.summary_lines
+                                             if "fixed-point-converged" in line)
+        write_reports(art)
+        recs.append(read_grid(out / "a_rec.grid")[2])
+    assert _rel(recs[1], recs[0][SYMMETRIES["transpose"]]) <= _INVERSION_TOL  # measured 9.8e-13
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the inversion's fixed point is not "

@@ -353,14 +353,14 @@ def test_each_spectrum_is_projected_once(mode, flows, tmp_path, monkeypatch):
 
 
 def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch, cold_grids):
-    # a = 1 (K=40), the grid's unit spectrum, whose first 20 pairs are the
+    # a = 1 (K=40), the unit pencil itself, whose first 20 pairs are the
     # min-max sandwich's and whose first 11 are the base of one perturbation
     # sweep that solves a + s*eta for three scales (K=11 each: its rows read
     # 10 pairs).  On a cold grid the run builds the stiffness map of its mesh
-    # once and reads 5 pencils from it (the run's a, the unit pencil of the
-    # K=40 solve, three a + s*eta); nothing assembles A(a) anew.  A second
-    # run reads the warm grid's map and unit spectrum: 4 pencils, no K=40.
-    solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
+    # once and reads 4 pencils from it (the run's a, three a + s*eta);
+    # nothing assembles A(a) anew.  A second run reads the warm grid's map
+    # and its memo of all four solves: 4 pencils, no solve.
+    solves = _count_calls(monkeypatch, spectral._solve)
     maps = _count_calls(monkeypatch, fem._stiffness_map)
     assemblies = _count_calls(monkeypatch, fem.assemble_stiffness)
     pencils, pair = [], fem.Discretization.pair
@@ -371,23 +371,23 @@ def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch, 
     monkeypatch.setattr(fem.Discretization, "pair", counted_pair)
     run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path / "cold")
     assert [K for _, K in solves] == [40, 11, 11, 11]
-    assert (len(maps), len(pencils), len(assemblies)) == (1, 5, 0)
+    assert (len(maps), len(pencils), len(assemblies)) == (1, 4, 0)
     run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path / "warm")
-    assert [K for _, K in solves] == [40, 11, 11, 11] + [11, 11, 11]
-    assert (len(maps), len(pencils), len(assemblies)) == (1, 9, 0)
+    assert [K for _, K in solves] == [40, 11, 11, 11]
+    assert (len(maps), len(pencils), len(assemblies)) == (1, 8, 0)
 
 
 @pytest.mark.parametrize("mode,text,expected", [
     ("forward", FORWARD_16, [8]),
     # the flow spectra of a and a~, then the cold grid's unit ground pair
-    # (spectral.unit_spectrum, K=1), which a warm grid would not solve again
+    # (K=1), which a warm grid would not solve again
     ("stability-sweep", SWEEP_16, [8, 8, 1]),
 ])
 def test_first_eigenfunction_reads_the_mode_spectrum(tmp_path, monkeypatch, cold_grids, mode, text,
                                                      expected):
     # u0 is the ground vector of the flow spectrum the mode solves anyway,
     # not of a K=1 solve of its own: one solve of the coefficient's pencil.
-    solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
+    solves = _count_calls(monkeypatch, spectral._solve)
     art = run_scenario(parse_config_text(text + "u0 = first-eigenfunction\n"), mode, tmp_path)
     assert art.all_pass, art.summary_lines
     assert [K for _, K in solves] == expected
@@ -548,16 +548,19 @@ def test_unit_coefficient_forward_fits_F_where_its_first_tail_cluster_dominates(
     (lambda: parse_config(SCENARIO_DIR / "forward_decay.cfg"), [12], 11),
 ], ids=["unit_fwd", "forward_decay"])
 def test_flow_spectrum_counts_inertia_only_where_the_tail_passes_or_at_the_cap(
-        tmp_path, monkeypatch, scenario, solved, count):
+        tmp_path, monkeypatch, cold_grids, scenario, solved, count):
     # From t_min = 0.05 the tails of the K=12 and K=24 cuts of the unit
     # pencil fail the bound, so only the capped K=40 solve pays for an
     # inertia count; the bundled forward's first cut is counted and accepted.
-    solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
+    # A second run reads the solves and the count from the grid's memo.
+    solves = _count_calls(monkeypatch, spectral._solve)
     counts = _count_calls(monkeypatch, fem.symmetric_factor)
-    art = run_scenario(scenario(), "forward", tmp_path)
+    lines = [run_scenario(scenario(), "forward", tmp_path / run).summary_lines
+             for run in ("cold", "warm")]
     assert [K for _, K in solves] == solved
     assert len(counts) == 1
-    assert f", count={count}, " in _line(art.summary_lines, "flow-spectrum")
+    assert f", count={count}, " in _line(lines[0], "flow-spectrum")
+    assert lines[0] == lines[1]
 
 
 def test_modes_below_the_certified_K_warn_and_keep_every_pair(tmp_path):
@@ -691,7 +694,7 @@ def test_verify_spectral_of_a_non_unit_coefficient_solves_the_unit_pencil(tmp_pa
 
 def test_non_unit_runs_on_a_warm_grid_solve_the_unit_spectrum_once(tmp_path, monkeypatch,
                                                                    cold_grids):
-    solves = _count_calls(monkeypatch, spectral.solve_generalized_eig)
+    solves = _count_calls(monkeypatch, spectral._solve)
     text = FORWARD_16.replace("modes = 8", "modes = 24")
     manifests = []
     for run in ("cold", "warm"):
@@ -699,23 +702,67 @@ def test_non_unit_runs_on_a_warm_grid_solve_the_unit_spectrum_once(tmp_path, mon
         assert _line(art.summary_lines, "minmax-sandwich").startswith("PASS ")
         write_reports(art)
         manifests.append((tmp_path / run / "manifest.txt").read_bytes())
-    assert [K for _, K in solves] == [24, 20, 24]
+    assert [K for _, K in solves] == [24, 20]
     assert manifests[0] == manifests[1]
 
 
-def test_a_memoized_unit_spectrum_holds_no_reference_cycle(tmp_path, cold_grids):
+def test_the_spectrum_memo_holds_no_reference_cycle(tmp_path, cold_grids):
     # with the cyclic collector off, only reference counts can free the grid
     gc.disable()
     try:
-        art = run_scenario(parse_config_text(VERIFY_16), "verify-spectral", tmp_path)
+        arts = [run_scenario(parse_config_text(text), mode, tmp_path / mode)
+                for mode, text in (("stability-sweep", SWEEP_16), ("verify-spectral", VERIFY_16))]
         disc = fem.grid(16, 16)
-        assert list(disc.unit_spectra) == [12]
+        # least recent first: the sweep's unit K=1, then verify-spectral's a
+        # (K=12) and two a + s*eta (K=11), which evicted the sweep's a and a~
+        assert [K for _, K in disc.spectra] == [1, 12, 11, 11]
         ref = weakref.ref(disc)
         fem.grid.cache_clear()
-        del art, disc
+        del arts, disc
         assert ref() is None
     finally:
         gc.enable()
+
+
+# forward_sweep48's pair of runs on the bundled bump: forward from t_min = 1,
+# then the stability sweep against two-bump from t_min = 0.5
+_FORWARD_48 = """\
+name = fwd48
+nx = 48
+ny = 48
+coefficient = gaussian-bump
+u0 = d_Omega
+T = 2.0
+T_grid = 1.0,1.5,2.0,2.5,3.0
+"""
+_SWEEP_48 = _FORWARD_48.replace("fwd48", "sweep48").replace(
+    "T = 2.0\nT_grid = 1.0,", "perturbation = two-bump\nT = 0.5\nT_grid = 0.5,")
+_RUNS_48 = {"forward": _FORWARD_48, "stability-sweep": _SWEEP_48}
+
+
+def test_a_sweep_after_a_forward_run_solves_only_what_is_new(tmp_path, monkeypatch, cold_grids):
+    # forward solves and counts a's flow spectrum; the sweep reads that entry
+    # and solves a~ (K=12, counted) and the unit pencil (K=1).  The same two
+    # runs again read every solve and count from the grid's memo.
+    solves = _count_calls(monkeypatch, spectral._solve)
+    counts = _count_calls(monkeypatch, fem.symmetric_factor)
+    for run in ("cold", "warm"):
+        for mode, text in _RUNS_48.items():
+            assert run_scenario(parse_config_text(text), mode, tmp_path / run / mode).all_pass
+        assert ([K for _, K in solves], len(counts)) == ([12, 12, 1], 2)
+
+
+@pytest.mark.parametrize("order", [("forward", "stability-sweep"), ("stability-sweep", "forward")])
+def test_runs_on_a_shared_memo_write_the_cold_manifests(tmp_path, order):
+    cold = {}
+    for mode, text in _RUNS_48.items():
+        fem.grid.cache_clear()
+        write_reports(run_scenario(parse_config_text(text), mode, tmp_path / "cold" / mode))
+        cold[mode] = (tmp_path / "cold" / mode / "manifest.txt").read_bytes()
+    fem.grid.cache_clear()
+    for mode in order:
+        write_reports(run_scenario(parse_config_text(_RUNS_48[mode]), mode, tmp_path / "warm" / mode))
+        assert (tmp_path / "warm" / mode / "manifest.txt").read_bytes() == cold[mode], mode
 
 
 def test_a_two_point_fit_warns(tmp_path):

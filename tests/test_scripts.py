@@ -176,12 +176,12 @@ def test_the_tracer_names_no_more_missing_functions_than_the_known_six():
 
 
 def _calls(tree, scope="<module>"):
-    """(innermost enclosing def, called name) of every call by a bare or dotted name."""
+    """(innermost enclosing def, called name, call node) of every call by a bare or dotted name."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, (ast.Name, ast.Attribute)):
-                yield scope, func.id if isinstance(func, ast.Name) else func.attr
+                yield scope, func.id if isinstance(func, ast.Name) else func.attr, node
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
         yield from _calls(node, inner)
 
@@ -194,10 +194,33 @@ def test_only_make_field_builds_and_checks_a_coefficient_field():
     files = sorted(package.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
     sites = sorted({(path.relative_to(SCRIPTS.parent).as_posix(), scope, name)
                     for path in files
-                    for scope, name in _calls(ast.parse(path.read_text(encoding="utf-8")))
+                    for scope, name, _ in _calls(ast.parse(path.read_text(encoding="utf-8")))
                     if name in ("CoefficientField", "validate_coefficient")})
     assert sites == [("src/heatcoef/fem.py", "make_field", "CoefficientField"),
                      ("src/heatcoef/fem.py", "make_field", "validate_coefficient")]
+
+
+def _solves_or_counts_a_pencil(name, call):
+    """ARPACK, the inertia count, or LAPACK's eigh given a second matrix (a pencil)."""
+    return name in ("eigsh", "symmetric_factor") or name == "eigh" and (
+        len(call.args) >= 2 or any(k.arg == "b" for k in call.keywords))
+
+
+def test_every_pencil_solve_and_inertia_count_goes_through_the_spectrum_memo():
+    # spectral._solve, behind the grid's memo (_memo_entry), is the one place
+    # that solves a pencil, and solve_flow_spectrum keeps its inertia count in
+    # the solve's memo entry; a solve or a count anywhere else is paid again
+    # by every run.  heat.krylov_flow's la.eigh(H) of the small Lanczos matrix
+    # solves no pencil.
+    package = SCRIPTS.parent / "src" / "heatcoef"
+    files = sorted(package.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    sites = sorted({(path.relative_to(SCRIPTS.parent).as_posix(), scope, name)
+                    for path in files
+                    for scope, name, call in _calls(ast.parse(path.read_text(encoding="utf-8")))
+                    if _solves_or_counts_a_pencil(name, call)})
+    assert sites == [("src/heatcoef/spectral.py", "_solve", "eigh"),
+                     ("src/heatcoef/spectral.py", "_solve", "eigsh"),
+                     ("src/heatcoef/spectral.py", "solve_flow_spectrum", "symmetric_factor")]
 
 
 def test_readme_names_and_the_modules_resolve_after_a_bare_package_import():

@@ -93,15 +93,22 @@ class TestSparseSolver:
                        eigvals_only=True, subset_by_index=(38, 40))
         assert vals[2] - vals[1] < 1e-12 * vals[1] < vals[1] - vals[0]
 
-    def test_arpack_failure_raises_eigensolver_error(self, unit_pair32, monkeypatch):
+    def test_arpack_failure_raises_eigensolver_error(self, mesh32, monkeypatch):
+        # on a grid of its own, whose memo holds no solve; a failure is not memoized
+        pair = discretize(mesh32).unit_pair
+        eigsh = spla.eigsh
+
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
                                            np.empty((0, 0)))
         monkeypatch.setattr(spla, "eigsh", no_convergence)
         with pytest.raises(EigensolverError, match="No convergence"):
-            solve_generalized_eig(unit_pair32, 1)
+            solve_generalized_eig(pair, 1)
+        assert not pair.disc.spectra
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        assert solve_generalized_eig(pair, 1).K == 1
 
-    def test_nan_back_transform_raises_eigensolver_error(self, unit_pair32, monkeypatch):
+    def test_nan_back_transform_raises_eigensolver_error(self, mesh32, monkeypatch):
         eigsh = spla.eigsh
 
         def nan_vector(*args, **kwargs):
@@ -110,7 +117,7 @@ class TestSparseSolver:
             return mu, Y
         monkeypatch.setattr(spla, "eigsh", nan_vector)
         with pytest.raises(EigensolverError, match="residual nan"):
-            solve_generalized_eig(unit_pair32, 4)
+            solve_generalized_eig(discretize(mesh32).unit_pair, 4)
 
     @pytest.mark.parametrize("nx", [32, 48])
     def test_matches_scipys_own_shift_invert(self, nx):
@@ -194,20 +201,25 @@ class TestSparseSolver:
 
 
 def _gapped_solver(solve, skip: int, times: int):
-    """solve_generalized_eig that, on its first `times` calls, misses pair
-    `skip` (0-based): it solves K + 1 pairs and returns the other K."""
+    """spectral._solve that, on its first `times` calls, misses pair `skip`
+    (0-based): it solves K + 1 pairs and returns the other K."""
     calls = []
 
     def gapped(pair, K):
         calls.append(K)
         if len(calls) > times:
             return solve(pair, K)
-        full = solve(pair, K + 1)
+        vals, vecs = solve(pair, K + 1)
         keep = np.delete(np.arange(K + 1), skip)
-        vals = full.eigenvalues[keep]
-        return SpectralDecomposition(vals, full.eigenvectors[:, keep], strictify_spectrum(vals),
-                                     full.disc)
+        return vals[keep], vecs[:, keep]
     return gapped, calls
+
+
+@pytest.fixture()
+def cold_bump_pair32(mesh32, bump32):
+    """bump_pair32 on a Discretization of its own, whose spectrum memo starts
+    empty and keeps a test's patched solves to itself."""
+    return discretize(mesh32).pair(bump32.values)
 
 
 class TestFlowSpectrum:
@@ -227,19 +239,19 @@ class TestFlowSpectrum:
         assert (cut.certified, cut.K, cut.count) == (True, 11, 11)
         assert list(spec.multiplicities) == [1, 2, 1, 2, 2, 2, 1]
 
-    def test_a_skipped_pair_grows_K(self, bump_pair32, monkeypatch):
-        gapped, calls = _gapped_solver(solve_generalized_eig, skip=3, times=1)
-        monkeypatch.setattr(spectral, "solve_generalized_eig", gapped)
-        spec, cut = solve_flow_spectrum(bump_pair32, 0.5, 40)
+    def test_a_skipped_pair_grows_K(self, bump_pair32, cold_bump_pair32, monkeypatch):
+        gapped, calls = _gapped_solver(spectral._solve, skip=3, times=1)
+        monkeypatch.setattr(spectral, "_solve", gapped)
+        spec, cut = solve_flow_spectrum(cold_bump_pair32, 0.5, 40)
         assert calls == [12, 24]
         assert cut.certified and cut.count == cut.kept == spec.K
         ref = solve_generalized_eig(bump_pair32, spec.K)
         assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues) / ref.eigenvalues) <= 1e-10
 
-    def test_a_pair_skipped_up_to_the_cap_is_reported(self, bump_pair32, monkeypatch):
-        gapped, calls = _gapped_solver(solve_generalized_eig, skip=3, times=3)
-        monkeypatch.setattr(spectral, "solve_generalized_eig", gapped)
-        spec, cut = solve_flow_spectrum(bump_pair32, 0.5, 40)
+    def test_a_pair_skipped_up_to_the_cap_is_reported(self, cold_bump_pair32, monkeypatch):
+        gapped, calls = _gapped_solver(spectral._solve, skip=3, times=3)
+        monkeypatch.setattr(spectral, "_solve", gapped)
+        spec, cut = solve_flow_spectrum(cold_bump_pair32, 0.5, 40)
         assert calls == [12, 24, 40]
         assert not cut.certified and cut.count == cut.kept + 1
         assert spec.K == cut.K == 40
@@ -259,6 +271,45 @@ class TestFlowSpectrum:
     def test_rejects_a_nonpositive_time(self, bump_pair32):
         with pytest.raises(ValueError, match="positive"):
             solve_flow_spectrum(bump_pair32, 0.0, 40)
+
+
+class TestSpectrumMemo:
+    """Discretization.spectra: one solve per pencil and K while its entry is held."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls, solve = [], spectral._solve
+
+        def counted(pair, K):
+            calls.append(K)
+            return solve(pair, K)
+        monkeypatch.setattr(spectral, "_solve", counted)
+        return calls
+
+    def test_a_repeated_solve_reads_the_memo(self, mesh16, monkeypatch):
+        solves = self.counted(monkeypatch)
+        disc = discretize(mesh16)
+        first = solve_generalized_eig(disc.pair(1.5), 3)
+        again = solve_generalized_eig(disc.pair(1.5), 3)  # another pair object, the same pencil
+        assert solves == [3]
+        assert again.eigenvectors is first.eigenvectors and again.disc is disc
+        # each K is a solve of its own, never the leading pairs of a larger K
+        assert solve_generalized_eig(disc.pair(1.5), 2).K == 2 and solves == [3, 2]
+
+    def test_the_least_recently_used_pencil_leaves_first(self, mesh16, monkeypatch):
+        solves = self.counted(monkeypatch)
+        disc = discretize(mesh16)
+        pairs = [disc.pair(1.0 + 0.1 * i) for i in range(spectral.SPECTRUM_MEMO_SIZE + 1)]
+        for pair in pairs:
+            solve_generalized_eig(pair, 1)
+        assert len(solves) == len(disc.spectra) + 1 == spectral.SPECTRUM_MEMO_SIZE + 1
+        solve_generalized_eig(pairs[1], 1)  # held, and now the most recent
+        assert len(solves) == spectral.SPECTRUM_MEMO_SIZE + 1
+        solve_generalized_eig(pairs[0], 1)  # the first pencil left the memo
+        assert len(solves) == spectral.SPECTRUM_MEMO_SIZE + 2
+        solve_generalized_eig(pairs[1], 1)  # still held: pairs[2] left instead
+        solve_generalized_eig(pairs[2], 1)
+        assert len(solves) == spectral.SPECTRUM_MEMO_SIZE + 3
 
 
 class TestGroundPair:
