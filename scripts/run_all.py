@@ -51,7 +51,7 @@ def main(argv=None) -> int:
         status = "ok" if artifact.all_pass else "FAILED CHECKS"
         any_fail |= not artifact.all_pass
         print(f"{cfg.stem:>16} [{mode}] {status}: {artifact.n_pass} passed, "
-              f"{artifact.n_fail} failed ({time.monotonic() - start:.1f}s) "
+              f"{artifact.n_fail} failed ({time.monotonic() - start:.3f}s) "
               f"-> {args.out / cfg.stem}")
         for line in artifact.summary_lines:
             if line.startswith("FAIL"):

@@ -83,13 +83,12 @@ __all__ = [
 # Roundoff allowance of validate_coefficient on the bounds.
 _ADMISSIBILITY_TOL = 1e-12
 
-# Grids grid() keeps.  One holds about 1.2 MB at 32x32, 3.0 MB at 48x48 and
-# 5.8 MB at 64x64 once a run has built its map, band index and mass factor,
-# plus its spectrum memo of spectral.SPECTRUM_MEMO_SIZE = 4 entries, at K=40
-# 1.2 MB at 32x32 and 5.1 MB at 64x64.
-# Every caller reads one size at a time; a second entry keeps that grid
-# across a run at another size, as run_all.py's 64x64 scenario among its
-# 32x32 ones.
+# Grids grid() keeps.  One holds about 1.2 / 3.0 / 5.8 MB at 32x32 / 48x48 /
+# 64x64 once a run has built its map, band index and mass factor, plus its
+# spectrum memo of spectral.SPECTRUM_MEMO_SIZE = 5 entries of 8 K n_interior
+# bytes (0.3 / 1.3 MB at K=40 and 32x32 / 64x64, 0.2 MB at K=12 and 48x48).
+# Every caller reads one size at a time; a second entry keeps that grid across
+# a run at another size, as run_all.py's 64x64 scenario among its 32x32 ones.
 _GRID_CACHE_SIZE = 2
 
 

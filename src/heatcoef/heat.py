@@ -111,7 +111,8 @@ def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
     _KRYLOV_START vectors by _KRYLOV_STEP until ||F_{m+step} - F_m||_M is at
     most _KRYLOV_TOL ||F||_M, and stops early on a happy breakdown, where
     the space is invariant and the flow exact; it cannot exceed the pencil
-    size.
+    size.  V, M V and H are filled in place, in Fortran order, with room for
+    twice the space; a space that outgrows it moves into twice its size.
     """
     if T <= 0:
         raise ValueError(f"snapshot time must be positive, got {T}")
@@ -119,8 +120,7 @@ def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
     u0 = np.asarray(u0, dtype=float)
     w = disc.restrict(u0)
     require_zero_boundary(u0, disc.boundary, "initial state must vanish on boundary nodes")
-    M = pair.mass
-    n = w.size
+    M, n = pair.mass, w.size
     Mw = M @ w
     beta0 = float(np.sqrt(w @ Mw))
     if not beta0 > 0:
@@ -131,16 +131,16 @@ def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
 
     V, MV, H = np.empty((n, 0)), np.empty((n, 0)), np.empty((0, 0))
     v, Mv = w / beta0, Mw / beta0
-    prev = None
-    size = _KRYLOV_START
+    prev, m, size = None, 0, _KRYLOV_START
     while True:
-        m0 = V.shape[1]
-        grow = min(size, n) - m0
-        V = np.concatenate([V, np.empty((n, grow))], axis=1)
-        MV = np.concatenate([MV, np.empty((n, grow))], axis=1)
-        H = np.pad(H, (0, grow))
+        m0, m = m, min(size, n)
+        if m > H.shape[0]:  # room for twice the space, filled in place from here
+            cap = min(2 * m, n)
+            room = [np.empty(shape, order="F") for shape in ((n, cap), (n, cap), (cap, cap))]
+            room[0][:, :m0], room[1][:, :m0], room[2][:m0, :m0] = V[:, :m0], MV[:, :m0], H[:m0, :m0]
+            V, MV, H = room
         invariant = False
-        for j in range(m0, m0 + grow):
+        for j in range(m0, m):
             V[:, j], MV[:, j] = v, Mv
             x = lu.solve(Mv)
             h = MV[:, :j + 1].T @ x
@@ -150,27 +150,25 @@ def krylov_flow(pair: OperatorPair, u0, T: float) -> KrylovFlow:
             Mr = M @ r
             beta = float(np.sqrt(max(r @ Mr, 0.0)))
             if beta <= _BREAKDOWN_TOL * np.linalg.norm(h):
-                V, MV, H = V[:, :j + 1], MV[:, :j + 1], H[:j + 1, :j + 1]
-                invariant = True
+                m, invariant = j + 1, True
                 break
             v, Mv = r / beta, Mr / beta
-        theta, Q = la.eigh(H)
+        theta, Q = la.eigh(H[:m, :m], check_finite=False)
         lam = 1.0 / theta  # Ritz values, descending; lam[-1] is the ground
         damp = np.exp(-lam * T)
         gain = (lam[-1] - lam) * damp
         gain[-1] = 0.0
         coef_F = Q @ (gain * Q[0])
-        m = V.shape[1]
-        if invariant or m == n or (
-                prev is not None and np.linalg.norm(coef_F - np.pad(prev, (0, m - prev.size)))
+        if invariant or m == n or (prev is not None and np.hypot(  # prev padded with zeros
+                np.linalg.norm(coef_F[:prev.size] - prev), np.linalg.norm(coef_F[prev.size:]))
                 <= _KRYLOV_TOL * np.linalg.norm(coef_F)):
             break
         prev = coef_F
         size = m + _KRYLOV_STEP
 
-    u = V @ (beta0 * (Q @ (damp * Q[0])))
-    F = V @ (beta0 * coef_F)
-    vecs = V @ Q[:, -1:]
+    u = V[:, :m] @ (beta0 * (Q @ (damp * Q[0])))
+    F = V[:, :m] @ (beta0 * coef_F)
+    vecs = V[:, :m] @ Q[:, -1:]
     orient_ground(pair, vecs)
     ground = SpectralDecomposition(lam[-1:], vecs, np.array([1]), disc)
     return KrylovFlow(u=disc.extend(u), F=disc.extend(F), ground=ground, m=m)

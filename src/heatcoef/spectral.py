@@ -7,22 +7,25 @@ ARPACK's 2K + 1 Lanczos vectors do not fit), and strictify_spectrum groups
 every spectrum by the one rule CLUSTER_TOL.  Every definite factor is a
 pencil_factor, the fem.definite_factor of A - sigma M scattered straight
 into its band: a banded Cholesky that exists only for a positive definite
-matrix, it proves A positive definite for ARPACK's L and A - sigma M for
-the two ground solves below.  solve_flow_spectrum solves only the pairs a heat flow from
-a given earliest time can see, and its count of the eigenvalues below the
-cut, the inertia of the indefinite A - sigma M by fem.symmetric_factor,
-proves that none was skipped.  Both read the grid's memo disc.spectra, so
-a pencil's solve for a K, and its cut's count, are paid once per grid.
-solve_ground_pair is the warm K=1 solve of a pencil close to one already
-solved: shifted inverse iteration from the known ground pair, with the
-shift certified below lambda_1 by the Cholesky factor of A - sigma M, and
-solve_generalized_eig as the fallback.  certify_ground uses the same
-test to prove that a pair found elsewhere (a Krylov Ritz pair) is
-the ground pair and not a higher eigenpair.  Also here: the gap and min-max
-checks, the projection-difference norm, and one perturbation sweep
-a -> a + s*eta that reads the run's spectrum of a, solves each perturbed
-pencil once, groups it like that spectrum, and tabulates eigenvalue
-shifts (Kato) and projection differences (Davis-Kahan).
+matrix, it proves A positive definite for ARPACK's L and A - sigma M for the
+two ground solves below.  solve_flow_spectrum solves only the pairs a heat
+flow from a given earliest time can see, and its count of the eigenvalues
+below the cut, the inertia of the indefinite A - sigma M by
+fem.symmetric_factor, proves that none was skipped.  Both read the grid's
+memo disc.spectra, so a pencil's solve for a K, and its cut's count, are
+paid once per grid.  solve_ground_pair is the warm K=1 solve of a pencil
+close to one already solved: shifted inverse iteration from the known
+ground pair, with the shift certified below lambda_1 by the Cholesky factor
+of A - sigma M, and solve_generalized_eig as the fallback.  Every pair is
+checked to one relative residual bound, and each iterative solve stops once
+that check can pass: ARPACK at _ARPACK_TOL, a thousandth of it, inverse
+iteration at its first iterate within it.  certify_ground uses the factor
+test to prove that a pair found elsewhere (a Krylov Ritz pair) is the ground
+pair and not a higher eigenpair.  Also here: the gap and min-max checks, the
+projection-difference norm, and one perturbation sweep a -> a + s*eta that
+reads the run's spectrum of a, solves each perturbed pencil once, groups it
+like that spectrum, and tabulates eigenvalue shifts (Kato) and projection
+differences (Davis-Kahan).
 """
 
 from __future__ import annotations
@@ -90,6 +93,11 @@ _ETA_HAT = 0.05
 CLUSTER_TOL = 1e-6
 
 _RESIDUAL_TOL = 1e-8
+# ARPACK's tol: its default, machine precision, runs far past the bound every
+# pair is checked to.  This leaves bump pencil residuals (K = 11, 12) of at
+# most 3.2e-11 / 2.3e-11 / 4e-11 at 32^2 / 48^2 / 64^2, 250x below it, and a
+# K=11 sweep pencil at 32^2 takes 50 operator applications, not 61.
+_ARPACK_TOL = 1e-3 * _RESIDUAL_TOL
 # Relative slack of verify_minmax_sandwich, for floating-point noise only.
 _SANDWICH_SLACK = 1e-8
 
@@ -109,10 +117,10 @@ _GROUND_MAX_ITER = 20
 _GROUND_AGREEMENT = 1e-10
 
 # Entries of a grid's spectrum memo (disc.spectra), least recently used out
-# first: one run's working set.  verify-spectral of the unit coefficient
-# reads four (K=40, three K=11), a stability sweep three (a, a~, unit K=1).
-# An entry holds 8 K n_interior bytes, 1.3 MB for K=40 at 64^2.
-SPECTRUM_MEMO_SIZE = 4
+# first: one run's working set.  verify-spectral with a sweep reads five (a,
+# unit K=20, three K=11; four for the unit a), a stability sweep three (a, a~,
+# unit K=1).  An entry holds 8 K n_interior bytes, 1.3 MB for K=40 at 64^2.
+SPECTRUM_MEMO_SIZE = 5
 
 # solve_flow_spectrum starts at _FLOW_K_START pairs and doubles K up to its
 # cap.  It accepts a cut whose dropped tail, against cluster 2, the heat
@@ -217,7 +225,8 @@ def solve_generalized_eig(pair: OperatorPair, K: int) -> SpectralDecomposition:
     sqrt(mu) is M-orthonormal, since y' C y = mu.  The factor proves A
     positive definite, so the K largest mu give the lowest lambda; a
     stiffness it rejects raises EigensolverError.  The start vector is
-    fixed.  Only a pencil too small for ARPACK's default Lanczos basis of
+    fixed, and ARPACK stops at tol=_ARPACK_TOL, not machine precision.
+    Only a pencil too small for ARPACK's default Lanczos basis of
     2K + 1 vectors takes the dense LAPACK path.  Eigenvalues are clustered
     by CLUSTER_TOL.  Memoized per pencil and K (_memo_entry), read-only.
     """
@@ -266,7 +275,7 @@ def _solve(pair: OperatorPair, K: int) -> tuple[np.ndarray, np.ndarray]:
             (n, n), matvec=lambda y: lu.solve_lower(mass @ lu.solve_upper(y)), dtype=float)
         v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
         try:
-            mu, Y = spla.eigsh(congruent, k=K, which="LA", v0=v0)
+            mu, Y = spla.eigsh(congruent, k=K, which="LA", v0=v0, tol=_ARPACK_TOL)
         except spla.ArpackError as exc:  # ArpackNoConvergence included
             raise EigensolverError(
                 f"ARPACK eigensolver failed (n={n}, K={K}): {exc}") from exc
@@ -388,12 +397,12 @@ def solve_ground_pair(
     close to this one.  Shifted inverse iteration (Parlett, The Symmetric
     Eigenvalue Problem, 1998, ch. 4) with sigma = _GROUND_SHIFT * lam_prev
     uses the definite_factor of A - sigma M (pair.pencil_factor), which
-    certifies sigma < lambda_1.  For sigma < lambda_1 the Rayleigh quotient
-    cannot increase in exact arithmetic, so the iteration stops at the first
-    iterate with relative residual at most _RESIDUAL_TOL whose quotient did
-    not decrease, and keeps the lowest quotient of the iterates within that
-    residual.  The residual (_residual_of) comes from the A v and M v the
-    iteration computes anyway.
+    certifies sigma < lambda_1.  The iteration returns its first iterate
+    whose relative residual (_residual_of, from the A v and M v it computes
+    anyway) is at most _RESIDUAL_TOL, the bound every pair of this module
+    is checked to: the Rayleigh quotient's error is of the order of the
+    residual squared, so further solves would move it only at rounding
+    (3.2e-15 relative at most, on the bundled bumps at 32^2 and 64^2).
 
     Returns (spec, warm): spec is a K=1 decomposition with the residual
     bound and sign rule of solve_generalized_eig; warm is False when the
@@ -404,21 +413,17 @@ def solve_ground_pair(
     lu = pair.pencil_factor(_GROUND_SHIFT * lam_prev)
     if lu is not None:
         Mv = M @ np.asarray(start, dtype=float)
-        lam = best_lam = np.inf
         for _ in range(_GROUND_MAX_ITER):
             v = lu.solve(Mv)
             Mv = M @ v
             norm = np.sqrt(v @ Mv)
-            v /= norm
-            Mv /= norm
+            v, Mv = v / norm, Mv / norm
             Av = A @ v
-            lam_old, lam = lam, v @ Av
-            if _residual_of(Av[:, None], Mv[:, None], np.array([lam])) <= _RESIDUAL_TOL:
-                if lam < best_lam:
-                    best_lam, best_v = lam, v[:, None]
-                if lam >= lam_old:
-                    orient_ground(pair, best_v)
-                    return SpectralDecomposition(np.array([best_lam]), best_v, np.array([1]), pair.disc), True
+            lam = np.array([v @ Av])
+            if _residual_of(Av[:, None], Mv[:, None], lam) <= _RESIDUAL_TOL:
+                v = v[:, None]
+                orient_ground(pair, v)
+                return SpectralDecomposition(lam, v, np.array([1]), pair.disc), True
     return solve_generalized_eig(pair, 1), False
 
 
@@ -506,13 +511,11 @@ def verify_minmax_sandwich(
     elementwise, because the quadratic forms then nest; the relative slack
     _SANDWICH_SLACK only absorbs floating-point noise.
     """
-    rel_slack = _SANDWICH_SLACK
     kmax = min(spec_a.K, spec_unit.K)
-    lam = spec_a.eigenvalues[:kmax]
-    lam1 = spec_unit.eigenvalues[:kmax]
-    lower_ok = lam >= lam1 * (1.0 - rel_slack)
-    upper_ok = lam <= a_plus * lam1 * (1.0 + rel_slack)
-    return SandwichReport(rel_slack=rel_slack, lambdas=lam, lambdas_unit=lam1,
+    lam, lam1 = spec_a.eigenvalues[:kmax], spec_unit.eigenvalues[:kmax]
+    lower_ok = lam >= lam1 * (1.0 - _SANDWICH_SLACK)
+    upper_ok = lam <= a_plus * lam1 * (1.0 + _SANDWICH_SLACK)
+    return SandwichReport(rel_slack=_SANDWICH_SLACK, lambdas=lam, lambdas_unit=lam1,
                           lower_ok=lower_ok, upper_ok=upper_ok)
 
 

@@ -377,6 +377,44 @@ def test_bundled_verify_spectral_solves_each_pencil_once(tmp_path, monkeypatch, 
     assert (len(maps), len(pencils), len(assemblies)) == (1, 8, 0)
 
 
+def test_bundled_verify_sweep_stops_arpack_at_its_tolerance(tmp_path, monkeypatch, cold_grids):
+    # With the unit K=40 spectrum memoized, the run's solves are its three
+    # sweep pencils (K=11).  ARPACK stops at tol=_ARPACK_TOL: 150 operator
+    # applications for the three (measured), each one solve_lower, and every
+    # pencil's residual still lies 100x inside the bound it is checked to.
+    spectral.solve_generalized_eig(fem.grid(32, 32).unit_pair, 40)
+    applications, lower = [], fem.BandCholesky.solve_lower
+
+    def counted_lower(self, b):
+        applications.append(b.shape)
+        return lower(self, b)
+    residuals, solve = [], spectral._solve
+
+    def checked(pair, K):
+        vals, vecs = solve(pair, K)
+        residuals.append(spectral._residual_of(pair.stiffness @ vecs, pair.mass @ vecs, vals))
+        return vals, vecs
+    monkeypatch.setattr(fem.BandCholesky, "solve_lower", counted_lower)
+    monkeypatch.setattr(spectral, "_solve", checked)
+    art = run_scenario(parse_config(SCENARIO_DIR / "verify_spectral.cfg"), "verify-spectral", tmp_path)
+    assert art.all_pass
+    assert len(residuals) == 3 and len(applications) <= 155
+    assert max(residuals) <= spectral._RESIDUAL_TOL / 100
+
+
+def test_a_non_unit_sweep_on_a_warm_grid_solves_nothing(tmp_path, monkeypatch, cold_grids):
+    # a (K=24), the unit pencil for the sandwich (K=20) and three a + s*eta
+    # (K=11): five pencils, all of which the grid's memo keeps
+    solves = _count_calls(monkeypatch, spectral._solve)
+    text = FORWARD_16.replace("modes = 8", "modes = 24") + (
+        "eta = gaussian-bump\neta.amplitude = 0.04\nscales = 0.001,0.01,0.1\n")
+    for run in ("cold", "warm"):
+        art = run_scenario(parse_config_text(text), "verify-spectral", tmp_path / run)
+        assert _line(art.summary_lines, "minmax-sandwich").startswith("PASS ")
+        assert [K for _, K in solves] == [24, 20, 11, 11, 11]
+    assert len(fem.grid(16, 16).spectra) == spectral.SPECTRUM_MEMO_SIZE
+
+
 @pytest.mark.parametrize("mode,text,expected", [
     ("forward", FORWARD_16, [8]),
     # the flow spectra of a and a~, then the cold grid's unit ground pair
@@ -713,9 +751,10 @@ def test_the_spectrum_memo_holds_no_reference_cycle(tmp_path, cold_grids):
         arts = [run_scenario(parse_config_text(text), mode, tmp_path / mode)
                 for mode, text in (("stability-sweep", SWEEP_16), ("verify-spectral", VERIFY_16))]
         disc = fem.grid(16, 16)
-        # least recent first: the sweep's unit K=1, then verify-spectral's a
-        # (K=12) and two a + s*eta (K=11), which evicted the sweep's a and a~
-        assert [K for _, K in disc.spectra] == [1, 12, 11, 11]
+        # least recent first: the sweep's a~ (K=8) and unit K=1, then
+        # verify-spectral's a (K=12) and two a + s*eta (K=11), which evicted
+        # the sweep's a
+        assert [K for _, K in disc.spectra] == [8, 1, 12, 11, 11]
         ref = weakref.ref(disc)
         fem.grid.cache_clear()
         del arts, disc

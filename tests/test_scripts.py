@@ -296,6 +296,8 @@ def test_run_all_smoke(tmp_path, capsys):
     lines = captured.out.splitlines()
     assert len(lines) == 1
     assert lines[0].split()[:3] == ["forward_decay", "[forward]", "ok:"]
+    # the scenario's wall time in ms, which a sub-second run needs
+    assert re.search(r" failed \(\d+\.\d{3}s\) -> ", lines[0]), lines[0]
     assert (out / "forward_decay" / "manifest.txt").is_file()
     assert not (out / "unregistered").exists()
     assert "unregistered: no registered mode, skipping" in captured.err

@@ -7,7 +7,14 @@ import scipy.sparse.linalg as spla
 
 from heatcoef import spectral
 from heatcoef.catalog import direction_values, initial_state, make_coefficient
-from heatcoef.fem import AdmissibilityError, OperatorPair, definite_factor, discretize, make_field
+from heatcoef.fem import (
+    AdmissibilityError,
+    BandCholesky,
+    OperatorPair,
+    definite_factor,
+    discretize,
+    make_field,
+)
 from heatcoef.heat import krylov_flow
 from heatcoef.mesh import build_structured_mesh
 from heatcoef.spectral import (
@@ -333,6 +340,16 @@ class TestGroundPair:
         monkeypatch.setattr(spectral, "solve_generalized_eig", counted)
         return calls
 
+    @staticmethod
+    def count_band_solves(monkeypatch):
+        calls, solve = [], BandCholesky.solve
+
+        def counted(self, b):
+            calls.append(b.shape)
+            return solve(self, b)
+        monkeypatch.setattr(BandCholesky, "solve", counted)
+        return calls
+
     @pytest.mark.parametrize("nx", [32, 64])
     def test_warm_start_matches_arpack(self, nx, monkeypatch):
         pair, near = self.bump_pencils(nx)
@@ -359,25 +376,29 @@ class TestGroundPair:
         assert np.array_equal(spec.eigenvectors, ref.eigenvectors)
 
     @pytest.mark.parametrize("nx,a", [(32, 1.89), (16, 1.94)])
-    def test_stops_once_the_quotient_reaches_rounding(self, nx, a, monkeypatch):
-        # From the Krylov ground pair of these constant pencils the iteration
-        # reaches rounding at once, and the Rayleigh quotient can then
-        # alternate between values a few ulp apart (6 ulp at 32^2, a = 1.89,
-        # with one summation order of A(a); 16^2, a = 1.94 with another)
-        # while the residual sits near 6e-14.  The solve must stop there.
+    def test_returns_the_first_iterate_within_the_bound(self, nx, a, monkeypatch):
+        # From the Krylov ground pair of these constant pencils the first
+        # iterate's residual is near 6e-14, inside _RESIDUAL_TOL, so the solve
+        # returns it after one band solve.  Later iterates would move the
+        # Rayleigh quotient only at rounding, where it can alternate between
+        # values a few ulp apart (6 ulp at 32^2, a = 1.89, with one summation
+        # order of A(a); 16^2, a = 1.94 with another).
         disc = discretize(build_structured_mesh(nx, nx))
         pair = disc.pair(a)
         near = krylov_flow(pair, initial_state(disc.mesh, "d_Omega"), 0.15).ground
         ref = solve_generalized_eig(pair, 1)
         fallbacks = self.count_fallbacks(monkeypatch)
+        band_solves = self.count_band_solves(monkeypatch)
         spec, warm = solve_ground_pair(pair, near.eigenvectors[:, 0], near.eigenvalues[0])
-        assert warm and fallbacks == []
+        assert warm and fallbacks == [] and len(band_solves) == 1
         assert abs(spec.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-13 * ref.eigenvalues[0]
 
     def test_iteration_cap_falls_back(self, monkeypatch):
         pair, near = self.bump_pencils(32)
         fallbacks = self.count_fallbacks(monkeypatch)
-        # one iteration can never show a quotient that did not decrease
+        # from the amplitude-0.499 pencil's pair the first iterate is still
+        # outside _RESIDUAL_TOL (4 band solves reach it), so a cap of one
+        # iteration ends without accepting and ARPACK solves the pencil
         monkeypatch.setattr(spectral, "_GROUND_MAX_ITER", 1)
         spec, warm = solve_ground_pair(pair, near.eigenvectors[:, 0], near.eigenvalues[0])
         assert not warm and fallbacks == [1]
