@@ -78,20 +78,25 @@ def group_defaults(group: str, kind: str) -> dict:
 
 
 def _field_values(mesh: Mesh, kind: str, p: dict[str, float]) -> np.ndarray:
+    """Nodal values of a catalog field.  An overflow is harmless and not
+    warned of: a Gaussian's exponent overflows only where the bump has
+    decayed to 0, and an overflowing sum leaves an inf that make_field
+    refuses."""
     x = mesh.nodes[:, 0]
     y = mesh.nodes[:, 1]
-    if kind == "constant":
-        return np.full(mesh.n_nodes, p["value"])
-    if kind == "affine":
-        return p["base"] + p["grad_x"] * x + p["grad_y"] * y
-    if kind == "gaussian-bump":
-        r2 = (x - p["center_x"]) ** 2 + (y - p["center_y"]) ** 2
-        return p["base"] + p["amplitude"] * np.exp(-r2 / p["width"])
-    if kind == "two-bump":
-        r2a = (x - p["center_x"]) ** 2 + (y - p["center_y"]) ** 2
-        r2b = (x - p["center2_x"]) ** 2 + (y - p["center2_y"]) ** 2
-        return (p["base"] + p["amplitude"] * np.exp(-r2a / p["width"])
-                + p["amplitude2"] * np.exp(-r2b / p["width2"]))
+    with np.errstate(over="ignore"):
+        if kind == "constant":
+            return np.full(mesh.n_nodes, p["value"])
+        if kind == "affine":
+            return p["base"] + p["grad_x"] * x + p["grad_y"] * y
+        if kind == "gaussian-bump":
+            r2 = (x - p["center_x"]) ** 2 + (y - p["center_y"]) ** 2
+            return p["base"] + p["amplitude"] * np.exp(-r2 / p["width"])
+        if kind == "two-bump":
+            r2a = (x - p["center_x"]) ** 2 + (y - p["center_y"]) ** 2
+            r2b = (x - p["center2_x"]) ** 2 + (y - p["center2_y"]) ** 2
+            return (p["base"] + p["amplitude"] * np.exp(-r2a / p["width"])
+                    + p["amplitude2"] * np.exp(-r2b / p["width2"]))
     raise KeyError(f"unknown field kind {kind!r}")
 
 

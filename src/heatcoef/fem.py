@@ -118,8 +118,9 @@ class Discretization:
     mass_int : the interior block M_II.
     The interior rows S_II of S, unit_stiffness (the full A(1)), the band
     index of the pencils (_pencil_band), mass_int_factor (M_II's values
-    scattered into that band, factored) and the spectrum memo spectra are
-    built on first use; none refers back to the Discretization (no cycle).
+    scattered into that band, factored), mass_floor and the spectrum memo
+    spectra are built on first use; none refers back to the Discretization
+    (no cycle).
     """
 
     mesh: Mesh
@@ -169,6 +170,13 @@ class Discretization:
             raise ValueError("interior mass matrix is not positive definite")
         _read_only(lu.band)
         return lu
+
+    @cached_property
+    def mass_floor(self) -> float:
+        """d_min, the least interior (1/12) sum_{K at i} |K|: a lower bound on
+        lambda_min(M_II), since each element mass (|K|/12)(I + 11') is at least
+        (|K|/12) I."""
+        return float(self.mesh.nodal_average[1][self.interior].min()) / 12.0
 
     @cached_property
     def spectra(self) -> OrderedDict:
@@ -518,6 +526,10 @@ def nodal_gradients(mesh: Mesh, w) -> np.ndarray:
 
 
 def gradient_bound(mesh: Mesh, values) -> float:
-    """Largest elementwise |grad a_h|, the discrete stand-in for the C1 seminorm."""
-    g = element_gradients(mesh, values)
-    return float(np.max(np.hypot(g[:, 0], g[:, 1])))
+    """Largest elementwise |grad a_h|, the discrete stand-in for the C1 seminorm.
+
+    The element gradients come from one product with mesh.gradient_operator,
+    built once per mesh; they equal element_gradients' up to rounding.
+    """
+    gx, gy = (mesh.gradient_operator @ np.asarray(values, dtype=float)).reshape(2, -1)
+    return float(np.sqrt(np.max(gx * gx + gy * gy)))

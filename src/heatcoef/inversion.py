@@ -96,8 +96,9 @@ _MAX_ITER = 50
 # Inner eigenvalue-closure budget per outer step.  One evaluation costs an
 # axpy on the affine candidate raw_0 - x d, an admissible projection, a
 # pencil (one product with the stiffness map) and a warm K=1 ground solve
-# (solve_ground_pair), whose band factor and inverse iteration are most of
-# it; 3 of the 5 bundled bump steps cap, 26 evaluations in all.
+# (solve_ground_pair), whose inverse iteration is most of it; the band factor
+# is paid once per step.  3 of the 5 bundled bump steps cap, 26 evaluations
+# in all.
 _CLOSURE_EVAL_CAP = 7
 # Relative M-norm difference of two snapshots at or below which the
 # stability experiment calls them indistinguishable: rounding of the modal
@@ -355,9 +356,12 @@ def fixed_point_invert(
     inserted into the right-hand side is refined within the step by the
     scalar closure phi(x) = l_1(candidate(x)) - x = 0 (see module
     docstring); the candidate belonging to the accepted scalar becomes the
-    next iterate.  Converges when the L2 step drops below TOL_FP; otherwise
-    stops when a step increases (keeping the pre-increase iterate) or after
-    _MAX_ITER steps.  data_residual is that of the transport system which
+    next iterate.  The closure factors one pencil per step: the first
+    evaluation's solve_ground_pair factors its own, and every later one
+    borrows that factor, spectral's floor proving each pair so found.
+    Converges when the L2 step drops below TOL_FP; otherwise stops when a
+    step increases (keeping the pre-increase iterate) or after _MAX_ITER
+    steps.  data_residual is that of the transport system which
     produced the returned iterate.  Only the boundary entries of a0 are
     read: they are the prescribed trace.
     """
@@ -393,15 +397,17 @@ def fixed_point_invert(
         raw0 = solve_transport_ls(dataclasses.replace(base, rhs=transport_rhs(disc, u_T, 0.0, F)),
                                   current)
 
-        # Each ground solve is warm-started from the previous pencil's pair:
-        # the step's own for the first evaluation.
+        # Each ground solve is warm-started from the previous pencil's pair
+        # (the step's own for the first evaluation) and borrows the band
+        # factor the previous solve returned.
         phi_tol = 1e-10 * max(1.0, abs(lam_raw))
         samples: list[tuple[float, float, CoefficientField, bool]] = []
-        ground, x = spec, lam_raw
+        ground, x, factor = spec, lam_raw, None
         while x is not None:
             field, capped = admissible_projection(disc, raw0 - x * d, a0, a_plus)
-            ground, warm = solve_ground_pair(disc.pair(field.values), ground.eigenvectors[:, 0],
-                                             float(ground.eigenvalues[0]))
+            ground, warm, factor = solve_ground_pair(disc.pair(field.values),
+                                                     ground.eigenvectors[:, 0],
+                                                     float(ground.eigenvalues[0]), factor)
             fallbacks += int(not warm)
             phi = float(ground.eigenvalues[0]) - x
             samples.append((x, phi, field, capped))

@@ -75,6 +75,20 @@ class Mesh:
         return b, c, area
 
     @cached_property
+    def gradient_operator(self) -> sp.csr_matrix:
+        """G, (2 n_elements, n_nodes), built once: G w stacks the x and then the y
+        components of the constant gradient of the P1 interpolant of w on each
+        element, G[e, elements[e, i]] = b_i / (2 area) and G[E + e, ...] = c_i / (2 area)."""
+        E = self.n_elements
+        b, c, area = self.element_geometry
+        data = np.concatenate([b, c]) / np.tile(2.0 * area, 2)[:, None]
+        G = sp.csr_matrix((data.ravel(), np.tile(self.elements, (2, 1)).ravel(),
+                           np.arange(0, 6 * E + 1, 3)), shape=(2 * E, self.n_nodes))
+        for v in (G.data, G.indices, G.indptr):
+            v.flags.writeable = False
+        return G
+
+    @cached_property
     def nodal_average(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """(W, W 1), built once: W[i, e] = area of e for each element e at node i,
         so (W g) / (W 1) is the area-weighted average of element values g at

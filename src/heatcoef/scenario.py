@@ -207,6 +207,9 @@ def _validate_scenario(s: Scenario) -> None:
         for label, v in numbers:
             if isinstance(v, float) and not np.isfinite(v):
                 raise ConfigError(f"{label} must be finite, got {v}")
+            # a Gaussian's width divides its exponent
+            if label.endswith((".width", ".width2")) and not v > 0:
+                raise ConfigError(f"{label} must be positive, got {v}")
         above, least = key.bounds.get("above"), key.bounds.get("min")
         if above is not None and not value > above:
             must = "be positive" if above == 0 else f"exceed {above}"
@@ -232,7 +235,8 @@ def _validate_scenario(s: Scenario) -> None:
         checked.append(("perturbation", catalog.coefficient_values(mesh, p.kind, p.params_dict())))
     if s.eta is not None:  # the verify-spectral sweep's a + s*eta, one per scale
         eta = catalog.direction_values(mesh, s.eta.kind, s.eta.params_dict())
-        checked += [(f"coefficient + s*eta at s={x:g}", a + x * eta) for x in s.scales]
+        with np.errstate(over="ignore"):  # make_field refuses the inf an overflow leaves
+            checked += [(f"coefficient + s*eta at s={x:g}", a + x * eta) for x in s.scales]
     for label, values in checked:
         try:
             make_field(mesh, values, s.a_plus)

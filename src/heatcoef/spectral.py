@@ -14,18 +14,21 @@ below the cut, the inertia of the indefinite A - sigma M by
 fem.symmetric_factor, proves that none was skipped.  Both read the grid's
 memo disc.spectra, so a pencil's solve for a K, and its cut's count, are
 paid once per grid.  solve_ground_pair is the warm K=1 solve of a pencil
-close to one already solved: shifted inverse iteration from the known
-ground pair, with the shift certified below lambda_1 by the Cholesky factor
-of A - sigma M, and solve_generalized_eig as the fallback.  Every pair is
-checked to one relative residual bound, and each iterative solve stops once
-that check can pass: ARPACK at _ARPACK_TOL, a thousandth of it, inverse
-iteration at its first iterate within it.  certify_ground uses the factor
-test to prove that a pair found elsewhere (a Krylov Ritz pair) is the ground
-pair and not a higher eigenpair.  Also here: the gap and min-max checks, the
-projection-difference norm, and one perturbation sweep a -> a + s*eta that
-reads the run's spectrum of a, solves each perturbed pencil once, groups it
-like that spectrum, and tabulates eigenvalue shifts (Kato) and projection
-differences (Davis-Kahan).
+close to one already solved: preconditioned inverse iteration from the
+known ground pair with a nearby pencil's band factor or the pencil's own
+A - sigma M, whose factor certifies sigma < lambda_1, and
+solve_generalized_eig as the fallback.  Every admissible pencil on the unit
+square has lambda_2 >= 5 pi^2 (_GROUND_FLOOR), so an eigenvalue bound below
+it proves a pair is the ground pair: a borrowed factor's pair must pass it,
+and certify_ground, which proves that a pair found elsewhere (a Krylov Ritz
+pair) is the ground pair, tries it before a Cholesky test.  Every pair is
+checked to one relative residual bound, and each iterative solve stops
+once that check can pass: ARPACK at _ARPACK_TOL, a thousandth of it,
+inverse iteration at its first iterate within it.  Also here: the gap and
+min-max checks, the projection-difference norm, and one perturbation sweep
+a -> a + s*eta that reads the run's spectrum of a, solves each perturbed
+pencil once, groups it like that spectrum, and tabulates eigenvalue shifts
+(Kato) and projection differences (Davis-Kahan).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import scipy.sparse.linalg as spla
 
 from .fem import (
     AdmissibilityError,
+    BandCholesky,
     CoefficientField,
     Discretization,
     OperatorPair,
@@ -115,6 +119,14 @@ _GROUND_MAX_ITER = 20
 # eigenvalue that must hold lambda_1.  The Cholesky test resolves 1e-12 on the
 # bump and unit pencils at 32^2 to 128^2.
 _GROUND_AGREEMENT = 1e-10
+# An eigenvalue below this floor is lambda_1 (_below_floor).  Every Mesh is
+# the unit square, whose second Dirichlet eigenvalue is 5 pi^2.  Conforming
+# P1 with the consistent mass is a Rayleigh-Ritz method, so lambda_2 of the
+# unit pencil is at least 5 pi^2 on every grid (Boffi, Acta Numerica 19,
+# 2010, 8), and A(a) >= A(1) for 1 <= a (the min-max sandwich) lifts every
+# admissible pencil's lambda_2 above it too.  The slack absorbs rounding and
+# the admissibility tolerance; lambda_2^h(1) is 49.58 at 32^2 against 49.35.
+_GROUND_FLOOR = 5.0 * np.pi ** 2 * (1.0 - _SANDWICH_SLACK)
 
 # Entries of a grid's spectrum memo (disc.spectra), least recently used out
 # first: one run's working set.  verify-spectral with a sweep reads five (a,
@@ -388,43 +400,81 @@ def orient_ground(pair: OperatorPair, vecs: np.ndarray) -> None:
         vecs[:, 0] = -vecs[:, 0]
 
 
+def _below_floor(pair: OperatorPair, v: np.ndarray, Av: np.ndarray, Mv: np.ndarray) -> bool:
+    """Whether the eigenvalue next to v's Rayleigh quotient is below _GROUND_FLOOR,
+    and so is lambda_1, from v and its products A v and M v.
+
+    With v M-normalized, rho = v' A v and r = A v - rho M v, some eigenvalue
+    lies within ||r||_{M^-1} of rho (Parlett, The Symmetric Eigenvalue
+    Problem, 1998, ch. 15), and ||r||_{M^-1} <= ||r||_2 / sqrt(d_min) with
+    d_min = disc.mass_floor <= lambda_min(M_II).  No higher pair can pass,
+    provided the pencil is one of a coefficient a >= 1, as every
+    CoefficientField is (fem.make_field).
+    """
+    vMv = v @ Mv
+    rho = (v @ Av) / vMv
+    return rho + np.linalg.norm(Av - rho * Mv) / np.sqrt(vMv * pair.disc.mass_floor) < _GROUND_FLOOR
+
+
+def _pinvit(pair: OperatorPair, lu: BandCholesky, start: np.ndarray, own: bool) -> tuple | None:
+    """(v, A v, M v) of the first iterate of v <- v - B^-1 (A v - rho M v),
+    B = lu's L L' and rho = v' A v, whose relative residual (_residual_of) is
+    within _RESIDUAL_TOL, v M-normalized; None after _GROUND_MAX_ITER
+    iterations.  With the pencil's own B = A - sigma M (own) the step is
+    (rho - sigma) B^-1 M v, taken as B^-1 M v: shifted inverse iteration."""
+    A, M = pair.stiffness, pair.mass
+    v, Av, Mv = start, A @ start, M @ start
+    lam = (v @ Av) / (v @ Mv)
+    for _ in range(_GROUND_MAX_ITER):
+        v = lu.solve(Mv) if own else v - lu.solve(Av - lam * Mv)
+        Mv = M @ v
+        norm = np.sqrt(v @ Mv)
+        v, Mv = v / norm, Mv / norm
+        Av = A @ v
+        lam = v @ Av
+        if _residual_of(Av[:, None], Mv[:, None], np.array([lam])) <= _RESIDUAL_TOL:
+            return v, Av, Mv
+    return None
+
+
 def solve_ground_pair(
-    pair: OperatorPair, start: np.ndarray, lam_prev: float
-) -> tuple[SpectralDecomposition, bool]:
+    pair: OperatorPair, start: np.ndarray, lam_prev: float, factor: BandCholesky | None = None
+) -> tuple[SpectralDecomposition, bool, BandCholesky | None]:
     """Ground eigenpair of disc.pair(a), warm-started from a nearby pencil's.
 
     start and lam_prev are the ground vector and eigenvalue of a pencil
-    close to this one.  Shifted inverse iteration (Parlett, The Symmetric
-    Eigenvalue Problem, 1998, ch. 4) with sigma = _GROUND_SHIFT * lam_prev
-    uses the definite_factor of A - sigma M (pair.pencil_factor), which
-    certifies sigma < lambda_1.  The iteration returns its first iterate
-    whose relative residual (_residual_of, from the A v and M v it computes
-    anyway) is at most _RESIDUAL_TOL, the bound every pair of this module
-    is checked to: the Rayleigh quotient's error is of the order of the
-    residual squared, so further solves would move it only at rounding
-    (3.2e-15 relative at most, on the bundled bumps at 32^2 and 64^2).
+    close to this one.  Preconditioned inverse iteration (PINVIT,
+    Knyazev-Neymeyr, LAA 358, 2003) v <- v - B^-1 (A v - rho M v) returns
+    its first iterate whose relative residual is at most _RESIDUAL_TOL, the
+    bound every pair of this module is checked to: the Rayleigh quotient's
+    error is of the order of the residual squared.
 
-    Returns (spec, warm): spec is a K=1 decomposition with the residual
-    bound and sign rule of solve_generalized_eig; warm is False when the
-    certificate failed or _GROUND_MAX_ITER was reached, and spec then comes
-    from solve_generalized_eig(pair, 1).
+    factor, when given, is a band factor B of a nearby pencil (the one this
+    function returned for it); a pair found with it is accepted only when
+    _below_floor proves it is lambda_1's.  Otherwise, or after
+    _GROUND_MAX_ITER iterations, B is the pencil's own A - sigma M,
+    sigma = _GROUND_SHIFT * lam_prev (pair.pencil_factor), whose Cholesky
+    factor certifies sigma < lambda_1; PINVIT with it is shifted inverse
+    iteration (Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 4).
+
+    Returns (spec, warm, factor): spec is a K=1 decomposition with the
+    residual bound and sign rule of solve_generalized_eig; warm is False when
+    the own factor failed or _GROUND_MAX_ITER was reached, and spec then
+    comes from solve_generalized_eig(pair, 1); factor is the band factor the
+    pair was found with, None after that fallback.
     """
-    A, M = pair.stiffness, pair.mass
-    lu = pair.pencil_factor(_GROUND_SHIFT * lam_prev)
-    if lu is not None:
-        Mv = M @ np.asarray(start, dtype=float)
-        for _ in range(_GROUND_MAX_ITER):
-            v = lu.solve(Mv)
-            Mv = M @ v
-            norm = np.sqrt(v @ Mv)
-            v, Mv = v / norm, Mv / norm
-            Av = A @ v
-            lam = np.array([v @ Av])
-            if _residual_of(Av[:, None], Mv[:, None], lam) <= _RESIDUAL_TOL:
-                v = v[:, None]
-                orient_ground(pair, v)
-                return SpectralDecomposition(lam, v, np.array([1]), pair.disc), True
-    return solve_generalized_eig(pair, 1), False
+    start = np.asarray(start, dtype=float)
+    found = None if factor is None else _pinvit(pair, factor, start, own=False)
+    if found is None or not _below_floor(pair, *found):
+        factor = pair.pencil_factor(_GROUND_SHIFT * lam_prev)
+        found = None if factor is None else _pinvit(pair, factor, start, own=True)
+        if found is None:
+            return solve_generalized_eig(pair, 1), False, None
+    v, Av, _ = found
+    lam = np.array([v @ Av])
+    v = v[:, None]
+    orient_ground(pair, v)
+    return SpectralDecomposition(lam, v, np.array([1]), pair.disc), True, factor
 
 
 def certify_ground(pair: OperatorPair, ground: SpectralDecomposition) -> bool:
@@ -432,16 +482,22 @@ def certify_ground(pair: OperatorPair, ground: SpectralDecomposition) -> bool:
 
     The residual bound of solve_generalized_eig puts an eigenvalue next to
     the pair's lam, but every eigenpair passes it: a Krylov start vector
-    with no ground component yields lambda_2 or higher.  A Cholesky factor
-    of A - (1 - _GROUND_AGREEMENT) lam M (pair.pencil_factor) adds that no
-    eigenvalue lies below (1 - _GROUND_AGREEMENT) lam, so the eigenvalue
-    next to lam is lambda_1.  A top Ritz value of a shift-invert Krylov
-    space is never below lambda_1, so for it lambda_1 lies in
-    ((1 - _GROUND_AGREEMENT) lam, lam].
+    with no ground component yields lambda_2 or higher.  _below_floor proves
+    that eigenvalue is lambda_1 for one vector norm whenever it lies below
+    _GROUND_FLOOR, as on every pencil with lambda_1 well below 5 pi^2.  Only
+    a pencil the floor cannot decide (lambda_1 near or above it, a_plus
+    above about 2.5) pays a Cholesky factor of A - (1 - _GROUND_AGREEMENT)
+    lam M (pair.pencil_factor): it shows that no eigenvalue lies below
+    (1 - _GROUND_AGREEMENT) lam, so the eigenvalue next to lam is lambda_1.
+    A top Ritz value of a shift-invert Krylov space is never below
+    lambda_1, so for it lambda_1 lies in ((1 - _GROUND_AGREEMENT) lam, lam].
     """
-    lam, v = float(ground.eigenvalues[0]), ground.eigenvectors[:, :1]
-    return (_residual_of(pair.stiffness @ v, pair.mass @ v, ground.eigenvalues[:1])
-            <= _RESIDUAL_TOL and pair.pencil_factor((1.0 - _GROUND_AGREEMENT) * lam) is not None)
+    lam, v = float(ground.eigenvalues[0]), ground.eigenvectors[:, 0]
+    Av, Mv = pair.stiffness @ v, pair.mass @ v
+    if not _residual_of(Av[:, None], Mv[:, None], ground.eigenvalues[:1]) <= _RESIDUAL_TOL:
+        return False
+    return (_below_floor(pair, v, Av, Mv)
+            or pair.pencil_factor((1.0 - _GROUND_AGREEMENT) * lam) is not None)
 
 
 def strictify_spectrum(eigenvalues) -> np.ndarray:

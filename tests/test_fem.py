@@ -304,6 +304,21 @@ def test_nodal_gradients_sum_like_the_scatter_by_local_vertex(n, rng):
         assert np.array_equal(nodal_gradients(mesh, w), acc / wsum[:, None])
 
 
+@pytest.mark.parametrize("n", [8, 32])
+def test_gradient_bound_reads_the_element_gradients(n, rng):
+    # the mesh's operator against the einsum of element_gradients
+    mesh = build_structured_mesh(n, n)
+    for _ in range(5):
+        w = rng.standard_normal(mesh.n_nodes)
+        g = element_gradients(mesh, w)
+        gx, gy = (mesh.gradient_operator @ w).reshape(2, -1)
+        # the same terms summed in another order: equal up to the rounding
+        # of the largest gradient
+        assert np.max(np.abs(np.column_stack([gx, gy]) - g)) <= 1e-14 * np.max(np.abs(g))
+        assert gradient_bound(mesh, w) == pytest.approx(np.max(np.hypot(g[:, 0], g[:, 1])),
+                                                        rel=1e-14)
+
+
 def test_grid_is_one_object_per_size_within_its_bound(cold_grids):
     g32 = fem.grid(32, 32)
     assert fem.grid(32, 32) is g32
@@ -319,6 +334,7 @@ SHARED_ARRAYS = {
     "mesh.elements": lambda d: d.mesh.elements,
     "mesh.boundary_node_flags": lambda d: d.mesh.boundary_node_flags,
     "mesh.nodal_average": lambda d: d.mesh.nodal_average[0].data,
+    "mesh.gradient_operator": lambda d: d.mesh.gradient_operator.data,
     "mass.data": lambda d: d.mass.data,
     "mass_int.indices": lambda d: d.mass_int.indices,
     "interior": lambda d: d.interior,

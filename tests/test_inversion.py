@@ -12,6 +12,7 @@ from heatcoef.catalog import direction_values, make_coefficient
 from heatcoef.fem import (
     BandCholesky,
     Discretization,
+    OperatorPair,
     assemble_mass,
     assemble_stiffness,
     compute_norms,
@@ -359,22 +360,33 @@ class TestFixedPointInvert:
             assert err <= 1e-9, x  # measured 6.4e-12, 2.2e-11, 4.8e-11
 
     def test_bundled_bump_closure_eigensolves(self, tmp_path, monkeypatch):
-        # which band solves run inside solve_ground_pair
-        inside, band_solves = [False], []
-        ground, solve = inversion.solve_ground_pair, BandCholesky.solve
+        # which band solves and band factors run inside solve_ground_pair,
+        # and which factors inside certify_ground
+        inside, band_solves, factors = [None], [], []
+        solve, factor = BandCholesky.solve, OperatorPair.pencil_factor
 
-        def ground_marked(*args):
-            inside[0] = True
-            try:
-                return ground(*args)
-            finally:
-                inside[0] = False
+        def marked(name):
+            inner = getattr(inversion, name)
+
+            def call(*args):
+                inside[0] = name
+                try:
+                    return inner(*args)
+                finally:
+                    inside[0] = None
+            monkeypatch.setattr(inversion, name, call)
 
         def solve_marked(self, b):
-            band_solves.append(inside[0])
+            band_solves.append(inside[0] == "solve_ground_pair")
             return solve(self, b)
-        monkeypatch.setattr(inversion, "solve_ground_pair", ground_marked)
+
+        def factor_marked(self, sigma):
+            factors.append(inside[0])
+            return factor(self, sigma)
+        marked("solve_ground_pair")
+        marked("certify_ground")
         monkeypatch.setattr(BandCholesky, "solve", solve_marked)
+        monkeypatch.setattr(OperatorPair, "pencil_factor", factor_marked)
         calls = _count_calls(monkeypatch, "solve_ground_pair")
         # the ground solver's fallback is spectral's own K=1 binding
         arpack = _count_calls(monkeypatch, "solve_generalized_eig",
@@ -383,9 +395,14 @@ class TestFixedPointInvert:
         assert art.all_pass
         n = calls["solve_ground_pair"]
         assert n == 26  # one per closure evaluation
+        # one band factor per outer step: the later evaluations borrow the
+        # first one's, and the floor proves every pair (no refusal); the
+        # outer steps' Krylov pairs are proved by the floor too
+        assert factors.count("solve_ground_pair") == 5
+        assert factors.count("certify_ground") == 0
         # each warm solve returns at its first iterate within the residual
-        # bound, 2.5 inverse-iteration solves per evaluation (64 measured)
-        assert sum(band_solves) <= 66
+        # bound: 64 inverse-iteration solves with 26 factors, 67 with 5
+        assert sum(band_solves) == 67
         assert arpack["solve_generalized_eig"] == 0
         assert f"INFO closure-eigensolves: warm={n} fallback=0" in art.summary_lines
         assert "INFO transport-solves: 6" in art.summary_lines  # 5 outer steps and d

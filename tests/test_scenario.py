@@ -256,6 +256,41 @@ def test_non_finite_input_rejected(line, key):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("lines,key,value", [
+    ("coefficient = gaussian-bump\ncoefficient.width = 0", "coefficient.width", "0.0"),
+    ("coefficient = two-bump\ncoefficient.width2 = -0.01", "coefficient.width2", "-0.01"),
+    ("coefficient = constant\nperturbation = gaussian-bump\nperturbation.width = 0",
+     "perturbation.width", "0.0"),
+    ("coefficient = constant\neta = two-bump\neta.width2 = 0", "eta.width2", "0.0"),
+])
+def test_non_positive_gaussian_width_rejected(lines, key, value):
+    # the width divides the Gaussian's exponent: zero would divide by zero,
+    # and a negative width grows away from the centre instead of decaying
+    text = f"name = t\nnx = 8\nny = 8\n{lines}\n"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be positive, got {value}$"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("lines,refused", [
+    # a far centre: the bump has decayed to 0 on the square, r^2 overflows
+    ("coefficient = two-bump\ncoefficient.center2_x = 2.9980769960612388e+153", None),
+    ("coefficient = gaussian-bump\ncoefficient.center_x = 1e200", None),
+    # an overflowing sum leaves an inf that the field check refuses
+    ("coefficient = affine\ncoefficient.grad_x = 1e308\ncoefficient.grad_y = 1e308",
+     "coefficient is not admissible: coefficient value inf is not finite"),
+    ("coefficient = constant\neta = gaussian-bump\neta.amplitude = 1e308\nscales = 10",
+     r"coefficient \+ s\*eta at s=10 is not admissible: coefficient value inf is not finite"),
+])
+def test_an_overflowing_field_parses_or_is_refused_without_a_warning(lines, refused):
+    # pyproject.toml turns a RuntimeWarning into an error
+    text = f"name = t\nnx = 8\nny = 8\n{lines}\n"
+    if refused is None:
+        parse_config_text(text)
+    else:
+        with pytest.raises(ConfigError, match=f"^{refused}"):
+            parse_config_text(text)
+
+
 class TestHashAndOverrides:
     def test_hash_is_stable_and_sensitive(self):
         s = parse_config_text(MINIMAL)

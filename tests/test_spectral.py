@@ -356,7 +356,7 @@ class TestGroundPair:
         ref = solve_generalized_eig(pair, 1)
         fallbacks = self.count_fallbacks(monkeypatch)
         # a negated start vector checks the sign rule as well
-        spec, warm = solve_ground_pair(pair, -near.eigenvectors[:, 0], near.eigenvalues[0])
+        spec, warm, _ = solve_ground_pair(pair, -near.eigenvectors[:, 0], near.eigenvalues[0])
         assert warm and fallbacks == []
         assert spec.K == 1 and list(spec.multiplicities) == [1]
         lam, lam_ref = spec.eigenvalues[0], ref.eigenvalues[0]
@@ -369,7 +369,7 @@ class TestGroundPair:
         pair, near = self.bump_pencils(32)
         fallbacks = self.count_fallbacks(monkeypatch)
         # sigma = 0.9 * 1.5 lambda_1 lies between lambda_1 and lambda_2
-        spec, warm = solve_ground_pair(pair, near.eigenvectors[:, 0], 1.5 * near.eigenvalues[0])
+        spec, warm, _ = solve_ground_pair(pair, near.eigenvectors[:, 0], 1.5 * near.eigenvalues[0])
         assert not warm and fallbacks == [1]
         ref = solve_generalized_eig(pair, 1)
         assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
@@ -389,9 +389,49 @@ class TestGroundPair:
         ref = solve_generalized_eig(pair, 1)
         fallbacks = self.count_fallbacks(monkeypatch)
         band_solves = self.count_band_solves(monkeypatch)
-        spec, warm = solve_ground_pair(pair, near.eigenvectors[:, 0], near.eigenvalues[0])
+        spec, warm, _ = solve_ground_pair(pair, near.eigenvectors[:, 0], near.eigenvalues[0])
         assert warm and fallbacks == [] and len(band_solves) == 1
         assert abs(spec.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-13 * ref.eigenvalues[0]
+
+    @staticmethod
+    def count_factors(monkeypatch):
+        calls, factor = [], OperatorPair.pencil_factor
+
+        def counted(self, sigma):
+            calls.append(sigma)
+            return factor(self, sigma)
+        monkeypatch.setattr(OperatorPair, "pencil_factor", counted)
+        return calls
+
+    @pytest.mark.parametrize("nx", [32, 64])
+    def test_borrowed_factor_matches_arpack(self, nx, monkeypatch):
+        # the nearby pencil's factor, as the closure passes it on, proves its
+        # pair by the floor and factors nothing
+        pair, near = self.bump_pencils(nx)
+        lam_near = near.eigenvalues[0]
+        near_pair = near.disc.pair(make_coefficient(near.disc.mesh, "gaussian-bump",
+                                                    {"amplitude": 0.499}, 2.0).values)
+        borrowed = near_pair.pencil_factor(spectral._GROUND_SHIFT * lam_near)
+        ref = solve_generalized_eig(pair, 1)
+        factors = self.count_factors(monkeypatch)
+        spec, warm, factor = solve_ground_pair(pair, near.eigenvectors[:, 0], lam_near, borrowed)
+        assert warm and factor is borrowed and factors == []
+        assert abs(spec.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-12 * ref.eigenvalues[0]
+        v = spec.eigenvectors[:, 0]
+        assert 1.0 - abs(v @ (pair.mass @ ref.eigenvectors[:, 0])) <= 1e-12
+        assert np.ones(v.size) @ (pair.mass @ v) > 0
+
+    def test_a_pair_above_the_floor_refuses_the_borrowed_factor(self, two_well16, monkeypatch):
+        # lambda_1 = 150.7 lies above 5 pi^2: the floor cannot prove a pair
+        # found with a borrowed factor, so the pencil factors its own
+        pair, spec = two_well16
+        lam = spec.eigenvalues[0]
+        borrowed = pair.disc.pair(1.0).pencil_factor(0.0)
+        factors = self.count_factors(monkeypatch)
+        got, warm, factor = solve_ground_pair(pair, spec.eigenvectors[:, 0], lam, borrowed)
+        assert warm and factor is not borrowed
+        assert factors == [spectral._GROUND_SHIFT * lam]
+        assert got.eigenvalues[0] == pytest.approx(lam, rel=1e-12)
 
     def test_iteration_cap_falls_back(self, monkeypatch):
         pair, near = self.bump_pencils(32)
@@ -400,7 +440,7 @@ class TestGroundPair:
         # outside _RESIDUAL_TOL (4 band solves reach it), so a cap of one
         # iteration ends without accepting and ARPACK solves the pencil
         monkeypatch.setattr(spectral, "_GROUND_MAX_ITER", 1)
-        spec, warm = solve_ground_pair(pair, near.eigenvectors[:, 0], near.eigenvalues[0])
+        spec, warm, _ = solve_ground_pair(pair, near.eigenvectors[:, 0], near.eigenvalues[0])
         assert not warm and fallbacks == [1]
         assert np.array_equal(spec.eigenvalues, solve_generalized_eig(pair, 1).eigenvalues)
 
@@ -430,7 +470,7 @@ class TestCertifyGround:
         # stays on phi_2: it cannot tell the second pair from the ground.
         pair, spec = two_well
         second = self.kth_pair(spec, 1)
-        warm_spec, warm = solve_ground_pair(pair, second.eigenvectors[:, 0],
+        warm_spec, warm, _ = solve_ground_pair(pair, second.eigenvectors[:, 0],
                                             second.eigenvalues[0])
         assert warm
         assert warm_spec.eigenvalues[0] == pytest.approx(spec.eigenvalues[1], rel=1e-12)
@@ -443,6 +483,44 @@ class TestCertifyGround:
         low = dataclasses.replace(ground, eigenvalues=ground.eigenvalues * (1.0 - 1e-6))
         assert definite_factor(pair.stiffness - float(low.eigenvalues[0]) * pair.mass) is not None
         assert not certify_ground(pair, low)
+
+
+class TestGroundFloor:
+    """The floor certificate: an eigenvalue bound below 5 pi^2 <= lambda_2 is lambda_1's."""
+
+    @staticmethod
+    def below(pair, v):
+        return spectral._below_floor(pair, v, pair.stiffness @ v, pair.mass @ v)
+
+    def test_accepts_the_bump_ground_pair_only(self, bump_pair32, bump_spec32):
+        V = bump_spec32.eigenvectors
+        assert self.below(bump_pair32, V[:, 0])
+        assert self.below(bump_pair32, -3.0 * V[:, 0])  # any scaling
+        assert not self.below(bump_pair32, V[:, 1])
+
+    def test_leaves_the_two_well_pencil_to_the_cholesky_test(self, two_well16, monkeypatch):
+        pair, spec = two_well16
+        assert not self.below(pair, spec.eigenvectors[:, 0])
+        calls, factor = [], OperatorPair.pencil_factor
+        monkeypatch.setattr(OperatorPair, "pencil_factor",
+                            lambda self, sigma: calls.append(sigma) or factor(self, sigma))
+        ground = TestCertifyGround.kth_pair(spec, 0)
+        assert certify_ground(pair, ground) and len(calls) == 1
+
+    def test_certify_ground_factors_nothing_below_the_floor(self, bump_pair32, bump_spec32,
+                                                             monkeypatch):
+        monkeypatch.setattr(OperatorPair, "pencil_factor", None)  # any factor would raise
+        assert certify_ground(bump_pair32, TestCertifyGround.kth_pair(bump_spec32, 0))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_the_floor_holds(self, n):
+        # dense lambda_2 of the unit pencil against 5 pi^2, and d_min against
+        # the least eigenvalue of M_II
+        disc = discretize(build_structured_mesh(n, n))
+        A, M = disc.unit_pair.stiffness.toarray(), disc.mass_int.toarray()
+        lam2 = la.eigh(A, M, eigvals_only=True, subset_by_index=(1, 1))[0]
+        assert lam2 >= 5.0 * PI2 > spectral._GROUND_FLOOR
+        assert 0.0 < disc.mass_floor <= la.eigvalsh(M, subset_by_index=(0, 0))[0]
 
 
 def _clustered(spec: SpectralDecomposition, lam) -> SpectralDecomposition:
